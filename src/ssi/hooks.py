@@ -42,10 +42,6 @@ class HookContext:
 
         self._interp = interp
 
-    @property
-    def call_line(self) -> int:
-        return self.site.line
-
     def exec_snippet(self, template: str, args=()) -> None:
         """Run C statement text; ``{N}`` placeholders bind to the given
         values. ``(opaque)`` inside the snippet is a fresh symbolic value."""

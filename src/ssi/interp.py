@@ -1,7 +1,9 @@
 """Tree-walking execution engine over the semi-symbolic value model.
 
 Statements come from the island parser and are executed directly; holes are
-parsed the first time control reaches them. Calls resolve, in order, to a
+parsed the first time control reaches them, and the expressions and simple
+statements in them are compiled into closures then and re-run after that
+(``Interp.eval_tokens``). Calls resolve, in order, to a
 registered hook, an in-corpus function definition, or a symbolic fallback
 that records a missing-model event and returns a fresh symbol. Fresh symbols
 minted inside a modeled or unmodeled call remember that call, which is what
@@ -23,6 +25,7 @@ from . import tokens as tk
 from .errors import (
     EvalError,
     MaxStepsExceeded,
+    SsiError,
     StoppedAtBreakpoint,
     SymbolicAddress,
     SymbolicBranch,
@@ -158,17 +161,7 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                     info.tag = toks[i].text
                     i += 1
                 if i < n and toks[i].kind == tk.PUNCT and toks[i].text == "{":
-                    depth = 0
-                    j = i
-                    while j < n:
-                        if toks[j].kind == tk.PUNCT:
-                            if toks[j].text == "{":
-                                depth += 1
-                            elif toks[j].text == "}":
-                                depth -= 1
-                                if depth == 0:
-                                    break
-                        j += 1
+                    j = _closing(toks, i)
                     info.inline_body = (i + 1, j)
                     i = j + 1
                 continue
@@ -222,13 +215,6 @@ class Place:
     name: str = ""
 
 
-@dataclass
-class NameRef:
-    name: str
-    token: tk.Token
-    index: int
-
-
 _ASSIGN_OPS = {
     "=": None, "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
     "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>",
@@ -239,9 +225,90 @@ _TIERS = (
     ("==", "!="), ("<", "<=", ">", ">="),
     ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
 )
+_TIER_OF = {op: tier for tier, ops in enumerate(_TIERS) for op in ops}
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
+
+
+def _closing(toks, i):
+    """Index of the bracket that closes the one at ``toks[i]``, else len(toks)."""
+    open_text = toks[i].text
+    close_text = {"(": ")", "[": "]", "{": "}"}[open_text]
+    depth = 0
+    for j in range(i, len(toks)):
+        t = toks[j]
+        if t.kind == tk.PUNCT:
+            if t.text == open_text:
+                depth += 1
+            elif t.text == close_text:
+                depth -= 1
+                if depth == 0:
+                    return j
+    return len(toks)
+
+
+def _top_level(toks, j, stops):
+    """Index of the first punctuator in ``stops`` from ``j`` on that is not
+    nested in brackets, else len(toks)."""
+    depth = 0
+    for k in range(j, len(toks)):
+        t = toks[k]
+        if t.kind == tk.PUNCT:
+            if t.text in "([{":
+                depth += 1
+            elif t.text in ")]}":
+                depth -= 1
+            elif depth == 0 and t.text in stops:
+                return k
+    return len(toks)
+
+
+def _punct_at(toks, i, text) -> bool:
+    return i < len(toks) and toks[i].kind == tk.PUNCT and toks[i].text == text
+
+
+def _starts_declaration(t, typedefs) -> bool:
+    if t.kind == tk.KEYWORD:
+        return (t.text in BASE_TYPE_KEYWORDS or t.text in QUALIFIER_KEYWORDS
+                or t.text in ("struct", "union", "enum", "typedef"))
+    return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES or t.text in typedefs)
+
+
+def _declarator(toks, j):
+    """The declarator at ``toks[j]``, after its type: (pointer depth, name
+    token or None, (start, end) of each array bound, (start, end) of the
+    initializer or None, index after them)."""
+    n = len(toks)
+    stars = 0
+    while j < n and (_punct_at(toks, j, "*") or (toks[j].kind == tk.KEYWORD
+                                                  and toks[j].text in QUALIFIER_KEYWORDS)):
+        stars += toks[j].text == "*"
+        j += 1
+    if j >= n or toks[j].kind != tk.IDENTIFIER:
+        return stars, None, [], None, j
+    name = toks[j]
+    j += 1
+    dims = []
+    while _punct_at(toks, j, "["):
+        k = _closing(toks, j)
+        dims.append((j + 1, k))
+        j = k + 1
+    init = None
+    if _punct_at(toks, j, "="):
+        k = _top_level(toks, j + 1, (",", ";"))
+        init, j = (j + 1, k), k
+    return stars, name, dims, init, j
+
+
+def _static_count(bounds) -> int:
+    """Element count of array bounds, each read if it is a lone number."""
+    count = 1
+    for bound in bounds:
+        numbers = [t for t in bound if t.kind == tk.NUMBER]
+        if len(numbers) == 1:
+            count *= parse_int_literal(numbers[0].text)[0]
+    return count
 
 
 def _without_directives(toks):
@@ -327,6 +394,7 @@ class Interp:
         self.s = session
         session.interp = self
         session.store.layout_source = self._layout_from_corpus
+        self._epoch = object()  # replaced when a typedef changes; see eval_tokens
         self._scan_corpus_names()
 
     def _scan_corpus_names(self):
@@ -356,21 +424,11 @@ class Interp:
                         boundary = False
                     i += 1
                     continue
-                if depth == 0 and boundary and self._global_decl_at(toks, i):
+                if depth == 0 and boundary and _starts_declaration(t, s.typedefs):
                     i = max(self._record_global_decl(toks, i), i + 1)
                     continue
                 boundary = False
                 i += 1
-
-    def _global_decl_at(self, toks, i) -> bool:
-        t = toks[i]
-        if t.kind == tk.KEYWORD and (t.text in BASE_TYPE_KEYWORDS
-                                     or t.text in QUALIFIER_KEYWORDS
-                                     or t.text in ("struct", "union", "enum",
-                                                   "typedef")):
-            return True
-        return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES
-                                            or t.text in self.s.typedefs)
 
     def _record_global_decl(self, toks, i) -> int:
         """Try to record one file-scope declaration starting at i; returns
@@ -380,60 +438,19 @@ class Interp:
         j, info = parse_type_prefix(toks, i, s.typedefs)
         if not info.saw_type:
             return i + 1
-        is_typedef = info.is_typedef
         while j < n:
-            stars = 0
-            while j < n and ((toks[j].kind == tk.PUNCT and toks[j].text == "*")
-                             or (toks[j].kind == tk.KEYWORD
-                                 and toks[j].text in QUALIFIER_KEYWORDS)):
-                if toks[j].text == "*":
-                    stars += 1
-                j += 1
-            if j >= n or toks[j].kind != tk.IDENTIFIER:
-                return j
-            name = toks[j].text
-            j += 1
-            if j < n and toks[j].kind == tk.PUNCT and toks[j].text == "(":
-                return j  # function declarator: not a variable
-            count = 1
-            while j < n and toks[j].kind == tk.PUNCT and toks[j].text == "[":
-                depth = 0
-                k = j
-                while k < n:
-                    if toks[k].kind == tk.PUNCT:
-                        if toks[k].text == "[":
-                            depth += 1
-                        elif toks[k].text == "]":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                    k += 1
-                inner = [x for x in self._expand(toks[j + 1 : k])
-                         if x.kind == tk.NUMBER]
-                if len(inner) == 1:
-                    count *= parse_int_literal(inner[0].text)[0]
-                j = k + 1
-            if is_typedef:
-                s.typedefs[name] = 8 if stars else info.width
+            stars, name, dims, _init, j = _declarator(toks, j)
+            if name is None or _punct_at(toks, j, "("):
+                return j  # a function declarator is not a variable
+            count = _static_count(self._expand(toks[a:b]) for a, b in dims)
+            if info.is_typedef:
+                self._define_typedef(name.text, 8 if stars else info.width)
             else:
-                s.global_decls.setdefault(name, GlobalDecl(
+                s.global_decls.setdefault(name.text, GlobalDecl(
                     info.tag, stars, 8 if stars else info.width, count))
-            if j < n and toks[j].kind == tk.PUNCT and toks[j].text == "=":
-                depth = 0
-                while j < n:
-                    x = toks[j]
-                    if x.kind == tk.PUNCT:
-                        if x.text in "([{":
-                            depth += 1
-                        elif x.text in ")]}":
-                            depth -= 1
-                        elif depth == 0 and x.text in (",", ";"):
-                            break
-                    j += 1
-            if j < n and toks[j].kind == tk.PUNCT and toks[j].text == ",":
-                j += 1
-                continue
-            return j
+            if not _punct_at(toks, j, ","):
+                return j
+            j += 1
         return j
 
     # ------------------------------------------------------------ utilities
@@ -442,12 +459,6 @@ class Interp:
 
     def _expand(self, toks):
         return mc.expand(toks, self.s.corpus.macros, self._on_unexpanded)
-
-    def _hole_tokens(self, hole):
-        return self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
-
-    def _node_tokens(self, node):
-        return self.s.corpus.tokens(node.file_id)[node.start : node.end]
 
     # ------------------------------------------------------------- entry API
     def run_entry(self, command: str, argv=()) -> Value:
@@ -528,21 +539,17 @@ class Interp:
         return sym
 
     def parse_params(self, fdef: FunctionDefNode):
-        toks = [t for t in self._hole_tokens(fdef.params) if t.kind not in tk.TRIVIA]
+        hole = fdef.params
+        toks = [t for t in self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
+                if t.kind not in tk.TRIVIA]
         if not toks or (len(toks) == 1 and toks[0].text == "void"):
             return []
-        groups: list[list[tk.Token]] = [[]]
-        depth = 0
-        for t in toks:
-            if t.kind == tk.PUNCT:
-                if t.text in "([{":
-                    depth += 1
-                elif t.text in ")]}":
-                    depth -= 1
-                elif t.text == "," and depth == 0:
-                    groups.append([])
-                    continue
-            groups[-1].append(t)
+        groups = []
+        j = 0
+        while j <= len(toks):
+            k = _top_level(toks, j, (",",))
+            groups.append(toks[j:k])
+            j = k + 1
         out = []
         for g in groups:
             if not g or (len(g) == 1 and g[0].text in ("void", "...")):
@@ -580,8 +587,7 @@ class Interp:
             s.store.store(Location(region.id, 0), v)
         s.frames.append(frame)
         try:
-            nodes = parse_hole_as_block(s.corpus, fdef.body, s.rules, s.on_parse)
-            sig = self.exec_block(nodes, frame)
+            sig = self._run_hole(fdef.body, frame)
         finally:
             s.frames.pop()
         if sig.kind == GOTO:
@@ -630,26 +636,23 @@ class Interp:
         r = self.s.values.resolve(v)
         if isinstance(r, Concrete):
             return str(to_int(r)), None
-        if r.blockers:
+        if r.blockers or r.pointer is None:
             return None, r
-        if r.pointer is not None:
-            rid, off = r.pointer
-            region = self.s.store.region(rid)
-            if region is not None and region.kind == MMIO and region.display_base is not None:
-                rb = self.s.values.resolve(region.display_base)
-                if isinstance(rb, Concrete):
-                    return f"{to_int(rb) + off:x}", None
-                return None, rb
-            return f"({rid}, {off})", None
-        return None, r
+        return self._address_text(*r.pointer)
 
     def address_display(self, rid: int, off: int) -> str:
+        return self._address_text(rid, off)[0] or f"({rid}, {off})"
+
+    def _address_text(self, rid: int, off: int):
+        """(text, None), or (None, Residual) for an mmio region whose
+        displayed base is not concrete."""
         region = self.s.store.region(rid)
         if region is not None and region.kind == MMIO and region.display_base is not None:
             rb = self.s.values.resolve(region.display_base)
-            if isinstance(rb, Concrete):
-                return f"{to_int(rb) + off:x}"
-        return f"({rid}, {off})"
+            if not isinstance(rb, Concrete):
+                return None, rb
+            return f"{to_int(rb) + off:x}", None
+        return f"({rid}, {off})", None
 
     # ------------------------------------------------------------ statements
     def exec_block(self, nodes, frame) -> Control:
@@ -701,8 +704,7 @@ class Interp:
 
     def _dispatch(self, node, frame) -> Control:
         if isinstance(node, (ExpressionStatementNode, DeclarationNode)):
-            self._exec_simple_tokens(self._node_tokens(node), frame,
-                                     node.file_id, node.line)
+            self.eval_tokens(node, frame, node.line, _STMT)
             return _NEXT
         if isinstance(node, IfNode):
             return self._exec_if(node, frame)
@@ -715,16 +717,14 @@ class Interp:
         if isinstance(node, ReturnNode):
             v = None
             if node.expr is not None:
-                v = self.eval_hole(node.expr, frame, node.line)
+                v = self.eval_tokens(node.expr, frame, node.line)
             return Control(RETURN, value=v)
         if isinstance(node, BreakNode):
             return Control(BREAK)
         if isinstance(node, ContinueNode):
             return Control(CONTINUE)
         if isinstance(node, BlockNode):
-            nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
-                                        self.s.on_parse)
-            return self.exec_block(nodes, frame)
+            return self._run_hole(node.body, frame)
         if isinstance(node, SwitchNode):
             return self._exec_switch(node, frame)
         if isinstance(node, GotoNode):
@@ -738,74 +738,55 @@ class Interp:
             return _NEXT
         raise EvalError(f"cannot execute node {type(node).__name__}", line=node.line)
 
-    def eval_hole(self, hole, frame, line) -> Value:
-        return self.eval_tokens(self._hole_tokens(hole), frame, hole.file_id, line)
-
-    def _cond_value(self, hole, frame, line) -> Value | None:
-        toks = [t for t in self._hole_tokens(hole) if t.kind not in tk.TRIVIA]
-        if not toks:
-            return None
-        return self.eval_tokens(self._hole_tokens(hole), frame, hole.file_id, line)
-
-    def _exec_if(self, node, frame) -> Control:
-        v = self.eval_hole(node.cond, frame, node.line)
-        taken = self.truth(v, (node.file_id, node.line))
-        hole = node.then if taken else node.orelse
-        if hole is None:
-            return _NEXT
+    def _run_hole(self, hole, frame) -> Control:
         nodes = parse_hole_as_block(self.s.corpus, hole, self.s.rules, self.s.on_parse)
         return self.exec_block(nodes, frame)
+
+    def _holds(self, node, frame, mode=None) -> bool:
+        """Whether the loop or if condition of ``node`` is true; a missing
+        ``for`` condition is."""
+        v = self.eval_tokens(node.cond, frame, node.line, mode)
+        return v is None or self.truth(v, (node.file_id, node.line))
+
+    def _run_body(self, node, frame) -> Control | None:
+        """One pass of a loop body: the Control that leaves the loop, if any."""
+        sig = self._run_hole(node.body, frame)
+        if sig.kind == BREAK:
+            return _NEXT
+        return sig if sig.kind in (RETURN, GOTO) else None
+
+    def _exec_if(self, node, frame) -> Control:
+        hole = node.then if self._holds(node, frame) else node.orelse
+        return _NEXT if hole is None else self._run_hole(hole, frame)
 
     def _exec_while(self, node, frame) -> Control:
         while True:
             self._count_step(node.line)
-            v = self.eval_hole(node.cond, frame, node.line)
-            if not self.truth(v, (node.file_id, node.line)):
+            if not self._holds(node, frame):
                 return _NEXT
-            nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
-                                        self.s.on_parse)
-            sig = self.exec_block(nodes, frame)
-            if sig.kind == BREAK:
-                return _NEXT
-            if sig.kind in (RETURN, GOTO):
+            if (sig := self._run_body(node, frame)) is not None:
                 return sig
 
     def _exec_do(self, node, frame) -> Control:
         while True:
             self._count_step(node.line)
-            nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
-                                        self.s.on_parse)
-            sig = self.exec_block(nodes, frame)
-            if sig.kind == BREAK:
-                return _NEXT
-            if sig.kind in (RETURN, GOTO):
+            if (sig := self._run_body(node, frame)) is not None:
                 return sig
-            v = self.eval_hole(node.cond, frame, node.line)
-            if not self.truth(v, (node.file_id, node.line)):
+            if not self._holds(node, frame):
                 return _NEXT
 
     def _exec_for(self, node, frame) -> Control:
-        init = self._hole_tokens(node.init)
-        if any(t.kind not in tk.TRIVIA for t in init):
-            self._exec_simple_tokens(init, frame, node.file_id, node.line)
+        self.eval_tokens(node.init, frame, node.line, _STMT)
         while True:
             self._count_step(node.line)
-            cond = self._cond_value(node.cond, frame, node.line)
-            if cond is not None and not self.truth(cond, (node.file_id, node.line)):
+            if not self._holds(node, frame, _OPTIONAL):
                 return _NEXT
-            nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
-                                        self.s.on_parse)
-            sig = self.exec_block(nodes, frame)
-            if sig.kind == BREAK:
-                return _NEXT
-            if sig.kind in (RETURN, GOTO):
+            if (sig := self._run_body(node, frame)) is not None:
                 return sig
-            step = self._hole_tokens(node.step)
-            if any(t.kind not in tk.TRIVIA for t in step):
-                self.eval_tokens(step, frame, node.file_id, node.line)
+            self.eval_tokens(node.step, frame, node.line, _OPTIONAL)
 
     def _exec_switch(self, node, frame) -> Control:
-        subj = self.eval_hole(node.subject, frame, node.line)
+        subj = self.eval_tokens(node.subject, frame, node.line)
         r = self.s.values.resolve(subj)
         if not isinstance(r, Concrete):
             labels = self.s.values.labels_for(r.blockers)
@@ -824,7 +805,7 @@ class Interp:
                 default = idx
             elif n.case_expr is not None and target is None:
                 cv = self.s.values.resolve(
-                    self.eval_hole(n.case_expr, frame, n.line))
+                    self.eval_tokens(n.case_expr, frame, n.line))
                 if isinstance(cv, Concrete) and to_int(cv) == to_int(r):
                     target = idx
         start = target if target is not None else default
@@ -838,130 +819,153 @@ class Interp:
                 return sig
         return _NEXT
 
-    # ---------------------------------------------- declarations/expressions
-    def _exec_simple_tokens(self, raw_toks, frame, file_id, line):
-        toks = [t for t in self._expand(raw_toks) if t.kind not in tk.TRIVIA]
-        while toks and toks[-1].kind == tk.PUNCT and toks[-1].text == ";":
-            toks.pop()
+    # ------------------------------------------------------------ compiling
+    def eval_tokens(self, span, frame, line, mode=None):
+        """Run the compiled form of ``span``, a hole or a simple statement.
+
+        The tokens are compiled the first time ``span`` runs and again once a
+        typedef has been added since, because typedef names change how casts,
+        ``sizeof`` and declarations parse. ``mode`` is None for an
+        expression, ``_STMT`` for a statement or ``for`` initializer (no
+        value), ``_OPTIONAL`` for a ``for`` condition or step, which give
+        None when the span holds no code.
+        """
+        compiled = span.compiled
+        if compiled is None or compiled[0] is not self._epoch:
+            compiled = span.compiled = (self._epoch, self._compile(span, line, mode))
+        return compiled[1](frame)
+
+    def _compile(self, span, line, mode):
+        s = self.s
+        fid = span.file_id
+        if mode is _OPTIONAL and span.is_empty_of_code(s.corpus.tokens(fid)):
+            return _nothing
+        raw = s.corpus.tokens(fid)[span.start : span.end]
+        missing = []
+        toks = [t for t in mc.expand(raw, s.corpus.macros,
+                                     lambda name, at: missing.append((name, at)))
+                if t.kind not in tk.TRIVIA]
+
+        def replay():
+            for name, at in missing:
+                s.emit_event("unexpanded-macro", name=name, line=at)
+
+        try:
+            if mode is _STMT:
+                code = self._compile_statement(_strip_semicolons(toks), fid, line)
+            else:
+                code = _Compiler(self, toks, fid).expression(line)
+        except Exception:  # the unexpanded-macro events precede the error
+            replay()
+            raise
+        if not missing:
+            return code
+
+        def replaying(frame):
+            replay()
+            return code(frame)
+
+        return replaying
+
+    def _compile_statement(self, toks, file_id, line):
         if not toks:
-            return
+            return _nothing
         first = toks[0]
         if first.kind == tk.PUNCT and first.text == "#":
-            return
+            return _nothing
         if first.kind == tk.IDENTIFIER and first.text in ("asm", "__asm__", "__asm"):
-            self.s.emit_event("diagnostic",
-                              message=f"skipped inline assembly at line {line}")
-            return
-        is_decl = (first.kind == tk.KEYWORD and first.text in
-                   (BASE_TYPE_KEYWORDS | QUALIFIER_KEYWORDS | {"struct", "union", "enum", "typedef"}))
-        if not is_decl and first.kind == tk.IDENTIFIER:
-            is_decl = (first.text in self.s.typedefs or first.text in TYPE_WIDTH_BYTES)
-        if is_decl:
-            self.exec_declaration(toks, frame, file_id, line)
-        else:
-            self._eval_expanded(toks, frame, file_id, line)
+            message = f"skipped inline assembly at line {line}"
+            return lambda frame: self.s.emit_event("diagnostic", message=message)
+        if _starts_declaration(first, self.s.typedefs):
+            return self._compile_declaration(toks, file_id, line)
+        return _Compiler(self, toks, file_id).expression(line)
 
-    def exec_declaration(self, toks, frame, file_id, line):
+    def _compile_declaration(self, toks, file_id, line):
         s = self.s
         i, info = parse_type_prefix(toks, 0, s.typedefs)
         if not info.saw_type:
-            self._eval_expanded(toks, frame, file_id, line)
-            return
+            return _Compiler(self, toks, file_id).expression(line)
+        steps = []
         if info.inline_body is not None and info.tag is not None:
             b0, b1 = info.inline_body
-            layout = self._parse_struct_body(toks[b0:b1])
-            s.store.install_layout(info.tag, layout)
+            tag, body = info.tag, toks[b0:b1]
+            steps.append(lambda frame: s.store.install_layout(
+                tag, self._parse_struct_body(body)))
         if info.is_typedef:
-            name = None
-            stars = 0
-            for t in toks[i:]:
-                if t.kind == tk.IDENTIFIER:
-                    name = t.text
-                elif t.kind == tk.PUNCT and t.text == "*":
-                    stars += 1
-            if name:
-                s.typedefs[name] = 8 if stars else info.width
-            return
+            names = [t.text for t in toks[i:] if t.kind == tk.IDENTIFIER]
+            pointer = any(_punct_at(toks, k, "*") for k in range(i, len(toks)))
+            if names:
+                name, width = names[-1], 8 if pointer else info.width
+                steps.append(lambda frame: self._define_typedef(name, width))
+            return _sequence(steps)
         n = len(toks)
         while i < n:
-            stars = 0
-            while i < n and ((toks[i].kind == tk.PUNCT and toks[i].text == "*")
-                             or (toks[i].kind == tk.KEYWORD and toks[i].text in QUALIFIER_KEYWORDS)):
-                if toks[i].text == "*":
-                    stars += 1
-                i += 1
-            if i >= n or toks[i].kind != tk.IDENTIFIER:
+            stars, name, dims, init, i = _declarator(toks, i)
+            if name is None:
                 while i < n and toks[i].text != ",":
                     i += 1
                 i += 1
                 continue
-            name = toks[i].text
-            name_tok = toks[i]
+            dims = [self._compile_dimension(toks[a:b], file_id, line) for a, b in dims]
+            if init is not None:
+                init = _Compiler(self, toks[init[0] : init[1]], file_id).expression(name.line)
+            steps.append(self._declare(name.text, stars, info, dims, init))
+            if not _punct_at(toks, i, ","):
+                break
             i += 1
+        return _sequence(steps)
+
+    def _declare(self, name, stars, info, dims, init):
+        store = self.s.store
+        tag = info.tag
+
+        def declare(frame):
             count = 1
-            while i < n and toks[i].kind == tk.PUNCT and toks[i].text == "[":
-                depth = 0
-                j = i
-                while j < n:
-                    if toks[j].kind == tk.PUNCT:
-                        if toks[j].text == "[":
-                            depth += 1
-                        elif toks[j].text == "]":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                    j += 1
-                count *= self._const_int(toks[i + 1 : j], frame, file_id, line, default=1)
-                i = j + 1
+            for dim in dims:
+                count *= dim(frame)
             if stars:
                 width = 8
-            elif info.tag is not None:
-                width = self.s.store.ensure_size(info.tag) or info.width
+            elif tag is not None:
+                width = store.ensure_size(tag) or info.width
             else:
                 width = info.width
-            region = s.store.alloc_region(name, STACK, size=width * count,
-                                          struct_tag=info.tag if not stars else None)
-            slot = Slot(region.id, 0, width,
-                        pointee_tag=info.tag if stars else None,
-                        struct_tag=info.tag if not stars else None,
-                        elem_width=width)
-            frame.locals[name] = slot
-            if i < n and toks[i].kind == tk.PUNCT and toks[i].text == "=":
-                depth = 0
-                j = i + 1
-                while j < n:
-                    t = toks[j]
-                    if t.kind == tk.PUNCT:
-                        if t.text in "([{":
-                            depth += 1
-                        elif t.text in ")]}":
-                            depth -= 1
-                        elif t.text == "," and depth == 0:
-                            break
-                    j += 1
-                v = self._eval_expanded(toks[i + 1 : j], frame, file_id,
-                                        name_tok.line)
-                if stars and info.tag and v.pointee_tag is None:
-                    v.pointee_tag = info.tag
-                s.store.store(Location(region.id, 0), v)
-                i = j
-            if i < n and toks[i].kind == tk.PUNCT and toks[i].text == ",":
-                i += 1
-                continue
-            break
+            region = store.alloc_region(name, STACK, size=width * count,
+                                        struct_tag=tag if not stars else None)
+            frame.locals[name] = Slot(region.id, 0, width,
+                                      pointee_tag=tag if stars else None,
+                                      struct_tag=tag if not stars else None,
+                                      elem_width=width)
+            if init is not None:
+                v = init(frame)
+                if stars and tag and v.pointee_tag is None:
+                    v.pointee_tag = tag
+                store.store(Location(region.id, 0), v)
 
-    def _const_int(self, toks, frame, file_id, line, default=1):
-        toks = [t for t in toks if t.kind not in tk.TRIVIA]
+        return declare
+
+    def _compile_dimension(self, toks, file_id, line):
+        """An array bound: its value if it resolves to a constant, else 1."""
         if len(toks) == 1 and toks[0].kind == tk.NUMBER:
-            return parse_int_literal(toks[0].text)[0]
+            count = parse_int_literal(toks[0].text)[0]
+            return lambda frame: count
         try:
-            v = self._eval_expanded(toks, frame, file_id, line)
-            r = self.s.values.resolve(v)
-            if isinstance(r, Concrete):
-                return to_int(r)
-        except Exception:
-            pass
-        return default
+            expr = _Compiler(self, toks, file_id).expression(line)
+        except (SsiError, ValueError):
+            return lambda frame: 1
+
+        def dimension(frame):
+            try:
+                r = self.s.values.resolve(expr(frame))
+            except (SsiError, ValueError):
+                return 1
+            return to_int(r) if isinstance(r, Concrete) else 1
+
+        return dimension
+
+    def _define_typedef(self, name, width):
+        if self.s.typedefs.get(name) != width:
+            self.s.typedefs[name] = width
+            self._epoch = object()  # every compiled form is stale now
 
     # ----------------------------------------------------------- struct defs
     def _layout_from_corpus(self, tag):
@@ -976,12 +980,7 @@ class Interp:
                 if j >= n or toks[j].kind != tk.IDENTIFIER or toks[j].text != tag:
                     continue
                 k = tk.skip_trivia(toks, j + 1, n)
-                if k >= n or toks[k].kind != tk.PUNCT or toks[k].text != "{":
-                    continue
-                try:
-                    _, end = tk.find_balanced_span(
-                        tk.Cursor(toks, k, limit=n, file_id=fid), "{", "}")
-                except Exception:
+                if not _punct_at(toks, k, "{") or (end := _closing(toks, k)) == n:
                     continue
                 body = [x for x in self._expand(toks[k + 1 : end])
                         if x.kind not in tk.TRIVIA]
@@ -1007,42 +1006,17 @@ class Interp:
                     continue
             i = j
             while i < n and toks[i].text != ";":
-                stars = 0
-                while i < n and toks[i].kind == tk.PUNCT and toks[i].text == "*":
-                    stars += 1
-                    i += 1
-                if i >= n or toks[i].kind != tk.IDENTIFIER:
-                    while i < n and toks[i].text not in (",", ";"):
-                        i += 1
-                    if i < n and toks[i].text == ",":
-                        i += 1
-                    continue
-                name = toks[i].text
-                i += 1
-                count = 1
-                while i < n and toks[i].kind == tk.PUNCT and toks[i].text == "[":
-                    depth = 0
-                    j2 = i
-                    while j2 < n:
-                        if toks[j2].kind == tk.PUNCT:
-                            if toks[j2].text == "[":
-                                depth += 1
-                            elif toks[j2].text == "]":
-                                depth -= 1
-                                if depth == 0:
-                                    break
-                        j2 += 1
-                    inner = [t for t in toks[i + 1 : j2] if t.kind == tk.NUMBER]
-                    count *= parse_int_literal(inner[0].text)[0] if len(inner) == 1 else 1
-                    i = j2 + 1
-                if stars:
-                    width = 8
-                elif info.tag is not None:
-                    width = self.s.store.ensure_size(info.tag) or 4
-                else:
-                    width = info.width
-                layout[name] = FieldInfo(offset, width, count)
-                offset += width * count
+                stars, name, dims, _init, i = _declarator(toks, i)
+                if name is not None:
+                    count = _static_count(toks[a:b] for a, b in dims)
+                    if stars:
+                        width = 8
+                    elif info.tag is not None:
+                        width = self.s.store.ensure_size(info.tag) or 4
+                    else:
+                        width = info.width
+                    layout[name.text] = FieldInfo(offset, width, count)
+                    offset += width * count
                 while i < n and toks[i].text not in (",", ";"):
                     i += 1
                 if i < n and toks[i].text == ",":
@@ -1182,31 +1156,110 @@ class Interp:
             return region.struct_tag
         return f"@r{rid}"
 
-    # ------------------------------------------------------------ expression
-    def eval_tokens(self, raw_toks, frame, file_id, line) -> Value:
-        toks = [t for t in self._expand(raw_toks) if t.kind not in tk.TRIVIA]
-        while toks and toks[-1].kind == tk.PUNCT and toks[-1].text == ";":
-            toks.pop()
-        return self._eval_stripped(toks, frame, file_id, line)
+    def resolve_name(self, name: str, frame, at):
+        """The Place a name denotes in ``frame``; in a snippet, a bound
+        placeholder or ``opaque`` gives a Value instead. A global gets its
+        region on first use."""
+        s = self.s
+        if frame.is_snippet:
+            if name == "opaque":
+                return self.fresh_opaque(at)
+            vid = frame.value_bindings.get(name)
+            if vid is not None:
+                return s.values.get(vid)
+        slot = frame.locals.get(name)
+        if slot is not None:
+            return Place(region=slot.region, offset=slot.offset, width=slot.width,
+                         struct_tag=slot.struct_tag, pointee_tag=slot.pointee_tag,
+                         elem_width=slot.elem_width, name=name)
+        decl = s.globals.get(name)
+        shape = s.global_decls.get(name)
+        if decl is None:
+            tag = shape.tag if shape is not None and not shape.stars else None
+            size = shape.width * shape.count if shape is not None else None
+            region = s.store.alloc_region(name, STATIC, size=size,
+                                          struct_tag=tag)
+            s.globals[name] = region.id
+            decl = region.id
+        if shape is not None:
+            return Place(region=decl, offset=0, width=shape.width,
+                         struct_tag=shape.tag if not shape.stars else None,
+                         pointee_tag=shape.tag if shape.stars else None,
+                         elem_width=shape.width, name=name)
+        return Place(region=decl, offset=0, width=4, name=name)
 
-    def _eval_expanded(self, toks, frame, file_id, line) -> Value:
-        toks = [t for t in toks if t.kind not in tk.TRIVIA]
-        while toks and toks[-1].kind == tk.PUNCT and toks[-1].text == ";":
-            toks.pop()
-        return self._eval_stripped(toks, frame, file_id, line)
+    def address_of(self, place: Place, at) -> Value:
+        vals = self.s.values
+        if place.region is not None:
+            v = vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
+            if isinstance(place.offset, int) and place.offset:
+                v = vals.apply_binop("+", v, vals.concrete(
+                    64, place.offset, at, desc=f"offset {place.offset}"), at)
+            elif not isinstance(place.offset, int):
+                v = vals.apply_binop("+", v, place.offset, at)
+            v.pointee_tag = place.struct_tag
+            return v
+        if isinstance(place.offset, int) and place.offset == 0:
+            return place.ptr
+        off = place.offset if isinstance(place.offset, Value) else \
+            vals.concrete(64, place.offset, at, desc=f"offset {place.offset}")
+        v = vals.apply_binop("+", place.ptr, off, at)
+        v.pointee_tag = place.struct_tag
+        return v
 
-    def _eval_stripped(self, toks, frame, file_id, line) -> Value:
-        if not toks:
-            raise EvalError(f"empty expression at {file_id}:{line}", line=line)
-        parser = _ExprParser(self, toks, frame, file_id)
-        pv = parser.parse_comma()
-        if parser.i < len(parser.toks):
-            extra = parser.toks[parser.i]
-            raise EvalError(
-                f"unexpected token {extra.text!r} at {file_id}:{extra.line}",
-                line=extra.line,
-            )
-        return parser.rval(pv)
+    def index_place(self, base, idx: Value, at) -> Place:
+        """``base[idx]`` for a Place base (an array) or a pointer Value."""
+        vals = self.s.values
+        r = vals.resolve(idx)
+        if isinstance(base, Place):
+            elem = base.elem_width or base.width or 4
+        else:
+            elem = 4
+            base = Place(ptr=base, offset=0, width=4, struct_tag=base.pointee_tag)
+        if isinstance(r, Concrete):
+            new_off = self._shifted(base.offset, to_int(r) * elem, at, "index")
+        else:
+            scaled = vals.apply_binop(
+                "*", idx, vals.concrete(64, elem, at, desc=f"elem {elem}"), at)
+            if isinstance(base.offset, int):
+                if base.offset:
+                    scaled = vals.apply_binop(
+                        "+", scaled, vals.concrete(64, base.offset, at, desc="offset"), at)
+                new_off = scaled
+            else:
+                new_off = vals.apply_binop("+", base.offset, scaled, at)
+        return Place(region=base.region, ptr=base.ptr, offset=new_off,
+                     width=elem, elem_width=elem, struct_tag=base.struct_tag,
+                     name=f"{base.name}[]")
+
+    def arrow_place(self, base: Value, field: str, at) -> Place:
+        rid, base_off = self.deref_location(base, at)
+        info = self.s.store.field_offset(self._struct_tag_for(base, rid), field, 4)
+        return Place(region=rid, offset=base_off + info.offset, width=info.width,
+                     elem_width=info.width, name=field)
+
+    def dot_place(self, place: Place, field: str, at) -> Place:
+        tag = place.struct_tag
+        if tag is None:
+            if place.region is not None:
+                tag = f"@r{place.region}"
+            else:
+                rid, base_off = self.deref_location(place.ptr, at)
+                place = Place(region=rid, offset=base_off
+                              if isinstance(place.offset, int) and place.offset == 0
+                              else place.offset, name=place.name)
+                tag = f"@r{rid}"
+        info = self.s.store.field_offset(tag, field, 4)
+        return Place(region=place.region, ptr=place.ptr,
+                     offset=self._shifted(place.offset, info.offset, at, "field"),
+                     width=info.width, elem_width=info.width, name=field)
+
+    def _shifted(self, offset, delta: int, at, desc: str):
+        """``offset`` plus ``delta`` bytes; a symbolic offset gets a term."""
+        if isinstance(offset, int):
+            return offset + delta
+        vals = self.s.values
+        return vals.apply_binop("+", offset, vals.concrete(64, delta, at, desc=desc), at)
 
     # -------------------------------------------------------------- services
     def exec_snippet(self, template: str, args=(), at=("<snippet>", 1)):
@@ -1254,6 +1307,7 @@ class Interp:
                  at=("<hook>", 0)) -> Value:
         region = self.s.store.alloc_region(label, MMIO, size=size)
         region.display_base = base_value.id
+        self.s.values.forget_residuals()
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
 
     def fresh_opaque(self, at) -> Value:
@@ -1283,35 +1337,95 @@ class Interp:
         return s.values.addr_of(rid, at, desc="string literal")
 
 
-class _ExprParser:
-    """Precedence-climbing evaluator over one expanded token run.
+# ------------------------------------------------------------------ compiler
 
-    Produces values and lvalue places directly; the only buffered structure
-    is the token list itself. Untaken ternary arms and short-circuited
-    operands are parsed in dead mode: consumed for shape, with loads, calls,
-    and stores suppressed.
+_STMT = "statement"
+_OPTIONAL = "optional"
+
+# Kinds of compiled subexpression: what its closure returns when run.
+_VALUE = "value"  # a Value
+_PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
+_NAME = "name"    # resolves an identifier; a call through it is a named call
+
+
+def _nothing(frame):
+    return None
+
+
+def _sequence(steps):
+    def run(frame):
+        for step in steps:
+            step(frame)
+
+    return run
+
+
+def _strip_semicolons(toks):
+    end = len(toks)
+    while end and _punct_at(toks, end - 1, ";"):
+        end -= 1
+    return toks[:end]
+
+
+class _Expr:
+    __slots__ = ("kind", "fn", "index")
+
+    def __init__(self, kind, fn, index=None):
+        self.kind = kind
+        self.fn = fn        # callable(frame)
+        self.index = index  # _NAME: where the identifier is in the token run
+
+
+class _Compiler:
+    """Precedence climbing over one expanded token run, done once.
+
+    Each subexpression becomes a closure over the frame that does only what
+    depends on the store at run time: name lookup, loads and stores, calls
+    and minting values. The positions that provenance and messages quote are
+    those the parse reaches, worked out here, so a compiled expression mints
+    the same values in the same order as evaluating while parsing did.
+    Untaken ``?:`` arms and short-circuited operands are compiled but never
+    run.
     """
 
-    def __init__(self, interp: Interp, toks, frame, file_id):
+    def __init__(self, interp: Interp, toks, file_id):
         self.it = interp
-        self.toks = toks
-        self.frame = frame
+        self.vals = interp.s.values
+        self.toks = _strip_semicolons(toks)
         self.file_id = file_id
         self.i = 0
-        self.dead = 0
+
+    def expression(self, line):
+        """A closure giving the expression's value; raises EvalError for a
+        token run that is not one whole expression."""
+        if not self.toks:
+            raise EvalError(f"empty expression at {self.file_id}:{line}", line=line)
+        e = self.comma()
+        if self.i < len(self.toks):
+            extra = self.toks[self.i]
+            raise EvalError(
+                f"unexpected token {extra.text!r} at {self.file_id}:{extra.line}",
+                line=extra.line,
+            )
+        return self.rval(e)
 
     # ----------------------------------------------------------- primitives
-    def _err(self, msg):
-        line = 0
-        if self.i < len(self.toks):
-            line = self.toks[self.i].line
-        elif self.toks:
-            line = self.toks[-1].line
-        raise EvalError(f"{msg} at {self.file_id}:{line}", line=line)
+    def _error(self, msg):
+        """(message, line) of an error at the current position."""
+        line = self.at()[1]
+        return f"{msg} at {self.file_id}:{line}", line
 
-    def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+    def _err(self, msg):
+        raise EvalError(*self._error(msg))
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def _punct(self, texts):
+        t = self.peek()
+        if t is not None and t.kind == tk.PUNCT and t.text in texts:
+            return t
+        return None
 
     def next(self):
         t = self.peek()
@@ -1332,371 +1446,302 @@ class _ExprParser:
             t = self.toks[-1]
         return (self.file_id, t.line if t else 0)
 
-    def _dummy(self, tok=None):
-        return self.it.s.values.concrete(32, 0, self.at(tok), desc="unevaluated")
+    def rval(self, e, tok=None):
+        """A closure giving the value of ``e``, loading it if it is a place."""
+        if e.kind is _VALUE:
+            return e.fn
+        it = self.it
+        at = self.at(tok)
+        fn = e.fn
 
-    def rval(self, pv, tok=None):
-        if isinstance(pv, NameRef):
-            pv = self.it_resolve_name(pv)
-        if isinstance(pv, Place):
-            if self.dead:
-                return self._dummy(tok)
-            return self.it.load_place(pv, self.at(tok))
-        return pv
+        def load(frame):
+            p = fn(frame)
+            return it.load_place(p, at) if isinstance(p, Place) else p
 
-    def as_place(self, pv, tok=None) -> Place:
-        if isinstance(pv, NameRef):
-            pv = self.it_resolve_name(pv)
-        if not isinstance(pv, Place):
-            self._err("expression is not assignable")
-        return pv
+        return load
 
-    def it_resolve_name(self, ref: NameRef):
-        it, frame, s = self.it, self.frame, self.it.s
-        name = ref.name
-        if frame.is_snippet:
-            if name == "opaque":
-                return it.fresh_opaque(self.at(ref.token))
-            vid = frame.value_bindings.get(name)
-            if vid is not None:
-                return s.values.get(vid)
-        slot = frame.locals.get(name)
-        if slot is not None:
-            return Place(region=slot.region, offset=slot.offset, width=slot.width,
-                         struct_tag=slot.struct_tag, pointee_tag=slot.pointee_tag,
-                         elem_width=slot.elem_width, name=name)
-        decl = s.globals.get(name)
-        shape = s.global_decls.get(name)
-        if decl is None:
-            tag = shape.tag if shape is not None and not shape.stars else None
-            size = shape.width * shape.count if shape is not None else None
-            region = s.store.alloc_region(name, STATIC, size=size,
-                                          struct_tag=tag)
-            s.globals[name] = region.id
-            decl = region.id
-        if shape is not None:
-            return Place(region=decl, offset=0, width=shape.width,
-                         struct_tag=shape.tag if not shape.stars else None,
-                         pointee_tag=shape.tag if shape.stars else None,
-                         elem_width=shape.width, name=name)
-        return Place(region=decl, offset=0, width=4, name=name)
+    def as_place(self, e, msg="expression is not assignable"):
+        """A closure giving the Place ``e`` denotes; a value is an error."""
+        if e.kind is _VALUE:
+            self._err(msg)
+        text, line = self._error(msg)
+        fn = e.fn
+
+        def place(frame):
+            p = fn(frame)
+            if not isinstance(p, Place):
+                raise EvalError(text, line=line)
+            return p
+
+        return place
 
     # ------------------------------------------------------------- grammar
-    def parse_comma(self):
-        pv = self.parse_assign()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != tk.PUNCT or t.text != ",":
-                return pv
-            self.rval(pv, t)  # evaluate and discard
+    def comma(self):
+        e = self.assign()
+        while (t := self._punct((",",))) is not None:
+            first = self.rval(e, t)  # evaluated and discarded
             self.next()
-            pv = self.parse_assign()
+            e = self.assign()
+            rest = e.fn
 
-    def parse_assign(self):
-        lhs = self.parse_ternary()
-        t = self.peek()
-        if t is not None and t.kind == tk.PUNCT and t.text in _ASSIGN_OPS:
-            self.next()
-            rhs = self.rval(self.parse_assign(), t)
-            if self.dead:
-                return rhs
-            place = self.as_place(lhs, t)
-            base_op = _ASSIGN_OPS[t.text]
-            at = self.at(t)
-            if base_op is not None:
-                old = self.it.load_place(place, at)
-                rhs = self.it.s.values.apply_binop(base_op, old, rhs, at)
-            self.it.store_place(place, rhs, at)
-            return rhs
-        return lhs
+            def seq(frame, first=first, rest=rest):
+                first(frame)
+                return rest(frame)
 
-    def parse_ternary(self):
-        pv = self.parse_binary(0)
-        t = self.peek()
-        if t is None or t.kind != tk.PUNCT or t.text != "?":
-            return pv
-        self.next()
-        cond = self.rval(pv, t)
-        if self.dead:
-            mid = self.parse_comma()
-            self.expect(":")
-            self.parse_ternary()
-            return self.rval(mid, t)
-        taken = self.it.truth(cond, self.at(t))
-        if taken:
-            result = self.rval(self.parse_comma(), t)
-            self.expect(":")
-            self.dead += 1
-            try:
-                self.parse_ternary()
-            finally:
-                self.dead -= 1
-            return result
-        self.dead += 1
-        try:
-            self.parse_comma()
-        finally:
-            self.dead -= 1
-        self.expect(":")
-        return self.rval(self.parse_ternary(), t)
+            e = _Expr(_VALUE if e.kind is _VALUE else _PLACE, seq)
+        return e
 
-    def parse_binary(self, tier):
-        if tier >= len(_TIERS):
-            return self.parse_unary()
-        ops = _TIERS[tier]
-        pv = self.parse_binary(tier + 1)
-        while True:
-            t = self.peek()
-            if t is None or t.kind != tk.PUNCT or t.text not in ops:
-                return pv
-            self.next()
-            if t.text in ("&&", "||"):
-                pv = self._logical(t, pv, tier)
-                continue
-            lhs = self.rval(pv, t)
-            rhs = self.rval(self.parse_binary(tier + 1), t)
-            if self.dead:
-                pv = lhs
-                continue
-            pv = self.it.s.values.apply_binop(t.text, lhs, rhs, self.at(t))
-
-    def _logical(self, t, pv, tier):
-        vals = self.it.s.values
-        lhs = self.rval(pv, t)
-        if self.dead:
-            self.parse_binary(tier + 1)
+    def assign(self):
+        lhs = self.ternary()
+        t = self._punct(_ASSIGN_OPS)
+        if t is None:
             return lhs
-        r = vals.resolve(lhs)
-        decided = None
-        if isinstance(r, Concrete):
-            truthy = r.bits != 0
-            if t.text == "&&" and not truthy:
-                decided = 0
-            elif t.text == "||" and truthy:
-                decided = 1
-        elif r.pointer is not None and not r.blockers and t.text == "||":
-            decided = 1
-        if decided is not None:
-            self.dead += 1
-            try:
-                self.parse_binary(tier + 1)
-            finally:
-                self.dead -= 1
-            return vals.concrete(32, decided, self.at(t), signed=True,
-                                 desc=t.text, parents=(lhs.id,))
-        rhs = self.rval(self.parse_binary(tier + 1), t)
-        return vals.apply_binop(t.text, lhs, rhs, self.at(t))
+        self.next()
+        rhs = self.rval(self.assign(), t)
+        place = self.as_place(lhs)
+        op = _ASSIGN_OPS[t.text]
+        at = self.at(t)
+        it, vals = self.it, self.vals
+        # A named target is looked up after the right-hand side runs, any
+        # other place (its pointer, index, base) before.
+        late = lhs.kind is _NAME
 
-    def parse_unary(self):
+        def assign(frame):
+            p = None if late else place(frame)
+            v = rhs(frame)
+            if late:
+                p = place(frame)
+            if op is not None:
+                v = vals.apply_binop(op, it.load_place(p, at), v, at)
+            it.store_place(p, v, at)
+            return v
+
+        return _Expr(_VALUE, assign)
+
+    def ternary(self):
+        e = self.binary(0)
+        t = self._punct(("?",))
+        if t is None:
+            return e
+        self.next()
+        cond = self.rval(e, t)
+        then = self.rval(self.comma(), t)
+        self.expect(":")
+        orelse = self.rval(self.ternary(), t)
+        at = self.at(t)
+        truth = self.it.truth
+        return _Expr(_VALUE, lambda frame: then(frame) if truth(cond(frame), at)
+                     else orelse(frame))
+
+    def binary(self, lowest):
+        """Left-associative binary operators of tier ``lowest`` and above."""
+        e = self.unary()
+        while ((t := self.peek()) is not None and t.kind == tk.PUNCT
+               and (tier := _TIER_OF.get(t.text, -1)) >= lowest):
+            self.next()
+            lhs = self.rval(e, t)
+            rhs = self.rval(self.binary(tier + 1), t)
+            make = self._logical if t.text in ("&&", "||") else self._binop
+            e = _Expr(_VALUE, make(t.text, lhs, rhs, self.at(t)))
+        return e
+
+    def _binop(self, op, lhs, rhs, at):
+        vals = self.vals
+        return lambda frame: vals.apply_binop(op, lhs(frame), rhs(frame), at)
+
+    def _logical(self, op, lhs, rhs, at):
+        vals = self.vals
+        decides = 0 if op == "&&" else 1
+
+        def logical(frame):
+            a = lhs(frame)
+            r = vals.resolve(a)
+            if isinstance(r, Concrete):
+                decided = (r.bits != 0) == bool(decides)
+            else:
+                decided = decides == 1 and r.pointer is not None and not r.blockers
+            if decided:
+                return vals.concrete(32, decides, at, signed=True, desc=op,
+                                     parents=(a.id,))
+            return vals.apply_binop(op, a, rhs(frame), at)
+
+        return logical
+
+    def unary(self):
         t = self.peek()
         if t is None:
             self._err("missing expression")
-        vals = self.it.s.values
+        vals = self.vals
         if t.kind == tk.PUNCT:
-            if t.text == "(" and self._cast_ahead():
-                return self._parse_cast()
+            if t.text == "(" and (type_name := self._type_name(self.i + 1)):
+                return self._cast(t, *type_name)
             if t.text in ("!", "~", "-", "+"):
                 self.next()
-                v = self.rval(self.parse_unary(), t)
-                if self.dead or t.text == "+":
-                    return v
+                v = self.rval(self.unary(), t)
+                if t.text == "+":
+                    return _Expr(_VALUE, v)
                 op = {"!": "!", "~": "~", "-": "neg"}[t.text]
-                return vals.apply_unop(op, v, self.at(t))
+                at = self.at(t)
+                return _Expr(_VALUE, lambda frame: vals.apply_unop(op, v(frame), at))
             if t.text == "*":
                 self.next()
-                ptr = self.rval(self.parse_unary(), t)
-                tag = ptr.pointee_tag if isinstance(ptr, Value) else None
-                return Place(ptr=ptr, offset=0, width=4, struct_tag=tag, name="*")
+                ptr = self.rval(self.unary(), t)
+
+                def deref(frame):
+                    p = ptr(frame)
+                    return Place(ptr=p, offset=0, width=4, struct_tag=p.pointee_tag,
+                                 name="*")
+
+                return _Expr(_PLACE, deref)
             if t.text == "&":
                 self.next()
-                pv = self.parse_unary()
-                return self._address_of(pv, t)
+                place = self.as_place(self.unary(), "cannot take the address of a value")
+                at = self.at(t)
+                address_of = self.it.address_of
+                return _Expr(_VALUE, lambda frame: address_of(place(frame), at))
             if t.text in ("++", "--"):
                 self.next()
-                return self._incdec(self.parse_unary(), t, pre=True)
+                return self._incdec(self.unary(), t, pre=True)
         if t.kind == tk.KEYWORD and t.text == "sizeof":
             self.next()
             return self._sizeof(t)
-        return self.parse_postfix()
+        return self.postfix()
 
-    def _address_of(self, pv, t):
-        if isinstance(pv, NameRef):
-            pv = self.it_resolve_name(pv)
-        if not isinstance(pv, Place):
-            self._err("cannot take the address of a value")
-        vals = self.it.s.values
+    def _incdec(self, e, t, pre: bool):
+        place = self.as_place(e)
         at = self.at(t)
-        if pv.region is not None:
-            v = vals.addr_of(pv.region, at, desc=f"&{pv.name or pv.region}")
-            if isinstance(pv.offset, int) and pv.offset:
-                v = vals.apply_binop("+", v, vals.concrete(64, pv.offset, at,
-                                                           desc=f"offset {pv.offset}"), at)
-            elif not isinstance(pv.offset, int):
-                v = vals.apply_binop("+", v, pv.offset, at)
-            v.pointee_tag = pv.struct_tag
-            return v
-        base = pv.ptr
-        if isinstance(pv.offset, int) and pv.offset == 0:
-            return base
-        off = pv.offset if isinstance(pv.offset, Value) else \
-            vals.concrete(64, pv.offset, at, desc=f"offset {pv.offset}")
-        v = vals.apply_binop("+", base, off, at)
-        v.pointee_tag = pv.struct_tag
-        return v
+        op = "+" if t.text == "++" else "-"
+        it, vals = self.it, self.vals
 
-    def _incdec(self, pv, t, pre: bool):
-        if self.dead:
-            return self._dummy(t)
-        place = self.as_place(pv, t)
-        at = self.at(t)
-        vals = self.it.s.values
-        old = self.it.load_place(place, at)
-        one = vals.concrete(32, 1, at, desc="1")
-        new = vals.apply_binop("+" if t.text == "++" else "-", old, one, at)
-        self.it.store_place(place, new, at)
-        return new if pre else old
+        def incdec(frame):
+            p = place(frame)
+            old = it.load_place(p, at)
+            new = vals.apply_binop(op, old, vals.concrete(32, 1, at, signed=True, desc="1"), at)
+            it.store_place(p, new, at)
+            return new if pre else old
 
-    def _sizeof(self, t):
-        vals = self.it.s.values
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == tk.PUNCT and nxt.text == "(":
-            save = self.i
-            self.next()
-            j, info = parse_type_prefix(self.toks, self.i, self.it.s.typedefs)
-            if info.saw_type:
-                stars = 0
-                while j < len(self.toks) and self.toks[j].text == "*":
-                    stars += 1
-                    j += 1
-                if j < len(self.toks) and self.toks[j].text == ")":
-                    self.i = j + 1
-                    if stars:
-                        nbytes = 8
-                    elif info.tag:
-                        nbytes = self.it.s.store.ensure_size(info.tag) or info.width
-                    else:
-                        nbytes = info.width
-                    return vals.concrete(64, nbytes, self.at(t), desc="sizeof")
-            self.i = save
-        v = self.rval(self.parse_unary(), t)
-        r = self.it.s.values.resolve(v)
-        nbytes = r.width // 8 if isinstance(r, Concrete) else 4
-        return vals.concrete(64, nbytes, self.at(t), desc="sizeof")
+        return _Expr(_VALUE, incdec)
 
-    def _cast_ahead(self) -> bool:
-        j = self.i + 1
-        n = len(self.toks)
-        saw = False
-        while j < n:
-            t = self.toks[j]
-            if t.kind == tk.KEYWORD and (t.text in BASE_TYPE_KEYWORDS
-                                         or t.text in QUALIFIER_KEYWORDS):
-                saw = True
-                j += 1
-                continue
-            if t.kind == tk.KEYWORD and t.text in ("struct", "union", "enum"):
-                saw = True
-                j += 1
-                if j < n and self.toks[j].kind == tk.IDENTIFIER:
-                    j += 1
-                continue
-            if (t.kind == tk.IDENTIFIER and not saw
-                    and (t.text in TYPE_WIDTH_BYTES or t.text in self.it.s.typedefs)):
-                saw = True
-                j += 1
-                continue
-            break
-        if not saw:
-            return False
-        while j < n and self.toks[j].kind == tk.PUNCT and self.toks[j].text == "*":
-            j += 1
-        return j < n and self.toks[j].kind == tk.PUNCT and self.toks[j].text == ")"
-
-    def _parse_cast(self):
-        t = self.expect("(")
-        j, info = parse_type_prefix(self.toks, self.i, self.it.s.typedefs)
+    def _type_name(self, start):
+        """(index of ``)``, TypeInfo, pointer depth) when a parenthesized
+        type name starts at ``start``, else None."""
+        toks = self.toks
+        j, info = parse_type_prefix(toks, start, self.it.s.typedefs)
+        if not info.saw_type:
+            return None
         stars = 0
-        while j < len(self.toks) and self.toks[j].text == "*":
+        while _punct_at(toks, j, "*"):
             stars += 1
             j += 1
-        self.i = j
-        self.expect(")")
-        v = self.rval(self.parse_unary(), t)
-        if self.dead:
-            return v
-        if stars:
-            if info.tag and v.pointee_tag is None:
-                v.pointee_tag = info.tag
-            return v
-        width_bits = info.width * 8
-        return self.it.s.values.apply_cast(v, width_bits, not info.unsigned,
-                                           self.at(t))
+        return (j, info, stars) if _punct_at(toks, j, ")") else None
 
-    def parse_postfix(self):
-        pv = self.parse_primary()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != tk.PUNCT:
-                return pv
+    def _sizeof(self, t):
+        vals = self.vals
+        at = self.at(t)
+        if self._punct(("(",)) and (type_name := self._type_name(self.i + 1)):
+            close, info, stars = type_name
+            self.i = close + 1
+            store = self.it.s.store
+            tag = None if stars else info.tag
+            width = 8 if stars else info.width
+
+            def size_of_type(frame):
+                nbytes = (store.ensure_size(tag) or width) if tag else width
+                return vals.concrete(64, nbytes, at, desc="sizeof")
+
+            return _Expr(_VALUE, size_of_type)
+        v = self.rval(self.unary(), t)
+
+        def size_of_value(frame):
+            r = vals.resolve(v(frame))
+            nbytes = r.width // 8 if isinstance(r, Concrete) else 4
+            return vals.concrete(64, nbytes, at, desc="sizeof")
+
+        return _Expr(_VALUE, size_of_value)
+
+    def _cast(self, t, close, info, stars):
+        self.i = close + 1
+        v = self.rval(self.unary(), t)
+        if stars:
+            tag = info.tag
+            if not tag:
+                return _Expr(_VALUE, v)
+
+            def tag_pointer(frame):
+                p = v(frame)
+                if p.pointee_tag is None:
+                    p.pointee_tag = tag
+                return p
+
+            return _Expr(_VALUE, tag_pointer)
+        bits, signed, at = info.width * 8, not info.unsigned, self.at(t)
+        vals = self.vals
+        return _Expr(_VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at))
+
+    def postfix(self):
+        e = self.primary()
+        it = self.it
+        while (t := self.peek()) is not None and t.kind == tk.PUNCT:
             if t.text == "(":
-                pv = self._call(pv, t)
+                e = self._call(e, t)
             elif t.text == "[":
                 self.next()
-                idx = self.rval(self.parse_comma(), t)
+                idx = self.rval(self.comma(), t)
                 self.expect("]")
-                pv = self._index(pv, idx, t)
+                e = self._index(e, idx, t)
             elif t.text == "->":
                 self.next()
-                field = self.next()
-                base = self.rval(pv, t)
-                pv = self._arrow(base, field.text, t)
+                field = self.next().text
+                base = self.rval(e, t)
+                at = self.at(t)
+                e = _Expr(_PLACE, lambda frame, base=base, field=field, at=at:
+                          it.arrow_place(base(frame), field, at))
             elif t.text == ".":
                 self.next()
-                field = self.next()
-                pv = self._dot(pv, field.text, t)
+                field = self.next().text
+                place = self.as_place(e)
+                at = self.at(t)
+                e = _Expr(_PLACE, lambda frame, place=place, field=field, at=at:
+                          it.dot_place(place(frame), field, at))
             elif t.text in ("++", "--"):
                 self.next()
-                if self.dead:
-                    pv = self._dummy(t)
-                    continue
-                place = self.as_place(pv, t)
-                at = self.at(t)
-                vals = self.it.s.values
-                old = self.it.load_place(place, at)
-                one = vals.concrete(32, 1, at, desc="1")
-                new = vals.apply_binop("+" if t.text == "++" else "-", old, one, at)
-                self.it.store_place(place, new, at)
-                pv = old
+                e = self._incdec(e, t, pre=False)
             else:
-                return pv
+                break
+        return e
 
-    def _call(self, pv, open_tok):
-        if not isinstance(pv, NameRef):
-            callee = self.rval(pv, open_tok)
-            self._parse_args()
-            if self.dead:
-                return self._dummy(open_tok)
-            return self.it.computed_call(callee, (), self.at(open_tok))
-        start = pv.index
-        name_tok = pv.token
-        args = self._parse_args()
-        close_index = self.i - 1
-        close_tok = self.toks[close_index]
-        compact = " ".join(x.text for x in self.toks[start : close_index + 1])
+    def _call(self, e, open_tok):
+        it = self.it
+        if e.kind is not _NAME:
+            callee = self.rval(e, open_tok)
+            args = self._args()
+            at = self.at(open_tok)
+
+            def computed(frame):
+                target = callee(frame)
+                for arg in args:
+                    arg(frame)
+                return it.computed_call(target, (), at)
+
+            return _Expr(_VALUE, computed)
+        name_tok = self.toks[e.index]
+        args = self._args()
+        close_tok = self.toks[self.i - 1]
+        compact = " ".join(x.text for x in self.toks[e.index : self.i])
         text = compact
         if not name_tok.synthetic and not close_tok.synthetic:
             try:
-                src = self.it.s.corpus.source(self.file_id)
+                src = it.s.corpus.source(self.file_id)
                 text = src[name_tok.byte_offset : close_tok.byte_offset
                            + len(close_tok.text)]
             except KeyError:
                 pass
         site = CallSite(self.file_id, name_tok.line, text, compact)
-        if self.dead:
-            return self._dummy(open_tok)
-        return self.it.call_named(pv.name, args, site)
+        name = name_tok.text
+        return _Expr(_VALUE, lambda frame: it.call_named(
+            name, [arg(frame) for arg in args], site))
 
-    def _parse_args(self):
+    def _args(self):
         self.expect("(")
         args = []
         t = self.peek()
@@ -1704,98 +1749,49 @@ class _ExprParser:
             self.next()
             return args
         while True:
-            args.append(self.rval(self.parse_assign(), t))
+            args.append(self.rval(self.assign(), t))
             t = self.next()
             if t.text == ")":
                 return args
             if t.text != ",":
                 self._err(f"expected ',' or ')' in call, found {t.text!r}")
 
-    def _index(self, pv, idx, t):
+    def _index(self, e, idx, t):
         at = self.at(t)
-        vals = self.it.s.values
-        if isinstance(pv, NameRef):
-            pv = self.it_resolve_name(pv)
-        r = vals.resolve(idx)
-        if isinstance(pv, Place):
-            elem = pv.elem_width or pv.width or 4
-            base = pv
-        else:
-            elem = 4
-            base = Place(ptr=pv, offset=0, width=4,
-                         struct_tag=pv.pointee_tag if isinstance(pv, Value) else None)
-        if isinstance(r, Concrete):
-            delta = to_int(r) * elem
-            if isinstance(base.offset, int):
-                new_off = base.offset + delta
-            else:
-                new_off = vals.apply_binop(
-                    "+", base.offset, vals.concrete(64, delta, at, desc="index"), at)
-        else:
-            scaled = vals.apply_binop(
-                "*", idx, vals.concrete(64, elem, at, desc=f"elem {elem}"), at)
-            if isinstance(base.offset, int):
-                if base.offset:
-                    scaled = vals.apply_binop(
-                        "+", scaled, vals.concrete(64, base.offset, at, desc="offset"), at)
-                new_off = scaled
-            else:
-                new_off = vals.apply_binop("+", base.offset, scaled, at)
-        return Place(region=base.region, ptr=base.ptr, offset=new_off,
-                     width=elem, elem_width=elem, struct_tag=base.struct_tag,
-                     name=f"{base.name}[]")
+        base = e.fn
+        index_place = self.it.index_place
+        late = e.kind is _NAME  # an array name is looked up after the index runs
 
-    def _arrow(self, base: Value, field: str, t):
-        at = self.at(t)
-        if self.dead:
-            return self._dummy(t)
-        rid, base_off = self.it.deref_location(base, at)
-        tag = self.it._struct_tag_for(base, rid)
-        info = self.it.s.store.field_offset(tag, field, 4)
-        return Place(region=rid, offset=base_off + info.offset, width=info.width,
-                     elem_width=info.width, name=field)
+        def index(frame):
+            b = None if late else base(frame)
+            i = idx(frame)
+            return index_place(base(frame) if late else b, i, at)
 
-    def _dot(self, pv, field: str, t):
-        place = self.as_place(pv, t)
-        at = self.at(t)
-        tag = place.struct_tag
-        if tag is None:
-            if place.region is not None:
-                tag = f"@r{place.region}"
-            else:
-                rid, base_off = self.it.deref_location(place.ptr, at)
-                place = Place(region=rid, offset=base_off
-                              if isinstance(place.offset, int) and place.offset == 0
-                              else place.offset, name=place.name)
-                tag = f"@r{rid}"
-        info = self.it.s.store.field_offset(tag, field, 4)
-        if isinstance(place.offset, int):
-            new_off = place.offset + info.offset
-        else:
-            new_off = self.it.s.values.apply_binop(
-                "+", place.offset,
-                self.it.s.values.concrete(64, info.offset, at, desc="field"), at)
-        return Place(region=place.region, ptr=place.ptr, offset=new_off,
-                     width=info.width, elem_width=info.width, name=field)
+        return _Expr(_PLACE, index)
 
-    def parse_primary(self):
+    def primary(self):
         t = self.next()
-        vals = self.it.s.values
+        vals = self.vals
+        at = self.at(t)
         if t.kind == tk.NUMBER:
             value, bits, signed = parse_int_literal(t.text)
-            return vals.concrete(bits, value, self.at(t), signed=signed,
-                                 desc=f"literal {t.text}")
-        if t.kind == tk.CHAR:
+        elif t.kind == tk.CHAR:
             inner = unescape_c(t.text[1:-1]) if len(t.text) >= 2 else "\0"
-            code = ord(inner[0]) if inner else 0
-            return vals.concrete(32, code, self.at(t), signed=True,
-                                 desc=f"literal {t.text}")
-        if t.kind == tk.STRING:
-            return self.it.string_value(t, self.file_id, self.at(t))
-        if t.kind == tk.IDENTIFIER:
-            return NameRef(t.text, t, self.i - 1)
-        if t.kind == tk.PUNCT and t.text == "(":
-            pv = self.parse_comma()
+            value, bits, signed = (ord(inner[0]) if inner else 0), 32, True
+        elif t.kind == tk.STRING:
+            string_value, fid = self.it.string_value, self.file_id
+            return _Expr(_VALUE, lambda frame: string_value(t, fid, at))
+        elif t.kind == tk.IDENTIFIER:
+            it, name = self.it, t.text
+            name_at = (self.file_id, t.line)
+            return _Expr(_NAME, lambda frame: it.resolve_name(name, frame, name_at),
+                         self.i - 1)
+        elif t.kind == tk.PUNCT and t.text == "(":
+            e = self.comma()
             self.expect(")")
-            return pv
-        self._err(f"unexpected token {t.text!r}")
+            return e
+        else:
+            self._err(f"unexpected token {t.text!r}")
+        desc = f"literal {t.text}"
+        return _Expr(_VALUE, lambda frame: vals.concrete(bits, value, at, signed=signed,
+                                                         desc=desc))

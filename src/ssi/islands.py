@@ -31,6 +31,7 @@ class Hole:
     start: int
     end: int
     nodes: list | None = field(default=None, repr=False)  # memoized parse
+    compiled: tuple | None = field(default=None, repr=False)  # see Interp.eval_tokens
 
     def is_empty_of_code(self, tokens: list[tk.Token]) -> bool:
         return all(t.kind in tk.TRIVIA for t in tokens[self.start : self.end])
@@ -113,11 +114,15 @@ class LabelNode(Node):
 class DeclarationNode(Node):
     """A statement that unambiguously starts with a type or storage keyword."""
 
+    compiled: tuple | None = field(default=None, repr=False)
+
 
 @dataclass
 class ExpressionStatementNode(Node):
     """A ``;``-terminated statement; may turn out to be a typedef-led
     declaration once the interpreter's type environment is consulted."""
+
+    compiled: tuple | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -554,7 +559,7 @@ class Corpus:
         if isinstance(text, (bytes, bytearray)):
             text = bytes(text).decode("latin-1")
         self._sources[file_id] = text
-        toks = tokenize_cached(text, file_id)
+        toks = tk.tokenize(text, file_id)
         self._tokens[file_id] = toks
         self.macros.update(mc.scan_defines(toks, file_id))
 
@@ -586,10 +591,6 @@ class Corpus:
         node = find_function_definition(self, name)
         self._fn_cache[name] = node
         return node
-
-
-def tokenize_cached(text: str, file_id: str) -> list[tk.Token]:
-    return tk.tokenize(text, file_id)
 
 
 def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | None:

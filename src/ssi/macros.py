@@ -111,18 +111,21 @@ def expand(
     macros: dict[str, MacroDef],
     on_unexpanded=None,
     depth: int = MAX_EXPANSION_DEPTH,
+    hidden: frozenset = frozenset(),
 ) -> list[tk.Token]:
     """Expand macro uses in ``toks``, returning a new token list.
 
     Expanded tokens are marked synthetic and carry the use site's position so
-    diagnostics keep pointing at the line being executed.
+    diagnostics keep pointing at the line being executed. ``hidden`` names
+    the macros being expanded around ``toks``, which stay as they are there
+    (no self-recursion).
     """
     out: list[tk.Token] = []
     n = len(toks)
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.IDENTIFIER and t.text in macros:
+        if t.kind == tk.IDENTIFIER and t.text in macros and t.text not in hidden:
             m = macros[t.text]
             if depth <= 0:
                 if on_unexpanded:
@@ -130,8 +133,7 @@ def expand(
                 out.append(t)
                 i += 1
                 continue
-            inner = dict(macros)
-            del inner[t.text]  # no self-recursion
+            inner = hidden | {t.text}
             if m.params is None:
                 if _has_paste(m.body):
                     if on_unexpanded:
@@ -140,7 +142,7 @@ def expand(
                     i += 1
                     continue
                 rep = [tk.synthetic_copy(b, t) for b in m.body]
-                out.extend(expand(rep, inner, on_unexpanded, depth - 1))
+                out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
                 i += 1
                 continue
             j = tk.skip_trivia(toks, i + 1, n)
@@ -171,7 +173,7 @@ def expand(
                     rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
                 else:
                     rep.append(tk.synthetic_copy(bt, t))
-            out.extend(expand(rep, inner, on_unexpanded, depth - 1))
+            out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
             i = b + 1
             continue
         out.append(t)

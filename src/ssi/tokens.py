@@ -35,7 +35,7 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Ordered longest-first so multi-character punctuators win.
+# The tokenizer takes the longest punctuator that matches.
 PUNCTUATORS = (
     "<<=", ">>=", "...",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -44,6 +44,9 @@ PUNCTUATORS = (
     "/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",", "#", "\\",
 )
 
+_PUNCT3, _PUNCT2, _PUNCT1 = (
+    frozenset(p for p in PUNCTUATORS if len(p) == n) for n in (3, 2, 1)
+)
 _LETTER = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _DIGIT = frozenset("0123456789")
 _NUMBER_CONT = _LETTER | _DIGIT | {"."}
@@ -123,15 +126,14 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
             while i < n and (source[i] in _LETTER or source[i] in _DIGIT):
                 i += 1
             kind = KEYWORD if source[start:i] in KEYWORDS else IDENTIFIER
+        elif source[i : i + 3] in _PUNCT3:
+            i, kind = i + 3, PUNCT
+        elif source[i : i + 2] in _PUNCT2:
+            i, kind = i + 2, PUNCT
+        elif c in _PUNCT1:
+            i, kind = i + 1, PUNCT
         else:
-            for p in PUNCTUATORS:
-                if source.startswith(p, i):
-                    i += len(p)
-                    kind = PUNCT
-                    break
-            else:
-                i += 1
-                kind = UNKNOWN
+            i, kind = i + 1, UNKNOWN
         text = source[start:i]
         tokens.append(Token(kind, text, start, line, col))
         nl = text.count("\n")
@@ -224,11 +226,6 @@ def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple
 def text_of_range(tokens: list[Token], start: int, end: int) -> str:
     """Exact source text for tokens[start:end], byte for byte."""
     return "".join(t.text for t in tokens[start:end])
-
-
-def compact_text(tokens: list[Token], start: int, end: int) -> str:
-    """Non-trivia token texts joined by single spaces."""
-    return " ".join(t.text for t in tokens[start:end] if t.kind not in TRIVIA)
 
 
 def synthetic_copy(token: Token, site: Token) -> Token:

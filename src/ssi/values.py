@@ -192,6 +192,11 @@ class ValueTable:
         self.pointer_bindings: dict[int, int] = {}  # symbol id -> pointer value id
         self.missing_calls: dict[int, MissingCall] = {}
         self.region_lookup = None  # callable(region_id) -> Region | None
+        # resolve() results kept across calls. A Concrete one is final, since
+        # bindings only grow; a Residual one holds until a binding is added
+        # or an mmio base is set, and its id is listed for forgetting then.
+        self._memo: dict[int, Concrete | Residual] = {}
+        self._residual_ids: list[int] = []
 
     def __len__(self):
         return len(self._values)
@@ -294,6 +299,7 @@ class ValueTable:
             )
         b = Binding(symbol.id, bound, at[0], at[1], reason)
         self.bindings[symbol.id] = b
+        self.forget_residuals()
         return b
 
     def bind_pointer(self, symbol: Value, pointer: Value):
@@ -302,7 +308,17 @@ class ValueTable:
             raise ConflictingBinding(
                 f"{symbol.payload.label} already bound to a constant"
             )
-        self.pointer_bindings.setdefault(symbol.id, pointer.id)
+        if symbol.id not in self.pointer_bindings:
+            self.pointer_bindings[symbol.id] = pointer.id
+            self.forget_residuals()
+
+    def forget_residuals(self) -> None:
+        """Drop memoized Residual results; call when what they depend on
+        (bindings, an mmio region's displayed base) changes."""
+        memo = self._memo
+        for vid in self._residual_ids:
+            del memo[vid]
+        self._residual_ids.clear()
 
     # ------------------------------------------------------------- resolving
     def resolve(self, v) -> Concrete | Residual:
@@ -314,7 +330,8 @@ class ValueTable:
         base participates, so its blockers propagate into addresses.
         """
         root = v.id if isinstance(v, Value) else v
-        memo: dict[int, object] = {}
+        memo = self._memo
+        residual_ids = self._residual_ids
         stack = [root]
         while stack:
             vid = stack[-1]
@@ -323,44 +340,40 @@ class ValueTable:
                 continue
             payload = self._values[vid].payload
             if isinstance(payload, Concrete):
-                memo[vid] = payload
-                stack.pop()
+                r = payload
             elif isinstance(payload, SymbolRoot):
                 b = self.bindings.get(vid)
-                if b is not None:
-                    memo[vid] = b.bound
-                    stack.pop()
-                    continue
                 p = self.pointer_bindings.get(vid)
-                if p is not None:
-                    if p in memo:
-                        memo[vid] = memo[p]
-                        stack.pop()
-                    else:
-                        stack.append(p)
+                if b is not None:
+                    r = b.bound
+                elif p is None:
+                    r = Residual(vid, (vid,))
+                elif p in memo:
+                    r = memo[p]
+                else:
+                    stack.append(p)
                     continue
-                memo[vid] = Residual(vid, (vid,))
-                stack.pop()
-            else:  # Term
-                if payload.op == OP_ADDR:
-                    base = self._mmio_base(payload.region)
-                    if base is None:
-                        memo[vid] = Residual(vid, (), (payload.region, 0))
-                        stack.pop()
-                    elif base in memo:
-                        m = memo[base]
-                        blockers = () if isinstance(m, Concrete) else m.blockers
-                        memo[vid] = Residual(vid, blockers, (payload.region, 0))
-                        stack.pop()
-                    else:
-                        stack.append(base)
+            elif payload.op == OP_ADDR:
+                base = self._mmio_base(payload.region)
+                if base is None:
+                    r = Residual(vid, (), (payload.region, 0))
+                elif base in memo:
+                    m = memo[base]
+                    blockers = () if isinstance(m, Concrete) else m.blockers
+                    r = Residual(vid, blockers, (payload.region, 0))
+                else:
+                    stack.append(base)
                     continue
+            else:
                 pending = [o for o in payload.operands if o not in memo]
                 if pending:
                     stack.extend(pending)
                     continue
-                memo[vid] = self._combine(vid, payload, [memo[o] for o in payload.operands])
-                stack.pop()
+                r = self._combine(vid, payload, [memo[o] for o in payload.operands])
+            memo[vid] = r
+            if isinstance(r, Residual):
+                residual_ids.append(vid)
+            stack.pop()
         out = memo[root]
         if isinstance(out, Residual) and out.value_id != root:
             out = Residual(root, out.blockers, out.pointer)

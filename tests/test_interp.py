@@ -3,6 +3,7 @@ import random
 import pytest
 
 import refeval
+import ssi.macros as mc
 from conftest import local_concrete, make_session, run_function
 from ssi.errors import (
     EvalError,
@@ -467,3 +468,117 @@ def test_tolerance_small_batch():
         got = finals(source, top)
         assert got == {k: expected[k] for k in top}
         checked += 1
+
+
+# ------------------------------------------------------ compiled expressions
+
+def test_increment_keeps_a_signed_variable_signed():
+    out = finals("""
+void testmain(void) {
+    int n = 0;
+    int i;
+    for (i = -5; i < 0; i++)
+        n = n + 1;
+    int j = -3;
+    j++;
+    int neg = j < 0;
+    int k = 1;
+    k--;
+    --k;
+    int below = k < 0;
+}
+""", ["n", "i", "j", "neg", "k", "below"])
+    assert out == {"n": 5, "i": 0, "j": -2, "neg": 1, "k": -1, "below": 1}
+
+
+def test_typedef_added_at_run_time_recompiles_casts_and_sizeof():
+    out = finals("""
+int f(void) { return sizeof(T); }
+int g(int v) { return (T)v; }
+void testmain(void) {
+    int a = f();
+    typedef char T;
+    int b = f();
+    int c = g(300);
+}
+""", ["a", "b", "c"])
+    assert out == {"a": 4, "b": 1, "c": 44}
+
+
+def test_unexpanded_macro_event_on_every_execution():
+    session, frame = run_main("""
+#define GLUE(a, b) a ## b
+void testmain(void) {
+    int i;
+    int n = 0;
+    for (i = 0; i < 3; i++)
+        n = n + GLUE(x, y);
+}
+""")
+    kinds = [e.kind for e in session.events
+             if e.kind in ("unexpanded-macro", "call", "missing-model")]
+    assert kinds == ["unexpanded-macro", "call", "missing-model"] * 3
+    assert all(e.line == 7 for e in session.events_of("unexpanded-macro"))
+
+
+def test_untaken_operands_make_no_calls_and_mint_nothing():
+    def run(rhs):
+        session, frame = run_main(f"""
+void testmain(void) {{
+    int one = 1;
+    int zero = 0;
+    int r = {rhs};
+}}
+""")
+        return session, local_concrete(session, frame, "r")
+
+    untaken = [
+        ("one ? 7 : ext_a(1 + 2)", "one ? 7 : 0", 7),
+        ("zero ? ext_b() : 8", "zero ? 0 : 8", 8),
+        ("zero && ext_c(3)", "zero && 0", 0),
+        ("one || ext_d()", "one || 0", 1),
+        ("one ? 9 : (zero ? ext_e() : ext_f())", "one ? 9 : 0", 9),
+    ]
+    for rhs, plain, expected in untaken:
+        session, r = run(rhs)
+        assert r == expected
+        assert not [e for e in session.events if e.kind in ("call", "missing-model")]
+        assert len(session.values) == len(run(plain)[0].values)
+
+
+def test_loop_body_compiles_once_per_session(monkeypatch):
+    session, interp = make_session({"prog.c": """
+#define STEP 3
+void testmain(void) {
+    int x = 0;
+    int i;
+    for (i = 0; i < 4; i++)
+        x = x + i * STEP;
+}
+"""})
+    calls = []
+    real_expand = mc.expand
+
+    def counting_expand(*args, **kwargs):
+        calls.append(1)
+        return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "expand", counting_expand)
+    run_function(session, interp, "testmain")
+    assert calls
+    del calls[:]
+    frame = run_function(session, interp, "testmain")
+    assert calls == []
+    assert local_concrete(session, frame, "x") == 18
+
+
+def test_malformed_expression_raises_before_its_side_effects():
+    session, interp = make_session({"prog.c": """
+void testmain(void) {
+    ext_first() + ;
+}
+"""})
+    with pytest.raises(EvalError, match="missing expression at prog.c:3") as exc:
+        run_function(session, interp, "testmain")
+    assert exc.value.line == 3
+    assert session.events_of("call") == []

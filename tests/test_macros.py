@@ -1,0 +1,36 @@
+import pytest
+
+from ssi import macros as mc
+from ssi import tokens as tk
+
+CHAIN = "\n".join(f"#define M{k} M{k + 1}" for k in range(20)) + "\n#define M20 end\n"
+DEFINES = """#define SELF SELF + 1
+#define A B + 1
+#define B A * 2
+#define F(x) F((x) + 1)
+#define GLUE(a, b) a ## b
+#define TWICE(x) SELF * x
+""" + CHAIN
+
+
+@pytest.mark.parametrize("use, expanded, unexpanded", [
+    # A macro is not expanded again inside its own expansion.
+    ("SELF", "SELF + 1", []),
+    ("F(2)", "F ( ( 2 ) + 1 )", []),
+    # Mutual recursion stops where the outer macro reappears.
+    ("A", "A * 2 + 1", []),
+    ("B", "B + 1 * 2", []),
+    ("TWICE(A)", "SELF + 1 * A * 2 + 1", []),
+    # Token pasting is out of scope: the use stays and is reported.
+    ("GLUE(foo, bar)(3)", "GLUE ( foo , bar ) ( 3 )", ["GLUE"]),
+    # A chain deeper than MAX_EXPANSION_DEPTH stops and is reported there.
+    ("M0", "M16", ["M16"]),
+])
+def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
+    defs = mc.scan_defines(tk.tokenize(DEFINES), "m.h")
+    events = []
+    out = mc.expand(tk.tokenize("\n\n" + use), defs,
+                    lambda name, line: events.append((name, line)))
+    assert " ".join(t.text for t in out if t.kind not in tk.TRIVIA) == expanded
+    assert events == [(name, 3) for name in unexpanded]
+    assert all(t.line == 3 for t in out if t.synthetic)

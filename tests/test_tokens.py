@@ -37,6 +37,26 @@ def test_arrow_is_one_punctuator():
     assert toks[5].kind == tk.PUNCT
 
 
+def longest_punctuators(text):
+    """Reference split of a run of punctuator characters: at each position
+    the longest punctuator that matches, else one unknown byte."""
+    out, i = [], 0
+    while i < len(text):
+        p = max((p for p in tk.PUNCTUATORS if text.startswith(p, i)), key=len, default=None)
+        out.append((tk.PUNCT, p) if p else (tk.UNKNOWN, text[i]))
+        i += len(p) if p else 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="<>=.-+&|!*/%^#\\:?$@", min_size=1, max_size=40))
+def test_punctuators_take_the_longest_match(text):
+    toks = tk.tokenize(text)
+    if any(t.kind == tk.COMMENT for t in toks):
+        return
+    assert [(t.kind, t.text) for t in toks] == longest_punctuators(text)
+
+
 def test_unknown_bytes_never_fail():
     toks = tk.tokenize("@ $ ` \x01")
     assert [t.kind for t in toks if t.kind != tk.WHITESPACE] == [tk.UNKNOWN] * 4

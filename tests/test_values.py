@@ -7,6 +7,7 @@ from ssi.errors import (
     DivisionByConcreteZero,
     UnsupportedOperation,
 )
+from ssi.memory import Region
 from ssi.values import (
     Concrete,
     Residual,
@@ -270,6 +271,51 @@ def test_residual_completeness(data):
                         make_concrete(32, data.draw(st.integers(0, 31))),
                         "user-supplied", AT)
     assert isinstance(vals.resolve(top), Concrete)
+
+
+def unmemoized_copy(vals):
+    """A table over the same values and bindings with nothing memoized."""
+    fresh = ValueTable()
+    fresh._values = vals._values
+    fresh.bindings = dict(vals.bindings)
+    fresh.pointer_bindings = dict(vals.pointer_bindings)
+    fresh.region_lookup = vals.region_lookup
+    return fresh
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_resolve_matches_a_fresh_table(data):
+    # Random terms, binds, pointer binds, an mmio base set after addresses in
+    # its region exist, and resolves, interleaved: every answer equals the
+    # one a fresh table over the same values and bindings computes.
+    vals = table()
+    regions = {}
+    vals.region_lookup = regions.get
+    roots = [vals.fresh_symbol(f"s{i}", AT) for i in range(4)]
+    pool = list(roots) + [vals.addr_of(7, AT), vals.concrete(32, 5, AT)]
+    ops = ["+", "-", "*", "&", "|", "^", "<<", "==", "<"]
+    for _ in range(data.draw(st.integers(1, 40))):
+        action = data.draw(st.sampled_from(["term", "resolve", "bind", "pointer", "mmio"]))
+        root = data.draw(st.sampled_from(roots))
+        free = root.id not in vals.bindings and root.id not in vals.pointer_bindings
+        if action == "term":
+            op = data.draw(st.sampled_from(ops))
+            pool.append(vals.apply_binop(op, data.draw(st.sampled_from(pool)),
+                                         data.draw(st.sampled_from(pool)), AT))
+        elif action == "bind" and free:
+            vals.concretize(root, make_concrete(32, data.draw(st.integers(0, 9))),
+                            "user-supplied", AT)
+        elif action == "pointer" and free:
+            vals.bind_pointer(root, vals.addr_of(data.draw(st.integers(1, 3)), AT))
+        elif action == "mmio" and 7 not in regions:
+            regions[7] = Region(7, "mmio", "mmio", display_base=root.id)
+            vals.forget_residuals()
+        elif action == "resolve":
+            v = data.draw(st.sampled_from(pool))
+            assert vals.resolve(v) == unmemoized_copy(vals).resolve(v)
+    for v in pool:
+        assert vals.resolve(v) == unmemoized_copy(vals).resolve(v)
 
 
 # -------------------------------------------------------------- provenance
