@@ -62,15 +62,8 @@ class HookContext:
                                          at=(self.site.file, self.site.line))
 
     def fresh_symbolic(self, label: str) -> Value:
-        sym = self.session.values.fresh_symbol(
-            label, (self.site.file, self.site.line))
-        if self.session.call_stack:
-            callee, site = self.session.call_stack[-1]
-            from .values import MissingCall
-
-            self.session.values.missing_calls[sym.id] = MissingCall(
-                callee, site.compact, site.file, site.line)
-        return sym
+        return self.session.attribute_to_hook(self.session.values.fresh_symbol(
+            label, (self.site.file, self.site.line)))
 
     def map_mmio(self, label: str, base_value: Value, size=None) -> Value:
         return self._interp.map_mmio(label, base_value, size,
@@ -114,14 +107,6 @@ def parse_value_sexpr(ctx: HookContext, text: str) -> Value:
     if isinstance(out, int):
         out = ctx.make_concrete(32, out)
     return out
-
-
-def register_hook(session, name: str, fn, doc: str = "") -> None:
-    session.register_hook(name, fn, doc)
-
-
-def exec_snippet(session, template: str, args=()) -> None:
-    session.interp.exec_snippet(template, list(args))
 
 
 _ACTIONS = ("return_constant", "return_symbol", "write_through_arg", "log_args")

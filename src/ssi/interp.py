@@ -56,8 +56,8 @@ from .session import (
     ASSUME_FALSE,
     ASSUME_TRUE,
     Frame,
+    Place,
     Session,
-    Slot,
 )
 from .values import (
     Concrete,
@@ -96,14 +96,6 @@ class CallSite:
 
 # --------------------------------------------------------------------- types
 
-BASE_TYPE_KEYWORDS = frozenset(
-    ["void", "char", "short", "int", "long", "float", "double",
-     "signed", "unsigned", "_Bool"]
-)
-QUALIFIER_KEYWORDS = frozenset(
-    ["const", "volatile", "static", "extern", "register", "inline", "restrict"]
-)
-
 TYPE_WIDTH_BYTES = {
     "void": 1, "char": 1, "_Bool": 1, "bool": 1, "short": 2, "int": 4,
     "long": 8, "float": 4, "double": 8,
@@ -136,8 +128,9 @@ class GlobalDecl:
 
     tag: str | None
     stars: int
-    width: int
+    width: int  # of the type the pointer levels apply to
     count: int = 1
+    array: bool = False
 
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
@@ -147,7 +140,7 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
     while i < n:
         t = toks[i]
         if t.kind == tk.KEYWORD:
-            if t.text in QUALIFIER_KEYWORDS:
+            if t.text in tk.QUALIFIER_KEYWORDS:
                 i += 1
                 continue
             if t.text == "typedef":
@@ -160,12 +153,12 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                 if i < n and toks[i].kind == tk.IDENTIFIER:
                     info.tag = toks[i].text
                     i += 1
-                if i < n and toks[i].kind == tk.PUNCT and toks[i].text == "{":
-                    j = _closing(toks, i)
+                if i < n and tk.is_punct(toks[i], "{"):
+                    j = tk.closing(toks, i, n)
                     info.inline_body = (i + 1, j)
                     i = j + 1
                 continue
-            if t.text in BASE_TYPE_KEYWORDS:
+            if t.text in tk.BASE_TYPE_KEYWORDS:
                 info.saw_type = True
                 words.append(t.text)
                 i += 1
@@ -199,20 +192,15 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
     return i, info
 
 
-# -------------------------------------------------------------------- places
-
-@dataclass
-class Place:
-    """An lvalue: a direct (region, offset) cell or a deref of a pointer."""
-
-    region: int | None = None
-    ptr: Value | None = None
-    offset: object = 0  # int, or a Value resolved at access time
-    width: int = 4
-    struct_tag: str | None = None
-    pointee_tag: str | None = None
-    elem_width: int | None = None
-    name: str = ""
+def _variable(name, region, stars, tag, width, array) -> Place:
+    """The Place of a variable declared with ``stars`` pointer levels over a
+    ``width``-byte type with tag ``tag``, with array bounds or without."""
+    if not stars:
+        return Place(region=region, width=width, struct_tag=tag, elem_width=width,
+                     name=name, array=array)
+    pointee = 8 if array or stars > 1 else None if tag else width
+    return Place(region=region, width=8, pointee_tag=tag, elem_width=pointee,
+                 name=name, array=array, pointer=not array)
 
 
 _ASSIGN_OPS = {
@@ -231,47 +219,13 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
 
 
-def _closing(toks, i):
-    """Index of the bracket that closes the one at ``toks[i]``, else len(toks)."""
-    open_text = toks[i].text
-    close_text = {"(": ")", "[": "]", "{": "}"}[open_text]
-    depth = 0
-    for j in range(i, len(toks)):
-        t = toks[j]
-        if t.kind == tk.PUNCT:
-            if t.text == open_text:
-                depth += 1
-            elif t.text == close_text:
-                depth -= 1
-                if depth == 0:
-                    return j
-    return len(toks)
-
-
-def _top_level(toks, j, stops):
-    """Index of the first punctuator in ``stops`` from ``j`` on that is not
-    nested in brackets, else len(toks)."""
-    depth = 0
-    for k in range(j, len(toks)):
-        t = toks[k]
-        if t.kind == tk.PUNCT:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif depth == 0 and t.text in stops:
-                return k
-    return len(toks)
-
-
 def _punct_at(toks, i, text) -> bool:
-    return i < len(toks) and toks[i].kind == tk.PUNCT and toks[i].text == text
+    return i < len(toks) and tk.is_punct(toks[i], text)
 
 
 def _starts_declaration(t, typedefs) -> bool:
     if t.kind == tk.KEYWORD:
-        return (t.text in BASE_TYPE_KEYWORDS or t.text in QUALIFIER_KEYWORDS
-                or t.text in ("struct", "union", "enum", "typedef"))
+        return t.text in tk.DECL_KEYWORDS
     return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES or t.text in typedefs)
 
 
@@ -282,7 +236,7 @@ def _declarator(toks, j):
     n = len(toks)
     stars = 0
     while j < n and (_punct_at(toks, j, "*") or (toks[j].kind == tk.KEYWORD
-                                                  and toks[j].text in QUALIFIER_KEYWORDS)):
+                                                  and toks[j].text in tk.QUALIFIER_KEYWORDS)):
         stars += toks[j].text == "*"
         j += 1
     if j >= n or toks[j].kind != tk.IDENTIFIER:
@@ -291,12 +245,12 @@ def _declarator(toks, j):
     j += 1
     dims = []
     while _punct_at(toks, j, "["):
-        k = _closing(toks, j)
+        k = tk.closing(toks, j, n)
         dims.append((j + 1, k))
         j = k + 1
     init = None
     if _punct_at(toks, j, "="):
-        k = _top_level(toks, j + 1, (",", ";"))
+        k = tk.top_level(toks, j + 1, n, (",", ";"))
         init, j = (j + 1, k), k
     return stars, name, dims, init, j
 
@@ -318,23 +272,9 @@ def _without_directives(toks):
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.PUNCT and t.text == "#":
-            prev = i - 1
-            while prev >= 0 and toks[prev].kind == tk.WHITESPACE:
-                prev -= 1
-            if prev < 0 or toks[prev].kind == tk.NEWLINE:
-                while i < n:
-                    if toks[i].kind == tk.NEWLINE:
-                        q = i - 1
-                        while q >= 0 and toks[q].kind == tk.WHITESPACE:
-                            q -= 1
-                        if q >= 0 and toks[q].kind == tk.PUNCT \
-                                and toks[q].text == "\\":
-                            i += 1
-                            continue
-                        break
-                    i += 1
-                continue
+        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
+            i = tk.line_end(toks, i, n)
+            continue
         if t.kind not in tk.TRIVIA:
             out.append(t)
         i += 1
@@ -447,7 +387,7 @@ class Interp:
                 self._define_typedef(name.text, 8 if stars else info.width)
             else:
                 s.global_decls.setdefault(name.text, GlobalDecl(
-                    info.tag, stars, 8 if stars else info.width, count))
+                    info.tag, stars, info.width, count, bool(dims)))
             if not _punct_at(toks, j, ","):
                 return j
             j += 1
@@ -544,14 +484,9 @@ class Interp:
                 if t.kind not in tk.TRIVIA]
         if not toks or (len(toks) == 1 and toks[0].text == "void"):
             return []
-        groups = []
-        j = 0
-        while j <= len(toks):
-            k = _top_level(toks, j, (",",))
-            groups.append(toks[j:k])
-            j = k + 1
         out = []
-        for g in groups:
+        for a, b in tk.split_top_level(toks, 0, len(toks), ","):
+            g = toks[a:b]
             if not g or (len(g) == 1 and g[0].text in ("void", "...")):
                 continue
             _, info = parse_type_prefix(g, 0, self.s.typedefs)
@@ -572,11 +507,7 @@ class Interp:
         params = self.parse_params(fdef)
         for k, (pname, stars, tag, width) in enumerate(params):
             region = s.store.alloc_region(pname, STACK)
-            slot = Slot(region.id, 0, 8 if stars else width,
-                        pointee_tag=tag if stars else None,
-                        struct_tag=tag if not stars else None,
-                        elem_width=8 if stars else width)
-            frame.locals[pname] = slot
+            frame.locals[pname] = _variable(pname, region.id, stars, tag, width, False)
             if k < len(args):
                 v = args[k]
                 if stars and tag and v.pointee_tag is None:
@@ -923,18 +854,13 @@ class Interp:
             count = 1
             for dim in dims:
                 count *= dim(frame)
-            if stars:
-                width = 8
-            elif tag is not None:
-                width = store.ensure_size(tag) or info.width
-            else:
+            if stars or tag is None:
                 width = info.width
-            region = store.alloc_region(name, STACK, size=width * count,
+            else:
+                width = store.ensure_size(tag) or info.width
+            region = store.alloc_region(name, STACK, size=(8 if stars else width) * count,
                                         struct_tag=tag if not stars else None)
-            frame.locals[name] = Slot(region.id, 0, width,
-                                      pointee_tag=tag if stars else None,
-                                      struct_tag=tag if not stars else None,
-                                      elem_width=width)
+            frame.locals[name] = _variable(name, region.id, stars, tag, width, bool(dims))
             if init is not None:
                 v = init(frame)
                 if stars and tag and v.pointee_tag is None:
@@ -980,7 +906,7 @@ class Interp:
                 if j >= n or toks[j].kind != tk.IDENTIFIER or toks[j].text != tag:
                     continue
                 k = tk.skip_trivia(toks, j + 1, n)
-                if not _punct_at(toks, k, "{") or (end := _closing(toks, k)) == n:
+                if not _punct_at(toks, k, "{") or (end := tk.closing(toks, k, n)) == n:
                     continue
                 body = [x for x in self._expand(toks[k + 1 : end])
                         if x.kind not in tk.TRIVIA]
@@ -1163,30 +1089,25 @@ class Interp:
         s = self.s
         if frame.is_snippet:
             if name == "opaque":
-                return self.fresh_opaque(at)
+                return s.attribute_to_hook(
+                    s.values.fresh_symbol(f"opaque@{at[0]}:{at[1]}", at))
             vid = frame.value_bindings.get(name)
             if vid is not None:
                 return s.values.get(vid)
-        slot = frame.locals.get(name)
-        if slot is not None:
-            return Place(region=slot.region, offset=slot.offset, width=slot.width,
-                         struct_tag=slot.struct_tag, pointee_tag=slot.pointee_tag,
-                         elem_width=slot.elem_width, name=name)
-        decl = s.globals.get(name)
-        shape = s.global_decls.get(name)
-        if decl is None:
-            tag = shape.tag if shape is not None and not shape.stars else None
-            size = shape.width * shape.count if shape is not None else None
-            region = s.store.alloc_region(name, STATIC, size=size,
-                                          struct_tag=tag)
-            s.globals[name] = region.id
-            decl = region.id
-        if shape is not None:
-            return Place(region=decl, offset=0, width=shape.width,
-                         struct_tag=shape.tag if not shape.stars else None,
-                         pointee_tag=shape.tag if shape.stars else None,
-                         elem_width=shape.width, name=name)
-        return Place(region=decl, offset=0, width=4, name=name)
+        place = frame.locals.get(name) or s.globals.get(name)
+        if place is None:
+            shape = s.global_decls.get(name)
+            if shape is None:
+                place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
+            else:
+                width = 8 if shape.stars else shape.width
+                region = s.store.alloc_region(
+                    name, STATIC, size=width * shape.count,
+                    struct_tag=None if shape.stars else shape.tag)
+                place = _variable(name, region.id, shape.stars, shape.tag,
+                                  shape.width, shape.array)
+            s.globals[name] = place
+        return place
 
     def address_of(self, place: Place, at) -> Value:
         vals = self.s.values
@@ -1208,14 +1129,19 @@ class Interp:
         return v
 
     def index_place(self, base, idx: Value, at) -> Place:
-        """``base[idx]`` for a Place base (an array) or a pointer Value."""
+        """``base[idx]`` for a Place base or a pointer Value. A variable
+        declared as a pointer is indexed through the address it holds."""
         vals = self.s.values
         r = vals.resolve(idx)
-        if isinstance(base, Place):
-            elem = base.elem_width or base.width or 4
-        else:
+        if not isinstance(base, Place):
             elem = 4
-            base = Place(ptr=base, offset=0, width=4, struct_tag=base.pointee_tag)
+            base = Place(ptr=base, struct_tag=base.pointee_tag)
+        elif base.pointer:
+            elem = base.elem_width or self.s.store.ensure_size(base.pointee_tag) or 4
+            ptr = self.load_place(base, at)
+            base = Place(ptr=ptr, struct_tag=ptr.pointee_tag)
+        else:
+            elem = base.elem_width or base.width or 4
         if isinstance(r, Concrete):
             new_off = self._shifted(base.offset, to_int(r) * elem, at, "index")
         else:
@@ -1309,14 +1235,6 @@ class Interp:
         region.display_base = base_value.id
         self.s.values.forget_residuals()
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
-
-    def fresh_opaque(self, at) -> Value:
-        sym = self.s.values.fresh_symbol(f"opaque@{at[0]}:{at[1]}", at)
-        if self.s.call_stack:
-            callee, site = self.s.call_stack[-1]
-            self.s.values.missing_calls[sym.id] = MissingCall(
-                callee, site.compact, site.file, site.line)
-        return sym
 
     def string_value(self, token: tk.Token, file_id: str, at) -> Value:
         s = self.s
@@ -1421,7 +1339,7 @@ class _Compiler:
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def _punct(self, texts):
+    def _peek_punct(self, texts):
         t = self.peek()
         if t is not None and t.kind == tk.PUNCT and t.text in texts:
             return t
@@ -1447,7 +1365,8 @@ class _Compiler:
         return (self.file_id, t.line if t else 0)
 
     def rval(self, e, tok=None):
-        """A closure giving the value of ``e``, loading it if it is a place."""
+        """A closure giving the value of ``e``, loading it if it is a place;
+        an array variable's value is its address."""
         if e.kind is _VALUE:
             return e.fn
         it = self.it
@@ -1456,7 +1375,9 @@ class _Compiler:
 
         def load(frame):
             p = fn(frame)
-            return it.load_place(p, at) if isinstance(p, Place) else p
+            if not isinstance(p, Place):
+                return p
+            return it.address_of(p, at) if p.array else it.load_place(p, at)
 
         return load
 
@@ -1478,7 +1399,7 @@ class _Compiler:
     # ------------------------------------------------------------- grammar
     def comma(self):
         e = self.assign()
-        while (t := self._punct((",",))) is not None:
+        while (t := self._peek_punct((",",))) is not None:
             first = self.rval(e, t)  # evaluated and discarded
             self.next()
             e = self.assign()
@@ -1493,7 +1414,7 @@ class _Compiler:
 
     def assign(self):
         lhs = self.ternary()
-        t = self._punct(_ASSIGN_OPS)
+        t = self._peek_punct(_ASSIGN_OPS)
         if t is None:
             return lhs
         self.next()
@@ -1520,7 +1441,7 @@ class _Compiler:
 
     def ternary(self):
         e = self.binary(0)
-        t = self._punct(("?",))
+        t = self._peek_punct(("?",))
         if t is None:
             return e
         self.next()
@@ -1638,7 +1559,7 @@ class _Compiler:
     def _sizeof(self, t):
         vals = self.vals
         at = self.at(t)
-        if self._punct(("(",)) and (type_name := self._type_name(self.i + 1)):
+        if self._peek_punct(("(",)) and (type_name := self._type_name(self.i + 1)):
             close, info, stars = type_name
             self.i = close + 1
             store = self.it.s.store

@@ -137,21 +137,14 @@ class FunctionDefNode(Node):
     body: Hole = None
 
 
-DECL_KEYWORDS = frozenset(
-    """
-    static extern register const volatile inline typedef
-    struct union enum void char short int long float double signed unsigned
-    _Bool
-    """.split()
-)
-
-
-def _balanced_end(toks, j, limit, file_id):
-    open_text = toks[j].text
-    close_text = {"(": ")", "{": "}", "[": "]"}[open_text]
-    cur = tk.Cursor(toks, j, limit=limit, file_id=file_id)
-    a, b = tk.find_balanced_span(cur, open_text, close_text)
-    return b + 1
+def _balanced_end(toks, j, limit):
+    """Index after the bracket that closes the one at ``toks[j]``."""
+    end = tk.closing(toks, j, limit)
+    if end == limit:
+        raise UnbalancedDelimiter(
+            f"unbalanced {toks[j].text!r} opened at line {toks[j].line}",
+            line=toks[j].line)
+    return end + 1
 
 
 def _statement_span(toks, i, limit):
@@ -183,8 +176,8 @@ def _substatement(toks, k, limit, file_id):
     """Hole + end index for a dependent statement: a braced block's contents
     or a simple ``;``-terminated span."""
     k = tk.skip_trivia(toks, k, limit)
-    if k < limit and toks[k].kind == tk.PUNCT and toks[k].text == "{":
-        end = _balanced_end(toks, k, limit, file_id)
+    if k < limit and tk.is_punct(toks[k], "{"):
+        end = _balanced_end(toks, k, limit)
         return Hole(file_id, k + 1, end - 1), end
     end = _statement_span(toks, k, limit)
     return Hole(file_id, k, end), end
@@ -194,27 +187,19 @@ def _else_part(toks, k, limit, file_id):
     """Hole + end for what follows ``else``; an ``if`` chain is captured
     whole, to be re-parsed lazily as a nested if."""
     k = tk.skip_trivia(toks, k, limit)
-    if k >= limit:
-        return Hole(file_id, k, k), k
-    if toks[k].kind == tk.PUNCT and toks[k].text == "{":
-        end = _balanced_end(toks, k, limit, file_id)
-        return Hole(file_id, k + 1, end - 1), end
-    if not (toks[k].kind == tk.KEYWORD and toks[k].text == "if"):
-        end = _statement_span(toks, k, limit)
-        return Hole(file_id, k, end), end
-    start = k
-    j = k  # at an 'if' keyword
+    if k >= limit or not tk.is_keyword(toks[k], "if"):
+        return _substatement(toks, k, limit, file_id)
+    start = j = k  # at an 'if' keyword
     while True:
-        p = tk.skip_trivia(toks, j + 1, limit)
-        if p >= limit or not _punct(toks[p], "("):
-            j = _statement_span(toks, p, limit)
+        head = _keyword_paren(toks, j, limit, "if")
+        if head is None:
+            j = _statement_span(toks, tk.skip_trivia(toks, j + 1, limit), limit)
             break
-        p = _balanced_end(toks, p, limit, file_id)
-        _, p = _substatement(toks, p, limit, file_id)
+        _, p = _substatement(toks, head[1], limit, file_id)
         q = tk.skip_trivia(toks, p, limit)
-        if q < limit and _kw(toks[q], "else"):
+        if q < limit and tk.is_keyword(toks[q], "else"):
             r = tk.skip_trivia(toks, q + 1, limit)
-            if r < limit and _kw(toks[r], "if"):
+            if r < limit and tk.is_keyword(toks[r], "if"):
                 j = r
                 continue
             _, p = _substatement(toks, r, limit, file_id)
@@ -223,28 +208,28 @@ def _else_part(toks, k, limit, file_id):
     return Hole(file_id, start, j), j
 
 
-def _kw(t, word):
-    return t is not None and t.kind == tk.KEYWORD and t.text == word
-
-
-def _punct(t, text):
-    return t is not None and t.kind == tk.PUNCT and t.text == text
+def _keyword_paren(toks, i, limit, word):
+    """(index of ``(``, index after its ``)``) when the keyword ``word`` at
+    ``i`` is followed by a parenthesized span, else None."""
+    if i >= limit or not tk.is_keyword(toks[i], word):
+        return None
+    j = tk.skip_trivia(toks, i + 1, limit)
+    if j >= limit or not tk.is_punct(toks[j], "("):
+        return None
+    return j, _balanced_end(toks, j, limit)
 
 
 def _match_if(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "if"):
+    if (head := _keyword_paren(toks, i, limit, "if")) is None:
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or not _punct(toks[j], "("):
-        return None
-    cond_end = _balanced_end(toks, j, limit, fid)
+    j, cond_end = head
     cond = Hole(fid, j + 1, cond_end - 1)
     then, k = _substatement(toks, cond_end, limit, fid)
     orelse = None
     k2 = tk.skip_trivia(toks, k, limit)
-    if k2 < limit and _kw(toks[k2], "else"):
+    if k2 < limit and tk.is_keyword(toks[k2], "else"):
         orelse, k = _else_part(toks, k2 + 1, limit, fid)
     return IfNode(fid, toks[i].line, i, k, cond=cond, then=then, orelse=orelse)
 
@@ -252,12 +237,9 @@ def _match_if(cur: tk.Cursor):
 def _match_while(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "while"):
+    if (head := _keyword_paren(toks, i, limit, "while")) is None:
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or not _punct(toks[j], "("):
-        return None
-    cend = _balanced_end(toks, j, limit, fid)
+    j, cend = head
     body, k = _substatement(toks, cend, limit, fid)
     return WhileNode(fid, toks[i].line, i, k, cond=Hole(fid, j + 1, cend - 1), body=body)
 
@@ -265,18 +247,15 @@ def _match_while(cur: tk.Cursor):
 def _match_do(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "do"):
+    if i >= limit or not tk.is_keyword(toks[i], "do"):
         return None
     body, k = _substatement(toks, i + 1, limit, fid)
     k = tk.skip_trivia(toks, k, limit)
-    if k >= limit or not _kw(toks[k], "while"):
+    if (head := _keyword_paren(toks, k, limit, "while")) is None:
         return None
-    j = tk.skip_trivia(toks, k + 1, limit)
-    if j >= limit or not _punct(toks[j], "("):
-        return None
-    cend = _balanced_end(toks, j, limit, fid)
+    j, cend = head
     k2 = tk.skip_trivia(toks, cend, limit)
-    if k2 < limit and _punct(toks[k2], ";"):
+    if k2 < limit and tk.is_punct(toks[k2], ";"):
         k2 += 1
     return DoWhileNode(fid, toks[i].line, i, k2, body=body, cond=Hole(fid, j + 1, cend - 1))
 
@@ -284,27 +263,10 @@ def _match_do(cur: tk.Cursor):
 def _match_for(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "for"):
+    if (head := _keyword_paren(toks, i, limit, "for")) is None:
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or not _punct(toks[j], "("):
-        return None
-    pend = _balanced_end(toks, j, limit, fid)
-    # Split the header on top-level semicolons.
-    parts = []
-    depth = 0
-    seg_start = j + 1
-    for x in range(j + 1, pend - 1):
-        t = toks[x]
-        if t.kind == tk.PUNCT:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == ";" and depth == 0:
-                parts.append((seg_start, x))
-                seg_start = x + 1
-    parts.append((seg_start, pend - 1))
+    j, pend = head
+    parts = tk.split_top_level(toks, j + 1, pend - 1, ";")
     while len(parts) < 3:
         parts.append((pend - 1, pend - 1))
     body, k = _substatement(toks, pend, limit, fid)
@@ -319,10 +281,10 @@ def _match_for(cur: tk.Cursor):
 def _match_return(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "return"):
+    if i >= limit or not tk.is_keyword(toks[i], "return"):
         return None
     end = _statement_span(toks, i + 1, limit)
-    expr_end = end - 1 if end > i + 1 and _punct(toks[end - 1], ";") else end
+    expr_end = end - 1 if end > i + 1 and tk.is_punct(toks[end - 1], ";") else end
     expr = Hole(fid, i + 1, expr_end)
     if expr.is_empty_of_code(toks):
         expr = None
@@ -333,10 +295,10 @@ def _match_simple_kw(word, cls):
     def match(cur: tk.Cursor):
         toks, limit, fid = cur.tokens, cur.limit, cur.file_id
         i = cur.peek_index()
-        if i >= limit or not _kw(toks[i], word):
+        if i >= limit or not tk.is_keyword(toks[i], word):
             return None
         j = tk.skip_trivia(toks, i + 1, limit)
-        end = j + 1 if j < limit and _punct(toks[j], ";") else i + 1
+        end = j + 1 if j < limit and tk.is_punct(toks[j], ";") else i + 1
         return cls(fid, toks[i].line, i, end)
 
     return match
@@ -345,7 +307,7 @@ def _match_simple_kw(word, cls):
 def _match_goto(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "goto"):
+    if i >= limit or not tk.is_keyword(toks[i], "goto"):
         return None
     j = tk.skip_trivia(toks, i + 1, limit)
     if j >= limit or toks[j].kind != tk.IDENTIFIER:
@@ -360,30 +322,19 @@ def _match_label(cur: tk.Cursor):
     if i >= limit:
         return None
     t = toks[i]
-    if _kw(t, "default"):
+    if tk.is_keyword(t, "default"):
         j = tk.skip_trivia(toks, i + 1, limit)
-        if j < limit and _punct(toks[j], ":"):
+        if j < limit and tk.is_punct(toks[j], ":"):
             return LabelNode(fid, t.line, i, j + 1, is_default=True)
         return None
-    if _kw(t, "case"):
-        j = i + 1
-        depth = 0
-        while j < limit:
-            x = toks[j]
-            if x.kind == tk.PUNCT:
-                if x.text in "([{":
-                    depth += 1
-                elif x.text in ")]}":
-                    depth -= 1
-                elif x.text == ":" and depth == 0:
-                    return LabelNode(fid, t.line, i, j + 1, case_expr=Hole(fid, i + 1, j))
-                elif x.text == ";" and depth == 0:
-                    return None
-            j += 1
+    if tk.is_keyword(t, "case"):
+        j = tk.top_level(toks, i + 1, limit, (":", ";"))
+        if j < limit and tk.is_punct(toks[j], ":"):
+            return LabelNode(fid, t.line, i, j + 1, case_expr=Hole(fid, i + 1, j))
         return None
     if t.kind == tk.IDENTIFIER:
         j = tk.skip_trivia(toks, i + 1, limit)
-        if j < limit and _punct(toks[j], ":"):
+        if j < limit and tk.is_punct(toks[j], ":"):
             return LabelNode(fid, t.line, i, j + 1, name=t.text)
     return None
 
@@ -391,25 +342,22 @@ def _match_label(cur: tk.Cursor):
 def _match_block(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _punct(toks[i], "{"):
+    if i >= limit or not tk.is_punct(toks[i], "{"):
         return None
-    end = _balanced_end(toks, i, limit, fid)
+    end = _balanced_end(toks, i, limit)
     return BlockNode(fid, toks[i].line, i, end, body=Hole(fid, i + 1, end - 1))
 
 
 def _match_switch(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _kw(toks[i], "switch"):
+    if (head := _keyword_paren(toks, i, limit, "switch")) is None:
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or not _punct(toks[j], "("):
-        return None
-    send = _balanced_end(toks, j, limit, fid)
+    j, send = head
     k = tk.skip_trivia(toks, send, limit)
-    if k >= limit or not _punct(toks[k], "{"):
+    if k >= limit or not tk.is_punct(toks[k], "{"):
         return None
-    bend = _balanced_end(toks, k, limit, fid)
+    bend = _balanced_end(toks, k, limit)
     return SwitchNode(
         fid, toks[i].line, i, bend,
         subject=Hole(fid, j + 1, send - 1), body=Hole(fid, k + 1, bend - 1),
@@ -419,20 +367,9 @@ def _match_switch(cur: tk.Cursor):
 def _match_directive(cur: tk.Cursor):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not _punct(toks[i], "#"):
+    if i >= limit or not tk.is_punct(toks[i], "#"):
         return None
-    j = i
-    while j < limit:
-        if toks[j].kind == tk.NEWLINE:
-            prev = j - 1
-            while prev > i and toks[prev].kind == tk.WHITESPACE:
-                prev -= 1
-            if toks[prev].kind == tk.PUNCT and toks[prev].text == "\\":
-                j += 1
-                continue
-            break
-        j += 1
-    return RawNode(fid, toks[i].line, i, j, directive=True)
+    return RawNode(fid, toks[i].line, i, tk.line_end(toks, i, limit), directive=True)
 
 
 def _match_declaration(cur: tk.Cursor):
@@ -441,7 +378,7 @@ def _match_declaration(cur: tk.Cursor):
     if i >= limit:
         return None
     t = toks[i]
-    if t.kind != tk.KEYWORD or t.text not in DECL_KEYWORDS:
+    if t.kind != tk.KEYWORD or t.text not in tk.DECL_KEYWORDS:
         return None
     end = _statement_span(toks, i, limit)
     return DeclarationNode(fid, t.line, i, end)
@@ -452,7 +389,7 @@ def _match_fallback(cur: tk.Cursor):
     i = cur.peek_index()
     if i >= limit:
         return None
-    if _punct(toks[i], "}"):
+    if tk.is_punct(toks[i], "}"):
         return RawNode(fid, toks[i].line, i, i + 1)
     end = _statement_span(toks, i, limit)
     return ExpressionStatementNode(fid, toks[i].line, i, end)
@@ -613,22 +550,10 @@ def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | Non
             if prev >= 0 and toks[prev].kind == tk.PUNCT and toks[prev].text in (".", "->", "#"):
                 continue
             j = tk.skip_trivia(toks, i + 1, n)
-            if j >= n or not _punct(toks[j], "("):
-                continue
-            try:
-                _, close = tk.find_balanced_span(
-                    tk.Cursor(toks, j, limit=n, file_id=file_id), "(", ")"
-                )
-            except UnbalancedDelimiter:
+            if j >= n or not tk.is_punct(toks[j], "(") or (close := tk.closing(toks, j, n)) == n:
                 continue
             k = tk.skip_trivia(toks, close + 1, n)
-            if k >= n or not _punct(toks[k], "{"):
-                continue
-            try:
-                _, bend = tk.find_balanced_span(
-                    tk.Cursor(toks, k, limit=n, file_id=file_id), "{", "}"
-                )
-            except UnbalancedDelimiter:
+            if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
                 continue
             return FunctionDefNode(
                 file_id, t.line, i, bend + 1,

@@ -25,30 +25,6 @@ class MacroDef:
     line: int
 
 
-def _line_body(toks: list[tk.Token], j: int) -> tuple[list[tk.Token], int]:
-    """Tokens up to end of a (possibly backslash-continued) directive line."""
-    out = []
-    n = len(toks)
-    while j < n:
-        t = toks[j]
-        if t.kind == tk.NEWLINE:
-            if out and out[-1].text == "\\" and out[-1].kind == tk.PUNCT:
-                out.pop()
-                j += 1
-                continue
-            break
-        out.append(t)
-        j += 1
-    return [t for t in out if t.kind not in tk.TRIVIA], j
-
-
-def _at_line_start(toks: list[tk.Token], i: int) -> bool:
-    j = i - 1
-    while j >= 0 and toks[j].kind == tk.WHITESPACE:
-        j -= 1
-    return j < 0 or toks[j].kind == tk.NEWLINE
-
-
 def scan_defines(toks: list[tk.Token], file_id: str) -> dict[str, MacroDef]:
     """Collect every ``#define`` in a token stream."""
     out: dict[str, MacroDef] = {}
@@ -56,7 +32,7 @@ def scan_defines(toks: list[tk.Token], file_id: str) -> dict[str, MacroDef]:
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.PUNCT and t.text == "#" and _at_line_start(toks, i):
+        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
             j = tk.skip_trivia(toks, i + 1, n)
             if j < n and toks[j].text == "define":
                 j = tk.skip_trivia(toks, j + 1, n)
@@ -67,11 +43,13 @@ def scan_defines(toks: list[tk.Token], file_id: str) -> dict[str, MacroDef]:
                     k = j + 1
                     # A parameter list only counts when the paren is glued
                     # to the name, per the C preprocessor.
-                    if k < n and toks[k].kind == tk.PUNCT and toks[k].text == "(":
+                    if k < n and tk.is_punct(toks[k], "("):
                         params, k = _scan_params(toks, k)
-                    body, k = _line_body(toks, k)
+                    end = tk.line_end(toks, k, n)
+                    body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
+                            if t.kind not in tk.TRIVIA and t.text != "\\"]
                     out[name] = MacroDef(name, params, body, file_id, line)
-                    i = k
+                    i = end
                     continue
         i += 1
     return out
@@ -88,22 +66,6 @@ def _scan_params(toks: list[tk.Token], k: int) -> tuple[tuple[str, ...], int]:
             params.append("...")
         k += 1
     return tuple(params), k + 1
-
-
-def _split_args(toks: list[tk.Token]) -> list[list[tk.Token]]:
-    args: list[list[tk.Token]] = [[]]
-    depth = 0
-    for t in toks:
-        if t.kind == tk.PUNCT:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == "," and depth == 0:
-                args.append([])
-                continue
-        args[-1].append(t)
-    return [[t for t in a if t.kind not in tk.TRIVIA] for a in args]
 
 
 def expand(
@@ -150,17 +112,11 @@ def expand(
                 out.append(t)  # function-like name without arguments: plain identifier
                 i += 1
                 continue
-            try:
-                cur = tk.Cursor(toks, j, limit=n)
-                a, b = tk.find_balanced_span(cur, "(", ")")
-            except Exception:
-                if on_unexpanded:
-                    on_unexpanded(m.name, t.line)
-                out.append(t)
-                i += 1
-                continue
-            args = _split_args(toks[a + 1 : b])
-            if _has_paste(m.body) or (len(args) != len(m.params) and "..." not in m.params):
+            b = tk.closing(toks, j, n)
+            args = [[x for x in toks[c:d] if x.kind not in tk.TRIVIA]
+                    for c, d in tk.split_top_level(toks, j + 1, b, ",")]
+            if b == n or _has_paste(m.body) or (
+                    len(args) != len(m.params) and "..." not in m.params):
                 if on_unexpanded:
                     on_unexpanded(m.name, t.line)
                 out.append(t)

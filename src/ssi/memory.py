@@ -59,7 +59,7 @@ class Store:
         self._layout_end: dict[str, int] = {}
         self._layout_probed: set[str] = set()
         self.taints: dict[int, object] = {}  # region id -> MissingCall
-        self.on_fresh = None        # callback(symbol Value, Location)
+        self.on_fresh = None        # callback(symbol Value)
         self.layout_source = None   # callable(tag) -> dict[str, FieldInfo] | None
 
     # --------------------------------------------------------------- regions
@@ -100,7 +100,7 @@ class Store:
         if taint is not None:
             self.values.missing_calls[sym.id] = taint
         elif self.on_fresh is not None:
-            self.on_fresh(sym, Location(loc.region, off))
+            self.on_fresh(sym)
         self.cells[key] = sym.id
         return sym
 

@@ -201,6 +201,9 @@ class Repl:
         except SsiError as e:
             self._write(f"error: {e}")
             self._failed = True
+        except Exception as e:  # a fault of the interpreter ends the command, not the session
+            self._write(f"error: internal {type(e).__name__}: {e}")
+            self._failed = True
         return None
 
     def _run_entry(self, name, argv):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .islands import Corpus, RuleRegistry
 from .memory import Store
-from .values import MissingCall, ValueTable
+from .values import MissingCall, Value, ValueTable
 
 ASK = "ask"
 ASSUME_TRUE = "assume-true"
@@ -43,19 +43,28 @@ class CommandSpec:
 
 
 @dataclass
-class Slot:
-    region: int
-    offset: int
+class Place:
+    """An lvalue: a direct (region, offset) cell or a deref of a pointer.
+
+    The Place of a variable is built once, when it is declared (a global:
+    when it is first used), and notes how the variable was declared."""
+
+    region: int | None = None
+    ptr: Value | None = None
+    offset: object = 0  # int, or a Value resolved at access time
     width: int = 4
-    pointee_tag: str | None = None
     struct_tag: str | None = None
-    elem_width: int | None = None
+    pointee_tag: str | None = None
+    elem_width: int | None = None  # a pointer's: its pointee's (None: a struct's)
+    name: str = ""
+    array: bool = False    # its name stands for its address
+    pointer: bool = False  # indexing it goes through the address it holds
 
 
 @dataclass
 class Frame:
     function: str
-    locals: dict[str, Slot] = field(default_factory=dict)
+    locals: dict[str, Place] = field(default_factory=dict)
     value_bindings: dict[str, int] = field(default_factory=dict)  # snippet placeholders
     position: tuple = ("<none>", 0)
     is_snippet: bool = False
@@ -74,7 +83,7 @@ class Session:
         self.rules = rules or RuleRegistry()
         self.values = ValueTable()
         self.store = Store(self.values)
-        self.store.on_fresh = self._annotate_fresh_memory
+        self.store.on_fresh = self.attribute_to_hook
 
         self.branch_policy = branch_policy
         self.max_steps = max_steps
@@ -86,7 +95,7 @@ class Session:
 
         self.frames: list[Frame] = []
         self.call_stack: list[tuple[str, object]] = []  # (callee, CallSite) of active hooks
-        self.globals: dict[str, int] = {}  # name -> region id
+        self.globals: dict[str, Place] = {}
         self.typedefs: dict[str, int] = {}  # name -> width
         self.global_decls: dict[str, object] = {}  # name -> GlobalDecl
         self.string_regions: dict[tuple, int] = {}
@@ -137,14 +146,15 @@ class Session:
         self.hooks.pop(name, None)
 
     # ------------------------------------------------------------ attribution
-    def _annotate_fresh_memory(self, symbol, loc) -> None:
-        # A fresh symbol minted while a hook runs is the model's doing; point
-        # diagnostics at the call being modeled.
+    def attribute_to_hook(self, symbol: Value) -> Value:
+        """A fresh symbol minted while a hook runs is the model's doing:
+        point diagnostics at the call being modeled. Returns ``symbol``."""
         if self.call_stack:
             callee, site = self.call_stack[-1]
             self.values.missing_calls[symbol.id] = MissingCall(
                 callee, site.compact, site.file, site.line
             )
+        return symbol
 
     def on_parse(self, node) -> None:
         self.parse_events.append((node.file_id, node.line, type(node).__name__))

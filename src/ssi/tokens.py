@@ -35,6 +35,16 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+# The keywords that can start a declaration.
+BASE_TYPE_KEYWORDS = frozenset(
+    "void char short int long float double signed unsigned _Bool".split()
+)
+QUALIFIER_KEYWORDS = frozenset(
+    "const volatile static extern register inline restrict".split()
+)
+DECL_KEYWORDS = BASE_TYPE_KEYWORDS | QUALIFIER_KEYWORDS | {
+    "struct", "union", "enum", "typedef"}
+
 # The tokenizer takes the longest punctuator that matches.
 PUNCTUATORS = (
     "<<=", ">>=", "...",
@@ -189,14 +199,96 @@ def skip_trivia(tokens: list[Token], j: int, limit: int) -> int:
     return j
 
 
-def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple[int, int]:
-    """Return the inclusive token index range from ``open_text`` at the cursor
-    through its matching ``close_text``.
+def is_punct(t: Token, text: str) -> bool:
+    return t.kind == PUNCT and t.text == text
 
-    Only the chosen delimiter pair is counted; everything in between may be
-    arbitrary tokens as long as that one pair balances. Delimiters inside
+
+def is_keyword(t: Token, word: str) -> bool:
+    return t.kind == KEYWORD and t.text == word
+
+
+_CLOSER = {"(": ")", "[": "]", "{": "}"}
+
+
+def closing(tokens: list[Token], i: int, limit: int) -> int:
+    """Index of the bracket that closes the one at ``tokens[i]``, or
+    ``limit`` when it is never closed.
+
+    Only that one bracket pair is counted; everything in between may be
+    arbitrary tokens, other brackets unbalanced included. Delimiters inside
     string, char, or comment tokens are invisible because they never form
     punctuator tokens of their own.
+    """
+    open_text = tokens[i].text
+    close_text = _CLOSER[open_text]
+    depth = 0
+    for j in range(i, limit):
+        t = tokens[j]
+        if t.kind == PUNCT:
+            if t.text == open_text:
+                depth += 1
+            elif t.text == close_text:
+                depth -= 1
+                if depth == 0:
+                    return j
+    return limit
+
+
+def top_level(tokens: list[Token], j: int, limit: int, stops) -> int:
+    """Index of the first punctuator in ``stops`` from ``j`` on that is not
+    nested in brackets, else ``limit``. All three bracket kinds count, and a
+    stray closer takes the depth below zero."""
+    depth = 0
+    for k in range(j, limit):
+        t = tokens[k]
+        if t.kind == PUNCT:
+            if t.text in "([{":
+                depth += 1
+            elif t.text in ")]}":
+                depth -= 1
+            elif depth == 0 and t.text in stops:
+                return k
+    return limit
+
+
+def split_top_level(tokens: list[Token], start: int, end: int, sep: str) -> list[tuple[int, int]]:
+    """The ``[a, b)`` ranges of ``tokens[start:end]`` between the ``sep``
+    punctuators that ``top_level`` finds; one range when there are none."""
+    parts = []
+    while True:
+        k = top_level(tokens, start, end, (sep,))
+        parts.append((start, k))
+        if k >= end:
+            return parts
+        start = k + 1
+
+
+def at_line_start(tokens: list[Token], i: int) -> bool:
+    """Whether only whitespace comes before ``tokens[i]`` on its line."""
+    j = i - 1
+    while j >= 0 and tokens[j].kind == WHITESPACE:
+        j -= 1
+    return j < 0 or tokens[j].kind == NEWLINE
+
+
+def line_end(tokens: list[Token], i: int, limit: int) -> int:
+    """Index of the newline that ends the line ``tokens[i]`` is on, or
+    ``limit``. A backslash followed by nothing but whitespace before the
+    newline continues the line, as a preprocessor directive does."""
+    for j in range(i, limit):
+        if tokens[j].kind == NEWLINE:
+            k = j - 1
+            while k > i and tokens[k].kind == WHITESPACE:
+                k -= 1
+            if k < i or tokens[k].kind != PUNCT or tokens[k].text != "\\":
+                return j
+    return limit
+
+
+def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple[int, int]:
+    """Return the inclusive token index range from ``open_text`` at the cursor
+    through its matching ``close_text``, one of the bracket pairs ``()``,
+    ``[]`` and ``{}``, matched as ``closing`` does.
     """
     toks = cursor.tokens
     start = cursor.peek_index()
@@ -205,22 +297,15 @@ def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple
             f"expected {open_text!r} at token {start}",
             line=toks[start].line if start < len(toks) else None,
         )
-    depth = 0
-    j = start
-    while j < cursor.limit:
-        t = toks[j]
-        if t.kind == PUNCT:
-            if t.text == open_text:
-                depth += 1
-            elif t.text == close_text:
-                depth -= 1
-                if depth == 0:
-                    return (start, j)
-        j += 1
-    raise UnbalancedDelimiter(
-        f"unbalanced {open_text!r} opened at line {toks[start].line}",
-        line=toks[start].line,
-    )
+    if _CLOSER.get(open_text) != close_text:
+        raise ValueError(f"not a bracket pair: {open_text!r} {close_text!r}")
+    end = closing(toks, start, cursor.limit)
+    if end == cursor.limit:
+        raise UnbalancedDelimiter(
+            f"unbalanced {open_text!r} opened at line {toks[start].line}",
+            line=toks[start].line,
+        )
+    return (start, end)
 
 
 def text_of_range(tokens: list[Token], start: int, end: int) -> str:

@@ -152,6 +152,30 @@ void testmain(void) {
     assert out == {"y": 4 + 9}
 
 
+def test_pointer_indexing_and_array_decay():
+    # p[i] indexes through the address p holds; an array name used as a
+    # value is its address. Pointer arithmetic does not scale by the
+    # pointee's width, so *(p + 1) is left out.
+    out = finals("""
+struct pt { int x; int y; };
+void testmain(void) {
+    int arr[4];
+    int *p = &arr[0];
+    p[1] = 5;
+    int a = arr[1];
+    int *q = arr;
+    int c = q[1];
+    char *s = "hi";
+    int d = s[1];
+    struct pt pts[2];
+    struct pt *r = pts;
+    r[1].y = 7;
+    int e = pts[1].y;
+}
+""", ["a", "c", "d", "e"])
+    assert out == {"a": 5, "c": 5, "d": 105, "e": 7}
+
+
 def test_typedef_declares_type_name():
     out = finals("""
 typedef u32 reg_t;

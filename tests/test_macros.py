@@ -34,3 +34,14 @@ def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
     assert " ".join(t.text for t in out if t.kind not in tk.TRIVIA) == expanded
     assert events == [(name, 3) for name in unexpanded]
     assert all(t.line == 3 for t in out if t.synthetic)
+
+
+def test_backslash_then_spaces_continues_a_define():
+    from conftest import local_concrete, make_session, run_function
+
+    source = "#define X 1 + \\   \n 2\nvoid testmain(void) {\n    int y = X;\n}\n"
+    defs = mc.scan_defines(tk.tokenize(source), "m.c")
+    assert " ".join(t.text for t in defs["X"].body) == "1 + 2"
+    session, interp = make_session({"m.c": source})
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "y") == 3

@@ -177,3 +177,20 @@ def test_comment_lines_in_scripts_are_skipped():
     out, code, _ = run_repl(TWO_STEP, ["# a note", "", "q"])
     assert "unknown command" not in out
     assert code == 0
+
+
+def test_internal_error_keeps_the_session_alive():
+    # 200 nested C calls exhaust Python's recursion limit.
+    sources = {"r.c": """\
+int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
+void deep(void) { int r = down(200); }
+void shallow(void) { int r = down(3); log_state(r); }
+"""}
+    out, code, session = run_repl(
+        sources, ["deep", "shallow", "q"],
+        commands={"deep": CommandSpec("deep"), "shallow": CommandSpec("shallow")})
+    assert "error: internal RecursionError" in out
+    assert out.index("error: internal") < out.index("ssi > shallow")
+    assert [e.callee for e in session.events_of("missing-model")] == ["log_state"]
+    assert code == 1
+    assert session.frames == [] and session.call_stack == []

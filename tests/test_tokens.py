@@ -182,6 +182,59 @@ def test_balanced_span_matches_oracle(source):
     assert depth == 0
 
 
+# ------------------------------------------------- top-level scans, lines
+
+def at_top(toks, start, k, stops):
+    """Whether toks[k] is a stop with as many openers as closers before it
+    in toks[start:k]."""
+    before = [t.text for t in toks[start:k] if t.kind == tk.PUNCT]
+    depth = sum(before.count(c) for c in "([{") - sum(before.count(c) for c in ")]}")
+    return toks[k].kind == tk.PUNCT and toks[k].text in stops and depth == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="()[]{},;a ", max_size=40), st.data())
+def test_top_level_and_split_match_oracle(source, data):
+    toks = tk.tokenize(source)
+    n = len(toks)
+    start = data.draw(st.integers(0, n))
+    end = data.draw(st.integers(start, n))
+    stops = [k for k in range(start, end) if at_top(toks, start, k, (",", ";"))]
+    assert tk.top_level(toks, start, end, (",", ";")) == (stops + [end])[0]
+    seps = [k for k in range(start, end) if at_top(toks, start, k, (",",))]
+    bounds = [start - 1] + seps + [end]
+    assert tk.split_top_level(toks, start, end, ",") == \
+        [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def oracle_line_end(source, toks, i):
+    """Token index of the first newline after toks[i] whose text before it,
+    trailing blanks stripped, does not end in a backslash."""
+    pos = toks[i].byte_offset
+    while True:
+        nl = source.find("\n", pos)
+        if nl < 0:
+            return len(toks)
+        if not source[toks[i].byte_offset : nl].rstrip(" \t").endswith("\\"):
+            return next(k for k, t in enumerate(toks) if t.byte_offset == nl)
+        pos = nl + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="#a\\ \t\n;", min_size=1, max_size=40), st.data())
+def test_line_end_matches_oracle(source, data):
+    toks = tk.tokenize(source)
+    i = data.draw(st.integers(0, len(toks) - 1))
+    assert tk.line_end(toks, i, len(toks)) == oracle_line_end(source, toks, i)
+
+
+def test_line_end_follows_backslash_then_spaces():
+    toks = tk.tokenize("#define X 1 + \\   \n 2\nint y;")
+    end = tk.line_end(toks, 0, len(toks))
+    assert tk.text_of_range(toks, 0, end) == "#define X 1 + \\   \n 2"
+    assert tk.at_line_start(toks, end + 1) and not tk.at_line_start(toks, 2)
+
+
 def test_cursor_trivia_skipping():
     toks = tk.tokenize("  int /* c */ x")
     cur = tk.Cursor(toks, 0)
