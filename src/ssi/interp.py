@@ -18,7 +18,7 @@ fresh value, and the reported line is always the next statement to run.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import macros as mc
 from . import tokens as tk
@@ -117,20 +117,33 @@ class TypeInfo:
     width: int = 4
     tag: str | None = None
     unsigned: bool = False
+    stars: int = 0  # pointer levels a typedef name carries
     is_typedef: bool = False
     saw_type: bool = False
     inline_body: tuple | None = None  # (start, end) within the local token list
 
 
 @dataclass
-class GlobalDecl:
-    """File-scope variable shape recorded by the startup token scan."""
+class Decl:
+    """One declarator read with its type: what a declaration says a name is."""
 
+    name: str | None   # None for an abstract declarator, as in a cast
+    stars: int         # pointer depth, a typedef name's own included
     tag: str | None
-    stars: int
-    width: int  # of the type the pointer levels apply to
-    count: int = 1
-    array: bool = False
+    width: int         # of the type the pointer levels apply to
+    unsigned: bool
+    dims: list         # the token run of each array bound
+    init: list | None  # the initializer's token run
+    function: bool     # a name followed by its parameter list
+
+    def count(self) -> int:
+        """Element count of the array bounds, each read if it is a lone number."""
+        count = 1
+        for bound in self.dims:
+            numbers = [t for t in bound if t.kind == tk.NUMBER]
+            if len(numbers) == 1:
+                count *= parse_int_literal(numbers[0].text)[0]
+        return count
 
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
@@ -170,16 +183,21 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             and info.tag is None
             and not info.saw_type
         ):
-            width = typedefs.get(t.text, TYPE_WIDTH_BYTES.get(t.text))
-            if width is not None:
-                info.saw_type = True
-                info.width = width
+            named = typedefs.get(t.text)
+            if named is not None:
+                info.width, info.tag = named.width, named.tag
+                info.unsigned, info.stars = named.unsigned, named.stars
+            elif t.text in TYPE_WIDTH_BYTES:
+                info.width = TYPE_WIDTH_BYTES[t.text]
                 info.unsigned = t.text in UNSIGNED_TYPE_NAMES
-                i += 1
-                continue
+            else:
+                break
+            info.saw_type = True
+            i += 1
+            continue
         break
     if words:
-        if "char" in words:
+        if "char" in words or "void" in words:
             info.width = 1
         elif "short" in words:
             info.width = 2
@@ -192,15 +210,72 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
     return i, info
 
 
-def _variable(name, region, stars, tag, width, array) -> Place:
-    """The Place of a variable declared with ``stars`` pointer levels over a
-    ``width``-byte type with tag ``tag``, with array bounds or without."""
-    if not stars:
-        return Place(region=region, width=width, struct_tag=tag, elem_width=width,
-                     name=name, array=array)
-    pointee = 8 if array or stars > 1 else None if tag else width
-    return Place(region=region, width=8, pointee_tag=tag, elem_width=pointee,
-                 name=name, array=array, pointer=not array)
+def _pointers(toks, j, limit) -> tuple[int, int]:
+    """(count of ``*``, index after) for the pointer levels at ``toks[j]``,
+    skipping qualifiers and identifiers that cannot be the declarator's name
+    (an attribute macro such as ``__iomem`` before ``*p``)."""
+    stars = 0
+    while j < limit:
+        t = toks[j]
+        if t.kind == tk.PUNCT and t.text == "*":
+            stars += 1
+        elif not (t.kind == tk.KEYWORD and t.text in tk.QUALIFIER_KEYWORDS
+                  or t.kind == tk.IDENTIFIER and j + 1 < limit
+                  and (toks[j + 1].kind == tk.IDENTIFIER or tk.is_punct(toks[j + 1], "*"))):
+            break
+        j += 1
+    return stars, j
+
+
+def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl], int]:
+    """The declaration at ``toks[i]``: its type, its declarators, and the
+    index after the last one.
+
+    Declarators follow each other at top-level commas. ``(*name)(...)`` is a
+    pointer named ``name``; a name followed by ``(`` is a function, and the
+    declaration ends after its parameter list unless a comma follows. With
+    ``member`` (struct members and parameters), an unknown identifier in
+    type position is a 4-byte type. A type that is not read gives no
+    declarators.
+    """
+    j, info = parse_type_prefix(toks, i, typedefs)
+    n = len(toks)
+    if member and not info.saw_type and j < n and toks[j].kind == tk.IDENTIFIER:
+        info.saw_type = True
+        j += 1
+    decls: list[Decl] = []
+    if not info.saw_type:
+        return info, decls, j
+    while True:
+        stars, j = _pointers(toks, j, n)
+        close = None
+        if _punct_at(toks, j, "(") and _punct_at(toks, j + 1, "*"):
+            close = tk.closing(toks, j, n)
+            inner, j = _pointers(toks, j + 1, close)
+            stars += inner
+        name = toks[j] if j < n and toks[j].kind == tk.IDENTIFIER else None
+        j += name is not None
+        dims = []
+        while _punct_at(toks, j, "["):
+            k = tk.closing(toks, j, n)
+            dims.append(toks[j + 1 : k])
+            j = k + 1
+        function = close is None and name is not None and _punct_at(toks, j, "(")
+        if close is not None:  # past ``)``, its parameters and the pointee's bounds
+            j = close + 1
+            while j < n and toks[j].kind == tk.PUNCT and toks[j].text in ("(", "["):
+                j = tk.closing(toks, j, n) + 1
+        elif function:
+            j = tk.closing(toks, j, n) + 1
+        init = None
+        if not function and _punct_at(toks, j, "="):
+            k = tk.top_level(toks, j + 1, n, (",", ";"))
+            init, j = toks[j + 1 : k], k
+        decls.append(Decl(name and name.text, info.stars + stars, info.tag, info.width,
+                          info.unsigned, dims, init, function))
+        if not _punct_at(toks, j, ","):
+            return info, decls, j
+        j += 1
 
 
 _ASSIGN_OPS = {
@@ -227,42 +302,6 @@ def _starts_declaration(t, typedefs) -> bool:
     if t.kind == tk.KEYWORD:
         return t.text in tk.DECL_KEYWORDS
     return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES or t.text in typedefs)
-
-
-def _declarator(toks, j):
-    """The declarator at ``toks[j]``, after its type: (pointer depth, name
-    token or None, (start, end) of each array bound, (start, end) of the
-    initializer or None, index after them)."""
-    n = len(toks)
-    stars = 0
-    while j < n and (_punct_at(toks, j, "*") or (toks[j].kind == tk.KEYWORD
-                                                  and toks[j].text in tk.QUALIFIER_KEYWORDS)):
-        stars += toks[j].text == "*"
-        j += 1
-    if j >= n or toks[j].kind != tk.IDENTIFIER:
-        return stars, None, [], None, j
-    name = toks[j]
-    j += 1
-    dims = []
-    while _punct_at(toks, j, "["):
-        k = tk.closing(toks, j, n)
-        dims.append((j + 1, k))
-        j = k + 1
-    init = None
-    if _punct_at(toks, j, "="):
-        k = tk.top_level(toks, j + 1, n, (",", ";"))
-        init, j = (j + 1, k), k
-    return stars, name, dims, init, j
-
-
-def _static_count(bounds) -> int:
-    """Element count of array bounds, each read if it is a lone number."""
-    count = 1
-    for bound in bounds:
-        numbers = [t for t in bound if t.kind == tk.NUMBER]
-        if len(numbers) == 1:
-            count *= parse_int_literal(numbers[0].text)[0]
-    return count
 
 
 def _without_directives(toks):
@@ -373,24 +412,15 @@ class Interp:
     def _record_global_decl(self, toks, i) -> int:
         """Try to record one file-scope declaration starting at i; returns
         the index to resume scanning from."""
-        s = self.s
-        n = len(toks)
-        j, info = parse_type_prefix(toks, i, s.typedefs)
-        if not info.saw_type:
-            return i + 1
-        while j < n:
-            stars, name, dims, _init, j = _declarator(toks, j)
-            if name is None or _punct_at(toks, j, "("):
-                return j  # a function declarator is not a variable
-            count = _static_count(self._expand(toks[a:b]) for a, b in dims)
+        info, decls, j = _declarations(toks, i, self.s.typedefs)
+        for decl in decls:
+            if decl.name is None or decl.function:
+                continue
+            decl.dims = [self._expand(bound) for bound in decl.dims]
             if info.is_typedef:
-                self._define_typedef(name.text, 8 if stars else info.width)
+                self._define_typedef(decl)
             else:
-                s.global_decls.setdefault(name.text, GlobalDecl(
-                    info.tag, stars, info.width, count, bool(dims)))
-            if not _punct_at(toks, j, ","):
-                return j
-            j += 1
+                self.s.global_decls.setdefault(decl.name, decl)
         return j
 
     # ------------------------------------------------------------ utilities
@@ -426,12 +456,14 @@ class Interp:
 
     def _modeled_args(self, fdef: FunctionDefNode):
         args = []
-        for pname, stars, tag, width in self.parse_params(fdef):
-            if stars:
-                region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE, struct_tag=tag)
+        for k, decl in enumerate(self._params(fdef)):
+            pname = decl.name or k
+            if decl.stars:
+                region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE,
+                                                   struct_tag=decl.tag)
                 v = self.s.values.addr_of(region.id, (fdef.file_id, fdef.line),
                                           desc=f"modeled argument {pname}")
-                v.pointee_tag = tag
+                v.pointee_tag = decl.tag
             else:
                 v = self.s.values.fresh_symbol(f"arg:{pname}", (fdef.file_id, fdef.line))
             args.append(v)
@@ -478,44 +510,35 @@ class Interp:
         s.values.missing_calls[sym.id] = missing
         return sym
 
-    def parse_params(self, fdef: FunctionDefNode):
+    def _params(self, fdef: FunctionDefNode) -> list[Decl]:
+        """The parameters of ``fdef`` in order, read once per typedef epoch
+        (see ``eval_tokens``). An unnamed one keeps its place with name
+        None; ``T a[]`` is a pointer; ``(void)`` and ``...`` bind nothing."""
         hole = fdef.params
-        toks = [t for t in self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
-                if t.kind not in tk.TRIVIA]
-        if not toks or (len(toks) == 1 and toks[0].text == "void"):
-            return []
-        out = []
-        for a, b in tk.split_top_level(toks, 0, len(toks), ","):
-            g = toks[a:b]
-            if not g or (len(g) == 1 and g[0].text in ("void", "...")):
-                continue
-            _, info = parse_type_prefix(g, 0, self.s.typedefs)
-            stars = sum(1 for t in g if t.kind == tk.PUNCT and t.text == "*")
-            name = None
-            for t in g:
-                if t.kind == tk.IDENTIFIER and t.text not in TYPE_WIDTH_BYTES \
-                        and t.text != info.tag and t.text not in self.s.typedefs:
-                    name = t.text
-            if name is None:
-                continue
-            out.append((name, stars, info.tag, info.width))
-        return out
+        if hole.compiled is None or hole.compiled[0] is not self._epoch:
+            toks = [t for t in self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
+                    if t.kind not in tk.TRIVIA]
+            params = []
+            for a, b in tk.split_top_level(toks, 0, len(toks), ","):
+                if b - a == 1 and toks[a].text in ("void", "..."):
+                    continue
+                for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
+                    params.append(replace(decl, stars=decl.stars + 1, dims=[])
+                                  if decl.dims else decl)
+            hole.compiled = (self._epoch, params)
+        return hole.compiled[1]
 
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
         s = self.s
         frame = Frame(fdef.name, position=(fdef.file_id, fdef.line))
-        params = self.parse_params(fdef)
-        for k, (pname, stars, tag, width) in enumerate(params):
-            region = s.store.alloc_region(pname, STACK)
-            frame.locals[pname] = _variable(pname, region.id, stars, tag, width, False)
-            if k < len(args):
-                v = args[k]
-                if stars and tag and v.pointee_tag is None:
-                    v.pointee_tag = tag
-            else:
-                v = s.values.fresh_symbol(f"arg:{pname}@{site.line}",
-                                          (site.file, site.line))
-            s.store.store(Location(region.id, 0), v)
+        for k, decl in enumerate(self._params(fdef)):
+            if decl.name is None:
+                continue
+            place = frame.locals[decl.name] = self._allocate(decl, STACK, 1, False)
+            at = (site.file, site.line)
+            v = args[k] if k < len(args) else s.values.fresh_symbol(
+                f"arg:{decl.name}@{site.line}", at)
+            self.store_place(place, v, at)
         s.frames.append(frame)
         try:
             sig = self._run_hole(fdef.body, frame)
@@ -813,7 +836,7 @@ class Interp:
 
     def _compile_declaration(self, toks, file_id, line):
         s = self.s
-        i, info = parse_type_prefix(toks, 0, s.typedefs)
+        info, decls, _ = _declarations(toks, 0, s.typedefs)
         if not info.saw_type:
             return _Compiler(self, toks, file_id).expression(line)
         steps = []
@@ -822,52 +845,51 @@ class Interp:
             tag, body = info.tag, toks[b0:b1]
             steps.append(lambda frame: s.store.install_layout(
                 tag, self._parse_struct_body(body)))
-        if info.is_typedef:
-            names = [t.text for t in toks[i:] if t.kind == tk.IDENTIFIER]
-            pointer = any(_punct_at(toks, k, "*") for k in range(i, len(toks)))
-            if names:
-                name, width = names[-1], 8 if pointer else info.width
-                steps.append(lambda frame: self._define_typedef(name, width))
-            return _sequence(steps)
-        n = len(toks)
-        while i < n:
-            stars, name, dims, init, i = _declarator(toks, i)
-            if name is None:
-                while i < n and toks[i].text != ",":
-                    i += 1
-                i += 1
+        for decl in decls:
+            if decl.name is None or decl.function:
                 continue
-            dims = [self._compile_dimension(toks[a:b], file_id, line) for a, b in dims]
-            if init is not None:
-                init = _Compiler(self, toks[init[0] : init[1]], file_id).expression(name.line)
-            steps.append(self._declare(name.text, stars, info, dims, init))
-            if not _punct_at(toks, i, ","):
-                break
-            i += 1
+            if info.is_typedef:
+                steps.append(lambda frame, decl=decl: self._define_typedef(decl))
+            else:
+                steps.append(self._declare(decl, file_id, line))
         return _sequence(steps)
 
-    def _declare(self, name, stars, info, dims, init):
-        store = self.s.store
-        tag = info.tag
+    def _declare(self, decl, file_id, line):
+        dims = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
+        init = None
+        if decl.init is not None:
+            init = _Compiler(self, decl.init, file_id).expression(line)
+        at = (file_id, line)
 
         def declare(frame):
             count = 1
             for dim in dims:
                 count *= dim(frame)
-            if stars or tag is None:
-                width = info.width
-            else:
-                width = store.ensure_size(tag) or info.width
-            region = store.alloc_region(name, STACK, size=(8 if stars else width) * count,
-                                        struct_tag=tag if not stars else None)
-            frame.locals[name] = _variable(name, region.id, stars, tag, width, bool(dims))
+            place = frame.locals[decl.name] = self._allocate(decl, STACK, count, bool(dims))
             if init is not None:
-                v = init(frame)
-                if stars and tag and v.pointee_tag is None:
-                    v.pointee_tag = tag
-                store.store(Location(region.id, 0), v)
+                self.store_place(place, init(frame), at)
 
         return declare
+
+    def _size(self, stars, tag, width) -> int:
+        """Bytes of one element of a type with ``stars`` pointer levels over
+        a ``width``-byte type with tag ``tag``."""
+        if stars:
+            return 8
+        return (self.s.store.ensure_size(tag) or width) if tag else width
+
+    def _allocate(self, decl, kind, count, array) -> Place:
+        """A region for ``count`` elements of the variable ``decl`` declares,
+        with array bounds or without, and the variable's Place."""
+        width = self._size(decl.stars, decl.tag, decl.width)
+        region = self.s.store.alloc_region(decl.name, kind, size=width * count,
+                                           struct_tag=None if decl.stars else decl.tag).id
+        if not decl.stars:
+            return Place(region=region, width=width, struct_tag=decl.tag, elem_width=width,
+                         name=decl.name, array=array)
+        pointee = 8 if array or decl.stars > 1 else None if decl.tag else decl.width
+        return Place(region=region, width=8, pointee_tag=decl.tag, elem_width=pointee,
+                     name=decl.name, array=array, pointer=not array)
 
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
@@ -888,9 +910,10 @@ class Interp:
 
         return dimension
 
-    def _define_typedef(self, name, width):
-        if self.s.typedefs.get(name) != width:
-            self.s.typedefs[name] = width
+    def _define_typedef(self, decl):
+        named = TypeInfo(decl.width, decl.tag, decl.unsigned, decl.stars)
+        if self.s.typedefs.get(decl.name) != named:
+            self.s.typedefs[decl.name] = named
             self._epoch = object()  # every compiled form is stale now
 
     # ----------------------------------------------------------- struct defs
@@ -919,35 +942,13 @@ class Interp:
         i = 0
         n = len(toks)
         while i < n:
-            if toks[i].kind == tk.PUNCT and toks[i].text == ";":
-                i += 1
-                continue
-            j, info = parse_type_prefix(toks, i, self.s.typedefs)
-            if j == i:
-                if toks[i].kind == tk.IDENTIFIER:
-                    info = TypeInfo(width=4, saw_type=True)  # unknown typedef
-                    j = i + 1
-                else:
-                    i += 1
-                    continue
-            i = j
-            while i < n and toks[i].text != ";":
-                stars, name, dims, _init, i = _declarator(toks, i)
-                if name is not None:
-                    count = _static_count(toks[a:b] for a, b in dims)
-                    if stars:
-                        width = 8
-                    elif info.tag is not None:
-                        width = self.s.store.ensure_size(info.tag) or 4
-                    else:
-                        width = info.width
-                    layout[name.text] = FieldInfo(offset, width, count)
+            _, decls, j = _declarations(toks, i, self.s.typedefs, member=True)
+            for decl in decls:
+                if decl.name is not None and not decl.function:
+                    width, count = self._size(decl.stars, decl.tag, decl.width), decl.count()
+                    layout[decl.name] = FieldInfo(offset, width, count)
                     offset += width * count
-                while i < n and toks[i].text not in (",", ";"):
-                    i += 1
-                if i < n and toks[i].text == ",":
-                    i += 1
-            i += 1
+            i = tk.top_level(toks, j, n, (";",)) + 1
         return layout
 
     # ------------------------------------------------------------- branching
@@ -1096,16 +1097,11 @@ class Interp:
                 return s.values.get(vid)
         place = frame.locals.get(name) or s.globals.get(name)
         if place is None:
-            shape = s.global_decls.get(name)
-            if shape is None:
+            decl = s.global_decls.get(name)
+            if decl is None:
                 place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
             else:
-                width = 8 if shape.stars else shape.width
-                region = s.store.alloc_region(
-                    name, STATIC, size=width * shape.count,
-                    struct_tag=None if shape.stars else shape.tag)
-                place = _variable(name, region.id, shape.stars, shape.tag,
-                                  shape.width, shape.array)
+                place = self._allocate(decl, STATIC, decl.count(), bool(decl.dims))
             s.globals[name] = place
         return place
 
@@ -1115,7 +1111,7 @@ class Interp:
             v = vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
             if isinstance(place.offset, int) and place.offset:
                 v = vals.apply_binop("+", v, vals.concrete(
-                    64, place.offset, at, desc=f"offset {place.offset}"), at)
+                    64, place.offset, at, signed=True, desc=f"offset {place.offset}"), at)
             elif not isinstance(place.offset, int):
                 v = vals.apply_binop("+", v, place.offset, at)
             v.pointee_tag = place.struct_tag
@@ -1123,14 +1119,15 @@ class Interp:
         if isinstance(place.offset, int) and place.offset == 0:
             return place.ptr
         off = place.offset if isinstance(place.offset, Value) else \
-            vals.concrete(64, place.offset, at, desc=f"offset {place.offset}")
+            vals.concrete(64, place.offset, at, signed=True, desc=f"offset {place.offset}")
         v = vals.apply_binop("+", place.ptr, off, at)
         v.pointee_tag = place.struct_tag
         return v
 
-    def index_place(self, base, idx: Value, at) -> Place:
-        """``base[idx]`` for a Place base or a pointer Value. A variable
-        declared as a pointer is indexed through the address it holds."""
+    def index_place(self, base, idx: Value, at, sign=1) -> Place:
+        """``base[idx]`` for a Place base or a pointer Value, or
+        ``base[-idx]`` for ``sign`` -1. A variable declared as a pointer is
+        indexed through the address it holds."""
         vals = self.s.values
         r = vals.resolve(idx)
         if not isinstance(base, Place):
@@ -1143,10 +1140,10 @@ class Interp:
         else:
             elem = base.elem_width or base.width or 4
         if isinstance(r, Concrete):
-            new_off = self._shifted(base.offset, to_int(r) * elem, at, "index")
+            new_off = self._shifted(base.offset, to_int(r) * elem * sign, at, "index")
         else:
-            scaled = vals.apply_binop(
-                "*", idx, vals.concrete(64, elem, at, desc=f"elem {elem}"), at)
+            scaled = vals.apply_binop("*", idx, vals.concrete(
+                64, elem * sign, at, signed=sign < 0, desc=f"elem {elem * sign}"), at)
             if isinstance(base.offset, int):
                 if base.offset:
                     scaled = vals.apply_binop(
@@ -1157,6 +1154,17 @@ class Interp:
         return Place(region=base.region, ptr=base.ptr, offset=new_off,
                      width=elem, elem_width=elem, struct_tag=base.struct_tag,
                      name=f"{base.name}[]")
+
+    def step_pointer(self, place: Place, op: str, n: Value, at) -> Value:
+        """``place + n`` or ``place - n`` for a pointer or array variable:
+        ``&place[n]`` or ``&place[-n]``. Pointer minus pointer stays a byte
+        difference."""
+        vals = self.s.values
+        r = vals.resolve(n)
+        if op == "-" and isinstance(r, Residual) and r.pointer is not None:
+            base = self.address_of(place, at) if place.array else self.load_place(place, at)
+            return vals.apply_binop(op, base, n, at)
+        return self.address_of(self.index_place(place, n, at, -1 if op == "-" else 1), at)
 
     def arrow_place(self, base: Value, field: str, at) -> Place:
         rid, base_off = self.deref_location(base, at)
@@ -1432,7 +1440,9 @@ class _Compiler:
             v = rhs(frame)
             if late:
                 p = place(frame)
-            if op is not None:
+            if p.pointer and op in ("+", "-"):
+                v = it.step_pointer(p, op, v, at)
+            elif op is not None:
                 v = vals.apply_binop(op, it.load_place(p, at), v, at)
             it.store_place(p, v, at)
             return v
@@ -1460,11 +1470,29 @@ class _Compiler:
         while ((t := self.peek()) is not None and t.kind == tk.PUNCT
                and (tier := _TIER_OF.get(t.text, -1)) >= lowest):
             self.next()
-            lhs = self.rval(e, t)
             rhs = self.rval(self.binary(tier + 1), t)
+            if e.kind is _NAME and t.text in ("+", "-"):
+                e = _Expr(_VALUE, self._name_arith(t.text, e.fn, rhs, self.at(t)))
+                continue
+            lhs = self.rval(e, t)
             make = self._logical if t.text in ("&&", "||") else self._binop
             e = _Expr(_VALUE, make(t.text, lhs, rhs, self.at(t)))
         return e
+
+    def _name_arith(self, op, name, rhs, at):
+        """``name + n`` or ``name - n``: a step of ``n`` elements when the
+        name is a pointer or array variable, else arithmetic."""
+        it, vals = self.it, self.vals
+
+        def arith(frame):
+            p = name(frame)
+            if not isinstance(p, Place):
+                return vals.apply_binop(op, p, rhs(frame), at)
+            if p.pointer or p.array:
+                return it.step_pointer(p, op, rhs(frame), at)
+            return vals.apply_binop(op, it.load_place(p, at), rhs(frame), at)
+
+        return arith
 
     def _binop(self, op, lhs, rhs, at):
         vals = self.vals
@@ -1537,37 +1565,32 @@ class _Compiler:
         def incdec(frame):
             p = place(frame)
             old = it.load_place(p, at)
-            new = vals.apply_binop(op, old, vals.concrete(32, 1, at, signed=True, desc="1"), at)
+            one = vals.concrete(32, 1, at, signed=True, desc="1")
+            new = it.step_pointer(p, op, one, at) if p.pointer else \
+                vals.apply_binop(op, old, one, at)
             it.store_place(p, new, at)
             return new if pre else old
 
         return _Expr(_VALUE, incdec)
 
     def _type_name(self, start):
-        """(index of ``)``, TypeInfo, pointer depth) when a parenthesized
-        type name starts at ``start``, else None."""
-        toks = self.toks
-        j, info = parse_type_prefix(toks, start, self.it.s.typedefs)
-        if not info.saw_type:
-            return None
-        stars = 0
-        while _punct_at(toks, j, "*"):
-            stars += 1
-            j += 1
-        return (j, info, stars) if _punct_at(toks, j, ")") else None
+        """(index of ``)``, its Decl) when a parenthesized type name starts
+        at ``start``, else None."""
+        _, decls, j = _declarations(self.toks, start, self.it.s.typedefs)
+        if len(decls) == 1 and decls[0].name is None and _punct_at(self.toks, j, ")"):
+            return j, decls[0]
+        return None
 
     def _sizeof(self, t):
         vals = self.vals
         at = self.at(t)
         if self._peek_punct(("(",)) and (type_name := self._type_name(self.i + 1)):
-            close, info, stars = type_name
+            close, decl = type_name
             self.i = close + 1
-            store = self.it.s.store
-            tag = None if stars else info.tag
-            width = 8 if stars else info.width
+            size, count = self.it._size, decl.count()
 
             def size_of_type(frame):
-                nbytes = (store.ensure_size(tag) or width) if tag else width
+                nbytes = size(decl.stars, decl.tag, decl.width) * count
                 return vals.concrete(64, nbytes, at, desc="sizeof")
 
             return _Expr(_VALUE, size_of_type)
@@ -1580,11 +1603,11 @@ class _Compiler:
 
         return _Expr(_VALUE, size_of_value)
 
-    def _cast(self, t, close, info, stars):
+    def _cast(self, t, close, decl):
         self.i = close + 1
         v = self.rval(self.unary(), t)
-        if stars:
-            tag = info.tag
+        if decl.stars:
+            tag = decl.tag
             if not tag:
                 return _Expr(_VALUE, v)
 
@@ -1595,7 +1618,7 @@ class _Compiler:
                 return p
 
             return _Expr(_VALUE, tag_pointer)
-        bits, signed, at = info.width * 8, not info.unsigned, self.at(t)
+        bits, signed, at = decl.width * 8, not decl.unsigned, self.at(t)
         vals = self.vals
         return _Expr(_VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at))
 

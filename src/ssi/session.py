@@ -96,8 +96,8 @@ class Session:
         self.frames: list[Frame] = []
         self.call_stack: list[tuple[str, object]] = []  # (callee, CallSite) of active hooks
         self.globals: dict[str, Place] = {}
-        self.typedefs: dict[str, int] = {}  # name -> width
-        self.global_decls: dict[str, object] = {}  # name -> GlobalDecl
+        self.typedefs: dict[str, object] = {}  # name -> the TypeInfo it stands for
+        self.global_decls: dict[str, object] = {}  # name -> Decl
         self.string_regions: dict[tuple, int] = {}
         self.absolute_region: int | None = None
 

@@ -1,7 +1,11 @@
+import dataclasses
+import json
 import re
 
+import pytest
 from conftest import (
     EXAMPLE_DIR,
+    TESTS_DIR,
     assert_matches_golden,
     run_example_script,
     script_lines,
@@ -9,6 +13,12 @@ from conftest import (
 
 ALL_NOOP_MODELS = ("readl", "raw_spin_lock_irqsave", "raw_spin_unlock_irqrestore",
                    "set_bit", "platform_set_drvdata", "dev_err", "dev_info")
+
+
+SNAPSHOT = TESTS_DIR / "data" / "example_events.json"
+SNAPSHOT_RUNS = [(config, script)
+                 for config in ("pinctrl.json", "pinctrl-declarative.json")
+                 for script in ("probe.txt", "breakpoint.txt", "missing.txt")]
 
 
 def write_addresses(session):
@@ -156,3 +166,33 @@ def test_breakpoint_line_pins_the_offset_computation():
     # has the offset computation there.
     source = (EXAMPLE_DIR / "pinctrl-bcm2835-irq.c").read_text().splitlines()
     assert "offset = GPIO_REG_SHIFT(gpio)" in source[25]
+
+
+def event_stream(config, script):
+    """``Session.events``, ``parse_events`` and the exit status of one
+    scripted run, in the JSON form of the snapshot."""
+    without = ("of_address_to_resource",) if script == "missing.txt" else ()
+    _, code, session = run_example_script(config, script_lines(script),
+                                          without_models=without)
+    return json.loads(json.dumps({
+        "exit": code,
+        "events": [dataclasses.asdict(e) for e in session.events],
+        "parse_events": session.parse_events,
+    }))
+
+
+@pytest.mark.parametrize("config,script", SNAPSHOT_RUNS)
+def test_event_stream_matches_snapshot(config, script):
+    expected = json.loads(SNAPSHOT.read_text())[f"{config} {script}"]
+    got = event_stream(config, script)
+    assert got["exit"] == expected["exit"]
+    assert got["parse_events"] == expected["parse_events"]
+    assert got["events"] == expected["events"]
+
+
+if __name__ == "__main__":
+    # Rewrite the snapshot from the ssi package on the import path:
+    #   PYTHONPATH=src python tests/test_example_ssi.py
+    streams = {f"{c} {s}": event_stream(c, s) for c, s in SNAPSHOT_RUNS}
+    SNAPSHOT.parent.mkdir(exist_ok=True)
+    SNAPSHOT.write_text(json.dumps(streams, indent=0, sort_keys=True) + "\n")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import refeval
+import ssi.interp as interp_module
 import ssi.macros as mc
 from conftest import local_concrete, make_session, run_function
 from ssi.errors import (
@@ -154,8 +155,7 @@ void testmain(void) {
 
 def test_pointer_indexing_and_array_decay():
     # p[i] indexes through the address p holds; an array name used as a
-    # value is its address. Pointer arithmetic does not scale by the
-    # pointee's width, so *(p + 1) is left out.
+    # value is its address.
     out = finals("""
 struct pt { int x; int y; };
 void testmain(void) {
@@ -606,3 +606,146 @@ void testmain(void) {
         run_function(session, interp, "testmain")
     assert exc.value.line == 3
     assert session.events_of("call") == []
+
+
+# ----------------------------------------------------------- declarations
+
+# Programs on which two readers of the same declaration used to disagree;
+# each expects what C says.
+DECLARATION_CASES = {
+    "global struct array strides by the struct": ("""
+struct p { int x; int y; };
+struct p G[4];
+void testmain(void) {
+    G[1].x = 5;
+    G[0].y = 7;
+    int r = G[1].x;
+}
+""", {"r": 5}),
+    "typedef name keeps its struct tag": ("""
+struct s { int a; char b; int c; };
+typedef struct s S;
+void testmain(void) {
+    S arr[2];
+    arr[1].a = 3;
+    arr[0].c = 4;
+    int r = arr[1].a;
+    int z = sizeof(S);
+}
+""", {"r": 3, "z": 9}),
+    "typedef name keeps its sign": ("""
+typedef unsigned int uint_t;
+void testmain(void) {
+    int r = (uint_t)-1 > 0;
+}
+""", {"r": 1}),
+    "array parameter is a pointer": ("""
+int sum(int a[], int n) { return a[0] + a[1]; }
+void testmain(void) {
+    int v[2];
+    v[0] = 3;
+    v[1] = 4;
+    int r = sum(v, 2);
+}
+""", {"r": 7}),
+    "unnamed parameter keeps its place": ("""
+int g(int, int b) { return b; }
+void testmain(void) {
+    int r = g(1, 2);
+}
+""", {"r": 2}),
+    "local function-pointer typedef names only the pointer": ("""
+void testmain(void) {
+    typedef int (*cb)(int x);
+    int x = 5;
+    int r = sizeof(x);
+    int p = sizeof(cb);
+}
+""", {"r": 4, "p": 8}),
+    "function-pointer member is an 8-byte field": ("""
+struct ops { void (*fn)(int a, int b); int z; };
+void testmain(void) {
+    struct ops o;
+    o.z = 6;
+    int r = sizeof(struct ops);
+    int z = o.z;
+}
+""", {"r": 12, "z": 6}, {("ops", "fn"): 0, ("ops", "z"): 8}),
+    "file-scope function-pointer typedef": ("""
+typedef void (*handler_t)(int);
+void testmain(void) {
+    int r = sizeof(handler_t);
+}
+""", {"r": 8}),
+}
+
+
+@pytest.mark.parametrize("case", DECLARATION_CASES)
+def test_declarations_read_one_way(case):
+    source, expected, *offsets = DECLARATION_CASES[case]
+    session, frame = run_main(source)
+    assert {n: local_concrete(session, frame, n) for n in expected} == expected
+    for (tag, name), offset in (offsets[0] if offsets else {}).items():
+        assert session.store.field_offset(tag, name).offset == offset
+
+
+def test_parameters_read_once_per_typedef_epoch(monkeypatch):
+    session, interp = make_session({"prog.c": """
+int first(T v) { return v + 1; }
+void testmain(void) {
+    int a = first(300);
+    a = first(a);
+    a = first(a);
+    typedef int *T;
+    int b = first(300);
+}
+"""})
+    reads = []
+    real = interp_module._declarations
+
+    def counting(toks, i, typedefs, member=False):
+        reads.append(member)
+        return real(toks, i, typedefs, member)
+
+    monkeypatch.setattr(interp_module, "_declarations", counting)
+    frame = run_function(session, interp, "testmain")
+    # Read once for the three calls with T an unknown (int-sized) type, and
+    # once more after the typedef, which makes v a pointer to int.
+    assert reads.count(True) == 2
+    assert local_concrete(session, frame, "a") == 303
+    assert local_concrete(session, frame, "b") == 304
+
+
+def test_pointer_arithmetic_steps_by_elements():
+    # A void pointer steps by bytes; an attribute macro before the `*` of a
+    # parameter does not hide its name.
+    out = finals("""
+struct pt { int x; int y; };
+int second(int __attr *r) { return *(r + 1); }
+void testmain(void) {
+    int arr[4];
+    int i;
+    for (i = 0; i < 4; i++)
+        arr[i] = 10 + i;
+    int *p = &arr[0];
+    int a = *(p + 1);
+    p++;
+    int b = *p;
+    p += 1;
+    int c = *p;
+    int d = *(p - 1);
+    int e = *(arr + 3);
+    p--;
+    p -= 1;
+    int f = *p;
+    struct pt ps[2];
+    ps[1].y = 9;
+    struct pt *q = ps;
+    int g = (q + 1)->y;
+    void *v = arr;
+    int h = *(int *)(v + 8);
+    int k = second(arr);
+}
+""", ["a", "b", "c", "d", "e", "f", "g", "h", "k"])
+    assert out == {"a": 11, "b": 11, "c": 12, "d": 11, "e": 13, "f": 10, "g": 9,
+                   "h": 12, "k": 11}
