@@ -212,8 +212,8 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
 
 def _pointers(toks, j, limit) -> tuple[int, int]:
     """(count of ``*``, index after) for the pointer levels at ``toks[j]``,
-    skipping qualifiers and identifiers that cannot be the declarator's name
-    (an attribute macro such as ``__iomem`` before ``*p``)."""
+    skipping qualifiers and an identifier that a ``*`` follows (an attribute
+    macro such as ``__iomem`` in ``__iomem *p``)."""
     stars = 0
     while j < limit:
         t = toks[j]
@@ -221,7 +221,7 @@ def _pointers(toks, j, limit) -> tuple[int, int]:
             stars += 1
         elif not (t.kind == tk.KEYWORD and t.text in tk.QUALIFIER_KEYWORDS
                   or t.kind == tk.IDENTIFIER and j + 1 < limit
-                  and (toks[j + 1].kind == tk.IDENTIFIER or tk.is_punct(toks[j + 1], "*"))):
+                  and tk.is_punct(toks[j + 1], "*")):
             break
         j += 1
     return stars, j
@@ -255,12 +255,19 @@ def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl]
             stars += inner
         name = toks[j] if j < n and toks[j].kind == tk.IDENTIFIER else None
         j += name is not None
-        dims = []
-        while _punct_at(toks, j, "["):
-            k = tk.closing(toks, j, n)
-            dims.append(toks[j + 1 : k])
-            j = k + 1
         function = close is None and name is not None and _punct_at(toks, j, "(")
+        dims = []
+        while not function and j < n:
+            if _punct_at(toks, j, "["):
+                k = tk.closing(toks, j, n)
+                dims.append(toks[j + 1 : k])
+                j = k + 1
+            elif name is not None and toks[j].kind == tk.IDENTIFIER:
+                j += 1  # an attribute macro after the name: ``__aligned(4)``
+                if _punct_at(toks, j, "("):
+                    j = tk.closing(toks, j, n) + 1
+            else:
+                break
         if close is not None:  # past ``)``, its parameters and the pointee's bounds
             j = close + 1
             while j < n and toks[j].kind == tk.PUNCT and toks[j].text in ("(", "["):
@@ -1155,16 +1162,26 @@ class Interp:
                      width=elem, elem_width=elem, struct_tag=base.struct_tag,
                      name=f"{base.name}[]")
 
-    def step_pointer(self, place: Place, op: str, n: Value, at) -> Value:
-        """``place + n`` or ``place - n`` for a pointer or array variable:
-        ``&place[n]`` or ``&place[-n]``. Pointer minus pointer stays a byte
-        difference."""
-        vals = self.s.values
-        r = vals.resolve(n)
-        if op == "-" and isinstance(r, Residual) and r.pointer is not None:
-            base = self.address_of(place, at) if place.array else self.load_place(place, at)
-            return vals.apply_binop(op, base, n, at)
-        return self.address_of(self.index_place(place, n, at, -1 if op == "-" else 1), at)
+    def place_arith(self, place: Place, op: str, n: Value, at, value=None):
+        """``place op n``. For ``+`` and ``-`` on a pointer or array
+        variable, or on an element such a step reached, the element
+        ``place[n]`` or ``place[-n]``, a Place whose value is its address;
+        otherwise the Value of the arithmetic on the place's value
+        (``value``, when it is loaded already)."""
+        if op in ("+", "-") and (place.pointer or place.array):
+            elem = self.index_place(place, n, at, -1 if op == "-" else 1)
+            elem.array = True
+            return elem
+        if value is None:
+            value = self.value_of(place, at)
+        return self.s.values.apply_binop(op, value, n, at)
+
+    def value_of(self, p, at) -> Value:
+        """The value of a Place, or ``p`` itself when it is a Value; an
+        array's value is its address."""
+        if not isinstance(p, Place):
+            return p
+        return self.address_of(p, at) if p.array else self.load_place(p, at)
 
     def arrow_place(self, base: Value, field: str, at) -> Place:
         rid, base_off = self.deref_location(base, at)
@@ -1272,6 +1289,7 @@ _OPTIONAL = "optional"
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
+_STEP = "step"    # ``+`` or ``-``: a Value, or the element a pointer step reached
 
 
 def _nothing(frame):
@@ -1381,17 +1399,11 @@ class _Compiler:
         at = self.at(tok)
         fn = e.fn
 
-        def load(frame):
-            p = fn(frame)
-            if not isinstance(p, Place):
-                return p
-            return it.address_of(p, at) if p.array else it.load_place(p, at)
-
-        return load
+        return lambda frame: it.value_of(fn(frame), at)
 
     def as_place(self, e, msg="expression is not assignable"):
         """A closure giving the Place ``e`` denotes; a value is an error."""
-        if e.kind is _VALUE:
+        if e.kind is _VALUE or e.kind is _STEP:
             self._err(msg)
         text, line = self._error(msg)
         fn = e.fn
@@ -1417,7 +1429,7 @@ class _Compiler:
                 first(frame)
                 return rest(frame)
 
-            e = _Expr(_VALUE if e.kind is _VALUE else _PLACE, seq)
+            e = _Expr(_PLACE if e.kind is _NAME else e.kind, seq)
         return e
 
     def assign(self):
@@ -1430,7 +1442,7 @@ class _Compiler:
         place = self.as_place(lhs)
         op = _ASSIGN_OPS[t.text]
         at = self.at(t)
-        it, vals = self.it, self.vals
+        it = self.it
         # A named target is looked up after the right-hand side runs, any
         # other place (its pointer, index, base) before.
         late = lhs.kind is _NAME
@@ -1440,10 +1452,8 @@ class _Compiler:
             v = rhs(frame)
             if late:
                 p = place(frame)
-            if p.pointer and op in ("+", "-"):
-                v = it.step_pointer(p, op, v, at)
-            elif op is not None:
-                v = vals.apply_binop(op, it.load_place(p, at), v, at)
+            if op is not None:
+                v = it.value_of(it.place_arith(p, op, v, at), at)
             it.store_place(p, v, at)
             return v
 
@@ -1470,29 +1480,38 @@ class _Compiler:
         while ((t := self.peek()) is not None and t.kind == tk.PUNCT
                and (tier := _TIER_OF.get(t.text, -1)) >= lowest):
             self.next()
-            rhs = self.rval(self.binary(tier + 1), t)
-            if e.kind is _NAME and t.text in ("+", "-"):
-                e = _Expr(_VALUE, self._name_arith(t.text, e.fn, rhs, self.at(t)))
+            rhs = self.binary(tier + 1)
+            if t.text in ("+", "-") and not (e.kind is _VALUE and rhs.kind is _VALUE):
+                e = _Expr(_STEP, self._additive(t.text, e.fn, rhs.fn, self.at(t)))
                 continue
-            lhs = self.rval(e, t)
+            lhs, rhs = self.rval(e, t), self.rval(rhs, t)
             make = self._logical if t.text in ("&&", "||") else self._binop
             e = _Expr(_VALUE, make(t.text, lhs, rhs, self.at(t)))
         return e
 
-    def _name_arith(self, op, name, rhs, at):
-        """``name + n`` or ``name - n``: a step of ``n`` elements when the
-        name is a pointer or array variable, else arithmetic."""
+    def _additive(self, op, lhs, rhs, at):
+        """``lhs + rhs`` or ``lhs - rhs``, operands given as Places or
+        Values. A pointer or array variable, or an element a step reached,
+        steps by elements, on either side of ``+``; minus such a Place on
+        the right is a byte difference."""
         it, vals = self.it, self.vals
 
-        def arith(frame):
-            p = name(frame)
-            if not isinstance(p, Place):
-                return vals.apply_binop(op, p, rhs(frame), at)
-            if p.pointer or p.array:
-                return it.step_pointer(p, op, rhs(frame), at)
-            return vals.apply_binop(op, it.load_place(p, at), rhs(frame), at)
+        def additive(frame):
+            a = lhs(frame)
+            if isinstance(a, Place) and not (a.pointer or a.array):
+                a = it.load_place(a, at)
+            b = rhs(frame)
+            if isinstance(b, Place) and (b.pointer or b.array):
+                if op == "-":
+                    return vals.apply_binop(op, it.value_of(a, at), it.value_of(b, at), at)
+                if not isinstance(a, Place):
+                    return it.place_arith(b, op, a, at)
+            b = it.value_of(b, at)
+            if isinstance(a, Place):
+                return it.place_arith(a, op, b, at)
+            return vals.apply_binop(op, a, b, at)
 
-        return arith
+        return additive
 
     def _binop(self, op, lhs, rhs, at):
         vals = self.vals
@@ -1566,8 +1585,7 @@ class _Compiler:
             p = place(frame)
             old = it.load_place(p, at)
             one = vals.concrete(32, 1, at, signed=True, desc="1")
-            new = it.step_pointer(p, op, one, at) if p.pointer else \
-                vals.apply_binop(op, old, one, at)
+            new = it.value_of(it.place_arith(p, op, one, at, old), at)
             it.store_place(p, new, at)
             return new if pre else old
 

@@ -15,7 +15,7 @@ from ssi.errors import (
 )
 from ssi.memory import Location
 from ssi.session import CommandSpec
-from ssi.values import SymbolRoot
+from ssi.values import Concrete, SymbolRoot, to_int
 
 
 def run_main(source, **kwargs):
@@ -718,7 +718,7 @@ void testmain(void) {
 
 def test_pointer_arithmetic_steps_by_elements():
     # A void pointer steps by bytes; an attribute macro before the `*` of a
-    # parameter does not hide its name.
+    # parameter does not hide its name; every step of a chain scales.
     out = finals("""
 struct pt { int x; int y; };
 int second(int __attr *r) { return *(r + 1); }
@@ -745,7 +745,60 @@ void testmain(void) {
     void *v = arr;
     int h = *(int *)(v + 8);
     int k = second(arr);
+    i = 1;
+    int l = *(p + i + 1);
+    int m = *(1 + p);
+    int n = *((p + 1) + 1);
+    int o = *(p + 3 - 1 - 1);
+    int s = (p + 1)[2];
 }
-""", ["a", "b", "c", "d", "e", "f", "g", "h", "k"])
+""", ["a", "b", "c", "d", "e", "f", "g", "h", "k", "l", "m", "n", "o", "s"])
     assert out == {"a": 11, "b": 11, "c": 12, "d": 11, "e": 13, "f": 10, "g": 9,
-                   "h": 12, "k": 11}
+                   "h": 12, "k": 11, "l": 12, "m": 11, "n": 12, "o": 11, "s": 13}
+
+
+def test_pointer_difference_is_in_bytes_by_declared_type():
+    # The right operand is a pointer by its declaration, whatever it holds:
+    # a constant address, or an unbound argument bound afterwards.
+    session, frame = run_main("""
+int diff(int *e, int *s) { return e - s; }
+void testmain(void) {
+    int *e = (int *)100;
+    int *s = (int *)40;
+    int a = e - s;
+    int b = diff((int *)100, (int *)40);
+    int c = diff();
+}
+""")
+    assert local_concrete(session, frame, "a") == 60
+    assert local_concrete(session, frame, "b") == 60
+    slot = frame.locals["c"]
+    c = session.store.load(Location(slot.region, slot.offset), slot.width)
+    e, s = (session.values.get(b) for b in session.values.resolve(c).blockers)
+    session.values.concretize(e, Concrete(64, 100), "user-supplied")
+    session.values.concretize(s, Concrete(64, 40), "user-supplied")
+    assert to_int(session.values.resolve(c)) == 60
+
+
+def test_attribute_macros_after_the_declarator_name():
+    # Unknown identifiers after a name, with any parenthesized group that
+    # follows one, are attributes; the name is still the one declared.
+    session, frame = run_main("""
+int arr[4];
+int *g __read_mostly;
+u32 w __aligned(4), z;
+void testmain(void) {
+    int x ATTR, y;
+    x = 1;
+    y = 2;
+    int r __maybe_unused = 3;
+    u32 v __aligned(4) = 4;
+    g = &arr[0];
+    g[1] = 5;
+    int a = arr[1];
+}
+""")
+    assert {n: local_concrete(session, frame, n) for n in "xyrva"} == {
+        "x": 1, "y": 2, "r": 3, "v": 4, "a": 5}
+    assert sorted(session.global_decls) == ["arr", "g", "w", "z"]
+    assert session.global_decls["g"].stars == 1
