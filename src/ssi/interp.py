@@ -135,6 +135,8 @@ class Decl:
     dims: list         # the token run of each array bound
     init: list | None  # the initializer's token run
     function: bool     # a name followed by its parameter list
+    file_id: str = "<none>"  # where a file-scope declaration is, for messages
+    line: int = 0
 
     def count(self) -> int:
         """Element count of the array bounds, each read if it is a lone number."""
@@ -411,12 +413,12 @@ class Interp:
                     i += 1
                     continue
                 if depth == 0 and boundary and _starts_declaration(t, s.typedefs):
-                    i = max(self._record_global_decl(toks, i), i + 1)
+                    i = max(self._record_global_decl(toks, i, fid), i + 1)
                     continue
                 boundary = False
                 i += 1
 
-    def _record_global_decl(self, toks, i) -> int:
+    def _record_global_decl(self, toks, i, file_id) -> int:
         """Try to record one file-scope declaration starting at i; returns
         the index to resume scanning from."""
         info, decls, j = _declarations(toks, i, self.s.typedefs)
@@ -424,6 +426,7 @@ class Interp:
             if decl.name is None or decl.function:
                 continue
             decl.dims = [self._expand(bound) for bound in decl.dims]
+            decl.file_id, decl.line = file_id, toks[i].line
             if info.is_typedef:
                 self._define_typedef(decl)
             else:
@@ -1110,7 +1113,17 @@ class Interp:
             else:
                 place = self._allocate(decl, STATIC, decl.count(), bool(decl.dims))
             s.globals[name] = place
+            if decl is not None and decl.init and not decl.dims \
+                    and not tk.is_punct(decl.init[0], "{"):
+                self._initialize(place, decl)
         return place
+
+    def _initialize(self, place: Place, decl: Decl) -> None:
+        """Store a file-scope scalar's initializer, run once in an empty
+        frame. Array and brace initializers are not stored."""
+        toks = [t for t in self._expand(decl.init) if t.kind not in tk.TRIVIA]
+        init = _Compiler(self, toks, decl.file_id).expression(decl.line)
+        self.store_place(place, init(Frame(decl.name)), (decl.file_id, decl.line))
 
     def address_of(self, place: Place, at) -> Value:
         vals = self.s.values

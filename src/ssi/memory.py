@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SymbolicAddress
-from .values import Concrete, Value, ValueTable, to_int
+from .values import Concrete, Record, Value, ValueTable, to_int
 
 STACK = "stack"
 STATIC = "static"
@@ -35,10 +35,12 @@ class Region:
     display_base: int | None = None  # value id of the rendered base (mmio)
 
 
-@dataclass(frozen=True)
-class Location:
-    region: int
-    offset: object  # int, or a Value that must resolve concretely on access
+class Location(Record):
+    __slots__ = ("region", "offset")
+
+    def __init__(self, region: int, offset):
+        self.region = region
+        self.offset = offset  # int, or a Value that must resolve concretely on access
 
 
 @dataclass

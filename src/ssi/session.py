@@ -42,7 +42,7 @@ class CommandSpec:
     params: dict[str, int] = field(default_factory=dict)  # name -> 1-based argv index
 
 
-@dataclass
+@dataclass(slots=True)
 class Place:
     """An lvalue: a direct (region, offset) cell or a deref of a pointer.
 

@@ -15,6 +15,7 @@ truncates toward zero, and the remainder takes the dividend's sign.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ConflictingBinding, DivisionByConcreteZero, UnsupportedOperation
@@ -26,43 +27,89 @@ BINARY_OPS = frozenset(
      "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
 )
 UNARY_OPS = frozenset(["!", "~", "neg"])
-_COMPARISONS = frozenset(["==", "!=", "<", "<=", ">", ">="])
 _LOGICAL = frozenset(["&&", "||"])
+# Operators whose result is exact on the signed operands, wrapped to the width.
+_WRAPPING = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "&": operator.and_, "|": operator.or_, "^": operator.xor}
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class Concrete:
-    width: int
-    bits: int            # always reduced mod 2**width
-    signed: bool = False
+def _fields_repr(self) -> str:
+    args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+    return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class SymbolRoot:
-    label: str
+class Record:
+    """A record minted once per value or per memory access: slotted, with a
+    plain ``__init__``, and the equality, hash and repr of the frozen
+    dataclass it replaced, all taken field by field in ``__slots__`` order.
+    Records are never mutated after construction."""
+
+    __slots__ = ()
+    __repr__ = _fields_repr
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class Term:
-    op: str
-    operands: tuple[int, ...]       # value ids, all created earlier
-    region: int | None = None      # only for addr-of-region
+class Concrete(Record):
+    __slots__ = ("width", "bits", "signed")
+
+    def __init__(self, width: int, bits: int, signed: bool = False):
+        self.width = width
+        self.bits = bits  # always reduced mod 2**width
+        self.signed = signed
 
 
-@dataclass(frozen=True)
-class Provenance:
-    file: str
-    line: int
-    op_description: str
-    parents: tuple[int, ...]
+class SymbolRoot(Record):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
 
 
-@dataclass
+class Term(Record):
+    __slots__ = ("op", "operands", "region")
+
+    def __init__(self, op: str, operands: tuple[int, ...], region: int | None = None):
+        self.op = op
+        self.operands = operands  # value ids, all created earlier
+        self.region = region      # only for addr-of-region
+
+
 class Value:
-    id: int
-    payload: object
-    prov: Provenance
-    pointee_tag: str | None = None  # struct tag hint for pointer values
+    """One minted value: its payload and its provenance, that is where it
+    was made (``file``, ``line``), how (``op_description``) and from which
+    earlier values (``parents``). Values compare by identity; ids are
+    unique within a table."""
+
+    __slots__ = ("id", "payload", "file", "line", "op_description", "parents",
+                 "pointee_tag")
+    __repr__ = _fields_repr
+
+    def __init__(self, id: int, payload, file: str, line: int, op_description: str,
+                 parents: tuple[int, ...] = ()):
+        self.id = id
+        self.payload = payload
+        self.file = file
+        self.line = line
+        self.op_description = op_description
+        self.parents = parents
+        self.pointee_tag: str | None = None  # struct tag hint for pointer values
+
+    @property
+    def prov(self) -> Value:
+        """The provenance fields, read as ``v.prov.line``, ``v.prov.parents``."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -74,8 +121,7 @@ class Binding:
     reason: str  # constant-assignment | branch-comparison | hook-supplied | user-supplied
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(Record):
     """Resolution outcome for values that are not (yet) concrete.
 
     ``blockers`` are the ids of the unbound symbol roots in the way; binding
@@ -84,9 +130,13 @@ class Residual:
     Region pointers without a concrete rendering carry empty blockers.
     """
 
-    value_id: int
-    blockers: tuple[int, ...]
-    pointer: tuple[int, int] | None = None
+    __slots__ = ("value_id", "blockers", "pointer")
+
+    def __init__(self, value_id: int, blockers: tuple[int, ...],
+                 pointer: tuple[int, int] | None = None):
+        self.value_id = value_id
+        self.blockers = blockers
+        self.pointer = pointer
 
 
 @dataclass(frozen=True)
@@ -118,39 +168,24 @@ def concrete_binop(op: str, a: Concrete, b: Concrete) -> Concrete:
     av, bv = to_int(a), to_int(b)
     mask = (1 << w) - 1
     rs = a.signed and b.signed
-    if op in _COMPARISONS:
-        ua, ub = av & mask, bv & mask
-        if op == "==":
-            r = ua == ub
-        elif op == "!=":
-            r = ua != ub
-        else:
-            x, y = (av, bv) if rs else (ua, ub)
-            r = {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y}[op]
-        return Concrete(32, int(r), True)
+    wrapping = _WRAPPING.get(op)
+    if wrapping is not None:
+        return Concrete(w, wrapping(av, bv) & mask, rs)
+    compare = _COMPARISONS.get(op)
+    if compare is not None:  # signed when both are, else unsigned at width w
+        x, y = (av, bv) if rs else (av & mask, bv & mask)
+        return Concrete(32, int(compare(x, y)), True)
     if op in _LOGICAL:
         ta, tb = (av & mask) != 0, (bv & mask) != 0
         r = (ta and tb) if op == "&&" else (ta or tb)
         return Concrete(32, int(r), True)
-    if op == "+":
-        r = av + bv
-    elif op == "-":
-        r = av - bv
-    elif op == "*":
-        r = av * bv
-    elif op in ("/", "%"):
+    if op in ("/", "%"):
         if bv == 0:
             raise DivisionByConcreteZero("division by zero")
         q = abs(av) // abs(bv)
         if (av < 0) != (bv < 0):
             q = -q
         r = q if op == "/" else av - q * bv
-    elif op == "&":
-        r = (av & mask) & (bv & mask)
-    elif op == "|":
-        r = (av & mask) | (bv & mask)
-    elif op == "^":
-        r = (av & mask) ^ (bv & mask)
     elif op == "<<":
         r = av << (bv % w)
     elif op == ">>":
@@ -205,8 +240,9 @@ class ValueTable:
         return self._values[vid]
 
     def _new(self, payload, at, desc, parents=()) -> Value:
-        v = Value(len(self._values), payload, Provenance(at[0], at[1], desc, tuple(parents)))
-        self._values.append(v)
+        values = self._values
+        v = Value(len(values), payload, at[0], at[1], desc, parents)
+        values.append(v)
         return v
 
     # ------------------------------------------------------------------ make
@@ -327,57 +363,73 @@ class ValueTable:
         Returns a Concrete, or a Residual naming every unbound root that
         blocks concrete resolution. Address-of values always resolve to a
         Residual carrying their (region, offset); an mmio region's displayed
-        base participates, so its blockers propagate into addresses.
+        base participates, so its blockers propagate into addresses. A
+        constant is its own result and never enters the memo.
         """
-        root = v.id if isinstance(v, Value) else v
+        value = v if isinstance(v, Value) else self._values[v]
+        if value.payload.__class__ is Concrete:
+            return value.payload
+        root = value.id
+        out = self._memo.get(root)
+        if out is None:
+            self._fold(root)
+            out = self._memo[root]
+        if isinstance(out, Residual) and out.value_id != root:
+            out = Residual(root, out.blockers, out.pointer)
+        return out
+
+    def _fold(self, root: int) -> None:
+        """Memoize the result of ``root`` and of every non-constant value it
+        depends on that is not memoized yet."""
+        values = self._values
         memo = self._memo
         residual_ids = self._residual_ids
+
+        def known(vid):
+            payload = values[vid].payload
+            return payload if payload.__class__ is Concrete else memo.get(vid)
+
         stack = [root]
         while stack:
             vid = stack[-1]
             if vid in memo:
                 stack.pop()
                 continue
-            payload = self._values[vid].payload
-            if isinstance(payload, Concrete):
-                r = payload
-            elif isinstance(payload, SymbolRoot):
+            payload = values[vid].payload
+            if payload.__class__ is SymbolRoot:
                 b = self.bindings.get(vid)
                 p = self.pointer_bindings.get(vid)
                 if b is not None:
                     r = b.bound
                 elif p is None:
                     r = Residual(vid, (vid,))
-                elif p in memo:
-                    r = memo[p]
                 else:
-                    stack.append(p)
-                    continue
+                    r = known(p)
+                    if r is None:
+                        stack.append(p)
+                        continue
             elif payload.op == OP_ADDR:
                 base = self._mmio_base(payload.region)
                 if base is None:
                     r = Residual(vid, (), (payload.region, 0))
-                elif base in memo:
-                    m = memo[base]
+                else:
+                    m = known(base)
+                    if m is None:
+                        stack.append(base)
+                        continue
                     blockers = () if isinstance(m, Concrete) else m.blockers
                     r = Residual(vid, blockers, (payload.region, 0))
-                else:
-                    stack.append(base)
-                    continue
             else:
-                pending = [o for o in payload.operands if o not in memo]
+                resolved = [known(o) for o in payload.operands]
+                pending = [o for o, r in zip(payload.operands, resolved) if r is None]
                 if pending:
                     stack.extend(pending)
                     continue
-                r = self._combine(vid, payload, [memo[o] for o in payload.operands])
+                r = self._combine(vid, payload, resolved)
             memo[vid] = r
             if isinstance(r, Residual):
                 residual_ids.append(vid)
             stack.pop()
-        out = memo[root]
-        if isinstance(out, Residual) and out.value_id != root:
-            out = Residual(root, out.blockers, out.pointer)
-        return out
 
     def _mmio_base(self, region_id):
         if self.region_lookup is None:
@@ -406,6 +458,10 @@ class ValueTable:
             elif term.op == "+" and isinstance(b, Residual) and b.pointer and isinstance(a, Concrete):
                 rid, off = b.pointer
                 pointer = (rid, off + to_int(a))
+            elif (term.op == "-" and isinstance(a, Residual) and isinstance(b, Residual)
+                  and a.pointer and b.pointer and a.pointer[0] == b.pointer[0]
+                  and not a.blockers and not b.blockers):
+                return make_concrete(64, a.pointer[1] - b.pointer[1], True)
         elif term.op.startswith("cast") and isinstance(resolved[0], Residual):
             pointer = resolved[0].pointer
         return Residual(vid, tuple(dict.fromkeys(blockers)), pointer)

@@ -60,6 +60,23 @@ def run_example_script(config_name, script_lines, without_models=(),
     return out.getvalue(), code, session
 
 
+def printed_by(transcript, heads=("trace", "xc")):
+    """``[command, lines it printed]`` for each command of a batch transcript
+    whose first word is one of ``heads``, in order."""
+    out, lines = [], None
+    for line in transcript.splitlines():
+        if line.startswith("ssi > "):
+            command = line[len("ssi > "):]
+            lines = [] if command.split(" ")[0] in heads else None
+            if lines is not None:
+                out.append([command, lines])
+        elif line.startswith("ssi ::"):
+            lines = None
+        elif lines is not None:
+            lines.append(line)
+    return out
+
+
 def script_lines(script_name):
     path = EXAMPLE_DIR / "scripts" / script_name
     return path.read_text().splitlines()

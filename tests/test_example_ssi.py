@@ -7,6 +7,7 @@ from conftest import (
     EXAMPLE_DIR,
     TESTS_DIR,
     assert_matches_golden,
+    printed_by,
     run_example_script,
     script_lines,
 )
@@ -19,6 +20,12 @@ SNAPSHOT = TESTS_DIR / "data" / "example_events.json"
 SNAPSHOT_RUNS = [(config, script)
                  for config in ("pinctrl.json", "pinctrl-declarative.json")
                  for script in ("probe.txt", "breakpoint.txt", "missing.txt")]
+TRACE_SNAPSHOT = TESTS_DIR / "data" / "example_trace.json"
+TRACE_SCRIPTS = (
+    ("0", "probe", "b 25", "enable-irq 3", "trace gpio", "xc gpio", "c", "q"),
+    ("0", "probe", "b 28", "enable-irq 35", "trace offset", "xc offset", "xc bank",
+     "c", "q"),
+)
 
 
 def write_addresses(session):
@@ -190,9 +197,24 @@ def test_event_stream_matches_snapshot(config, script):
     assert got["events"] == expected["events"]
 
 
+def trace_lines(script):
+    """What ``trace`` and ``xc`` print in one scripted run of the example."""
+    out, _, _ = run_example_script("pinctrl.json", script)
+    return printed_by(out, ("trace", "xc"))
+
+
+@pytest.mark.parametrize("script", TRACE_SCRIPTS, ids=lambda s: s[3])
+def test_trace_and_xc_match_snapshot(script):
+    # Provenance lines name parent value ids, so they pin minting order too.
+    expected = json.loads(TRACE_SNAPSHOT.read_text())[", ".join(script)]
+    assert trace_lines(script) == expected
+
+
 if __name__ == "__main__":
-    # Rewrite the snapshot from the ssi package on the import path:
+    # Rewrite both snapshots from the ssi package on the import path:
     #   PYTHONPATH=src python tests/test_example_ssi.py
     streams = {f"{c} {s}": event_stream(c, s) for c, s in SNAPSHOT_RUNS}
     SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(streams, indent=0, sort_keys=True) + "\n")
+    traces = {", ".join(s): trace_lines(s) for s in TRACE_SCRIPTS}
+    TRACE_SNAPSHOT.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")

@@ -780,6 +780,63 @@ void testmain(void) {
     assert to_int(session.values.resolve(c)) == 60
 
 
+def test_pointer_minus_pointer_in_one_region_is_their_byte_distance():
+    # Addresses built with & are not pointer variables, so the difference
+    # is folded by the value layer: only within one region, with no blockers.
+    session, frame = run_main("""
+struct o { int x; long y; int z; };
+void testmain(void) {
+    struct o v;
+    int a[4];
+    int b[4];
+    long field = (long)&v.z - (long)&v;
+    long up = &a[3] - &a[0];
+    long down = &a[1] - &a[3];
+    long apart = &a[3] - &b[0];
+}
+""")
+    z_offset = session.store.field_offset("o", "z").offset
+    assert local_concrete(session, frame, "field") == z_offset == 12
+    assert local_concrete(session, frame, "up") == 12
+    assert local_concrete(session, frame, "down") == -8
+    slot = frame.locals["apart"]
+    apart = session.store.load(Location(slot.region, slot.offset), slot.width)
+    r = session.values.resolve(apart)
+    assert not isinstance(r, Concrete) and r.blockers == ()
+
+
+def test_file_scope_scalar_initializers_are_stored_at_first_use():
+    session, frame = run_main("""
+#define FIVE 5
+int G = FIVE;
+static unsigned long H = G * 2 + 1, K;
+int *Q = &G;
+int arr[2] = {1, 2};
+struct pt { int x; int y; } P = {3, 4};
+void testmain(void) {
+    int a = G;
+    long h = H;
+    int q = *Q;
+    G = 7;
+    int b = *Q;
+    int c = arr[1];
+    int d = P.y;
+}
+""")
+    assert {n: local_concrete(session, frame, n) for n in "ahqb"} == \
+        {"a": 5, "h": 11, "q": 5, "b": 7}
+    for name in "cd":  # array and brace initializers stay unstored
+        slot = frame.locals[name]
+        v = session.store.load(Location(slot.region, slot.offset), slot.width)
+        assert isinstance(v.payload, SymbolRoot)
+
+
+def test_file_scope_initializer_errors_name_their_line():
+    source = "int G = 1 +;\nvoid testmain(void) { int a = G; }\n"
+    with pytest.raises(EvalError, match="at prog.c:1"):
+        run_main(source)
+
+
 def test_attribute_macros_after_the_declarator_name():
     # Unknown identifiers after a name, with any parenthesized group that
     # follows one, are attributes; the name is still the one declared.

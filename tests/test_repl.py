@@ -1,6 +1,8 @@
 import io
+import json
+from pathlib import Path
 
-from conftest import make_session
+from conftest import make_session, printed_by
 from ssi.repl import Repl, scrape_module_info
 from ssi.session import CommandSpec
 
@@ -125,6 +127,53 @@ def test_trace_value_lines():
     ]
 
 
+HOT_LOOP = {"hl.c": """\
+#define KEY 0x5a
+#define SLOT(i) ((i) & 7)
+
+struct hl_dev {
+\tu32 base;
+\tu32 ctrl;
+\tu32 shadow[8];
+};
+
+static struct hl_dev storage;
+
+void entry(void)
+{
+\tstruct hl_dev *d = &storage;
+\tint x = 0;
+\tint s = read_sensor();
+\tint i;
+\tu32 c;
+
+\td->ctrl = 0;
+\tfor (i = 0; i < 5; i++) {
+\t\tx = x + i * 3;
+\t\ts = s + i;
+\t\td->shadow[SLOT(i)] = (x ^ KEY) & 0xfff;
+\t\td->ctrl = d->ctrl + d->shadow[SLOT(i)];
+\t}
+\tc = d->ctrl;
+\tlog_state(x, s, c);
+}
+"""}
+HOT_LOOP_SCRIPT = ("b 27", "entry", "trace x", "xc x", "trace s", "xc s", "trace c",
+                   "xc c", "xc i", "c", "q")
+HOT_LOOP_SNAPSHOT = Path(__file__).resolve().parent / "data" / "repl_trace.json"
+
+
+def hot_loop_trace():
+    out, _, _ = run_repl(HOT_LOOP, HOT_LOOP_SCRIPT,
+                         commands={"entry": CommandSpec("entry")})
+    return printed_by(out, ("trace", "xc"))
+
+
+def test_hot_loop_trace_matches_snapshot():
+    # Provenance lines name parent value ids, so they pin minting order too.
+    assert hot_loop_trace() == json.loads(HOT_LOOP_SNAPSHOT.read_text())
+
+
 def test_breakpoint_file_scoped():
     out, _, _ = run_repl(
         TWO_STEP, ["b prog.c:2", "b other.c:2", "entry", "c", "q"],
@@ -194,3 +243,9 @@ void shallow(void) { int r = down(3); log_state(r); }
     assert [e.callee for e in session.events_of("missing-model")] == ["log_state"]
     assert code == 1
     assert session.frames == [] and session.call_stack == []
+
+
+if __name__ == "__main__":
+    # Rewrite the snapshot from the ssi package on the import path:
+    #   PYTHONPATH=src python tests/test_repl.py
+    HOT_LOOP_SNAPSHOT.write_text(json.dumps(hot_loop_trace(), indent=1) + "\n")
