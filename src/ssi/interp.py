@@ -138,6 +138,11 @@ class Decl:
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
 
+    def narrow_sign(self) -> bool | None:
+        """The signedness a store to an integer narrower than int wraps to,
+        or None when this is an int or wider, a pointer or a struct."""
+        return not self.unsigned if self.width < 4 and not self.stars and not self.tag else None
+
     def count(self) -> int:
         """Element count of the array bounds, each read if it is a lone number."""
         count = 1
@@ -896,7 +901,7 @@ class Interp:
                                            struct_tag=None if decl.stars else decl.tag).id
         if not decl.stars:
             return Place(region=region, width=width, struct_tag=decl.tag, elem_width=width,
-                         name=decl.name, array=array)
+                         name=decl.name, array=array, signed=decl.narrow_sign())
         pointee = 8 if array or decl.stars > 1 else None if decl.tag else decl.width
         return Place(region=region, width=8, pointee_tag=decl.tag, elem_width=pointee,
                      name=decl.name, array=array, pointer=not array)
@@ -956,7 +961,7 @@ class Interp:
             for decl in decls:
                 if decl.name is not None and not decl.function:
                     width, count = self._size(decl.stars, decl.tag, decl.width), decl.count()
-                    layout[decl.name] = FieldInfo(offset, width, count)
+                    layout[decl.name] = FieldInfo(offset, width, count, decl.narrow_sign())
                     offset += width * count
             i = tk.top_level(toks, j, n, (";",)) + 1
         return layout
@@ -1081,9 +1086,24 @@ class Interp:
 
     def store_place(self, place: Place, value: Value, at):
         rid, off = self._locate(place, at)
+        if place.signed is not None:
+            value = self._narrowed(value, place.width * 8, place.signed, at)
         if place.pointee_tag and value.pointee_tag is None:
             value.pointee_tag = place.pointee_tag
         self.s.store.store(Location(rid, off), value)
+
+    def _narrowed(self, value: Value, bits: int, signed: bool, at) -> Value:
+        """``value`` as a variable of ``bits`` bits and ``signed`` holds it:
+        wrapped, as ``(T)value`` is, and read back as an int, as C promotes
+        it, so that arithmetic on two narrow values does not wrap. A
+        constant already in range is kept."""
+        p = value.payload
+        if isinstance(p, Concrete) and p.width == 32 and p.signed:
+            lo = -(1 << (bits - 1)) if signed else 0
+            if lo <= to_int(p) < lo + (1 << bits):
+                return value
+        vals = self.s.values
+        return vals.apply_cast(vals.apply_cast(value, bits, signed, at), 32, True, at)
 
     def _struct_tag_for(self, base: Value, rid: int) -> str:
         if base.pointee_tag:
@@ -1150,6 +1170,7 @@ class Interp:
         indexed through the address it holds."""
         vals = self.s.values
         r = vals.resolve(idx)
+        signed = base.signed if isinstance(base, Place) and not base.pointer else None
         if not isinstance(base, Place):
             elem = 4
             base = Place(ptr=base, struct_tag=base.pointee_tag)
@@ -1173,7 +1194,7 @@ class Interp:
                 new_off = vals.apply_binop("+", base.offset, scaled, at)
         return Place(region=base.region, ptr=base.ptr, offset=new_off,
                      width=elem, elem_width=elem, struct_tag=base.struct_tag,
-                     name=f"{base.name}[]")
+                     name=f"{base.name}[]", signed=signed)
 
     def place_arith(self, place: Place, op: str, n: Value, at, value=None):
         """``place op n``. For ``+`` and ``-`` on a pointer or array
@@ -1200,7 +1221,7 @@ class Interp:
         rid, base_off = self.deref_location(base, at)
         info = self.s.store.field_offset(self._struct_tag_for(base, rid), field, 4)
         return Place(region=rid, offset=base_off + info.offset, width=info.width,
-                     elem_width=info.width, name=field)
+                     elem_width=info.width, name=field, signed=info.signed)
 
     def dot_place(self, place: Place, field: str, at) -> Place:
         tag = place.struct_tag
@@ -1216,7 +1237,8 @@ class Interp:
         info = self.s.store.field_offset(tag, field, 4)
         return Place(region=place.region, ptr=place.ptr,
                      offset=self._shifted(place.offset, info.offset, at, "field"),
-                     width=info.width, elem_width=info.width, name=field)
+                     width=info.width, elem_width=info.width, name=field,
+                     signed=info.signed)
 
     def _shifted(self, offset, delta: int, at, desc: str):
         """``offset`` plus ``delta`` bytes; a symbolic offset gets a term."""

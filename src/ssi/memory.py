@@ -48,6 +48,7 @@ class FieldInfo:
     offset: int
     width: int        # element width for array fields
     count: int = 1
+    signed: bool | None = None  # as Place.signed
 
 
 class Store:

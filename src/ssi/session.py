@@ -59,6 +59,7 @@ class Place:
     name: str = ""
     array: bool = False    # its name stands for its address
     pointer: bool = False  # indexing it goes through the address it holds
+    signed: bool | None = None  # an integer narrower than int: stores wrap to it
 
 
 @dataclass

@@ -9,9 +9,10 @@ they never analyzed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import UnbalancedDelimiter
+from .values import Record
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -61,16 +62,20 @@ _LETTER = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _DIGIT = frozenset("0123456789")
 _NUMBER_CONT = _LETTER | _DIGIT | {"."}
 _SPACE = frozenset(" \t\r\f\v")
+_MULTILINE = frozenset((COMMENT, STRING, CHAR))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    byte_offset: int
-    line: int       # 1-based
-    column: int     # 1-based
-    synthetic: bool = False  # product of macro expansion, offsets borrowed
+class Token(Record):
+    __slots__ = ("kind", "text", "byte_offset", "line", "column", "synthetic")
+
+    def __init__(self, kind: str, text: str, byte_offset: int, line: int,
+                 column: int, synthetic: bool = False):
+        self.kind = kind
+        self.text = text
+        self.byte_offset = byte_offset
+        self.line = line        # 1-based
+        self.column = column    # 1-based
+        self.synthetic = synthetic  # product of macro expansion, offsets borrowed
 
 
 def _scan_quoted(src: str, i: int, quote: str) -> int:
@@ -107,20 +112,29 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
     if isinstance(source, (bytes, bytearray)):
         source = bytes(source).decode("latin-1")
     tokens: list[Token] = []
+    append = tokens.append
     i, line, col = 0, 1, 1
     n = len(source)
     while i < n:
         c = source[i]
         start = i
         if c == "\n":
-            kind, i = NEWLINE, i + 1
-        elif c in _SPACE:
+            append(Token(NEWLINE, c, start, line, col))
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in _SPACE:
             while i < n and source[i] in _SPACE:
                 i += 1
             kind = WHITESPACE
-        elif c == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
+        elif c in _LETTER:
+            while i < n and (source[i] in _LETTER or source[i] in _DIGIT):
                 i += 1
+            kind = KEYWORD if source[start:i] in KEYWORDS else IDENTIFIER
+        elif c in _DIGIT:
+            i, kind = _scan_number(source, i), NUMBER
+        elif c == "/" and source.startswith("//", i):
+            end = source.find("\n", i)
+            i = n if end < 0 else end
             kind = COMMENT
         elif c == "/" and source.startswith("/*", i):
             end = source.find("*/", i + 2)
@@ -130,12 +144,6 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
             i, kind = _scan_quoted(source, i, '"'), STRING
         elif c == "'":
             i, kind = _scan_quoted(source, i, "'"), CHAR
-        elif c in _DIGIT:
-            i, kind = _scan_number(source, i), NUMBER
-        elif c in _LETTER:
-            while i < n and (source[i] in _LETTER or source[i] in _DIGIT):
-                i += 1
-            kind = KEYWORD if source[start:i] in KEYWORDS else IDENTIFIER
         elif source[i : i + 3] in _PUNCT3:
             i, kind = i + 3, PUNCT
         elif source[i : i + 2] in _PUNCT2:
@@ -145,8 +153,10 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
         else:
             i, kind = i + 1, UNKNOWN
         text = source[start:i]
-        tokens.append(Token(kind, text, start, line, col))
-        nl = text.count("\n")
+        append(Token(kind, text, start, line, col))
+        # Only a comment or a literal (through a backslash-newline) can hold
+        # a newline; every other token stays on its line.
+        nl = text.count("\n") if kind in _MULTILINE else 0
         if nl:
             line += nl
             col = len(text) - text.rindex("\n")
@@ -315,10 +325,5 @@ def text_of_range(tokens: list[Token], start: int, end: int) -> str:
 
 def synthetic_copy(token: Token, site: Token) -> Token:
     """Copy of ``token`` positioned at a macro use site."""
-    return replace(
-        token,
-        byte_offset=site.byte_offset,
-        line=site.line,
-        column=site.column,
-        synthetic=True,
-    )
+    return Token(token.kind, token.text, site.byte_offset, site.line,
+                 site.column, True)

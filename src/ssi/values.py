@@ -41,10 +41,12 @@ def _fields_repr(self) -> str:
 
 
 class Record:
-    """A record minted once per value or per memory access: slotted, with a
-    plain ``__init__``, and the equality, hash and repr of the frozen
-    dataclass it replaced, all taken field by field in ``__slots__`` order.
-    Records are never mutated after construction."""
+    """A record minted once per token, per value or per memory access:
+    slotted, with a plain ``__init__``, and the equality, hash and repr of
+    the frozen dataclass it replaced, all taken field by field in
+    ``__slots__`` order. Records are never mutated after construction;
+    unlike a frozen dataclass, nothing stops an assignment, so none is
+    made."""
 
     __slots__ = ()
     __repr__ = _fields_repr

@@ -859,3 +859,64 @@ void testmain(void) {
         "x": 1, "y": 2, "r": 3, "v": 4, "a": 5}
     assert sorted(session.global_decls) == ["arr", "g", "w", "z"]
     assert session.global_decls["g"].stars == 1
+
+
+# Stores to variables, parameters, fields and elements narrower than int
+# wrap to the declared width and sign; a narrow value reads back as an int.
+NARROW_STORE_CASES = {
+    "locals": ("""
+void testmain(void) {
+    unsigned char c = 300;
+    char d = 200;
+    short s = 70000;
+    unsigned short u = -1;
+    int k = c;
+}
+""", {"c": 44, "d": -56, "s": 4464, "u": 65535, "k": 44}),
+    "char parameter": ("""
+int id(char p) { return p; }
+void testmain(void) {
+    int r = id(300);
+    int q = id(200);
+}
+""", {"r": 44, "q": -56}),
+    "unsigned char struct field": ("""
+struct s { unsigned char b; short h; int i; };
+void testmain(void) {
+    struct s o;
+    o.b = 300;
+    o.h = 40000;
+    o.i = 300;
+    int b = o.b;
+    int h = o.h;
+    int i = o.i;
+}
+""", {"b": 44, "h": -25536, "i": 300}),
+    "array elements and compound assignment": ("""
+void testmain(void) {
+    unsigned char buf[2];
+    buf[1] = 258;
+    int e = buf[1];
+    char c = 127;
+    c += 1;
+    u8 w = 255;
+    w++;
+}
+""", {"e": 2, "c": -128, "w": 0}),
+    "narrow operands are promoted to int": ("""
+void testmain(void) {
+    unsigned char a = 200, b = 100;
+    char d = 200;
+    int sum = a + b;
+    int eq = d == a;
+    int neg = -a;
+}
+""", {"sum": 300, "eq": 0, "neg": -200}),
+}
+
+
+@pytest.mark.parametrize("case", NARROW_STORE_CASES)
+def test_narrow_stores_wrap_to_the_declared_width_and_sign(case):
+    source, expected = NARROW_STORE_CASES[case]
+    session, frame = run_main(source)
+    assert {n: local_concrete(session, frame, n) for n in expected} == expected

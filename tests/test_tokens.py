@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,27 @@ def test_round_trip_any_text(source):
 def test_round_trip_any_bytes(data):
     toks = tk.tokenize(data)
     assert "".join(t.text for t in toks).encode("latin-1") == data
+
+
+# Fragments whose concatenations exercise every way a token can hold or end
+# at a newline: comments across lines, a backslash-newline in a literal,
+# unterminated literals, CRLF, and unknown bytes.
+POSITION_FRAGMENTS = [
+    "\n", "\r\n", " ", "\t", "x1", "42", "/* a\nb */", "/* open", "//c\n",
+    "// end", '"s"', '"a\\\nb"', "'c'", "'\\\n'", '"open', "'", "\\",
+    "\\\n", "@", "\x00", "\xff", "->", "/", "*", "<<=",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(POSITION_FRAGMENTS), max_size=30).map("".join))
+def test_line_and_column_match_a_recount_of_the_prefix(source):
+    toks = tk.tokenize(source)
+    assert "".join(t.text for t in toks) == source
+    for t in toks:
+        before = source[: t.byte_offset]
+        assert t.line == before.count("\n") + 1
+        assert t.column == t.byte_offset - before.rfind("\n")
 
 
 def test_unterminated_comment_and_string_are_total():
@@ -243,3 +266,41 @@ def test_cursor_trivia_skipping():
     assert cur.peek().text == "x"
     raw = tk.Cursor(toks, 0, skip_trivia=False)
     assert raw.peek().kind == tk.WHITESPACE
+
+
+# ------------------------------------------------------------ token record
+
+# The frozen dataclass the slotted Token replaced, as the reference for
+# equality, hash, repr and copying.
+TokenRef = dataclasses.make_dataclass(
+    "Token", ["kind", "text", "byte_offset", "line", "column",
+              ("synthetic", bool, False)], frozen=True)
+token_fields = st.tuples(
+    st.sampled_from([tk.IDENTIFIER, tk.PUNCT, tk.NEWLINE]),
+    st.sampled_from(["a", "+", "\n"]),
+    st.integers(0, 2), st.integers(1, 2), st.integers(1, 2), st.booleans())
+
+
+def test_tokens_have_no_instance_dict():
+    for t in tk.tokenize("int x; /* c */ \"s\" @\n"):
+        assert not hasattr(t, "__dict__")
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_fields, token_fields)
+def test_token_compares_hashes_and_prints_like_a_frozen_dataclass(f, g):
+    assert (tk.Token(*f) == tk.Token(*g)) == (TokenRef(*f) == TokenRef(*g)) == (f == g)
+    assert (tk.Token(*f) != tk.Token(*g)) == (f != g)
+    assert hash(tk.Token(*f)) == hash(TokenRef(*f))
+    assert repr(tk.Token(*f)) == repr(TokenRef(*f))
+    assert tk.Token(*f[:5]) == tk.Token(*f[:5], False)
+    assert tk.Token(*f) != TokenRef(*f) and tk.Token(*f) != f
+
+
+@settings(max_examples=100, deadline=None)
+@given(token_fields, token_fields)
+def test_synthetic_copy_is_the_token_at_the_use_site(f, g):
+    copy = tk.synthetic_copy(tk.Token(*f), tk.Token(*g))
+    ref = dataclasses.replace(TokenRef(*f), byte_offset=g[2], line=g[3], column=g[4],
+                              synthetic=True)
+    assert dataclasses.astuple(ref) == copy._fields()
