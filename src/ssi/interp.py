@@ -1096,13 +1096,16 @@ class Interp:
         """``value`` as a variable of ``bits`` bits and ``signed`` holds it:
         wrapped, as ``(T)value`` is, and read back as an int, as C promotes
         it, so that arithmetic on two narrow values does not wrap. A
-        constant already in range is kept."""
-        p = value.payload
-        if isinstance(p, Concrete) and p.width == 32 and p.signed:
-            lo = -(1 << (bits - 1)) if signed else 0
-            if lo <= to_int(p) < lo + (1 << bits):
-                return value
+        constant already in range is kept, and so is a value that does not
+        resolve to a constant: a symbol stays the root that branches bind."""
         vals = self.s.values
+        r = vals.resolve(value)
+        if not isinstance(r, Concrete):
+            return value
+        if r.width == 32 and r.signed:
+            lo = -(1 << (bits - 1)) if signed else 0
+            if lo <= to_int(r) < lo + (1 << bits):
+                return value
         return vals.apply_cast(vals.apply_cast(value, bits, signed, at), 32, True, at)
 
     def _struct_tag_for(self, base: Value, rid: int) -> str:

@@ -296,6 +296,44 @@ void testmain(void) {
     assert local_concrete(session, frame, "w") == 0
 
 
+# A symbol stored into a narrow variable stays the root a branch binds.
+@pytest.mark.parametrize("vtype", ["u8", "char", "unsigned short"])
+@pytest.mark.parametrize("policy, cond, expected", [
+    ("ask", "v == 7", 7),
+    ("assume-false", "v", 0),
+])
+def test_branch_on_narrow_variable_binds_its_symbol(vtype, policy, cond,
+                                                    expected):
+    session, interp = make_session({"prog.c": f"""
+void testmain(void) {{
+    {vtype} v = mystery_fn();
+    if ({cond}) {{ int x = 1; }}
+    int w = v;
+}}
+"""}, branch_policy=policy)
+    session.ask = lambda prompt: True
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "w") == expected
+
+
+def test_narrow_parameter_stays_a_symbol():
+    session, interp = make_session({"prog.c": """
+int pick(u8 mode) {
+    int hit = 0;
+    if (mode == 2) { hit = 1; }
+    if (mode == 3) { hit = 2; }
+    return hit;
+}
+void testmain(void) {
+    int r = pick(mystery_fn());
+}
+"""}, branch_policy="ask")
+    session.ask = lambda prompt: True
+    frame = run_function(session, interp, "testmain")
+    # The first yes bound mode to 2, so the second branch is concrete.
+    assert local_concrete(session, frame, "r") == 1
+
+
 def test_hook_wins_over_corpus_definition():
     session, interp = make_session({"prog.c": """
 int helper(void) { return 1; }
