@@ -302,14 +302,20 @@ _TIERS = (
     ("==", "!="), ("<", "<=", ">", ">="),
     ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
 )
-_TIER_OF = {op: tier for tier, ops in enumerate(_TIERS) for op in ops}
+
+# Binding powers of the infix operators, loosest first: the comma, the
+# assignment operators (right to left), ``?:``, then the binary tiers (left
+# to right).
+_COMMA, _ASSIGN, _TERNARY, _BINARY = 1, 2, 3, 4
+_BINDING = {",": _COMMA, "?": _TERNARY, **dict.fromkeys(_ASSIGN_OPS, _ASSIGN),
+            **{op: _BINARY + tier for tier, ops in enumerate(_TIERS) for op in ops}}
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
 
 
 def _punct_at(toks, i, text) -> bool:
-    return i < len(toks) and tk.is_punct(toks[i], text)
+    return i < len(toks) and toks[i].text == text and toks[i].kind == tk.PUNCT
 
 
 def _starts_declaration(t, typedefs) -> bool:
@@ -336,6 +342,8 @@ def _without_directives(toks):
 
 def parse_int_literal(text: str) -> tuple[int, int, bool]:
     """(value, width in bits, signed) for a C integer literal."""
+    if text.isdigit() and (text[0] != "0" or len(text) == 1) and len(text) < 10:
+        return int(text), 32, True  # decimal, below 2**31
     s = text.lower()
     suffix = ""
     while s and s[-1] in "ul":
@@ -394,7 +402,9 @@ class Interp:
         """Token-level pass over the corpus for file-scope typedefs and
         variable declarations. Nothing is parsed into statements; this only
         feeds the type environment, which execution-time classification and
-        struct-tag lookups rely on."""
+        struct-tag lookups rely on. A ``{`` at file scope is jumped over to
+        its matching ``}``, as ``find_function_definition`` does, so a
+        function body, garbage in it included, hides nothing after it."""
         s = self.s
         for fid in s.corpus.files:
             toks = _without_directives(s.corpus.tokens(fid))
@@ -405,6 +415,10 @@ class Interp:
             while i < n:
                 t = toks[i]
                 if t.kind == tk.PUNCT:
+                    if t.text == "{" and depth == 0:
+                        i = tk.closing(toks, i, n) + 1
+                        boundary = True
+                        continue
                     if t.text in "([{":
                         depth += 1
                         boundary = False
@@ -811,9 +825,9 @@ class Interp:
             return _nothing
         raw = s.corpus.tokens(fid)[span.start : span.end]
         missing = []
-        toks = [t for t in mc.expand(raw, s.corpus.macros,
-                                     lambda name, at: missing.append((name, at)))
-                if t.kind not in tk.TRIVIA]
+        toks = _strip_semicolons([t for t in mc.expand(
+            raw, s.corpus.macros, lambda name, at: missing.append((name, at)))
+            if t.kind not in tk.TRIVIA])
 
         def replay():
             for name, at in missing:
@@ -821,7 +835,7 @@ class Interp:
 
         try:
             if mode is _STMT:
-                code = self._compile_statement(_strip_semicolons(toks), fid, line)
+                code = self._compile_statement(toks, fid, line)
             else:
                 code = _Compiler(self, toks, fid).expression(line)
         except Exception:  # the unexpanded-macro events precede the error
@@ -1307,12 +1321,14 @@ class Interp:
             data = unescape_c(token.text[1:-1]) if len(token.text) >= 2 else ""
             region = s.store.alloc_region(f"str@{at[0]}:{at[1]}", STATIC,
                                           size=len(data) + 1)
+            # Each byte is stored as the int it promotes to, so arithmetic on
+            # bytes does not wrap at 8 bits (as narrow stores do; see _narrowed).
             for i, ch in enumerate(data):
                 s.store.store(Location(region.id, i),
-                              s.values.concrete(8, ord(ch) & 0xFF, at,
+                              s.values.concrete(32, ord(ch) & 0xFF, at, signed=True,
                                                 desc="string byte"))
             s.store.store(Location(region.id, len(data)),
-                          s.values.concrete(8, 0, at, desc="string NUL"))
+                          s.values.concrete(32, 0, at, signed=True, desc="string NUL"))
             s.string_regions[key] = region.id
             rid = region.id
         return s.values.addr_of(rid, at, desc="string literal")
@@ -1323,11 +1339,17 @@ class Interp:
 _STMT = "statement"
 _OPTIONAL = "optional"
 
-# Kinds of compiled subexpression: what its closure returns when run.
+# Kinds of compiled subexpression: what its closure returns when run. The
+# compiler passes a subexpression around as (kind, closure, name index); the
+# index, where the identifier is in the token run, is None but for _NAME.
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
 _STEP = "step"    # ``+`` or ``-``: a Value, or the element a pointer step reached
+
+_PREFIX = frozenset(("!", "~", "-", "+", "*", "&", "++", "--"))
+_POSTFIX = frozenset(("(", "[", "->", ".", "++", "--"))
+_UNOPS = {"!": "!", "~": "~", "-": "neg"}
 
 
 def _nothing(frame):
@@ -1342,24 +1364,26 @@ def _sequence(steps):
     return run
 
 
+def _then(first, rest):
+    def seq(frame):
+        first(frame)
+        return rest(frame)
+
+    return seq
+
+
 def _strip_semicolons(toks):
     end = len(toks)
-    while end and _punct_at(toks, end - 1, ";"):
+    while end and toks[end - 1].text == ";" and toks[end - 1].kind == tk.PUNCT:
         end -= 1
-    return toks[:end]
-
-
-class _Expr:
-    __slots__ = ("kind", "fn", "index")
-
-    def __init__(self, kind, fn, index=None):
-        self.kind = kind
-        self.fn = fn        # callable(frame)
-        self.index = index  # _NAME: where the identifier is in the token run
+    return toks if end == len(toks) else toks[:end]
 
 
 class _Compiler:
-    """Precedence climbing over one expanded token run, done once.
+    """Operator-precedence parsing (Pratt, POPL 1973) of one expanded token
+    run, done once: ``operand`` reads a prefix operator, cast, ``sizeof`` or
+    primary with its postfix operators, and ``parse`` takes the infix
+    operators after it in one loop, by their binding power (``_BINDING``).
 
     Each subexpression becomes a closure over the frame that does only what
     depends on the store at run time: name lookup, loads and stores, calls
@@ -1373,78 +1397,72 @@ class _Compiler:
     def __init__(self, interp: Interp, toks, file_id):
         self.it = interp
         self.vals = interp.s.values
-        self.toks = _strip_semicolons(toks)
+        self.toks = toks  # no trivia, no trailing ``;``
+        self.n = len(toks)
         self.file_id = file_id
         self.i = 0
 
     def expression(self, line):
         """A closure giving the expression's value; raises EvalError for a
         token run that is not one whole expression."""
-        if not self.toks:
+        toks = self.toks
+        if not toks:
             raise EvalError(f"empty expression at {self.file_id}:{line}", line=line)
-        e = self.comma()
-        if self.i < len(self.toks):
-            extra = self.toks[self.i]
+        e = self.parse(_COMMA)
+        if self.i < self.n:
+            extra = toks[self.i]
             raise EvalError(
                 f"unexpected token {extra.text!r} at {self.file_id}:{extra.line}",
                 line=extra.line,
             )
-        return self.rval(e)
+        return self.rval(e, toks[-1])
 
     # ----------------------------------------------------------- primitives
     def _error(self, msg):
-        """(message, line) of an error at the current position."""
-        line = self.at()[1]
+        """(message, line) of an error at the current token, or at the last
+        one past the end."""
+        line = self.toks[min(self.i, self.n - 1)].line
         return f"{msg} at {self.file_id}:{line}", line
 
     def _err(self, msg):
         raise EvalError(*self._error(msg))
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _peek_punct(self, texts):
-        t = self.peek()
-        if t is not None and t.kind == tk.PUNCT and t.text in texts:
-            return t
-        return None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
+    def _take(self):
+        """The current token, consumed."""
+        i = self.i
+        if i >= self.n:
             self._err("unexpected end of expression")
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     def expect(self, text):
-        t = self.next()
-        if t.text != text:
-            self._err(f"expected {text!r}, found {t.text!r}")
-        return t
+        i = self.i
+        if i < self.n and self.toks[i].text == text:
+            self.i = i + 1
+            return
+        found = self._take().text  # the error names the token after it
+        self._err(f"expected {text!r}, found {found!r}")
 
-    def at(self, tok=None):
-        t = tok if tok is not None else self.peek()
-        if t is None and self.toks:
-            t = self.toks[-1]
-        return (self.file_id, t.line if t else 0)
-
-    def rval(self, e, tok=None):
-        """A closure giving the value of ``e``, loading it if it is a place;
-        an array variable's value is its address."""
-        if e.kind is _VALUE:
-            return e.fn
-        it = self.it
-        at = self.at(tok)
-        fn = e.fn
-
-        return lambda frame: it.value_of(fn(frame), at)
+    def rval(self, e, t):
+        """A closure giving the value of ``e``, loading it if it is a place
+        (at ``t``'s line); an array variable's value is its address."""
+        kind, fn, index = e
+        if kind is _VALUE:
+            return fn
+        it, at = self.it, (self.file_id, t.line)
+        value_of = it.value_of
+        if kind is _NAME:  # the lookup ``fn`` makes, done in the same closure
+            resolve_name, name = it.resolve_name, self.toks[index]
+            name, name_at = name.text, (self.file_id, name.line)
+            return lambda frame: value_of(resolve_name(name, frame, name_at), at)
+        return lambda frame: value_of(fn(frame), at)
 
     def as_place(self, e, msg="expression is not assignable"):
         """A closure giving the Place ``e`` denotes; a value is an error."""
-        if e.kind is _VALUE or e.kind is _STEP:
+        kind, fn, _ = e
+        if kind is _VALUE or kind is _STEP:
             self._err(msg)
         text, line = self._error(msg)
-        fn = e.fn
 
         def place(frame):
             p = fn(frame)
@@ -1455,35 +1473,122 @@ class _Compiler:
         return place
 
     # ------------------------------------------------------------- grammar
-    def comma(self):
-        e = self.assign()
-        while (t := self._peek_punct((",",))) is not None:
-            first = self.rval(e, t)  # evaluated and discarded
-            self.next()
-            e = self.assign()
-            rest = e.fn
-
-            def seq(frame, first=first, rest=rest):
-                first(frame)
-                return rest(frame)
-
-            e = _Expr(_PLACE if e.kind is _NAME else e.kind, seq)
+    def parse(self, lowest):
+        """The expression at the current token, up to the first infix
+        operator that binds looser than ``lowest``."""
+        e = self.operand()
+        toks, n = self.toks, self.n
+        while self.i < n:
+            t = toks[self.i]
+            power = _BINDING.get(t.text, 0) if t.kind == tk.PUNCT else 0
+            if power < lowest:
+                break
+            self.i += 1
+            op = t.text
+            if power >= _BINARY:  # left to right: the right operand binds tighter
+                rhs = self.parse(power + 1)
+                at = (self.file_id, t.line)
+                if (op == "+" or op == "-") and not (e[0] is _VALUE and rhs[0] is _VALUE):
+                    e = (_STEP, self._additive(op, e[1], rhs[1], at), None)
+                    continue
+                make = self._logical if op == "&&" or op == "||" else self._binop
+                e = (_VALUE, make(op, self.rval(e, t), self.rval(rhs, t), at), None)
+            elif power == _ASSIGN:
+                e = self._assign(e, t)
+            elif power == _TERNARY:
+                e = self._ternary(e, t)
+            else:  # the comma: the left operand is evaluated and discarded
+                first = self.rval(e, t)
+                kind, rest, _ = self.parse(_ASSIGN)
+                e = (_PLACE if kind is _NAME else kind, _then(first, rest), None)
         return e
 
-    def assign(self):
-        lhs = self.ternary()
-        t = self._peek_punct(_ASSIGN_OPS)
-        if t is None:
-            return lhs
-        self.next()
-        rhs = self.rval(self.assign(), t)
+    def operand(self):
+        """A prefix operator, cast or ``sizeof`` with its operand, or a
+        primary with its postfix operators."""
+        toks, n, i = self.toks, self.n, self.i
+        if i >= n:
+            self._err("missing expression")
+        t = toks[i]
+        self.i = i + 1
+        kind, text, at = t.kind, t.text, (self.file_id, t.line)
+        if kind == tk.IDENTIFIER:
+            it = self.it
+            e = (_NAME, lambda frame: it.resolve_name(text, frame, at), i)
+        elif kind == tk.NUMBER:
+            e = self._literal(t, at, *parse_int_literal(text))
+        elif kind == tk.PUNCT and text in _PREFIX:
+            if text == "&":
+                place = self.as_place(self.operand(), "cannot take the address of a value")
+                address_of = self.it.address_of
+                return _VALUE, lambda frame: address_of(place(frame), at), None
+            if text == "++" or text == "--":
+                return self._incdec(self.operand(), t, pre=True)
+            v = self.rval(self.operand(), t)
+            if text == "*":
+                def deref(frame):
+                    p = v(frame)
+                    return Place(ptr=p, offset=0, width=4, struct_tag=p.pointee_tag,
+                                 name="*")
+
+                return _PLACE, deref, None
+            if text == "+":
+                return _VALUE, v, None
+            apply_unop, op = self.vals.apply_unop, _UNOPS[text]
+            return _VALUE, lambda frame: apply_unop(op, v(frame), at), None
+        elif kind == tk.PUNCT and text == "(":
+            if (type_name := self._type_name(i + 1)) is not None:
+                return self._cast(t, *type_name)
+            e = self.parse(_COMMA)
+            self.expect(")")
+        elif kind == tk.KEYWORD and text == "sizeof":
+            return self._sizeof(t)
+        elif kind == tk.CHAR:
+            inner = unescape_c(text[1:-1]) if len(text) >= 2 else "\0"
+            e = self._literal(t, at, ord(inner[0]) if inner else 0, 32, True)
+        elif kind == tk.STRING:
+            string_value, fid = self.it.string_value, self.file_id
+            e = (_VALUE, lambda frame: string_value(t, fid, at), None)
+        else:
+            self._err(f"unexpected token {text!r}")
+        while self.i < n:
+            post = toks[self.i]
+            if post.kind != tk.PUNCT or post.text not in _POSTFIX:
+                break
+            if post.text == "(":
+                e = self._call(e, post)
+                continue
+            self.i += 1
+            if post.text == "[":
+                idx = self.rval(self.parse(_COMMA), post)
+                self.expect("]")
+                e = self._index(e, idx, post)
+            elif post.text == "->":
+                field, base, it = self._take().text, self.rval(e, post), self.it
+                e = (_PLACE, lambda frame, base=base, field=field, at=(self.file_id, post.line):
+                     it.arrow_place(base(frame), field, at), None)
+            elif post.text == ".":
+                field, place, it = self._take().text, self.as_place(e), self.it
+                e = (_PLACE, lambda frame, place=place, field=field, at=(self.file_id, post.line):
+                     it.dot_place(place(frame), field, at), None)
+            else:
+                e = self._incdec(e, post, pre=False)
+        return e
+
+    # ---------------------------------------------------------- operations
+    def _literal(self, t, at, value, bits, signed):
+        concrete, desc = self.vals.concrete, f"literal {t.text}"
+        return _VALUE, lambda frame: concrete(bits, value, at, signed=signed, desc=desc), None
+
+    def _assign(self, lhs, t):
+        rhs = self.rval(self.parse(_ASSIGN), t)  # right to left
         place = self.as_place(lhs)
         op = _ASSIGN_OPS[t.text]
-        at = self.at(t)
+        at = (self.file_id, t.line)
         it = self.it
         # A named target is looked up after the right-hand side runs, any
         # other place (its pointer, index, base) before.
-        late = lhs.kind is _NAME
+        late = lhs[0] is _NAME
 
         def assign(frame):
             p = None if late else place(frame)
@@ -1495,37 +1600,17 @@ class _Compiler:
             it.store_place(p, v, at)
             return v
 
-        return _Expr(_VALUE, assign)
+        return _VALUE, assign, None
 
-    def ternary(self):
-        e = self.binary(0)
-        t = self._peek_punct(("?",))
-        if t is None:
-            return e
-        self.next()
+    def _ternary(self, e, t):
         cond = self.rval(e, t)
-        then = self.rval(self.comma(), t)
+        then = self.rval(self.parse(_COMMA), t)
         self.expect(":")
-        orelse = self.rval(self.ternary(), t)
-        at = self.at(t)
+        orelse = self.rval(self.parse(_TERNARY), t)
+        at = (self.file_id, t.line)
         truth = self.it.truth
-        return _Expr(_VALUE, lambda frame: then(frame) if truth(cond(frame), at)
-                     else orelse(frame))
-
-    def binary(self, lowest):
-        """Left-associative binary operators of tier ``lowest`` and above."""
-        e = self.unary()
-        while ((t := self.peek()) is not None and t.kind == tk.PUNCT
-               and (tier := _TIER_OF.get(t.text, -1)) >= lowest):
-            self.next()
-            rhs = self.binary(tier + 1)
-            if t.text in ("+", "-") and not (e.kind is _VALUE and rhs.kind is _VALUE):
-                e = _Expr(_STEP, self._additive(t.text, e.fn, rhs.fn, self.at(t)))
-                continue
-            lhs, rhs = self.rval(e, t), self.rval(rhs, t)
-            make = self._logical if t.text in ("&&", "||") else self._binop
-            e = _Expr(_VALUE, make(t.text, lhs, rhs, self.at(t)))
-        return e
+        return _VALUE, lambda frame: then(frame) if truth(cond(frame), at) \
+            else orelse(frame), None
 
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs``, operands given as Places or
@@ -1573,49 +1658,9 @@ class _Compiler:
 
         return logical
 
-    def unary(self):
-        t = self.peek()
-        if t is None:
-            self._err("missing expression")
-        vals = self.vals
-        if t.kind == tk.PUNCT:
-            if t.text == "(" and (type_name := self._type_name(self.i + 1)):
-                return self._cast(t, *type_name)
-            if t.text in ("!", "~", "-", "+"):
-                self.next()
-                v = self.rval(self.unary(), t)
-                if t.text == "+":
-                    return _Expr(_VALUE, v)
-                op = {"!": "!", "~": "~", "-": "neg"}[t.text]
-                at = self.at(t)
-                return _Expr(_VALUE, lambda frame: vals.apply_unop(op, v(frame), at))
-            if t.text == "*":
-                self.next()
-                ptr = self.rval(self.unary(), t)
-
-                def deref(frame):
-                    p = ptr(frame)
-                    return Place(ptr=p, offset=0, width=4, struct_tag=p.pointee_tag,
-                                 name="*")
-
-                return _Expr(_PLACE, deref)
-            if t.text == "&":
-                self.next()
-                place = self.as_place(self.unary(), "cannot take the address of a value")
-                at = self.at(t)
-                address_of = self.it.address_of
-                return _Expr(_VALUE, lambda frame: address_of(place(frame), at))
-            if t.text in ("++", "--"):
-                self.next()
-                return self._incdec(self.unary(), t, pre=True)
-        if t.kind == tk.KEYWORD and t.text == "sizeof":
-            self.next()
-            return self._sizeof(t)
-        return self.postfix()
-
     def _incdec(self, e, t, pre: bool):
         place = self.as_place(e)
-        at = self.at(t)
+        at = (self.file_id, t.line)
         op = "+" if t.text == "++" else "-"
         it, vals = self.it, self.vals
 
@@ -1627,20 +1672,24 @@ class _Compiler:
             it.store_place(p, new, at)
             return new if pre else old
 
-        return _Expr(_VALUE, incdec)
+        return _VALUE, incdec, None
 
     def _type_name(self, start):
         """(index of ``)``, its Decl) when a parenthesized type name starts
-        at ``start``, else None."""
-        _, decls, j = _declarations(self.toks, start, self.it.s.typedefs)
-        if len(decls) == 1 and decls[0].name is None and _punct_at(self.toks, j, ")"):
+        at ``start``, else None. Only a token that can start a declaration
+        is read further."""
+        toks, typedefs = self.toks, self.it.s.typedefs
+        if start >= self.n or not _starts_declaration(toks[start], typedefs):
+            return None
+        _, decls, j = _declarations(toks, start, typedefs)
+        if len(decls) == 1 and decls[0].name is None and _punct_at(toks, j, ")"):
             return j, decls[0]
         return None
 
     def _sizeof(self, t):
         vals = self.vals
-        at = self.at(t)
-        if self._peek_punct(("(",)) and (type_name := self._type_name(self.i + 1)):
+        at = (self.file_id, t.line)
+        if _punct_at(self.toks, self.i, "(") and (type_name := self._type_name(self.i + 1)):
             close, decl = type_name
             self.i = close + 1
             size, count = self.it._size, decl.count()
@@ -1649,23 +1698,23 @@ class _Compiler:
                 nbytes = size(decl.stars, decl.tag, decl.width) * count
                 return vals.concrete(64, nbytes, at, desc="sizeof")
 
-            return _Expr(_VALUE, size_of_type)
-        v = self.rval(self.unary(), t)
+            return _VALUE, size_of_type, None
+        v = self.rval(self.operand(), t)
 
         def size_of_value(frame):
             r = vals.resolve(v(frame))
             nbytes = r.width // 8 if isinstance(r, Concrete) else 4
             return vals.concrete(64, nbytes, at, desc="sizeof")
 
-        return _Expr(_VALUE, size_of_value)
+        return _VALUE, size_of_value, None
 
     def _cast(self, t, close, decl):
         self.i = close + 1
-        v = self.rval(self.unary(), t)
+        v = self.rval(self.operand(), t)
         if decl.stars:
             tag = decl.tag
             if not tag:
-                return _Expr(_VALUE, v)
+                return _VALUE, v, None
 
             def tag_pointer(frame):
                 p = v(frame)
@@ -1673,49 +1722,18 @@ class _Compiler:
                     p.pointee_tag = tag
                 return p
 
-            return _Expr(_VALUE, tag_pointer)
-        bits, signed, at = decl.width * 8, not decl.unsigned, self.at(t)
+            return _VALUE, tag_pointer, None
+        bits, signed, at = decl.width * 8, not decl.unsigned, (self.file_id, t.line)
         vals = self.vals
-        return _Expr(_VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at))
-
-    def postfix(self):
-        e = self.primary()
-        it = self.it
-        while (t := self.peek()) is not None and t.kind == tk.PUNCT:
-            if t.text == "(":
-                e = self._call(e, t)
-            elif t.text == "[":
-                self.next()
-                idx = self.rval(self.comma(), t)
-                self.expect("]")
-                e = self._index(e, idx, t)
-            elif t.text == "->":
-                self.next()
-                field = self.next().text
-                base = self.rval(e, t)
-                at = self.at(t)
-                e = _Expr(_PLACE, lambda frame, base=base, field=field, at=at:
-                          it.arrow_place(base(frame), field, at))
-            elif t.text == ".":
-                self.next()
-                field = self.next().text
-                place = self.as_place(e)
-                at = self.at(t)
-                e = _Expr(_PLACE, lambda frame, place=place, field=field, at=at:
-                          it.dot_place(place(frame), field, at))
-            elif t.text in ("++", "--"):
-                self.next()
-                e = self._incdec(e, t, pre=False)
-            else:
-                break
-        return e
+        return _VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at), None
 
     def _call(self, e, open_tok):
         it = self.it
-        if e.kind is not _NAME:
+        kind, _, index = e
+        if kind is not _NAME:
             callee = self.rval(e, open_tok)
             args = self._args()
-            at = self.at(open_tok)
+            at = (self.file_id, open_tok.line)
 
             def computed(frame):
                 target = callee(frame)
@@ -1723,11 +1741,12 @@ class _Compiler:
                     arg(frame)
                 return it.computed_call(target, (), at)
 
-            return _Expr(_VALUE, computed)
-        name_tok = self.toks[e.index]
+            return _VALUE, computed, None
+        toks = self.toks
+        name_tok = toks[index]
         args = self._args()
-        close_tok = self.toks[self.i - 1]
-        compact = " ".join(x.text for x in self.toks[e.index : self.i])
+        close_tok = toks[self.i - 1]
+        compact = " ".join(x.text for x in toks[index : self.i])
         text = compact
         if not name_tok.synthetic and not close_tok.synthetic:
             try:
@@ -1738,60 +1757,39 @@ class _Compiler:
                 pass
         site = CallSite(self.file_id, name_tok.line, text, compact)
         name = name_tok.text
-        return _Expr(_VALUE, lambda frame: it.call_named(
-            name, [arg(frame) for arg in args], site))
+        return _VALUE, lambda frame: it.call_named(
+            name, [arg(frame) for arg in args], site), None
 
     def _args(self):
-        self.expect("(")
-        args = []
-        t = self.peek()
-        if t is not None and t.kind == tk.PUNCT and t.text == ")":
-            self.next()
-            return args
+        """The argument closures from the ``(`` at the current token through
+        its ``)``."""
+        toks = self.toks
+        self.i += 1
+        if _punct_at(toks, self.i, ")"):
+            self.i += 1
+            return []
+        args, t = [], None
         while True:
-            args.append(self.rval(self.assign(), t))
-            t = self.next()
+            start = self.i
+            e = self.parse(_ASSIGN)
+            # A load names the line of the argument's first token, then of
+            # the comma before each later argument.
+            args.append(self.rval(e, t or toks[start]))
+            t = self._take()
             if t.text == ")":
                 return args
             if t.text != ",":
                 self._err(f"expected ',' or ')' in call, found {t.text!r}")
 
     def _index(self, e, idx, t):
-        at = self.at(t)
-        base = e.fn
+        at = (self.file_id, t.line)
+        kind, base, _ = e
         index_place = self.it.index_place
-        late = e.kind is _NAME  # an array name is looked up after the index runs
+        late = kind is _NAME  # an array name is looked up after the index runs
 
         def index(frame):
             b = None if late else base(frame)
             i = idx(frame)
             return index_place(base(frame) if late else b, i, at)
 
-        return _Expr(_PLACE, index)
-
-    def primary(self):
-        t = self.next()
-        vals = self.vals
-        at = self.at(t)
-        if t.kind == tk.NUMBER:
-            value, bits, signed = parse_int_literal(t.text)
-        elif t.kind == tk.CHAR:
-            inner = unescape_c(t.text[1:-1]) if len(t.text) >= 2 else "\0"
-            value, bits, signed = (ord(inner[0]) if inner else 0), 32, True
-        elif t.kind == tk.STRING:
-            string_value, fid = self.it.string_value, self.file_id
-            return _Expr(_VALUE, lambda frame: string_value(t, fid, at))
-        elif t.kind == tk.IDENTIFIER:
-            it, name = self.it, t.text
-            name_at = (self.file_id, t.line)
-            return _Expr(_NAME, lambda frame: it.resolve_name(name, frame, name_at),
-                         self.i - 1)
-        elif t.kind == tk.PUNCT and t.text == "(":
-            e = self.comma()
-            self.expect(")")
-            return e
-        else:
-            self._err(f"unexpected token {t.text!r}")
-        desc = f"literal {t.text}"
-        return _Expr(_VALUE, lambda frame: vals.concrete(bits, value, at, signed=signed,
-                                                         desc=desc))
+        return _PLACE, index, None

@@ -182,22 +182,24 @@ class Cursor:
     def __post_init__(self):
         if self.limit is None:
             self.limit = len(self.tokens)
-
-    def _skip(self, j: int) -> int:
+        # A cursor never moves (``advanced_to`` makes a new one), so the
+        # first code token at or after ``index`` is found once.
+        j = self.index
         if self.skip_trivia:
-            while j < self.limit and self.tokens[j].kind in TRIVIA:
+            toks, limit = self.tokens, self.limit
+            while j < limit and toks[j].kind in TRIVIA:
                 j += 1
-        return j
+        self._code = j
 
     def at_end(self) -> bool:
-        return self._skip(self.index) >= self.limit
+        return self._code >= self.limit
 
     def peek(self) -> Token | None:
-        j = self._skip(self.index)
+        j = self._code
         return self.tokens[j] if j < self.limit else None
 
     def peek_index(self) -> int:
-        return self._skip(self.index)
+        return self._code
 
     def advanced_to(self, index: int) -> "Cursor":
         return Cursor(self.tokens, index, self.skip_trivia, self.limit, self.file_id)

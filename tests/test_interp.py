@@ -406,6 +406,35 @@ void testmain(void) {
 """)
 
 
+def test_garbage_in_a_function_body_hides_no_file_scope_declaration():
+    # An unclosed ``(`` in one body and a stray ``)`` in another: the
+    # declarations after the first are file scope, those in the second not.
+    session, frame = run_main("""
+int f(void){ if (0) { garbage( more garbage } return 1; }
+int g_after = 5;
+typedef unsigned char myu8;
+int h(void){ return sizeof(myu8) + g_after; }
+void other(void) { g(1)); int local = 3; }
+void testmain(void) { int r = h(); }
+""")
+    assert sorted(session.global_decls) == ["g_after"]
+    assert "myu8" in session.typedefs
+    assert local_concrete(session, frame, "r") == 6
+
+
+def test_string_bytes_read_as_ints():
+    out = finals("""
+void testmain(void) {
+    char *s = "ab";
+    int sum = s[0] + s[0] + s[0];
+    int product = s[0] * s[1];
+    int nul = s[2];
+    int high = "\\xff"[0];
+}
+""", ["sum", "product", "nul", "high"])
+    assert out == {"sum": 291, "product": 9506, "nul": 0, "high": 255}
+
+
 def test_max_steps_guard():
     with pytest.raises(MaxStepsExceeded):
         run_main("""
@@ -644,6 +673,126 @@ void testmain(void) {
         run_function(session, interp, "testmain")
     assert exc.value.line == 3
     assert session.events_of("call") == []
+
+
+# Every error the expression compiler raises: the statement on line 5 (it
+# may run on), the message and the line it names. A message names the line
+# of the token after the one that was wrong, or of the last token at the end.
+COMPILER_ERROR_CASES = {
+    "empty expression": ("if () x = 1;", "empty expression", 5),
+    "unexpected token after the expression": ("x = 1 2;", "unexpected token '2'", 5),
+    "unexpected token as an operand": ("x = );", "unexpected token ')'", 5),
+    "missing expression": ("x = 1 +;", "missing expression", 5),
+    "unexpected end in a call": ("x = add(1", "unexpected end of expression", 5),
+    "unexpected end in parentheses": ("x = (1", "unexpected end of expression", 5),
+    "unexpected end after a dot": ("x = o.", "unexpected end of expression", 5),
+    "unexpected end in an index": ("x = a[1;", "unexpected end of expression", 5),
+    "expected ')'": ("x = (1\n  2\n  );", "expected ')', found '2'", 7),
+    "expected ':'": ("x = x ? 1 2;", "expected ':', found '2'", 5),
+    "not assignable": ("1\n  = x;", "expression is not assignable", 6),
+    "sum not assignable": ("x + 1 = 2;", "expression is not assignable", 5),
+    "conditional not assignable": ("x ? x : x = 3;", "expression is not assignable", 5),
+    "address of a value": ("x = &1;", "cannot take the address of a value", 5),
+    "call separator": ("x = add(1 2\n);", "expected ',' or ')' in call, found '2'", 6),
+}
+
+
+@pytest.mark.parametrize("case", COMPILER_ERROR_CASES)
+def test_compiler_errors_name_their_message_and_line(case):
+    statement, message, line = COMPILER_ERROR_CASES[case]
+    session, interp = make_session({"prog.c": f"""\
+int add(int a, int b) {{ return a + b; }}
+struct s {{ int a; }};
+void testmain(void) {{
+    int x = 0; int a[2]; struct s o;
+    {statement}
+}}
+"""})
+    with pytest.raises(EvalError) as exc:
+        run_function(session, interp, "testmain")
+    assert str(exc.value) == f"{message} at prog.c:{line}"
+    assert exc.value.line == line
+
+
+def test_parenthesized_type_names_are_casts_and_other_parentheses_are_not():
+    session, frame = run_main("""
+struct s { int a; int b; };
+int f(int v) { return v * 2; }
+void testmain(void) {
+    int x = 300;
+    int m = -1;
+    int buf[2];
+    void *p = buf;
+    int c8 = (u8)x;
+    int cu = (const unsigned int)m > 0;
+    int plain = (m) > 0;
+    ((struct s *)p)->b = 7;
+    int tagged = buf[1];
+    typedef unsigned char T;
+    int t = (T)x;
+    int par = (x) + 1;
+    int call = (f)(21);
+    int sv = sizeof x;
+    int sp = sizeof (x);
+    int sc = sizeof(char);
+    int si = sizeof(int);
+    int ss = sizeof(struct s);
+    int sT = sizeof(T);
+}
+""")
+    expected = {"c8": 44, "cu": 1, "plain": 0, "tagged": 7, "t": 44, "par": 301,
+                "call": 42, "sv": 4, "sp": 4, "sc": 1, "si": 4, "ss": 8, "sT": 1}
+    assert {n: local_concrete(session, frame, n) for n in expected} == expected
+    # ``(f)`` is the name ``f`` in parentheses, so the call is a named call.
+    assert [e.callee for e in session.events_of("call")] == ["f"]
+
+
+def test_operators_group_as_in_c():
+    session, frame = run_main("""
+int f(int v) { return v; }
+void testmain(void) {
+    int a, b, x;
+    a = b = 7;
+    int left = 10 - 3 - 2;
+    int shifts = 1 << 2 << 3;
+    int first = 1 ? 2 : 0 ? 3 : 4;
+    int last = 0 ? 2 : 0 ? 3 : 4;
+    int arm;
+    arm = 1 ? 5, 6 : 0;
+    int seq = (x = 1, x + 1);
+    int mixed = 1 + 2 * 3 == 7 && 4 | 1 ^ 5 & 3;
+    (a, f)(1);
+}
+""")
+    expected = {"a": 7, "b": 7, "left": 5, "shifts": 32, "first": 2, "last": 4,
+                "arm": 6, "seq": 2, "mixed": 1}
+    assert {n: local_concrete(session, frame, n) for n in expected} == expected
+    # A name after a comma is a value, so the call through it is computed.
+    assert session.events_of("call") == []
+    assert any("call through non-name expression" in e.message
+               for e in session.events_of("diagnostic"))
+
+
+def test_only_a_token_that_can_start_a_type_is_probed_for_a_cast(monkeypatch):
+    session, interp = make_session({"prog.c": """
+typedef int T;
+void testmain(void) {
+    int x = 2;
+    int r = ((x + 1) * (-x)) + (T)x + sizeof(x) + (int)(x);
+}
+"""})
+    probes = []
+    real = interp_module._declarations
+
+    def counting(toks, i, typedefs, member=False):
+        probes.append(toks[i].text)
+        return real(toks, i, typedefs, member)
+
+    monkeypatch.setattr(interp_module, "_declarations", counting)
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "r") == -6 + 2 + 4 + 2
+    # The two declarations, then ``(T)`` and ``(int)``; no other ``(``.
+    assert probes == ["int", "int", "T", "int"]
 
 
 # ----------------------------------------------------------- declarations
