@@ -9,6 +9,7 @@ surrounding ``/ { ... };``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DtsiNotFound, UnbalancedDelimiter
@@ -33,174 +34,49 @@ class DtNode:
         return []
 
 
-def _strip_comments(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
+_NOT_WORD = '"{}<>=;,:[]'  # the first character of a string or a delimiter
+
+# One token per match; whitespace and comments match with both groups empty.
+# A comment separates tokens, as one space would (C11 5.1.1.2 phase 3).
+_TOKEN = re.compile(r"""
+    \s+ | //[^\n]* | /\*[\s\S]*?(?:\*/|\Z)
+  | ("[^"\\]*(?:\\[\s\S]?[^"\\]*)*)"?             # a string, unterminated too
+  | ([{}<>=;,:\[\]] | (?:[^\s{}<>=;,:\[\]"/] | /(?![/*]))+)  # a delimiter or a word
+""", re.VERBOSE)
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``. A string token is its opening quote and its
+    contents, escapes as written, without the closing quote; a delimiter is
+    its one character; anything else is a word."""
+    return [s or t for s, t in _TOKEN.findall(text) if s or t]
+
+
+def _value(toks: list[str], i: int) -> tuple[list, int]:
+    """The value of the property whose ``=`` precedes ``toks[i]``, and the
+    index after its ``;``: its strings if it has any, else its ``<cell>``
+    numbers. Phandles, byte strings and arithmetic are skipped."""
+    strings: list[str] = []
+    cells: list[int] = []
+    n = len(toks)
     while i < n:
-        c = text[i]
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            out.append(text[i : min(j + 1, n)])
-            i = j + 1
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
+        tok = toks[i]
+        i += 1
+        if tok == ";":
+            break
+        if tok[0] == '"':
+            strings.append(tok[1:])
+        elif tok == "<":
+            while i < n and toks[i] != ">":
+                try:
+                    cells.append(int(toks[i], 0))
+                except ValueError:
+                    pass
                 i += 1
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-        else:
-            out.append(c)
+            if i == n:
+                raise UnbalancedDelimiter("unbalanced '<' in property value")
             i += 1
-    return "".join(out)
-
-
-_DELIMS = set("{}<>=;,:[]")
-
-
-def _lex(text: str) -> list[tuple[str, object]]:
-    toks: list[tuple[str, object]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            toks.append(("str", text[i + 1 : j]))
-            i = j + 1
-        elif c in _DELIMS:
-            toks.append(("punct", c))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _DELIMS and text[j] != '"':
-                j += 1
-            toks.append(("word", text[i:j]))
-            i = j
-    return toks
-
-
-def _cell_value(word: str) -> int | None:
-    try:
-        return int(word, 0)
-    except ValueError:
-        return None
-
-
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def at_end(self):
-        return self.i >= len(self.toks)
-
-    def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else (None, None)
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def parse_items(self, node: DtNode, depth: int):
-        while not self.at_end():
-            kind, text = self.peek()
-            if kind == "punct" and text == "}":
-                if depth == 0:
-                    self.next()  # stray close; skip tolerantly
-                    continue
-                return
-            if kind != "word":
-                self.next()
-                continue
-            self._parse_item(node, depth)
-
-    def _parse_item(self, node: DtNode, depth: int):
-        _, first = self.next()
-        if first.startswith("/"):
-            # Directives such as /dts-v1/; or /include/ "file": skip whole.
-            if self.peek()[0] == "str":
-                self.next()
-            if self.peek() == ("punct", ";"):
-                self.next()
-            return
-        label = None
-        if self.peek() == ("punct", ":"):
-            self.next()
-            label = first
-            kind, text = self.peek()
-            if kind != "word":
-                return
-            _, first = self.next()
-        kind, text = self.peek()
-        if kind == "punct" and text == "{":
-            open_i = self.i
-            self.next()
-            child = DtNode(label, first)
-            self.parse_items(child, depth + 1)
-            if self.at_end():
-                raise UnbalancedDelimiter(f"unbalanced '{{' in node {first!r}")
-            self.next()  # '}'
-            if self.peek() == ("punct", ";"):
-                self.next()
-            node.children.append(child)
-            return
-        if kind == "punct" and text == "=":
-            self.next()
-            node.properties[first] = self._parse_value()
-            return
-        if kind == "punct" and text == ";":
-            self.next()
-            node.properties[first] = None  # boolean property
-            return
-        # Unknown construct: skip to the next ';', but never across node
-        # structure.
-        while not self.at_end():
-            k, t = self.peek()
-            if (k, t) == ("punct", ";"):
-                self.next()
-                return
-            if k == "punct" and t in ("{", "}"):
-                return
-            self.next()
-
-    def _parse_value(self):
-        strings: list[str] = []
-        cells: list[int] = []
-        while not self.at_end():
-            kind, text = self.peek()
-            if kind == "punct" and text == ";":
-                self.next()
-                break
-            if kind == "punct" and text == ",":
-                self.next()
-                continue
-            if kind == "str":
-                self.next()
-                strings.append(text)
-                continue
-            if kind == "punct" and text == "<":
-                self.next()
-                while not self.at_end() and self.peek() != ("punct", ">"):
-                    k, t = self.next()
-                    if k == "word":
-                        v = _cell_value(t)
-                        if v is not None:
-                            cells.append(v)
-                if self.at_end():
-                    raise UnbalancedDelimiter("unbalanced '<' in property value")
-                self.next()  # '>'
-                continue
-            self.next()  # phandles, byte strings, arithmetic: skipped
-        if strings:
-            return strings
-        return cells
+    return strings or cells, i
 
 
 def parse_dtsi(path) -> DtNode:
@@ -211,9 +87,51 @@ def parse_dtsi(path) -> DtNode:
 
 
 def parse_dtsi_text(text: str) -> DtNode:
+    """Parse DTS text as ``parse_dtsi`` does. One loop reads the items of
+    every node, with the open nodes on a stack, so nesting depth is not
+    bounded by Python's recursion limit."""
     root = DtNode(None, "/")
-    parser = _Parser(_lex(_strip_comments(text)))
-    parser.parse_items(root, 0)
+    open_nodes = [root]
+    toks = _tokens(text)
+    i, n = 0, len(toks)
+    while i < n:
+        first = toks[i]
+        i += 1
+        if first[0] in _NOT_WORD or first[0] == "/":
+            # A '}' closes the innermost open node (one at top level is
+            # stray). Directives such as /dts-v1/ and /include/, and any
+            # other delimiter or string out of place, are skipped.
+            if first == "}" and len(open_nodes) > 1:
+                open_nodes.pop()
+            continue
+        label = None
+        if i < n and toks[i] == ":":
+            label = first
+            i += 1
+            if i == n or toks[i][0] in _NOT_WORD:
+                continue
+            first = toks[i]
+            i += 1
+        after = toks[i] if i < n else None
+        if after == "{":
+            child = DtNode(label, first)
+            open_nodes[-1].children.append(child)
+            open_nodes.append(child)
+            i += 1
+        elif after == "=":
+            open_nodes[-1].properties[first], i = _value(toks, i + 1)
+        elif after == ";":
+            open_nodes[-1].properties[first] = None  # boolean property
+            i += 1
+        else:
+            # Unknown construct: skip through the next ';', but never
+            # across node structure.
+            while i < n and toks[i] != "{" and toks[i] != "}":
+                i += 1
+                if toks[i - 1] == ";":
+                    break
+    if len(open_nodes) > 1:
+        raise UnbalancedDelimiter(f"unbalanced '{{' in node {open_nodes[-1].name!r}")
     return root
 
 

@@ -17,6 +17,7 @@ fresh value, and the reported line is always the next statement to run.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -142,15 +143,6 @@ class Decl:
         """The signedness a store to an integer narrower than int wraps to,
         or None when this is an int or wider, a pointer or a struct."""
         return not self.unsigned if self.width < 4 and not self.stars and not self.tag else None
-
-    def count(self) -> int:
-        """Element count of the array bounds, each read if it is a lone number."""
-        count = 1
-        for bound in self.dims:
-            numbers = [t for t in bound if t.kind == tk.NUMBER]
-            if len(numbers) == 1:
-                count *= parse_int_literal(numbers[0].text)[0]
-        return count
 
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
@@ -540,13 +532,14 @@ class Interp:
         return sym
 
     def _params(self, fdef: FunctionDefNode) -> list[Decl]:
-        """The parameters of ``fdef`` in order, read once per typedef epoch
-        (see ``eval_tokens``). An unnamed one keeps its place with name
-        None; ``T a[]`` is a pointer; ``(void)`` and ``...`` bind nothing."""
+        """The parameters of ``fdef`` in order, macro-expanded and read once
+        per typedef epoch (see ``eval_tokens``). An unnamed one keeps its
+        place with name None; ``T a[]`` is a pointer; ``(void)`` and ``...``
+        bind nothing."""
         hole = fdef.params
         if hole.compiled is None or hole.compiled[0] is not self._epoch:
-            toks = [t for t in self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
-                    if t.kind not in tk.TRIVIA]
+            raw = self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
+            toks = [t for t in self._expand(raw) if t.kind not in tk.TRIVIA]
             params = []
             for a, b in tk.split_top_level(toks, 0, len(toks), ","):
                 if b - a == 1 and toks[a].text in ("void", "..."):
@@ -873,7 +866,7 @@ class Interp:
             b0, b1 = info.inline_body
             tag, body = info.tag, toks[b0:b1]
             steps.append(lambda frame: s.store.install_layout(
-                tag, self._parse_struct_body(body)))
+                tag, self._parse_struct_body(body, file_id)))
         for decl in decls:
             if decl.name is None or decl.function:
                 continue
@@ -884,17 +877,15 @@ class Interp:
         return _sequence(steps)
 
     def _declare(self, decl, file_id, line):
-        dims = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
+        count = self._compile_count(decl.dims, file_id, line)
+        array = bool(decl.dims)
         init = None
         if decl.init is not None:
             init = _Compiler(self, decl.init, file_id).expression(line)
         at = (file_id, line)
 
         def declare(frame):
-            count = 1
-            for dim in dims:
-                count *= dim(frame)
-            place = frame.locals[decl.name] = self._allocate(decl, STACK, count, bool(dims))
+            place = frame.locals[decl.name] = self._allocate(decl, STACK, count(frame), array)
             if init is not None:
                 self.store_place(place, init(frame), at)
 
@@ -920,12 +911,19 @@ class Interp:
         return Place(region=region, width=8, pointee_tag=decl.tag, elem_width=pointee,
                      name=decl.name, array=array, pointer=not array)
 
+    def _compile_count(self, dims, file_id, line):
+        """The element count of the array bounds ``dims`` as a function of
+        the frame: the product of the bounds, each read by
+        ``_compile_dimension``. Every array bound is counted by this rule."""
+        bounds = [self._compile_dimension(bound, file_id, line) for bound in dims]
+        return lambda frame: math.prod([bound(frame) for bound in bounds])
+
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
-        if len(toks) == 1 and toks[0].kind == tk.NUMBER:
-            count = parse_int_literal(toks[0].text)[0]
-            return lambda frame: count
         try:
+            if len(toks) == 1 and toks[0].kind == tk.NUMBER:
+                count = parse_int_literal(toks[0].text)[0]
+                return lambda frame: count
             expr = _Compiler(self, toks, file_id).expression(line)
         except (SsiError, ValueError):
             return lambda frame: 1
@@ -962,10 +960,10 @@ class Interp:
                     continue
                 body = [x for x in self._expand(toks[k + 1 : end])
                         if x.kind not in tk.TRIVIA]
-                return self._parse_struct_body(body)
+                return self._parse_struct_body(body, fid)
         return None
 
-    def _parse_struct_body(self, toks):
+    def _parse_struct_body(self, toks, file_id):
         layout: dict[str, FieldInfo] = {}
         offset = 0
         i = 0
@@ -974,7 +972,9 @@ class Interp:
             _, decls, j = _declarations(toks, i, self.s.typedefs, member=True)
             for decl in decls:
                 if decl.name is not None and not decl.function:
-                    width, count = self._size(decl.stars, decl.tag, decl.width), decl.count()
+                    width = self._size(decl.stars, decl.tag, decl.width)
+                    count = self._compile_count(decl.dims, file_id, toks[i].line)(
+                        Frame(decl.name))
                     layout[decl.name] = FieldInfo(offset, width, count, decl.narrow_sign())
                     offset += width * count
             i = tk.top_level(toks, j, n, (";",)) + 1
@@ -1148,7 +1148,8 @@ class Interp:
             if decl is None:
                 place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
             else:
-                place = self._allocate(decl, STATIC, decl.count(), bool(decl.dims))
+                count = self._compile_count(decl.dims, decl.file_id, decl.line)(Frame(name))
+                place = self._allocate(decl, STATIC, count, bool(decl.dims))
             s.globals[name] = place
             if decl is not None and decl.init and not decl.dims \
                     and not tk.is_punct(decl.init[0], "{"):
@@ -1516,7 +1517,11 @@ class _Compiler:
             it = self.it
             e = (_NAME, lambda frame: it.resolve_name(text, frame, at), i)
         elif kind == tk.NUMBER:
-            e = self._literal(t, at, *parse_int_literal(text))
+            try:
+                e = self._literal(t, at, *parse_int_literal(text))
+            except ValueError:
+                raise EvalError(f"malformed number {text!r} at {self.file_id}:{t.line}",
+                                t.line) from None
         elif kind == tk.PUNCT and text in _PREFIX:
             if text == "&":
                 place = self.as_place(self.operand(), "cannot take the address of a value")
@@ -1692,10 +1697,11 @@ class _Compiler:
         if _punct_at(self.toks, self.i, "(") and (type_name := self._type_name(self.i + 1)):
             close, decl = type_name
             self.i = close + 1
-            size, count = self.it._size, decl.count()
+            size = self.it._size
+            count = self.it._compile_count(decl.dims, self.file_id, t.line)
 
             def size_of_type(frame):
-                nbytes = size(decl.stars, decl.tag, decl.width) * count
+                nbytes = size(decl.stars, decl.tag, decl.width) * count(frame)
                 return vals.concrete(64, nbytes, at, desc="sizeof")
 
             return _VALUE, size_of_type, None

@@ -461,8 +461,8 @@ class ValueTable:
                 rid, off = b.pointer
                 pointer = (rid, off + to_int(a))
             elif (term.op == "-" and isinstance(a, Residual) and isinstance(b, Residual)
-                  and a.pointer and b.pointer and a.pointer[0] == b.pointer[0]
-                  and not a.blockers and not b.blockers):
+                  and a.pointer and b.pointer and a.pointer[0] == b.pointer[0]):
+                # The region's base, and whatever blocks it, cancels out.
                 return make_concrete(64, a.pointer[1] - b.pointer[1], True)
         elif term.op.startswith("cast") and isinstance(resolved[0], Residual):
             pointer = resolved[0].pointer

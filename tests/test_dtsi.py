@@ -1,7 +1,10 @@
 import pytest
+import refdtsi
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssi.dtsi import dtsi_find, list_compatibles, parse_dtsi, parse_dtsi_text
-from ssi.errors import DtsiNotFound, UnbalancedDelimiter
+from ssi.errors import DtsiNotFound, SsiError, UnbalancedDelimiter
 
 from conftest import EXAMPLE_DIR
 
@@ -131,3 +134,71 @@ n {
 };
 """)
     assert dtsi_find(path, "with { brace") == (1, 2)
+
+
+# ------------------------------------------- differential against refdtsi
+
+def tree(node):
+    return (node.label, node.name, node.properties, [tree(c) for c in node.children])
+
+
+def read(parse, text):
+    """The tree ``parse`` reads from ``text``, or the type of its error."""
+    try:
+        return tree(parse(text))
+    except SsiError as e:
+        return type(e)
+
+
+# Pieces of DTS text, glued with and without whitespace between them, so
+# that words, comments and strings also meet mid-word. The longer pieces
+# make whole nodes, properties and unknown constructs likely.
+PIECES = ["n", "gpio@7e200000", "reg", "compatible", "#size-cells", "0x10", "1",
+          "/dts-v1/", "/include/", "/", "&gic", '"s"', '"a\\"b"', '"', "\\",
+          "{", "}", "<", ">", "=", ";", ",", ":", "[", "]",
+          "/*", "*/", "//", "*", " ", "\n", "\t",
+          "n { ", "}; ", "l: ", "p = <0x10 2>;", 'c = "a", <1>, "b";', "x y ", "b;"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_reader_matches_the_reference_reader(text):
+    assert read(parse_dtsi_text, text) == read(refdtsi.parse_dtsi_text, text)
+
+
+def root(*children, **properties):
+    return (None, "/", properties, list(children))
+
+
+READER_CASES = {
+    "a comment separates two words": (
+        "n { re/*c*/g = <1>; };", root((None, "n", {}, []))),
+    "unterminated string at end of file": (
+        'compatible = "a;b', root(compatible=["a;b"])),
+    "unterminated comment at end of file": ("a; /* b; c;", root(a=None)),
+    "backslash as the last character of a string": ('p = "x\\', root(p=["x\\"])),
+    "escaped quote inside a string": ('p = "a\\"b", "c";', root(p=['a\\"b', "c"])),
+    "directives": ('/dts-v1/;\n/include/ "f.dtsi"\nn { };', root((None, "n", {}, []))),
+    "root node read as top level": ("/ { n { a; }; };", root((None, "n", {"a": None}, []))),
+    "labels": ("l: n { m: p = <1>; }; k: ;",
+               root(("l", "n", {"p": [1]}, []))),
+    "stray top-level close": ("}; n { }; }", root((None, "n", {}, []))),
+    "unknown construct stops before a brace": (
+        "n { x y m { a; }; }; q;", root((None, "n", {"a": None}, []), q=None)),
+    "unclosed '<'": ("p = <1 2", UnbalancedDelimiter),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader_cases(case):
+    text, expected = READER_CASES[case]
+    assert read(parse_dtsi_text, text) == read(refdtsi.parse_dtsi_text, text) == expected
+
+
+def test_deep_nesting_reads_without_recursion():
+    root_node = parse_dtsi_text("n {" * 5000 + "};" * 5000)
+    depth = 0
+    while root_node.children:
+        (root_node,) = root_node.children
+        depth += 1
+    assert depth == 5000

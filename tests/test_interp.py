@@ -694,6 +694,8 @@ COMPILER_ERROR_CASES = {
     "conditional not assignable": ("x ? x : x = 3;", "expression is not assignable", 5),
     "address of a value": ("x = &1;", "cannot take the address of a value", 5),
     "call separator": ("x = add(1 2\n);", "expected ',' or ')' in call, found '2'", 6),
+    "malformed number": ("x = 1 +\n  99zz;", "malformed number '99zz'", 6),
+    "malformed number in an initializer": ("int y = 0x;", "malformed number '0x'", 5),
 }
 
 
@@ -864,6 +866,13 @@ void testmain(void) {
     int r = sizeof(handler_t);
 }
 """, {"r": 8}),
+    "parameter type named by a macro": ("""
+#define REG unsigned char
+int g(REG v) { return v; }
+void testmain(void) {
+    int r = g(300);
+}
+""", {"r": 44}),
 }
 
 
@@ -874,6 +883,31 @@ def test_declarations_read_one_way(case):
     assert {n: local_concrete(session, frame, n) for n in expected} == expected
     for (tag, name), offset in (offsets[0] if offsets else {}).items():
         assert session.store.field_offset(tag, name).offset == offset
+
+
+def test_every_array_bound_is_counted_by_one_rule():
+    # A bound is evaluated wherever it appears, as a local's already was, not
+    # read only when it is a lone number.
+    session, frame = run_main("""
+#define NBANKS 2
+struct pc { unsigned long map[NBANKS * 2]; int irq; };
+unsigned long G[NBANKS * 2];
+void testmain(void) {
+    struct pc v;
+    unsigned long m[NBANKS * 2];
+    v.irq = 9;
+    v.map[1] = 4;
+    int irq = v.irq;
+    int z = sizeof(struct pc);
+    int w = sizeof(int[2 * 4]);
+    G[0] = 1;
+}
+""")
+    assert {n: local_concrete(session, frame, n) for n in ("irq", "z", "w")} == \
+        {"irq": 9, "z": 36, "w": 32}
+    assert session.store.field_offset("pc", "irq").offset == 32
+    for place in (frame.locals["m"], session.globals["G"]):
+        assert session.store.region(place.region).size == 32
 
 
 def test_parameters_read_once_per_typedef_epoch(monkeypatch):

@@ -324,6 +324,25 @@ def test_memoized_resolve_matches_a_fresh_table(data):
         assert vals.resolve(v) == unmemoized_copy(vals).resolve(v)
 
 
+def test_same_region_difference_folds_when_the_base_is_symbolic():
+    # Two addresses in one region subtract to their distance whatever blocks
+    # the region's base, since the base cancels out. So a difference folded
+    # before an mmio base is set stays right after it, memoized or not.
+    vals = table()
+    regions = {}
+    vals.region_lookup = regions.get
+    base = vals.fresh_symbol("s1", AT)
+    a = vals.addr_of(7, AT)
+    four = vals.apply_binop("+", a, vals.concrete(64, 4, AT), AT)
+    early, late = vals.apply_binop("-", a, a, AT), vals.apply_binop("-", four, a, AT)
+    assert vals.resolve(early) == make_concrete(64, 0, True)
+    regions[7] = Region(7, "mmio", "mmio", display_base=base.id)
+    vals.forget_residuals()
+    for v, distance in ((early, 0), (late, 4)):
+        assert vals.resolve(v) == unmemoized_copy(vals).resolve(v) \
+            == make_concrete(64, distance, True)
+
+
 # -------------------------------------------------------------- provenance
 
 def test_trace_of_literal_is_single_entry():
