@@ -631,12 +631,14 @@ class Interp:
         return f"({rid}, {off})", None
 
     # ------------------------------------------------------------ statements
-    def exec_block(self, nodes, frame) -> Control:
+    def exec_block(self, nodes, frame, start=0) -> Control:
+        """Run ``nodes`` from ``start`` (a switch body from its chosen
+        ``case``); a ``goto`` may reach any label among them."""
         labels = {}
         for idx, n in enumerate(nodes):
             if isinstance(n, LabelNode) and n.name:
                 labels.setdefault(n.name, idx)
-        i = 0
+        i = start
         while i < len(nodes):
             sig = self.exec_node(nodes[i], frame)
             if sig.kind == NEXT:
@@ -787,13 +789,8 @@ class Interp:
         start = target if target is not None else default
         if start is None:
             return _NEXT
-        for n in nodes[start:]:
-            sig = self.exec_node(n, frame)
-            if sig.kind == BREAK:
-                return _NEXT
-            if sig.kind != NEXT:
-                return sig
-        return _NEXT
+        sig = self.exec_block(nodes, frame, start)
+        return _NEXT if sig.kind == BREAK else sig
 
     # ------------------------------------------------------------ compiling
     def eval_tokens(self, span, frame, line, mode=None):
@@ -1705,11 +1702,20 @@ class _Compiler:
                 return vals.concrete(64, nbytes, at, desc="sizeof")
 
             return _VALUE, size_of_type, None
-        v = self.rval(self.operand(), t)
+        e = self.operand()
+        # A variable or other place is not loaded: its size is its array's
+        # region or its own width. Any other operand, a snippet placeholder
+        # included, gives the width of its value.
+        v = e[1] if e[0] is _NAME or e[0] is _PLACE else self.rval(e, t)
+        region = self.it.s.store.region
 
         def size_of_value(frame):
-            r = vals.resolve(v(frame))
-            nbytes = r.width // 8 if isinstance(r, Concrete) else 4
+            p = v(frame)
+            if isinstance(p, Place):
+                nbytes = region(p.region).size if p.array else p.width
+            else:
+                r = vals.resolve(p)
+                nbytes = r.width // 8 if isinstance(r, Concrete) else 4
             return vals.concrete(64, nbytes, at, desc="sizeof")
 
         return _VALUE, size_of_value, None

@@ -1,11 +1,12 @@
 """Compositional statement parsing with holes.
 
 Statement rules match coarse shapes (a keyword followed by balanced delimiter
-spans) and never descend into the spans they capture. The captured spans are
-Holes: they are re-parsed only when execution actually reaches them, so code
-that never runs is never analyzed beyond delimiter balance. This is what makes
-the parser indifferent to unresolvable headers, unknown macros, or outright
-garbage in untaken branches.
+spans) and never descend into the spans they capture. One rule reads every
+built-in statement, picking the reader by the statement's first token. The
+captured spans are Holes: they are re-parsed only when execution actually
+reaches them, so code that never runs is never analyzed beyond delimiter
+balance. This is what makes the parser indifferent to unresolvable headers,
+unknown macros, or outright garbage in untaken branches.
 
 Brace-less dependent statements (``if (x) y = 1;``) are supported when the
 dependent statement is itself terminated by a top-level ``;``. ``else if``
@@ -191,7 +192,7 @@ def _else_part(toks, k, limit, file_id):
         return _substatement(toks, k, limit, file_id)
     start = j = k  # at an 'if' keyword
     while True:
-        head = _keyword_paren(toks, j, limit, "if")
+        head = _keyword_paren(toks, j, limit)
         if head is None:
             j = _statement_span(toks, tk.skip_trivia(toks, j + 1, limit), limit)
             break
@@ -208,21 +209,17 @@ def _else_part(toks, k, limit, file_id):
     return Hole(file_id, start, j), j
 
 
-def _keyword_paren(toks, i, limit, word):
-    """(index of ``(``, index after its ``)``) when the keyword ``word`` at
-    ``i`` is followed by a parenthesized span, else None."""
-    if i >= limit or not tk.is_keyword(toks[i], word):
-        return None
+def _keyword_paren(toks, i, limit):
+    """(index of ``(``, index after its ``)``) when the keyword at ``i`` is
+    followed by a parenthesized span, else None."""
     j = tk.skip_trivia(toks, i + 1, limit)
     if j >= limit or not tk.is_punct(toks[j], "("):
         return None
     return j, _balanced_end(toks, j, limit)
 
 
-def _match_if(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if (head := _keyword_paren(toks, i, limit, "if")) is None:
+def _read_if(toks, i, limit, fid):
+    if (head := _keyword_paren(toks, i, limit)) is None:
         return None
     j, cond_end = head
     cond = Hole(fid, j + 1, cond_end - 1)
@@ -234,24 +231,19 @@ def _match_if(cur: tk.Cursor):
     return IfNode(fid, toks[i].line, i, k, cond=cond, then=then, orelse=orelse)
 
 
-def _match_while(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if (head := _keyword_paren(toks, i, limit, "while")) is None:
+def _read_while(toks, i, limit, fid):
+    if (head := _keyword_paren(toks, i, limit)) is None:
         return None
     j, cend = head
     body, k = _substatement(toks, cend, limit, fid)
     return WhileNode(fid, toks[i].line, i, k, cond=Hole(fid, j + 1, cend - 1), body=body)
 
 
-def _match_do(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or not tk.is_keyword(toks[i], "do"):
-        return None
+def _read_do(toks, i, limit, fid):
     body, k = _substatement(toks, i + 1, limit, fid)
     k = tk.skip_trivia(toks, k, limit)
-    if (head := _keyword_paren(toks, k, limit, "while")) is None:
+    if k >= limit or not tk.is_keyword(toks[k], "while") \
+            or (head := _keyword_paren(toks, k, limit)) is None:
         return None
     j, cend = head
     k2 = tk.skip_trivia(toks, cend, limit)
@@ -260,10 +252,8 @@ def _match_do(cur: tk.Cursor):
     return DoWhileNode(fid, toks[i].line, i, k2, body=body, cond=Hole(fid, j + 1, cend - 1))
 
 
-def _match_for(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if (head := _keyword_paren(toks, i, limit, "for")) is None:
+def _read_for(toks, i, limit, fid):
+    if (head := _keyword_paren(toks, i, limit)) is None:
         return None
     j, pend = head
     parts = tk.split_top_level(toks, j + 1, pend - 1, ";")
@@ -278,80 +268,8 @@ def _match_for(cur: tk.Cursor):
     )
 
 
-def _match_return(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or not tk.is_keyword(toks[i], "return"):
-        return None
-    end = _statement_span(toks, i + 1, limit)
-    expr_end = end - 1 if end > i + 1 and tk.is_punct(toks[end - 1], ";") else end
-    expr = Hole(fid, i + 1, expr_end)
-    if expr.is_empty_of_code(toks):
-        expr = None
-    return ReturnNode(fid, toks[i].line, i, end, expr=expr)
-
-
-def _match_simple_kw(word, cls):
-    def match(cur: tk.Cursor):
-        toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-        i = cur.peek_index()
-        if i >= limit or not tk.is_keyword(toks[i], word):
-            return None
-        j = tk.skip_trivia(toks, i + 1, limit)
-        end = j + 1 if j < limit and tk.is_punct(toks[j], ";") else i + 1
-        return cls(fid, toks[i].line, i, end)
-
-    return match
-
-
-def _match_goto(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or not tk.is_keyword(toks[i], "goto"):
-        return None
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or toks[j].kind != tk.IDENTIFIER:
-        return None
-    end = _statement_span(toks, j, limit)
-    return GotoNode(fid, toks[i].line, i, end, label=toks[j].text)
-
-
-def _match_label(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit:
-        return None
-    t = toks[i]
-    if tk.is_keyword(t, "default"):
-        j = tk.skip_trivia(toks, i + 1, limit)
-        if j < limit and tk.is_punct(toks[j], ":"):
-            return LabelNode(fid, t.line, i, j + 1, is_default=True)
-        return None
-    if tk.is_keyword(t, "case"):
-        j = tk.top_level(toks, i + 1, limit, (":", ";"))
-        if j < limit and tk.is_punct(toks[j], ":"):
-            return LabelNode(fid, t.line, i, j + 1, case_expr=Hole(fid, i + 1, j))
-        return None
-    if t.kind == tk.IDENTIFIER:
-        j = tk.skip_trivia(toks, i + 1, limit)
-        if j < limit and tk.is_punct(toks[j], ":"):
-            return LabelNode(fid, t.line, i, j + 1, name=t.text)
-    return None
-
-
-def _match_block(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or not tk.is_punct(toks[i], "{"):
-        return None
-    end = _balanced_end(toks, i, limit)
-    return BlockNode(fid, toks[i].line, i, end, body=Hole(fid, i + 1, end - 1))
-
-
-def _match_switch(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if (head := _keyword_paren(toks, i, limit, "switch")) is None:
+def _read_switch(toks, i, limit, fid):
+    if (head := _keyword_paren(toks, i, limit)) is None:
         return None
     j, send = head
     k = tk.skip_trivia(toks, send, limit)
@@ -364,24 +282,79 @@ def _match_switch(cur: tk.Cursor):
     )
 
 
-def _match_directive(cur: tk.Cursor):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or not tk.is_punct(toks[i], "#"):
+def _read_return(toks, i, limit, fid):
+    end = _statement_span(toks, i + 1, limit)
+    expr_end = end - 1 if end > i + 1 and tk.is_punct(toks[end - 1], ";") else end
+    expr = Hole(fid, i + 1, expr_end)
+    if expr.is_empty_of_code(toks):
+        expr = None
+    return ReturnNode(fid, toks[i].line, i, end, expr=expr)
+
+
+def _read_jump(toks, i, limit, fid):
+    """``break`` or ``continue``, with the ``;`` after it if there is one."""
+    j = tk.skip_trivia(toks, i + 1, limit)
+    end = j + 1 if j < limit and tk.is_punct(toks[j], ";") else i + 1
+    cls = BreakNode if toks[i].text == "break" else ContinueNode
+    return cls(fid, toks[i].line, i, end)
+
+
+def _read_goto(toks, i, limit, fid):
+    j = tk.skip_trivia(toks, i + 1, limit)
+    if j >= limit or toks[j].kind != tk.IDENTIFIER:
         return None
-    return RawNode(fid, toks[i].line, i, tk.line_end(toks, i, limit), directive=True)
+    end = _statement_span(toks, j, limit)
+    return GotoNode(fid, toks[i].line, i, end, label=toks[j].text)
 
 
-def _match_declaration(cur: tk.Cursor):
+def _read_case(toks, i, limit, fid):
+    j = tk.top_level(toks, i + 1, limit, (":", ";"))
+    if j < limit and tk.is_punct(toks[j], ":"):
+        return LabelNode(fid, toks[i].line, i, j + 1, case_expr=Hole(fid, i + 1, j))
+    return None
+
+
+def _read_default(toks, i, limit, fid):
+    j = tk.skip_trivia(toks, i + 1, limit)
+    if j < limit and tk.is_punct(toks[j], ":"):
+        return LabelNode(fid, toks[i].line, i, j + 1, is_default=True)
+    return None
+
+
+_KEYWORD_READERS = {
+    "if": _read_if, "while": _read_while, "do": _read_do, "for": _read_for,
+    "switch": _read_switch, "return": _read_return, "break": _read_jump,
+    "continue": _read_jump, "goto": _read_goto, "case": _read_case,
+    "default": _read_default,
+}
+
+
+def _match_statement(cur: tk.Cursor):
+    """The statement at the cursor, read by its first code token: a
+    directive, a block, a keyword's statement, a declaration or a label.
+    None for anything else, or for a keyword whose statement's shape the
+    tokens after it do not have (``if`` without ``(``)."""
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
     if i >= limit:
         return None
     t = toks[i]
-    if t.kind != tk.KEYWORD or t.text not in tk.DECL_KEYWORDS:
-        return None
-    end = _statement_span(toks, i, limit)
-    return DeclarationNode(fid, t.line, i, end)
+    if t.kind == tk.KEYWORD:
+        if (read := _KEYWORD_READERS.get(t.text)) is not None:
+            return read(toks, i, limit, fid)
+        if t.text in tk.DECL_KEYWORDS:
+            return DeclarationNode(fid, t.line, i, _statement_span(toks, i, limit))
+    elif t.kind == tk.PUNCT:
+        if t.text == "#":
+            return RawNode(fid, t.line, i, tk.line_end(toks, i, limit), directive=True)
+        if t.text == "{":
+            end = _balanced_end(toks, i, limit)
+            return BlockNode(fid, t.line, i, end, body=Hole(fid, i + 1, end - 1))
+    elif t.kind == tk.IDENTIFIER:
+        j = tk.skip_trivia(toks, i + 1, limit)
+        if j < limit and tk.is_punct(toks[j], ":"):
+            return LabelNode(fid, t.line, i, j + 1, name=t.text)
+    return None
 
 
 def _match_fallback(cur: tk.Cursor):
@@ -397,38 +370,21 @@ def _match_fallback(cur: tk.Cursor):
 
 class RuleRegistry:
     """Ordered statement matchers; the first match by (priority, insertion
-    order) wins. User rules may be registered at any priority to shadow the
-    built-ins for exactly the tokens they consume."""
+    order) wins. The built-in ``"statement"`` rule is at priority 100 and
+    the ``"raw"`` fallback at 1000, so a user rule below 100 shadows the
+    built-ins for exactly the tokens it consumes, and one between them
+    sees only what no built-in reads."""
 
     def __init__(self, defaults: bool = True):
         self._entries: list[tuple[int, int, str, object]] = []
         self._seq = 0
         if defaults:
-            self._install_defaults()
+            self.register("statement", _match_statement, priority=100)
+            self.register("raw", _match_fallback, priority=1000)
 
     def register(self, name: str, matcher, priority: int = 500):
         bisect.insort(self._entries, (priority, self._seq, name, matcher))
         self._seq += 1
-
-    def _install_defaults(self):
-        defaults = [
-            ("directive", _match_directive),
-            ("label", _match_label),
-            ("if", _match_if),
-            ("while", _match_while),
-            ("do-while", _match_do),
-            ("for", _match_for),
-            ("switch", _match_switch),
-            ("return", _match_return),
-            ("break", _match_simple_kw("break", BreakNode)),
-            ("continue", _match_simple_kw("continue", ContinueNode)),
-            ("goto", _match_goto),
-            ("block", _match_block),
-            ("declaration", _match_declaration),
-        ]
-        for n, (name, fn) in enumerate(defaults):
-            self.register(name, fn, priority=100 + n)
-        self.register("raw", _match_fallback, priority=1000)
 
     def __iter__(self):
         return iter(self._entries)
@@ -469,10 +425,9 @@ class Corpus:
     """The tokenized source files of one module, in deterministic order."""
 
     def __init__(self):
+        self.files: list[str] = []  # corpus files in order; no scratch buffers
         self._tokens: dict[str, list[tk.Token]] = {}
         self._sources: dict[str, str] = {}
-        self._scratch_tokens: dict[str, list[tk.Token]] = {}
-        self._scratch_sources: dict[str, str] = {}
         self.macros: dict[str, mc.MacroDef] = {}
         self._fn_cache: dict[str, FunctionDefNode | None] = {}
 
@@ -495,32 +450,23 @@ class Corpus:
     def add_file(self, file_id: str, text):
         if isinstance(text, (bytes, bytearray)):
             text = bytes(text).decode("latin-1")
-        self._sources[file_id] = text
-        toks = tk.tokenize(text, file_id)
-        self._tokens[file_id] = toks
-        self.macros.update(mc.scan_defines(toks, file_id))
+        if file_id not in self.files:
+            self.files.append(file_id)
+        self.macros.update(mc.scan_defines(self.add_scratch(file_id, text), file_id))
 
     def add_scratch(self, file_id: str, text: str) -> list[tk.Token]:
         """Register tokens for a transient buffer (snippets); scratch files
         are reachable by file id but excluded from corpus scans."""
         toks = tk.tokenize(text, file_id)
-        self._scratch_tokens[file_id] = toks
-        self._scratch_sources[file_id] = text
+        self._tokens[file_id] = toks
+        self._sources[file_id] = text
         return toks
 
-    @property
-    def files(self):
-        return list(self._tokens.keys())
-
     def tokens(self, file_id: str) -> list[tk.Token]:
-        if file_id in self._tokens:
-            return self._tokens[file_id]
-        return self._scratch_tokens[file_id]
+        return self._tokens[file_id]
 
     def source(self, file_id: str) -> str:
-        if file_id in self._sources:
-            return self._sources[file_id]
-        return self._scratch_sources[file_id]
+        return self._sources[file_id]
 
     def find_function(self, name: str) -> FunctionDefNode | None:
         if name in self._fn_cache:

@@ -226,6 +226,43 @@ void testmain(void) {
     assert out == {"x": 3, "y": 5}
 
 
+def test_goto_reaches_a_label_in_a_switch_body():
+    # A switch body runs through the one block runner, so its labels are
+    # goto targets like any other block's.
+    out = finals("""
+int g(int x){ int y = 0; switch (x) { case 1: goto L; case 2: y = 1; L: y = y + 7; break; } return y; }
+void testmain(void) {
+    int r1 = g(1);
+    int r2 = g(2);
+}
+""", ["r1", "r2"])
+    assert out == {"r1": 7, "r2": 8}
+
+
+def test_sizeof_a_variable_reads_its_declared_size():
+    # The variable is not loaded: an array's size is its region's, anything
+    # else's the width it was declared with, so ARRAY_SIZE works.
+    out = finals("""
+#define ARRAY_SIZE(x) (sizeof(x) / sizeof((x)[0]))
+void testmain(void) {
+    int a[8];
+    char c = 1;
+    char *s = "ab";
+    int m[2][3];
+    int sa = sizeof a;
+    int n = sizeof a / sizeof a[0];
+    int k = ARRAY_SIZE(a);
+    int sc = sizeof c;
+    int s0 = sizeof s[0];
+    int sp = sizeof s;
+    int sm = sizeof m;
+    int sx = sizeof(c + c);
+}
+""", ["sa", "n", "k", "sc", "s0", "sp", "sm", "sx"])
+    assert out == {"sa": 32, "n": 8, "k": 8, "sc": 1, "s0": 1, "sp": 8, "sm": 24,
+                   "sx": 4}
+
+
 # ------------------------------------------------------------ symbolic side
 
 def test_unmodeled_call_returns_labeled_symbol():

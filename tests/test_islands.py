@@ -1,9 +1,19 @@
+import dataclasses
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import refeval
+import refislands
 from ssi import tokens as tk
+from ssi.errors import UnbalancedDelimiter
 from ssi.islands import (
     Corpus,
     DeclarationNode,
     ExpressionStatementNode,
     ForNode,
+    Hole,
     IfNode,
     RawNode,
     ReturnNode,
@@ -220,3 +230,154 @@ def test_struct_local_declaration_spans_to_semicolon():
     _, node, cur = first_statement("struct S { int a; } x; y();")
     assert isinstance(node, DeclarationNode)
     assert cur.peek().text == "y"
+
+
+def test_scratch_buffers_are_reachable_but_not_corpus_files():
+    corpus = Corpus.from_sources({"a.c": "int f(void) { return 1; }"})
+    toks = corpus.add_scratch("<snippet:1>", "#define F 1\nf();")
+    corpus.add_file("b.c", "int g(void) { return 2; }")
+    corpus.add_file("a.c", "int f(void) { return 3; }")
+    assert corpus.files == ["a.c", "b.c"]
+    assert corpus.tokens("<snippet:1>") is toks
+    assert corpus.source("<snippet:1>") == "#define F 1\nf();"
+    assert "F" not in corpus.macros
+    assert find_function_definition(corpus, "f").file_id == "a.c"
+
+def test_a_default_registry_holds_one_statement_rule_and_the_fallback():
+    assert [(prio, name) for prio, _, name, _ in RuleRegistry()] == \
+        [(100, "statement"), (1000, "raw")]
+
+
+def test_a_rule_at_the_default_priority_runs_after_builtins_before_fallback():
+    source = "if (x) y = 1; halt now; z = 2; }"
+    corpus = Corpus.from_sources({"t.c": source})
+    seen = []
+
+    def match_any(cur):
+        i = cur.peek_index()
+        seen.append(cur.tokens[i].text)
+        end = tk.top_level(cur.tokens, i, cur.limit, (";",)) + 1
+        return RawNode(cur.file_id, cur.tokens[i].line, i, min(end, cur.limit))
+
+    rules = RuleRegistry()
+    rules.register("any", match_any)
+    nodes = parse_hole_as_block(corpus, Hole("t.c", 0, len(corpus.tokens("t.c"))), rules)
+    # The built-in reads the ``if``; the rule sees the rest, before the
+    # fallback would take the expression statements and the stray ``}``.
+    assert [type(n) for n in nodes] == [IfNode, RawNode, RawNode, RawNode]
+    assert seen == ["halt", "z", "}"]
+
+
+def test_a_rule_below_100_shadows_if_for_exactly_its_tokens():
+    source = "if (DEBUG) log(x); if (x) y = 1;"
+    corpus = Corpus.from_sources({"t.c": source})
+
+    def match_debug_if(cur):
+        toks, i = cur.tokens, cur.peek_index()
+        head = [t.text for t in toks[i:cur.limit] if t.kind not in tk.TRIVIA][:4]
+        if head != ["if", "(", "DEBUG", ")"]:
+            return None
+        end = tk.top_level(toks, i, cur.limit, (";",)) + 1
+        return RawNode(cur.file_id, toks[i].line, i, end)
+
+    rules = RuleRegistry()
+    rules.register("debug-if", match_debug_if, priority=50)
+    cur = tk.Cursor(corpus.tokens("t.c"), 0, file_id="t.c")
+    first, cur = parse_next_statement(cur, rules)
+    second, cur = parse_next_statement(cur, rules)
+    assert isinstance(first, RawNode)
+    assert tk.text_of_range(corpus.tokens("t.c"), first.start, first.end) == \
+        "if (DEBUG) log(x);"
+    assert isinstance(second, IfNode) and cur.at_end()
+
+
+# ------------------------------------------------ the reference reader
+
+# Token soup over keywords, brackets, ``;``, ``:``, ``#`` and identifiers,
+# with a few whole fragments so that well-formed statements occur too.
+SOUP = [
+    "if", "else", "while", "do", "for", "switch", "return", "break",
+    "continue", "goto", "case", "default", "int", "struct", "typedef",
+    "unsigned", "static", "sizeof", "(", ")", "{", "}", "[", "]", ";", ":",
+    "#", "x", "L", "1", "=", "+", "?", ",", "\n", "\t", "/* c */",
+    "if (x) ", "else ", "while (x) ", "while (x);", "do x;", "do { x; } ",
+    "for (;;) ", "switch (x) ", "{ case 1: break; }", "case x", "case 1;",
+    "default:", "(x)", "x;", "L: ", "goto L;", "return;", "return x;",
+    "{ x = 1; }", "#define X 1\n",
+]
+
+soups = st.lists(st.sampled_from(SOUP), max_size=40).map(" ".join)
+
+
+@st.composite
+def garbage_programs(draw):
+    """A refeval program with garbage in a random choice of its branches."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stmts, _ = refeval.gen_program(rng, max_stmts=12)
+    sites = [s for s in refeval.untaken_sites(stmts, {}) if rng.random() < 0.5]
+    return refeval.render_program(stmts, garbage_at=set(sites), rng=rng)
+
+
+def _shape(corpus, node, rules, depth):
+    """A node's class, span and fields, with every hole's span and, a few
+    levels deep, the statements parsed from it."""
+    out = [type(node).__name__, node.line, node.start, node.end]
+    for f in dataclasses.fields(node)[4:]:
+        value = getattr(node, f.name)
+        if f.name == "compiled":
+            continue
+        if isinstance(value, Hole):
+            nested = _block_shape(corpus, value, rules, depth + 1) if depth < 3 else None
+            value = (value.start, value.end, nested)
+        out.append((f.name, value))
+    return tuple(out)
+
+
+def _block_shape(corpus, hole, rules, depth=0):
+    try:
+        nodes = parse_hole_as_block(corpus, hole, rules)
+    except Exception as e:  # the readers must also fail alike
+        return type(e).__name__
+    return [_shape(corpus, n, rules, depth) for n in nodes]
+
+
+def _file_hole(corpus):
+    return Hole("t.c", 0, len(corpus.tokens("t.c")))
+
+
+def assert_readers_agree(source):
+    corpus = Corpus.from_sources({"t.c": source})
+    new = _block_shape(corpus, _file_hole(corpus), RuleRegistry())
+    old = _block_shape(corpus, _file_hole(corpus), refislands.reference_rules())
+    assert new == old
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(soups)
+@example("if (a) x; else if (b) y; else if (c) { z; } tail;")
+def test_reader_matches_the_reference_matchers_on_token_soup(source):
+    assert_readers_agree(source)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(garbage_programs())
+def test_reader_matches_the_reference_matchers_on_garbage_programs(source):
+    assert_readers_agree(source)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(soups, garbage_programs()))
+def test_parsed_statements_tile_the_hole(source):
+    corpus = Corpus.from_sources({"t.c": source})
+    toks = corpus.tokens("t.c")
+    hole = _file_hole(corpus)
+    try:
+        nodes = parse_hole_as_block(corpus, hole, RuleRegistry())
+    except UnbalancedDelimiter:
+        return
+    at = hole.start
+    for node in nodes:
+        assert node.start < node.end
+        assert all(t.kind in tk.TRIVIA for t in toks[at:node.start])
+        at = node.end
+    assert all(t.kind in tk.TRIVIA for t in toks[at:hole.end])
