@@ -17,9 +17,8 @@ fresh value, and the reported line is always the next statement to run.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import macros as mc
 from . import tokens as tk
@@ -51,7 +50,7 @@ from .islands import (
     parse_hole_as_block,
     parse_next_statement,
 )
-from .memory import MMIO, OPAQUE, STACK, STATIC, FieldInfo, Location
+from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, FieldInfo, Location
 from .session import (
     ASK,
     ASSUME_FALSE,
@@ -139,11 +138,6 @@ class Decl:
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
 
-    def narrow_sign(self) -> bool | None:
-        """The signedness a store to an integer narrower than int wraps to,
-        or None when this is an int or wider, a pointer or a struct."""
-        return not self.unsigned if self.width < 4 and not self.stars and not self.tag else None
-
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
     info = TypeInfo()
@@ -196,7 +190,7 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             continue
         break
     if words:
-        if "char" in words or "void" in words:
+        if "char" in words or "void" in words or "_Bool" in words:
             info.width = 1
         elif "short" in words:
             info.width = 2
@@ -204,7 +198,7 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             info.width = 8
         else:
             info.width = 4
-        if "unsigned" in words:
+        if "unsigned" in words or "_Bool" in words:
             info.unsigned = True
     return i, info
 
@@ -396,8 +390,11 @@ class Interp:
         feeds the type environment, which execution-time classification and
         struct-tag lookups rely on. A ``{`` at file scope is jumped over to
         its matching ``}``, as ``find_function_definition`` does, so a
-        function body, garbage in it included, hides nothing after it."""
+        function body, garbage in it included, hides nothing after it. An
+        item that starts with an object-like macro is read expanded, up to
+        its ``;`` or body, since the macro may name its type."""
         s = self.s
+        macros = s.corpus.macros
         for fid in s.corpus.files:
             toks = _without_directives(s.corpus.tokens(fid))
             depth = 0
@@ -423,9 +420,16 @@ class Interp:
                         boundary = False
                     i += 1
                     continue
-                if depth == 0 and boundary and _starts_declaration(t, s.typedefs):
-                    i = max(self._record_global_decl(toks, i, fid), i + 1)
-                    continue
+                if depth == 0 and boundary:
+                    macro = macros.get(t.text)
+                    if macro is not None and macro.params is None:
+                        end = tk.top_level(toks, i, n, (";", "{"))
+                        self._record_global_decl(mc.expand(toks[i:end], macros), 0, fid)
+                        i = end
+                        continue
+                    if _starts_declaration(t, s.typedefs):
+                        i = max(self._record_global_decl(toks, i, fid), i + 1)
+                        continue
                 boundary = False
                 i += 1
 
@@ -477,14 +481,14 @@ class Interp:
 
     def _modeled_args(self, fdef: FunctionDefNode):
         args = []
-        for k, decl in enumerate(self._params(fdef)):
-            pname = decl.name or k
-            if decl.stars:
+        for k, (name, ctype) in enumerate(self._params(fdef)):
+            pname = name or k
+            if ctype.stars:
                 region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE,
-                                                   struct_tag=decl.tag)
+                                                   struct_tag=ctype.tag)
                 v = self.s.values.addr_of(region.id, (fdef.file_id, fdef.line),
                                           desc=f"modeled argument {pname}")
-                v.pointee_tag = decl.tag
+                v.pointee_tag = ctype.tag
             else:
                 v = self.s.values.fresh_symbol(f"arg:{pname}", (fdef.file_id, fdef.line))
             args.append(v)
@@ -531,11 +535,11 @@ class Interp:
         s.values.missing_calls[sym.id] = missing
         return sym
 
-    def _params(self, fdef: FunctionDefNode) -> list[Decl]:
-        """The parameters of ``fdef`` in order, macro-expanded and read once
-        per typedef epoch (see ``eval_tokens``). An unnamed one keeps its
-        place with name None; ``T a[]`` is a pointer; ``(void)`` and ``...``
-        bind nothing."""
+    def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
+        """The (name, type) of each parameter of ``fdef`` in order,
+        macro-expanded and read once per typedef epoch (see ``eval_tokens``).
+        An unnamed one keeps its place with name None; ``T a[]`` is a
+        pointer; ``(void)`` and ``...`` bind nothing."""
         hole = fdef.params
         if hole.compiled is None or hole.compiled[0] is not self._epoch:
             raw = self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
@@ -545,21 +549,21 @@ class Interp:
                 if b - a == 1 and toks[a].text in ("void", "..."):
                     continue
                 for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
-                    params.append(replace(decl, stars=decl.stars + 1, dims=[])
-                                  if decl.dims else decl)
+                    params.append((decl.name, CType(decl.width, decl.tag, decl.unsigned,
+                                                    decl.stars + bool(decl.dims))))
             hole.compiled = (self._epoch, params)
         return hole.compiled[1]
 
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
         s = self.s
         frame = Frame(fdef.name, position=(fdef.file_id, fdef.line))
-        for k, decl in enumerate(self._params(fdef)):
-            if decl.name is None:
+        for k, (name, ctype) in enumerate(self._params(fdef)):
+            if name is None:
                 continue
-            place = frame.locals[decl.name] = self._allocate(decl, STACK, 1, False)
+            place = frame.locals[name] = self._allocate(name, ctype, STACK)
             at = (site.file, site.line)
             v = args[k] if k < len(args) else s.values.fresh_symbol(
-                f"arg:{decl.name}@{site.line}", at)
+                f"arg:{name}@{site.line}", at)
             self.store_place(place, v, at)
         s.frames.append(frame)
         try:
@@ -874,46 +878,33 @@ class Interp:
         return _sequence(steps)
 
     def _declare(self, decl, file_id, line):
-        count = self._compile_count(decl.dims, file_id, line)
-        array = bool(decl.dims)
+        ctype = self._compile_type(decl, file_id, line)
         init = None
         if decl.init is not None:
             init = _Compiler(self, decl.init, file_id).expression(line)
         at = (file_id, line)
 
         def declare(frame):
-            place = frame.locals[decl.name] = self._allocate(decl, STACK, count(frame), array)
+            place = frame.locals[decl.name] = self._allocate(decl.name, ctype(frame), STACK)
             if init is not None:
                 self.store_place(place, init(frame), at)
 
         return declare
 
-    def _size(self, stars, tag, width) -> int:
-        """Bytes of one element of a type with ``stars`` pointer levels over
-        a ``width``-byte type with tag ``tag``."""
-        if stars:
-            return 8
-        return (self.s.store.ensure_size(tag) or width) if tag else width
+    def _allocate(self, name, ctype, kind) -> Place:
+        """A region for a variable of type ``ctype``, and its Place."""
+        store = self.s.store
+        region = store.alloc_region(name, kind, size=store.size_of(ctype),
+                                    struct_tag=None if ctype.stars else ctype.tag)
+        return Place(region.id, None, 0, name, ctype)
 
-    def _allocate(self, decl, kind, count, array) -> Place:
-        """A region for ``count`` elements of the variable ``decl`` declares,
-        with array bounds or without, and the variable's Place."""
-        width = self._size(decl.stars, decl.tag, decl.width)
-        region = self.s.store.alloc_region(decl.name, kind, size=width * count,
-                                           struct_tag=None if decl.stars else decl.tag).id
-        if not decl.stars:
-            return Place(region=region, width=width, struct_tag=decl.tag, elem_width=width,
-                         name=decl.name, array=array, signed=decl.narrow_sign())
-        pointee = 8 if array or decl.stars > 1 else None if decl.tag else decl.width
-        return Place(region=region, width=8, pointee_tag=decl.tag, elem_width=pointee,
-                     name=decl.name, array=array, pointer=not array)
-
-    def _compile_count(self, dims, file_id, line):
-        """The element count of the array bounds ``dims`` as a function of
-        the frame: the product of the bounds, each read by
-        ``_compile_dimension``. Every array bound is counted by this rule."""
-        bounds = [self._compile_dimension(bound, file_id, line) for bound in dims]
-        return lambda frame: math.prod([bound(frame) for bound in bounds])
+    def _compile_type(self, decl, file_id, line):
+        """The type ``decl`` declares as a function of the frame, with each
+        array bound read by ``_compile_dimension``. Every array bound is
+        counted by this rule."""
+        bounds = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
+        return lambda frame: CType(decl.width, decl.tag, decl.unsigned, decl.stars,
+                                   tuple([bound(frame) for bound in bounds]))
 
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
@@ -969,11 +960,10 @@ class Interp:
             _, decls, j = _declarations(toks, i, self.s.typedefs, member=True)
             for decl in decls:
                 if decl.name is not None and not decl.function:
-                    width = self._size(decl.stars, decl.tag, decl.width)
-                    count = self._compile_count(decl.dims, file_id, toks[i].line)(
-                        Frame(decl.name))
-                    layout[decl.name] = FieldInfo(offset, width, count, decl.narrow_sign())
-                    offset += width * count
+                    ctype = self._compile_type(decl, file_id, toks[i].line)(Frame(decl.name))
+                    size = self.s.store.size_of(ctype)
+                    layout[decl.name] = FieldInfo(offset, size, ctype)
+                    offset += size
             i = tk.top_level(toks, j, n, (";",)) + 1
         return layout
 
@@ -1078,29 +1068,37 @@ class Interp:
     def _locate(self, place: Place, at):
         if place.region is not None:
             return place.region, place.offset
-        rid, base = self.deref_location(place.ptr, at)
-        off = place.offset
+        return self._through(place.ptr, place.offset, at)
+
+    def _through(self, ptr: Value, off, at):
+        """(region, offset) of ``off`` bytes past where ``ptr`` points."""
+        rid, base = self.deref_location(ptr, at)
         if isinstance(off, int):
             return rid, base + off
+        vals = self.s.values
+        r = vals.resolve(off)
+        if isinstance(r, Concrete):
+            return rid, base + to_int(r)
         if base:
-            off = self.s.values.apply_binop(
-                "+", self.s.values.concrete(64, base, at, desc=f"base {base}"),
-                off, at)
+            off = vals.apply_binop("+", vals.concrete(64, base, at, desc=f"base {base}"),
+                                   off, at)
         return rid, off
 
     def load_place(self, place: Place, at) -> Value:
         rid, off = self._locate(place, at)
-        v = self.s.store.load(Location(rid, off), place.width, at)
-        if v.pointee_tag is None and place.pointee_tag:
-            v.pointee_tag = place.pointee_tag
+        t = place.type
+        v = self.s.store.load(Location(rid, off), 8 if t.stars else t.width, at)
+        if t.stars and v.pointee_tag is None:
+            v.pointee_tag = t.tag
         return v
 
     def store_place(self, place: Place, value: Value, at):
         rid, off = self._locate(place, at)
-        if place.signed is not None:
-            value = self._narrowed(value, place.width * 8, place.signed, at)
-        if place.pointee_tag and value.pointee_tag is None:
-            value.pointee_tag = place.pointee_tag
+        t = place.type
+        if t.narrow is not None:
+            value = self._narrowed(value, t.width * 8, t.narrow, at)
+        if t.stars and value.pointee_tag is None:
+            value.pointee_tag = t.tag
         self.s.store.store(Location(rid, off), value)
 
     def _narrowed(self, value: Value, bits: int, signed: bool, at) -> Value:
@@ -1118,14 +1116,6 @@ class Interp:
             if lo <= to_int(r) < lo + (1 << bits):
                 return value
         return vals.apply_cast(vals.apply_cast(value, bits, signed, at), 32, True, at)
-
-    def _struct_tag_for(self, base: Value, rid: int) -> str:
-        if base.pointee_tag:
-            return base.pointee_tag
-        region = self.s.store.region(rid)
-        if region is not None and region.struct_tag:
-            return region.struct_tag
-        return f"@r{rid}"
 
     def resolve_name(self, name: str, frame, at):
         """The Place a name denotes in ``frame``; in a snippet, a bound
@@ -1145,8 +1135,8 @@ class Interp:
             if decl is None:
                 place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
             else:
-                count = self._compile_count(decl.dims, decl.file_id, decl.line)(Frame(name))
-                place = self._allocate(decl, STATIC, count, bool(decl.dims))
+                ctype = self._compile_type(decl, decl.file_id, decl.line)(Frame(name))
+                place = self._allocate(name, ctype, STATIC)
             s.globals[name] = place
             if decl is not None and decl.init and not decl.dims \
                     and not tk.is_punct(decl.init[0], "{"):
@@ -1162,98 +1152,101 @@ class Interp:
 
     def address_of(self, place: Place, at) -> Value:
         vals = self.s.values
+        off = place.offset
         if place.region is not None:
             v = vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
-            if isinstance(place.offset, int) and place.offset:
-                v = vals.apply_binop("+", v, vals.concrete(
-                    64, place.offset, at, signed=True, desc=f"offset {place.offset}"), at)
-            elif not isinstance(place.offset, int):
-                v = vals.apply_binop("+", v, place.offset, at)
-            v.pointee_tag = place.struct_tag
-            return v
-        if isinstance(place.offset, int) and place.offset == 0:
+        elif isinstance(off, int) and off == 0:
             return place.ptr
-        off = place.offset if isinstance(place.offset, Value) else \
-            vals.concrete(64, place.offset, at, signed=True, desc=f"offset {place.offset}")
-        v = vals.apply_binop("+", place.ptr, off, at)
-        v.pointee_tag = place.struct_tag
+        else:
+            v = place.ptr
+        if not isinstance(off, int):
+            v = vals.apply_binop("+", v, off, at)
+        elif off:
+            v = vals.apply_binop("+", v, vals.concrete(
+                64, off, at, signed=True, desc=f"offset {off}"), at)
+        v.pointee_tag = None if place.type.stars else place.type.tag
         return v
 
-    def index_place(self, base, idx: Value, at, sign=1) -> Place:
-        """``base[idx]`` for a Place base or a pointer Value, or
-        ``base[-idx]`` for ``sign`` -1. A variable declared as a pointer is
-        indexed through the address it holds."""
-        vals = self.s.values
-        r = vals.resolve(idx)
-        signed = base.signed if isinstance(base, Place) and not base.pointer else None
-        if not isinstance(base, Place):
-            elem = 4
-            base = Place(ptr=base, struct_tag=base.pointee_tag)
-        elif base.pointer:
-            elem = base.elem_width or self.s.store.ensure_size(base.pointee_tag) or 4
-            ptr = self.load_place(base, at)
-            base = Place(ptr=ptr, struct_tag=ptr.pointee_tag)
-        else:
-            elem = base.elem_width or base.width or 4
-        if isinstance(r, Concrete):
-            new_off = self._shifted(base.offset, to_int(r) * elem * sign, at, "index")
-        else:
-            scaled = vals.apply_binop("*", idx, vals.concrete(
-                64, elem * sign, at, signed=sign < 0, desc=f"elem {elem * sign}"), at)
-            if isinstance(base.offset, int):
-                if base.offset:
-                    scaled = vals.apply_binop(
-                        "+", scaled, vals.concrete(64, base.offset, at, desc="offset"), at)
-                new_off = scaled
+    def value_of(self, p, at) -> Value:
+        """The value of a Place, or ``p`` itself when it is a Value; an
+        array's or a pointer step's value is its address."""
+        if not isinstance(p, Place):
+            return p
+        return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
+
+    def _pointee(self, base, at):
+        """(region, pointer, offset, type) of what ``base``, a Place or a
+        pointer Value, points at: an array's first element, the element a
+        pointer step reached, or the pointee of the address a pointer holds.
+        A value, or a Place of no pointer type, points at an int, or at the
+        struct its value is tagged with."""
+        if isinstance(base, Place):
+            t = base.type
+            if base.step:
+                return base.region, base.ptr, base.offset, t
+            if t.dims:
+                return base.region, base.ptr, base.offset, t.elem
+            base = self.load_place(base, at)
+            if t.elem is not None:
+                return None, base, 0, t.elem
+        tag = base.pointee_tag
+        return None, base, 0, INT if tag is None else CType(4, tag)
+
+    def deref_place(self, base, at, n=None, op="+", step=False) -> Place:
+        """``*base``; with ``n``, ``base[n]`` (``base[-n]`` for ``op`` "-");
+        with ``step`` as well, the pointer step ``base + n`` or ``base - n``.
+        ``base`` is a Place or a pointer Value, and the element's type and
+        size are those of the type ``base`` points at."""
+        name = base.name + "[]" if isinstance(base, Place) else "*"
+        region, ptr, offset, elem = self._pointee(base, at)
+        if n is not None:
+            size = self.s.store.size_of(elem)
+            if step and size == 1 and op == "+" and offset == 0:
+                offset = n  # a byte step's address is the one sum ``p + n``
             else:
-                new_off = vals.apply_binop("+", base.offset, scaled, at)
-        return Place(region=base.region, ptr=base.ptr, offset=new_off,
-                     width=elem, elem_width=elem, struct_tag=base.struct_tag,
-                     name=f"{base.name}[]", signed=signed)
+                offset = self._indexed(offset, n, -size if op == "-" else size, at)
+        return Place(region, ptr, offset, name, elem, step)
+
+    def _indexed(self, offset, n: Value, size: int, at):
+        """``offset`` moved by ``n`` elements of ``size`` bytes (back when
+        ``size`` is negative): an int when both are known, else a term."""
+        vals = self.s.values
+        r = vals.resolve(n)
+        if isinstance(r, Concrete):
+            return self._shifted(offset, to_int(r) * size, at, "index")
+        scaled = vals.apply_binop("*", n, vals.concrete(
+            64, size, at, signed=size < 0, desc=f"elem {size}"), at)
+        if not isinstance(offset, int):
+            return vals.apply_binop("+", offset, scaled, at)
+        return self._shifted(scaled, offset, at, "offset") if offset else scaled
 
     def place_arith(self, place: Place, op: str, n: Value, at, value=None):
-        """``place op n``. For ``+`` and ``-`` on a pointer or array
-        variable, or on an element such a step reached, the element
-        ``place[n]`` or ``place[-n]``, a Place whose value is its address;
-        otherwise the Value of the arithmetic on the place's value
-        (``value``, when it is loaded already)."""
-        if op in ("+", "-") and (place.pointer or place.array):
-            elem = self.index_place(place, n, at, -1 if op == "-" else 1)
-            elem.array = True
-            return elem
+        """``place op n``: for ``+`` and ``-`` on an array, a pointer or a
+        pointer step, the step ``n`` elements on or back; otherwise the
+        Value of the arithmetic on the place's value (``value``, when it is
+        loaded already)."""
+        if (op == "+" or op == "-") and (place.step or place.type.elem is not None):
+            return self.deref_place(place, at, n, op, True)
         if value is None:
             value = self.value_of(place, at)
         return self.s.values.apply_binop(op, value, n, at)
 
-    def value_of(self, p, at) -> Value:
-        """The value of a Place, or ``p`` itself when it is a Value; an
-        array's value is its address."""
-        if not isinstance(p, Place):
-            return p
-        return self.address_of(p, at) if p.array else self.load_place(p, at)
-
-    def arrow_place(self, base: Value, field: str, at) -> Place:
-        rid, base_off = self.deref_location(base, at)
-        info = self.s.store.field_offset(self._struct_tag_for(base, rid), field, 4)
-        return Place(region=rid, offset=base_off + info.offset, width=info.width,
-                     elem_width=info.width, name=field, signed=info.signed)
-
-    def dot_place(self, place: Place, field: str, at) -> Place:
-        tag = place.struct_tag
-        if tag is None:
-            if place.region is not None:
-                tag = f"@r{place.region}"
-            else:
-                rid, base_off = self.deref_location(place.ptr, at)
-                place = Place(region=rid, offset=base_off
-                              if isinstance(place.offset, int) and place.offset == 0
-                              else place.offset, name=place.name)
-                tag = f"@r{rid}"
+    def field_place(self, base, field: str, at, arrow=False) -> Place:
+        """``base.field``, or ``base->field``, that is ``(*base).field``, for
+        ``arrow``. The struct is located first, so one of no declared type
+        takes its region's layout."""
+        if arrow:
+            region, ptr, offset, stype = self._pointee(base, at)
+        else:
+            region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
+        if region is None:
+            region, offset = self._through(ptr, offset, at)
+        tag = stype.tag or getattr(self.s.store.region(region), "struct_tag", None) \
+            or f"@r{region}"
         info = self.s.store.field_offset(tag, field, 4)
-        return Place(region=place.region, ptr=place.ptr,
-                     offset=self._shifted(place.offset, info.offset, at, "field"),
-                     width=info.width, elem_width=info.width, name=field,
-                     signed=info.signed)
+        offset = offset + info.offset if isinstance(offset, int) else \
+            self._shifted(offset, info.offset, at, "field")
+        return Place(region, None, offset, field, info.type)
 
     def _shifted(self, offset, delta: int, at, desc: str):
         """``offset`` plus ``delta`` bytes; a symbolic offset gets a term."""
@@ -1343,7 +1336,7 @@ _OPTIONAL = "optional"
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
-_STEP = "step"    # ``+`` or ``-``: a Value, or the element a pointer step reached
+_STEP = "step"    # ``+`` or ``-``: a Value, or the Place of a pointer step
 
 _PREFIX = frozenset(("!", "~", "-", "+", "*", "&", "++", "--"))
 _POSTFIX = frozenset(("(", "[", "->", ".", "++", "--"))
@@ -1443,7 +1436,7 @@ class _Compiler:
 
     def rval(self, e, t):
         """A closure giving the value of ``e``, loading it if it is a place
-        (at ``t``'s line); an array variable's value is its address."""
+        (at ``t``'s line); an array's or pointer step's value is its address."""
         kind, fn, index = e
         if kind is _VALUE:
             return fn
@@ -1526,14 +1519,11 @@ class _Compiler:
                 return _VALUE, lambda frame: address_of(place(frame), at), None
             if text == "++" or text == "--":
                 return self._incdec(self.operand(), t, pre=True)
-            v = self.rval(self.operand(), t)
+            e = self.operand()
             if text == "*":
-                def deref(frame):
-                    p = v(frame)
-                    return Place(ptr=p, offset=0, width=4, struct_tag=p.pointee_tag,
-                                 name="*")
-
-                return _PLACE, deref, None
+                base, deref_place = e[1], self.it.deref_place
+                return _PLACE, lambda frame: deref_place(base(frame), at), None
+            v = self.rval(e, t)
             if text == "+":
                 return _VALUE, v, None
             apply_unop, op = self.vals.apply_unop, _UNOPS[text]
@@ -1565,14 +1555,13 @@ class _Compiler:
                 idx = self.rval(self.parse(_COMMA), post)
                 self.expect("]")
                 e = self._index(e, idx, post)
-            elif post.text == "->":
-                field, base, it = self._take().text, self.rval(e, post), self.it
-                e = (_PLACE, lambda frame, base=base, field=field, at=(self.file_id, post.line):
-                     it.arrow_place(base(frame), field, at), None)
-            elif post.text == ".":
-                field, place, it = self._take().text, self.as_place(e), self.it
-                e = (_PLACE, lambda frame, place=place, field=field, at=(self.file_id, post.line):
-                     it.dot_place(place(frame), field, at), None)
+            elif post.text == "->" or post.text == ".":
+                arrow = post.text == "->"
+                base = e[1] if arrow else self.as_place(e)
+                field, field_place = self._take().text, self.it.field_place
+                e = (_PLACE, lambda frame, base=base, field=field, arrow=arrow,
+                     at=(self.file_id, post.line): field_place(base(frame), field, at, arrow),
+                     None)
             else:
                 e = self._incdec(e, post, pre=False)
         return e
@@ -1616,24 +1605,25 @@ class _Compiler:
 
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs``, operands given as Places or
-        Values. A pointer or array variable, or an element a step reached,
-        steps by elements, on either side of ``+``; minus such a Place on
-        the right is a byte difference."""
+        Values. An array, a pointer or a pointer step steps by elements, on
+        either side of ``+``; minus such a Place on the right is a byte
+        difference."""
         it, vals = self.it, self.vals
+        deref_place, value_of = it.deref_place, it.value_of
 
         def additive(frame):
             a = lhs(frame)
-            if isinstance(a, Place) and not (a.pointer or a.array):
+            if isinstance(a, Place) and not (a.step or a.type.elem is not None):
                 a = it.load_place(a, at)
             b = rhs(frame)
-            if isinstance(b, Place) and (b.pointer or b.array):
+            if isinstance(b, Place) and (b.step or b.type.elem is not None):
                 if op == "-":
-                    return vals.apply_binop(op, it.value_of(a, at), it.value_of(b, at), at)
+                    return vals.apply_binop(op, value_of(a, at), value_of(b, at), at)
                 if not isinstance(a, Place):
-                    return it.place_arith(b, op, a, at)
-            b = it.value_of(b, at)
+                    return deref_place(b, at, a, op, True)
+            b = value_of(b, at)
             if isinstance(a, Place):
-                return it.place_arith(a, op, b, at)
+                return deref_place(a, at, b, op, True)
             return vals.apply_binop(op, a, b, at)
 
         return additive
@@ -1691,28 +1681,22 @@ class _Compiler:
     def _sizeof(self, t):
         vals = self.vals
         at = (self.file_id, t.line)
+        size_of = self.it.s.store.size_of
         if _punct_at(self.toks, self.i, "(") and (type_name := self._type_name(self.i + 1)):
             close, decl = type_name
             self.i = close + 1
-            size = self.it._size
-            count = self.it._compile_count(decl.dims, self.file_id, t.line)
-
-            def size_of_type(frame):
-                nbytes = size(decl.stars, decl.tag, decl.width) * count(frame)
-                return vals.concrete(64, nbytes, at, desc="sizeof")
-
-            return _VALUE, size_of_type, None
-        e = self.operand()
-        # A variable or other place is not loaded: its size is its array's
-        # region or its own width. Any other operand, a snippet placeholder
-        # included, gives the width of its value.
-        v = e[1] if e[0] is _NAME or e[0] is _PLACE else self.rval(e, t)
-        region = self.it.s.store.region
+            ctype = self.it._compile_type(decl, self.file_id, t.line)
+            return _VALUE, lambda frame: vals.concrete(64, size_of(ctype(frame)), at,
+                                                       desc="sizeof"), None
+        # A place is not loaded: its size is its declared type's, and a
+        # pointer step's is a pointer's. Any other operand, a snippet
+        # placeholder included, gives the width of its value.
+        v = self.operand()[1]
 
         def size_of_value(frame):
             p = v(frame)
             if isinstance(p, Place):
-                nbytes = region(p.region).size if p.array else p.width
+                nbytes = 8 if p.step else size_of(p.type)
             else:
                 r = vals.resolve(p)
                 nbytes = r.width // 8 if isinstance(r, Concrete) else 4
@@ -1796,12 +1780,12 @@ class _Compiler:
     def _index(self, e, idx, t):
         at = (self.file_id, t.line)
         kind, base, _ = e
-        index_place = self.it.index_place
+        deref_place = self.it.deref_place
         late = kind is _NAME  # an array name is looked up after the index runs
 
         def index(frame):
             b = None if late else base(frame)
             i = idx(frame)
-            return index_place(base(frame) if late else b, i, at)
+            return deref_place(base(frame) if late else b, at, i)
 
         return _PLACE, index, None

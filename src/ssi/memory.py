@@ -8,7 +8,8 @@ absolute-address reasoning.
 
 Struct layouts come from a parsed definition when one exists in the corpus;
 otherwise fields are assigned sequentially on first use, which is stable for
-a given access order.
+a given access order. A ``CType`` is a C type as declared; the size and sign
+of every load and store come from it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,39 @@ class Location(Record):
         self.offset = offset  # int, or a Value that must resolve concretely on access
 
 
+class CType(Record):
+    """A C type: ``stars`` pointer levels over a ``width``-byte base type
+    (struct ``tag``, ``unsigned``), in an array of the evaluated bounds
+    ``dims`` when there are any. ``elem`` is the type that ``*`` and ``[]``
+    reach (None for a scalar or a struct) and ``narrow`` the sign a store
+    wraps to (None for an int or wider, a pointer, a struct or an array)."""
+
+    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "elem", "narrow")
+
+    def __init__(self, width: int = 4, tag: str | None = None, unsigned: bool = False,
+                 stars: int = 0, dims: tuple = ()):
+        self.width = width
+        self.tag = tag
+        self.unsigned = unsigned
+        self.stars = stars
+        self.dims = dims
+        self.elem = CType(width, tag, unsigned, stars, dims[1:]) if dims else \
+            CType(width, tag, unsigned, stars - 1) if stars else None
+        self.narrow = None if width >= 4 or stars or dims or tag else not unsigned
+
+
+INT = CType()
+
+
 @dataclass
 class FieldInfo:
     offset: int
-    width: int        # element width for array fields
-    count: int = 1
-    signed: bool | None = None  # as Place.signed
+    width: int                # bytes the field takes
+    type: CType | None = None  # None: a ``width``-byte int
+
+    def __post_init__(self):
+        if self.type is None:
+            self.type = CType(self.width)
 
 
 class Store:
@@ -141,9 +169,17 @@ class Store:
     def install_layout(self, tag: str, layout: dict[str, FieldInfo]):
         self._layouts[tag] = dict(layout)
         self._layout_end[tag] = max(
-            (f.offset + f.width * f.count for f in layout.values()), default=0
+            (f.offset + f.width for f in layout.values()), default=0
         )
         self._layout_probed.add(tag)
+
+    def size_of(self, t: CType) -> int:
+        """Bytes of a ``t``: 8 for a pointer, a struct's layout size (its
+        declared width while it has none), times every array bound."""
+        size = 8 if t.stars else (self.ensure_size(t.tag) or t.width) if t.tag else t.width
+        for n in t.dims:
+            size *= n
+        return size
 
     def ensure_size(self, tag: str) -> int | None:
         """Total byte size of a tag's layout, probing the corpus if needed."""

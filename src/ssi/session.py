@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .islands import Corpus, RuleRegistry
-from .memory import Store
+from .memory import INT, CType, Store
 from .values import MissingCall, Value, ValueTable
 
 ASK = "ask"
@@ -44,22 +44,22 @@ class CommandSpec:
 
 @dataclass(slots=True)
 class Place:
-    """An lvalue: a direct (region, offset) cell or a deref of a pointer.
-
-    The Place of a variable is built once, when it is declared (a global:
-    when it is first used), and notes how the variable was declared."""
+    """An lvalue of a declared C type: a direct (region, offset) cell or a
+    deref of a pointer. A variable's is built when it is declared (a global:
+    when first used); an element, field or deref takes its base's type's. A
+    pointer step (``p + n``) is the element it points at with ``step`` set:
+    its value is its address, as an array's is."""
 
     region: int | None = None
     ptr: Value | None = None
     offset: object = 0  # int, or a Value resolved at access time
-    width: int = 4
-    struct_tag: str | None = None
-    pointee_tag: str | None = None
-    elem_width: int | None = None  # a pointer's: its pointee's (None: a struct's)
     name: str = ""
-    array: bool = False    # its name stands for its address
-    pointer: bool = False  # indexing it goes through the address it holds
-    signed: bool | None = None  # an integer narrower than int: stores wrap to it
+    type: CType = INT
+    step: bool = False
+
+    @property
+    def width(self) -> int:
+        return 8 if self.type.stars else self.type.width
 
 
 @dataclass

@@ -248,18 +248,19 @@ def closing(tokens: list[Token], i: int, limit: int) -> int:
 
 def top_level(tokens: list[Token], j: int, limit: int, stops) -> int:
     """Index of the first punctuator in ``stops`` from ``j`` on that is not
-    nested in brackets, else ``limit``. All three bracket kinds count, and a
-    stray closer takes the depth below zero."""
+    nested in brackets, else ``limit``. All three bracket kinds count, an
+    opening bracket in ``stops`` is found before it nests, and a stray
+    closer takes the depth below zero."""
     depth = 0
     for k in range(j, limit):
         t = tokens[k]
         if t.kind == PUNCT:
+            if depth == 0 and t.text in stops:
+                return k
             if t.text in "([{":
                 depth += 1
             elif t.text in ")]}":
                 depth -= 1
-            elif depth == 0 and t.text in stops:
-                return k
     return limit
 
 

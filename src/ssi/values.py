@@ -31,6 +31,9 @@ _LOGICAL = frozenset(["&&", "||"])
 # Operators whose result is exact on the signed operands, wrapped to the width.
 _WRAPPING = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "&": operator.and_, "|": operator.or_, "^": operator.xor}
+# (operator, side: 0 left, 1 right) -> the constant that gives the other operand as is
+_IDENTITY = {**{(op, side): 0 for op in ("+", "|", "^") for side in (0, 1)},
+             ("-", 1): 0, ("<<", 1): 0, (">>", 1): 0, ("*", 0): 1, ("*", 1): 1}
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -276,33 +279,19 @@ class ValueTable:
         return v
 
     def _identity_fold(self, op, lhs, ra, rhs, rb, at):
-        ac = ra if isinstance(ra, Concrete) else None
-        bc = rb if isinstance(rb, Concrete) else None
-        if op in ("+", "|", "^"):
-            if bc is not None and bc.bits == 0:
-                return lhs
-            if ac is not None and ac.bits == 0:
-                return rhs
-        elif op == "-":
-            if bc is not None and bc.bits == 0:
-                return lhs
-        elif op == "*":
-            if bc is not None and bc.bits == 1:
-                return lhs
-            if ac is not None and ac.bits == 1:
-                return rhs
-            zero = bc if (bc is not None and bc.bits == 0) else (
-                ac if (ac is not None and ac.bits == 0) else None)
-            if zero is not None:
-                return self._new(Concrete(zero.width, 0, zero.signed), at, op, (lhs.id, rhs.id))
-        elif op == "&":
-            zero = bc if (bc is not None and bc.bits == 0) else (
-                ac if (ac is not None and ac.bits == 0) else None)
-            if zero is not None:
-                return self._new(Concrete(zero.width, 0, zero.signed), at, op, (lhs.id, rhs.id))
-        elif op in ("<<", ">>"):
-            if bc is not None and bc.bits == 0:
-                return lhs
+        """``lhs op rhs`` when the one constant operand decides it: the
+        identity of ``op`` on its side gives the other operand, and a zero
+        factor of ``*`` or ``&`` gives zero; else None."""
+        if isinstance(rb, Concrete):
+            side, c, other = 1, rb, lhs
+        elif isinstance(ra, Concrete):
+            side, c, other = 0, ra, rhs
+        else:
+            return None
+        if _IDENTITY.get((op, side)) == c.bits:
+            return other
+        if c.bits == 0 and (op == "*" or op == "&"):
+            return self._new(Concrete(c.width, 0, c.signed), at, op, (lhs.id, rhs.id))
         return None
 
     def apply_unop(self, op: str, operand: Value, at=_NOWHERE) -> Value:
