@@ -443,8 +443,7 @@ class Corpus:
         corpus = cls()
         for p in paths:
             with open(p, "rb") as f:
-                data = f.read()
-            corpus.add_file(str(getattr(p, "name", p)), data.decode("latin-1"))
+                corpus.add_file(str(getattr(p, "name", p)), f.read())
         return corpus
 
     def add_file(self, file_id: str, text):
@@ -452,47 +451,45 @@ class Corpus:
             text = bytes(text).decode("latin-1")
         if file_id not in self.files:
             self.files.append(file_id)
-        self.macros.update(mc.scan_defines(self.add_scratch(file_id, text), file_id))
+        toks = self._tokens[file_id] = tk.FileTokens(self.add_scratch(file_id, text))
+        self.macros.update(mc.scan_defines(toks, file_id))
 
     def add_scratch(self, file_id: str, text: str) -> list[tk.Token]:
         """Register tokens for a transient buffer (snippets); scratch files
-        are reachable by file id but excluded from corpus scans."""
+        are reachable by file id but excluded from corpus scans, and have
+        no index."""
         toks = tk.tokenize(text, file_id)
         self._tokens[file_id] = toks
         self._sources[file_id] = text
         return toks
 
     def tokens(self, file_id: str) -> list[tk.Token]:
+        """A file's tokens: a ``tokens.FileTokens`` for a corpus file."""
         return self._tokens[file_id]
 
     def source(self, file_id: str) -> str:
         return self._sources[file_id]
 
     def find_function(self, name: str) -> FunctionDefNode | None:
-        if name in self._fn_cache:
-            return self._fn_cache[name]
-        node = find_function_definition(self, name)
-        self._fn_cache[name] = node
-        return node
+        if name not in self._fn_cache:
+            self._fn_cache[name] = find_function_definition(self, name)
+        return self._fn_cache[name]
 
 
 def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | None:
-    """Scan for ``name`` followed by a balanced paren span followed by ``{``.
+    """The first use of ``name``, in file order, that a balanced paren span
+    and then a balanced ``{`` span follow, at any depth.
 
-    Only token-level scanning happens here; the parameter list and body stay
-    holes until executed. Returns the first match in file order, or None.
+    Only the positions of ``name`` in each file's index are visited; the
+    parameter list and body stay holes until executed.
     """
     if name in corpus.macros:
         return None
     for file_id in corpus.files:
         toks = corpus.tokens(file_id)
         n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != tk.IDENTIFIER or t.text != name:
-                continue
-            prev = i - 1
-            while prev >= 0 and toks[prev].kind in tk.TRIVIA:
-                prev -= 1
+        for i in toks.names.get(name, ()):
+            prev = tk.code_before(toks, i)
             if prev >= 0 and toks[prev].kind == tk.PUNCT and toks[prev].text in (".", "->", "#"):
                 continue
             j = tk.skip_trivia(toks, i + 1, n)
@@ -502,7 +499,7 @@ def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | Non
             if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
                 continue
             return FunctionDefNode(
-                file_id, t.line, i, bend + 1,
+                file_id, toks[i].line, i, bend + 1,
                 name=name,
                 params=Hole(file_id, j + 1, close),
                 body=Hole(file_id, k + 1, bend),

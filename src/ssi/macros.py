@@ -25,47 +25,29 @@ class MacroDef:
     line: int
 
 
-def scan_defines(toks: list[tk.Token], file_id: str) -> dict[str, MacroDef]:
-    """Collect every ``#define`` in a token stream."""
+def scan_defines(toks: tk.FileTokens, file_id: str) -> dict[str, MacroDef]:
+    """Collect every ``#define`` of a file, each read within its own line."""
     out: dict[str, MacroDef] = {}
-    n = len(toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
-            j = tk.skip_trivia(toks, i + 1, n)
-            if j < n and toks[j].text == "define":
-                j = tk.skip_trivia(toks, j + 1, n)
-                if j < n and toks[j].kind == tk.IDENTIFIER:
-                    name = toks[j].text
-                    line = toks[j].line
-                    params = None
-                    k = j + 1
-                    # A parameter list only counts when the paren is glued
-                    # to the name, per the C preprocessor.
-                    if k < n and tk.is_punct(toks[k], "("):
-                        params, k = _scan_params(toks, k)
-                    end = tk.line_end(toks, k, n)
-                    body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
-                            if t.kind not in tk.TRIVIA and t.text != "\\"]
-                    out[name] = MacroDef(name, params, body, file_id, line)
-                    i = end
-                    continue
-        i += 1
+    for i, end in toks.directives.items():
+        j = tk.skip_trivia(toks, i + 1, end)
+        if j >= end or toks[j].text != "define":
+            continue
+        j = tk.skip_trivia(toks, j + 1, end)
+        if j >= end or toks[j].kind != tk.IDENTIFIER:
+            continue
+        params, k = None, j + 1
+        # A parameter list only counts when the paren is glued to the name,
+        # per the C preprocessor.
+        if k < end and tk.is_punct(toks[k], "("):
+            close = next((x for x in range(k, end) if toks[x].text == ")"), end)
+            params = tuple(t.text for t in toks[k + 1 : close]
+                           if t.kind == tk.IDENTIFIER or t.text == "...")
+            k = close + 1
+        body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
+                if t.kind not in tk.TRIVIA and t.text != "\\"]
+        name = toks[j].text
+        out[name] = MacroDef(name, params, body, file_id, toks[j].line)
     return out
-
-
-def _scan_params(toks: list[tk.Token], k: int) -> tuple[tuple[str, ...], int]:
-    params = []
-    n = len(toks)
-    k += 1
-    while k < n and toks[k].text != ")":
-        if toks[k].kind == tk.IDENTIFIER:
-            params.append(toks[k].text)
-        elif toks[k].text == "...":
-            params.append("...")
-        k += 1
-    return tuple(params), k + 1
 
 
 def expand(
@@ -87,53 +69,35 @@ def expand(
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.IDENTIFIER and t.text in macros and t.text not in hidden:
-            m = macros[t.text]
-            if depth <= 0:
-                if on_unexpanded:
-                    on_unexpanded(m.name, t.line)
-                out.append(t)
-                i += 1
-                continue
-            inner = hidden | {t.text}
-            if m.params is None:
-                if _has_paste(m.body):
-                    if on_unexpanded:
-                        on_unexpanded(m.name, t.line)
-                    out.append(t)
-                    i += 1
-                    continue
-                rep = [tk.synthetic_copy(b, t) for b in m.body]
-                out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
-                i += 1
-                continue
-            j = tk.skip_trivia(toks, i + 1, n)
+        i += 1
+        m = macros.get(t.text) if t.kind == tk.IDENTIFIER and t.text not in hidden else None
+        if m is None:
+            out.append(t)
+            continue
+        named, end, fits = {}, i, True
+        if m.params is not None and depth > 0:
+            j = tk.skip_trivia(toks, i, n)
             if j >= n or toks[j].text != "(":
                 out.append(t)  # function-like name without arguments: plain identifier
-                i += 1
                 continue
             b = tk.closing(toks, j, n)
             args = [[x for x in toks[c:d] if x.kind not in tk.TRIVIA]
                     for c, d in tk.split_top_level(toks, j + 1, b, ",")]
-            if b == n or _has_paste(m.body) or (
-                    len(args) != len(m.params) and "..." not in m.params):
-                if on_unexpanded:
-                    on_unexpanded(m.name, t.line)
-                out.append(t)
-                i += 1
-                continue
-            named = dict(zip(m.params, args))
-            rep = []
-            for bt in m.body:
-                if bt.kind == tk.IDENTIFIER and bt.text in named:
-                    rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
-                else:
-                    rep.append(tk.synthetic_copy(bt, t))
-            out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
-            i = b + 1
+            fits = b < n and (len(args) == len(m.params) or "..." in m.params)
+            named, end = dict(zip(m.params, args)), b + 1
+        if depth <= 0 or not fits or _has_paste(m.body):
+            if on_unexpanded:
+                on_unexpanded(m.name, t.line)
+            out.append(t)
             continue
-        out.append(t)
-        i += 1
+        rep = []
+        for bt in m.body:
+            if bt.kind == tk.IDENTIFIER and bt.text in named:
+                rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
+            else:
+                rep.append(tk.synthetic_copy(bt, t))
+        out.extend(expand(rep, macros, on_unexpanded, depth - 1, hidden | {t.text}))
+        i = end
     return out
 
 

@@ -44,20 +44,20 @@ _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
 
 def scrape_module_info(corpus) -> dict[str, list[str]]:
     """Collect MODULE_DESCRIPTION/MODULE_AUTHOR/MODULE_LICENSE strings at
-    token level; the macros themselves are never executed."""
+    token level, from the positions of those names in each file's index;
+    the macros themselves are never executed."""
     found: dict[str, list[str]] = {k: [] for k in _MODULE_FIELDS}
     for fid in corpus.files:
         toks = corpus.tokens(fid)
         n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != tk.IDENTIFIER or t.text not in _MODULE_FIELDS:
-                continue
-            j = tk.skip_trivia(toks, i + 1, n)
-            if j >= n or toks[j].text != "(":
-                continue
-            j = tk.skip_trivia(toks, j + 1, n)
-            if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
-                found[t.text].append(toks[j].text[1:-1])
+        for field_name, strings in found.items():
+            for i in toks.names.get(field_name, ()):
+                j = tk.skip_trivia(toks, i + 1, n)
+                if j >= n or toks[j].text != "(":
+                    continue
+                j = tk.skip_trivia(toks, j + 1, n)
+                if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
+                    strings.append(toks[j].text[1:-1])
     return found
 
 

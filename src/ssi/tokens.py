@@ -211,6 +211,14 @@ def skip_trivia(tokens: list[Token], j: int, limit: int) -> int:
     return j
 
 
+def code_before(tokens: list[Token], i: int) -> int:
+    """Index of the last non-trivia token before ``tokens[i]``, or -1."""
+    i -= 1
+    while i >= 0 and tokens[i].kind in TRIVIA:
+        i -= 1
+    return i
+
+
 def is_punct(t: Token, text: str) -> bool:
     return t.kind == PUNCT and t.text == text
 
@@ -220,6 +228,38 @@ def is_keyword(t: Token, word: str) -> bool:
 
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
+_OPENER = {")": "(", "]": "[", "}": "{"}
+
+
+class FileTokens(list):
+    """A corpus file's tokens, indexed in one pass: ``closers`` maps every
+    ``(``, ``[`` and ``{`` to what ``closing`` finds from it to the end
+    (the length when it never closes); ``directives`` maps the ``#`` that
+    starts each preprocessor line to that line's end, in file order, as
+    ``at_line_start`` and ``line_end`` find them; ``names`` lists each
+    identifier's positions in file order. Never changed once built; its
+    slices are plain lists."""
+
+    __slots__ = ("closers", "directives", "names")
+
+    def __init__(self, tokens):
+        super().__init__(tokens)
+        n = len(self)
+        self.closers, self.directives, self.names = closers, directives, names = {}, {}, {}
+        open_at = {"(": [], "[": [], "{": []}
+        line_from = 0
+        for i, t in enumerate(self):
+            if t.kind == IDENTIFIER:
+                names.setdefault(t.text, []).append(i)
+            elif t.kind == PUNCT:
+                if t.text in open_at:
+                    open_at[t.text].append(i)
+                elif t.text in _OPENER and (stack := open_at[_OPENER[t.text]]):
+                    closers[stack.pop()] = i
+                elif t.text == "#" and i >= line_from and at_line_start(self, i):
+                    line_from = directives[i] = line_end(self, i, n)
+        for stack in open_at.values():
+            closers.update(dict.fromkeys(stack, n))
 
 
 def closing(tokens: list[Token], i: int, limit: int) -> int:
@@ -229,8 +269,12 @@ def closing(tokens: list[Token], i: int, limit: int) -> int:
     Only that one bracket pair is counted; everything in between may be
     arbitrary tokens, other brackets unbalanced included. Delimiters inside
     string, char, or comment tokens are invisible because they never form
-    punctuator tokens of their own.
+    punctuator tokens of their own. A ``FileTokens`` list answers from its
+    index.
     """
+    if tokens.__class__ is FileTokens:
+        end = tokens.closers[i]
+        return end if end < limit else limit
     open_text = tokens[i].text
     close_text = _CLOSER[open_text]
     depth = 0

@@ -4,12 +4,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_DIR = TESTS_DIR.parent
 EXAMPLE_DIR = REPO_DIR / "example_pinctrl"
 
 sys.path.insert(0, str(TESTS_DIR))  # for refeval
+
+# Every property test draws the same examples on every run, and none has a
+# time limit; each test sets only its own ``max_examples``.
+settings.register_profile("ssi", derandomize=True, deadline=None)
+settings.load_profile("ssi")
 
 from ssi.config import build_session, load_config  # noqa: e402
 from ssi.interp import Interp  # noqa: e402

@@ -1,0 +1,208 @@
+"""Reference corpus readers: each one walks a whole file's tokens.
+
+These are the readers ``ssi`` had before the per-file index
+(``tokens.FileTokens``), kept as the differential reference for the
+readers that answer from it (``tests/test_refscan.py``). The bodies are
+unchanged but for two things: methods of ``Interp`` became functions of
+the interpreter, and each reader walks a plain copy of a file's tokens
+(``list(...)``), so every ``tk.closing`` call in it scans.
+"""
+
+from ssi import macros as mc
+from ssi import tokens as tk
+from ssi.interp import _declarations, _punct_at, _starts_declaration
+from ssi.islands import FunctionDefNode, Hole
+from ssi.macros import MacroDef
+
+_MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
+
+
+def scan_defines(toks, file_id):
+    """Collect every ``#define`` in a token stream."""
+    out = {}
+    n = len(toks)
+    i = 0
+    while i < n:
+        t = toks[i]
+        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
+            j = tk.skip_trivia(toks, i + 1, n)
+            if j < n and toks[j].text == "define":
+                j = tk.skip_trivia(toks, j + 1, n)
+                if j < n and toks[j].kind == tk.IDENTIFIER:
+                    name = toks[j].text
+                    line = toks[j].line
+                    params = None
+                    k = j + 1
+                    # A parameter list only counts when the paren is glued
+                    # to the name, per the C preprocessor.
+                    if k < n and tk.is_punct(toks[k], "("):
+                        params, k = _scan_params(toks, k)
+                    end = tk.line_end(toks, k, n)
+                    body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
+                            if t.kind not in tk.TRIVIA and t.text != "\\"]
+                    out[name] = MacroDef(name, params, body, file_id, line)
+                    i = end
+                    continue
+        i += 1
+    return out
+
+
+def _scan_params(toks, k):
+    params = []
+    n = len(toks)
+    k += 1
+    while k < n and toks[k].text != ")":
+        if toks[k].kind == tk.IDENTIFIER:
+            params.append(toks[k].text)
+        elif toks[k].text == "...":
+            params.append("...")
+        k += 1
+    return tuple(params), k + 1
+
+
+def find_function_definition(corpus, name):
+    """Scan for ``name`` followed by a balanced paren span followed by ``{``.
+
+    Only token-level scanning happens here; the parameter list and body stay
+    holes until executed. Returns the first match in file order, or None.
+    """
+    if name in corpus.macros:
+        return None
+    for file_id in corpus.files:
+        toks = list(corpus.tokens(file_id))
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.kind != tk.IDENTIFIER or t.text != name:
+                continue
+            prev = i - 1
+            while prev >= 0 and toks[prev].kind in tk.TRIVIA:
+                prev -= 1
+            if prev >= 0 and toks[prev].kind == tk.PUNCT and toks[prev].text in (".", "->", "#"):
+                continue
+            j = tk.skip_trivia(toks, i + 1, n)
+            if j >= n or not tk.is_punct(toks[j], "(") or (close := tk.closing(toks, j, n)) == n:
+                continue
+            k = tk.skip_trivia(toks, close + 1, n)
+            if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
+                continue
+            return FunctionDefNode(
+                file_id, t.line, i, bend + 1,
+                name=name,
+                params=Hole(file_id, j + 1, close),
+                body=Hole(file_id, k + 1, bend),
+            )
+    return None
+
+
+def layout_from_corpus(interp, tag):
+    corpus = interp.s.corpus
+    for fid in corpus.files:
+        toks = list(corpus.tokens(fid))
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.kind != tk.KEYWORD or t.text not in ("struct", "union"):
+                continue
+            j = tk.skip_trivia(toks, i + 1, n)
+            if j >= n or toks[j].kind != tk.IDENTIFIER or toks[j].text != tag:
+                continue
+            k = tk.skip_trivia(toks, j + 1, n)
+            if not _punct_at(toks, k, "{") or (end := tk.closing(toks, k, n)) == n:
+                continue
+            body = [x for x in interp._expand(toks[k + 1 : end])
+                    if x.kind not in tk.TRIVIA]
+            return interp._parse_struct_body(body, fid)
+    return None
+
+
+def _without_directives(toks):
+    """Non-trivia tokens with preprocessor lines removed."""
+    out = []
+    n = len(toks)
+    i = 0
+    while i < n:
+        t = toks[i]
+        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
+            i = tk.line_end(toks, i, n)
+            continue
+        if t.kind not in tk.TRIVIA:
+            out.append(t)
+        i += 1
+    return out
+
+
+def scan_corpus_names(interp):
+    """Token-level pass over the corpus for file-scope typedefs and
+    variable declarations, into ``interp.s.typedefs`` and
+    ``interp.s.global_decls``."""
+    s = interp.s
+    macros = s.corpus.macros
+    for fid in s.corpus.files:
+        toks = _without_directives(list(s.corpus.tokens(fid)))
+        depth = 0
+        boundary = True
+        i = 0
+        n = len(toks)
+        while i < n:
+            t = toks[i]
+            if t.kind == tk.PUNCT:
+                if t.text == "{" and depth == 0:
+                    i = tk.closing(toks, i, n) + 1
+                    boundary = True
+                    continue
+                if t.text in "([{":
+                    depth += 1
+                    boundary = False
+                elif t.text in ")]}":
+                    depth = max(0, depth - 1)
+                    boundary = t.text == "}" and depth == 0
+                elif t.text == ";":
+                    boundary = depth == 0
+                else:
+                    boundary = False
+                i += 1
+                continue
+            if depth == 0 and boundary:
+                macro = macros.get(t.text)
+                if macro is not None and macro.params is None:
+                    end = tk.top_level(toks, i, n, (";", "{"))
+                    _record_global_decl(interp, mc.expand(toks[i:end], macros), 0, fid)
+                    i = end
+                    continue
+                if _starts_declaration(t, s.typedefs):
+                    i = max(_record_global_decl(interp, toks, i, fid), i + 1)
+                    continue
+            boundary = False
+            i += 1
+
+
+def _record_global_decl(interp, toks, i, file_id):
+    info, decls, j = _declarations(toks, i, interp.s.typedefs)
+    for decl in decls:
+        if decl.name is None or decl.function:
+            continue
+        decl.dims = [interp._expand(bound) for bound in decl.dims]
+        decl.file_id, decl.line = file_id, toks[i].line
+        if info.is_typedef:
+            interp._define_typedef(decl)
+        else:
+            interp.s.global_decls.setdefault(decl.name, decl)
+    return j
+
+
+def scrape_module_info(corpus):
+    """Collect MODULE_DESCRIPTION/MODULE_AUTHOR/MODULE_LICENSE strings at
+    token level; the macros themselves are never executed."""
+    found = {k: [] for k in _MODULE_FIELDS}
+    for fid in corpus.files:
+        toks = list(corpus.tokens(fid))
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.kind != tk.IDENTIFIER or t.text not in _MODULE_FIELDS:
+                continue
+            j = tk.skip_trivia(toks, i + 1, n)
+            if j >= n or toks[j].text != "(":
+                continue
+            j = tk.skip_trivia(toks, j + 1, n)
+            if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
+                found[t.text].append(toks[j].text[1:-1])
+    return found

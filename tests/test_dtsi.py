@@ -160,7 +160,7 @@ PIECES = ["n", "gpio@7e200000", "reg", "compatible", "#size-cells", "0x10", "1",
           "n { ", "}; ", "l: ", "p = <0x10 2>;", 'c = "a", <1>, "b";', "x y ", "b;"]
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
 def test_reader_matches_the_reference_reader(text):
     assert read(parse_dtsi_text, text) == read(refdtsi.parse_dtsi_text, text)

@@ -27,7 +27,7 @@ DEFINES = """#define SELF SELF + 1
     ("M0", "M16", ["M16"]),
 ])
 def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
-    defs = mc.scan_defines(tk.tokenize(DEFINES), "m.h")
+    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(DEFINES)), "m.h")
     events = []
     out = mc.expand(tk.tokenize("\n\n" + use), defs,
                     lambda name, line: events.append((name, line)))
@@ -36,11 +36,25 @@ def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
     assert all(t.line == 3 for t in out if t.synthetic)
 
 
+@pytest.mark.parametrize("source, defined", [
+    ("#define F(a, ...) a\n", {"F": (("a", "..."), "a")}),
+    # A parameter list is read within its own line: an unclosed one hides
+    # none of the #defines after it.
+    ("#define BAD(x\n#define GOOD 3\n", {"BAD": (("x",), ""), "GOOD": (None, "3")}),
+    # ``define`` and the name are read on the directive's own line too.
+    ("#\ndefine X 1\n#define\nY 2\n", {}),
+])
+def test_scan_defines_reads_each_define_within_its_line(source, defined):
+    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(source)), "m.h")
+    assert {name: (m.params, " ".join(t.text for t in m.body))
+            for name, m in defs.items()} == defined
+
+
 def test_backslash_then_spaces_continues_a_define():
     from conftest import local_concrete, make_session, run_function
 
     source = "#define X 1 + \\   \n 2\nvoid testmain(void) {\n    int y = X;\n}\n"
-    defs = mc.scan_defines(tk.tokenize(source), "m.c")
+    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(source)), "m.c")
     assert " ".join(t.text for t in defs["X"].body) == "1 + 2"
     session, interp = make_session({"m.c": source})
     frame = run_function(session, interp, "testmain")

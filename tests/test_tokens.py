@@ -50,7 +50,7 @@ def longest_punctuators(text):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.text(alphabet="<>=.-+&|!*/%^#\\:?$@", min_size=1, max_size=40))
 def test_punctuators_take_the_longest_match(text):
     toks = tk.tokenize(text)
@@ -86,7 +86,7 @@ def _recount_positions(source, toks):
                 col += 1
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.text(min_size=0, max_size=200))
 def test_round_trip_any_text(source):
     toks = tk.tokenize(source)
@@ -96,7 +96,7 @@ def test_round_trip_any_text(source):
     assert offsets == sorted(offsets) and len(set(offsets)) == len(offsets)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.binary(min_size=0, max_size=200))
 def test_round_trip_any_bytes(data):
     toks = tk.tokenize(data)
@@ -113,7 +113,7 @@ POSITION_FRAGMENTS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.sampled_from(POSITION_FRAGMENTS), max_size=30).map("".join))
 def test_line_and_column_match_a_recount_of_the_prefix(source):
     toks = tk.tokenize(source)
@@ -179,10 +179,15 @@ def test_braces_inside_strings_and_comments_are_invisible():
     assert toks[end].text == "}" and end == len(toks) - 1
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.text(alphabet="(){}ab; \n", min_size=1, max_size=60))
 def test_balanced_span_matches_oracle(source):
-    toks = tk.tokenize(source)
+    plain = tk.tokenize(source)
+    for toks in (plain, tk.FileTokens(plain)):
+        assert_balanced_span_matches_oracle(toks)
+
+
+def assert_balanced_span_matches_oracle(toks):
     first = next((i for i, t in enumerate(toks) if t.text == "("), None)
     if first is None:
         return
@@ -205,6 +210,32 @@ def test_balanced_span_matches_oracle(source):
     assert depth == 0
 
 
+@settings(max_examples=300)
+@given(st.text(alphabet="()[]{}a#\\ \n;", max_size=60))
+def test_file_index_answers_as_the_scans_do(source):
+    toks = tk.tokenize(source)
+    index = tk.FileTokens(toks)
+    n = len(toks)
+    openers = [i for i, t in enumerate(toks) if t.kind == tk.PUNCT and t.text in "([{"]
+    assert index.closers == {i: tk.closing(toks, i, n) for i in openers}
+    for i in openers:
+        for limit in range(i + 1, n + 1):
+            assert tk.closing(index, i, limit) == tk.closing(toks, i, limit)
+    directives, i = {}, 0
+    while i < n:
+        if tk.is_punct(toks[i], "#") and tk.at_line_start(toks, i):
+            directives[i] = i = tk.line_end(toks, i, n)
+        else:
+            i += 1
+    assert list(index.directives.items()) == list(directives.items())
+    names = {}
+    for i, t in enumerate(toks):
+        if t.kind == tk.IDENTIFIER:
+            names.setdefault(t.text, []).append(i)
+    assert index.names == names
+    assert type(index[1:]) is list and index == toks
+
+
 # ------------------------------------------------- top-level scans, lines
 
 def at_top(toks, start, k, stops):
@@ -215,7 +246,7 @@ def at_top(toks, start, k, stops):
     return toks[k].kind == tk.PUNCT and toks[k].text in stops and depth == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.text(alphabet="()[]{},;a ", max_size=40), st.data())
 def test_top_level_and_split_match_oracle(source, data):
     toks = tk.tokenize(source)
@@ -243,7 +274,7 @@ def oracle_line_end(source, toks, i):
         pos = nl + 1
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.text(alphabet="#a\\ \t\n;", min_size=1, max_size=40), st.data())
 def test_line_end_matches_oracle(source, data):
     toks = tk.tokenize(source)
@@ -286,7 +317,7 @@ def test_tokens_have_no_instance_dict():
         assert not hasattr(t, "__dict__")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(token_fields, token_fields)
 def test_token_compares_hashes_and_prints_like_a_frozen_dataclass(f, g):
     assert (tk.Token(*f) == tk.Token(*g)) == (TokenRef(*f) == TokenRef(*g)) == (f == g)
@@ -297,7 +328,7 @@ def test_token_compares_hashes_and_prints_like_a_frozen_dataclass(f, g):
     assert tk.Token(*f) != TokenRef(*f) and tk.Token(*f) != f
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(token_fields, token_fields)
 def test_synthetic_copy_is_the_token_at_the_use_site(f, g):
     copy = tk.synthetic_copy(tk.Token(*f), tk.Token(*g))

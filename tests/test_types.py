@@ -255,7 +255,7 @@ def _product(dims):
     return out
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_struct())
 def test_generated_layouts_match_a_packed_oracle(members):
     layout = _Layout(members)

@@ -94,7 +94,7 @@ operand = st.tuples(
 ).map(lambda t: (t[0], t[1] & ((1 << t[0]) - 1), t[2]))
 
 
-@settings(max_examples=2000, deadline=None)
+@settings(max_examples=2000)
 @given(st.sampled_from(ALL_OPS), operand, operand)
 def test_concrete_closure_matches_oracle(op, a, b):
     vals = table()
@@ -144,7 +144,7 @@ def test_zero_folds_produce_concrete_zero():
         assert out.prov.parents == (s.id, zero.id)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(operand)
 def test_fold_soundness_by_substitution(x):
     # For each identity fold, substituting a concrete value for the symbolic
@@ -253,7 +253,7 @@ def test_resolve_deep_chain_iteratively():
     assert isinstance(out, Concrete) and to_int(out) == 152
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_residual_completeness(data):
     # Binding every reported blocker and re-resolving yields a concrete
@@ -289,7 +289,7 @@ def unmemoized_copy(vals):
     return fresh
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_memoized_resolve_matches_a_fresh_table(data):
     # Random terms, binds, pointer binds, an mmio base set after addresses in
@@ -376,7 +376,7 @@ def oracle_ancestors(vals, vid):
     return seen
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_trace_length_equals_ancestor_count_and_dag_acyclic(data):
     vals = table()
@@ -460,7 +460,7 @@ FIELDS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_records_compare_hash_and_print_like_frozen_dataclasses(data):
     cls = data.draw(st.sampled_from(sorted(FIELDS, key=lambda c: c.__name__)))
