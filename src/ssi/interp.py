@@ -17,7 +17,6 @@ fresh value, and the reported line is always the next statement to run.
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass
 
@@ -299,7 +298,6 @@ _BINDING = {",": _COMMA, "?": _TERNARY, **dict.fromkeys(_ASSIGN_OPS, _ASSIGN),
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
-_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|.)", re.S)
 
 
 def _punct_at(toks, i, text) -> bool:
@@ -312,36 +310,15 @@ def _starts_declaration(t, typedefs) -> bool:
     return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES or t.text in typedefs)
 
 
-def _read_code(toks, i, read):
-    """``read(code)`` on the code of a corpus file from ``toks[i]`` on
-    (trivia and preprocessor lines left out), the code, and the position in
-    ``toks`` of ``code[answer]`` (``len(toks)`` past the end). The code is
-    gathered in windows that double until the answer lies inside one, so a
-    reader that looks no further than its answer (``closing``,
-    ``top_level``, ``_declarations``) answers as on all the rest."""
-    lines, n, size = toks.directives, len(toks), 16
-    while True:
-        code, at, j = [], [], i
-        while j < n and len(code) < size:
-            if j in lines:
-                j = lines[j]
-                continue
-            if toks[j].kind not in tk.TRIVIA:
-                code.append(toks[j])
-                at.append(j)
-            j += 1
-        k = read(code)
-        if k < len(code) or j >= n:
-            return code, k, at[k] if k < len(at) else n
-        size *= 2
-
-
 def parse_int_literal(text: str) -> tuple[int, int, bool]:
     """(value, width in bits, signed) for a C integer literal."""
     if text.isdigit() and (text[0] != "0" or len(text) == 1) and len(text) < 10:
         return int(text), 32, True  # decimal, below 2**31
-    s = text.lower().rstrip("ul")
-    suffix = text[len(s):].lower()
+    s = text.lower()
+    suffix = ""
+    while s and s[-1] in "ul":
+        suffix = s[-1] + suffix
+        s = s[:-1]
     if s.startswith("0x"):
         value, decimal = int(s, 16), False
     elif s.startswith("0b"):
@@ -362,11 +339,25 @@ def parse_int_literal(text: str) -> tuple[int, int, bool]:
 
 
 def unescape_c(text: str) -> str:
-    """``text`` with each C escape replaced by the character it stands for;
-    ``\\x`` takes every hex digit after it, and an unknown escape is the
-    character itself."""
-    return _ESCAPE.sub(lambda m: chr(int(m[1][1:] or "0", 16) & 0xFF) if m[1][0] == "x"
-                       else _ESCAPES.get(m[1], m[1]), text)
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "x":
+                j = i + 2
+                while j < len(text) and text[j] in "0123456789abcdefABCDEF":
+                    j += 1
+                out.append(chr(int(text[i + 2 : j] or "0", 16) & 0xFF))
+                i = j
+                continue
+            out.append(_ESCAPES.get(nxt, nxt))
+            i += 2
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out)
 
 
 class Interp:
@@ -381,65 +372,66 @@ class Interp:
         """Token-level pass over the corpus for file-scope typedefs and
         variable declarations. Nothing is parsed into statements; this only
         feeds the type environment, which execution-time classification and
-        struct-tag lookups rely on. Trivia and preprocessor lines are
-        stepped over, and a ``{`` at file scope is jumped over to its
-        matching ``}`` through the file's index, so a function body,
-        garbage in it included, hides nothing after it. An item that starts
-        with an object-like macro is read expanded, up to its ``;`` or
-        body, since the macro may name its type."""
+        struct-tag lookups rely on. It reads each file's ``code``, so trivia
+        and preprocessor lines are left out, and a ``{`` at file scope is
+        jumped over to its matching ``}`` through that list's index, so a
+        function body, garbage in it included, hides nothing after it. An
+        item that starts with an object-like macro is read expanded, up to
+        its ``;`` or body, since the macro may name its type."""
         s = self.s
         macros = s.corpus.macros
         for fid in s.corpus.files:
-            toks = s.corpus.tokens(fid)
-            lines = toks.directives
-            starts = list(lines)
-            depth, boundary, i, n = 0, True, 0, len(toks)
+            toks = s.corpus.tokens(fid).code
+            depth = 0
+            boundary = True
+            i = 0
+            n = len(toks)
             while i < n:
                 t = toks[i]
-                if i in lines:
-                    i = lines[i]
-                    continue
                 if t.kind == tk.PUNCT:
                     if t.text == "{" and depth == 0:
-                        # The index counts braces on directive lines; this
-                        # reader does not, so it rereads a body holding one.
-                        end = tk.closing(toks, i, n)
-                        if (k := bisect.bisect(starts, i)) < len(starts) and starts[k] < end:
-                            end = _read_code(toks, i, lambda c: tk.closing(c, 0, len(c)))[2]
-                        i, boundary = end + 1, True
+                        i = tk.closing(toks, i, n) + 1
+                        boundary = True
                         continue
                     if t.text in "([{":
                         depth += 1
+                        boundary = False
                     elif t.text in ")]}":
                         depth = max(0, depth - 1)
-                    boundary = t.text in ";}" and depth == 0
-                elif t.kind not in tk.TRIVIA:
+                        boundary = t.text == "}" and depth == 0
+                    elif t.text == ";":
+                        boundary = depth == 0
+                    else:
+                        boundary = False
+                    i += 1
+                    continue
+                if depth == 0 and boundary:
                     macro = macros.get(t.text)
-                    if depth == 0 and boundary and macro is not None and macro.params is None:
-                        code, end, i = _read_code(
-                            toks, i, lambda c: tk.top_level(c, 0, len(c), (";", "{")))
-                        self._record_global_decl(mc.expand(code[:end], macros), fid)
+                    if macro is not None and macro.params is None:
+                        end = tk.top_level(toks, i, n, (";", "{"))
+                        self._record_global_decl(mc.expand(toks[i:end], macros), 0, fid)
+                        i = end
                         continue
-                    if depth == 0 and boundary and _starts_declaration(t, s.typedefs):
-                        code, _, i = _read_code(
-                            toks, i, lambda c: _declarations(c, 0, s.typedefs)[2])
-                        self._record_global_decl(code, fid)
+                    if _starts_declaration(t, s.typedefs):
+                        i = max(self._record_global_decl(toks, i, fid), i + 1)
                         continue
-                    boundary = False
+                boundary = False
                 i += 1
 
-    def _record_global_decl(self, toks, file_id):
-        """Record the file-scope declaration at ``toks[0]``."""
-        info, decls, _ = _declarations(toks, 0, self.s.typedefs)
+    def _record_global_decl(self, toks, i, file_id) -> int:
+        """Try to record one file-scope declaration starting at i; returns
+        the index to resume scanning from."""
+        info, decls, j = _declarations(toks, i, self.s.typedefs)
         for decl in decls:
             if decl.name is None or decl.function:
                 continue
             decl.dims = [self._expand(bound) for bound in decl.dims]
-            decl.file_id, decl.line = file_id, toks[0].line
+            decl.file_id, decl.line = file_id, toks[i].line
             if info.is_typedef:
                 self._define_typedef(decl)
             else:
                 self.s.global_decls.setdefault(decl.name, decl)
+        return j
 
     # ------------------------------------------------------------ utilities
     def _on_unexpanded(self, name, line):

@@ -443,7 +443,8 @@ class Corpus:
         corpus = cls()
         for p in paths:
             with open(p, "rb") as f:
-                corpus.add_file(str(getattr(p, "name", p)), f.read())
+                data = f.read()
+            corpus.add_file(str(getattr(p, "name", p)), data.decode("latin-1"))
         return corpus
 
     def add_file(self, file_id: str, text):
@@ -471,9 +472,11 @@ class Corpus:
         return self._sources[file_id]
 
     def find_function(self, name: str) -> FunctionDefNode | None:
-        if name not in self._fn_cache:
-            self._fn_cache[name] = find_function_definition(self, name)
-        return self._fn_cache[name]
+        if name in self._fn_cache:
+            return self._fn_cache[name]
+        node = find_function_definition(self, name)
+        self._fn_cache[name] = node
+        return node
 
 
 def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | None:

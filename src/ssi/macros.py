@@ -69,35 +69,53 @@ def expand(
     i = 0
     while i < n:
         t = toks[i]
-        i += 1
-        m = macros.get(t.text) if t.kind == tk.IDENTIFIER and t.text not in hidden else None
-        if m is None:
-            out.append(t)
-            continue
-        named, end, fits = {}, i, True
-        if m.params is not None and depth > 0:
-            j = tk.skip_trivia(toks, i, n)
+        if t.kind == tk.IDENTIFIER and t.text in macros and t.text not in hidden:
+            m = macros[t.text]
+            if depth <= 0:
+                if on_unexpanded:
+                    on_unexpanded(m.name, t.line)
+                out.append(t)
+                i += 1
+                continue
+            inner = hidden | {t.text}
+            if m.params is None:
+                if _has_paste(m.body):
+                    if on_unexpanded:
+                        on_unexpanded(m.name, t.line)
+                    out.append(t)
+                    i += 1
+                    continue
+                rep = [tk.synthetic_copy(b, t) for b in m.body]
+                out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
+                i += 1
+                continue
+            j = tk.skip_trivia(toks, i + 1, n)
             if j >= n or toks[j].text != "(":
                 out.append(t)  # function-like name without arguments: plain identifier
+                i += 1
                 continue
             b = tk.closing(toks, j, n)
             args = [[x for x in toks[c:d] if x.kind not in tk.TRIVIA]
                     for c, d in tk.split_top_level(toks, j + 1, b, ",")]
-            fits = b < n and (len(args) == len(m.params) or "..." in m.params)
-            named, end = dict(zip(m.params, args)), b + 1
-        if depth <= 0 or not fits or _has_paste(m.body):
-            if on_unexpanded:
-                on_unexpanded(m.name, t.line)
-            out.append(t)
+            if b == n or _has_paste(m.body) or (
+                    len(args) != len(m.params) and "..." not in m.params):
+                if on_unexpanded:
+                    on_unexpanded(m.name, t.line)
+                out.append(t)
+                i += 1
+                continue
+            named = dict(zip(m.params, args))
+            rep = []
+            for bt in m.body:
+                if bt.kind == tk.IDENTIFIER and bt.text in named:
+                    rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
+                else:
+                    rep.append(tk.synthetic_copy(bt, t))
+            out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
+            i = b + 1
             continue
-        rep = []
-        for bt in m.body:
-            if bt.kind == tk.IDENTIFIER and bt.text in named:
-                rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
-            else:
-                rep.append(tk.synthetic_copy(bt, t))
-        out.extend(expand(rep, macros, on_unexpanded, depth - 1, hidden | {t.text}))
-        i = end
+        out.append(t)
+        i += 1
     return out
 
 

@@ -231,35 +231,59 @@ _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _OPENER = {")": "(", "]": "[", "}": "{"}
 
 
-class FileTokens(list):
-    """A corpus file's tokens, indexed in one pass: ``closers`` maps every
-    ``(``, ``[`` and ``{`` to what ``closing`` finds from it to the end
-    (the length when it never closes); ``directives`` maps the ``#`` that
-    starts each preprocessor line to that line's end, in file order, as
-    ``at_line_start`` and ``line_end`` find them; ``names`` lists each
-    identifier's positions in file order. Never changed once built; its
-    slices are plain lists."""
+class Matched(list):
+    """A token list that knows, in ``closers``, what ``closing`` finds from
+    each of its ``(``, ``[`` and ``{`` to the end (the length when it never
+    closes): a ``FileTokens`` and its ``code``. Never changed once built;
+    its slices are plain lists."""
 
-    __slots__ = ("closers", "directives", "names")
+    __slots__ = ("closers",)
 
-    def __init__(self, tokens):
+
+class FileTokens(Matched):
+    """A corpus file's tokens, indexed in one pass: ``closers``;
+    ``directives`` maps the ``#`` that starts each preprocessor line to that
+    line's end, in file order, as ``at_line_start`` and ``line_end`` find
+    them; ``names`` lists each identifier's positions in file order; and
+    ``code`` is a ``Matched`` list of the tokens that are neither trivia
+    nor on a preprocessor line, whose ``closers`` count only those."""
+
+    __slots__ = ("directives", "names", "code")
+
+    def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
-        n = len(self)
+        # The pass reads ``tokens``: a plain list indexes faster than a subclass.
+        n = len(tokens)
         self.closers, self.directives, self.names = closers, directives, names = {}, {}, {}
-        open_at = {"(": [], "[": [], "{": []}
+        code, code_closers = [], {}
+        open_at, code_open_at = {"(": [], "[": [], "{": []}, {"(": [], "[": [], "{": []}
         line_from = 0
-        for i, t in enumerate(self):
-            if t.kind == IDENTIFIER:
-                names.setdefault(t.text, []).append(i)
-            elif t.kind == PUNCT:
-                if t.text in open_at:
-                    open_at[t.text].append(i)
-                elif t.text in _OPENER and (stack := open_at[_OPENER[t.text]]):
-                    closers[stack.pop()] = i
-                elif t.text == "#" and i >= line_from and at_line_start(self, i):
-                    line_from = directives[i] = line_end(self, i, n)
+        for i, t in enumerate(tokens):
+            kind, text = t.kind, t.text
+            if kind == IDENTIFIER:
+                names.setdefault(text, []).append(i)
+            elif kind == PUNCT:
+                if text in open_at:
+                    open_at[text].append(i)
+                    if i >= line_from:
+                        code_open_at[text].append(len(code))
+                elif text in _OPENER:
+                    if stack := open_at[_OPENER[text]]:
+                        closers[stack.pop()] = i
+                    if i >= line_from and (stack := code_open_at[_OPENER[text]]):
+                        code_closers[stack.pop()] = len(code)
+                elif text == "#" and i >= line_from and at_line_start(tokens, i):
+                    line_from = directives[i] = line_end(tokens, i, n)
+            elif kind in TRIVIA:
+                continue
+            if i >= line_from:
+                code.append(t)
         for stack in open_at.values():
             closers.update(dict.fromkeys(stack, n))
+        for stack in code_open_at.values():
+            code_closers.update(dict.fromkeys(stack, len(code)))
+        self.code = Matched(code)
+        self.code.closers = code_closers
 
 
 def closing(tokens: list[Token], i: int, limit: int) -> int:
@@ -269,10 +293,10 @@ def closing(tokens: list[Token], i: int, limit: int) -> int:
     Only that one bracket pair is counted; everything in between may be
     arbitrary tokens, other brackets unbalanced included. Delimiters inside
     string, char, or comment tokens are invisible because they never form
-    punctuator tokens of their own. A ``FileTokens`` list answers from its
+    punctuator tokens of their own. A ``Matched`` list answers from its
     index.
     """
-    if tokens.__class__ is FileTokens:
+    if isinstance(tokens, Matched):
         end = tokens.closers[i]
         return end if end < limit else limit
     open_text = tokens[i].text

@@ -472,25 +472,6 @@ void testmain(void) {
     assert out == {"sum": 291, "product": 9506, "nul": 0, "high": 255}
 
 
-@pytest.mark.parametrize("text, chars", [
-    (r"a\nb", "a\nb"), (r"\x41\x4a", "AJ"), (r"\x", "\0"), (r"\x1ff", "\xff"),
-    (r"\q\'\\", "q'\\"), ("\\", "\\"), ("\\\n", "\n"), (r"\0", "\0"),
-])
-def test_unescape_c(text, chars):
-    # \x takes every hex digit after it, modulo 256; an unknown escape is
-    # the character itself; a backslash that ends the text stays.
-    assert interp_module.unescape_c(text) == chars
-
-
-@pytest.mark.parametrize("text, read", [
-    ("7", (7, 32, True)), ("0x10u", (16, 32, False)), ("5UL", (5, 64, False)),
-    ("017l", (15, 64, True)), ("0xffffffff", (0xFFFFFFFF, 32, False)),
-    ("2147483648", (2147483648, 64, True)), ("0b101", (5, 32, True)),
-])
-def test_parse_int_literal(text, read):
-    assert interp_module.parse_int_literal(text) == read
-
-
 def test_max_steps_guard():
     with pytest.raises(MaxStepsExceeded):
         run_main("""

@@ -40,10 +40,15 @@ def outcome(read, *args):
 
 
 def defines_line_by_line(toks, file_id):
-    """The reference ``scan_defines`` run on each ``#define`` line alone."""
-    out = {}
-    for start, end in toks.directives.items():
-        line = list(toks[start:end])
+    """The reference ``scan_defines`` run on each ``#define`` line alone;
+    the lines are found here, not read from the index under test."""
+    toks, out, i = list(toks), {}, 0
+    while i < len(toks):
+        if not (tk.is_punct(toks[i], "#") and tk.at_line_start(toks, i)):
+            i += 1
+            continue
+        end = tk.line_end(toks, i, len(toks))
+        line, i = toks[i:end], end
         j = tk.skip_trivia(line, 1, len(line))
         if j < len(line) and line[j].text == "define":
             out.update(refscan.scan_defines(line, file_id))
@@ -124,7 +129,6 @@ SOUP = [
     "M H;", 'MODULE_AUTHOR("me");', "struct s *p, q;", "int (*fp)(int);",
     "struct s { struct t inner; int n[3]; } S;", "f(void) { return 1; }",
     "g(int a) {", "s {", 'MODULE_LICENSE("GPL")',
-    # Longer than the first window that interp._read_code gathers.
     "struct big { " + " ".join(f"int m{k};" for k in range(24)) + " } B;",
 ]
 
@@ -136,5 +140,6 @@ soups = st.lists(st.sampled_from(SOUP), max_size=50).map(" ".join)
 @example("int f(void){ if (0) { { { } return 1; } int g(void){ return 7; }")
 @example("#define B(x\n#define GOOD 3\nint GOOD;")
 @example("int f(void) {\n#define OPEN {\n return 1; }\nint after;")
+@example("int a, b, c, d, e, f, g, (*h)(void);")
 def test_readers_agree_on_token_soup(source):
     assert_readers_agree({"soup.c": source})

@@ -216,24 +216,28 @@ def test_file_index_answers_as_the_scans_do(source):
     toks = tk.tokenize(source)
     index = tk.FileTokens(toks)
     n = len(toks)
-    openers = [i for i, t in enumerate(toks) if t.kind == tk.PUNCT and t.text in "([{"]
-    assert index.closers == {i: tk.closing(toks, i, n) for i in openers}
-    for i in openers:
-        for limit in range(i + 1, n + 1):
-            assert tk.closing(index, i, limit) == tk.closing(toks, i, limit)
-    directives, i = {}, 0
+    directives, code, i = {}, [], 0
     while i < n:
         if tk.is_punct(toks[i], "#") and tk.at_line_start(toks, i):
             directives[i] = i = tk.line_end(toks, i, n)
         else:
+            if toks[i].kind not in tk.TRIVIA:
+                code.append(toks[i])
             i += 1
     assert list(index.directives.items()) == list(directives.items())
+    assert index.code == code
+    for indexed, plain in ((index, toks), (index.code, code)):
+        openers = [i for i, t in enumerate(plain) if t.kind == tk.PUNCT and t.text in "([{"]
+        assert indexed.closers == {i: tk.closing(plain, i, len(plain)) for i in openers}
+        for i in openers:
+            for limit in range(i + 1, len(plain) + 1):
+                assert tk.closing(indexed, i, limit) == tk.closing(plain, i, limit)
     names = {}
     for i, t in enumerate(toks):
         if t.kind == tk.IDENTIFIER:
             names.setdefault(t.text, []).append(i)
     assert index.names == names
-    assert type(index[1:]) is list and index == toks
+    assert type(index[1:]) is list and type(index.code[1:]) is list and index == toks
 
 
 # ------------------------------------------------- top-level scans, lines
