@@ -15,6 +15,7 @@ produce the same value. Other forms are not recognized.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -120,8 +121,6 @@ def load_declarative_model(session, path) -> int:
     paths relative to the model file; a compatible of ``"$chosen"`` uses the
     session's chosen device.
     """
-    import os
-
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
@@ -149,8 +148,6 @@ def load_declarative_model(session, path) -> int:
 
 
 def _build_action(name, action, spec, base_dir, where):
-    import os
-
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: action body must be an object")
     if action == "return_constant":

@@ -31,6 +31,7 @@ from .errors import (
     SymbolicBranch,
     UnknownCommand,
 )
+from .hooks import HookContext
 from .islands import (
     BlockNode,
     BreakNode,
@@ -118,6 +119,7 @@ class TypeInfo:
     tag: str | None = None
     unsigned: bool = False
     stars: int = 0  # pointer levels a typedef name carries
+    boolean: bool = False  # ``_Bool``: a store holds 0 or 1
     is_typedef: bool = False
     saw_type: bool = False
     inline_body: tuple | None = None  # (start, end) within the local token list
@@ -135,6 +137,7 @@ class Decl:
     dims: list         # the token run of each array bound
     init: list | None  # the initializer's token run
     function: bool     # a name followed by its parameter list
+    boolean: bool = False
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
 
@@ -180,9 +183,11 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             if named is not None:
                 info.width, info.tag = named.width, named.tag
                 info.unsigned, info.stars = named.unsigned, named.stars
+                info.boolean = named.boolean
             elif t.text in TYPE_WIDTH_BYTES:
                 info.width = TYPE_WIDTH_BYTES[t.text]
                 info.unsigned = t.text in UNSIGNED_TYPE_NAMES
+                info.boolean = t.text == "bool"
             else:
                 break
             info.saw_type = True
@@ -198,7 +203,8 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             info.width = 8
         else:
             info.width = 4
-        if "unsigned" in words or "_Bool" in words:
+        info.boolean = "_Bool" in words
+        if "unsigned" in words or info.boolean:
             info.unsigned = True
     return i, info
 
@@ -272,7 +278,7 @@ def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl]
             k = tk.top_level(toks, j + 1, n, (",", ";"))
             init, j = toks[j + 1 : k], k
         decls.append(Decl(name and name.text, info.stars + stars, info.tag, info.width,
-                          info.unsigned, dims, init, function))
+                          info.unsigned, dims, init, function, info.boolean))
         if not _punct_at(toks, j, ","):
             return info, decls, j
         j += 1
@@ -490,8 +496,6 @@ class Interp:
             self._fire_trace(spec, site, args)
         hook = s.hooks.get(name)
         if hook is not None:
-            from .hooks import HookContext
-
             s.emit_event("hook", name=name, line=site.line)
             ctx = HookContext(s, self, list(args), site)
             s.call_stack.append((name, site))
@@ -535,7 +539,8 @@ class Interp:
                     continue
                 for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
                     params.append((decl.name, CType(decl.width, decl.tag, decl.unsigned,
-                                                    decl.stars + bool(decl.dims))))
+                                                    decl.stars + bool(decl.dims),
+                                                    boolean=decl.boolean)))
             hole.compiled = (self._epoch, params)
         return hole.compiled[1]
 
@@ -889,7 +894,7 @@ class Interp:
         counted by this rule."""
         bounds = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
         return lambda frame: CType(decl.width, decl.tag, decl.unsigned, decl.stars,
-                                   tuple([bound(frame) for bound in bounds]))
+                                   tuple([bound(frame) for bound in bounds]), decl.boolean)
 
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
@@ -911,7 +916,7 @@ class Interp:
         return dimension
 
     def _define_typedef(self, decl):
-        named = TypeInfo(decl.width, decl.tag, decl.unsigned, decl.stars)
+        named = TypeInfo(decl.width, decl.tag, decl.unsigned, decl.stars, decl.boolean)
         if self.s.typedefs.get(decl.name) != named:
             self.s.typedefs[decl.name] = named
             self._epoch = object()  # every compiled form is stale now
@@ -1081,25 +1086,29 @@ class Interp:
         rid, off = self._locate(place, at)
         t = place.type
         if t.narrow is not None:
-            value = self._narrowed(value, t.width * 8, t.narrow, at)
+            value = self._narrowed(value, t, at)
         if t.stars and value.pointee_tag is None:
             value.pointee_tag = t.tag
         self.s.store.store(Location(rid, off), value)
 
-    def _narrowed(self, value: Value, bits: int, signed: bool, at) -> Value:
-        """``value`` as a variable of ``bits`` bits and ``signed`` holds it:
-        wrapped, as ``(T)value`` is, and read back as an int, as C promotes
-        it, so that arithmetic on two narrow values does not wrap. A
-        constant already in range is kept, and so is a value that does not
-        resolve to a constant: a symbol stays the root that branches bind."""
+    def _narrowed(self, value: Value, t: CType, at) -> Value:
+        """``value`` as a variable of the narrow type ``t`` holds it:
+        wrapped, as ``(T)value`` is, or for a ``_Bool`` ``value != 0``, and
+        read back as an int, as C promotes it, so that arithmetic on two
+        narrow values does not wrap. A constant already in range is kept,
+        and so is a value that does not resolve to a constant: a symbol
+        stays the root that branches bind."""
         vals = self.s.values
         r = vals.resolve(value)
         if not isinstance(r, Concrete):
             return value
+        bits, signed = t.width * 8, t.narrow
         if r.width == 32 and r.signed:
             lo = -(1 << (bits - 1)) if signed else 0
-            if lo <= to_int(r) < lo + (1 << bits):
+            if lo <= to_int(r) < (2 if t.boolean else lo + (1 << bits)):
                 return value
+        if t.boolean:
+            return vals.apply_binop("!=", value, vals.concrete(32, 0, at, True), at)
         return vals.apply_cast(vals.apply_cast(value, bits, signed, at), 32, True, at)
 
     def resolve_name(self, name: str, frame, at):
@@ -1706,6 +1715,9 @@ class _Compiler:
             return _VALUE, tag_pointer, None
         bits, signed, at = decl.width * 8, not decl.unsigned, (self.file_id, t.line)
         vals = self.vals
+        if decl.boolean:
+            return _VALUE, lambda frame: vals.apply_binop(
+                "!=", v(frame), vals.concrete(32, 0, at, True), at), None
         return _VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at), None
 
     def _call(self, e, open_tok):

@@ -46,22 +46,24 @@ class Location(Record):
 
 class CType(Record):
     """A C type: ``stars`` pointer levels over a ``width``-byte base type
-    (struct ``tag``, ``unsigned``), in an array of the evaluated bounds
-    ``dims`` when there are any. ``elem`` is the type that ``*`` and ``[]``
-    reach (None for a scalar or a struct) and ``narrow`` the sign a store
-    wraps to (None for an int or wider, a pointer, a struct or an array)."""
+    (struct ``tag``, ``unsigned``, ``boolean`` for ``_Bool``), in an array
+    of the evaluated bounds ``dims`` when there are any. ``elem`` is the
+    type that ``*`` and ``[]`` reach (None for a scalar or a struct) and
+    ``narrow`` the sign a store wraps to (None for an int or wider, a
+    pointer, a struct or an array)."""
 
-    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "elem", "narrow")
+    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow")
 
     def __init__(self, width: int = 4, tag: str | None = None, unsigned: bool = False,
-                 stars: int = 0, dims: tuple = ()):
+                 stars: int = 0, dims: tuple = (), boolean: bool = False):
         self.width = width
         self.tag = tag
         self.unsigned = unsigned
         self.stars = stars
         self.dims = dims
-        self.elem = CType(width, tag, unsigned, stars, dims[1:]) if dims else \
-            CType(width, tag, unsigned, stars - 1) if stars else None
+        self.boolean = boolean
+        self.elem = CType(width, tag, unsigned, stars, dims[1:], boolean) if dims else \
+            CType(width, tag, unsigned, stars - 1, (), boolean) if stars else None
         self.narrow = None if width >= 4 or stars or dims or tag else not unsigned
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .hooks import Hook
 from .islands import Corpus, RuleRegistry
 from .memory import INT, CType, Store
 from .values import MissingCall, Value, ValueTable
@@ -136,8 +137,6 @@ class Session:
 
     # ----------------------------------------------------------------- hooks
     def register_hook(self, name: str, fn, doc: str = "") -> None:
-        from .hooks import Hook
-
         if name in self.hooks:
             self.emit_event("diagnostic", name=name,
                             message=f"hook {name} re-registered; replacing")

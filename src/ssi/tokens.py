@@ -5,10 +5,18 @@ bytes become ``unknown-byte`` tokens, and concatenating the ``text`` of every
 token reproduces the input exactly. That round-trip property is what lets
 later stages skip, lazily re-parse, or quote verbatim any region of source
 they never analyzed.
+
+``tokenize`` walks the matches of one compiled pattern, ``_TOKEN``, whose
+alternatives are tried in order at each position: newline, a whitespace run,
+identifier, number, ``//`` and ``/* */`` comments, string and char literals,
+punctuators longest first, and any one character. A token's kind is looked
+up from its text (keywords, punctuators) in ``_KIND_OF_TEXT``, else from its
+first character in ``_KIND_OF_FIRST``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import UnbalancedDelimiter
@@ -55,14 +63,27 @@ PUNCTUATORS = (
     "/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",", "#", "\\",
 )
 
-_PUNCT3, _PUNCT2, _PUNCT1 = (
-    frozenset(p for p in PUNCTUATORS if len(p) == n) for n in (3, 2, 1)
+# ASCII classes only. The last branch takes any one character, so the
+# matches tile the source. An unterminated comment runs to the end, an
+# unterminated literal to its newline (a backslash escapes any character, a
+# newline too).
+_TOKEN = re.compile(
+    r"\n|[ \t\r\f\v]+|[A-Za-z_][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*"
+    r"|//[^\n]*|/\*(?:.*?\*/|.*)"
+    r"""|"(?:[^"\\\n]|\\.)*(?:"|\\\Z)?|'(?:[^'\\\n]|\\.)*(?:'|\\\Z)?|"""
+    + "|".join(re.escape(p) for p in sorted(PUNCTUATORS, key=len, reverse=True))
+    + "|.",
+    re.S,
 )
-_LETTER = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGIT = frozenset("0123456789")
-_NUMBER_CONT = _LETTER | _DIGIT | {"."}
-_SPACE = frozenset(" \t\r\f\v")
-_MULTILINE = frozenset((COMMENT, STRING, CHAR))
+# A ``/`` that is no punctuator starts a comment; a first character in
+# neither table makes an unknown byte.
+_KIND_OF_TEXT = {"\n": NEWLINE, **dict.fromkeys(KEYWORDS, KEYWORD),
+                 **dict.fromkeys(PUNCTUATORS, PUNCT)}
+_KIND_OF_FIRST = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENTIFIER),
+    **dict.fromkeys("0123456789", NUMBER), **dict.fromkeys(" \t\r\f\v", WHITESPACE),
+    "/": COMMENT, '"': STRING, "'": CHAR,
+}
 
 
 class Token(Record):
@@ -78,31 +99,6 @@ class Token(Record):
         self.synthetic = synthetic  # product of macro expansion, offsets borrowed
 
 
-def _scan_quoted(src: str, i: int, quote: str) -> int:
-    # Unterminated literals end at the newline (or EOF) to stay total.
-    n = len(src)
-    i += 1
-    while i < n:
-        c = src[i]
-        if c == "\\":
-            i += 2
-        elif c == quote:
-            return min(i + 1, n)
-        elif c == "\n":
-            return i
-        else:
-            i += 1
-    return n
-
-
-def _scan_number(src: str, i: int) -> int:
-    n = len(src)
-    i += 1
-    while i < n and src[i] in _NUMBER_CONT:
-        i += 1
-    return i
-
-
 def tokenize(source, file_id: str = "<memory>") -> list[Token]:
     """Tokenize ``source`` (str or bytes) into a lossless token sequence.
 
@@ -113,55 +109,17 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
         source = bytes(source).decode("latin-1")
     tokens: list[Token] = []
     append = tokens.append
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        start = i
-        if c == "\n":
-            append(Token(NEWLINE, c, start, line, col))
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in _SPACE:
-            while i < n and source[i] in _SPACE:
-                i += 1
-            kind = WHITESPACE
-        elif c in _LETTER:
-            while i < n and (source[i] in _LETTER or source[i] in _DIGIT):
-                i += 1
-            kind = KEYWORD if source[start:i] in KEYWORDS else IDENTIFIER
-        elif c in _DIGIT:
-            i, kind = _scan_number(source, i), NUMBER
-        elif c == "/" and source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            kind = COMMENT
-        elif c == "/" and source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            i = n if end < 0 else end + 2
-            kind = COMMENT
-        elif c == '"':
-            i, kind = _scan_quoted(source, i, '"'), STRING
-        elif c == "'":
-            i, kind = _scan_quoted(source, i, "'"), CHAR
-        elif source[i : i + 3] in _PUNCT3:
-            i, kind = i + 3, PUNCT
-        elif source[i : i + 2] in _PUNCT2:
-            i, kind = i + 2, PUNCT
-        elif c in _PUNCT1:
-            i, kind = i + 1, PUNCT
-        else:
-            i, kind = i + 1, UNKNOWN
-        text = source[start:i]
-        append(Token(kind, text, start, line, col))
-        # Only a comment or a literal (through a backslash-newline) can hold
-        # a newline; every other token stays on its line.
-        nl = text.count("\n") if kind in _MULTILINE else 0
-        if nl:
-            line += nl
-            col = len(text) - text.rindex("\n")
-        else:
-            col += len(text)
+    kind_of_text, kind_of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
+    offset, line, line_start = 0, 1, 0
+    for text in _TOKEN.findall(source):
+        kind = kind_of_text(text) or kind_of_first(text[0], UNKNOWN)
+        append(Token(kind, text, offset, line, offset - line_start + 1))
+        # Only a newline, a comment or a literal (through a backslash-newline)
+        # can hold a newline; every other token stays on its line.
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = offset + text.rindex("\n") + 1
+        offset += len(text)
     return tokens
 
 

@@ -1,8 +1,9 @@
 """The shape of the per-change benchmark records, ``BENCH_<n>.json``.
 
-Each record holds, per workload declared in ``BENCHMARK.json`` and per side
-(``parent``, ``change``), the seeds run and the median and quartiles of
-every end-to-end metric, taken from ``bench/run.py --trace 0`` output.
+Each record names the parent commit, the change and the command run, and
+holds, per workload declared in ``BENCHMARK.json`` and per side (``parent``,
+``change``), the seeds run and the median and quartiles of every end-to-end
+metric, taken from ``bench/run.py --trace 0`` output.
 """
 
 import json
@@ -22,6 +23,8 @@ def test_a_record_exists():
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_record_names_every_workload_and_metric(path):
     record = json.loads(path.read_text())
+    for key in ("parent", "change", "command"):
+        assert isinstance(record[key], str) and record[key]
     for workload in DECLARED["workloads"]:
         sides = record["workloads"][workload["name"]]
         for side in ("parent", "change"):

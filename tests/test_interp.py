@@ -353,6 +353,19 @@ void testmain(void) {{
     assert local_concrete(session, frame, "w") == expected
 
 
+@pytest.mark.parametrize("vtype", ["_Bool", "bool"])
+def test_symbol_stored_to_a_bool_stays_a_symbol(vtype):
+    session, interp = make_session({"prog.c": f"""
+void testmain(void) {{
+    {vtype} v = mystery_fn();
+    if (v) {{ int x = 1; }}
+    int w = v;
+}}
+"""}, branch_policy="assume-false")
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "w") == 0
+
+
 def test_narrow_parameter_stays_a_symbol():
     session, interp = make_session({"prog.c": """
 int pick(u8 mode) {
@@ -1170,6 +1183,28 @@ void testmain(void) {
     int neg = -a;
 }
 """, {"sum": 300, "eq": 0, "neg": -200}),
+    "a _Bool holds 0 or 1": ("""
+typedef _Bool flag_t;
+struct f { _Bool on; };
+int id(_Bool p) { return p; }
+void testmain(void) {
+    _Bool b = 2;
+    _Bool c = 256;
+    _Bool z = 0;
+    bool n = -1;
+    flag_t t = 7;
+    _Bool d = 1;
+    d += 1;
+    struct f o;
+    o.on = 512;
+    int on = o.on;
+    _Bool a[2];
+    a[1] = 3;
+    int e = a[1];
+    int r = id(300);
+    int x = (_Bool)4 + (_Bool)0;
+}
+""", {"b": 1, "c": 1, "z": 0, "n": 1, "t": 1, "d": 1, "on": 1, "e": 1, "r": 1, "x": 1}),
 }
 
 

@@ -1,9 +1,13 @@
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import refeval
+import reftokens
 from ssi import tokens as tk
 from ssi.errors import UnbalancedDelimiter
 
@@ -130,6 +134,67 @@ def test_unterminated_comment_and_string_are_total():
     toks = tk.tokenize('"no close\nint x;')
     assert toks[0].kind == tk.STRING
     assert toks[1].kind == tk.NEWLINE
+
+
+# ------------------------------------------- differential against reftokens
+
+def fields(toks):
+    return [(t.kind, t.text, t.byte_offset, t.line, t.column, t.synthetic) for t in toks]
+
+
+def assert_matches_reference(source):
+    assert fields(tk.tokenize(source)) == fields(reftokens.tokenize(source))
+
+
+# Fragments where the one pattern and the per-character loop could part:
+# unterminated literals and comments, a backslash at the end and before a
+# newline, CRLF, `/=` against `//`, `..` against `...`, a number that runs
+# on through `.`, `e` and letters, NUL, latin-1 bytes and non-ASCII letters.
+TOKENIZER_FRAGMENTS = [
+    '"', "'", "/*", "*/", "/", "//", "/=", "*", "\\", "\n", "\r\n", "\r", " ",
+    "\t", "\v", "\f", ".", "..", "...", "1.e5x", "0x1F", "9", "_a9", "x",
+    "int", "sizeof", "->", "<<=", ">>", "#", "##", "=", "\x00", "\x80",
+    "\xa0", "\xe9", "\xff", "é", "ß", "Ω", "µ", "@", "`",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(TOKENIZER_FRAGMENTS), max_size=40).map("".join))
+@example('"a\\\nb" \'\\\n\' "open\n\'x\\')
+@example("a /= b // c\r\n/* d\n")
+@example("s.. t... 1.e5x .5 \x00\xe9\\")
+def test_tokens_match_the_reference_on_fragments(source):
+    assert_matches_reference(source)
+    assert_matches_reference(source.encode("utf-8"))
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=200))
+def test_tokens_match_the_reference_on_any_text(source):
+    assert_matches_reference(source)
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=200))
+def test_tokens_match_the_reference_on_any_bytes(data):
+    assert_matches_reference(data)
+
+
+EXAMPLE_FILES = sorted(p for p in (Path(__file__).resolve().parent.parent / "example_pinctrl")
+                       .rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+def test_tokens_match_the_reference_on_example_files(path):
+    assert_matches_reference(path.read_bytes())
+
+
+def test_tokens_match_the_reference_on_programs_with_garbage():
+    rng = random.Random(12)
+    for _ in range(40):
+        stmts, _top = refeval.gen_program(rng)
+        sites = refeval.untaken_sites(stmts, {})
+        assert_matches_reference(refeval.render_program(stmts, set(sites), rng))
 
 
 # --------------------------------------------------------- balanced spans
