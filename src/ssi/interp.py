@@ -97,31 +97,28 @@ class CallSite:
 
 # --------------------------------------------------------------------- types
 
-TYPE_WIDTH_BYTES = {
-    "void": 1, "char": 1, "_Bool": 1, "bool": 1, "short": 2, "int": 4,
-    "long": 8, "float": 4, "double": 8,
-    "u8": 1, "u16": 2, "u32": 4, "u64": 8,
-    "s8": 1, "s16": 2, "s32": 4, "s64": 8,
-    "uint8_t": 1, "uint16_t": 2, "uint32_t": 4, "uint64_t": 8,
-    "int8_t": 1, "int16_t": 2, "int32_t": 4, "int64_t": 8,
-    "size_t": 8, "ssize_t": 8, "uintptr_t": 8, "intptr_t": 8, "ptrdiff_t": 8,
-    "uint": 4, "ushort": 2, "uchar": 1, "ulong": 8,
-}
-UNSIGNED_TYPE_NAMES = frozenset(
-    ["u8", "u16", "u32", "u64", "uint8_t", "uint16_t", "uint32_t", "uint64_t",
-     "size_t", "uintptr_t", "uint", "ushort", "uchar", "ulong", "bool", "_Bool"]
-)
+def _type_names() -> dict[str, CType]:
+    """The type names a module may use without a typedef: the kernel's,
+    ``<stdint.h>``'s and a few more, each with the type it stands for."""
+    names = {"bool": CType(1, unsigned=True, boolean=True)}
+    for width, signed, unsigned in (
+        (1, "s8 int8_t", "u8 uint8_t uchar"),
+        (2, "s16 int16_t", "u16 uint16_t ushort"),
+        (4, "s32 int32_t", "u32 uint32_t uint"),
+        (8, "s64 int64_t ssize_t intptr_t ptrdiff_t", "u64 uint64_t size_t uintptr_t ulong"),
+    ):
+        names.update(dict.fromkeys(signed.split(), CType(width)))
+        names.update(dict.fromkeys(unsigned.split(), CType(width, unsigned=True)))
+    return names
+
+
+TYPE_NAMES = _type_names()
 
 
 @dataclass
 class TypeInfo:
-    width: int = 4
-    tag: str | None = None
-    unsigned: bool = False
-    stars: int = 0  # pointer levels a typedef name carries
-    boolean: bool = False  # ``_Bool``: a store holds 0 or 1
+    type: CType | None = None  # None when no type was read
     is_typedef: bool = False
-    saw_type: bool = False
     inline_body: tuple | None = None  # (start, end) within the local token list
 
 
@@ -130,20 +127,21 @@ class Decl:
     """One declarator read with its type: what a declaration says a name is."""
 
     name: str | None   # None for an abstract declarator, as in a cast
-    stars: int         # pointer depth, a typedef name's own included
-    tag: str | None
-    width: int         # of the type the pointer levels apply to
-    unsigned: bool
+    type: CType        # without array bounds; a typedef name's pointer levels included
     dims: list         # the token run of each array bound
     init: list | None  # the initializer's token run
     function: bool     # a name followed by its parameter list
-    boolean: bool = False
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
 
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
+    """The type the specifiers at ``toks[i]`` name, and the index after
+    them. A typedef or built-in name gives its type; a base type keyword or
+    ``struct tag`` after it replaces that part of the type."""
     info = TypeInfo()
+    base = None  # the type a name gives; INT once a keyword starts the type
+    tag = None   # the tag a ``struct``, ``union`` or ``enum`` names
     words: list[str] = []
     n = len(toks)
     while i < n:
@@ -157,10 +155,10 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                 i += 1
                 continue
             if t.text in ("struct", "union", "enum"):
-                info.saw_type = True
+                base = base or INT
                 i += 1
                 if i < n and toks[i].kind == tk.IDENTIFIER:
-                    info.tag = toks[i].text
+                    tag = toks[i].text
                     i += 1
                 if i < n and tk.is_punct(toks[i], "{"):
                     j = tk.closing(toks, i, n)
@@ -168,44 +166,34 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                     i = j + 1
                 continue
             if t.text in tk.BASE_TYPE_KEYWORDS:
-                info.saw_type = True
+                base = base or INT
                 words.append(t.text)
                 i += 1
                 continue
             break
-        if (
-            t.kind == tk.IDENTIFIER
-            and not words
-            and info.tag is None
-            and not info.saw_type
-        ):
-            named = typedefs.get(t.text)
-            if named is not None:
-                info.width, info.tag = named.width, named.tag
-                info.unsigned, info.stars = named.unsigned, named.stars
-                info.boolean = named.boolean
-            elif t.text in TYPE_WIDTH_BYTES:
-                info.width = TYPE_WIDTH_BYTES[t.text]
-                info.unsigned = t.text in UNSIGNED_TYPE_NAMES
-                info.boolean = t.text == "bool"
-            else:
+        if t.kind == tk.IDENTIFIER and base is None:
+            base = typedefs.get(t.text) or TYPE_NAMES.get(t.text)
+            if base is None:
                 break
-            info.saw_type = True
             i += 1
             continue
         break
+    if base is None or not words and tag is None:
+        info.type = base
+        return i, info
+    width, unsigned, boolean = base.width, base.unsigned, base.boolean
     if words:
         if "char" in words or "void" in words or "_Bool" in words:
-            info.width = 1
+            width = 1
         elif "short" in words:
-            info.width = 2
+            width = 2
         elif "long" in words or "double" in words:
-            info.width = 8
+            width = 8
         else:
-            info.width = 4
-        info.boolean = "_Bool" in words
-        if "unsigned" in words or info.boolean:
-            info.unsigned = True
+            width = 4
+        boolean = "_Bool" in words
+        unsigned = unsigned or "unsigned" in words or boolean
+    info.type = CType(width, tag or base.tag, unsigned, base.stars, (), boolean)
     return i, info
 
 
@@ -239,11 +227,11 @@ def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl]
     """
     j, info = parse_type_prefix(toks, i, typedefs)
     n = len(toks)
-    if member and not info.saw_type and j < n and toks[j].kind == tk.IDENTIFIER:
-        info.saw_type = True
+    if member and info.type is None and j < n and toks[j].kind == tk.IDENTIFIER:
+        info.type = INT
         j += 1
     decls: list[Decl] = []
-    if not info.saw_type:
+    if info.type is None:
         return info, decls, j
     while True:
         stars, j = _pointers(toks, j, n)
@@ -277,8 +265,7 @@ def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl]
         if not function and _punct_at(toks, j, "="):
             k = tk.top_level(toks, j + 1, n, (",", ";"))
             init, j = toks[j + 1 : k], k
-        decls.append(Decl(name and name.text, info.stars + stars, info.tag, info.width,
-                          info.unsigned, dims, init, function, info.boolean))
+        decls.append(Decl(name and name.text, info.type.derived(stars), dims, init, function))
         if not _punct_at(toks, j, ","):
             return info, decls, j
         j += 1
@@ -313,7 +300,7 @@ def _punct_at(toks, i, text) -> bool:
 def _starts_declaration(t, typedefs) -> bool:
     if t.kind == tk.KEYWORD:
         return t.text in tk.DECL_KEYWORDS
-    return t.kind == tk.IDENTIFIER and (t.text in TYPE_WIDTH_BYTES or t.text in typedefs)
+    return t.kind == tk.IDENTIFIER and (t.text in TYPE_NAMES or t.text in typedefs)
 
 
 def parse_int_literal(text: str) -> tuple[int, int, bool]:
@@ -444,7 +431,9 @@ class Interp:
         self.s.emit_event("unexpanded-macro", name=name, line=line)
 
     def _expand(self, toks):
-        return mc.expand(toks, self.s.corpus.macros, self._on_unexpanded)
+        """``toks`` macro-expanded, without trivia."""
+        return [t for t in mc.expand(toks, self.s.corpus.macros, self._on_unexpanded)
+                if t.kind not in tk.TRIVIA]
 
     # ------------------------------------------------------------- entry API
     def run_entry(self, command: str, argv=()) -> Value:
@@ -532,15 +521,13 @@ class Interp:
         hole = fdef.params
         if hole.compiled is None or hole.compiled[0] is not self._epoch:
             raw = self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
-            toks = [t for t in self._expand(raw) if t.kind not in tk.TRIVIA]
+            toks = self._expand(raw)
             params = []
             for a, b in tk.split_top_level(toks, 0, len(toks), ","):
                 if b - a == 1 and toks[a].text in ("void", "..."):
                     continue
                 for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
-                    params.append((decl.name, CType(decl.width, decl.tag, decl.unsigned,
-                                                    decl.stars + bool(decl.dims),
-                                                    boolean=decl.boolean)))
+                    params.append((decl.name, decl.type.derived(1) if decl.dims else decl.type))
             hole.compiled = (self._epoch, params)
         return hole.compiled[1]
 
@@ -850,12 +837,12 @@ class Interp:
     def _compile_declaration(self, toks, file_id, line):
         s = self.s
         info, decls, _ = _declarations(toks, 0, s.typedefs)
-        if not info.saw_type:
+        if info.type is None:
             return _Compiler(self, toks, file_id).expression(line)
         steps = []
-        if info.inline_body is not None and info.tag is not None:
+        if info.inline_body is not None and info.type.tag is not None:
             b0, b1 = info.inline_body
-            tag, body = info.tag, toks[b0:b1]
+            tag, body = info.type.tag, toks[b0:b1]
             steps.append(lambda frame: s.store.install_layout(
                 tag, self._parse_struct_body(body, file_id)))
         for decl in decls:
@@ -892,9 +879,11 @@ class Interp:
         """The type ``decl`` declares as a function of the frame, with each
         array bound read by ``_compile_dimension``. Every array bound is
         counted by this rule."""
+        t = decl.type
+        if not decl.dims:
+            return lambda frame: t
         bounds = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
-        return lambda frame: CType(decl.width, decl.tag, decl.unsigned, decl.stars,
-                                   tuple([bound(frame) for bound in bounds]), decl.boolean)
+        return lambda frame: t.derived(0, tuple([bound(frame) for bound in bounds]))
 
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
@@ -916,9 +905,8 @@ class Interp:
         return dimension
 
     def _define_typedef(self, decl):
-        named = TypeInfo(decl.width, decl.tag, decl.unsigned, decl.stars, decl.boolean)
-        if self.s.typedefs.get(decl.name) != named:
-            self.s.typedefs[decl.name] = named
+        if self.s.typedefs.get(decl.name) != decl.type:
+            self.s.typedefs[decl.name] = decl.type
             self._epoch = object()  # every compiled form is stale now
 
     # ----------------------------------------------------------- struct defs
@@ -936,9 +924,7 @@ class Interp:
                 k = tk.skip_trivia(toks, j + 1, n)
                 if not _punct_at(toks, k, "{") or (end := tk.closing(toks, k, n)) == n:
                     continue
-                body = [x for x in self._expand(toks[k + 1 : end])
-                        if x.kind not in tk.TRIVIA]
-                return self._parse_struct_body(body, fid)
+                return self._parse_struct_body(self._expand(toks[k + 1 : end]), fid)
         return None
 
     def _parse_struct_body(self, toks, file_id):
@@ -1140,8 +1126,7 @@ class Interp:
     def _initialize(self, place: Place, decl: Decl) -> None:
         """Store a file-scope scalar's initializer, run once in an empty
         frame. Array and brace initializers are not stored."""
-        toks = [t for t in self._expand(decl.init) if t.kind not in tk.TRIVIA]
-        init = _Compiler(self, toks, decl.file_id).expression(decl.line)
+        init = _Compiler(self, self._expand(decl.init), decl.file_id).expression(decl.line)
         self.store_place(place, init(Frame(decl.name)), (decl.file_id, decl.line))
 
     def address_of(self, place: Place, at) -> Value:
@@ -1701,8 +1686,9 @@ class _Compiler:
     def _cast(self, t, close, decl):
         self.i = close + 1
         v = self.rval(self.operand(), t)
-        if decl.stars:
-            tag = decl.tag
+        ctype = decl.type
+        if ctype.stars:
+            tag = ctype.tag
             if not tag:
                 return _VALUE, v, None
 
@@ -1713,9 +1699,9 @@ class _Compiler:
                 return p
 
             return _VALUE, tag_pointer, None
-        bits, signed, at = decl.width * 8, not decl.unsigned, (self.file_id, t.line)
+        bits, signed, at = ctype.width * 8, not ctype.unsigned, (self.file_id, t.line)
         vals = self.vals
-        if decl.boolean:
+        if ctype.boolean:
             return _VALUE, lambda frame: vals.apply_binop(
                 "!=", v(frame), vals.concrete(32, 0, at, True), at), None
         return _VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at), None

@@ -21,7 +21,6 @@ from .values import Concrete, Record, Value, ValueTable, to_int
 
 STACK = "stack"
 STATIC = "static"
-HEAP = "heap"
 MMIO = "mmio"
 OPAQUE = "opaque"
 
@@ -50,7 +49,8 @@ class CType(Record):
     of the evaluated bounds ``dims`` when there are any. ``elem`` is the
     type that ``*`` and ``[]`` reach (None for a scalar or a struct) and
     ``narrow`` the sign a store wraps to (None for an int or wider, a
-    pointer, a struct or an array)."""
+    pointer, a struct or an array). It is the one type record: a
+    declaration, a typedef name, a place and a cast each hold one."""
 
     __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow")
 
@@ -62,9 +62,16 @@ class CType(Record):
         self.stars = stars
         self.dims = dims
         self.boolean = boolean
-        self.elem = CType(width, tag, unsigned, stars, dims[1:], boolean) if dims else \
-            CType(width, tag, unsigned, stars - 1, (), boolean) if stars else None
+        self.elem = self.derived(0, dims[1:]) if dims else self.derived(-1) if stars else None
         self.narrow = None if width >= 4 or stars or dims or tag else not unsigned
+
+    def derived(self, stars: int, dims: tuple = ()) -> CType:
+        """This base type with ``stars`` more pointer levels, in an array of
+        ``dims`` in place of this one's bounds; itself when that is no
+        change."""
+        if not (stars or dims or self.dims):
+            return self
+        return CType(self.width, self.tag, self.unsigned, self.stars + stars, dims, self.boolean)
 
 
 INT = CType()
@@ -140,10 +147,6 @@ class Store:
     def store(self, loc: Location, value: Value) -> None:
         off = self._offset_of(loc)
         self.cells[(loc.region, off)] = value.id
-
-    def peek(self, region_id: int, offset: int) -> Value | None:
-        vid = self.cells.get((region_id, offset))
-        return self.values.get(vid) if vid is not None else None
 
     # --------------------------------------------------------------- layouts
     def _probe(self, tag: str) -> None:

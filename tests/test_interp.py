@@ -923,6 +923,31 @@ void testmain(void) {
     int r = g(300);
 }
 """, {"r": 44}),
+    "array of a pointer typedef keeps the pointee's width": ("""
+typedef unsigned short *reg_p;
+void testmain(void) {
+    unsigned short buf[2];
+    reg_p a[2];
+    a[0] = buf;
+    *a[0] = 70000;
+    int b = buf[0];
+    int sa = sizeof(a);
+    int se = sizeof(*a[0]);
+}
+""", {"b": 4464, "sa": 16, "se": 2}),
+    "pointer to a struct-pointer typedef reaches the struct": ("""
+struct s { int a; char b; int c; };
+typedef struct s *sp;
+void testmain(void) {
+    struct s v;
+    struct s *p = &v;
+    sp *q = &p;
+    (*q)->c = 9;
+    int c = v.c;
+    int sq = sizeof(*q);
+    int ss = sizeof(**q);
+}
+""", {"c": 9, "sq": 8, "ss": 9}),
 }
 
 
@@ -1129,7 +1154,7 @@ void testmain(void) {
     assert {n: local_concrete(session, frame, n) for n in "xyrva"} == {
         "x": 1, "y": 2, "r": 3, "v": 4, "a": 5}
     assert sorted(session.global_decls) == ["arr", "g", "w", "z"]
-    assert session.global_decls["g"].stars == 1
+    assert session.global_decls["g"].type.stars == 1
 
 
 # Stores to variables, parameters, fields and elements narrower than int
