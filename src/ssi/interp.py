@@ -297,6 +297,12 @@ def _punct_at(toks, i, text) -> bool:
     return i < len(toks) and toks[i].text == text and toks[i].kind == tk.PUNCT
 
 
+def _steps(p) -> bool:
+    """Whether ``+`` and ``-`` step through ``p``: a Place of an array, a
+    pointer or a pointer step."""
+    return isinstance(p, Place) and (p.step or p.type.elem is not None)
+
+
 def _starts_declaration(t, typedefs) -> bool:
     if t.kind == tk.KEYWORD:
         return t.text in tk.DECL_KEYWORDS
@@ -464,11 +470,9 @@ class Interp:
         for k, (name, ctype) in enumerate(self._params(fdef)):
             pname = name or k
             if ctype.stars:
-                region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE,
-                                                   struct_tag=ctype.tag)
+                region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE)
                 v = self.s.values.addr_of(region.id, (fdef.file_id, fdef.line),
                                           desc=f"modeled argument {pname}")
-                v.pointee_tag = ctype.tag
             else:
                 v = self.s.values.fresh_symbol(f"arg:{pname}", (fdef.file_id, fdef.line))
             args.append(v)
@@ -751,7 +755,7 @@ class Interp:
             labels = self.s.values.labels_for(r.blockers)
             raise SymbolicBranch(
                 f"switch on symbolic value at line {node.line} "
-                f"(blockers: {', '.join(labels)})",
+                f"(blockers: {self.s.values.blocker_text(labels)})",
                 blockers=labels, line=node.line,
             )
         nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
@@ -871,8 +875,7 @@ class Interp:
     def _allocate(self, name, ctype, kind) -> Place:
         """A region for a variable of type ``ctype``, and its Place."""
         store = self.s.store
-        region = store.alloc_region(name, kind, size=store.size_of(ctype),
-                                    struct_tag=None if ctype.stars else ctype.tag)
+        region = store.alloc_region(name, kind, size=store.size_of(ctype))
         return Place(region.id, None, 0, name, ctype)
 
     def _compile_type(self, decl, file_id, line):
@@ -952,6 +955,7 @@ class Interp:
         if r.pointer is not None and not r.blockers:
             return True  # a materialized region address is never NULL here
         labels = s.values.labels_for(r.blockers)
+        text = s.values.blocker_text(labels)
         policy = s.branch_policy
         if policy == ASSUME_TRUE:
             outcome = True
@@ -959,13 +963,11 @@ class Interp:
             outcome = False
         elif policy == ASK and s.ask is not None:
             outcome = bool(s.ask(
-                f"symbolic branch at {at[0]}:{at[1]} "
-                f"(blockers: {', '.join(labels)}); assume true?"
+                f"symbolic branch at {at[0]}:{at[1]} (blockers: {text}); assume true?"
             ))
         else:
             raise SymbolicBranch(
-                f"symbolic branch at line {at[1]} "
-                f"(blockers: {', '.join(labels)})",
+                f"symbolic branch at line {at[1]} (blockers: {text})",
                 blockers=labels, line=at[1],
             )
         s.emit_event("diagnostic",
@@ -1004,11 +1006,9 @@ class Interp:
         """Give an unbound symbol a region of its own on first dereference,
         the under-constrained default for pointers nobody modeled."""
         s = self.s
-        region = s.store.alloc_region(f"*{symbol.payload.label}", OPAQUE,
-                                      struct_tag=symbol.pointee_tag)
+        region = s.store.alloc_region(f"*{symbol.payload.label}", OPAQUE)
         addr = s.values.addr_of(region.id, at,
                                 desc=f"materialized *{symbol.payload.label}")
-        addr.pointee_tag = symbol.pointee_tag
         s.values.bind_pointer(symbol, addr)
         s.emit_event("diagnostic",
                      message=f"materialized region {region.id} for "
@@ -1037,7 +1037,7 @@ class Interp:
         labels = s.values.labels_for(r.blockers)
         raise SymbolicAddress(
             f"cannot dereference symbolic pointer at line {at[1]} "
-            f"(blocked by: {', '.join(labels) or 'opaque value'})",
+            f"(blocked by: {s.values.blocker_text(labels)})",
             blockers=labels,
         )
 
@@ -1064,8 +1064,8 @@ class Interp:
         rid, off = self._locate(place, at)
         t = place.type
         v = self.s.store.load(Location(rid, off), 8 if t.stars else t.width, at)
-        if t.stars and v.pointee_tag is None:
-            v.pointee_tag = t.tag
+        if t.stars and v.pointee is None:
+            v.pointee = t.elem
         return v
 
     def store_place(self, place: Place, value: Value, at):
@@ -1073,8 +1073,8 @@ class Interp:
         t = place.type
         if t.narrow is not None:
             value = self._narrowed(value, t, at)
-        if t.stars and value.pointee_tag is None:
-            value.pointee_tag = t.tag
+        if t.stars and value.pointee is None:
+            value.pointee = t.elem
         self.s.store.store(Location(rid, off), value)
 
     def _narrowed(self, value: Value, t: CType, at) -> Value:
@@ -1130,20 +1130,23 @@ class Interp:
         self.store_place(place, init(Frame(decl.name)), (decl.file_id, decl.line))
 
     def address_of(self, place: Place, at) -> Value:
+        """The value of a pointer step or of an array: its address, which
+        points at the step's type or at the array's element type. A step of
+        no bytes past a pointer value is that value."""
         vals = self.s.values
         off = place.offset
-        if place.region is not None:
-            v = vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
-        elif isinstance(off, int) and off == 0:
+        if place.region is None and isinstance(off, int) and off == 0:
             return place.ptr
-        else:
-            v = place.ptr
+        fresh = len(vals)
+        v = place.ptr if place.region is None else \
+            vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
         if not isinstance(off, int):
             v = vals.apply_binop("+", v, off, at)
         elif off:
             v = vals.apply_binop("+", v, vals.concrete(
                 64, off, at, signed=True, desc=f"offset {off}"), at)
-        v.pointee_tag = None if place.type.stars else place.type.tag
+        if v.id >= fresh:  # not an operand that a zero gave back as it is
+            v.pointee = place.type if place.step else place.type.elem
         return v
 
     def value_of(self, p, at) -> Value:
@@ -1157,8 +1160,8 @@ class Interp:
         """(region, pointer, offset, type) of what ``base``, a Place or a
         pointer Value, points at: an array's first element, the element a
         pointer step reached, or the pointee of the address a pointer holds.
-        A value, or a Place of no pointer type, points at an int, or at the
-        struct its value is tagged with."""
+        A Value, or a Place of no pointer type, points at its value's
+        ``pointee``, or else at an int."""
         if isinstance(base, Place):
             t = base.type
             if base.step:
@@ -1168,8 +1171,7 @@ class Interp:
             base = self.load_place(base, at)
             if t.elem is not None:
                 return None, base, 0, t.elem
-        tag = base.pointee_tag
-        return None, base, 0, INT if tag is None else CType(4, tag)
+        return None, base, 0, base.pointee or INT
 
     def deref_place(self, base, at, n=None, op="+", step=False) -> Place:
         """``*base``; with ``n``, ``base[n]`` (``base[-n]`` for ``op`` "-");
@@ -1199,30 +1201,29 @@ class Interp:
             return vals.apply_binop("+", offset, scaled, at)
         return self._shifted(scaled, offset, at, "offset") if offset else scaled
 
-    def place_arith(self, place: Place, op: str, n: Value, at, value=None):
-        """``place op n``: for ``+`` and ``-`` on an array, a pointer or a
-        pointer step, the step ``n`` elements on or back; otherwise the
-        Value of the arithmetic on the place's value (``value``, when it is
-        loaded already)."""
-        if (op == "+" or op == "-") and (place.step or place.type.elem is not None):
-            return self.deref_place(place, at, n, op, True)
-        if value is None:
-            value = self.value_of(place, at)
-        return self.s.values.apply_binop(op, value, n, at)
+    def arith(self, op: str, a, b, at):
+        """``a op b``, each a Place or a Value. ``+`` and ``-`` on an array,
+        a pointer or a pointer step step by its elements, on either side of
+        ``+``; minus such a Place on the right is a difference in bytes, and
+        any other case is ``op`` on the two values."""
+        if isinstance(a, Place):
+            if (op == "+" or op == "-" and not _steps(b)) and _steps(a):
+                return self.deref_place(a, at, self.value_of(b, at), op, True)
+            a = self.value_of(a, at)
+        elif op == "+" and _steps(b):
+            return self.deref_place(b, at, a, op, True)
+        return self.s.values.apply_binop(op, a, self.value_of(b, at), at)
 
     def field_place(self, base, field: str, at, arrow=False) -> Place:
         """``base.field``, or ``base->field``, that is ``(*base).field``, for
-        ``arrow``. The struct is located first, so one of no declared type
-        takes its region's layout."""
+        ``arrow``. A struct of no tag takes a layout of its region's own."""
         if arrow:
             region, ptr, offset, stype = self._pointee(base, at)
         else:
             region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
         if region is None:
             region, offset = self._through(ptr, offset, at)
-        tag = stype.tag or getattr(self.s.store.region(region), "struct_tag", None) \
-            or f"@r{region}"
-        info = self.s.store.field_offset(tag, field, 4)
+        info = self.s.store.field_offset(stype.tag or f"@r{region}", field, 4)
         offset = offset + info.offset if isinstance(offset, int) else \
             self._shifted(offset, info.offset, at, "field")
         return Place(region, None, offset, field, info.type)
@@ -1315,7 +1316,7 @@ _OPTIONAL = "optional"
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
-_STEP = "step"    # ``+`` or ``-``: a Value, or the Place of a pointer step
+_STEP = "step"    # a pointer step's Place (``&``, a pointer cast, ``+``, ``-``) or a Value
 
 _PREFIX = frozenset(("!", "~", "-", "+", "*", "&", "++", "--"))
 _POSTFIX = frozenset(("(", "[", "->", ".", "++", "--"))
@@ -1492,10 +1493,14 @@ class _Compiler:
                 raise EvalError(f"malformed number {text!r} at {self.file_id}:{t.line}",
                                 t.line) from None
         elif kind == tk.PUNCT and text in _PREFIX:
-            if text == "&":
+            if text == "&":  # the pointer step to the place
                 place = self.as_place(self.operand(), "cannot take the address of a value")
-                address_of = self.it.address_of
-                return _VALUE, lambda frame: address_of(place(frame), at), None
+
+                def address(frame):
+                    p = place(frame)
+                    return Place(p.region, p.ptr, p.offset, p.name, p.type, True)
+
+                return _STEP, address, None
             if text == "++" or text == "--":
                 return self._incdec(self.operand(), t, pre=True)
             e = self.operand()
@@ -1566,7 +1571,7 @@ class _Compiler:
             if late:
                 p = place(frame)
             if op is not None:
-                v = it.value_of(it.place_arith(p, op, v, at), at)
+                v = it.value_of(it.arith(op, p, v, at), at)
             it.store_place(p, v, at)
             return v
 
@@ -1583,27 +1588,16 @@ class _Compiler:
             else orelse(frame), None
 
     def _additive(self, op, lhs, rhs, at):
-        """``lhs + rhs`` or ``lhs - rhs``, operands given as Places or
-        Values. An array, a pointer or a pointer step steps by elements, on
-        either side of ``+``; minus such a Place on the right is a byte
-        difference."""
-        it, vals = self.it, self.vals
-        deref_place, value_of = it.deref_place, it.value_of
+        """``lhs + rhs`` or ``lhs - rhs`` (``Interp.arith``), operands given
+        as Places or Values; a left operand that does not step is loaded
+        before the right one runs."""
+        arith, load_place = self.it.arith, self.it.load_place
 
         def additive(frame):
             a = lhs(frame)
-            if isinstance(a, Place) and not (a.step or a.type.elem is not None):
-                a = it.load_place(a, at)
-            b = rhs(frame)
-            if isinstance(b, Place) and (b.step or b.type.elem is not None):
-                if op == "-":
-                    return vals.apply_binop(op, value_of(a, at), value_of(b, at), at)
-                if not isinstance(a, Place):
-                    return deref_place(b, at, a, op, True)
-            b = value_of(b, at)
-            if isinstance(a, Place):
-                return deref_place(a, at, b, op, True)
-            return vals.apply_binop(op, a, b, at)
+            if isinstance(a, Place) and not _steps(a):
+                a = load_place(a, at)
+            return arith(op, a, rhs(frame), at)
 
         return additive
 
@@ -1639,7 +1633,7 @@ class _Compiler:
             p = place(frame)
             old = it.load_place(p, at)
             one = vals.concrete(32, 1, at, signed=True, desc="1")
-            new = it.value_of(it.place_arith(p, op, one, at, old), at)
+            new = it.value_of(it.arith(op, p if _steps(p) else old, one, at), at)
             it.store_place(p, new, at)
             return new if pre else old
 
@@ -1687,18 +1681,8 @@ class _Compiler:
         self.i = close + 1
         v = self.rval(self.operand(), t)
         ctype = decl.type
-        if ctype.stars:
-            tag = ctype.tag
-            if not tag:
-                return _VALUE, v, None
-
-            def tag_pointer(frame):
-                p = v(frame)
-                if p.pointee_tag is None:
-                    p.pointee_tag = tag
-                return p
-
-            return _VALUE, tag_pointer, None
+        if ctype.stars:  # a pointer step of no elements over the value
+            return _STEP, lambda frame: Place(None, v(frame), 0, "*", ctype.elem, True), None
         bits, signed, at = ctype.width * 8, not ctype.unsigned, (self.file_id, t.line)
         vals = self.vals
         if ctype.boolean:

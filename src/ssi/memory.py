@@ -31,7 +31,6 @@ class Region:
     label: str
     kind: str
     size: int | None = None
-    struct_tag: str | None = None
     display_base: int | None = None  # value id of the rendered base (mmio)
 
 
@@ -50,7 +49,8 @@ class CType(Record):
     type that ``*`` and ``[]`` reach (None for a scalar or a struct) and
     ``narrow`` the sign a store wraps to (None for an int or wider, a
     pointer, a struct or an array). It is the one type record: a
-    declaration, a typedef name, a place and a cast each hold one."""
+    declaration, a typedef name, a place, a cast and a pointer value (what
+    it points at) each hold one."""
 
     __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow")
 
@@ -103,8 +103,8 @@ class Store:
         self.layout_source = None   # callable(tag) -> dict[str, FieldInfo] | None
 
     # --------------------------------------------------------------- regions
-    def alloc_region(self, label: str, kind: str, size=None, struct_tag=None) -> Region:
-        region = Region(self._next_region, label, kind, size, struct_tag)
+    def alloc_region(self, label: str, kind: str, size=None) -> Region:
+        region = Region(self._next_region, label, kind, size)
         self.regions[region.id] = region
         self._next_region += 1
         return region
@@ -124,7 +124,7 @@ class Store:
             labels = self.values.labels_for(r.blockers)
             raise SymbolicAddress(
                 f"address offset in region {loc.region} is symbolic "
-                f"(blocked by: {', '.join(labels) or 'opaque value'})",
+                f"(blocked by: {self.values.blocker_text(labels)})",
                 blockers=labels,
             )
         raise SymbolicAddress(f"bad offset {off!r}")

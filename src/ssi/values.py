@@ -36,6 +36,7 @@ _IDENTITY = {**{(op, side): 0 for op in ("+", "|", "^") for side in (0, 1)},
              ("-", 1): 0, ("<<", 1): 0, (">>", 1): 0, ("*", 0): 1, ("*", 1): 1}
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ADDRESS_TESTS = frozenset(["!", *_COMPARISONS])
 
 
 def _fields_repr(self) -> str:
@@ -98,7 +99,7 @@ class Value:
     unique within a table."""
 
     __slots__ = ("id", "payload", "file", "line", "op_description", "parents",
-                 "pointee_tag")
+                 "pointee")
     __repr__ = _fields_repr
 
     def __init__(self, id: int, payload, file: str, line: int, op_description: str,
@@ -109,7 +110,7 @@ class Value:
         self.line = line
         self.op_description = op_description
         self.parents = parents
-        self.pointee_tag: str | None = None  # struct tag hint for pointer values
+        self.pointee = None  # the memory.CType a pointer value points at, if known
 
     @property
     def prov(self) -> Value:
@@ -215,6 +216,30 @@ def concrete_unop(op: str, a: Concrete) -> Concrete:
     raise UnsupportedOperation(f"operator {op!r}")
 
 
+def _address(r) -> tuple | None:
+    """(region, offset) of an address that nothing blocks, and ``(None, 0)``
+    for the constant 0, an address in a region of its own; else None."""
+    if isinstance(r, Residual):
+        return r.pointer
+    return (None, 0) if r.bits == 0 else None
+
+
+def _address_test(op: str, resolved) -> Concrete | None:
+    """``!`` or a comparison on region addresses that nothing blocks, where
+    these rules decide it: an address is never 0, two regions never
+    overlap, and addresses in one region order by offset; else None."""
+    if op == "!":
+        return Concrete(32, 0, True) if resolved[0].pointer else None
+    a, b = map(_address, resolved)
+    if a is None or b is None:
+        return None
+    if a[0] == b[0]:
+        return Concrete(32, int(_COMPARISONS[op](a[1], b[1])), True)
+    if op == "==" or op == "!=":
+        return Concrete(32, int(op == "!="), True)
+    return None
+
+
 def cast_op(width: int, signed: bool) -> str:
     return f"cast{width}{'s' if signed else 'u'}"
 
@@ -274,8 +299,7 @@ class ValueTable:
         if folded is not None:
             return folded
         v = self._new(Term(op, (lhs.id, rhs.id)), at, op, (lhs.id, rhs.id))
-        if v.pointee_tag is None:
-            v.pointee_tag = lhs.pointee_tag or rhs.pointee_tag
+        v.pointee = lhs.pointee or rhs.pointee
         return v
 
     def _identity_fold(self, op, lhs, ra, rhs, rb, at):
@@ -302,7 +326,7 @@ class ValueTable:
             return self._new(concrete_unop(op, r), at, op, (operand.id,))
         v = self._new(Term(op, (operand.id,)), at, op, (operand.id,))
         if op.startswith("cast"):
-            v.pointee_tag = operand.pointee_tag
+            v.pointee = operand.pointee
         return v
 
     def apply_cast(self, operand: Value, width: int, signed: bool, at=_NOWHERE) -> Value:
@@ -439,6 +463,10 @@ class ValueTable:
         for r in resolved:
             if isinstance(r, Residual):
                 blockers.extend(r.blockers)
+        if not blockers and term.op in _ADDRESS_TESTS:
+            decided = _address_test(term.op, resolved)
+            if decided is not None:
+                return decided
         pointer = None
         if term.op in ("+", "-") and len(resolved) == 2:
             a, b = resolved
@@ -486,3 +514,9 @@ class ValueTable:
             payload = self._values[b].payload
             out.append(payload.label if isinstance(payload, SymbolRoot) else f"v{b}")
         return out
+
+    @staticmethod
+    def blocker_text(labels) -> str:
+        """Blocker labels as a message quotes them: ``opaque value`` when no
+        named root blocks."""
+        return ", ".join(labels) or "opaque value"

@@ -1238,3 +1238,58 @@ def test_narrow_stores_wrap_to_the_declared_width_and_sign(case):
     source, expected = NARROW_STORE_CASES[case]
     session, frame = run_main(source)
     assert {n: local_concrete(session, frame, n) for n in expected} == expected
+
+
+# A cast to a pointer and ``&`` are pointer steps, typed by what they point
+# at, and the value layer decides tests on addresses. Each row: the body of
+# ``testmain``, then what ``r`` read before that (SYMBOL: no constant;
+# BRANCH: the run stopped at a symbolic branch) and C's answer, which it
+# reads now. An address is never 0, two regions never overlap, and addresses
+# in one region order by offset; any other test stays symbolic.
+SYMBOL, BRANCH = "symbol", "branch"
+POINTER_STEP_CASES = {
+    "store through a cast": (
+        "unsigned char b[2]; *(unsigned char *)b = 300; int r = b[0];", 300, 44),
+    "sizeof a deref of a cast": ("int r = sizeof(*(char *)0);", 4, 1),
+    "step a cast void pointer": (
+        "int a[2]; a[1] = 7; void *v = a; int r = *((int *)v + 1);", SYMBOL, 7),
+    "step a cast short array": (
+        "short s[3]; s[1] = 70000; int r = *((short *)s + 1);", SYMBOL, 4464),
+    "field through a cast address": (
+        "struct b y; y.s = 6; int r = ((struct a *)&y)->q;", SYMBOL, 6),
+    "sizeof an address": ("int x; long r = sizeof(&x);", 4, 8),
+    "deref a step from an address": (
+        "int a[2]; a[1] = 7; int r = *(&a[0] + 1);", SYMBOL, 7),
+    "store a step from an address": (
+        "int a[2]; a[1] = 7; int *p = &a[0] + 1; int r = *p;", SYMBOL, 7),
+    "not an address": (
+        "int a = 1; int *p = &a; int r = 0; if (!p) r = 1;", BRANCH, 0),
+    "an address against NULL": (
+        "int a = 1; int *p = &a; int r = 2; if (p == NULL) r = 1;", BRANCH, 2),
+    "a loop to the end of an array": (
+        "int a[3]; int *p; int r = 0; for (p = a; p < a + 3; p++) r++;", BRANCH, 3),
+    "two copies of one address": (
+        "int a[3]; int *p = a; int *q = a; int r = p == q;", SYMBOL, 1),
+    "addresses in two regions": ("int a, b; int r = &a != &b;", SYMBOL, 1),
+    "order across two regions": ("int a, b; int r = &a < &b;", SYMBOL, SYMBOL),
+}
+
+
+@pytest.mark.parametrize("case", POINTER_STEP_CASES)
+def test_casts_and_addresses_are_pointer_steps(case):
+    body, _, expected = POINTER_STEP_CASES[case]
+    session, frame = run_main(
+        "#define NULL ((void *)0)\nstruct a { int q; };\nstruct b { int s; };\n"
+        f"void testmain(void) {{ {body} }}\n")
+    if expected is SYMBOL:
+        slot = frame.locals["r"]
+        r = session.values.resolve(session.store.load(Location(slot.region, 0), slot.width))
+        assert not isinstance(r, Concrete)
+    else:
+        assert local_concrete(session, frame, "r") == expected
+
+
+def test_a_branch_that_no_named_root_blocks_says_opaque_value():
+    with pytest.raises(SymbolicBranch, match=r"\(blockers: opaque value\)") as exc:
+        run_main("void testmain(void) { int a, b; if (&a < &b) a = 1; }")
+    assert exc.value.blockers == ()
