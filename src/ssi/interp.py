@@ -303,6 +303,14 @@ def _steps(p) -> bool:
     return isinstance(p, Place) and (p.step or p.type.elem is not None)
 
 
+def _pin(v: Value, elem: CType) -> None:
+    """Give ``v``, loaded from or stored to a pointer Place to ``elem``,
+    that struct when ``v`` points at none, for a ``->`` on ``v`` as a bare
+    Value (a hook's argument); a ``void *`` pins nothing."""
+    if elem.tag and not (v.pointee and v.pointee.tag):
+        v.pointee = elem
+
+
 def _starts_declaration(t, typedefs) -> bool:
     if t.kind == tk.KEYWORD:
         return t.text in tk.DECL_KEYWORDS
@@ -365,6 +373,7 @@ class Interp:
         session.interp = self
         session.store.layout_source = self._layout_from_corpus
         self._epoch = object()  # replaced when a typedef changes; see eval_tokens
+        self._returns: dict[str, CType] = {}  # function -> what its pointer result points at
         self._scan_corpus_names()
 
     def _scan_corpus_names(self):
@@ -419,9 +428,12 @@ class Interp:
 
     def _record_global_decl(self, toks, i, file_id) -> int:
         """Try to record one file-scope declaration starting at i; returns
-        the index to resume scanning from."""
+        the index to resume scanning from. A function that returns a
+        pointer records what that points at."""
         info, decls, j = _declarations(toks, i, self.s.typedefs)
         for decl in decls:
+            if decl.function and decl.type.stars and not info.is_typedef:
+                self._returns.setdefault(decl.name, decl.type.elem)
             if decl.name is None or decl.function:
                 continue
             decl.dims = [self._expand(bound) for bound in decl.dims]
@@ -1064,8 +1076,8 @@ class Interp:
         rid, off = self._locate(place, at)
         t = place.type
         v = self.s.store.load(Location(rid, off), 8 if t.stars else t.width, at)
-        if t.stars and v.pointee is None:
-            v.pointee = t.elem
+        if t.stars:
+            _pin(v, t.elem)
         return v
 
     def store_place(self, place: Place, value: Value, at):
@@ -1073,8 +1085,8 @@ class Interp:
         t = place.type
         if t.narrow is not None:
             value = self._narrowed(value, t, at)
-        if t.stars and value.pointee is None:
-            value.pointee = t.elem
+        if t.stars:
+            _pin(value, t.elem)
         self.s.store.store(Location(rid, off), value)
 
     def _narrowed(self, value: Value, t: CType, at) -> Value:
@@ -1137,7 +1149,6 @@ class Interp:
         off = place.offset
         if place.region is None and isinstance(off, int) and off == 0:
             return place.ptr
-        fresh = len(vals)
         v = place.ptr if place.region is None else \
             vals.addr_of(place.region, at, desc=f"&{place.name or place.region}")
         if not isinstance(off, int):
@@ -1145,7 +1156,7 @@ class Interp:
         elif off:
             v = vals.apply_binop("+", v, vals.concrete(
                 64, off, at, signed=True, desc=f"offset {off}"), at)
-        if v.id >= fresh:  # not an operand that a zero gave back as it is
+        if v is not place.ptr and v is not off:  # not an operand a zero gave back
             v.pointee = place.type if place.step else place.type.elem
         return v
 
@@ -1155,6 +1166,15 @@ class Interp:
         if not isinstance(p, Place):
             return p
         return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
+
+    def step_of(self, p, at):
+        """``p``, a Place or a Value, as a value that keeps its pointer
+        type: a pointer step as it is, an array or a pointer as the step of
+        no elements over its value, and any other Place as its value."""
+        if not isinstance(p, Place) or p.step:
+            return p
+        v = self.value_of(p, at)
+        return v if p.type.elem is None else Place(None, v, 0, "*", p.type.elem, True)
 
     def _pointee(self, base, at):
         """(region, pointer, offset, type) of what ``base``, a Place or a
@@ -1316,7 +1336,7 @@ _OPTIONAL = "optional"
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
-_STEP = "step"    # a pointer step's Place (``&``, a pointer cast, ``+``, ``-``) or a Value
+_STEP = "step"    # a pointer step's Place (``&``, a cast, a call, ``?:``, ``+``, ``-``) or a Value
 
 _PREFIX = frozenset(("!", "~", "-", "+", "*", "&", "++", "--"))
 _POSTFIX = frozenset(("(", "[", "->", ".", "++", "--"))
@@ -1578,14 +1598,16 @@ class _Compiler:
         return _VALUE, assign, None
 
     def _ternary(self, e, t):
+        """``c ? a : b``: the value of ``a`` or of ``b``, where a pointer
+        or an array is the pointer step of no elements over its value."""
         cond = self.rval(e, t)
-        then = self.rval(self.parse(_COMMA), t)
+        then = self.parse(_COMMA)[1]
         self.expect(":")
-        orelse = self.rval(self.parse(_TERNARY), t)
+        orelse = self.parse(_TERNARY)[1]
         at = (self.file_id, t.line)
-        truth = self.it.truth
-        return _VALUE, lambda frame: then(frame) if truth(cond(frame), at) \
-            else orelse(frame), None
+        truth, step_of = self.it.truth, self.it.step_of
+        return _STEP, lambda frame: step_of(
+            then(frame) if truth(cond(frame), at) else orelse(frame), at), None
 
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs`` (``Interp.arith``), operands given
@@ -1720,8 +1742,14 @@ class _Compiler:
                 pass
         site = CallSite(self.file_id, name_tok.line, text, compact)
         name = name_tok.text
-        return _VALUE, lambda frame: it.call_named(
-            name, [arg(frame) for arg in args], site), None
+        pointee = it._returns.get(name)  # a declared pointer result: a step over it
+
+        def call(frame):
+            return it.call_named(name, [arg(frame) for arg in args], site)
+
+        if pointee is None:
+            return _VALUE, call, None
+        return _STEP, lambda frame: Place(None, call(frame), 0, "*", pointee, True), None
 
     def _args(self):
         """The argument closures from the ``(`` at the current token through

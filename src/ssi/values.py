@@ -224,22 +224,6 @@ def _address(r) -> tuple | None:
     return (None, 0) if r.bits == 0 else None
 
 
-def _address_test(op: str, resolved) -> Concrete | None:
-    """``!`` or a comparison on region addresses that nothing blocks, where
-    these rules decide it: an address is never 0, two regions never
-    overlap, and addresses in one region order by offset; else None."""
-    if op == "!":
-        return Concrete(32, 0, True) if resolved[0].pointer else None
-    a, b = map(_address, resolved)
-    if a is None or b is None:
-        return None
-    if a[0] == b[0]:
-        return Concrete(32, int(_COMPARISONS[op](a[1], b[1])), True)
-    if op == "==" or op == "!=":
-        return Concrete(32, int(op == "!="), True)
-    return None
-
-
 def cast_op(width: int, signed: bool) -> str:
     return f"cast{width}{'s' if signed else 'u'}"
 
@@ -454,6 +438,31 @@ class ValueTable:
             return region.display_base
         return None
 
+    def _address_test(self, op: str, resolved) -> Concrete | None:
+        """``!`` or a comparison on region addresses that nothing blocks,
+        where these rules decide it: an address is never 0, two regions
+        never overlap, and addresses in one region order by offset; else
+        None. Two regions that may alias (``_may_alias``) stay a term."""
+        if op == "!":
+            return Concrete(32, 0, True) if resolved[0].pointer else None
+        a, b = map(_address, resolved)
+        if a is None or b is None:
+            return None
+        if a[0] == b[0]:
+            return Concrete(32, int(_COMPARISONS[op](a[1], b[1])), True)
+        if (op == "==" or op == "!=") and not self._may_alias(a[0], b[0]):
+            return Concrete(32, int(op == "!="), True)
+        return None
+
+    def _may_alias(self, a, b) -> bool:
+        """Whether the distinct regions ``a`` and ``b`` (None for 0) may be
+        one memory: an opaque region, a pointer nobody modeled, may be any
+        region but 0."""
+        if a is None or b is None or self.region_lookup is None:
+            return False
+        return any(getattr(self.region_lookup(r), "kind", None) == "opaque"  # memory.OPAQUE
+                   for r in (a, b))
+
     def _combine(self, vid, term, resolved):
         if all(isinstance(r, Concrete) for r in resolved):
             if len(resolved) == 2:
@@ -464,7 +473,7 @@ class ValueTable:
             if isinstance(r, Residual):
                 blockers.extend(r.blockers)
         if not blockers and term.op in _ADDRESS_TESTS:
-            decided = _address_test(term.op, resolved)
+            decided = self._address_test(term.op, resolved)
             if decided is not None:
                 return decided
         pointer = None

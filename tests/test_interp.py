@@ -1272,6 +1272,17 @@ POINTER_STEP_CASES = {
         "int a[3]; int *p = a; int *q = a; int r = p == q;", SYMBOL, 1),
     "addresses in two regions": ("int a, b; int r = &a != &b;", SYMBOL, 1),
     "order across two regions": ("int a, b; int r = &a < &b;", SYMBOL, SYMBOL),
+    "field of a call result": (
+        "void *d = get(); struct c *f = to_c(d); f->u = 1; f->w = 2; int r = to_c(d)->w;",
+        2, 2),
+    "field of a call result over an array": (
+        "int x[2]; x[0] = 1; x[1] = 2; int r = to_c_int(x)->w;", 2, 2),
+    "field of a ?: of casts": (
+        "int x[2], y[2]; x[0] = 1; x[1] = 2; int k = 1;"
+        " int r = (k ? (struct c *)x : (struct c *)y)->w;", 2, 2),
+    "step a call result": ("int a[2]; a[1] = 7; int r = *(same(a) + 1);", SYMBOL, 7),
+    "step a ?: of pointers": (
+        "int a[2]; a[1] = 7; int *p = a; int k = 1; int r = *((k ? p : a) + 1);", SYMBOL, 7),
 }
 
 
@@ -1280,6 +1291,10 @@ def test_casts_and_addresses_are_pointer_steps(case):
     body, _, expected = POINTER_STEP_CASES[case]
     session, frame = run_main(
         "#define NULL ((void *)0)\nstruct a { int q; };\nstruct b { int s; };\n"
+        "struct c { int u; int w; };\n"
+        "struct c *to_c(void *p) { return (struct c *)p; }\n"
+        "struct c *to_c_int(int *p) { return (struct c *)p; }\n"
+        "int *same(int *p) { return p; }\n"
         f"void testmain(void) {{ {body} }}\n")
     if expected is SYMBOL:
         slot = frame.locals["r"]
@@ -1287,6 +1302,41 @@ def test_casts_and_addresses_are_pointer_steps(case):
         assert not isinstance(r, Concrete)
     else:
         assert local_concrete(session, frame, "r") == expected
+
+
+def test_a_void_pointer_does_not_pin_what_a_value_points_at():
+    # ``d`` is stored as a ``void *`` first; the ``struct c *`` that holds
+    # it next still gives the hook's bare argument struct c's layout.
+    session, interp = make_session({"prog.c": """
+struct c { int u; int w; };
+void testmain(void) {
+    void *d = get();
+    struct c *f = d;
+    f->u = 1;
+    set_w(d);
+    int r = f->w;
+}
+"""})
+    session.register_hook("set_w", lambda ctx: ctx.exec_snippet("{0}->w = 5", ctx.args))
+    assert local_concrete(session, run_function(session, interp, "testmain"), "r") == 5
+
+
+def test_two_modeled_pointer_arguments_may_alias():
+    session, interp = make_session({"prog.c": """
+#define NULL ((void *)0)
+void entry(int *a, int *b) {
+    if (a == a && a != NULL && !!a)
+        session_ok();
+    if (a == b)
+        *a = 1;
+}
+"""})
+    session.commands["probe"] = CommandSpec("entry", {})
+    ok = []
+    session.register_hook("session_ok", lambda ctx: ok.append(1))
+    with pytest.raises(SymbolicBranch, match=r"\(blockers: opaque value\)"):
+        interp.run_entry("probe")
+    assert ok == [1]
 
 
 def test_a_branch_that_no_named_root_blocks_says_opaque_value():
