@@ -63,8 +63,8 @@ class HookContext:
                                          at=(self.site.file, self.site.line))
 
     def fresh_symbolic(self, label: str) -> Value:
-        return self.session.attribute_to_hook(self.session.values.fresh_symbol(
-            label, (self.site.file, self.site.line)))
+        values = self.session.values
+        return values.fresh_symbol(label, (self.site.file, self.site.line), values.blame)
 
     def map_mmio(self, label: str, base_value: Value, size=None) -> Value:
         return self._interp.map_mmio(label, base_value, size,

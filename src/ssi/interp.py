@@ -42,6 +42,7 @@ from .islands import (
     ForNode,
     FunctionDefNode,
     GotoNode,
+    Hole,
     IfNode,
     LabelNode,
     RawNode,
@@ -49,7 +50,6 @@ from .islands import (
     SwitchNode,
     WhileNode,
     parse_hole_as_block,
-    parse_next_statement,
 )
 from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, FieldInfo, Location
 from .session import (
@@ -370,10 +370,10 @@ def unescape_c(text: str) -> str:
 class Interp:
     def __init__(self, session: Session):
         self.s = session
-        session.interp = self
         session.store.layout_source = self._layout_from_corpus
         self._epoch = object()  # replaced when a typedef changes; see eval_tokens
         self._returns: dict[str, CType] = {}  # function -> what its pointer result points at
+        self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
         self._scan_corpus_names()
 
     def _scan_corpus_names(self):
@@ -503,11 +503,12 @@ class Interp:
         if hook is not None:
             s.emit_event("hook", name=name, line=site.line)
             ctx = HookContext(s, self, list(args), site)
-            s.call_stack.append((name, site))
+            outer = s.values.blame  # what the model mints is blamed on this call
+            s.values.blame = MissingCall(name, site.compact, site.file, site.line)
             try:
                 result = hook.fn(ctx)
             finally:
-                s.call_stack.pop()
+                s.values.blame = outer
             if isinstance(result, Value):
                 return result
             return s.values.concrete(32, 0, (site.file, site.line),
@@ -525,9 +526,7 @@ class Interp:
             r = s.values.resolve(a)
             if isinstance(r, Residual) and r.pointer is not None:
                 s.store.taints[r.pointer[0]] = missing
-        sym = s.values.fresh_symbol(f"ret:{name}@{site.line}", (site.file, site.line))
-        s.values.missing_calls[sym.id] = missing
-        return sym
+        return s.values.fresh_symbol(f"ret:{name}@{site.line}", (site.file, site.line), missing)
 
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
         """The (name, type) of each parameter of ``fdef`` in order,
@@ -549,7 +548,7 @@ class Interp:
 
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
         s = self.s
-        frame = Frame(fdef.name, position=(fdef.file_id, fdef.line))
+        frame = Frame(fdef.name)
         for k, (name, ctype) in enumerate(self._params(fdef)):
             if name is None:
                 continue
@@ -649,25 +648,21 @@ class Interp:
 
     def exec_node(self, node, frame) -> Control:
         s = self.s
-        if not frame.is_snippet:
-            if s.pending_stop or s.single_step:
-                s.pending_stop = False
-                s.single_step = False
-                if s.stop_handler is None:
-                    raise StoppedAtBreakpoint(
-                        f"stopped before {node.file_id}:{node.line}",
-                        position=(node.file_id, node.line),
-                    )
-                if s.stop_handler((node.file_id, node.line)) == "step":
-                    s.single_step = True
+        if s.stop_next and not frame.is_snippet:
+            s.stop_next = False
+            if s.stop_handler is None:
+                raise StoppedAtBreakpoint(
+                    f"stopped before {node.file_id}:{node.line}",
+                    position=(node.file_id, node.line),
+                )
+            s.stop_next = s.stop_handler((node.file_id, node.line)) == "step"
         self._count_step(node.line)
-        frame.position = (node.file_id, node.line)
         sig = self._dispatch(node, frame)
-        if not frame.is_snippet:
+        if s.breakpoints and not frame.is_snippet:
             bp = s.breakpoint_at(node.file_id, node.line)
-            if bp is not None and getattr(bp, "enabled", True):
+            if bp is not None and bp.enabled:
                 bp.hits += 1
-                s.pending_stop = True
+                s.stop_next = True
         return sig
 
     def _count_step(self, line):
@@ -961,12 +956,10 @@ class Interp:
     # ------------------------------------------------------------- branching
     def truth(self, v: Value, at) -> bool:
         s = self.s
-        r = s.values.resolve(v)
-        if isinstance(r, Concrete):
-            return r.bits != 0
-        if r.pointer is not None and not r.blockers:
-            return True  # a materialized region address is never NULL here
-        labels = s.values.labels_for(r.blockers)
+        known = s.values.truth(v)
+        if known is not None:
+            return known
+        labels = s.values.labels_for(s.values.resolve(v).blockers)
         text = s.values.blocker_text(labels)
         policy = s.branch_policy
         if policy == ASSUME_TRUE:
@@ -1075,7 +1068,7 @@ class Interp:
     def load_place(self, place: Place, at) -> Value:
         rid, off = self._locate(place, at)
         t = place.type
-        v = self.s.store.load(Location(rid, off), 8 if t.stars else t.width, at)
+        v = self.s.store.load(Location(rid, off), at=at)
         if t.stars:
             _pin(v, t.elem)
         return v
@@ -1116,8 +1109,7 @@ class Interp:
         s = self.s
         if frame.is_snippet:
             if name == "opaque":
-                return s.attribute_to_hook(
-                    s.values.fresh_symbol(f"opaque@{at[0]}:{at[1]}", at))
+                return s.values.fresh_symbol(f"opaque@{at[0]}:{at[1]}", at, s.values.blame)
             vid = frame.value_bindings.get(name)
             if vid is not None:
                 return s.values.get(vid)
@@ -1224,15 +1216,23 @@ class Interp:
     def arith(self, op: str, a, b, at):
         """``a op b``, each a Place or a Value. ``+`` and ``-`` on an array,
         a pointer or a pointer step step by its elements, on either side of
-        ``+``; minus such a Place on the right is a difference in bytes, and
-        any other case is ``op`` on the two values."""
+        ``+``; two such Places' difference counts elements (C11 6.5.6p9),
+        and any other case is ``op`` on the two values."""
+        size = 1
         if isinstance(a, Place):
             if (op == "+" or op == "-" and not _steps(b)) and _steps(a):
                 return self.deref_place(a, at, self.value_of(b, at), op, True)
+            if op == "-" and _steps(a):
+                size = self.s.store.size_of(a.type if a.step else a.type.elem)
             a = self.value_of(a, at)
         elif op == "+" and _steps(b):
             return self.deref_place(b, at, a, op, True)
-        return self.s.values.apply_binop(op, a, self.value_of(b, at), at)
+        vals = self.s.values
+        v = vals.apply_binop(op, a, self.value_of(b, at), at)
+        if size == 1:
+            return v
+        return vals.apply_binop("/", v, vals.concrete(
+            64, size, at, signed=True, desc=f"elem {size}"), at)
 
     def field_place(self, base, field: str, at, arrow=False) -> Place:
         """``base.field``, or ``base->field``, that is ``(*base).field``, for
@@ -1257,31 +1257,24 @@ class Interp:
 
     # -------------------------------------------------------------- services
     def exec_snippet(self, template: str, args=(), at=("<snippet>", 1)):
-        """Run C statement text with {N} placeholders bound to values."""
+        """Run C statement text with {N} placeholders bound to values. Each
+        distinct template is one hole over a scratch file of its own, so its
+        text is tokenized, parsed and compiled once."""
         s = self.s
-        used: dict[str, int] = {}
-
-        def repl(m):
-            idx = int(m.group(1))
-            name = f"__ssi_arg{idx}"
-            used[name] = idx
-            return f" {name} "
-
-        text = re.sub(r"\{(\d+)\}", repl, template)
-        self._snippet_count = getattr(self, "_snippet_count", 0) + 1
-        fid = f"<snippet:{self._snippet_count}>"
-        toks = s.corpus.add_scratch(fid, text)
-        frame = Frame(fid, is_snippet=True)
-        for name, idx in used.items():
-            if idx >= len(args):
-                raise EvalError(f"snippet {template!r}: no argument {{{idx}}}")
-            frame.value_bindings[name] = args[idx].id
-        cur = tk.Cursor(toks, 0, file_id=fid)
+        if template not in self._snippets:
+            fid = f"<snippet:{len(self._snippets) + 1}>"
+            toks = s.corpus.add_scratch(fid, re.sub(r"\{(\d+)\}", r" __ssi_arg\1 ", template))
+            self._snippets[template] = (Hole(fid, 0, len(toks)),
+                                        dict.fromkeys(re.findall(r"\{(\d+)\}", template)))
+        hole, placeholders = self._snippets[template]
+        frame = Frame(hole.file_id, is_snippet=True)
+        for digits in placeholders:
+            if int(digits) >= len(args):
+                raise EvalError(f"snippet {template!r}: no argument {{{digits}}}")
+            frame.value_bindings[f"__ssi_arg{digits}"] = args[int(digits)].id
         s.frames.append(frame)
         try:
-            while not cur.at_end():
-                node, cur = parse_next_statement(cur, s.rules)
-                self.exec_node(node, frame)
+            self.exec_block(parse_hole_as_block(s.corpus, hole, s.rules), frame)
         except EvalError as e:
             raise EvalError(f"snippet {template!r}: {e}", line=at[1])
         finally:
@@ -1301,7 +1294,6 @@ class Interp:
                  at=("<hook>", 0)) -> Value:
         region = self.s.store.alloc_region(label, MMIO, size=size)
         region.display_base = base_value.id
-        self.s.values.forget_residuals()
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
 
     def string_value(self, token: tk.Token, file_id: str, at) -> Value:
@@ -1629,17 +1621,12 @@ class _Compiler:
 
     def _logical(self, op, lhs, rhs, at):
         vals = self.vals
-        decides = 0 if op == "&&" else 1
+        decider = op == "||"  # the truth of the left operand that skips the right
 
         def logical(frame):
             a = lhs(frame)
-            r = vals.resolve(a)
-            if isinstance(r, Concrete):
-                decided = (r.bits != 0) == bool(decides)
-            else:
-                decided = decides == 1 and r.pointer is not None and not r.blockers
-            if decided:
-                return vals.concrete(32, decides, at, signed=True, desc=op,
+            if vals.truth(a) is decider:
+                return vals.concrete(32, int(decider), at, signed=True, desc=op,
                                      parents=(a.id,))
             return vals.apply_binop(op, a, rhs(frame), at)
 

@@ -99,7 +99,6 @@ class Store:
         self._layout_end: dict[str, int] = {}
         self._layout_probed: set[str] = set()
         self.taints: dict[int, object] = {}  # region id -> MissingCall
-        self.on_fresh = None        # callback(symbol Value)
         self.layout_source = None   # callable(tag) -> dict[str, FieldInfo] | None
 
     # --------------------------------------------------------------- regions
@@ -135,12 +134,8 @@ class Store:
         vid = self.cells.get(key)
         if vid is not None:
             return self.values.get(vid)
-        sym = self.values.fresh_symbol(f"mem:({loc.region},{off})", at)
-        taint = self.taints.get(loc.region)
-        if taint is not None:
-            self.values.missing_calls[sym.id] = taint
-        elif self.on_fresh is not None:
-            self.on_fresh(sym)
+        sym = self.values.fresh_symbol(f"mem:({loc.region},{off})", at,
+                                       self.taints.get(loc.region) or self.values.blame)
         self.cells[key] = sym.id
         return sym
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .hooks import Hook
 from .islands import Corpus, RuleRegistry
 from .memory import INT, CType, Store
-from .values import MissingCall, Value, ValueTable
+from .values import Value, ValueTable
 
 ASK = "ask"
 ASSUME_TRUE = "assume-true"
@@ -68,7 +68,6 @@ class Frame:
     function: str
     locals: dict[str, Place] = field(default_factory=dict)
     value_bindings: dict[str, int] = field(default_factory=dict)  # snippet placeholders
-    position: tuple = ("<none>", 0)
     is_snippet: bool = False
 
 
@@ -85,7 +84,6 @@ class Session:
         self.rules = rules or RuleRegistry()
         self.values = ValueTable()
         self.store = Store(self.values)
-        self.store.on_fresh = self.attribute_to_hook
 
         self.branch_policy = branch_policy
         self.max_steps = max_steps
@@ -96,7 +94,6 @@ class Session:
         self._seq = 0
 
         self.frames: list[Frame] = []
-        self.call_stack: list[tuple[str, object]] = []  # (callee, CallSite) of active hooks
         self.globals: dict[str, Place] = {}
         self.typedefs: dict[str, CType] = {}  # name -> the type it stands for
         self.global_decls: dict[str, object] = {}  # name -> Decl
@@ -111,15 +108,12 @@ class Session:
         self.breakpoints: dict[tuple, object] = {}  # (file or None, line) -> Breakpoint
         self.trace_specs: dict[str, object] = {}    # callee -> TraceSpec
         self.stop_handler = None   # callable(position) -> "continue" | "step"
-        self.pending_stop = False
-        self.single_step = False
+        self.stop_next = False     # suspend before the next statement outside a snippet
         self.ask = None            # callable(prompt) -> bool, for the ask policy
 
         self.parse_events: list[tuple[str, int, str]] = []
         self.batch_failed = False
         self.out = out
-
-        self.interp = None  # set by Interp.__init__
 
     # ---------------------------------------------------------------- events
     def emit_event(self, kind: str, **fields) -> ModelEvent:
@@ -145,17 +139,6 @@ class Session:
     def unregister_hook(self, name: str) -> None:
         self.hooks.pop(name, None)
 
-    # ------------------------------------------------------------ attribution
-    def attribute_to_hook(self, symbol: Value) -> Value:
-        """A fresh symbol minted while a hook runs is the model's doing:
-        point diagnostics at the call being modeled. Returns ``symbol``."""
-        if self.call_stack:
-            callee, site = self.call_stack[-1]
-            self.values.missing_calls[symbol.id] = MissingCall(
-                callee, site.compact, site.file, site.line
-            )
-        return symbol
-
     def on_parse(self, node) -> None:
         self.parse_events.append((node.file_id, node.line, type(node).__name__))
 
@@ -168,6 +151,5 @@ class Session:
 
     def reset_for_command(self) -> None:
         self.steps = 0
-        self.pending_stop = False
-        self.single_step = False
+        self.stop_next = False
         self.command_params = {}

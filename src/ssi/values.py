@@ -216,6 +216,13 @@ def concrete_unop(op: str, a: Concrete) -> Concrete:
     raise UnsupportedOperation(f"operator {op!r}")
 
 
+def _truth(r) -> bool | None:
+    """``ValueTable.truth`` of a resolved value."""
+    if isinstance(r, Concrete):
+        return r.bits != 0
+    return True if r.pointer is not None and not r.blockers else None
+
+
 def _address(r) -> tuple | None:
     """(region, offset) of an address that nothing blocks, and ``(None, 0)``
     for the constant 0, an address in a region of its own; else None."""
@@ -239,7 +246,8 @@ class ValueTable:
         self._values: list[Value] = []
         self.bindings: dict[int, Binding] = {}
         self.pointer_bindings: dict[int, int] = {}  # symbol id -> pointer value id
-        self.missing_calls: dict[int, MissingCall] = {}
+        self.missing_calls: dict[int, MissingCall] = {}  # symbol id -> its fresh_symbol cause
+        self.blame: MissingCall | None = None  # the modeled call that is running
         self.region_lookup = None  # callable(region_id) -> Region | None
         # resolve() results kept across calls. A Concrete one is final, since
         # bindings only grow; a Residual one holds until a binding is added
@@ -264,8 +272,11 @@ class ValueTable:
         c = make_concrete(width, value, signed)
         return self._new(c, at, desc or f"literal {to_int(c)}", parents)
 
-    def fresh_symbol(self, label: str, at=_NOWHERE) -> Value:
-        return self._new(SymbolRoot(label), at, f"symbol {label}")
+    def fresh_symbol(self, label: str, at=_NOWHERE, cause: MissingCall | None = None) -> Value:
+        v = self._new(SymbolRoot(label), at, f"symbol {label}")
+        if cause is not None:
+            self.missing_calls[v.id] = cause
+        return v
 
     def addr_of(self, region_id: int, at=_NOWHERE, desc=None) -> Value:
         return self._new(Term(OP_ADDR, (), region_id), at, desc or f"&region {region_id}")
@@ -356,6 +367,11 @@ class ValueTable:
         self._residual_ids.clear()
 
     # ------------------------------------------------------------- resolving
+    def truth(self, v) -> bool | None:
+        """Whether ``v`` is nonzero: a constant by its bits, and an address
+        that nothing blocks is (it is never 0); None when neither rule holds."""
+        return _truth(self.resolve(v))
+
     def resolve(self, v) -> Concrete | Residual:
         """Fold a value as far as possible, iteratively (no recursion).
 
@@ -476,6 +492,13 @@ class ValueTable:
             decided = self._address_test(term.op, resolved)
             if decided is not None:
                 return decided
+        if term.op in _LOGICAL:  # a true operand decides ``||``, a false one ``&&``
+            decider = term.op == "||"
+            truths = [_truth(r) for r in resolved]
+            if decider in truths:
+                return Concrete(32, int(decider), True)
+            if None not in truths:
+                return Concrete(32, int(not decider), True)
         pointer = None
         if term.op in ("+", "-") and len(resolved) == 2:
             a, b = resolved

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from conftest import make_session, run_function
+import ssi.tokens as tk
+from conftest import local_concrete, make_session, run_function
 from ssi.errors import SchemaError, UnsupportedOperation
 from ssi.hooks import HookContext, load_declarative_model, parse_value_sexpr
 from ssi.interp import CallSite
@@ -95,6 +96,70 @@ void f(void) {
     v = session.store.load(Location(slot.region, slot.offset), 4)
     info = session.values.missing_calls.get(v.id)
     assert info is not None and info.callee == "modeled"
+
+
+# Where a fresh symbol comes from, and the callee its diagnostics name (None
+# for none).
+BLAME_CASES = {
+    "a hook's fresh_symbolic": ("v1", "made"),
+    "a cell that a hook first reads": ("v2", "peek"),
+    "a global first read by a C function that a hook's snippet calls": ("v3", "fill"),
+    "a cell an unmodeled call tainted, first read inside a hook": ("v4", "taint"),
+    "an unmodeled call's result": ("v5", "unknown"),
+    "a cell that C first reads after the hooks return": ("v6", None),
+}
+
+
+@pytest.mark.parametrize("case", BLAME_CASES)
+def test_fresh_symbols_are_blamed_on_the_call_they_wait_on(case):
+    local, callee = BLAME_CASES[case]
+    session, interp = make_session({"t.c": """
+int G;
+int read_g(void) { return G; }
+void f(void) {
+    int v1 = made();
+    int c;
+    int v2 = peek(&c);
+    int v3;
+    fill(&v3);
+    int t[2];
+    taint(t);
+    int v4 = peek(t);
+    int v5 = unknown();
+    int u;
+    int v6 = u;
+}
+"""})
+    session.register_hook("made", lambda ctx: ctx.fresh_symbolic("made-up"))
+    session.register_hook("peek", lambda ctx: ctx.read_through(ctx.args[0]))
+    session.register_hook("fill", lambda ctx: ctx.exec_snippet("*{0} = read_g()", ctx.args))
+    slot = run_function(session, interp, "f").locals[local]
+    v = session.store.load(Location(slot.region, slot.offset), 4)
+    assert isinstance(v.payload, SymbolRoot)
+    assert getattr(session.values.missing_calls.get(v.id), "callee", None) == callee
+
+
+def test_a_snippet_is_tokenized_once_and_runs_every_time(monkeypatch):
+    session, interp = make_session({"t.c": """
+struct c { int u; int w; };
+void f(void) {
+    struct c v;
+    int i;
+    int sum = 0;
+    for (i = 0; i < 500; i++) {
+        v.w = 0;
+        set_w(&v);
+        sum = sum + v.w;
+    }
+}
+"""})
+    session.register_hook("set_w", lambda ctx: ctx.exec_snippet("{0}->w = 5", ctx.args))
+    tokenized = []
+    tokenize = tk.tokenize
+    monkeypatch.setattr(tk, "tokenize",
+                        lambda text, file_id: tokenized.append(file_id) or tokenize(text, file_id))
+    assert local_concrete(session, run_function(session, interp, "f"), "sum") == 2500
+    assert tokenized == ["<snippet:1>"]
 
 
 # --------------------------------------------------------------- declarative

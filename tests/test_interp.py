@@ -1012,6 +1012,41 @@ void testmain(void) {
     assert local_concrete(session, frame, "b") == 304
 
 
+STOP_CASES = {
+    "a step, then continue": ({2}, ["step", "continue"], [3, 4]),
+    "a step onto a breakpoint": ({2, 3}, ["step", "step", "continue"], [3, 4, 5]),
+    "two breakpoints in a row": ({3, 4}, ["continue", "continue"], [4, 5]),
+    "steps to the end": ({2}, ["step"] * 4, [3, 4, 5, 6]),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_breakpoints_and_steps_stop_before_the_next_statement(case):
+    lines, answers, expected = STOP_CASES[case]
+    session, interp = make_session({"prog.c": """void testmain(void) {
+    int a = 1;
+    int b = 2;
+    int c = 3;
+    int d = 4;
+    int e = 5;
+}
+"""})
+    from ssi.repl import Breakpoint
+
+    for line in lines:
+        session.breakpoints[(None, line)] = Breakpoint(None, line)
+    stops = []
+
+    def on_stop(position):
+        stops.append(position[1])
+        return answers[len(stops) - 1]
+
+    session.stop_handler = on_stop
+    run_function(session, interp, "testmain")
+    assert stops == expected
+    assert [bp.hits for bp in session.breakpoints.values()] == [1] * len(lines)
+
+
 def test_pointer_arithmetic_steps_by_elements():
     # A void pointer steps by bytes; an attribute macro before the `*` of a
     # parameter does not hide its name; every step of a chain scales.
@@ -1053,7 +1088,7 @@ void testmain(void) {
                    "h": 12, "k": 11, "l": 12, "m": 11, "n": 12, "o": 11, "s": 13}
 
 
-def test_pointer_difference_is_in_bytes_by_declared_type():
+def test_pointer_difference_counts_elements_by_declared_type():
     # The right operand is a pointer by its declaration, whatever it holds:
     # a constant address, or an unbound argument bound afterwards.
     session, frame = run_main("""
@@ -1066,19 +1101,20 @@ void testmain(void) {
     int c = diff();
 }
 """)
-    assert local_concrete(session, frame, "a") == 60
-    assert local_concrete(session, frame, "b") == 60
+    assert local_concrete(session, frame, "a") == 15
+    assert local_concrete(session, frame, "b") == 15
     slot = frame.locals["c"]
     c = session.store.load(Location(slot.region, slot.offset), slot.width)
     e, s = (session.values.get(b) for b in session.values.resolve(c).blockers)
     session.values.concretize(e, Concrete(64, 100), "user-supplied")
     session.values.concretize(s, Concrete(64, 40), "user-supplied")
-    assert to_int(session.values.resolve(c)) == 60
+    assert to_int(session.values.resolve(c)) == 15
 
 
-def test_pointer_minus_pointer_in_one_region_is_their_byte_distance():
-    # Addresses built with & are not pointer variables, so the difference
-    # is folded by the value layer: only within one region, with no blockers.
+def test_pointer_minus_pointer_in_one_region_counts_elements():
+    # The value layer folds a byte distance only within one region, with no
+    # blockers; a difference of addresses counts elements, and one of
+    # addresses cast to long stays a byte count.
     session, frame = run_main("""
 struct o { int x; long y; int z; };
 void testmain(void) {
@@ -1093,8 +1129,8 @@ void testmain(void) {
 """)
     z_offset = session.store.field_offset("o", "z").offset
     assert local_concrete(session, frame, "field") == z_offset == 12
-    assert local_concrete(session, frame, "up") == 12
-    assert local_concrete(session, frame, "down") == -8
+    assert local_concrete(session, frame, "up") == 3
+    assert local_concrete(session, frame, "down") == -2
     slot = frame.locals["apart"]
     apart = session.store.load(Location(slot.region, slot.offset), slot.width)
     r = session.values.resolve(apart)
@@ -1283,6 +1319,12 @@ POINTER_STEP_CASES = {
     "step a call result": ("int a[2]; a[1] = 7; int r = *(same(a) + 1);", SYMBOL, 7),
     "step a ?: of pointers": (
         "int a[2]; a[1] = 7; int *p = a; int k = 1; int r = *((k ? p : a) + 1);", SYMBOL, 7),
+    "an address and what it points at": (
+        "int a = 4; int *p = &a; int r = 0; if (p && *p) r = 1;", BRANCH, 1),
+    "an address and a false operand": ("int a = 4; int *p = &a; int r = p && 0;", SYMBOL, 0),
+    "a false operand or an address": ("int a = 4; int *p = &a; int r = 0 || p;", SYMBOL, 1),
+    "a difference of char pointers": ("char s[8]; char *p = s + 5; long r = p - s;", 5, 5),
+    "a difference of struct addresses": ("struct c v[3]; long r = &v[2] - &v[0];", 16, 2),
 }
 
 

@@ -242,7 +242,7 @@ void shallow(void) { int r = down(3); log_state(r); }
     assert out.index("error: internal") < out.index("ssi > shallow")
     assert [e.callee for e in session.events_of("missing-model")] == ["log_state"]
     assert code == 1
-    assert session.frames == [] and session.call_stack == []
+    assert session.frames == [] and session.values.blame is None
 
 
 if __name__ == "__main__":
