@@ -51,7 +51,7 @@ from .islands import (
     WhileNode,
     parse_hole_as_block,
 )
-from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, FieldInfo, Location
+from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, Layout, Location
 from .session import (
     ASK,
     ASSUME_FALSE,
@@ -119,7 +119,6 @@ TYPE_NAMES = _type_names()
 class TypeInfo:
     type: CType | None = None  # None when no type was read
     is_typedef: bool = False
-    inline_body: tuple | None = None  # (start, end) within the local token list
 
 
 @dataclass
@@ -127,7 +126,7 @@ class Decl:
     """One declarator read with its type: what a declaration says a name is."""
 
     name: str | None   # None for an abstract declarator, as in a cast
-    type: CType        # without array bounds; a typedef name's pointer levels included
+    type: CType        # a typedef name's pointer levels and bounds, not the declarator's
     dims: list         # the token run of each array bound
     init: list | None  # the initializer's token run
     function: bool     # a name followed by its parameter list
@@ -138,7 +137,8 @@ class Decl:
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
     """The type the specifiers at ``toks[i]`` name, and the index after
     them. A typedef or built-in name gives its type; a base type keyword or
-    ``struct tag`` after it replaces that part of the type."""
+    ``struct tag`` after it replaces that part of the type. A ``struct`` or
+    ``union`` body with no tag is tagged with the texts of its tokens."""
     info = TypeInfo()
     base = None  # the type a name gives; INT once a keyword starts the type
     tag = None   # the tag a ``struct``, ``union`` or ``enum`` names
@@ -162,7 +162,8 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                     i += 1
                 if i < n and tk.is_punct(toks[i], "{"):
                     j = tk.closing(toks, i, n)
-                    info.inline_body = (i + 1, j)
+                    if tag is None and base.tag is None and t.text != "enum":
+                        tag = " ".join(x.text for x in toks[i + 1 : j])
                     i = j + 1
                 continue
             if t.text in tk.BASE_TYPE_KEYWORDS:
@@ -265,7 +266,8 @@ def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl]
         if not function and _punct_at(toks, j, "="):
             k = tk.top_level(toks, j + 1, n, (",", ";"))
             init, j = toks[j + 1 : k], k
-        decls.append(Decl(name and name.text, info.type.derived(stars), dims, init, function))
+        decls.append(Decl(name and name.text, info.type.derived(stars) if stars else info.type,
+                          dims, init, function))
         if not _punct_at(toks, j, ","):
             return info, decls, j
         j += 1
@@ -531,8 +533,8 @@ class Interp:
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
         """The (name, type) of each parameter of ``fdef`` in order,
         macro-expanded and read once per typedef epoch (see ``eval_tokens``).
-        An unnamed one keeps its place with name None; ``T a[]`` is a
-        pointer; ``(void)`` and ``...`` bind nothing."""
+        An unnamed one keeps its place with name None; ``T a[]``, as an array
+        typedef's, is a pointer; ``(void)`` and ``...`` bind nothing."""
         hole = fdef.params
         if hole.compiled is None or hole.compiled[0] is not self._epoch:
             raw = self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
@@ -542,7 +544,8 @@ class Interp:
                 if b - a == 1 and toks[a].text in ("void", "..."):
                     continue
                 for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
-                    params.append((decl.name, decl.type.derived(1) if decl.dims else decl.type))
+                    array = decl.dims or decl.type.dims
+                    params.append((decl.name, decl.type.derived(1) if array else decl.type))
             hole.compiled = (self._epoch, params)
         return hole.compiled[1]
 
@@ -846,21 +849,16 @@ class Interp:
         return _Compiler(self, toks, file_id).expression(line)
 
     def _compile_declaration(self, toks, file_id, line):
-        s = self.s
-        info, decls, _ = _declarations(toks, 0, s.typedefs)
+        info, decls, _ = _declarations(toks, 0, self.s.typedefs)
         if info.type is None:
             return _Compiler(self, toks, file_id).expression(line)
         steps = []
-        if info.inline_body is not None and info.type.tag is not None:
-            b0, b1 = info.inline_body
-            tag, body = info.type.tag, toks[b0:b1]
-            steps.append(lambda frame: s.store.install_layout(
-                tag, self._parse_struct_body(body, file_id)))
         for decl in decls:
             if decl.name is None or decl.function:
                 continue
             if info.is_typedef:
-                steps.append(lambda frame, decl=decl: self._define_typedef(decl))
+                decl.file_id, decl.line = file_id, line
+                steps.append(lambda frame, decl=decl: self._define_typedef(decl, frame))
             else:
                 steps.append(self._declare(decl, file_id, line))
         return _sequence(steps)
@@ -887,13 +885,13 @@ class Interp:
 
     def _compile_type(self, decl, file_id, line):
         """The type ``decl`` declares as a function of the frame, with each
-        array bound read by ``_compile_dimension``. Every array bound is
-        counted by this rule."""
+        array bound read by ``_compile_dimension`` and put before those of a
+        typedef'd array. Every array bound is counted by this rule."""
         t = decl.type
         if not decl.dims:
             return lambda frame: t
         bounds = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
-        return lambda frame: t.derived(0, tuple([bound(frame) for bound in bounds]))
+        return lambda frame: t.derived(0, tuple([bound(frame) for bound in bounds]) + t.dims)
 
     def _compile_dimension(self, toks, file_id, line):
         """An array bound: its value if it resolves to a constant, else 1."""
@@ -914,15 +912,18 @@ class Interp:
 
         return dimension
 
-    def _define_typedef(self, decl):
-        if self.s.typedefs.get(decl.name) != decl.type:
-            self.s.typedefs[decl.name] = decl.type
+    def _define_typedef(self, decl, frame=None):
+        ctype = self._compile_type(decl, decl.file_id, decl.line)(frame or Frame(decl.name))
+        if self.s.typedefs.get(decl.name) != ctype:
+            self.s.typedefs[decl.name] = ctype
             self._epoch = object()  # every compiled form is stale now
 
     # ----------------------------------------------------------- struct defs
     def _layout_from_corpus(self, tag):
         """The layout of the first ``struct tag {`` or ``union tag {`` body,
         in file order, found from the positions of ``tag``."""
+        if ";" in tag:  # an untagged body, tagged with its text
+            return self._parse_struct_body(self._expand(tk.tokenize(tag)), "<struct>")
         corpus = self.s.corpus
         for fid in corpus.files:
             toks = corpus.tokens(fid)
@@ -937,9 +938,8 @@ class Interp:
                 return self._parse_struct_body(self._expand(toks[k + 1 : end]), fid)
         return None
 
-    def _parse_struct_body(self, toks, file_id):
-        layout: dict[str, FieldInfo] = {}
-        offset = 0
+    def _parse_struct_body(self, toks, file_id) -> Layout:
+        layout = Layout()
         i = 0
         n = len(toks)
         while i < n:
@@ -947,9 +947,7 @@ class Interp:
             for decl in decls:
                 if decl.name is not None and not decl.function:
                     ctype = self._compile_type(decl, file_id, toks[i].line)(Frame(decl.name))
-                    size = self.s.store.size_of(ctype)
-                    layout[decl.name] = FieldInfo(offset, size, ctype)
-                    offset += size
+                    layout.add(decl.name, ctype, self.s.store.size_of(ctype))
             i = tk.top_level(toks, j, n, (";",)) + 1
         return layout
 
@@ -1243,7 +1241,7 @@ class Interp:
             region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
         if region is None:
             region, offset = self._through(ptr, offset, at)
-        info = self.s.store.field_offset(stype.tag or f"@r{region}", field, 4)
+        info = self.s.store.field_offset(stype.tag or f"@r{region}", field)
         offset = offset + info.offset if isinstance(offset, int) else \
             self._shifted(offset, info.offset, at, "field")
         return Place(region, None, offset, field, info.type)

@@ -6,15 +6,18 @@ fresh symbol (and remembers it, so repeated loads agree). Pointer arithmetic
 stays within a region, which isolates the module under interpretation from
 absolute-address reasoning.
 
-Struct layouts come from a parsed definition when one exists in the corpus;
-otherwise fields are assigned sequentially on first use, which is stable for
-a given access order. A ``CType`` is a C type as declared; the size and sign
-of every load and store come from it.
+``Layout.add`` is the one rule that places a struct member: packed, at the
+end (a union's members too). ``Store.layout`` finds a tag's layout, asking
+``layout_source`` (the tag's first body in the corpus, in file order) once;
+an untagged body is tagged with its text. A member that no body declares is
+a 4-byte int added on first use, which is stable for a given access order.
+A ``CType`` is a C type as declared; the size and sign of every load and
+store come from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SymbolicAddress
 from .values import Concrete, Record, Value, ValueTable, to_int
@@ -80,12 +83,22 @@ INT = CType()
 @dataclass
 class FieldInfo:
     offset: int
-    width: int                # bytes the field takes
-    type: CType | None = None  # None: a ``width``-byte int
+    width: int  # bytes the field takes
+    type: CType
 
-    def __post_init__(self):
-        if self.type is None:
-            self.type = CType(self.width)
+
+@dataclass
+class Layout:
+    """A struct's members by name, and its size in bytes."""
+
+    fields: dict[str, FieldInfo] = field(default_factory=dict)
+    size: int = 0
+
+    def add(self, name: str, ctype: CType, width: int) -> FieldInfo:
+        """Place member ``name`` of ``width`` bytes at the end."""
+        info = self.fields[name] = FieldInfo(self.size, width, ctype)
+        self.size += width
+        return info
 
 
 class Store:
@@ -95,11 +108,9 @@ class Store:
         self.regions: dict[int, Region] = {}
         self._next_region = 1
         self.cells: dict[tuple[int, int], int] = {}
-        self._layouts: dict[str, dict[str, FieldInfo]] = {}
-        self._layout_end: dict[str, int] = {}
-        self._layout_probed: set[str] = set()
+        self.layouts: dict[str, Layout | None] = {}  # tag -> layout; None: no body (yet)
         self.taints: dict[int, object] = {}  # region id -> MissingCall
-        self.layout_source = None   # callable(tag) -> dict[str, FieldInfo] | None
+        self.layout_source = None   # callable(tag) -> Layout | None
 
     # --------------------------------------------------------------- regions
     def alloc_region(self, label: str, kind: str, size=None) -> Region:
@@ -144,44 +155,27 @@ class Store:
         self.cells[(loc.region, off)] = value.id
 
     # --------------------------------------------------------------- layouts
-    def _probe(self, tag: str) -> None:
-        if tag in self._layouts or tag in self._layout_probed:
-            return
-        self._layout_probed.add(tag)  # before the source runs: cycle guard
-        if self.layout_source is not None:
-            parsed = self.layout_source(tag)
-            if parsed:
-                self.install_layout(tag, parsed)
+    def layout(self, tag: str) -> Layout | None:
+        """The layout of ``tag``, from ``layout_source`` on the first call.
+        None while the source reads it (a struct that holds itself by value)
+        and for a tag with no body and no member used yet."""
+        if tag not in self.layouts:
+            self.layouts[tag] = None  # before the source runs: cycle guard
+            if self.layout_source is not None:
+                self.layouts[tag] = self.layout_source(tag)
+        return self.layouts[tag]
 
-    def field_offset(self, tag: str, field: str, width_hint: int = 4) -> FieldInfo:
-        self._probe(tag)
-        layout = self._layouts.setdefault(tag, {})
-        self._layout_end.setdefault(tag, 0)
-        info = layout.get(field)
-        if info is None:
-            # First use in a synthetic (or incomplete) layout: next free slot.
-            offset = self._layout_end[tag]
-            info = FieldInfo(offset, width_hint)
-            layout[field] = info
-            self._layout_end[tag] = offset + width_hint
-        return info
-
-    def install_layout(self, tag: str, layout: dict[str, FieldInfo]):
-        self._layouts[tag] = dict(layout)
-        self._layout_end[tag] = max(
-            (f.offset + f.width for f in layout.values()), default=0
-        )
-        self._layout_probed.add(tag)
+    def field_offset(self, tag: str, field: str) -> FieldInfo:
+        """Member ``field`` of ``tag``; one that no body declares is a
+        4-byte int added at the end on its first use."""
+        layout = self.layouts[tag] = self.layout(tag) or Layout()
+        return layout.fields.get(field) or layout.add(field, INT, 4)
 
     def size_of(self, t: CType) -> int:
         """Bytes of a ``t``: 8 for a pointer, a struct's layout size (its
         declared width while it has none), times every array bound."""
-        size = 8 if t.stars else (self.ensure_size(t.tag) or t.width) if t.tag else t.width
+        layout = None if t.stars or not t.tag else self.layout(t.tag)
+        size = 8 if t.stars else layout and layout.size or t.width
         for n in t.dims:
             size *= n
         return size
-
-    def ensure_size(self, tag: str) -> int | None:
-        """Total byte size of a tag's layout, probing the corpus if needed."""
-        self._probe(tag)
-        return self._layout_end.get(tag)

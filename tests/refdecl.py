@@ -3,8 +3,11 @@
 This is the reader ``ssi.interp`` had before a declaration held one
 ``memory.CType``, kept as the differential reference for it
 (``tests/test_refdecl.py``). ``TypeInfo``, ``Decl``, the two name tables,
-``parse_type_prefix`` and ``_declarations`` are unchanged; the helpers that
-did not change are imported from ``ssi.interp``.
+``parse_type_prefix`` and ``_declarations`` are unchanged but for one rule
+both readers took later: a ``struct`` or ``union`` body with no tag, and no
+tag from a typedef name, is tagged with the texts of its tokens; ``TypeInfo``
+no longer records where that body is. The helpers that did not change are
+imported from ``ssi.interp``.
 """
 
 from dataclasses import dataclass
@@ -37,7 +40,6 @@ class TypeInfo:
     boolean: bool = False  # ``_Bool``: a store holds 0 or 1
     is_typedef: bool = False
     saw_type: bool = False
-    inline_body: tuple | None = None  # (start, end) within the local token list
 
 
 @dataclass
@@ -79,7 +81,8 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
                     i += 1
                 if i < n and tk.is_punct(toks[i], "{"):
                     j = tk.closing(toks, i, n)
-                    info.inline_body = (i + 1, j)
+                    if info.tag is None and t.text != "enum":
+                        info.tag = " ".join(x.text for x in toks[i + 1 : j])
                     i = j + 1
                 continue
             if t.text in tk.BASE_TYPE_KEYWORDS:

@@ -948,6 +948,66 @@ void testmain(void) {
     int ss = sizeof(**q);
 }
 """, {"c": 9, "sq": 8, "ss": 9}),
+    "a block-scope struct body gives its layout": ("""
+void testmain(void) {
+    struct loc2 { char a; int b; } v;
+    v.a = 300;
+    int a = v.a;
+    long ob = (long)&v.b - (long)&v;
+    int s = sizeof v;
+}
+""", {"a": 44, "ob": 1, "s": 5}),
+    "structs that hold each other by value end their cycle": ("""
+struct a { int k; struct b x; };
+struct b { char c; struct a y; };
+void testmain(void) {
+    int sa = sizeof(struct a);
+    int sb = sizeof(struct b);
+}
+""", {"sa": 9, "sb": 5}),
+    "a typedef'd untagged struct keeps its members' types": ("""
+typedef struct { unsigned int a; unsigned char b; unsigned int c; } S;
+void testmain(void) {
+    S v;
+    long ob = (long)&v.b - (long)&v;
+    long oc = (long)&v.c - (long)&v;
+    v.b = 300;
+    int b = v.b;
+    int s = sizeof(S);
+}
+""", {"ob": 4, "oc": 5, "b": 44, "s": 9}),
+    "an untagged member struct has its size": ("""
+struct outer { struct { int x; int y; } pos; int z; };
+void testmain(void) {
+    struct outer o;
+    long oz = (long)&o.z - (long)&o;
+    int s = sizeof(struct outer);
+}
+""", {"oz": 8, "s": 12}),
+    "elements of an untagged struct array do not alias": ("""
+typedef struct { u8 lo; u8 hi; } pair_t;
+pair_t tab[4];
+void testmain(void) {
+    long d = &tab[2].lo - &tab[1].hi;
+}
+""", {"d": 1}),
+    "a typedef of an array keeps its bounds": ("""
+typedef int A[4];
+typedef unsigned char MAC[6];
+struct s { MAC mac; int x; };
+int third(A p) { return p[2]; }
+void testmain(void) {
+    A x[2];
+    x[1][3] = 7;
+    x[1][2] = 11;
+    int sa = sizeof(A);
+    int sx = sizeof x;
+    int sr = sizeof x[0];
+    int r = third(x[1]);
+    int v = x[1][3];
+    int ss = sizeof(struct s);
+}
+""", {"sa": 16, "sx": 32, "sr": 16, "r": 11, "v": 7, "ss": 10}, {("s", "x"): 6}),
 }
 
 

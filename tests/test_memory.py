@@ -1,7 +1,7 @@
 import pytest
 
 from ssi.errors import SymbolicAddress
-from ssi.memory import MMIO, STACK, FieldInfo, Location, Store
+from ssi.memory import INT, MMIO, STACK, CType, Layout, Location, Store
 from ssi.values import SymbolRoot, ValueTable, to_int
 
 AT = ("t.c", 1)
@@ -82,26 +82,34 @@ def test_synthetic_layout_first_fit_and_stability():
     # Oracle: deterministic first-fit replay; first field lands at 0, the
     # next at the previous end, and repeat queries return the same slots.
     _, store = fresh()
-    base = store.field_offset("bcm2835_pinctrl", "base", 4)
+    base = store.field_offset("bcm2835_pinctrl", "base")
     assert (base.offset, base.width) == (0, 4)
-    lock = store.field_offset("bcm2835_pinctrl", "lock", 4)
+    lock = store.field_offset("bcm2835_pinctrl", "lock")
     assert lock.offset == 4
-    again = store.field_offset("bcm2835_pinctrl", "base", 4)
+    again = store.field_offset("bcm2835_pinctrl", "base")
     assert (again.offset, again.width) == (0, 4)
 
     _, replay = fresh()
-    assert replay.field_offset("bcm2835_pinctrl", "base", 4).offset == 0
-    assert replay.field_offset("bcm2835_pinctrl", "lock", 4).offset == 4
+    assert replay.field_offset("bcm2835_pinctrl", "base").offset == 0
+    assert replay.field_offset("bcm2835_pinctrl", "lock").offset == 4
+
+
+def two_ints():
+    layout = Layout()
+    layout.add("a", INT, 4)
+    layout.add("b", INT, 4)
+    return layout
 
 
 def test_installed_layout_is_used():
+    # A body's layout, as the source gives it, is used and grows.
     _, store = fresh()
-    store.install_layout("S", {"a": FieldInfo(0, 4), "b": FieldInfo(4, 4)})
+    store.layout_source = lambda tag: two_ints()
     assert store.field_offset("S", "b").offset == 4
-    assert store.ensure_size("S") == 8
+    assert store.size_of(CType(tag="S")) == 8
     # Unknown fields extend past the end of the known layout.
     assert store.field_offset("S", "c").offset == 8
-    assert store.ensure_size("S") == 12
+    assert store.size_of(CType(tag="S")) == 12
 
 
 def test_layout_source_consulted_once():
@@ -109,14 +117,19 @@ def test_layout_source_consulted_once():
 
     def source(tag):
         calls.append(tag)
-        return {"a": FieldInfo(0, 4), "b": FieldInfo(4, 4)} if tag == "S" else None
+        return two_ints() if tag == "S" else None
 
     _, store = fresh()
     store.layout_source = source
     assert store.field_offset("S", "b").offset == 4
     assert store.field_offset("S", "a").offset == 0
+    assert store.layout("S") == two_ints()
+    assert store.layout("U") is None  # no body, no member used
     assert store.field_offset("T", "x").offset == 0  # synthetic fallback
-    assert calls == ["S", "T"]
+    assert store.field_offset("T", "y").offset == 4
+    assert store.field_offset("U", "z").offset == 0
+    assert store.size_of(CType(tag="U")) == 4
+    assert calls == ["S", "U", "T"]
 
 
 def test_mmio_region_carries_display_base():

@@ -58,8 +58,7 @@ def outcome(read):
 def reference_view(toks, i, member):
     info, decls, j = refdecl._declarations(toks, i, REF_TYPEDEFS, member)
     fields = (info.width, info.tag, info.unsigned, info.stars, info.boolean)
-    return (info.saw_type, fields if info.saw_type else None, info.is_typedef,
-            info.inline_body, j,
+    return (info.saw_type, fields if info.saw_type else None, info.is_typedef, j,
             [(d.name, (d.width, d.tag, d.unsigned, d.stars, d.boolean),
               [texts(b) for b in d.dims], texts(d.init), d.function) for d in decls])
 
@@ -70,7 +69,7 @@ def new_view(toks, i, member):
     fields = t and (t.width, t.tag, t.unsigned, t.stars, t.boolean)
     assert t is None or t.dims == ()
     assert all(d.type.dims == () for d in decls)
-    return (t is not None, fields, info.is_typedef, info.inline_body, j,
+    return (t is not None, fields, info.is_typedef, j,
             [(d.name, (d.type.width, d.type.tag, d.type.unsigned, d.type.stars,
                        d.type.boolean),
               [texts(b) for b in d.dims], texts(d.init), d.function) for d in decls])
