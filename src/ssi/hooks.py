@@ -47,28 +47,28 @@ class HookContext:
         """Run C statement text; ``{N}`` placeholders bind to the given
         values. ``(opaque)`` inside the snippet is a fresh symbolic value."""
         self._interp.exec_snippet(template, list(args),
-                                  at=(self.site.file, self.site.line))
+                                  at=self.site.at)
 
     def make_concrete(self, width_bits: int, value: int, signed=False) -> Value:
         return self.session.values.concrete(
-            width_bits, value, (self.site.file, self.site.line),
+            width_bits, value, self.site.at,
             signed=signed, desc=f"hook {self.site.compact.split(' ')[0]} constant")
 
     def write_through(self, pointer: Value, value: Value) -> None:
         self._interp.write_through(pointer, value,
-                                   at=(self.site.file, self.site.line))
+                                   at=self.site.at)
 
     def read_through(self, pointer: Value, width_bytes: int = 4) -> Value:
         return self._interp.read_through(pointer, width_bytes,
-                                         at=(self.site.file, self.site.line))
+                                         at=self.site.at)
 
     def fresh_symbolic(self, label: str) -> Value:
         values = self.session.values
-        return values.fresh_symbol(label, (self.site.file, self.site.line), values.blame)
+        return values.fresh_symbol(label, self.site.at, values.blame)
 
     def map_mmio(self, label: str, base_value: Value, size=None) -> Value:
         return self._interp.map_mmio(label, base_value, size,
-                                     at=(self.site.file, self.site.line))
+                                     at=self.site.at)
 
     def emit_sexpr(self, template: str, args=()) -> Value:
         text = re.sub(r"\{(\d+)\}",

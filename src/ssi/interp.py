@@ -18,7 +18,7 @@ fresh value, and the reported line is always the next statement to run.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import macros as mc
 from . import tokens as tk
@@ -51,7 +51,7 @@ from .islands import (
     WhileNode,
     parse_hole_as_block,
 )
-from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, Layout, Location
+from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, Layout
 from .session import (
     ASK,
     ASSUME_FALSE,
@@ -93,6 +93,10 @@ class CallSite:
     line: int
     text: str     # verbatim source of the call expression when available
     compact: str  # token texts joined by single spaces
+    at: tuple[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.at = (self.file, self.line)  # one tuple for every value the call mints
 
 
 # --------------------------------------------------------------------- types
@@ -513,7 +517,7 @@ class Interp:
                 s.values.blame = outer
             if isinstance(result, Value):
                 return result
-            return s.values.concrete(32, 0, (site.file, site.line),
+            return s.values.concrete(32, 0, site.at,
                                      desc=f"hook {name} result")
         fdef = s.corpus.find_function(name)
         if fdef is not None:
@@ -528,7 +532,7 @@ class Interp:
             r = s.values.resolve(a)
             if isinstance(r, Residual) and r.pointer is not None:
                 s.store.taints[r.pointer[0]] = missing
-        return s.values.fresh_symbol(f"ret:{name}@{site.line}", (site.file, site.line), missing)
+        return s.values.fresh_symbol(f"ret:{name}@{site.line}", site.at, missing)
 
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
         """The (name, type) of each parameter of ``fdef`` in order,
@@ -552,11 +556,11 @@ class Interp:
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
         s = self.s
         frame = Frame(fdef.name)
+        at = site.at
         for k, (name, ctype) in enumerate(self._params(fdef)):
             if name is None:
                 continue
             place = frame.locals[name] = self._allocate(name, ctype, STACK)
-            at = (site.file, site.line)
             v = args[k] if k < len(args) else s.values.fresh_symbol(
                 f"arg:{name}@{site.line}", at)
             self.store_place(place, v, at)
@@ -1064,21 +1068,20 @@ class Interp:
         return rid, off
 
     def load_place(self, place: Place, at) -> Value:
-        rid, off = self._locate(place, at)
+        v = self.s.store.load(self._locate(place, at), at=at)
         t = place.type
-        v = self.s.store.load(Location(rid, off), at=at)
         if t.stars:
             _pin(v, t.elem)
         return v
 
     def store_place(self, place: Place, value: Value, at):
-        rid, off = self._locate(place, at)
+        cell = self._locate(place, at)
         t = place.type
         if t.narrow is not None:
             value = self._narrowed(value, t, at)
         if t.stars:
             _pin(value, t.elem)
-        self.s.store.store(Location(rid, off), value)
+        self.s.store.store(cell, value)
 
     def _narrowed(self, value: Value, t: CType, at) -> Value:
         """``value`` as a variable of the narrow type ``t`` holds it:
@@ -1216,7 +1219,7 @@ class Interp:
         a pointer or a pointer step step by its elements, on either side of
         ``+``; two such Places' difference counts elements (C11 6.5.6p9),
         and any other case is ``op`` on the two values."""
-        size = 1
+        size = None  # of an element, for a difference of two pointers
         if isinstance(a, Place):
             if (op == "+" or op == "-" and not _steps(b)) and _steps(a):
                 return self.deref_place(a, at, self.value_of(b, at), op, True)
@@ -1227,6 +1230,11 @@ class Interp:
             return self.deref_place(b, at, a, op, True)
         vals = self.s.values
         v = vals.apply_binop(op, a, self.value_of(b, at), at)
+        if size is None:
+            return v
+        r = vals.resolve(v)  # a ptrdiff_t: 64 bits, signed, as one region's differences are
+        if r.__class__ is Concrete and not (r.width == 64 and r.signed):
+            v = vals.apply_cast(v, 64, True, at)
         if size == 1:
             return v
         return vals.apply_binop("/", v, vals.concrete(
@@ -1280,13 +1288,12 @@ class Interp:
 
     def write_through(self, ptr: Value, value: Value, at=("<hook>", 0)):
         rid, off = self.deref_location(ptr, at)
-        self.s.store.store(Location(rid, off), value)
+        self.s.store.store((rid, off), value)
         self.s.emit_event("write", address=self.address_display(rid, off),
                           value=value.id, line=at[1])
 
     def read_through(self, ptr: Value, width_bytes: int = 4, at=("<hook>", 0)) -> Value:
-        rid, off = self.deref_location(ptr, at)
-        return self.s.store.load(Location(rid, off), width_bytes, at)
+        return self.s.store.load(self.deref_location(ptr, at), width_bytes, at)
 
     def map_mmio(self, label: str, base_value: Value, size=None,
                  at=("<hook>", 0)) -> Value:
@@ -1305,10 +1312,10 @@ class Interp:
             # Each byte is stored as the int it promotes to, so arithmetic on
             # bytes does not wrap at 8 bits (as narrow stores do; see _narrowed).
             for i, ch in enumerate(data):
-                s.store.store(Location(region.id, i),
+                s.store.store((region.id, i),
                               s.values.concrete(32, ord(ch) & 0xFF, at, signed=True,
                                                 desc="string byte"))
-            s.store.store(Location(region.id, len(data)),
+            s.store.store((region.id, len(data)),
                           s.values.concrete(32, 0, at, signed=True, desc="string NUL"))
             s.string_regions[key] = region.id
             rid = region.id
@@ -1331,6 +1338,7 @@ _STEP = "step"    # a pointer step's Place (``&``, a cast, a call, ``?:``, ``+``
 _PREFIX = frozenset(("!", "~", "-", "+", "*", "&", "++", "--"))
 _POSTFIX = frozenset(("(", "[", "->", ".", "++", "--"))
 _UNOPS = {"!": "!", "~": "~", "-": "neg"}
+_ONE = make_concrete(32, 1, True)  # the step of ``++`` and ``--``
 
 
 def _nothing(frame):
@@ -1562,8 +1570,9 @@ class _Compiler:
 
     # ---------------------------------------------------------- operations
     def _literal(self, t, at, value, bits, signed):
-        concrete, desc = self.vals.concrete, f"literal {t.text}"
-        return _VALUE, lambda frame: concrete(bits, value, at, signed=signed, desc=desc), None
+        """A literal's constant is built here, once; a run mints a value of it."""
+        mint, c, desc = self.vals.mint, make_concrete(bits, value, signed), f"literal {t.text}"
+        return _VALUE, lambda frame: mint(c, at, desc), None
 
     def _assign(self, lhs, t):
         rhs = self.rval(self.parse(_ASSIGN), t)  # right to left
@@ -1634,12 +1643,12 @@ class _Compiler:
         place = self.as_place(e)
         at = (self.file_id, t.line)
         op = "+" if t.text == "++" else "-"
-        it, vals = self.it, self.vals
+        it, mint = self.it, self.vals.mint
 
         def incdec(frame):
             p = place(frame)
             old = it.load_place(p, at)
-            one = vals.concrete(32, 1, at, signed=True, desc="1")
+            one = mint(_ONE, at, "1")
             new = it.value_of(it.arith(op, p if _steps(p) else old, one, at), at)
             it.store_place(p, new, at)
             return new if pre else old
@@ -1688,10 +1697,17 @@ class _Compiler:
         self.i = close + 1
         v = self.rval(self.operand(), t)
         ctype = decl.type
-        if ctype.stars:  # a pointer step of no elements over the value
-            return _STEP, lambda frame: Place(None, v(frame), 0, "*", ctype.elem, True), None
         bits, signed, at = ctype.width * 8, not ctype.unsigned, (self.file_id, t.line)
         vals = self.vals
+        if ctype.stars:  # a pointer step of no elements over the value
+            def pointer(frame):
+                p = v(frame)
+                r = vals.resolve(p)
+                if r.__class__ is Concrete and r.width < 64:  # an address is 64 bits wide
+                    p = vals.apply_cast(p, 64, False, at)
+                return Place(None, p, 0, "*", ctype.elem, True)
+
+            return _STEP, pointer, None
         if ctype.boolean:
             return _VALUE, lambda frame: vals.apply_binop(
                 "!=", v(frame), vals.concrete(32, 0, at, True), at), None

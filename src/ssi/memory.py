@@ -123,36 +123,43 @@ class Store:
         return self.regions.get(region_id)
 
     # ----------------------------------------------------------------- cells
-    def _offset_of(self, loc: Location) -> int:
-        off = loc.offset
+    def _cell(self, loc) -> tuple[int, int]:
+        """The cell key of ``loc``: a Location or a (region, offset) pair,
+        whose offset is an int or a Value that must resolve concretely."""
+        region, off = (loc.region, loc.offset) if loc.__class__ is Location else loc
         if isinstance(off, int):
-            return off
+            return region, off
         if isinstance(off, Value):
             r = self.values.resolve(off)
             if isinstance(r, Concrete):
-                return to_int(r)
+                return region, to_int(r)
             labels = self.values.labels_for(r.blockers)
             raise SymbolicAddress(
-                f"address offset in region {loc.region} is symbolic "
+                f"address offset in region {region} is symbolic "
                 f"(blocked by: {self.values.blocker_text(labels)})",
                 blockers=labels,
             )
         raise SymbolicAddress(f"bad offset {off!r}")
 
-    def load(self, loc: Location, width: int = 4, at=("<memory>", 0)) -> Value:
-        off = self._offset_of(loc)
-        key = (loc.region, off)
+    def load(self, loc, width: int = 4, at=("<memory>", 0)) -> Value:
+        """The value in the cell at ``loc`` (a Location or a (region,
+        offset) pair); an untouched cell gets a fresh symbol. ``width`` is
+        accepted for its callers and not read: a cell holds one value,
+        whatever the width of the access, until the store keeps bytes."""
+        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
         vid = self.cells.get(key)
         if vid is not None:
             return self.values.get(vid)
-        sym = self.values.fresh_symbol(f"mem:({loc.region},{off})", at,
-                                       self.taints.get(loc.region) or self.values.blame)
+        region, off = key
+        sym = self.values.fresh_symbol(f"mem:({region},{off})", at,
+                                       self.taints.get(region) or self.values.blame)
         self.cells[key] = sym.id
         return sym
 
-    def store(self, loc: Location, value: Value) -> None:
-        off = self._offset_of(loc)
-        self.cells[(loc.region, off)] = value.id
+    def store(self, loc, value: Value) -> None:
+        """Put ``value`` in the cell at ``loc``, as ``load`` reads it."""
+        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
+        self.cells[key] = value.id
 
     # --------------------------------------------------------------- layouts
     def layout(self, tag: str) -> Layout | None:

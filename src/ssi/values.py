@@ -10,7 +10,10 @@ failures report exactly which unbound roots are blocking.
 Widths are 8/16/32/64 bits with two's-complement wraparound. Both operands of
 a binary operation are widened to the larger width first; comparison and
 logical results are 32-bit 0/1. Signed right shift is arithmetic, division
-truncates toward zero, and the remainder takes the dividend's sign.
+truncates toward zero, and the remainder takes the dividend's sign. Each
+binary operator has one kernel over two constants (``BINARY_KERNELS``), the
+only arithmetic, whether the operands are constants when the operation runs
+or resolve to constants later.
 """
 
 from __future__ import annotations
@@ -22,15 +25,8 @@ from .errors import ConflictingBinding, DivisionByConcreteZero, UnsupportedOpera
 
 OP_ADDR = "addr-of-region"
 
-BINARY_OPS = frozenset(
-    ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
-     "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
-)
 UNARY_OPS = frozenset(["!", "~", "neg"])
 _LOGICAL = frozenset(["&&", "||"])
-# Operators whose result is exact on the signed operands, wrapped to the width.
-_WRAPPING = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-             "&": operator.and_, "|": operator.or_, "^": operator.xor}
 # (operator, side: 0 left, 1 right) -> the constant that gives the other operand as is
 _IDENTITY = {**{(op, side): 0 for op in ("+", "|", "^") for side in (0, 1)},
              ("-", 1): 0, ("<<", 1): 0, (">>", 1): 0, ("*", 0): 1, ("*", 1): 1}
@@ -94,23 +90,29 @@ class Term(Record):
 
 class Value:
     """One minted value: its payload and its provenance, that is where it
-    was made (``file``, ``line``), how (``op_description``) and from which
-    earlier values (``parents``). Values compare by identity; ids are
-    unique within a table."""
+    was made (``at``, read as ``file`` and ``line``), how
+    (``op_description``) and from which earlier values (``parents``).
+    Values compare by identity; ids are unique within a table."""
 
-    __slots__ = ("id", "payload", "file", "line", "op_description", "parents",
-                 "pointee")
+    __slots__ = ("id", "payload", "at", "op_description", "parents", "pointee")
     __repr__ = _fields_repr
 
-    def __init__(self, id: int, payload, file: str, line: int, op_description: str,
+    def __init__(self, id: int, payload, at: tuple[str, int], op_description: str,
                  parents: tuple[int, ...] = ()):
         self.id = id
         self.payload = payload
-        self.file = file
-        self.line = line
+        self.at = at  # (file, line), shared by every value a site mints
         self.op_description = op_description
         self.parents = parents
         self.pointee = None  # the memory.CType a pointer value points at, if known
+
+    @property
+    def file(self) -> str:
+        return self.at[0]
+
+    @property
+    def line(self) -> int:
+        return self.at[1]
 
     @property
     def prov(self) -> Value:
@@ -168,37 +170,80 @@ def make_concrete(width: int, value: int, signed: bool = False) -> Concrete:
     return Concrete(width, value & ((1 << width) - 1), signed)
 
 
-def concrete_binop(op: str, a: Concrete, b: Concrete) -> Concrete:
-    """Reference arithmetic over two constants, C-style."""
-    w = max(a.width, b.width)
-    av, bv = to_int(a), to_int(b)
-    mask = (1 << w) - 1
-    rs = a.signed and b.signed
-    wrapping = _WRAPPING.get(op)
-    if wrapping is not None:
-        return Concrete(w, wrapping(av, bv) & mask, rs)
-    compare = _COMPARISONS.get(op)
-    if compare is not None:  # signed when both are, else unsigned at width w
-        x, y = (av, bv) if rs else (av & mask, bv & mask)
-        return Concrete(32, int(compare(x, y)), True)
-    if op in _LOGICAL:
-        ta, tb = (av & mask) != 0, (bv & mask) != 0
-        r = (ta and tb) if op == "&&" else (ta or tb)
-        return Concrete(32, int(r), True)
-    if op in ("/", "%"):
-        if bv == 0:
-            raise DivisionByConcreteZero("division by zero")
-        q = abs(av) // abs(bv)
-        if (av < 0) != (bv < 0):
-            q = -q
-        r = q if op == "/" else av - q * bv
-    elif op == "<<":
-        r = av << (bv % w)
-    elif op == ">>":
-        r = av >> (bv % w)  # arithmetic when the (signed) int is negative
-    else:
-        raise UnsupportedOperation(f"operator {op!r}")
-    return Concrete(w, r & mask, rs)
+# The 32-bit signed results of comparisons and of ``&&`` and ``||``; a
+# Concrete is immutable, so every such result shares one of them.
+_FALSE = Concrete(32, 0, True)
+_TRUE = Concrete(32, 1, True)
+
+
+def _wrapping(fn):
+    """The kernel of an operator whose result is ``fn`` on the operands'
+    values, wrapped to the wider width. On equal widths the bits give the
+    same result mod 2**width as the values do."""
+
+    def kernel(a: Concrete, b: Concrete) -> Concrete:
+        w = a.width
+        if w == b.width:
+            r = fn(a.bits, b.bits)
+        else:
+            w = max(w, b.width)
+            r = fn(to_int(a), to_int(b))
+        return Concrete(w, r & ((1 << w) - 1), a.signed and b.signed)
+
+    return kernel
+
+
+def _comparison(fn):
+    """The kernel of a comparison: on the values when both operands are
+    signed, else on the values wrapped to the wider width (unsigned)."""
+
+    def kernel(a: Concrete, b: Concrete) -> Concrete:
+        if a.signed and b.signed:
+            r = fn(to_int(a), to_int(b))
+        elif a.width == b.width:
+            r = fn(a.bits, b.bits)
+        else:
+            mask = (1 << max(a.width, b.width)) - 1
+            r = fn(to_int(a) & mask, to_int(b) & mask)
+        return _TRUE if r else _FALSE
+
+    return kernel
+
+
+def _exact(fn):
+    """The kernel of an operator whose result is ``fn(x, y, w)`` on the
+    operands' values ``x``, ``y`` at the wider width ``w``, wrapped to it."""
+
+    def kernel(a: Concrete, b: Concrete) -> Concrete:
+        w = max(a.width, b.width)
+        r = fn(to_int(a), to_int(b), w)
+        return Concrete(w, r & ((1 << w) - 1), a.signed and b.signed)
+
+    return kernel
+
+
+def _quotient(x: int, y: int, w: int) -> int:
+    """C's ``x / y``: truncated toward zero, so ``x % y`` takes ``x``'s sign."""
+    if y == 0:
+        raise DivisionByConcreteZero("division by zero")
+    q = abs(x) // abs(y)
+    return -q if (x < 0) != (y < 0) else q
+
+
+# One arithmetic over two constants, C-style: the kernel of each binary
+# operator. ``apply_binop`` runs it on two constant operands and ``_combine``
+# on two that resolve to constants.
+BINARY_KERNELS = {
+    "+": _wrapping(operator.add), "-": _wrapping(operator.sub),
+    "*": _wrapping(operator.mul), "&": _wrapping(operator.and_),
+    "|": _wrapping(operator.or_), "^": _wrapping(operator.xor),
+    "/": _exact(_quotient), "%": _exact(lambda x, y, w: x - _quotient(x, y, w) * y),
+    # by the count modulo the width; a negative signed value shifts arithmetically
+    "<<": _exact(lambda x, y, w: x << y % w), ">>": _exact(lambda x, y, w: x >> y % w),
+    **{op: _comparison(fn) for op, fn in _COMPARISONS.items()},
+    "&&": lambda a, b: _TRUE if a.bits and b.bits else _FALSE,
+    "||": lambda a, b: _TRUE if a.bits or b.bits else _FALSE,
+}
 
 
 def concrete_unop(op: str, a: Concrete) -> Concrete:
@@ -261,39 +306,45 @@ class ValueTable:
     def get(self, vid: int) -> Value:
         return self._values[vid]
 
-    def _new(self, payload, at, desc, parents=()) -> Value:
+    def mint(self, payload, at, desc, parents=()) -> Value:
+        """A new value of ``payload``, made at ``at`` (file, line) as
+        ``desc`` from the ``parents`` ids; a payload may be shared, since
+        none is ever changed."""
         values = self._values
-        v = Value(len(values), payload, at[0], at[1], desc, parents)
+        v = Value(len(values), payload, at, desc, parents)
         values.append(v)
         return v
 
     # ------------------------------------------------------------------ make
     def concrete(self, width: int, value: int, at=_NOWHERE, signed=False, desc=None, parents=()):
         c = make_concrete(width, value, signed)
-        return self._new(c, at, desc or f"literal {to_int(c)}", parents)
+        return self.mint(c, at, desc or f"literal {to_int(c)}", parents)
 
     def fresh_symbol(self, label: str, at=_NOWHERE, cause: MissingCall | None = None) -> Value:
-        v = self._new(SymbolRoot(label), at, f"symbol {label}")
+        v = self.mint(SymbolRoot(label), at, f"symbol {label}")
         if cause is not None:
             self.missing_calls[v.id] = cause
         return v
 
     def addr_of(self, region_id: int, at=_NOWHERE, desc=None) -> Value:
-        return self._new(Term(OP_ADDR, (), region_id), at, desc or f"&region {region_id}")
+        return self.mint(Term(OP_ADDR, (), region_id), at, desc or f"&region {region_id}")
 
     # ------------------------------------------------------------ operations
     def apply_binop(self, op: str, lhs: Value, rhs: Value, at=_NOWHERE) -> Value:
-        if op not in BINARY_OPS:
+        kernel = BINARY_KERNELS.get(op)
+        if kernel is None:
             raise UnsupportedOperation(f"operator {op!r}")
-        ra, rb = self.resolve(lhs), self.resolve(rhs)
-        if op in ("/", "%") and isinstance(rb, Concrete) and rb.bits == 0:
+        a, b = lhs.payload, rhs.payload  # two constants need no resolving
+        if a.__class__ is not Concrete or b.__class__ is not Concrete:
+            a, b = self.resolve(lhs), self.resolve(rhs)
+        if b.__class__ is Concrete and b.bits == 0 and (op == "/" or op == "%"):
             raise DivisionByConcreteZero(f"division by zero at line {at[1]}")
-        if isinstance(ra, Concrete) and isinstance(rb, Concrete):
-            return self._new(concrete_binop(op, ra, rb), at, op, (lhs.id, rhs.id))
-        folded = self._identity_fold(op, lhs, ra, rhs, rb, at)
+        if a.__class__ is Concrete and b.__class__ is Concrete:
+            return self.mint(kernel(a, b), at, op, (lhs.id, rhs.id))
+        folded = self._identity_fold(op, lhs, a, rhs, b, at)
         if folded is not None:
             return folded
-        v = self._new(Term(op, (lhs.id, rhs.id)), at, op, (lhs.id, rhs.id))
+        v = self.mint(Term(op, (lhs.id, rhs.id)), at, op, (lhs.id, rhs.id))
         v.pointee = lhs.pointee or rhs.pointee
         return v
 
@@ -310,7 +361,7 @@ class ValueTable:
         if _IDENTITY.get((op, side)) == c.bits:
             return other
         if c.bits == 0 and (op == "*" or op == "&"):
-            return self._new(Concrete(c.width, 0, c.signed), at, op, (lhs.id, rhs.id))
+            return self.mint(Concrete(c.width, 0, c.signed), at, op, (lhs.id, rhs.id))
         return None
 
     def apply_unop(self, op: str, operand: Value, at=_NOWHERE) -> Value:
@@ -318,8 +369,8 @@ class ValueTable:
             raise UnsupportedOperation(f"operator {op!r}")
         r = self.resolve(operand)
         if isinstance(r, Concrete):
-            return self._new(concrete_unop(op, r), at, op, (operand.id,))
-        v = self._new(Term(op, (operand.id,)), at, op, (operand.id,))
+            return self.mint(concrete_unop(op, r), at, op, (operand.id,))
+        v = self.mint(Term(op, (operand.id,)), at, op, (operand.id,))
         if op.startswith("cast"):
             v.pointee = operand.pointee
         return v
@@ -482,7 +533,7 @@ class ValueTable:
     def _combine(self, vid, term, resolved):
         if all(isinstance(r, Concrete) for r in resolved):
             if len(resolved) == 2:
-                return concrete_binop(term.op, resolved[0], resolved[1])
+                return BINARY_KERNELS[term.op](*resolved)
             return concrete_unop(term.op, resolved[0])
         blockers: list[int] = []
         for r in resolved:
@@ -536,8 +587,7 @@ class ValueTable:
         out = []
         for vid in sorted(seen):
             val = self._values[vid]
-            out.append((vid, (val.prov.file, val.prov.line), val.prov.op_description,
-                        val.prov.parents))
+            out.append((vid, val.at, val.op_description, val.parents))
         return out
 
     def labels_for(self, blocker_ids) -> list[str]:

@@ -1385,6 +1385,10 @@ POINTER_STEP_CASES = {
     "a false operand or an address": ("int a = 4; int *p = &a; int r = 0 || p;", SYMBOL, 1),
     "a difference of char pointers": ("char s[8]; char *p = s + 5; long r = p - s;", 5, 5),
     "a difference of struct addresses": ("struct c v[3]; long r = &v[2] - &v[0];", 16, 2),
+    "a difference of cast char constants": (
+        "long r = (char *)40u - (char *)100;", 4294967236, -60),
+    "a difference of cast int constants": (
+        "long r = (int *)40u - (int *)100;", 1073741809, -15),
 }
 
 
