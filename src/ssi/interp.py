@@ -421,7 +421,7 @@ class Interp:
                     continue
                 if depth == 0 and boundary:
                     macro = macros.get(t.text)
-                    if macro is not None and macro.params is None:
+                    if macro is not None and not macro.function_like:
                         end = tk.top_level(toks, i, n, (";", "{"))
                         self._record_global_decl(mc.expand(toks[i:end], macros), 0, fid)
                         i = end
@@ -843,7 +843,7 @@ class Interp:
         if not toks:
             return _nothing
         first = toks[0]
-        if first.kind == tk.PUNCT and first.text == "#":
+        if first.kind == tk.DIRECTIVE:
             return _nothing
         if first.kind == tk.IDENTIFIER and first.text in ("asm", "__asm__", "__asm"):
             message = f"skipped inline assembly at line {line}"

@@ -345,8 +345,6 @@ def _match_statement(cur: tk.Cursor):
         if t.text in tk.DECL_KEYWORDS:
             return DeclarationNode(fid, t.line, i, _statement_span(toks, i, limit))
     elif t.kind == tk.PUNCT:
-        if t.text == "#":
-            return RawNode(fid, t.line, i, tk.line_end(toks, i, limit), directive=True)
         if t.text == "{":
             end = _balanced_end(toks, i, limit)
             return BlockNode(fid, t.line, i, end, body=Hole(fid, i + 1, end - 1))
@@ -354,6 +352,8 @@ def _match_statement(cur: tk.Cursor):
         j = tk.skip_trivia(toks, i + 1, limit)
         if j < limit and tk.is_punct(toks[j], ":"):
             return LabelNode(fid, t.line, i, j + 1, name=t.text)
+    elif t.kind == tk.DIRECTIVE:
+        return RawNode(fid, t.line, i, i + 1, directive=True)
     return None
 
 

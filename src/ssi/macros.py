@@ -1,52 +1,86 @@
 """Token-level handling of simple object-like and function-like ``#define``s.
 
-Preprocessor lines are ordinary token runs to the tokenizer; this module
-collects the definitions and substitutes them textually just before an
-expression or statement is evaluated. Conditional inclusion, stringizing and
-token pasting are out of scope; a macro that cannot be expanded is left in
-place and reported through the ``on_unexpanded`` callback.
+A preprocessor line is one ``directive`` token to the tokenizer. Loading a
+file reads each ``#define``'s name from its token's text with one pattern;
+the parameters and body are tokenized the first time ``expand`` needs them.
+Macros are substituted textually just before an expression or statement is
+evaluated. Conditional inclusion, stringizing and token pasting are out of
+scope; a macro that cannot be expanded is left in place and reported through
+the ``on_unexpanded`` callback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from . import tokens as tk
 
 MAX_EXPANSION_DEPTH = 16
 
+# Blanks and comments, the trivia a directive's words may be split by.
+_GAP = r"(?:[ \t\r\f\v]|//[^\n]*|/\*(?>.*?\*/|.*))*+"
+# ``#define``, its name, and the ``(`` glued to the name, if there is one.
+_DEFINE = re.compile(
+    rf"#{_GAP}define(?![A-Za-z0-9_]){_GAP}([A-Za-z_][A-Za-z0-9_]*)(\(?)", re.S)
 
-@dataclass
+
 class MacroDef:
-    name: str
-    params: tuple[str, ...] | None  # None for object-like macros
-    body: list[tk.Token]            # trivia stripped
-    file_id: str
-    line: int
+    """One ``#define``: its name, whether a ``(`` is glued to the name
+    (``function_like``), and the file and line of the name. ``params`` (None
+    for an object-like macro) and ``body`` (trivia and backslashes left out)
+    are tokenized from the rest of the directive the first time either is
+    read."""
+
+    __slots__ = ("name", "function_like", "file_id", "_directive", "_rest", "_params",
+                 "_body")
+
+    def __init__(self, name: str, function_like: bool, file_id: str,
+                 directive: tk.Token, rest: int):
+        self.name, self.function_like, self.file_id = name, function_like, file_id
+        # ``rest`` indexes the directive's text just after the name.
+        self._directive, self._rest, self._body = directive, rest, None
+
+    @property
+    def line(self) -> int:
+        return self._directive.line + self._directive.text.count("\n", 0, self._rest)
+
+    @property
+    def params(self) -> tuple[str, ...] | None:
+        if self._body is None:
+            self._read()
+        return self._params
+
+    @property
+    def body(self) -> list[tk.Token]:
+        if self._body is None:
+            self._read()
+        return self._body
+
+    def _read(self):
+        d, rest = self._directive, self._rest
+        text = d.text
+        nl = text.rfind("\n", 0, rest)
+        toks = tk.plain_tokens(text, rest, len(text), d.byte_offset, self.line,
+                               nl + 1 if nl >= 0 else 1 - d.column)
+        k, self._params = 0, None
+        if self.function_like:  # ``toks[0]`` is the glued ``(``
+            close = next((x for x in range(len(toks)) if toks[x].text == ")"), len(toks))
+            self._params = tuple(t.text for t in toks[1:close]
+                                 if t.kind == tk.IDENTIFIER or t.text == "...")
+            k = close + 1
+        self._body = [t for t in toks[k:]  # a backslash is only ever a punctuator
+                      if t.kind not in tk.TRIVIA and t.text != "\\"]
 
 
 def scan_defines(toks: tk.FileTokens, file_id: str) -> dict[str, MacroDef]:
-    """Collect every ``#define`` of a file, each read within its own line."""
+    """Every ``#define`` of a file, each read within its own line, as far as
+    its name."""
     out: dict[str, MacroDef] = {}
-    for i, end in toks.directives.items():
-        j = tk.skip_trivia(toks, i + 1, end)
-        if j >= end or toks[j].text != "define":
-            continue
-        j = tk.skip_trivia(toks, j + 1, end)
-        if j >= end or toks[j].kind != tk.IDENTIFIER:
-            continue
-        params, k = None, j + 1
-        # A parameter list only counts when the paren is glued to the name,
-        # per the C preprocessor.
-        if k < end and tk.is_punct(toks[k], "("):
-            close = next((x for x in range(k, end) if toks[x].text == ")"), end)
-            params = tuple(t.text for t in toks[k + 1 : close]
-                           if t.kind == tk.IDENTIFIER or t.text == "...")
-            k = close + 1
-        body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
-                if t.kind not in tk.TRIVIA and t.text != "\\"]
-        name = toks[j].text
-        out[name] = MacroDef(name, params, body, file_id, toks[j].line)
+    match = _DEFINE.match
+    for i in toks.directives:
+        d = toks[i]
+        if (m := match(d.text)) and (name := m[1]) not in tk.KEYWORDS:
+            out[name] = MacroDef(name, m[2] == "(", file_id, d, m.end(1))
     return out
 
 
@@ -78,7 +112,7 @@ def expand(
                 i += 1
                 continue
             inner = hidden | {t.text}
-            if m.params is None:
+            if not m.function_like:
                 if _has_paste(m.body):
                     if on_unexpanded:
                         on_unexpanded(m.name, t.line)

@@ -9,9 +9,17 @@ they never analyzed.
 ``tokenize`` walks the matches of one compiled pattern, ``_TOKEN``, whose
 alternatives are tried in order at each position: newline, a whitespace run,
 identifier, number, ``//`` and ``/* */`` comments, string and char literals,
-punctuators longest first, and any one character. A token's kind is looked
-up from its text (keywords, punctuators) in ``_KIND_OF_TEXT``, else from its
-first character in ``_KIND_OF_FIRST``.
+a preprocessor line, punctuators longest first, and any one character. A
+token's kind is looked up from its text (keywords, punctuators) in
+``_KIND_OF_TEXT``, else from its first character in ``_KIND_OF_FIRST``.
+
+A preprocessor line is one ``directive`` token, as C11 5.1.1.2 reads it: a
+``#`` with only blanks before it on its line, through the newline that ends
+the line. A backslash with only blanks after it continues the line, and a
+comment or literal that spans lines stays inside. The pattern takes any
+``#`` that is not ``##`` this way; a ``#`` after other tokens on its line is
+then tokenized again, as a punctuator and the plain tokens after it
+(``plain_tokens``), which is also how a macro's body is read.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ COMMENT = "comment"
 WHITESPACE = "whitespace"
 NEWLINE = "newline"
 UNKNOWN = "unknown-byte"
+DIRECTIVE = "directive"
 
 TRIVIA = frozenset((COMMENT, WHITESPACE, NEWLINE))
 
@@ -67,22 +76,27 @@ PUNCTUATORS = (
 # matches tile the source. An unterminated comment runs to the end, an
 # unterminated literal to its newline (a backslash escapes any character, a
 # newline too).
-_TOKEN = re.compile(
-    r"\n|[ \t\r\f\v]+|[A-Za-z_][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*"
-    r"|//[^\n]*|/\*(?:.*?\*/|.*)"
-    r"""|"(?:[^"\\\n]|\\.)*(?:"|\\\Z)?|'(?:[^'\\\n]|\\.)*(?:'|\\\Z)?|"""
-    + "|".join(re.escape(p) for p in sorted(PUNCTUATORS, key=len, reverse=True))
-    + "|.",
-    re.S,
-)
+_BLANKS = " \t\r\f\v"
+_COMMENTS = r"//[^\n]*|/\*(?:.*?\*/|.*)"
+_LITERALS = r""""(?:[^"\\\n]|\\.)*(?:"|\\\Z)?|'(?:[^'\\\n]|\\.)*(?:'|\\\Z)?"""
+_WORDS = "|".join((r"\n|[ \t\r\f\v]+|[A-Za-z_][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*",
+                   _COMMENTS, _LITERALS))
+_PUNCTUATION = "|".join(re.escape(p) for p in sorted(PUNCTUATORS, key=len, reverse=True)) + "|."
+# A preprocessor line reads comments and literals whole, so the newline that
+# ends it is one the plain pattern makes a newline token of.
+_LINE = "|".join((r"#(?!#)(?:[^\n\"'/\\]+", _COMMENTS, _LITERALS,
+                  r"\\[ \t\r\f\v]*\n|[^\n])*+\n?"))
+_PLAIN = re.compile(_WORDS + "|" + _PUNCTUATION, re.S)
+_TOKEN = re.compile(_WORDS + "|" + _LINE + "|" + _PUNCTUATION, re.S)
 # A ``/`` that is no punctuator starts a comment; a first character in
-# neither table makes an unknown byte.
+# neither table makes an unknown byte. A lone ``#`` is looked up by its first
+# character, as a directive that ``tokenize`` checks the place of.
 _KIND_OF_TEXT = {"\n": NEWLINE, **dict.fromkeys(KEYWORDS, KEYWORD),
-                 **dict.fromkeys(PUNCTUATORS, PUNCT)}
+                 **dict.fromkeys((p for p in PUNCTUATORS if p != "#"), PUNCT)}
 _KIND_OF_FIRST = {
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENTIFIER),
-    **dict.fromkeys("0123456789", NUMBER), **dict.fromkeys(" \t\r\f\v", WHITESPACE),
-    "/": COMMENT, '"': STRING, "'": CHAR,
+    **dict.fromkeys("0123456789", NUMBER), **dict.fromkeys(_BLANKS, WHITESPACE),
+    "/": COMMENT, '"': STRING, "'": CHAR, "#": DIRECTIVE,
 }
 
 
@@ -113,13 +127,54 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
     offset, line, line_start = 0, 1, 0
     for text in _TOKEN.findall(source):
         kind = kind_of_text(text) or kind_of_first(text[0], UNKNOWN)
-        append(Token(kind, text, offset, line, offset - line_start + 1))
-        # Only a newline, a comment or a literal (through a backslash-newline)
-        # can hold a newline; every other token stays on its line.
+        # A ``#`` with more than blanks before it on its line is no directive.
+        if kind is DIRECTIVE and source[line_start:offset].strip(_BLANKS):
+            tokens += _after_mid_line_hash(source, offset, offset + len(text), line, line_start)
+        else:
+            append(Token(kind, text, offset, line, offset - line_start + 1))
+        # Only a newline, a comment, a literal (through a backslash-newline)
+        # or a preprocessor line can hold a newline.
         if "\n" in text:
             line += text.count("\n")
             line_start = offset + text.rindex("\n") + 1
         offset += len(text)
+    return tokens
+
+
+def plain_tokens(text: str, start: int, end: int, base: int, line: int,
+                 line_start: int) -> list[Token]:
+    """The tokens of ``text[start:end]`` by the pattern that makes no
+    directive tokens, so a ``#`` is a punctuator. A token at ``text[p]`` is
+    placed at byte ``base + p`` and counts its column from ``line_start``,
+    the index in ``text`` where ``line``, the line of ``text[start]``,
+    begins. ``end`` is a newline's end or the end of the source."""
+    tokens = []
+    append = tokens.append
+    offset = start
+    for t in _PLAIN.findall(text, start, end):
+        kind = _KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], UNKNOWN)
+        append(Token(PUNCT if kind is DIRECTIVE else kind, t, base + offset, line,
+                     offset - line_start + 1))
+        if "\n" in t:
+            line += t.count("\n")
+            line_start = offset + t.rindex("\n") + 1
+        offset += len(t)
+    return tokens
+
+
+def _after_mid_line_hash(source, start, end, line, line_start):
+    """The tokens of ``source[start:end]``, the rest of a line from a ``#``
+    with tokens before it: plain tokens, up to a ``#`` that starts a line
+    continued from this one, which begins a directive through ``end``."""
+    tokens = plain_tokens(source, start, end, 0, line, line_start)
+    at_line_start = False
+    for i, t in enumerate(tokens):
+        if at_line_start and t.text == "#":
+            tokens[i:] = [Token(DIRECTIVE, source[t.byte_offset : end], t.byte_offset,
+                                t.line, t.column)]
+            break
+        if t.kind is not WHITESPACE:
+            at_line_start = t.kind is NEWLINE
     return tokens
 
 
@@ -200,11 +255,10 @@ class Matched(list):
 
 class FileTokens(Matched):
     """A corpus file's tokens, indexed in one pass: ``closers``;
-    ``directives`` maps the ``#`` that starts each preprocessor line to that
-    line's end, in file order, as ``at_line_start`` and ``line_end`` find
-    them; ``names`` lists each identifier's positions in file order; and
-    ``code`` is a ``Matched`` list of the tokens that are neither trivia
-    nor on a preprocessor line, whose ``closers`` count only those."""
+    ``directives`` lists the index of each directive token in file order;
+    ``names`` lists each identifier's positions in file order; and ``code``
+    is a ``Matched`` list of the tokens that are neither trivia nor
+    directives, whose ``closers`` count only those."""
 
     __slots__ = ("directives", "names", "code")
 
@@ -212,10 +266,9 @@ class FileTokens(Matched):
         super().__init__(tokens)
         # The pass reads ``tokens``: a plain list indexes faster than a subclass.
         n = len(tokens)
-        self.closers, self.directives, self.names = closers, directives, names = {}, {}, {}
+        self.closers, self.directives, self.names = closers, directives, names = {}, [], {}
         code, code_closers = [], {}
         open_at, code_open_at = {"(": [], "[": [], "{": []}, {"(": [], "[": [], "{": []}
-        line_from = 0
         for i, t in enumerate(tokens):
             kind, text = t.kind, t.text
             if kind == IDENTIFIER:
@@ -223,19 +276,18 @@ class FileTokens(Matched):
             elif kind == PUNCT:
                 if text in open_at:
                     open_at[text].append(i)
-                    if i >= line_from:
-                        code_open_at[text].append(len(code))
+                    code_open_at[text].append(len(code))
                 elif text in _OPENER:
                     if stack := open_at[_OPENER[text]]:
                         closers[stack.pop()] = i
-                    if i >= line_from and (stack := code_open_at[_OPENER[text]]):
+                    if stack := code_open_at[_OPENER[text]]:
                         code_closers[stack.pop()] = len(code)
-                elif text == "#" and i >= line_from and at_line_start(tokens, i):
-                    line_from = directives[i] = line_end(tokens, i, n)
             elif kind in TRIVIA:
                 continue
-            if i >= line_from:
-                code.append(t)
+            elif kind == DIRECTIVE:
+                directives.append(i)
+                continue
+            code.append(t)
         for stack in open_at.values():
             closers.update(dict.fromkeys(stack, n))
         for stack in code_open_at.values():
@@ -300,28 +352,6 @@ def split_top_level(tokens: list[Token], start: int, end: int, sep: str) -> list
         if k >= end:
             return parts
         start = k + 1
-
-
-def at_line_start(tokens: list[Token], i: int) -> bool:
-    """Whether only whitespace comes before ``tokens[i]`` on its line."""
-    j = i - 1
-    while j >= 0 and tokens[j].kind == WHITESPACE:
-        j -= 1
-    return j < 0 or tokens[j].kind == NEWLINE
-
-
-def line_end(tokens: list[Token], i: int, limit: int) -> int:
-    """Index of the newline that ends the line ``tokens[i]`` is on, or
-    ``limit``. A backslash followed by nothing but whitespace before the
-    newline continues the line, as a preprocessor directive does."""
-    for j in range(i, limit):
-        if tokens[j].kind == NEWLINE:
-            k = j - 1
-            while k > i and tokens[k].kind == WHITESPACE:
-                k -= 1
-            if k < i or tokens[k].kind != PUNCT or tokens[k].text != "\\":
-                return j
-    return limit
 
 
 def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple[int, int]:

@@ -7,9 +7,11 @@ created); otherwise they build a term. Every value records where and how it
 was created, so a full provenance trace is always available, and resolution
 failures report exactly which unbound roots are blocking.
 
-Widths are 8/16/32/64 bits with two's-complement wraparound. Both operands of
-a binary operation are widened to the larger width first; comparison and
-logical results are 32-bit 0/1. Signed right shift is arithmetic, division
+Widths are 8/16/32/64 bits with two's-complement wraparound. An operand
+narrower than 32 bits is promoted to a signed 32-bit int of the same value
+first, as C's integer promotions do (casts excepted); then both operands of a
+binary operation are widened to the larger width; comparison and logical
+results are 32-bit 0/1. Signed right shift is arithmetic, division
 truncates toward zero, and the remainder takes the dividend's sign. Each
 binary operator has one kernel over two constants (``BINARY_KERNELS``), the
 only arithmetic, whether the operands are constants when the operation runs
@@ -246,7 +248,15 @@ BINARY_KERNELS = {
 }
 
 
+def promoted(c: Concrete) -> Concrete:
+    """``c`` after C's integer promotions: an int of the same value when it
+    is narrower than 32 bits."""
+    return c if c.width >= 32 else Concrete(32, to_int(c) & 0xFFFFFFFF, True)
+
+
 def concrete_unop(op: str, a: Concrete) -> Concrete:
+    if op == "~" or op == "neg":
+        a = promoted(a)
     av = to_int(a)
     mask = (1 << a.width) - 1
     if op == "!":
@@ -340,6 +350,8 @@ class ValueTable:
         if b.__class__ is Concrete and b.bits == 0 and (op == "/" or op == "%"):
             raise DivisionByConcreteZero(f"division by zero at line {at[1]}")
         if a.__class__ is Concrete and b.__class__ is Concrete:
+            if a.width < 32 or b.width < 32:  # C's integer promotions
+                a, b = promoted(a), promoted(b)
             return self.mint(kernel(a, b), at, op, (lhs.id, rhs.id))
         folded = self._identity_fold(op, lhs, a, rhs, b, at)
         if folded is not None:
@@ -533,7 +545,10 @@ class ValueTable:
     def _combine(self, vid, term, resolved):
         if all(isinstance(r, Concrete) for r in resolved):
             if len(resolved) == 2:
-                return BINARY_KERNELS[term.op](*resolved)
+                a, b = resolved
+                if a.width < 32 or b.width < 32:  # as in ``apply_binop``
+                    a, b = promoted(a), promoted(b)
+                return BINARY_KERNELS[term.op](a, b)
             return concrete_unop(term.op, resolved[0])
         blockers: list[int] = []
         for r in resolved:

@@ -5,7 +5,9 @@ dispatching rule, kept as the differential reference for it
 (``tests/test_islands.py``). Each matcher takes a cursor, repeats the same
 preamble and returns a node or None; ``reference_rules()`` registers them
 in their old order, with the unchanged ``"raw"`` fallback last. The span
-helpers that did not change are imported from ``ssi.islands``.
+helpers that did not change are imported from ``ssi.islands``. The
+directive matcher takes one ``directive`` token, since the tokenizer makes
+each preprocessor line one; it took a ``#`` through its line's end.
 """
 
 from ssi import tokens as tk
@@ -212,9 +214,9 @@ def _match_switch(cur):
 def _match_directive(cur):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
-    if i >= limit or not tk.is_punct(toks[i], "#"):
+    if i >= limit or toks[i].kind != tk.DIRECTIVE:
         return None
-    return RawNode(fid, toks[i].line, i, tk.line_end(toks, i, limit), directive=True)
+    return RawNode(fid, toks[i].line, i, i + 1, directive=True)
 
 
 def _match_declaration(cur):

@@ -3,28 +3,32 @@
 These are the readers ``ssi`` had before the per-file index
 (``tokens.FileTokens``), kept as the differential reference for the
 readers that answer from it (``tests/test_refscan.py``). The bodies are
-unchanged but for two things: methods of ``Interp`` became functions of
-the interpreter, and each reader walks a plain copy of a file's tokens
-(``list(...)``), so every ``tk.closing`` call in it scans.
+unchanged but for these things: methods of ``Interp`` became functions of
+the interpreter; each reader walks the reference tokens of a file's source
+(``reftokens.tokenize``), a plain list, so every ``tk.closing`` call in it
+scans; a preprocessor line is one ``directive`` token there, which
+``_without_directives`` leaves out; and ``scan_defines`` reads the
+per-character tokens of one line (``reftokens.plain_tokenize``) and gives
+each macro as a ``(name, params, body, file_id, line)`` tuple.
 """
 
+import reftokens
 from ssi import macros as mc
 from ssi import tokens as tk
 from ssi.interp import _declarations, _punct_at, _starts_declaration
 from ssi.islands import FunctionDefNode, Hole
-from ssi.macros import MacroDef
 
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
 
 
 def scan_defines(toks, file_id):
-    """Collect every ``#define`` in a token stream."""
+    """Collect every ``#define`` in a stream of per-character tokens."""
     out = {}
     n = len(toks)
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
+        if t.kind == tk.PUNCT and t.text == "#" and reftokens.at_line_start(toks, i):
             j = tk.skip_trivia(toks, i + 1, n)
             if j < n and toks[j].text == "define":
                 j = tk.skip_trivia(toks, j + 1, n)
@@ -37,10 +41,10 @@ def scan_defines(toks, file_id):
                     # to the name, per the C preprocessor.
                     if k < n and tk.is_punct(toks[k], "("):
                         params, k = _scan_params(toks, k)
-                    end = tk.line_end(toks, k, n)
+                    end = reftokens.line_end(toks, k, n)
                     body = [t for t in toks[k:end]  # a backslash is only ever a punctuator
                             if t.kind not in tk.TRIVIA and t.text != "\\"]
-                    out[name] = MacroDef(name, params, body, file_id, line)
+                    out[name] = (name, params, body, file_id, line)
                     i = end
                     continue
         i += 1
@@ -69,7 +73,7 @@ def find_function_definition(corpus, name):
     if name in corpus.macros:
         return None
     for file_id in corpus.files:
-        toks = list(corpus.tokens(file_id))
+        toks = reftokens.tokenize(corpus.source(file_id))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.IDENTIFIER or t.text != name:
@@ -97,7 +101,7 @@ def find_function_definition(corpus, name):
 def layout_from_corpus(interp, tag):
     corpus = interp.s.corpus
     for fid in corpus.files:
-        toks = list(corpus.tokens(fid))
+        toks = reftokens.tokenize(corpus.source(fid))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.KEYWORD or t.text not in ("struct", "union"):
@@ -116,18 +120,7 @@ def layout_from_corpus(interp, tag):
 
 def _without_directives(toks):
     """Non-trivia tokens with preprocessor lines removed."""
-    out = []
-    n = len(toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind == tk.PUNCT and t.text == "#" and tk.at_line_start(toks, i):
-            i = tk.line_end(toks, i, n)
-            continue
-        if t.kind not in tk.TRIVIA:
-            out.append(t)
-        i += 1
-    return out
+    return [t for t in toks if t.kind not in tk.TRIVIA and t.kind != tk.DIRECTIVE]
 
 
 def scan_corpus_names(interp):
@@ -137,7 +130,7 @@ def scan_corpus_names(interp):
     s = interp.s
     macros = s.corpus.macros
     for fid in s.corpus.files:
-        toks = _without_directives(list(s.corpus.tokens(fid)))
+        toks = _without_directives(reftokens.tokenize(s.corpus.source(fid)))
         depth = 0
         boundary = True
         i = 0
@@ -194,7 +187,7 @@ def scrape_module_info(corpus):
     token level; the macros themselves are never executed."""
     found = {k: [] for k in _MODULE_FIELDS}
     for fid in corpus.files:
-        toks = list(corpus.tokens(fid))
+        toks = reftokens.tokenize(corpus.source(fid))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.IDENTIFIER or t.text not in _MODULE_FIELDS:

@@ -1,8 +1,13 @@
-"""Reference tokenizer: one Python step per source character.
+"""Reference tokenizer: one Python step per source character, then a fold
+of each preprocessor line into one token.
 
-This is the ``tokenize`` that ``ssi.tokens`` had before its one compiled
-pattern, kept as the differential reference for it
-(``tests/test_tokens.py``). The body and its two helpers are unchanged; the
+``plain_tokenize`` is the ``tokenize`` that ``ssi.tokens`` had before its
+one compiled pattern, and ``at_line_start`` and ``line_end`` are the rule
+its per-file index used to find preprocessor lines. ``tokenize`` merges the
+tokens of each such line, from a ``#`` at line start through the newline
+that ends it, into one ``directive`` token; it is the differential
+reference for ``ssi.tokens.tokenize`` (``tests/test_tokens.py``), and
+``plain_tokenize`` for the plain tokens a macro's body is read into. The
 token kinds, keyword and punctuator tables and ``Token`` are imported from
 ``ssi.tokens``, and the character sets the old module derived from them are
 defined here.
@@ -11,6 +16,7 @@ defined here.
 from ssi.tokens import (
     CHAR,
     COMMENT,
+    DIRECTIVE,
     IDENTIFIER,
     KEYWORD,
     KEYWORDS,
@@ -59,7 +65,7 @@ def _scan_number(src: str, i: int) -> int:
     return i
 
 
-def tokenize(source, file_id: str = "<memory>") -> list[Token]:
+def plain_tokenize(source, file_id: str = "<memory>") -> list[Token]:
     """Tokenize ``source`` (str or bytes) into a lossless token sequence.
 
     ``file_id`` is accepted for symmetry with the rest of the pipeline; the
@@ -119,3 +125,43 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
         else:
             col += len(text)
     return tokens
+
+
+def tokenize(source, file_id: str = "<memory>") -> list[Token]:
+    """``plain_tokenize`` with each preprocessor line folded into one
+    ``directive`` token."""
+    toks = plain_tokenize(source, file_id)
+    out, i, n = [], 0, len(toks)
+    while i < n:
+        t = toks[i]
+        if t.kind == PUNCT and t.text == "#" and at_line_start(toks, i):
+            end = min(line_end(toks, i, n) + 1, n)
+            out.append(Token(DIRECTIVE, "".join(x.text for x in toks[i:end]),
+                             t.byte_offset, t.line, t.column))
+            i = end
+        else:
+            out.append(t)
+            i += 1
+    return out
+
+
+def at_line_start(tokens: list[Token], i: int) -> bool:
+    """Whether only whitespace comes before ``tokens[i]`` on its line."""
+    j = i - 1
+    while j >= 0 and tokens[j].kind == WHITESPACE:
+        j -= 1
+    return j < 0 or tokens[j].kind == NEWLINE
+
+
+def line_end(tokens: list[Token], i: int, limit: int) -> int:
+    """Index of the newline that ends the line ``tokens[i]`` is on, or
+    ``limit``. A backslash followed by nothing but whitespace before the
+    newline continues the line, as a preprocessor directive does."""
+    for j in range(i, limit):
+        if tokens[j].kind == NEWLINE:
+            k = j - 1
+            while k > i and tokens[k].kind == WHITESPACE:
+                k -= 1
+            if k < i or tokens[k].kind != PUNCT or tokens[k].text != "\\":
+                return j
+    return limit

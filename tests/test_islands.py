@@ -24,7 +24,7 @@ from ssi.islands import (
     parse_next_statement,
 )
 
-from conftest import EXAMPLE_DIR
+from conftest import EXAMPLE_DIR, local_concrete, make_session, run_function
 
 
 def hole_text(corpus_or_toks, hole):
@@ -179,6 +179,20 @@ def test_find_function_looks_inside_an_unbalanced_body():
     fdef = find_function_definition(corpus, "g")
     assert fdef is not None and hole_text(corpus, fdef.body) == "return 7;"
     assert find_function_definition(corpus, "f") is None
+
+
+def test_a_brace_on_a_preprocessor_line_is_no_brace():
+    # A directive is one token, so its ``{`` opens nothing: g's body closes
+    # at its last ``}``, and the directive is an inert statement in it.
+    source = "int g(void) {\n int r = 1;\n#define OPEN {\n r = 2;\n return r; }"
+    session, interp = make_session({"g.c": source})
+    fdef = session.corpus.find_function("g")
+    assert fdef is not None and hole_text(session.corpus, fdef.body).endswith("return r;")
+    nodes = parse_hole_as_block(session.corpus, fdef.body, RuleRegistry())
+    assert [type(n).__name__ for n in nodes] == \
+        ["DeclarationNode", "RawNode", "ExpressionStatementNode", "ReturnNode"]
+    assert nodes[1].directive
+    assert local_concrete(session, run_function(session, interp, "g"), "r") == 2
 
 
 def test_directive_statement_is_inert():

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from ssi import macros as mc
@@ -59,3 +62,36 @@ def test_backslash_then_spaces_continues_a_define():
     session, interp = make_session({"m.c": source})
     frame = run_function(session, interp, "testmain")
     assert local_concrete(session, frame, "y") == 3
+
+
+def test_a_define_header_loads_one_token_a_line_and_reads_bodies_on_use(monkeypatch):
+    """Counted, not timed: a header of 400 ``#define``s loads as one token
+    per preprocessor line and tokenizes no macro's body; one run tokenizes
+    exactly the bodies of the macros it expands."""
+    from conftest import local_concrete, make_session, run_function
+
+    rng = random.Random(18)
+    regs = [rng.randrange(0x1000) for _ in range(400)]
+    source = "\n".join(
+        ["/* registers */", "#include <linux/io.h>"]
+        + [f"#define HL_R{k}\t0x{v:03x}" for k, v in enumerate(regs)]
+        + ["#define HL_BLOCK     (HL_R3 + HL_R5)", "#define HL_SLOT(i)   ((i) & 7)",
+           "#define HL_UNUSED(i) (HL_R7 * (i))",
+           "void testmain(void) {", "\tint x = HL_BLOCK + HL_SLOT(9);", "}", ""])
+    read = []
+    plain_tokens = tk.plain_tokens
+
+    def counting(text, *args):
+        read.append(re.match(r"#define (\w+)", text)[1])
+        return plain_tokens(text, *args)
+
+    monkeypatch.setattr(tk, "plain_tokens", counting)
+    session, interp = make_session({"regs.h": source})
+    toks = session.corpus.tokens("regs.h")
+    directive_lines = [n for n, line in enumerate(source.split("\n"), 1) if line.startswith("#")]
+    assert [t.line for t in toks if t.kind == tk.DIRECTIVE] == directive_lines
+    assert not [t for t in toks if t.line in directive_lines and t.kind != tk.DIRECTIVE]
+    assert len(session.corpus.macros) == 403 and read == []
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "x") == regs[3] + regs[5] + 1
+    assert sorted(read) == ["HL_BLOCK", "HL_R3", "HL_R5", "HL_SLOT"]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import refeval
 import refscan
+import reftokens
 from conftest import EXAMPLE_DIR
 from ssi import tokens as tk
 from ssi.config import load_config
@@ -39,16 +40,17 @@ def outcome(read, *args):
         return type(e).__name__
 
 
-def defines_line_by_line(toks, file_id):
-    """The reference ``scan_defines`` run on each ``#define`` line alone;
-    the lines are found here, not read from the index under test."""
-    toks, out, i = list(toks), {}, 0
-    while i < len(toks):
-        if not (tk.is_punct(toks[i], "#") and tk.at_line_start(toks, i)):
-            i += 1
+def defines_line_by_line(source, file_id):
+    """The reference ``scan_defines`` run on the per-character tokens of
+    each ``#define`` line alone; the lines are the reference tokenizer's
+    directive tokens, not read from the index under test."""
+    plain = reftokens.plain_tokenize(source)
+    token_at = {t.byte_offset: k for k, t in enumerate(plain)}
+    out = {}
+    for d in reftokens.tokenize(source):
+        if d.kind != tk.DIRECTIVE:
             continue
-        end = tk.line_end(toks, i, len(toks))
-        line, i = toks[i:end], end
+        line = plain[token_at[d.byte_offset] : token_at.get(d.byte_offset + len(d.text))]
         j = tk.skip_trivia(line, 1, len(line))
         if j < len(line) and line[j].text == "define":
             out.update(refscan.scan_defines(line, file_id))
@@ -74,10 +76,10 @@ def assert_readers_agree(sources):
     corpus = new.corpus
     macros, names = {}, set()
     for fid in corpus.files:
-        toks = corpus.tokens(fid)
-        macros.update(defines_line_by_line(toks, fid))
-        names.update(t.text for t in toks if t.kind == tk.IDENTIFIER)
-    assert corpus.macros == macros
+        macros.update(defines_line_by_line(corpus.source(fid), fid))
+        names.update(t.text for t in corpus.tokens(fid) if t.kind == tk.IDENTIFIER)
+    assert {name: (m.name, m.params, m.body, m.file_id, m.line)
+            for name, m in corpus.macros.items()} == macros
     assert new.global_decls == ref.global_decls
     assert new.typedefs == ref.typedefs
     assert scrape_module_info(corpus) == refscan.scrape_module_info(ref.corpus)

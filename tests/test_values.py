@@ -1,8 +1,10 @@
 import dataclasses
+import shutil
+import subprocess
 import tracemalloc
 
 import pytest
-from conftest import make_session, run_function
+from conftest import local_concrete, make_session, run_function
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,10 +41,19 @@ def oracle_int(width, bits, signed):
     return bits
 
 
+def oracle_promote(width, bits, signed):
+    """C's integer promotions: an operand narrower than 32 bits becomes a
+    signed 32-bit int of the same value."""
+    if width >= 32:
+        return (width, bits, signed)
+    return (32, oracle_int(width, bits, signed) & 0xFFFFFFFF, True)
+
+
 def oracle_binop(op, a, b):
     """Big-integer evaluation mod 2**width, written independently of the
-    value module: explicit promotion to the larger width, truncating
-    division, arithmetic right shift for signed operands."""
+    value module: integer promotions, then explicit promotion to the larger
+    width, truncating division, arithmetic right shift for signed operands."""
+    a, b = oracle_promote(*a), oracle_promote(*b)
     w = max(a[0], b[0])
     mask = (1 << w) - 1
     av = oracle_int(*a)
@@ -129,6 +140,45 @@ def test_concrete_closure_matches_oracle(op, a, b):
     expected = Concrete(*oracle_binop(op, a, b))
     assert vals.apply_binop(op, va, vb, AT).payload == expected
     assert vals.resolve(term) == expected
+
+
+# C expressions whose operands are narrower than int, each with the value
+# gcc 12.2 (x86-64) prints for ``(long)(expr)``: the integer promotions make
+# every such operand an int before the operator runs. The last two rows
+# need no promotion.
+PROMOTION_CASES = [
+    ("(unsigned char)200 + (unsigned char)100", 300),
+    ("-1 < (unsigned char)1", 1),
+    ("(short)-1 < (unsigned short)1", 1),
+    ("~(unsigned char)0", -1),
+    ("-(unsigned char)1", -1),
+    ("(unsigned char)1 << 8", 256),
+    ("(signed char)-128 / (signed char)-1", 128),
+    ("(unsigned char)255 == (signed char)-1", 0),
+    ("(unsigned short)65535 * (unsigned char)2", 131070),
+    ("(unsigned short)65535 + 1u", 65536),
+    ("-1 < (unsigned int)1", 0),
+]
+
+
+def test_narrow_operands_are_promoted_as_c_does():
+    body = "".join(f"    long r{k} = (long)({expr});\n"
+                   for k, (expr, _) in enumerate(PROMOTION_CASES))
+    session, interp = make_session({"p.c": f"void testmain(void) {{\n{body}}}\n"})
+    frame = run_function(session, interp, "testmain")
+    got = [local_concrete(session, frame, f"r{k}") for k in range(len(PROMOTION_CASES))]
+    assert got == [value for _, value in PROMOTION_CASES]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_promotion_table_is_what_gcc_prints(tmp_path):
+    prints = "".join(f'    printf("%ld\\n", (long)({expr}));\n' for expr, _ in PROMOTION_CASES)
+    (tmp_path / "p.c").write_text(
+        f"int printf(const char *, ...);\nint main(void) {{\n{prints}    return 0;\n}}\n")
+    subprocess.run(["cc", "-w", "-O0", "-o", str(tmp_path / "p"), str(tmp_path / "p.c")],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(tmp_path / "p")], check=True, capture_output=True, text=True)
+    assert list(map(int, out.stdout.split())) == [value for _, value in PROMOTION_CASES]
 
 
 def test_greedy_addition_of_constants():
