@@ -3,8 +3,12 @@
 Statements come from the island parser and are executed directly; holes are
 parsed the first time control reaches them, and the expressions and simple
 statements in them are compiled into closures then and re-run after that
-(``Interp.eval_tokens``). Calls resolve, in order, to a
-registered hook, an in-corpus function definition, or a symbolic fallback
+(``Interp.eval_tokens``). One runner executes statements: ``exec_node``
+counts a step and runs the node through one table keyed by node class
+(``_RUNNERS``); ``while``, ``do`` and ``for`` share one loop executor, which
+counts a step per pass and one for a test that ends the loop; and a block
+looks a label up only when a ``goto`` reaches it. Calls resolve, in order,
+to a registered hook, an in-corpus function definition, or a symbolic fallback
 that records a missing-model event and returns a fresh symbol. Fresh symbols
 minted inside a modeled or unmodeled call remember that call, which is what
 lets later diagnostics name the exact API function a value is waiting on.
@@ -85,6 +89,8 @@ class Control:
 
 
 _NEXT = Control(NEXT)
+_BREAK = Control(BREAK)
+_CONTINUE = Control(CONTINUE)
 
 
 @dataclass
@@ -340,14 +346,17 @@ def parse_int_literal(text: str) -> tuple[int, int, bool]:
         value, decimal = int(s, 8), False
     else:
         value, decimal = int(s), True
+    # The first type that holds the value (C11 6.4.4.1p5): int, unsigned int
+    # (not for a decimal without ``u``), long, unsigned long; ``u`` skips the
+    # signed ones and ``l`` the 32-bit ones.
     unsigned = "u" in suffix
-    long_suffix = "l" in suffix
-    if value < (1 << 31) and not long_suffix:
-        return value, 32, not unsigned
-    if value < (1 << 32) and not decimal and not long_suffix:
-        return value, 32, False
-    if value < (1 << 63):
-        return value, 64, not unsigned
+    if "l" not in suffix:
+        if value < (1 << 31) and not unsigned:
+            return value, 32, True
+        if value < (1 << 32) and (unsigned or not decimal):
+            return value, 32, False
+    if value < (1 << 63) and not unsigned:
+        return value, 64, True
     return value, 64, False
 
 
@@ -636,20 +645,19 @@ class Interp:
     # ------------------------------------------------------------ statements
     def exec_block(self, nodes, frame, start=0) -> Control:
         """Run ``nodes`` from ``start`` (a switch body from its chosen
-        ``case``); a ``goto`` may reach any label among them."""
-        labels = {}
-        for idx, n in enumerate(nodes):
-            if isinstance(n, LabelNode) and n.name:
-                labels.setdefault(n.name, idx)
+        ``case``); a ``goto`` may reach any label among them, the first of
+        its name."""
         i = start
         while i < len(nodes):
             sig = self.exec_node(nodes[i], frame)
             if sig.kind == NEXT:
                 i += 1
                 continue
-            if sig.kind == GOTO and sig.label in labels:
-                i = labels[sig.label] + 1
-                continue
+            if sig.kind == GOTO:  # on to just after the label, if it is here
+                i = next((k + 1 for k, n in enumerate(nodes)
+                          if isinstance(n, LabelNode) and n.name == sig.label), 0)
+                if i:
+                    continue
             return sig
         return _NEXT
 
@@ -664,7 +672,7 @@ class Interp:
                 )
             s.stop_next = s.stop_handler((node.file_id, node.line)) == "step"
         self._count_step(node.line)
-        sig = self._dispatch(node, frame)
+        sig = (_RUNNERS.get(node.__class__) or _runner(node))(self, node, frame)
         if s.breakpoints and not frame.is_snippet:
             bp = s.breakpoint_at(node.file_id, node.line)
             if bp is not None and bp.enabled:
@@ -679,88 +687,54 @@ class Interp:
                 f"exceeded {self.s.max_steps} statement executions (line {line})"
             )
 
-    def _dispatch(self, node, frame) -> Control:
-        if isinstance(node, (ExpressionStatementNode, DeclarationNode)):
-            self.eval_tokens(node, frame, node.line, _STMT)
-            return _NEXT
-        if isinstance(node, IfNode):
-            return self._exec_if(node, frame)
-        if isinstance(node, WhileNode):
-            return self._exec_while(node, frame)
-        if isinstance(node, DoWhileNode):
-            return self._exec_do(node, frame)
-        if isinstance(node, ForNode):
-            return self._exec_for(node, frame)
-        if isinstance(node, ReturnNode):
-            v = None
-            if node.expr is not None:
-                v = self.eval_tokens(node.expr, frame, node.line)
-            return Control(RETURN, value=v)
-        if isinstance(node, BreakNode):
-            return Control(BREAK)
-        if isinstance(node, ContinueNode):
-            return Control(CONTINUE)
-        if isinstance(node, BlockNode):
-            return self._run_hole(node.body, frame)
-        if isinstance(node, SwitchNode):
-            return self._exec_switch(node, frame)
-        if isinstance(node, GotoNode):
-            return Control(GOTO, label=node.label)
-        if isinstance(node, LabelNode):
-            return _NEXT
-        if isinstance(node, RawNode):
-            if not node.directive:
-                self.s.emit_event("diagnostic",
-                                  message=f"skipped stray tokens at line {node.line}")
-            return _NEXT
-        raise EvalError(f"cannot execute node {type(node).__name__}", line=node.line)
+    def _exec_simple(self, node, frame) -> Control:
+        self.eval_tokens(node, frame, node.line, statement=True)
+        return _NEXT
+
+    def _exec_return(self, node, frame) -> Control:
+        return Control(RETURN, value=node.expr and self.eval_tokens(node.expr, frame, node.line))
+
+    def _exec_raw(self, node, frame) -> Control:
+        if not node.directive:
+            self.s.emit_event("diagnostic", message=f"skipped stray tokens at line {node.line}")
+        return _NEXT
 
     def _run_hole(self, hole, frame) -> Control:
         nodes = parse_hole_as_block(self.s.corpus, hole, self.s.rules, self.s.on_parse)
         return self.exec_block(nodes, frame)
 
-    def _holds(self, node, frame, mode=None) -> bool:
-        """Whether the loop or if condition of ``node`` is true; a missing
-        ``for`` condition is."""
-        v = self.eval_tokens(node.cond, frame, node.line, mode)
+    def _holds(self, node, frame, statement=False) -> bool:
+        """Whether the condition of ``node`` is true; an empty ``for``
+        condition, run as a statement, gives no value and is."""
+        v = self.eval_tokens(node.cond, frame, node.line, statement)
         return v is None or self.truth(v, (node.file_id, node.line))
-
-    def _run_body(self, node, frame) -> Control | None:
-        """One pass of a loop body: the Control that leaves the loop, if any."""
-        sig = self._run_hole(node.body, frame)
-        if sig.kind == BREAK:
-            return _NEXT
-        return sig if sig.kind in (RETURN, GOTO) else None
 
     def _exec_if(self, node, frame) -> Control:
         hole = node.then if self._holds(node, frame) else node.orelse
         return _NEXT if hole is None else self._run_hole(hole, frame)
 
-    def _exec_while(self, node, frame) -> Control:
+    def _exec_loop(self, node, frame) -> Control:
+        """``while``, ``do`` and ``for``. Each pass counts a step, and so
+        does a test that ends the loop before a pass; a ``do`` tests after
+        its body. A ``for`` runs its clauses as statements: its init once,
+        its step after each pass that does not leave the loop."""
+        is_for = isinstance(node, ForNode)
+        if is_for:
+            self.eval_tokens(node.init, frame, node.line, statement=True)
+        do = isinstance(node, DoWhileNode)
         while True:
             self._count_step(node.line)
-            if not self._holds(node, frame):
+            if not do and not self._holds(node, frame, is_for):
                 return _NEXT
-            if (sig := self._run_body(node, frame)) is not None:
-                return sig
-
-    def _exec_do(self, node, frame) -> Control:
-        while True:
-            self._count_step(node.line)
-            if (sig := self._run_body(node, frame)) is not None:
-                return sig
-            if not self._holds(node, frame):
+            sig = self._run_hole(node.body, frame)
+            if sig.kind == BREAK:
                 return _NEXT
-
-    def _exec_for(self, node, frame) -> Control:
-        self.eval_tokens(node.init, frame, node.line, _STMT)
-        while True:
-            self._count_step(node.line)
-            if not self._holds(node, frame, _OPTIONAL):
-                return _NEXT
-            if (sig := self._run_body(node, frame)) is not None:
+            if sig.kind == RETURN or sig.kind == GOTO:
                 return sig
-            self.eval_tokens(node.step, frame, node.line, _OPTIONAL)
+            if is_for:
+                self.eval_tokens(node.step, frame, node.line, statement=True)
+            if do and not self._holds(node, frame):
+                return _NEXT
 
     def _exec_switch(self, node, frame) -> Control:
         subj = self.eval_tokens(node.subject, frame, node.line)
@@ -792,26 +766,23 @@ class Interp:
         return _NEXT if sig.kind == BREAK else sig
 
     # ------------------------------------------------------------ compiling
-    def eval_tokens(self, span, frame, line, mode=None):
+    def eval_tokens(self, span, frame, line, statement=False):
         """Run the compiled form of ``span``, a hole or a simple statement.
 
         The tokens are compiled the first time ``span`` runs and again once a
         typedef has been added since, because typedef names change how casts,
-        ``sizeof`` and declarations parse. ``mode`` is None for an
-        expression, ``_STMT`` for a statement or ``for`` initializer (no
-        value), ``_OPTIONAL`` for a ``for`` condition or step, which give
-        None when the span holds no code.
+        ``sizeof`` and declarations parse. ``span`` is an expression, or
+        with ``statement`` a statement or a ``for`` clause, which gives None
+        when it holds no code or declares.
         """
         compiled = span.compiled
         if compiled is None or compiled[0] is not self._epoch:
-            compiled = span.compiled = (self._epoch, self._compile(span, line, mode))
+            compiled = span.compiled = (self._epoch, self._compile(span, line, statement))
         return compiled[1](frame)
 
-    def _compile(self, span, line, mode):
+    def _compile(self, span, line, statement):
         s = self.s
         fid = span.file_id
-        if mode is _OPTIONAL and span.is_empty_of_code(s.corpus.tokens(fid)):
-            return _nothing
         raw = s.corpus.tokens(fid)[span.start : span.end]
         missing = []
         toks = _strip_semicolons([t for t in mc.expand(
@@ -823,7 +794,7 @@ class Interp:
                 s.emit_event("unexpanded-macro", name=name, line=at)
 
         try:
-            if mode is _STMT:
+            if statement:
                 code = self._compile_statement(toks, fid, line)
             else:
                 code = _Compiler(self, toks, fid).expression(line)
@@ -949,9 +920,15 @@ class Interp:
         while i < n:
             _, decls, j = _declarations(toks, i, self.s.typedefs, member=True)
             for decl in decls:
-                if decl.name is not None and not decl.function:
+                if decl.function:
+                    continue
+                if decl.name is not None:
                     ctype = self._compile_type(decl, file_id, toks[i].line)(Frame(decl.name))
                     layout.add(decl.name, ctype, self.s.store.size_of(ctype))
+                elif ";" in (decl.type.tag or "") and not decl.type.stars:
+                    # An anonymous struct or union: its members are this one's.
+                    for name, f in self.s.store.layout(decl.type.tag).fields.items():
+                        layout.add(name, f.type, f.width)
             i = tk.top_level(toks, j, n, (";",)) + 1
         return layout
 
@@ -1077,24 +1054,29 @@ class Interp:
     def store_place(self, place: Place, value: Value, at):
         cell = self._locate(place, at)
         t = place.type
-        if t.narrow is not None:
-            value = self._narrowed(value, t, at)
-        if t.stars:
+        if t.narrow is not None or t.unsigned and not (t.stars or t.dims or t.tag):
+            value = self._converted(value, t, at)
+        elif t.stars:
             _pin(value, t.elem)
         self.s.store.store(cell, value)
 
-    def _narrowed(self, value: Value, t: CType, at) -> Value:
-        """``value`` as a variable of the narrow type ``t`` holds it:
-        wrapped, as ``(T)value`` is, or for a ``_Bool`` ``value != 0``, and
-        read back as an int, as C promotes it, so that arithmetic on two
-        narrow values does not wrap. A constant already in range is kept,
-        and so is a value that does not resolve to a constant: a symbol
-        stays the root that branches bind."""
+    def _converted(self, value: Value, t: CType, at) -> Value:
+        """``value`` as a variable of the narrow or unsigned integer type
+        ``t`` holds it. A constant already in range is kept, and so is a
+        value that does not resolve to a constant: a symbol stays the root
+        that branches bind. Another wraps, as ``(T)value`` does, or for a
+        ``_Bool`` is ``value != 0``; a narrow ``t`` reads back as an int, as
+        C promotes it, so that arithmetic on two narrow values does not
+        wrap. (A signed int or wider place keeps any value: C leaves that
+        conversion to the implementation.)"""
         vals = self.s.values
         r = vals.resolve(value)
         if not isinstance(r, Concrete):
             return value
         bits, signed = t.width * 8, t.narrow
+        if signed is None:  # unsigned, an int or wider
+            inside = 0 <= to_int(r) < 1 << bits
+            return value if inside else vals.apply_cast(value, bits, False, at)
         if r.width == 32 and r.signed:
             lo = -(1 << (bits - 1)) if signed else 0
             if lo <= to_int(r) < (2 if t.boolean else lo + (1 << bits)):
@@ -1310,7 +1292,7 @@ class Interp:
             region = s.store.alloc_region(f"str@{at[0]}:{at[1]}", STATIC,
                                           size=len(data) + 1)
             # Each byte is stored as the int it promotes to, so arithmetic on
-            # bytes does not wrap at 8 bits (as narrow stores do; see _narrowed).
+            # bytes does not wrap at 8 bits (as narrow stores do; see _converted).
             for i, ch in enumerate(data):
                 s.store.store((region.id, i),
                               s.values.concrete(32, ord(ch) & 0xFF, at, signed=True,
@@ -1322,10 +1304,31 @@ class Interp:
         return s.values.addr_of(rid, at, desc="string literal")
 
 
-# ------------------------------------------------------------------ compiler
+# How ``Interp.exec_node`` runs each built-in statement node, by its class.
+_RUNNERS = {
+    **dict.fromkeys((ExpressionStatementNode, DeclarationNode), Interp._exec_simple),
+    **dict.fromkeys((WhileNode, DoWhileNode, ForNode), Interp._exec_loop),
+    IfNode: Interp._exec_if,
+    SwitchNode: Interp._exec_switch,
+    ReturnNode: Interp._exec_return,
+    RawNode: Interp._exec_raw,
+    BlockNode: lambda interp, node, frame: interp._run_hole(node.body, frame),
+    GotoNode: lambda interp, node, frame: Control(GOTO, label=node.label),
+    BreakNode: lambda *_: _BREAK,
+    ContinueNode: lambda *_: _CONTINUE,
+    LabelNode: lambda *_: _NEXT,
+}
 
-_STMT = "statement"
-_OPTIONAL = "optional"
+
+def _runner(node):
+    """The runner of a node whose class derives from a built-in node class."""
+    for cls in node.__class__.__mro__:
+        if cls in _RUNNERS:
+            return _RUNNERS[cls]
+    raise EvalError(f"cannot execute node {type(node).__name__}", line=node.line)
+
+
+# ------------------------------------------------------------------ compiler
 
 # Kinds of compiled subexpression: what its closure returns when run. The
 # compiler passes a subexpression around as (kind, closure, name index); the

@@ -103,26 +103,13 @@ def expand(
     i = 0
     while i < n:
         t = toks[i]
-        if t.kind == tk.IDENTIFIER and t.text in macros and t.text not in hidden:
-            m = macros[t.text]
-            if depth <= 0:
-                if on_unexpanded:
-                    on_unexpanded(m.name, t.line)
-                out.append(t)
-                i += 1
-                continue
-            inner = hidden | {t.text}
-            if not m.function_like:
-                if _has_paste(m.body):
-                    if on_unexpanded:
-                        on_unexpanded(m.name, t.line)
-                    out.append(t)
-                    i += 1
-                    continue
-                rep = [tk.synthetic_copy(b, t) for b in m.body]
-                out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
-                i += 1
-                continue
+        if t.kind != tk.IDENTIFIER or t.text not in macros or t.text in hidden:
+            out.append(t)
+            i += 1
+            continue
+        m = macros[t.text]
+        args, end = None, i + 1  # the arguments and the index after the use
+        if m.function_like:
             j = tk.skip_trivia(toks, i + 1, n)
             if j >= n or toks[j].text != "(":
                 out.append(t)  # function-like name without arguments: plain identifier
@@ -131,13 +118,17 @@ def expand(
             b = tk.closing(toks, j, n)
             args = [[x for x in toks[c:d] if x.kind not in tk.TRIVIA]
                     for c, d in tk.split_top_level(toks, j + 1, b, ",")]
-            if b == n or _has_paste(m.body) or (
-                    len(args) != len(m.params) and "..." not in m.params):
-                if on_unexpanded:
-                    on_unexpanded(m.name, t.line)
-                out.append(t)
-                i += 1
-                continue
+            end = b + 1
+        if depth <= 0 or end > n or _has_paste(m.body) or args is not None and (
+                len(args) != len(m.params) and "..." not in m.params):
+            if on_unexpanded:  # depth exhausted, unclosed, pasting or miscounted
+                on_unexpanded(m.name, t.line)
+            out.append(t)
+            i += 1
+            continue
+        if args is None:
+            rep = [tk.synthetic_copy(bt, t) for bt in m.body]
+        else:
             named = dict(zip(m.params, args))
             rep = []
             for bt in m.body:
@@ -145,11 +136,8 @@ def expand(
                     rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
                 else:
                     rep.append(tk.synthetic_copy(bt, t))
-            out.extend(expand(rep, macros, on_unexpanded, depth - 1, inner))
-            i = b + 1
-            continue
-        out.append(t)
-        i += 1
+        out.extend(expand(rep, macros, on_unexpanded, depth - 1, hidden | {t.text}))
+        i = end
     return out
 
 

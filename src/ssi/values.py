@@ -10,9 +10,11 @@ failures report exactly which unbound roots are blocking.
 Widths are 8/16/32/64 bits with two's-complement wraparound. An operand
 narrower than 32 bits is promoted to a signed 32-bit int of the same value
 first, as C's integer promotions do (casts excepted); then both operands of a
-binary operation are widened to the larger width; comparison and logical
-results are 32-bit 0/1. Signed right shift is arithmetic, division
-truncates toward zero, and the remainder takes the dividend's sign. Each
+binary operation convert to their common type, the wider one's or, at equal
+widths, unsigned if either is (C's usual arithmetic conversions), and a
+shift keeps its left operand's type; comparison and logical results are
+32-bit 0/1. Signed right shift is arithmetic, division truncates toward
+zero, and the remainder takes the dividend's sign. Each
 binary operator has one kernel over two constants (``BINARY_KERNELS``), the
 only arithmetic, whether the operands are constants when the operation runs
 or resolve to constants later.
@@ -178,53 +180,58 @@ _FALSE = Concrete(32, 0, True)
 _TRUE = Concrete(32, 1, True)
 
 
+def _common(a: Concrete, b: Concrete) -> tuple[Concrete, Concrete]:
+    """``a`` and ``b``, two promoted operands of unequal widths, converted
+    to their common type (C11 6.3.1.8): the wider one's. At equal widths it
+    is unsigned if either operand is, and the kernels read that from the
+    operands' signs, without converting."""
+    w, signed = (a.width, a.signed) if a.width > b.width else (b.width, b.signed)
+    mask = (1 << w) - 1
+    return Concrete(w, to_int(a) & mask, signed), Concrete(w, to_int(b) & mask, signed)
+
+
 def _wrapping(fn):
     """The kernel of an operator whose result is ``fn`` on the operands'
-    values, wrapped to the wider width. On equal widths the bits give the
-    same result mod 2**width as the values do."""
+    bits in their common type, wrapped to its width."""
+
+    def kernel(a: Concrete, b: Concrete) -> Concrete:
+        if a.width != b.width:
+            a, b = _common(a, b)
+        w = a.width
+        return Concrete(w, fn(a.bits, b.bits) & ((1 << w) - 1), a.signed and b.signed)
+
+    return kernel
+
+
+def _on_values(fn, compare=False):
+    """The kernel of ``/``, ``%`` or a comparison (``compare``): ``fn`` on
+    the operands' values in their common type, wrapped to its width, or
+    for a comparison the int 0 or 1."""
+
+    def kernel(a: Concrete, b: Concrete) -> Concrete:
+        if a.width != b.width:
+            a, b = _common(a, b)
+        signed = a.signed and b.signed
+        r = fn(to_int(a), to_int(b)) if signed else fn(a.bits, b.bits)
+        if compare:
+            return _TRUE if r else _FALSE
+        return Concrete(a.width, r & ((1 << a.width) - 1), signed)
+
+    return kernel
+
+
+def _shift(fn):
+    """The kernel of ``<<`` or ``>>``: in the left operand's type, by the
+    count modulo its width; a negative signed value shifts arithmetically."""
 
     def kernel(a: Concrete, b: Concrete) -> Concrete:
         w = a.width
-        if w == b.width:
-            r = fn(a.bits, b.bits)
-        else:
-            w = max(w, b.width)
-            r = fn(to_int(a), to_int(b))
-        return Concrete(w, r & ((1 << w) - 1), a.signed and b.signed)
+        return Concrete(w, fn(to_int(a), to_int(b) % w) & ((1 << w) - 1), a.signed)
 
     return kernel
 
 
-def _comparison(fn):
-    """The kernel of a comparison: on the values when both operands are
-    signed, else on the values wrapped to the wider width (unsigned)."""
-
-    def kernel(a: Concrete, b: Concrete) -> Concrete:
-        if a.signed and b.signed:
-            r = fn(to_int(a), to_int(b))
-        elif a.width == b.width:
-            r = fn(a.bits, b.bits)
-        else:
-            mask = (1 << max(a.width, b.width)) - 1
-            r = fn(to_int(a) & mask, to_int(b) & mask)
-        return _TRUE if r else _FALSE
-
-    return kernel
-
-
-def _exact(fn):
-    """The kernel of an operator whose result is ``fn(x, y, w)`` on the
-    operands' values ``x``, ``y`` at the wider width ``w``, wrapped to it."""
-
-    def kernel(a: Concrete, b: Concrete) -> Concrete:
-        w = max(a.width, b.width)
-        r = fn(to_int(a), to_int(b), w)
-        return Concrete(w, r & ((1 << w) - 1), a.signed and b.signed)
-
-    return kernel
-
-
-def _quotient(x: int, y: int, w: int) -> int:
+def _quotient(x: int, y: int) -> int:
     """C's ``x / y``: truncated toward zero, so ``x % y`` takes ``x``'s sign."""
     if y == 0:
         raise DivisionByConcreteZero("division by zero")
@@ -239,10 +246,9 @@ BINARY_KERNELS = {
     "+": _wrapping(operator.add), "-": _wrapping(operator.sub),
     "*": _wrapping(operator.mul), "&": _wrapping(operator.and_),
     "|": _wrapping(operator.or_), "^": _wrapping(operator.xor),
-    "/": _exact(_quotient), "%": _exact(lambda x, y, w: x - _quotient(x, y, w) * y),
-    # by the count modulo the width; a negative signed value shifts arithmetically
-    "<<": _exact(lambda x, y, w: x << y % w), ">>": _exact(lambda x, y, w: x >> y % w),
-    **{op: _comparison(fn) for op, fn in _COMPARISONS.items()},
+    "/": _on_values(_quotient), "%": _on_values(lambda x, y: x - _quotient(x, y) * y),
+    "<<": _shift(operator.lshift), ">>": _shift(operator.rshift),
+    **{op: _on_values(fn, compare=True) for op, fn in _COMPARISONS.items()},
     "&&": lambda a, b: _TRUE if a.bits and b.bits else _FALSE,
     "||": lambda a, b: _TRUE if a.bits or b.bits else _FALSE,
 }

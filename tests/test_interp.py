@@ -13,8 +13,9 @@ from ssi.errors import (
     SymbolicBranch,
     UnknownCommand,
 )
+from ssi.islands import BreakNode, Node
 from ssi.memory import Location
-from ssi.session import CommandSpec
+from ssi.session import CommandSpec, Frame
 from ssi.values import Concrete, SymbolRoot, to_int
 
 
@@ -237,6 +238,130 @@ void testmain(void) {
 }
 """, ["r1", "r2"])
     assert out == {"r1": 7, "r2": 8}
+
+
+# Control flow through the statement runner: each body runs as testmain's,
+# and its final locals are what gcc prints for them (the duplicate label
+# aside, which gcc rejects). A step is one statement run or one loop test,
+# so ``steps`` pins how many of each the runner took.
+STATEMENT_LAYER_CASES = {
+    "backward goto loop": ("""
+    int i = 0;
+    int s = 0;
+again:
+    s = s + i;
+    i++;
+    if (i < 5)
+        goto again;
+""", {"i": 5, "s": 10}, 22),
+    "goto out of a nested loop": ("""
+    int found = -1;
+    int i, j;
+    for (i = 0; i < 4; i++) {
+        for (j = 0; j < 4; j++) {
+            if (i * j == 6) {
+                found = i * 10 + j;
+                goto done;
+            }
+        }
+    }
+done:
+    found = found + 100;
+""", {"found": 123, "i": 2, "j": 3}, 38),
+    "for (;;) with break, and a for declaration": ("""
+    int n = 0;
+    for (;;) {
+        n++;
+        if (n == 3)
+            break;
+    }
+    int t = 0;
+    for (int k = 0; k < 4; k++)
+        t += k;
+""", {"n": 3, "t": 6}, 23),
+    "continue in for runs the step, and in do the test": ("""
+    int odd = 0;
+    int i;
+    for (i = 0; i < 6; i++) {
+        if (i % 2 == 0)
+            continue;
+        odd += i;
+    }
+    int j = 0;
+    int evens = 0;
+    do {
+        j++;
+        if (j % 2)
+            continue;
+        evens += j;
+    } while (j < 6);
+""", {"odd": 9, "i": 6, "j": 6, "evens": 12}, 49),
+    "the first of two labels of one name wins": ("""
+    int x = 0;
+    int y = 0;
+    goto L;
+    x = 1;
+L:
+    y = y + 1;
+    if (y < 3)
+        goto L;
+L:
+    x = x + 10;
+""", {"x": 10, "y": 3}, 13),
+    "a switch falls into a label that a goto re-enters": ("""
+    int r = 0;
+    int k = 2;
+    switch (k) {
+    case 1:
+        r = 1;
+    case 2:
+        r = r + 2;
+    inside:
+        r = r + 5;
+        if (r < 20)
+            goto inside;
+    default:
+        r = r + 100;
+    }
+""", {"r": 122, "k": 2}, 19),
+}
+
+
+@pytest.mark.parametrize("case", STATEMENT_LAYER_CASES)
+def test_statement_layer_locals_and_steps(case):
+    body, expected, steps = STATEMENT_LAYER_CASES[case]
+    session, frame = run_main(f"void testmain(void) {{{body}}}\n")
+    assert {n: local_concrete(session, frame, n) for n in expected} == expected
+    assert session.steps == steps
+
+
+def test_an_unsigned_variable_wraps_a_constant_out_of_its_range():
+    # The values gcc 12.2 prints: ``1 << 31`` is a negative int, and the
+    # ``|`` with an unsigned operand and the store to ``u32`` wrap it.
+    out = finals("""
+void testmain(void) {
+    u32 x = -1;
+    unsigned long y = -1;
+    u32 reg = 0;
+    reg |= 1 << 31;
+    int bit = 1 << 31;
+    unsigned z = 5;
+}
+""", ["x", "y", "reg", "bit", "z"])
+    assert out == {"x": 4294967295, "y": 18446744073709551615, "reg": 2147483648,
+                   "bit": -2147483648, "z": 5}
+
+
+def test_a_node_runs_as_the_built_in_node_class_it_derives_from():
+    class Marked(BreakNode):
+        pass
+
+    session, interp = make_session({"prog.c": ""})
+    frame = Frame("testmain")
+    assert interp.exec_node(Marked("prog.c", 1, 0, 0), frame).kind == "break"
+    with pytest.raises(EvalError, match="cannot execute node Node"):
+        interp.exec_node(Node("prog.c", 2, 0, 0), frame)
+    assert session.steps == 2
 
 
 def test_sizeof_a_variable_reads_its_declared_size():

@@ -7,8 +7,9 @@ ssi lays structs out packed, so both copies of the source start with
 ``#pragma pack(1)``, which gcc obeys and ssi skips as a directive line. The
 structs are tagged and ``typedef``'d untagged ones, whose members are
 scalars, scalar arrays, typedef'd arrays, pointers, and nested tagged and
-untagged structs, by value and in arrays. Unions are left out: ssi places
-their members one after another.
+untagged structs, by value and in arrays; a fixed table adds anonymous
+struct members. Unions, anonymous ones too, are left out: ssi places their
+members one after another.
 """
 
 import random
@@ -96,16 +97,18 @@ class _Structs:
                 [f"{name}[1].{p}" for p in inner]
         return f"{spec} {name};", [name] + [f"{name}.{p}" for p in inner]
 
-    def checks(self):
-        """(label, gcc expression, ssi statements) of each value to agree on."""
-        out = []
-        for k, (type_name, paths) in enumerate(self.tops):
-            out.append((f"size{k}", f"sizeof({type_name})",
-                        f"{type_name} v{k}; long size{k} = sizeof({type_name});"))
-            for j, path in enumerate(paths):
-                out.append((f"off{k}_{j}", f"__builtin_offsetof({type_name}, {path})",
-                            f"long off{k}_{j} = (long)&v{k}.{path} - (long)&v{k};"))
-        return out
+
+def layout_checks(tops):
+    """(label, gcc expression, ssi statements) of each value to agree on,
+    for each (type name, member paths) of ``tops``."""
+    out = []
+    for k, (type_name, paths) in enumerate(tops):
+        out.append((f"size{k}", f"sizeof({type_name})",
+                    f"{type_name} v{k}; long size{k} = sizeof({type_name});"))
+        for j, path in enumerate(paths):
+            out.append((f"off{k}_{j}", f"__builtin_offsetof({type_name}, {path})",
+                        f"long off{k}_{j} = (long)&v{k}.{path} - (long)&v{k};"))
+    return out
 
 
 def gcc_values(tmp_path, defs, checks):
@@ -139,7 +142,32 @@ def _concrete_or_none(session, frame, name):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_struct_layouts_match_gcc_packed(tmp_path, seed):
     structs = _Structs(random.Random(seed))
-    defs, checks = "\n".join(structs.defs), structs.checks()
+    assert_layouts_match_gcc(tmp_path, "\n".join(structs.defs), layout_checks(structs.tops))
+
+
+# Anonymous struct members (C11 6.7.2.1p13): the members of an unnamed
+# struct member are the enclosing struct's, placed where it is, nested ones
+# too. Each definition with its type name and member paths.
+ANONYMOUS_MEMBERS = [
+    ("struct a0 { int x; struct { int a; int b; }; int y; };",
+     "struct a0", ["x", "a", "b", "y"]),
+    ("struct a1 { char c; struct { short p; struct { long q; char r; }; }; int z; };",
+     "struct a1", ["c", "p", "q", "r", "z"]),
+    ("typedef struct { struct { unsigned char m[3]; int *n; }; long t; } A2;",
+     "A2", ["m", "m[2]", "n", "t"]),
+    ("struct a3 { struct { int a; int b; } named; struct { int k; }; short e[2]; };",
+     "struct a3", ["named", "named.b", "k", "e[1]"]),
+]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_anonymous_struct_members_match_gcc_packed(tmp_path):
+    defs = "\n".join(d for d, _, _ in ANONYMOUS_MEMBERS)
+    checks = layout_checks([(name, paths) for _, name, paths in ANONYMOUS_MEMBERS])
+    assert_layouts_match_gcc(tmp_path, defs, checks)
+
+
+def assert_layouts_match_gcc(tmp_path, defs, checks):
     expected = gcc_values(tmp_path, defs, checks)
     got = ssi_values(defs, checks)
     wrong = {label: (got[label], value) for label, value in expected.items()

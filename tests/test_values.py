@@ -51,23 +51,27 @@ def oracle_promote(width, bits, signed):
 
 def oracle_binop(op, a, b):
     """Big-integer evaluation mod 2**width, written independently of the
-    value module: integer promotions, then explicit promotion to the larger
-    width, truncating division, arithmetic right shift for signed operands."""
+    value module: integer promotions, then both operands converted to their
+    common type (C11 6.3.1.8: the wider operand's type, or at equal widths
+    unsigned if either operand is), except that a shift takes its left
+    operand's type (6.5.7p3); truncating division, arithmetic right shift
+    for a signed left operand."""
     a, b = oracle_promote(*a), oracle_promote(*b)
-    w = max(a[0], b[0])
+    if op in ("<<", ">>"):
+        w, rs = a[0], a[2]
+    elif a[0] == b[0]:
+        w, rs = a[0], a[2] and b[2]
+    else:
+        w, rs = (a[0], a[2]) if a[0] > b[0] else (b[0], b[2])
     mask = (1 << w) - 1
-    av = oracle_int(*a)
-    bv = oracle_int(*b)
-    rs = a[2] and b[2]
+    av = oracle_int(w, oracle_int(*a), rs)
+    bv = oracle_int(*b) if op in ("<<", ">>") else oracle_int(w, oracle_int(*b), rs)
     if op in ("==", "!=", "<", "<=", ">", ">="):
-        if op in ("==", "!="):
-            eq = (av & mask) == (bv & mask)
-            return (32, int(eq if op == "==" else not eq), True)
-        x, y = (av, bv) if rs else (av & mask, bv & mask)
-        table_ = {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y}
+        table_ = {"==": av == bv, "!=": av != bv,
+                  "<": av < bv, "<=": av <= bv, ">": av > bv, ">=": av >= bv}
         return (32, int(table_[op]), True)
     if op in ("&&", "||"):
-        ta, tb = (av & mask) != 0, (bv & mask) != 0
+        ta, tb = av != 0, bv != 0
         return (32, int(ta and tb if op == "&&" else ta or tb), True)
     if op == "+":
         r = av + bv
@@ -113,7 +117,7 @@ MINUS_ONE = (32, (1 << 32) - 1, True)
 @given(st.sampled_from(ALL_OPS), operand, operand)
 @example("/", INT_MIN, MINUS_ONE)                # wraps back to INT_MIN
 @example("%", (32, (1 << 32) - 7, True), (32, 2, True))  # -7 % 2 == -1
-@example("/", (8, 0xF9, True), (64, 2, False))   # -7 widened to 64 bits first
+@example("/", (8, 0xF9, True), (64, 2, False))   # -7 converted to unsigned long
 @example("<<", (32, 1, False), (32, 33, False))  # the count modulo the width
 @example(">>", MINUS_ONE, (8, 4, False))         # arithmetic on a signed value
 @example("<", MINUS_ONE, (32, 0, False))         # unsigned when one side is
@@ -142,10 +146,9 @@ def test_concrete_closure_matches_oracle(op, a, b):
     assert vals.resolve(term) == expected
 
 
-# C expressions whose operands are narrower than int, each with the value
-# gcc 12.2 (x86-64) prints for ``(long)(expr)``: the integer promotions make
-# every such operand an int before the operator runs. The last two rows
-# need no promotion.
+# C expressions, each with the value gcc 12.2 (x86-64) prints for
+# ``(long)(expr)``. In the first rows, the integer promotions make every
+# operand narrower than int an int before the operator runs.
 PROMOTION_CASES = [
     ("(unsigned char)200 + (unsigned char)100", 300),
     ("-1 < (unsigned char)1", 1),
@@ -158,6 +161,15 @@ PROMOTION_CASES = [
     ("(unsigned short)65535 * (unsigned char)2", 131070),
     ("(unsigned short)65535 + 1u", 65536),
     ("-1 < (unsigned int)1", 0),
+    # Then the usual arithmetic conversions: the wider operand's type, unsigned
+    # at equal widths if either operand is; a shift keeps its left's type.
+    ("(long)-1 < 1u", 1),
+    ("-1L > 4294967295u", 0),
+    ("-1 >> 4u", -1),
+    ("(signed char)-7 / 2ul", 9223372036854775804),
+    ("-7 % 2u", 1),
+    ("-8 / 2u", 2147483644),
+    ("(int)-1 == 4294967295u", 1),
 ]
 
 
