@@ -58,6 +58,13 @@ class MaxStepsExceeded(SsiError):
     """Statement budget for one command was exhausted."""
 
 
+class CallDepthExceeded(SsiError):
+    """C calls nested deeper than Python's recursion limit lets them run;
+    ``line`` is the innermost call's."""
+
+    line = None
+
+
 class UnknownCommand(SsiError):
     """The REPL command is neither built in nor registered by the SSI."""
 

@@ -52,7 +52,7 @@ class HookContext:
     def make_concrete(self, width_bits: int, value: int, signed=False) -> Value:
         return self.session.values.concrete(
             width_bits, value, self.site.at,
-            signed=signed, desc=f"hook {self.site.compact.split(' ')[0]} constant")
+            signed=signed, desc=f"hook {self.site.blame.callee} constant")
 
     def write_through(self, pointer: Value, value: Value) -> None:
         self._interp.write_through(pointer, value,

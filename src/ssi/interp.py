@@ -3,15 +3,21 @@
 Statements come from the island parser and are executed directly; holes are
 parsed the first time control reaches them, and the expressions and simple
 statements in them are compiled into closures then and re-run after that
-(``Interp.eval_tokens``). One runner executes statements: ``exec_node``
-counts a step and runs the node through one table keyed by node class
-(``_RUNNERS``); ``while``, ``do`` and ``for`` share one loop executor, which
-counts a step per pass and one for a test that ends the loop; and a block
-looks a label up only when a ``goto`` reaches it. Calls resolve, in order,
-to a registered hook, an in-corpus function definition, or a symbolic fallback
-that records a missing-model event and returns a fresh symbol. Fresh symbols
-minted inside a modeled or unmodeled call remember that call, which is what
-lets later diagnostics name the exact API function a value is waiting on.
+(``Interp._code``; a runner calls the closure itself). One runner executes
+statements: ``exec_node`` counts a step and runs the node through one table
+keyed by node class (``_RUNNERS``); ``while``, ``do`` and ``for`` share one
+loop executor, which counts a step per pass and one for a test that ends the
+loop; and a block looks a label up only when a ``goto`` reaches it. Calls
+resolve, in order, to a registered hook, an in-corpus function definition, or
+a symbolic fallback that records a missing-model event and returns a fresh
+symbol. Fresh symbols minted inside a modeled or unmodeled call remember that
+call, which is what lets later diagnostics name the exact API function a
+value is waiting on.
+
+A C call nests seven Python frames (``call_named``, ``call_function_def``,
+``exec_block``, ``exec_node``, the runner and the expression's closures), so
+C recursion runs about 140 deep under Python's default recursion limit; past
+it the innermost call raises ``CallDepthExceeded`` naming its line.
 
 Breakpoints fire after a statement on the breakpoint line executes; the
 session then suspends just before the next statement, whose line is reported.
@@ -23,10 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import macros as mc
 from . import tokens as tk
 from .errors import (
+    CallDepthExceeded,
     EvalError,
     MaxStepsExceeded,
     SsiError,
@@ -81,13 +89,14 @@ RETURN = "return"
 GOTO = "goto"
 
 
-@dataclass
+@dataclass(slots=True)
 class Control:
     kind: str
     value: Value | None = None
     label: str | None = None
 
 
+_ID = attrgetter("id")  # a Value's id, as the ``call`` event lists its arguments
 _NEXT = Control(NEXT)
 _BREAK = Control(BREAK)
 _CONTINUE = Control(CONTINUE)
@@ -98,11 +107,16 @@ class CallSite:
     file: str
     line: int
     text: str     # verbatim source of the call expression when available
-    compact: str  # token texts joined by single spaces
+    compact: str  # token texts joined by single spaces, the callee's first
     at: tuple[str, int] = field(init=False, repr=False, compare=False)
+    blame: MissingCall = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.at = (self.file, self.line)  # one tuple for every value the call mints
+        # What the values a model of this call mints, or an unmodeled call's
+        # result and the memory it may write, wait on: one per call site.
+        self.blame = MissingCall(self.compact.split(" ", 1)[0], self.compact,
+                                 self.file, self.line)
 
 
 # --------------------------------------------------------------------- types
@@ -129,6 +143,7 @@ TYPE_NAMES = _type_names()
 class TypeInfo:
     type: CType | None = None  # None when no type was read
     is_typedef: bool = False
+    void: bool = False  # ``void`` named the base type
 
 
 @dataclass
@@ -204,6 +219,7 @@ def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
             width = 4
         boolean = "_Bool" in words
         unsigned = unsigned or "unsigned" in words or boolean
+        info.void = "void" in words
     info.type = CType(width, tag or base.tag, unsigned, base.stars, (), boolean)
     return i, info
 
@@ -386,8 +402,8 @@ class Interp:
     def __init__(self, session: Session):
         self.s = session
         session.store.layout_source = self._layout_from_corpus
-        self._epoch = object()  # replaced when a typedef changes; see eval_tokens
-        self._returns: dict[str, CType] = {}  # function -> what its pointer result points at
+        self._epoch = object()  # replaced when a typedef changes; see _code
+        self._returns: dict[str, CType] = {}  # function -> its declared return type
         self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
         self._scan_corpus_names()
 
@@ -443,12 +459,12 @@ class Interp:
 
     def _record_global_decl(self, toks, i, file_id) -> int:
         """Try to record one file-scope declaration starting at i; returns
-        the index to resume scanning from. A function that returns a
-        pointer records what that points at."""
+        the index to resume scanning from. A function records its return
+        type, unless it returns ``void``."""
         info, decls, j = _declarations(toks, i, self.s.typedefs)
         for decl in decls:
-            if decl.function and decl.type.stars and not info.is_typedef:
-                self._returns.setdefault(decl.name, decl.type.elem)
+            if decl.function and not info.is_typedef and not (info.void and not decl.type.stars):
+                self._returns.setdefault(decl.name, decl.type)
             if decl.name is None or decl.function:
                 continue
             decl.dims = [self._expand(bound) for bound in decl.dims]
@@ -508,44 +524,54 @@ class Interp:
     # ----------------------------------------------------------------- calls
     def call_named(self, name: str, args, site: CallSite) -> Value:
         s = self.s
-        s.emit_event("call", callee=name, call_text=site.compact,
-                     file=site.file, line=site.line,
-                     args=tuple(a.id for a in args))
-        spec = s.trace_specs.get(name)
-        if spec is not None:
-            self._fire_trace(spec, site, args)
-        hook = s.hooks.get(name)
-        if hook is not None:
-            s.emit_event("hook", name=name, line=site.line)
-            ctx = HookContext(s, self, list(args), site)
-            outer = s.values.blame  # what the model mints is blamed on this call
-            s.values.blame = MissingCall(name, site.compact, site.file, site.line)
-            try:
-                result = hook.fn(ctx)
-            finally:
-                s.values.blame = outer
-            if isinstance(result, Value):
-                return result
-            return s.values.concrete(32, 0, site.at,
-                                     desc=f"hook {name} result")
-        fdef = s.corpus.find_function(name)
-        if fdef is not None:
-            return self.call_function_def(fdef, args, site)
-        # Unmodeled, not in corpus: symbolic fallback. Pointer arguments may
-        # have been written by the real function, so remember which call is
-        # responsible for anything later read out of those regions untouched.
-        s.emit_event("missing-model", callee=name, call_text=site.compact,
-                     file=site.file, line=site.line)
-        missing = MissingCall(name, site.compact, site.file, site.line)
-        for a in args:
-            r = s.values.resolve(a)
-            if isinstance(r, Residual) and r.pointer is not None:
-                s.store.taints[r.pointer[0]] = missing
-        return s.values.fresh_symbol(f"ret:{name}@{site.line}", site.at, missing)
+        try:
+            s.emit_event("call", callee=name, call_text=site.compact,
+                         file=site.file, line=site.line, args=tuple(map(_ID, args)))
+            spec = s.trace_specs.get(name)
+            if spec is not None:
+                self._fire_trace(spec, site, args)
+            hook = s.hooks.get(name)
+            if hook is not None:
+                s.emit_event("hook", name=name, line=site.line)
+                ctx = HookContext(s, self, list(args), site)
+                vals = s.values
+                outer = vals.blame  # what the model mints is blamed on this call
+                vals.blame = site.blame
+                try:
+                    result = hook.fn(ctx)
+                finally:
+                    vals.blame = outer
+                if isinstance(result, Value):
+                    return result
+                return vals.concrete(32, 0, site.at, desc=f"hook {name} result")
+            fdef = s.corpus.find_function(name)
+            if fdef is not None:
+                return self.call_function_def(fdef, args, site)
+            # Unmodeled, not in corpus: symbolic fallback. Pointer arguments
+            # may have been written by the real function, so remember which
+            # call is responsible for anything later read out of those
+            # regions untouched.
+            s.emit_event("missing-model", callee=name, call_text=site.compact,
+                         file=site.file, line=site.line)
+            missing = site.blame
+            for a in args:
+                r = s.values.resolve(a)
+                if isinstance(r, Residual) and r.pointer is not None:
+                    s.store.taints[r.pointer[0]] = missing
+            return s.values.fresh_symbol(f"ret:{name}@{site.line}", site.at, missing)
+        except RecursionError:
+            # The innermost call catches it and names itself. The stack is
+            # at Python's limit here, so the error is built with no Python
+            # constructor, and ``line`` is set after.
+            error = CallDepthExceeded(
+                f"C calls nested too deep: {site.text} at {site.file}:{site.line} "
+                f"is call {len(s.frames) + 1} deep, past Python's recursion limit")
+            error.line = site.line
+            raise error from None
 
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
         """The (name, type) of each parameter of ``fdef`` in order,
-        macro-expanded and read once per typedef epoch (see ``eval_tokens``).
+        macro-expanded and read once per typedef epoch (see ``_code``).
         An unnamed one keeps its place with name None; ``T a[]``, as an array
         typedef's, is a pointer; ``(void)`` and ``...`` bind nothing."""
         hole = fdef.params
@@ -573,9 +599,11 @@ class Interp:
             v = args[k] if k < len(args) else s.values.fresh_symbol(
                 f"arg:{name}@{site.line}", at)
             self.store_place(place, v, at)
+        body = fdef.body
         s.frames.append(frame)
-        try:
-            sig = self._run_hole(fdef.body, frame)
+        try:  # a parsed body's nodes without a call to the parser, as in _run_hole
+            sig = self.exec_block(body.nodes or parse_hole_as_block(
+                s.corpus, body, s.rules, s.on_parse), frame)
         finally:
             s.frames.pop()
         if sig.kind == GOTO:
@@ -671,7 +699,9 @@ class Interp:
                     position=(node.file_id, node.line),
                 )
             s.stop_next = s.stop_handler((node.file_id, node.line)) == "step"
-        self._count_step(node.line)
+        s.steps += 1
+        if s.steps > s.max_steps:
+            self._out_of_steps(node.line)
         sig = (_RUNNERS.get(node.__class__) or _runner(node))(self, node, frame)
         if s.breakpoints and not frame.is_snippet:
             bp = s.breakpoint_at(node.file_id, node.line)
@@ -680,19 +710,24 @@ class Interp:
                 s.stop_next = True
         return sig
 
-    def _count_step(self, line):
-        self.s.steps += 1
-        if self.s.steps > self.s.max_steps:
-            raise MaxStepsExceeded(
-                f"exceeded {self.s.max_steps} statement executions (line {line})"
-            )
+    def _out_of_steps(self, line):
+        raise MaxStepsExceeded(f"exceeded {self.s.max_steps} statement executions (line {line})")
 
     def _exec_simple(self, node, frame) -> Control:
-        self.eval_tokens(node, frame, node.line, statement=True)
+        self._code(node, node.line, True)(frame)
         return _NEXT
 
     def _exec_return(self, node, frame) -> Control:
-        return Control(RETURN, value=node.expr and self.eval_tokens(node.expr, frame, node.line))
+        """``return``, its value converted to the function's declared type
+        as a store to a variable of that type converts it."""
+        expr = node.expr
+        if expr is None:
+            return Control(RETURN)
+        v = self._code(expr, node.line)(frame)
+        t = self._returns.get(frame.function)
+        if t is not None and t.converts:
+            v = self._converted(v, t, (node.file_id, node.line))
+        return Control(RETURN, v)
 
     def _exec_raw(self, node, frame) -> Control:
         if not node.directive:
@@ -700,13 +735,15 @@ class Interp:
         return _NEXT
 
     def _run_hole(self, hole, frame) -> Control:
-        nodes = parse_hole_as_block(self.s.corpus, hole, self.s.rules, self.s.on_parse)
-        return self.exec_block(nodes, frame)
+        # Its nodes once parsed, without a call to the parser that memoizes them.
+        s = self.s
+        return self.exec_block(hole.nodes or parse_hole_as_block(
+            s.corpus, hole, s.rules, s.on_parse), frame)
 
     def _holds(self, node, frame, statement=False) -> bool:
         """Whether the condition of ``node`` is true; an empty ``for``
         condition, run as a statement, gives no value and is."""
-        v = self.eval_tokens(node.cond, frame, node.line, statement)
+        v = self._code(node.cond, node.line, statement)(frame)
         return v is None or self.truth(v, (node.file_id, node.line))
 
     def _exec_if(self, node, frame) -> Control:
@@ -718,12 +755,15 @@ class Interp:
         does a test that ends the loop before a pass; a ``do`` tests after
         its body. A ``for`` runs its clauses as statements: its init once,
         its step after each pass that does not leave the loop."""
+        s = self.s
         is_for = isinstance(node, ForNode)
         if is_for:
-            self.eval_tokens(node.init, frame, node.line, statement=True)
+            self._code(node.init, node.line, True)(frame)
         do = isinstance(node, DoWhileNode)
         while True:
-            self._count_step(node.line)
+            s.steps += 1
+            if s.steps > s.max_steps:
+                self._out_of_steps(node.line)
             if not do and not self._holds(node, frame, is_for):
                 return _NEXT
             sig = self._run_hole(node.body, frame)
@@ -732,12 +772,12 @@ class Interp:
             if sig.kind == RETURN or sig.kind == GOTO:
                 return sig
             if is_for:
-                self.eval_tokens(node.step, frame, node.line, statement=True)
+                self._code(node.step, node.line, True)(frame)
             if do and not self._holds(node, frame):
                 return _NEXT
 
     def _exec_switch(self, node, frame) -> Control:
-        subj = self.eval_tokens(node.subject, frame, node.line)
+        subj = self._code(node.subject, node.line)(frame)
         r = self.s.values.resolve(subj)
         if not isinstance(r, Concrete):
             labels = self.s.values.labels_for(r.blockers)
@@ -755,8 +795,7 @@ class Interp:
             if n.is_default and default is None:
                 default = idx
             elif n.case_expr is not None and target is None:
-                cv = self.s.values.resolve(
-                    self.eval_tokens(n.case_expr, frame, n.line))
+                cv = self.s.values.resolve(self._code(n.case_expr, n.line)(frame))
                 if isinstance(cv, Concrete) and to_int(cv) == to_int(r):
                     target = idx
         start = target if target is not None else default
@@ -766,19 +805,20 @@ class Interp:
         return _NEXT if sig.kind == BREAK else sig
 
     # ------------------------------------------------------------ compiling
-    def eval_tokens(self, span, frame, line, statement=False):
-        """Run the compiled form of ``span``, a hole or a simple statement.
+    def _code(self, span, line, statement=False):
+        """The compiled form of ``span``, a hole or a simple statement: a
+        closure over the frame, which its runner calls.
 
         The tokens are compiled the first time ``span`` runs and again once a
         typedef has been added since, because typedef names change how casts,
         ``sizeof`` and declarations parse. ``span`` is an expression, or
-        with ``statement`` a statement or a ``for`` clause, which gives None
-        when it holds no code or declares.
+        with ``statement`` a statement or a ``for`` clause, whose closure
+        gives None when it holds no code or declares.
         """
         compiled = span.compiled
         if compiled is None or compiled[0] is not self._epoch:
             compiled = span.compiled = (self._epoch, self._compile(span, line, statement))
-        return compiled[1](frame)
+        return compiled[1]
 
     def _compile(self, span, line, statement):
         s = self.s
@@ -1054,7 +1094,7 @@ class Interp:
     def store_place(self, place: Place, value: Value, at):
         cell = self._locate(place, at)
         t = place.type
-        if t.narrow is not None or t.unsigned and not (t.stars or t.dims or t.tag):
+        if t.converts:
             value = self._converted(value, t, at)
         elif t.stars:
             _pin(value, t.elem)
@@ -1062,9 +1102,9 @@ class Interp:
 
     def _converted(self, value: Value, t: CType, at) -> Value:
         """``value`` as a variable of the narrow or unsigned integer type
-        ``t`` holds it. A constant already in range is kept, and so is a
-        value that does not resolve to a constant: a symbol stays the root
-        that branches bind. Another wraps, as ``(T)value`` does, or for a
+        ``t`` holds it, or a function of that type returns it. A constant
+        already in range is kept, and so is a value that does not resolve
+        to a constant: a symbol stays the root that branches bind. Another wraps, as ``(T)value`` does, or for a
         ``_Bool`` is ``value != 0``; a narrow ``t`` reads back as an int, as
         C promotes it, so that arithmetic on two narrow values does not
         wrap. (A signed int or wider place keeps any value: C leaves that
@@ -1746,13 +1786,18 @@ class _Compiler:
                 pass
         site = CallSite(self.file_id, name_tok.line, text, compact)
         name = name_tok.text
-        pointee = it._returns.get(name)  # a declared pointer result: a step over it
+        returns = it._returns.get(name)  # a declared pointer result is a step over it
+        call_named = it.call_named
 
         def call(frame):
-            return it.call_named(name, [arg(frame) for arg in args], site)
+            values = []  # a loop, not a comprehension: no frame of its own
+            for arg in args:
+                values.append(arg(frame))
+            return call_named(name, values, site)
 
-        if pointee is None:
+        if returns is None or not returns.stars:
             return _VALUE, call, None
+        pointee = returns.elem
         return _STEP, lambda frame: Place(None, call(frame), 0, "*", pointee, True), None
 
     def _args(self):

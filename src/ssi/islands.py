@@ -32,7 +32,7 @@ class Hole:
     start: int
     end: int
     nodes: list | None = field(default=None, repr=False)  # memoized parse
-    compiled: tuple | None = field(default=None, repr=False)  # see Interp.eval_tokens
+    compiled: tuple | None = field(default=None, repr=False)  # see Interp._code
 
     def is_empty_of_code(self, tokens: list[tk.Token]) -> bool:
         return all(t.kind in tk.TRIVIA for t in tokens[self.start : self.end])

@@ -28,7 +28,7 @@ MMIO = "mmio"
 OPAQUE = "opaque"
 
 
-@dataclass
+@dataclass(slots=True)
 class Region:
     id: int
     label: str
@@ -49,13 +49,15 @@ class CType(Record):
     """A C type: ``stars`` pointer levels over a ``width``-byte base type
     (struct ``tag``, ``unsigned``, ``boolean`` for ``_Bool``), in an array
     of the evaluated bounds ``dims`` when there are any. ``elem`` is the
-    type that ``*`` and ``[]`` reach (None for a scalar or a struct) and
+    type that ``*`` and ``[]`` reach (None for a scalar or a struct),
     ``narrow`` the sign a store wraps to (None for an int or wider, a
-    pointer, a struct or an array). It is the one type record: a
-    declaration, a typedef name, a place, a cast and a pointer value (what
-    it points at) each hold one."""
+    pointer, a struct or an array) and ``converts`` whether a store or a
+    ``return`` of this type converts a value (a narrow or unsigned integer
+    type). It is the one type record: a declaration, a typedef name, a
+    place, a cast and a pointer value (what it points at) each hold one."""
 
-    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow")
+    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow",
+                 "converts")
 
     def __init__(self, width: int = 4, tag: str | None = None, unsigned: bool = False,
                  stars: int = 0, dims: tuple = (), boolean: bool = False):
@@ -67,6 +69,7 @@ class CType(Record):
         self.boolean = boolean
         self.elem = self.derived(0, dims[1:]) if dims else self.derived(-1) if stars else None
         self.narrow = None if width >= 4 or stars or dims or tag else not unsigned
+        self.converts = self.narrow is not None or unsigned and not (stars or dims or tag)
 
     def derived(self, stars: int, dims: tuple = ()) -> CType:
         """This base type with ``stars`` more pointer levels, in an array of

@@ -22,7 +22,7 @@ BRANCH_POLICIES = (ASK, ASSUME_TRUE, ASSUME_FALSE, FAIL)
 DEFAULT_MAX_STEPS = 1_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelEvent:
     seq: int
     kind: str  # call | hook | missing-model | write | diagnostic | unexpanded-macro
@@ -63,7 +63,7 @@ class Place:
         return 8 if self.type.stars else self.type.width
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     function: str
     locals: dict[str, Place] = field(default_factory=dict)
@@ -116,8 +116,12 @@ class Session:
         self.out = out
 
     # ---------------------------------------------------------------- events
-    def emit_event(self, kind: str, **fields) -> ModelEvent:
-        ev = ModelEvent(self._seq, kind, **fields)
+    def emit_event(self, kind: str, callee=None, call_text=None, file=None, line=None,
+                   args=None, address=None, value=None, message=None,
+                   name=None) -> ModelEvent:
+        # ModelEvent's fields as parameters: keywords bind without a dict.
+        ev = ModelEvent(self._seq, kind, callee, call_text, file, line, args, address,
+                        value, message, name)
         self._seq += 1
         self.events.append(ev)
         return ev

@@ -1,4 +1,7 @@
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -7,15 +10,17 @@ import ssi.interp as interp_module
 import ssi.macros as mc
 from conftest import local_concrete, make_session, run_function
 from ssi.errors import (
+    CallDepthExceeded,
     EvalError,
     MaxStepsExceeded,
     StoppedAtBreakpoint,
     SymbolicBranch,
     UnknownCommand,
 )
+from ssi.interp import Control
 from ssi.islands import BreakNode, Node
-from ssi.memory import Location
-from ssi.session import CommandSpec, Frame
+from ssi.memory import Location, Region
+from ssi.session import CommandSpec, Frame, ModelEvent
 from ssi.values import Concrete, SymbolRoot, to_int
 
 
@@ -1380,6 +1385,103 @@ void testmain(void) {
 
 # Stores to variables, parameters, fields and elements narrower than int
 # wrap to the declared width and sign; a narrow value reads back as an int.
+# Functions whose ``return`` converts its value to the declared type, as a
+# store to a variable of that type does: each row is a definition, then the
+# type of the local its call is stored in, the call, and the value gcc 12.2
+# (x86-64) prints for that local as a ``long``.
+RETURN_CASES = [
+    ("u32 f0(void) { return -1; }", "long", "f0()", 4294967295),
+    ("unsigned char f1(void) { return 300; }", "int", "f1()", 44),
+    ("signed char f2(int x) { return x; }", "int", "f2(200)", -56),
+    ("short f3(int x) { return x + 1; }", "long", "f3(69999)", 4464),
+    ("_Bool f4(void) { return 256; }", "int", "f4()", 1),
+    ("unsigned short f5(void) { return 65535; }", "int", "f5()", 65535),
+    ("int f6(void) { return -7; }", "long", "f6()", -7),
+]
+RETURN_DEFINITIONS = "typedef unsigned int u32;\n" + "".join(f"{d}\n" for d, *_ in RETURN_CASES)
+
+
+def test_return_converts_to_the_declared_type():
+    body = "".join(f"    {t} r{k} = {call};\n" for k, (_, t, call, _) in enumerate(RETURN_CASES))
+    session, frame = run_main(RETURN_DEFINITIONS + f"void testmain(void) {{\n{body}}}\n")
+    got = [local_concrete(session, frame, f"r{k}") for k in range(len(RETURN_CASES))]
+    assert got == [value for *_, value in RETURN_CASES]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_return_table_is_what_gcc_prints(tmp_path):
+    prints = "".join(f'    {{ {t} r = {call}; printf("%ld\\n", (long)r); }}\n'
+                     for _, t, call, _ in RETURN_CASES)
+    (tmp_path / "p.c").write_text(f"int printf(const char *, ...);\n{RETURN_DEFINITIONS}"
+                                  f"int main(void) {{\n{prints}    return 0;\n}}\n")
+    subprocess.run(["cc", "-w", "-O0", "-o", str(tmp_path / "p"), str(tmp_path / "p.c")],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(tmp_path / "p")], check=True, capture_output=True, text=True)
+    assert list(map(int, out.stdout.split())) == [value for *_, value in RETURN_CASES]
+
+
+def test_a_return_already_in_range_mints_nothing():
+    def minted(ret_type):
+        session, _ = run_main(f"{ret_type} f(void) {{ return 5; }}\n"
+                              "void testmain(void) { int r = f(); }")
+        return len(session.values)
+
+    assert minted("u8") == minted("int")
+
+
+RECURSION = "int r(int n) { if (n == 0) return probe(0); return r(n - 1) + 1; }\n"
+
+
+def test_a_c_call_costs_at_most_seven_python_frames():
+    def depth_at(n):
+        session, interp = make_session(
+            {"p.c": RECURSION + f"void testmain(void) {{ int x = r({n}); }}"})
+        depths = []
+
+        def probe(ctx):
+            f, depth = sys._getframe(), 0
+            while f is not None:
+                f, depth = f.f_back, depth + 1
+            depths.append(depth)
+
+        session.register_hook("probe", probe)
+        run_function(session, interp, "testmain")
+        return depths[0]
+
+    assert depth_at(11) - depth_at(10) <= 7
+
+
+def test_recursion_past_the_python_stack_names_the_innermost_c_call():
+    session, interp = make_session(
+        {"p.c": RECURSION + "void testmain(void) { int x = r(10000); }"})
+    session.register_hook("probe", lambda ctx: None)
+    with pytest.raises(CallDepthExceeded, match=r"r\(n - 1\) at p\.c:1 ") as caught:
+        run_function(session, interp, "testmain")
+    assert caught.value.line == 1
+
+
+def test_the_records_made_per_call_and_statement_take_no_attribute_dict():
+    for record in (ModelEvent(0, "call"), Frame("f"), Region(1, "r", "stack"), Control("next")):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_a_call_site_blames_one_missing_call_record():
+    session, interp = make_session({"p.c": """
+void testmain(void) {
+    int i;
+    for (i = 0; i < 2; i++) { probe(i); }
+    probe(2);
+}
+"""})
+    blames = []
+    session.register_hook("probe", lambda ctx: blames.append(ctx.session.values.blame))
+    run_function(session, interp, "testmain")
+    first, again, other = blames
+    assert first == again and first is again
+    assert first != other
+    assert (first.callee, first.line, other.line) == ("probe", 4, 5)
+
+
 NARROW_STORE_CASES = {
     "locals": ("""
 void testmain(void) {

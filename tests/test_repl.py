@@ -1,10 +1,14 @@
 import io
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from conftest import make_session, printed_by
 from ssi.repl import Repl, scrape_module_info
 from ssi.session import CommandSpec
+from ssi.values import to_int
 
 
 def run_repl(sources, lines, setup=None, commands=None, **session_kwargs):
@@ -229,17 +233,56 @@ def test_comment_lines_in_scripts_are_skipped():
 
 
 def test_internal_error_keeps_the_session_alive():
-    # 200 nested C calls exhaust Python's recursion limit.
+    # A model's own fault, a Python exception, two C calls deep.
     sources = {"r.c": """\
-int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
-void deep(void) { int r = down(200); }
-void shallow(void) { int r = down(3); log_state(r); }
+int down(int n) { if (n == 0) return faulty(n); return 1 + down(n - 1); }
+void deep(void) { int r = down(2); }
+void shallow(void) { int r = down(0); log_state(r); }
 """}
+
+    def setup(session):
+        session.register_hook("faulty", lambda ctx: 1 // to_int(ctx.args[0].payload))
+
     out, code, session = run_repl(
-        sources, ["deep", "shallow", "q"],
+        sources, ["deep", "shallow", "q"], setup=setup,
         commands={"deep": CommandSpec("deep"), "shallow": CommandSpec("shallow")})
-    assert "error: internal RecursionError" in out
+    assert out.count("error: internal ZeroDivisionError") == 2
     assert out.index("error: internal") < out.index("ssi > shallow")
+    assert code == 1
+    assert session.frames == [] and session.values.blame is None
+
+
+# C recursion 10,000 deep, past Python's recursion limit, in three shapes: a
+# plain ``return``, a call in an ``if`` in a ``while``, a hook's argument.
+DEEP_RECURSION = {
+    "return": "int r(int n) { if (n == 0) return 0; return r(n - 1) + 1; }",
+    "if inside while": """int r(int n) {
+    int x = 0;
+    while (n > 0) { if (n > 0) { x = r(n - 1) + 1; } n = 0; }
+    return x;
+}""",
+    "hook argument": "int r(int n) { if (n == 0) return 0; return same(r(n - 1)); }",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_RECURSION)
+def test_deep_c_recursion_is_an_error_at_its_c_line(shape):
+    sources = {"r.c": DEEP_RECURSION[shape] + """
+void deep(void) { int d = r(10000); }
+void shallow(void) { int d = r(3); log_state(d); }
+"""}
+
+    def setup(session):
+        session.register_hook("same", lambda ctx: ctx.args[0])
+
+    out, code, session = run_repl(
+        sources, ["deep", "shallow", "q"], setup=setup,
+        commands={"deep": CommandSpec("deep"), "shallow": CommandSpec("shallow")})
+    line = 3 if shape == "if inside while" else 1
+    assert re.search(rf"^error: C calls nested too deep: r\(n - 1\) at r\.c:{line} is call "
+                     r"\d+ deep, past Python's recursion limit$", out, re.M), out
+    assert "internal" not in out
+    assert out.index("error:") < out.index("ssi > shallow")
     assert [e.callee for e in session.events_of("missing-model")] == ["log_state"]
     assert code == 1
     assert session.frames == [] and session.values.blame is None
