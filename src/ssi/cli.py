@@ -30,6 +30,8 @@ def main(argv=None) -> int:
                         help="drop a registered model (repeatable); useful "
                              "for seeing what breaks without it")
     args = parser.parse_args(argv)
+    if args.max_steps < 1:
+        parser.error(f"argument --max-steps: must be at least 1, not {args.max_steps}")
 
     policy = args.branch_policy or (FAIL if args.script else ASK)
     try:

@@ -2,8 +2,8 @@
 
 Statements come from the island parser and are executed directly; holes are
 parsed the first time control reaches them, and the expressions and simple
-statements in them are compiled into closures then and re-run after that
-(``Interp._code``; a runner calls the closure itself). One runner executes
+statements in them are compiled into closures then, each held on its span
+until a typedef is added, and re-run (``Interp._code``). One runner executes
 statements: ``exec_node`` counts a step and runs the node through one table
 keyed by node class (``_RUNNERS``); ``while``, ``do`` and ``for`` share one
 loop executor, which counts a step per pass and one for a test that ends the
@@ -402,7 +402,7 @@ class Interp:
     def __init__(self, session: Session):
         self.s = session
         session.store.layout_source = self._layout_from_corpus
-        self._epoch = object()  # replaced when a typedef changes; see _code
+        self._compiled: list = []  # spans whose ``compiled`` is set; see _code
         self._returns: dict[str, CType] = {}  # function -> its declared return type
         self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
         self._scan_corpus_names()
@@ -570,23 +570,24 @@ class Interp:
             raise error from None
 
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
-        """The (name, type) of each parameter of ``fdef`` in order,
-        macro-expanded and read once per typedef epoch (see ``_code``).
-        An unnamed one keeps its place with name None; ``T a[]``, as an array
-        typedef's, is a pointer; ``(void)`` and ``...`` bind nothing."""
-        hole = fdef.params
-        if hole.compiled is None or hole.compiled[0] is not self._epoch:
-            raw = self.s.corpus.tokens(hole.file_id)[hole.start : hole.end]
-            toks = self._expand(raw)
-            params = []
-            for a, b in tk.split_top_level(toks, 0, len(toks), ","):
-                if b - a == 1 and toks[a].text in ("void", "..."):
-                    continue
-                for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
-                    array = decl.dims or decl.type.dims
-                    params.append((decl.name, decl.type.derived(1) if array else decl.type))
-            hole.compiled = (self._epoch, params)
-        return hole.compiled[1]
+        """The (name, type) of each parameter of ``fdef`` in order, kept on
+        its hole by ``_code`` until a typedef is added (an empty list too)."""
+        params = fdef.params.compiled
+        return self._code(fdef.params, fdef.line, None) if params is None else params
+
+    def _read_params(self, hole):
+        """The parameters of a parameter list, macro-expanded. An unnamed
+        one keeps its place with name None; ``T a[]``, as an array typedef's,
+        is a pointer; ``(void)`` and ``...`` bind nothing."""
+        toks = self._expand(self.s.corpus.tokens(hole.file_id)[hole.start : hole.end])
+        params = []
+        for a, b in tk.split_top_level(toks, 0, len(toks), ","):
+            if b - a == 1 and toks[a].text in ("void", "..."):
+                continue
+            for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
+                array = decl.dims or decl.type.dims
+                params.append((decl.name, decl.type.derived(1) if array else decl.type))
+        return params
 
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
         s = self.s
@@ -714,7 +715,7 @@ class Interp:
         raise MaxStepsExceeded(f"exceeded {self.s.max_steps} statement executions (line {line})")
 
     def _exec_simple(self, node, frame) -> Control:
-        self._code(node, node.line, True)(frame)
+        (node.compiled or self._code(node, node.line, True))(frame)
         return _NEXT
 
     def _exec_return(self, node, frame) -> Control:
@@ -723,7 +724,7 @@ class Interp:
         expr = node.expr
         if expr is None:
             return Control(RETURN)
-        v = self._code(expr, node.line)(frame)
+        v = (expr.compiled or self._code(expr, node.line))(frame)
         t = self._returns.get(frame.function)
         if t is not None and t.converts:
             v = self._converted(v, t, (node.file_id, node.line))
@@ -743,7 +744,7 @@ class Interp:
     def _holds(self, node, frame, statement=False) -> bool:
         """Whether the condition of ``node`` is true; an empty ``for``
         condition, run as a statement, gives no value and is."""
-        v = self._code(node.cond, node.line, statement)(frame)
+        v = (node.cond.compiled or self._code(node.cond, node.line, statement))(frame)
         return v is None or self.truth(v, (node.file_id, node.line))
 
     def _exec_if(self, node, frame) -> Control:
@@ -758,7 +759,7 @@ class Interp:
         s = self.s
         is_for = isinstance(node, ForNode)
         if is_for:
-            self._code(node.init, node.line, True)(frame)
+            (node.init.compiled or self._code(node.init, node.line, True))(frame)
         do = isinstance(node, DoWhileNode)
         while True:
             s.steps += 1
@@ -772,12 +773,12 @@ class Interp:
             if sig.kind == RETURN or sig.kind == GOTO:
                 return sig
             if is_for:
-                self._code(node.step, node.line, True)(frame)
+                (node.step.compiled or self._code(node.step, node.line, True))(frame)
             if do and not self._holds(node, frame):
                 return _NEXT
 
     def _exec_switch(self, node, frame) -> Control:
-        subj = self._code(node.subject, node.line)(frame)
+        subj = (node.subject.compiled or self._code(node.subject, node.line))(frame)
         r = self.s.values.resolve(subj)
         if not isinstance(r, Concrete):
             labels = self.s.values.labels_for(r.blockers)
@@ -795,7 +796,8 @@ class Interp:
             if n.is_default and default is None:
                 default = idx
             elif n.case_expr is not None and target is None:
-                cv = self.s.values.resolve(self._code(n.case_expr, n.line)(frame))
+                case = n.case_expr
+                cv = self.s.values.resolve((case.compiled or self._code(case, n.line))(frame))
                 if isinstance(cv, Concrete) and to_int(cv) == to_int(r):
                     target = idx
         start = target if target is not None else default
@@ -806,19 +808,18 @@ class Interp:
 
     # ------------------------------------------------------------ compiling
     def _code(self, span, line, statement=False):
-        """The compiled form of ``span``, a hole or a simple statement: a
-        closure over the frame, which its runner calls.
-
-        The tokens are compiled the first time ``span`` runs and again once a
-        typedef has been added since, because typedef names change how casts,
-        ``sizeof`` and declarations parse. ``span`` is an expression, or
-        with ``statement`` a statement or a ``for`` clause, whose closure
-        gives None when it holds no code or declares.
-        """
-        compiled = span.compiled
-        if compiled is None or compiled[0] is not self._epoch:
-            compiled = span.compiled = (self._epoch, self._compile(span, line, statement))
-        return compiled[1]
+        """``span``, a hole or a simple statement, compiled to a closure over
+        the frame and kept as ``span.compiled``, which its runner calls until
+        a typedef is added (typedef names change how casts, ``sizeof`` and
+        declarations parse): ``_define_typedef`` clears each span listed here.
+        ``span`` is an expression, or with ``statement`` a statement or ``for``
+        clause, whose closure gives None when it holds no code or declares;
+        with ``statement`` None, a parameter list, kept as ``_read_params``
+        reads it."""
+        code = span.compiled = self._read_params(span) if statement is None \
+            else self._compile(span, line, statement)
+        self._compiled.append(span)
+        return code
 
     def _compile(self, span, line, statement):
         s = self.s
@@ -931,7 +932,9 @@ class Interp:
         ctype = self._compile_type(decl, decl.file_id, decl.line)(frame or Frame(decl.name))
         if self.s.typedefs.get(decl.name) != ctype:
             self.s.typedefs[decl.name] = ctype
-            self._epoch = object()  # every compiled form is stale now
+            for span in self._compiled:  # every compiled form is stale now
+                span.compiled = None
+            self._compiled.clear()
 
     # ----------------------------------------------------------- struct defs
     def _layout_from_corpus(self, tag):
@@ -1065,11 +1068,6 @@ class Interp:
             blockers=labels,
         )
 
-    def _locate(self, place: Place, at):
-        if place.region is not None:
-            return place.region, place.offset
-        return self._through(place.ptr, place.offset, at)
-
     def _through(self, ptr: Value, off, at):
         """(region, offset) of ``off`` bytes past where ``ptr`` points."""
         rid, base = self.deref_location(ptr, at)
@@ -1085,14 +1083,16 @@ class Interp:
         return rid, off
 
     def load_place(self, place: Place, at) -> Value:
-        v = self.s.store.load(self._locate(place, at), at=at)
+        v = self.s.store.load((place.region, place.offset) if place.region is not None
+                              else self._through(place.ptr, place.offset, at), at=at)
         t = place.type
         if t.stars:
             _pin(v, t.elem)
         return v
 
     def store_place(self, place: Place, value: Value, at):
-        cell = self._locate(place, at)
+        cell = (place.region, place.offset) if place.region is not None \
+            else self._through(place.ptr, place.offset, at)
         t = place.type
         if t.converts:
             value = self._converted(value, t, at)
@@ -1150,6 +1150,14 @@ class Interp:
                 self._initialize(place, decl)
         return place
 
+    def read_name(self, name: str, frame, at, name_at):
+        """``value_of`` the name at ``name_at``, at ``at``; a name that is no
+        frame local, or is in a snippet, goes through ``resolve_name``."""
+        p = None if frame.is_snippet else frame.locals.get(name)
+        if p is None:
+            return self.value_of(self.resolve_name(name, frame, name_at), at)
+        return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
+
     def _initialize(self, place: Place, decl: Decl) -> None:
         """Store a file-scope scalar's initializer, run once in an empty
         frame. Array and brace initializers are not stored."""
@@ -1178,7 +1186,7 @@ class Interp:
     def value_of(self, p, at) -> Value:
         """The value of a Place, or ``p`` itself when it is a Value; an
         array's or a pointer step's value is its address."""
-        if not isinstance(p, Place):
+        if p.__class__ is not Place:
             return p
         return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
 
@@ -1482,11 +1490,11 @@ class _Compiler:
         if kind is _VALUE:
             return fn
         it, at = self.it, (self.file_id, t.line)
-        value_of = it.value_of
-        if kind is _NAME:  # the lookup ``fn`` makes, done in the same closure
-            resolve_name, name = it.resolve_name, self.toks[index]
+        if kind is _NAME:  # the lookup ``fn`` makes, done in one call
+            read_name, name = it.read_name, self.toks[index]
             name, name_at = name.text, (self.file_id, name.line)
-            return lambda frame: value_of(resolve_name(name, frame, name_at), at)
+            return lambda frame: read_name(name, frame, at, name_at)
+        value_of = it.value_of
         return lambda frame: value_of(fn(frame), at)
 
     def as_place(self, e, msg="expression is not assignable"):

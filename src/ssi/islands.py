@@ -32,7 +32,7 @@ class Hole:
     start: int
     end: int
     nodes: list | None = field(default=None, repr=False)  # memoized parse
-    compiled: tuple | None = field(default=None, repr=False)  # see Interp._code
+    compiled: object = field(default=None, repr=False)  # closure or params; see Interp._code
 
     def is_empty_of_code(self, tokens: list[tk.Token]) -> bool:
         return all(t.kind in tk.TRIVIA for t in tokens[self.start : self.end])
@@ -115,7 +115,7 @@ class LabelNode(Node):
 class DeclarationNode(Node):
     """A statement that unambiguously starts with a type or storage keyword."""
 
-    compiled: tuple | None = field(default=None, repr=False)
+    compiled: object = field(default=None, repr=False)  # see Interp._code
 
 
 @dataclass
@@ -123,7 +123,7 @@ class ExpressionStatementNode(Node):
     """A ``;``-terminated statement; may turn out to be a typedef-led
     declaration once the interpreter's type environment is consulted."""
 
-    compiled: tuple | None = field(default=None, repr=False)
+    compiled: object = field(default=None, repr=False)  # see Interp._code
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Region-offset memory model.
 
 Every allocation, variable, or opaque pointer base is its own region;
-addresses are (region, byte offset) pairs. Loading an untouched cell mints a
-fresh symbol (and remembers it, so repeated loads agree). Pointer arithmetic
-stays within a region, which isolates the module under interpretation from
-absolute-address reasoning.
+addresses are (region, byte offset) pairs, and a cell holds its Value.
+Loading an untouched cell mints a fresh symbol and keeps it, so repeated loads
+agree. Pointer arithmetic stays within a region, which isolates the module
+under interpretation from absolute-address reasoning.
 
 ``Layout.add`` is the one rule that places a struct member: packed, at the
 end (a union's members too). ``Store.layout`` finds a tag's layout, asking
@@ -110,7 +110,7 @@ class Store:
         values.region_lookup = self.region
         self.regions: dict[int, Region] = {}
         self._next_region = 1
-        self.cells: dict[tuple[int, int], int] = {}
+        self.cells: dict[tuple[int, int], Value] = {}
         self.layouts: dict[str, Layout | None] = {}  # tag -> layout; None: no body (yet)
         self.taints: dict[int, object] = {}  # region id -> MissingCall
         self.layout_source = None   # callable(tag) -> Layout | None
@@ -150,19 +150,18 @@ class Store:
         accepted for its callers and not read: a cell holds one value,
         whatever the width of the access, until the store keeps bytes."""
         key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
-        vid = self.cells.get(key)
-        if vid is not None:
-            return self.values.get(vid)
+        v = self.cells.get(key)
+        if v is not None:
+            return v
         region, off = key
-        sym = self.values.fresh_symbol(f"mem:({region},{off})", at,
-                                       self.taints.get(region) or self.values.blame)
-        self.cells[key] = sym.id
-        return sym
+        v = self.cells[key] = self.values.fresh_symbol(
+            f"mem:({region},{off})", at, self.taints.get(region) or self.values.blame)
+        return v
 
     def store(self, loc, value: Value) -> None:
         """Put ``value`` in the cell at ``loc``, as ``load`` reads it."""
         key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
-        self.cells[key] = value.id
+        self.cells[key] = value
 
     # --------------------------------------------------------------- layouts
     def layout(self, tag: str) -> Layout | None:
@@ -178,7 +177,9 @@ class Store:
     def field_offset(self, tag: str, field: str) -> FieldInfo:
         """Member ``field`` of ``tag``; one that no body declares is a
         4-byte int added at the end on its first use."""
-        layout = self.layouts[tag] = self.layout(tag) or Layout()
+        layout = self.layouts.get(tag)
+        if layout is None:
+            layout = self.layouts[tag] = self.layout(tag) or Layout()
         return layout.fields.get(field) or layout.add(field, INT, 4)
 
     def size_of(self, t: CType) -> int:

@@ -110,8 +110,8 @@ class Repl:
     # ------------------------------------------------------------------ runs
     def run(self) -> int:
         self._banner()
-        self._choose_device()
         try:
+            self._choose_device()
             while True:
                 cmd = self._read_command()
                 if cmd is None:
@@ -162,6 +162,9 @@ class Repl:
             if 0 <= choice < len(compats):
                 break
             self._write(f"bad choice: {answer}")
+            if not self.interactive:  # a script runs nothing past a bad choice
+                self._failed = True
+                raise _Quit()
         self.s.chosen_compatible = compats[choice]
 
     # -------------------------------------------------------------- commands

@@ -6,11 +6,14 @@ readers that answer from it (``tests/test_refscan.py``). The bodies are
 unchanged but for these things: methods of ``Interp`` became functions of
 the interpreter; each reader walks the reference tokens of a file's source
 (``reftokens.tokenize``), a plain list, so every ``tk.closing`` call in it
-scans; a preprocessor line is one ``directive`` token there, which
-``_without_directives`` leaves out; and ``scan_defines`` reads the
+scans (each source text is tokenized once, and each reader gets its own copy
+of the list: ``_tokens``); a preprocessor line is one ``directive`` token
+there, which ``_without_directives`` leaves out; and ``scan_defines`` reads the
 per-character tokens of one line (``reftokens.plain_tokenize``) and gives
 each macro as a ``(name, params, body, file_id, line)`` tuple.
 """
+
+from functools import lru_cache
 
 import reftokens
 from ssi import macros as mc
@@ -19,6 +22,17 @@ from ssi.interp import _declarations, _punct_at, _starts_declaration
 from ssi.islands import FunctionDefNode, Hole
 
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
+
+
+@lru_cache(maxsize=64)
+def _tokenized(source):
+    return tuple(reftokens.tokenize(source))
+
+
+def _tokens(source):
+    """The reference tokens of ``source``: a fresh list over the one
+    tokenization of that text."""
+    return list(_tokenized(source))
 
 
 def scan_defines(toks, file_id):
@@ -73,7 +87,7 @@ def find_function_definition(corpus, name):
     if name in corpus.macros:
         return None
     for file_id in corpus.files:
-        toks = reftokens.tokenize(corpus.source(file_id))
+        toks = _tokens(corpus.source(file_id))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.IDENTIFIER or t.text != name:
@@ -101,7 +115,7 @@ def find_function_definition(corpus, name):
 def layout_from_corpus(interp, tag):
     corpus = interp.s.corpus
     for fid in corpus.files:
-        toks = reftokens.tokenize(corpus.source(fid))
+        toks = _tokens(corpus.source(fid))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.KEYWORD or t.text not in ("struct", "union"):
@@ -130,7 +144,7 @@ def scan_corpus_names(interp):
     s = interp.s
     macros = s.corpus.macros
     for fid in s.corpus.files:
-        toks = _without_directives(reftokens.tokenize(s.corpus.source(fid)))
+        toks = _without_directives(_tokens(s.corpus.source(fid)))
         depth = 0
         boundary = True
         i = 0
@@ -187,7 +201,7 @@ def scrape_module_info(corpus):
     token level; the macros themselves are never executed."""
     found = {k: [] for k in _MODULE_FIELDS}
     for fid in corpus.files:
-        toks = reftokens.tokenize(corpus.source(fid))
+        toks = _tokens(corpus.source(fid))
         n = len(toks)
         for i, t in enumerate(toks):
             if t.kind != tk.IDENTIFIER or t.text not in _MODULE_FIELDS:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import EXAMPLE_DIR
 from ssi.cli import main
 from ssi.config import build_session, load_config
 from ssi.errors import ConfigError
+from ssi.repl import Repl
 
 
 def test_load_config_resolves_paths_relative_to_file():
@@ -78,3 +80,32 @@ def test_cli_max_steps_flag(capsys, tmp_path):
     code = main([str(config), "--script", str(script), "--max-steps", "200"])
     assert code == 1
     assert "exceeded 200 statement executions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_max_steps_below_one_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main([str(EXAMPLE_DIR / "pinctrl.json"), "--max-steps", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-steps: must be at least 1" in err
+
+
+def test_cli_script_with_a_bad_device_choice_runs_nothing(capsys, tmp_path):
+    script = tmp_path / "s.txt"
+    script.write_text("5\nverbose writel x x\nprobe\nq\n")
+    assert main([str(EXAMPLE_DIR / "pinctrl.json"), "--script", str(script)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("2 : brcm,bcm7211-gpio\nChoice: 5\nbad choice: 5\n")
+    assert "ssi >" not in out
+
+
+def test_interactive_bad_device_choice_asks_again():
+    session, interp = build_session(load_config(EXAMPLE_DIR / "pinctrl.json"))
+    out = io.StringIO()
+    code = Repl(session, interp, io.StringIO("5\nzero\n1\nq\n"), out,
+                interactive=True).run()
+    assert code == 0
+    assert out.getvalue().count("Choice: ") == 3
+    assert "bad choice: 5\n" in out.getvalue() and "bad choice: zero\n" in out.getvalue()
+    assert session.chosen_compatible == "brcm,bcm2711-gpio"

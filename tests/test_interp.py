@@ -762,18 +762,48 @@ void testmain(void) {
     assert out == {"n": 5, "i": 0, "j": -2, "neg": 1, "k": -1, "below": 1}
 
 
+# Functions that each give sizeof(T) through one kind of compiled span.
+SIZE_THROUGH = {
+    "a return": "return sizeof(T);",
+    "an expression statement": "int r; r = sizeof(T); return r;",
+    "a declaration": "int r = sizeof(T); return r;",
+    "an if condition": "if (sizeof(T) == 1) return 1; return 4;",
+    "a for init": "int i, r = 0; for (i = sizeof(T); i < 5; i++) r++; return 5 - r;",
+    "a for condition": "int i; for (i = 0; i < sizeof(T); i++) { } return i;",
+    "a for step": "int i, r = 0; for (i = 0; i < 4; i = i + sizeof(T)) r++; return 4 / r;",
+    "a switch subject": "switch (sizeof(T)) { case 1: return 1; default: return 4; }",
+    "a snippet": "int r; fill(&r); return r;",
+}
+
+
 def test_typedef_added_at_run_time_recompiles_casts_and_sizeof():
-    out = finals("""
-int f(void) { return sizeof(T); }
-int g(int v) { return (T)v; }
-void testmain(void) {
+    # Every kind of span, compiled while T is no type name, is compiled
+    # again before it next runs once the typedef makes T a 1-byte type.
+    names = [f"s{k}" for k in range(len(SIZE_THROUGH))]
+    functions = "".join(f"int {name}(void) {{ {body} }}\n"
+                        for name, body in zip(names, SIZE_THROUGH.values()))
+    session, interp = make_session({"prog.c": f"""
+int f(void) {{ return sizeof(T); }}
+int g(int v) {{ return (T)v; }}
+{functions}
+void testmain(void) {{
     int a = f();
+    {" ".join(f"int {name}_before = {name}();" for name in names)}
     typedef char T;
     int b = f();
     int c = g(300);
-}
-""", ["a", "b", "c"])
+    {" ".join(f"int {name}_after = {name}();" for name in names)}
+}}
+"""})
+    session.register_hook(
+        "fill", lambda ctx: ctx.exec_snippet("*{0} = sizeof(T)", [ctx.args[0]]))
+    frame = run_function(session, interp, "testmain")
+    out = {n: local_concrete(session, frame, n) for n in ["a", "b", "c"]}
     assert out == {"a": 4, "b": 1, "c": 44}
+    sizes = {kind: (local_concrete(session, frame, f"{name}_before"),
+                    local_concrete(session, frame, f"{name}_after"))
+             for kind, name in zip(SIZE_THROUGH, names)}
+    assert sizes == dict.fromkeys(SIZE_THROUGH, (4, 1))
 
 
 def test_unexpanded_macro_event_on_every_execution():
@@ -1178,12 +1208,16 @@ void testmain(void) {
 def test_parameters_read_once_per_typedef_epoch(monkeypatch):
     session, interp = make_session({"prog.c": """
 int first(T v) { return v + 1; }
+int none(void) { return 1; }
 void testmain(void) {
     int a = first(300);
     a = first(a);
     a = first(a);
+    none();
+    none();
     typedef int *T;
     int b = first(300);
+    none();
 }
 """})
     reads = []
@@ -1194,10 +1228,19 @@ void testmain(void) {
         return real(toks, i, typedefs, member)
 
     monkeypatch.setattr(interp_module, "_declarations", counting)
+    lists = []
+    real_read = interp._read_params
+    monkeypatch.setattr(interp, "_read_params",
+                        lambda hole: lists.append(hole) or real_read(hole))
     frame = run_function(session, interp, "testmain")
     # Read once for the three calls with T an unknown (int-sized) type, and
-    # once more after the typedef, which makes v a pointer to int.
+    # once more after the typedef, which makes v a pointer to int; an empty
+    # list is kept as it is read, not read again on each call.
     assert reads.count(True) == 2
+    for name in ("first", "none"):
+        params = session.corpus.find_function(name).params
+        assert lists.count(params) == 2, name
+        assert params.compiled == ([] if name == "none" else [("v", interp.s.typedefs["T"])])
     assert local_concrete(session, frame, "a") == 303
     assert local_concrete(session, frame, "b") == 304
 

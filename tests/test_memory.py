@@ -40,11 +40,28 @@ def test_overwrite_returns_latest():
 def test_untouched_load_mints_stable_symbol():
     vals, store = fresh()
     region = store.alloc_region("cell", STACK)
+    before = len(vals)
     first = store.load(Location(region.id, 0), 4, AT)
     second = store.load(Location(region.id, 0), 4, AT)
     assert isinstance(first.payload, SymbolRoot)
     assert first.payload.label == f"mem:({region.id},0)"
-    assert first.id == second.id
+    assert first is second
+    assert len(vals) == before + 1
+
+
+def test_a_cell_holds_the_value_stored_in_it(monkeypatch):
+    vals, store = fresh()
+    region = store.alloc_region("x", STACK)
+    v = vals.concrete(32, 3, AT)
+    store.store((region.id, 0), v)
+    assert store.cells[(region.id, 0)] is v
+
+    def no_lookup(vid):
+        raise AssertionError("a load looked its value up by id")
+
+    monkeypatch.setattr(vals, "get", no_lookup)
+    assert store.load((region.id, 0), 4, AT) is v
+    assert store.load(Location(region.id, 0), 4, AT) is v
 
 
 def test_region_isolation():
