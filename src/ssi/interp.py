@@ -3,16 +3,17 @@
 Statements come from the island parser and are executed directly; holes are
 parsed the first time control reaches them, and the expressions and simple
 statements in them are compiled into closures then, each held on its span
-until a typedef is added, and re-run (``Interp._code``). One runner executes
-statements: ``exec_node`` counts a step and runs the node through one table
-keyed by node class (``_RUNNERS``); ``while``, ``do`` and ``for`` share one
-loop executor, which counts a step per pass and one for a test that ends the
-loop; and a block looks a label up only when a ``goto`` reaches it. Calls
-resolve, in order, to a registered hook, an in-corpus function definition, or
-a symbolic fallback that records a missing-model event and returns a fresh
-symbol. Fresh symbols minted inside a modeled or unmodeled call remember that
-call, which is what lets later diagnostics name the exact API function a
-value is waiting on.
+until a typedef is added, and re-run (``Interp._code``). Declarations and
+type names are read by ``ctype``; an array bound that is not a literal is
+evaluated each time its declaration runs (``Interp._compile_type``). One
+runner executes statements: ``exec_node`` counts a step and runs the node
+through one table keyed by node class (``_RUNNERS``); ``while``, ``do`` and
+``for`` share one loop executor, which counts a step per pass and one for a
+test that ends the loop; and a block looks a label up only when a ``goto``
+reaches it. Calls resolve, in order, to a registered hook, an in-corpus
+function definition, or a symbolic fallback that records a missing-model
+event and returns a fresh symbol. Fresh symbols minted inside a call remember
+it, so that diagnostics name the API function a value is waiting on.
 
 A C call nests seven Python frames (``call_named``, ``call_function_def``,
 ``exec_block``, ``exec_node``, the runner and the expression's closures), so
@@ -63,7 +64,9 @@ from .islands import (
     WhileNode,
     parse_hole_as_block,
 )
-from .memory import INT, MMIO, OPAQUE, STACK, STATIC, CType, Layout
+from .ctype import (ARRAY, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations, _punct_at,
+                    _starts_declaration, count_of, parse_int_literal)
+from .memory import MMIO, OPAQUE, STACK, STATIC, Layout
 from .session import (
     ASK,
     ASSUME_FALSE,
@@ -119,186 +122,6 @@ class CallSite:
                                  self.file, self.line)
 
 
-# --------------------------------------------------------------------- types
-
-def _type_names() -> dict[str, CType]:
-    """The type names a module may use without a typedef: the kernel's,
-    ``<stdint.h>``'s and a few more, each with the type it stands for."""
-    names = {"bool": CType(1, unsigned=True, boolean=True)}
-    for width, signed, unsigned in (
-        (1, "s8 int8_t", "u8 uint8_t uchar"),
-        (2, "s16 int16_t", "u16 uint16_t ushort"),
-        (4, "s32 int32_t", "u32 uint32_t uint"),
-        (8, "s64 int64_t ssize_t intptr_t ptrdiff_t", "u64 uint64_t size_t uintptr_t ulong"),
-    ):
-        names.update(dict.fromkeys(signed.split(), CType(width)))
-        names.update(dict.fromkeys(unsigned.split(), CType(width, unsigned=True)))
-    return names
-
-
-TYPE_NAMES = _type_names()
-
-
-@dataclass
-class TypeInfo:
-    type: CType | None = None  # None when no type was read
-    is_typedef: bool = False
-    void: bool = False  # ``void`` named the base type
-
-
-@dataclass
-class Decl:
-    """One declarator read with its type: what a declaration says a name is."""
-
-    name: str | None   # None for an abstract declarator, as in a cast
-    type: CType        # a typedef name's pointer levels and bounds, not the declarator's
-    dims: list         # the token run of each array bound
-    init: list | None  # the initializer's token run
-    function: bool     # a name followed by its parameter list
-    file_id: str = "<none>"  # where a file-scope declaration is, for messages
-    line: int = 0
-
-
-def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:
-    """The type the specifiers at ``toks[i]`` name, and the index after
-    them. A typedef or built-in name gives its type; a base type keyword or
-    ``struct tag`` after it replaces that part of the type. A ``struct`` or
-    ``union`` body with no tag is tagged with the texts of its tokens."""
-    info = TypeInfo()
-    base = None  # the type a name gives; INT once a keyword starts the type
-    tag = None   # the tag a ``struct``, ``union`` or ``enum`` names
-    words: list[str] = []
-    n = len(toks)
-    while i < n:
-        t = toks[i]
-        if t.kind == tk.KEYWORD:
-            if t.text in tk.QUALIFIER_KEYWORDS:
-                i += 1
-                continue
-            if t.text == "typedef":
-                info.is_typedef = True
-                i += 1
-                continue
-            if t.text in ("struct", "union", "enum"):
-                base = base or INT
-                i += 1
-                if i < n and toks[i].kind == tk.IDENTIFIER:
-                    tag = toks[i].text
-                    i += 1
-                if i < n and tk.is_punct(toks[i], "{"):
-                    j = tk.closing(toks, i, n)
-                    if tag is None and base.tag is None and t.text != "enum":
-                        tag = " ".join(x.text for x in toks[i + 1 : j])
-                    i = j + 1
-                continue
-            if t.text in tk.BASE_TYPE_KEYWORDS:
-                base = base or INT
-                words.append(t.text)
-                i += 1
-                continue
-            break
-        if t.kind == tk.IDENTIFIER and base is None:
-            base = typedefs.get(t.text) or TYPE_NAMES.get(t.text)
-            if base is None:
-                break
-            i += 1
-            continue
-        break
-    if base is None or not words and tag is None:
-        info.type = base
-        return i, info
-    width, unsigned, boolean = base.width, base.unsigned, base.boolean
-    if words:
-        if "char" in words or "void" in words or "_Bool" in words:
-            width = 1
-        elif "short" in words:
-            width = 2
-        elif "long" in words or "double" in words:
-            width = 8
-        else:
-            width = 4
-        boolean = "_Bool" in words
-        unsigned = unsigned or "unsigned" in words or boolean
-        info.void = "void" in words
-    info.type = CType(width, tag or base.tag, unsigned, base.stars, (), boolean)
-    return i, info
-
-
-def _pointers(toks, j, limit) -> tuple[int, int]:
-    """(count of ``*``, index after) for the pointer levels at ``toks[j]``,
-    skipping qualifiers and an identifier that a ``*`` follows (an attribute
-    macro such as ``__iomem`` in ``__iomem *p``)."""
-    stars = 0
-    while j < limit:
-        t = toks[j]
-        if t.kind == tk.PUNCT and t.text == "*":
-            stars += 1
-        elif not (t.kind == tk.KEYWORD and t.text in tk.QUALIFIER_KEYWORDS
-                  or t.kind == tk.IDENTIFIER and j + 1 < limit
-                  and tk.is_punct(toks[j + 1], "*")):
-            break
-        j += 1
-    return stars, j
-
-
-def _declarations(toks, i, typedefs, member=False) -> tuple[TypeInfo, list[Decl], int]:
-    """The declaration at ``toks[i]``: its type, its declarators, and the
-    index after the last one.
-
-    Declarators follow each other at top-level commas. ``(*name)(...)`` is a
-    pointer named ``name``; a name followed by ``(`` is a function, and the
-    declaration ends after its parameter list unless a comma follows. With
-    ``member`` (struct members and parameters), an unknown identifier in
-    type position is a 4-byte type. A type that is not read gives no
-    declarators.
-    """
-    j, info = parse_type_prefix(toks, i, typedefs)
-    n = len(toks)
-    if member and info.type is None and j < n and toks[j].kind == tk.IDENTIFIER:
-        info.type = INT
-        j += 1
-    decls: list[Decl] = []
-    if info.type is None:
-        return info, decls, j
-    while True:
-        stars, j = _pointers(toks, j, n)
-        close = None
-        if _punct_at(toks, j, "(") and _punct_at(toks, j + 1, "*"):
-            close = tk.closing(toks, j, n)
-            inner, j = _pointers(toks, j + 1, close)
-            stars += inner
-        name = toks[j] if j < n and toks[j].kind == tk.IDENTIFIER else None
-        j += name is not None
-        function = close is None and name is not None and _punct_at(toks, j, "(")
-        dims = []
-        while not function and j < n:
-            if _punct_at(toks, j, "["):
-                k = tk.closing(toks, j, n)
-                dims.append(toks[j + 1 : k])
-                j = k + 1
-            elif name is not None and toks[j].kind == tk.IDENTIFIER:
-                j += 1  # an attribute macro after the name: ``__aligned(4)``
-                if _punct_at(toks, j, "("):
-                    j = tk.closing(toks, j, n) + 1
-            else:
-                break
-        if close is not None:  # past ``)``, its parameters and the pointee's bounds
-            j = close + 1
-            while j < n and toks[j].kind == tk.PUNCT and toks[j].text in ("(", "["):
-                j = tk.closing(toks, j, n) + 1
-        elif function:
-            j = tk.closing(toks, j, n) + 1
-        init = None
-        if not function and _punct_at(toks, j, "="):
-            k = tk.top_level(toks, j + 1, n, (",", ";"))
-            init, j = toks[j + 1 : k], k
-        decls.append(Decl(name and name.text, info.type.derived(stars) if stars else info.type,
-                          dims, init, function))
-        if not _punct_at(toks, j, ","):
-            return info, decls, j
-        j += 1
-
-
 _ASSIGN_OPS = {
     "=": None, "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
     "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>",
@@ -321,10 +144,6 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
 
 
-def _punct_at(toks, i, text) -> bool:
-    return i < len(toks) and toks[i].text == text and toks[i].kind == tk.PUNCT
-
-
 def _steps(p) -> bool:
     """Whether ``+`` and ``-`` step through ``p``: a Place of an array, a
     pointer or a pointer step."""
@@ -337,43 +156,6 @@ def _pin(v: Value, elem: CType) -> None:
     Value (a hook's argument); a ``void *`` pins nothing."""
     if elem.tag and not (v.pointee and v.pointee.tag):
         v.pointee = elem
-
-
-def _starts_declaration(t, typedefs) -> bool:
-    if t.kind == tk.KEYWORD:
-        return t.text in tk.DECL_KEYWORDS
-    return t.kind == tk.IDENTIFIER and (t.text in TYPE_NAMES or t.text in typedefs)
-
-
-def parse_int_literal(text: str) -> tuple[int, int, bool]:
-    """(value, width in bits, signed) for a C integer literal."""
-    if text.isdigit() and (text[0] != "0" or len(text) == 1) and len(text) < 10:
-        return int(text), 32, True  # decimal, below 2**31
-    s = text.lower()
-    suffix = ""
-    while s and s[-1] in "ul":
-        suffix = s[-1] + suffix
-        s = s[:-1]
-    if s.startswith("0x"):
-        value, decimal = int(s, 16), False
-    elif s.startswith("0b"):
-        value, decimal = int(s[2:], 2), False
-    elif s.startswith("0") and len(s) > 1 and s.isdigit():
-        value, decimal = int(s, 8), False
-    else:
-        value, decimal = int(s), True
-    # The first type that holds the value (C11 6.4.4.1p5): int, unsigned int
-    # (not for a decimal without ``u``), long, unsigned long; ``u`` skips the
-    # signed ones and ``l`` the 32-bit ones.
-    unsigned = "u" in suffix
-    if "l" not in suffix:
-        if value < (1 << 31) and not unsigned:
-            return value, 32, True
-        if value < (1 << 32) and (unsigned or not decimal):
-            return value, 32, False
-    if value < (1 << 63) and not unsigned:
-        return value, 64, True
-    return value, 64, False
 
 
 def unescape_c(text: str) -> str:
@@ -461,19 +243,28 @@ class Interp:
         """Try to record one file-scope declaration starting at i; returns
         the index to resume scanning from. A function records its return
         type, unless it returns ``void``."""
-        info, decls, j = _declarations(toks, i, self.s.typedefs)
+        decls, j = _declarations(toks, i, self.s.typedefs)
         for decl in decls:
-            if decl.function and not info.is_typedef and not (info.void and not decl.type.stars):
-                self._returns.setdefault(decl.name, decl.type)
-            if decl.name is None or decl.function:
+            if decl.name is None:
                 continue
-            decl.dims = [self._expand(bound) for bound in decl.dims]
+            t = decl.type = self._expanded(decl.type)
             decl.file_id, decl.line = file_id, toks[i].line
-            if info.is_typedef:
+            if decl.typedef:
                 self._define_typedef(decl)
-            else:
+            elif t.kind is not FUNCTION:
                 self.s.global_decls.setdefault(decl.name, decl)
+            elif t.of.kind is not VOID:
+                self._returns.setdefault(decl.name, self._compile_type(
+                    t.of, file_id, decl.line)(Frame(decl.name)))
         return j
+
+    def _expanded(self, t: CType) -> CType:
+        """``t`` with each array bound that is still a token run read
+        macro-expanded, as one in the corpus as written is."""
+        if t.fixed:
+            return t
+        count = t.count if t.count.__class__ is not tuple else count_of(self._expand(t.count))
+        return CType(kind=t.kind, of=self._expanded(t.of), count=count)
 
     # ------------------------------------------------------------ utilities
     def _on_unexpanded(self, name, line):
@@ -512,7 +303,7 @@ class Interp:
         args = []
         for k, (name, ctype) in enumerate(self._params(fdef)):
             pname = name or k
-            if ctype.stars:
+            if ctype.pointer:
                 region = self.s.store.alloc_region(f"arg:{pname}", OPAQUE)
                 v = self.s.values.addr_of(region.id, (fdef.file_id, fdef.line),
                                           desc=f"modeled argument {pname}")
@@ -577,16 +368,20 @@ class Interp:
 
     def _read_params(self, hole):
         """The parameters of a parameter list, macro-expanded. An unnamed
-        one keeps its place with name None; ``T a[]``, as an array typedef's,
-        is a pointer; ``(void)`` and ``...`` bind nothing."""
+        one keeps its place with name None. A parameter of array type is a
+        pointer to its element type, and one of function type a pointer to
+        it (C11 6.7.6.3p7-8); ``(void)`` and ``...`` bind nothing."""
         toks = self._expand(self.s.corpus.tokens(hole.file_id)[hole.start : hole.end])
         params = []
         for a, b in tk.split_top_level(toks, 0, len(toks), ","):
             if b - a == 1 and toks[a].text in ("void", "..."):
                 continue
-            for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[1][:1]:
-                array = decl.dims or decl.type.dims
-                params.append((decl.name, decl.type.derived(1) if array else decl.type))
+            for decl in _declarations(toks[a:b], 0, self.s.typedefs, member=True)[0][:1]:
+                t = decl.type
+                if t.kind is ARRAY or t.kind is FUNCTION:
+                    t = CType(kind=POINTER, of=t.of if t.kind is ARRAY else t)
+                params.append((decl.name, self._compile_type(t, hole.file_id, toks[a].line)(
+                    Frame(hole.file_id))))
         return params
 
     def call_function_def(self, fdef: FunctionDefNode, args, site: CallSite) -> Value:
@@ -865,14 +660,14 @@ class Interp:
         return _Compiler(self, toks, file_id).expression(line)
 
     def _compile_declaration(self, toks, file_id, line):
-        info, decls, _ = _declarations(toks, 0, self.s.typedefs)
-        if info.type is None:
+        decls, _ = _declarations(toks, 0, self.s.typedefs)
+        if not decls:
             return _Compiler(self, toks, file_id).expression(line)
         steps = []
         for decl in decls:
-            if decl.name is None or decl.function:
+            if decl.name is None or decl.type.kind is FUNCTION and not decl.typedef:
                 continue
-            if info.is_typedef:
+            if decl.typedef:
                 decl.file_id, decl.line = file_id, line
                 steps.append(lambda frame, decl=decl: self._define_typedef(decl, frame))
             else:
@@ -880,7 +675,7 @@ class Interp:
         return _sequence(steps)
 
     def _declare(self, decl, file_id, line):
-        ctype = self._compile_type(decl, file_id, line)
+        ctype = self._compile_type(decl.type, file_id, line)
         init = None
         if decl.init is not None:
             init = _Compiler(self, decl.init, file_id).expression(line)
@@ -899,37 +694,33 @@ class Interp:
         region = store.alloc_region(name, kind, size=store.size_of(ctype))
         return Place(region.id, None, 0, name, ctype)
 
-    def _compile_type(self, decl, file_id, line):
-        """The type ``decl`` declares as a function of the frame, with each
-        array bound read by ``_compile_dimension`` and put before those of a
-        typedef'd array. Every array bound is counted by this rule."""
-        t = decl.type
-        if not decl.dims:
+    def _compile_type(self, t, file_id, line):
+        """``t`` as a function of the frame. An array bound that is still a
+        token run, not a lone literal (``count_of``), is read each time it
+        runs: its value if it resolves to a constant, else 1."""
+        if t.fixed:
             return lambda frame: t
-        bounds = [self._compile_dimension(bound, file_id, line) for bound in decl.dims]
-        return lambda frame: t.derived(0, tuple([bound(frame) for bound in bounds]) + t.dims)
-
-    def _compile_dimension(self, toks, file_id, line):
-        """An array bound: its value if it resolves to a constant, else 1."""
+        of, kind, count = self._compile_type(t.of, file_id, line), t.kind, t.count
+        if count.__class__ is not tuple:
+            return lambda frame: CType(kind=kind, of=of(frame), count=count)
         try:
-            if len(toks) == 1 and toks[0].kind == tk.NUMBER:
-                count = parse_int_literal(toks[0].text)[0]
-                return lambda frame: count
-            expr = _Compiler(self, toks, file_id).expression(line)
+            bound = _Compiler(self, count, file_id).expression(line)
         except (SsiError, ValueError):
-            return lambda frame: 1
+            return lambda frame: CType(kind=kind, of=of(frame), count=1)
+        resolve = self.s.values.resolve
 
-        def dimension(frame):
+        def array(frame):
             try:
-                r = self.s.values.resolve(expr(frame))
+                r = resolve(bound(frame))
             except (SsiError, ValueError):
-                return 1
-            return to_int(r) if isinstance(r, Concrete) else 1
+                r = None
+            n = to_int(r) if isinstance(r, Concrete) else 1
+            return CType(kind=kind, of=of(frame), count=n)
 
-        return dimension
+        return array
 
     def _define_typedef(self, decl, frame=None):
-        ctype = self._compile_type(decl, decl.file_id, decl.line)(frame or Frame(decl.name))
+        ctype = self._compile_type(decl.type, decl.file_id, decl.line)(frame or Frame(decl.name))
         if self.s.typedefs.get(decl.name) != ctype:
             self.s.typedefs[decl.name] = ctype
             for span in self._compiled:  # every compiled form is stale now
@@ -961,14 +752,14 @@ class Interp:
         i = 0
         n = len(toks)
         while i < n:
-            _, decls, j = _declarations(toks, i, self.s.typedefs, member=True)
+            decls, j = _declarations(toks, i, self.s.typedefs, member=True)
             for decl in decls:
-                if decl.function:
+                if decl.type.kind is FUNCTION:
                     continue
                 if decl.name is not None:
-                    ctype = self._compile_type(decl, file_id, toks[i].line)(Frame(decl.name))
+                    ctype = self._compile_type(decl.type, file_id, toks[i].line)(Frame(decl.name))
                     layout.add(decl.name, ctype, self.s.store.size_of(ctype))
-                elif ";" in (decl.type.tag or "") and not decl.type.stars:
+                elif ";" in (decl.type.tag or ""):
                     # An anonymous struct or union: its members are this one's.
                     for name, f in self.s.store.layout(decl.type.tag).fields.items():
                         layout.add(name, f.type, f.width)
@@ -1086,7 +877,7 @@ class Interp:
         v = self.s.store.load((place.region, place.offset) if place.region is not None
                               else self._through(place.ptr, place.offset, at), at=at)
         t = place.type
-        if t.stars:
+        if t.pointer:
             _pin(v, t.elem)
         return v
 
@@ -1096,7 +887,7 @@ class Interp:
         t = place.type
         if t.converts:
             value = self._converted(value, t, at)
-        elif t.stars:
+        elif t.pointer:
             _pin(value, t.elem)
         self.s.store.store(cell, value)
 
@@ -1142,10 +933,10 @@ class Interp:
             if decl is None:
                 place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
             else:
-                ctype = self._compile_type(decl, decl.file_id, decl.line)(Frame(name))
+                ctype = self._compile_type(decl.type, decl.file_id, decl.line)(Frame(name))
                 place = self._allocate(name, ctype, STATIC)
             s.globals[name] = place
-            if decl is not None and decl.init and not decl.dims \
+            if decl is not None and decl.init and ctype.kind is not ARRAY \
                     and not tk.is_punct(decl.init[0], "{"):
                 self._initialize(place, decl)
         return place
@@ -1156,7 +947,7 @@ class Interp:
         p = None if frame.is_snippet else frame.locals.get(name)
         if p is None:
             return self.value_of(self.resolve_name(name, frame, name_at), at)
-        return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
+        return self.address_of(p, at) if p.step or p.type.kind is ARRAY else self.load_place(p, at)
 
     def _initialize(self, place: Place, decl: Decl) -> None:
         """Store a file-scope scalar's initializer, run once in an empty
@@ -1188,7 +979,7 @@ class Interp:
         array's or a pointer step's value is its address."""
         if p.__class__ is not Place:
             return p
-        return self.address_of(p, at) if p.step or p.type.dims else self.load_place(p, at)
+        return self.address_of(p, at) if p.step or p.type.kind is ARRAY else self.load_place(p, at)
 
     def step_of(self, p, at):
         """``p``, a Place or a Value, as a value that keeps its pointer
@@ -1209,7 +1000,7 @@ class Interp:
             t = base.type
             if base.step:
                 return base.region, base.ptr, base.offset, t
-            if t.dims:
+            if t.kind is ARRAY:
                 return base.region, base.ptr, base.offset, t.elem
             base = self.load_place(base, at)
             if t.elem is not None:
@@ -1713,7 +1504,7 @@ class _Compiler:
         toks, typedefs = self.toks, self.it.s.typedefs
         if start >= self.n or not _starts_declaration(toks[start], typedefs):
             return None
-        _, decls, j = _declarations(toks, start, typedefs)
+        decls, j = _declarations(toks, start, typedefs)
         if len(decls) == 1 and decls[0].name is None and _punct_at(toks, j, ")"):
             return j, decls[0]
         return None
@@ -1725,7 +1516,7 @@ class _Compiler:
         if _punct_at(self.toks, self.i, "(") and (type_name := self._type_name(self.i + 1)):
             close, decl = type_name
             self.i = close + 1
-            ctype = self.it._compile_type(decl, self.file_id, t.line)
+            ctype = self.it._compile_type(decl.type, self.file_id, t.line)
             return _VALUE, lambda frame: vals.concrete(64, size_of(ctype(frame)), at,
                                                        desc="sizeof"), None
         # A place is not loaded: its size is its declared type's, and a
@@ -1750,13 +1541,15 @@ class _Compiler:
         ctype = decl.type
         bits, signed, at = ctype.width * 8, not ctype.unsigned, (self.file_id, t.line)
         vals = self.vals
-        if ctype.stars:  # a pointer step of no elements over the value
+        if ctype.pointer:  # a pointer step of no elements over the value
+            elem = self.it._compile_type(ctype.elem, self.file_id, t.line)
+
             def pointer(frame):
                 p = v(frame)
                 r = vals.resolve(p)
                 if r.__class__ is Concrete and r.width < 64:  # an address is 64 bits wide
                     p = vals.apply_cast(p, 64, False, at)
-                return Place(None, p, 0, "*", ctype.elem, True)
+                return Place(None, p, 0, "*", elem(frame), True)
 
             return _STEP, pointer, None
         if ctype.boolean:
@@ -1803,7 +1596,7 @@ class _Compiler:
                 values.append(arg(frame))
             return call_named(name, values, site)
 
-        if returns is None or not returns.stars:
+        if returns is None or not returns.pointer:
             return _VALUE, call, None
         pointee = returns.elem
         return _STEP, lambda frame: Place(None, call(frame), 0, "*", pointee, True), None

@@ -11,14 +11,15 @@ end (a union's members too). ``Store.layout`` finds a tag's layout, asking
 ``layout_source`` (the tag's first body in the corpus, in file order) once;
 an untagged body is tagged with its text. A member that no body declares is
 a 4-byte int added on first use, which is stable for a given access order.
-A ``CType`` is a C type as declared; the size and sign of every load and
-store come from it.
+``Store.size_of`` gives the bytes of a ``ctype.CType``, a struct's from its
+layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ctype import ARRAY, INT, CType
 from .errors import SymbolicAddress
 from .values import Concrete, Record, Value, ValueTable, to_int
 
@@ -43,44 +44,6 @@ class Location(Record):
     def __init__(self, region: int, offset):
         self.region = region
         self.offset = offset  # int, or a Value that must resolve concretely on access
-
-
-class CType(Record):
-    """A C type: ``stars`` pointer levels over a ``width``-byte base type
-    (struct ``tag``, ``unsigned``, ``boolean`` for ``_Bool``), in an array
-    of the evaluated bounds ``dims`` when there are any. ``elem`` is the
-    type that ``*`` and ``[]`` reach (None for a scalar or a struct),
-    ``narrow`` the sign a store wraps to (None for an int or wider, a
-    pointer, a struct or an array) and ``converts`` whether a store or a
-    ``return`` of this type converts a value (a narrow or unsigned integer
-    type). It is the one type record: a declaration, a typedef name, a
-    place, a cast and a pointer value (what it points at) each hold one."""
-
-    __slots__ = ("width", "tag", "unsigned", "stars", "dims", "boolean", "elem", "narrow",
-                 "converts")
-
-    def __init__(self, width: int = 4, tag: str | None = None, unsigned: bool = False,
-                 stars: int = 0, dims: tuple = (), boolean: bool = False):
-        self.width = width
-        self.tag = tag
-        self.unsigned = unsigned
-        self.stars = stars
-        self.dims = dims
-        self.boolean = boolean
-        self.elem = self.derived(0, dims[1:]) if dims else self.derived(-1) if stars else None
-        self.narrow = None if width >= 4 or stars or dims or tag else not unsigned
-        self.converts = self.narrow is not None or unsigned and not (stars or dims or tag)
-
-    def derived(self, stars: int, dims: tuple = ()) -> CType:
-        """This base type with ``stars`` more pointer levels, in an array of
-        ``dims`` in place of this one's bounds; itself when that is no
-        change."""
-        if not (stars or dims or self.dims):
-            return self
-        return CType(self.width, self.tag, self.unsigned, self.stars + stars, dims, self.boolean)
-
-
-INT = CType()
 
 
 @dataclass
@@ -183,10 +146,12 @@ class Store:
         return layout.fields.get(field) or layout.add(field, INT, 4)
 
     def size_of(self, t: CType) -> int:
-        """Bytes of a ``t``: 8 for a pointer, a struct's layout size (its
-        declared width while it has none), times every array bound."""
-        layout = None if t.stars or not t.tag else self.layout(t.tag)
-        size = 8 if t.stars else layout and layout.size or t.width
-        for n in t.dims:
-            size *= n
-        return size
+        """Bytes of a ``t``: an array's count of its element's, a struct's
+        layout size (its declared width while it has none), else its width
+        (8 for a pointer)."""
+        count = 1
+        while t.kind is ARRAY:
+            count *= t.count
+            t = t.of
+        layout = t.tag and self.layout(t.tag)
+        return count * (layout and layout.size or t.width)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ctype import INT, CType
 from .hooks import Hook
 from .islands import Corpus, RuleRegistry
-from .memory import INT, CType, Store
+from .memory import Store
 from .values import Value, ValueTable
 
 ASK = "ask"
@@ -60,7 +61,7 @@ class Place:
 
     @property
     def width(self) -> int:
-        return 8 if self.type.stars else self.type.width
+        return self.type.width
 
 
 @dataclass(slots=True)

@@ -108,7 +108,7 @@ class Value:
         self.at = at  # (file, line), shared by every value a site mints
         self.op_description = op_description
         self.parents = parents
-        self.pointee = None  # the memory.CType a pointer value points at, if known
+        self.pointee = None  # the ctype.CType a pointer value points at, if known
 
     @property
     def file(self) -> str:

@@ -1,19 +1,18 @@
 """Reference declaration reader: five type fields copied by hand.
 
 This is the reader ``ssi.interp`` had before a declaration held one
-``memory.CType``, kept as the differential reference for it
+``CType``, kept as the differential reference for it
 (``tests/test_refdecl.py``). ``TypeInfo``, ``Decl``, the two name tables,
 ``parse_type_prefix`` and ``_declarations`` are unchanged but for one rule
 both readers took later: a ``struct`` or ``union`` body with no tag, and no
 tag from a typedef name, is tagged with the texts of its tokens; ``TypeInfo``
-no longer records where that body is. The helpers that did not change are
-imported from ``ssi.interp``.
+no longer records where that body is. The helpers ``_punct_at`` and
+``_pointers`` are its own copies.
 """
 
 from dataclasses import dataclass
 
 from ssi import tokens as tk
-from ssi.interp import _pointers, _punct_at
 
 TYPE_WIDTH_BYTES = {
     "void": 1, "char": 1, "_Bool": 1, "bool": 1, "short": 2, "int": 4,
@@ -57,6 +56,27 @@ class Decl:
     boolean: bool = False
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
+
+
+def _punct_at(toks, i, text) -> bool:
+    return i < len(toks) and toks[i].text == text and toks[i].kind == tk.PUNCT
+
+
+def _pointers(toks, j, limit) -> tuple[int, int]:
+    """(count of ``*``, index after) for the pointer levels at ``toks[j]``,
+    skipping qualifiers and an identifier that a ``*`` follows (an attribute
+    macro such as ``__iomem`` in ``__iomem *p``)."""
+    stars = 0
+    while j < limit:
+        t = toks[j]
+        if t.kind == tk.PUNCT and t.text == "*":
+            stars += 1
+        elif not (t.kind == tk.KEYWORD and t.text in tk.QUALIFIER_KEYWORDS
+                  or t.kind == tk.IDENTIFIER and j + 1 < limit
+                  and tk.is_punct(toks[j + 1], "*")):
+            break
+        j += 1
+    return stars, j
 
 
 def parse_type_prefix(toks, i, typedefs) -> tuple[int, TypeInfo]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import reftokens
 from ssi import macros as mc
 from ssi import tokens as tk
-from ssi.interp import _declarations, _punct_at, _starts_declaration
+from ssi.ctype import FUNCTION, _declarations, _punct_at, _starts_declaration
 from ssi.islands import FunctionDefNode, Hole
 
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
@@ -183,13 +183,13 @@ def scan_corpus_names(interp):
 
 
 def _record_global_decl(interp, toks, i, file_id):
-    info, decls, j = _declarations(toks, i, interp.s.typedefs)
+    decls, j = _declarations(toks, i, interp.s.typedefs)
     for decl in decls:
-        if decl.name is None or decl.function:
+        if decl.name is None or decl.type.kind is FUNCTION and not decl.typedef:
             continue
-        decl.dims = [interp._expand(bound) for bound in decl.dims]
+        decl.type = interp._expanded(decl.type)
         decl.file_id, decl.line = file_id, toks[i].line
-        if info.is_typedef:
+        if decl.typedef:
             interp._define_typedef(decl)
         else:
             interp.s.global_decls.setdefault(decl.name, decl)

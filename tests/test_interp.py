@@ -1423,7 +1423,8 @@ void testmain(void) {
     assert {n: local_concrete(session, frame, n) for n in "xyrva"} == {
         "x": 1, "y": 2, "r": 3, "v": 4, "a": 5}
     assert sorted(session.global_decls) == ["arr", "g", "w", "z"]
-    assert session.global_decls["g"].type.stars == 1
+    g = session.global_decls["g"].type
+    assert g.pointer and not g.elem.pointer
 
 
 # Stores to variables, parameters, fields and elements narrower than int

@@ -1,7 +1,8 @@
 import pytest
 
+from ssi.ctype import INT, CType
 from ssi.errors import SymbolicAddress
-from ssi.memory import INT, MMIO, STACK, CType, Layout, Location, Store
+from ssi.memory import MMIO, STACK, Layout, Location, Store
 from ssi.values import SymbolRoot, ValueTable, to_int
 
 AT = ("t.c", 1)

@@ -2,6 +2,9 @@
 and store, the stride of ``[]`` and of pointer steps, and ``sizeof`` all come
 from it, for variables, elements, fields and dereferences alike."""
 
+import shutil
+import subprocess
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +168,58 @@ void testmain(void) {
     assert local_concrete(session, frame, "d") == 4
     sums = [v for v in session.values._values if v.op_description == "+"]
     assert len(sums) == 1
+
+
+# Declarators read inside out (C11 6.7.6): pointers to arrays, array
+# typedefs, function types and adjusted parameters. Each row is file-scope
+# definitions, statements, an expression, and the value gcc 12.2 (x86-64)
+# prints for it as a ``long``. The function first fills ``int m[2][3]`` with
+# ``3 * i + j + 4`` and the global ``M`` with ``3 * i + j + 1``.
+DECLARATOR_CASES = [
+    ("", "int (*p)[3] = m;", "p[1][0]", 7),
+    ("", "char b[4]; char (*q)[4] = &b;", "sizeof *q", 4),
+    ("typedef int A[4];", "A *pa;", "sizeof *pa", 16),
+    ("", "", "((int (*)[3])m)[1][2]", 9),
+    ("", "", "sizeof(int (*)[3])", 8),
+    ("", "", "sizeof(int[2][3])", 24),
+    ("", "int (*t[2])(int);", "sizeof t", 16),
+    ("typedef int (*op_t)(int);", "", "sizeof(op_t)", 8),
+    ("", "int (*p2)[3] = m; int (**pp)[3] = &p2;", "(*pp)[1][2]", 9),
+    ("int (*P)[3] = M;", "", "P[1][0]", 4),
+    ("int g1(int (*r)[3]) { return r[1][1]; }", "", "g1(M)", 5),
+    ("int g2(int m[][3]) { return m[1][1]; }", "", "g2(M)", 5),
+    ("long g3(int m[4]) { return sizeof m; }", "", "g3(M[0])", 8),
+]
+
+
+def _declarator_program(function, show):
+    """The table as one program: ``M``, each row's definitions, then
+    ``function``, which fills ``m`` and ``M``, stores each row's value in
+    ``r{k}`` and then runs ``show(k)``."""
+    rows = "".join(f"    {stmts} long r{k} = (long)({expr});\n{show(k)}"
+                   for k, (_, stmts, expr, _) in enumerate(DECLARATOR_CASES))
+    return ("int M[2][3];\n" + "".join(f"{d}\n" for d, *_ in DECLARATOR_CASES if d)
+            + f"{function} {{\n    int m[2][3];\n    int i, j;\n"
+            "    for (i = 0; i < 2; i++)\n        for (j = 0; j < 3; j++) {\n"
+            "            m[i][j] = 3 * i + j + 4;\n            M[i][j] = 3 * i + j + 1;\n"
+            f"        }}\n{rows}}}\n")
+
+
+def test_declarators_derive_their_types_inside_out():
+    names = [f"r{k}" for k in range(len(DECLARATOR_CASES))]
+    got = finals(_declarator_program("void testmain(void)", lambda k: ""), names)
+    assert [got[name] for name in names] == [value for *_, value in DECLARATOR_CASES]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+def test_declarator_table_is_what_gcc_prints(tmp_path):
+    source = "int printf(const char *, ...);\n" + _declarator_program(
+        "int main(void)", lambda k: f'    printf("%ld\\n", r{k});\n')
+    (tmp_path / "p.c").write_text(source)
+    subprocess.run(["cc", "-w", "-O0", "-o", str(tmp_path / "p"), str(tmp_path / "p.c")],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(tmp_path / "p")], check=True, capture_output=True, text=True)
+    assert list(map(int, out.stdout.split())) == [value for *_, value in DECLARATOR_CASES]
 
 
 # ------------------------------------------------------- generated layouts
