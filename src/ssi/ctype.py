@@ -111,7 +111,10 @@ def parse_int_literal(text: str) -> tuple[int, int, bool]:
 
 def count_of(run):
     """The count of an array bound, given as its token run: the value of a
-    lone integer literal, else the run itself, as a tuple."""
+    lone integer literal, 0 for none (a flexible array member's, C11
+    6.7.2.1p18), else the run itself, as a tuple."""
+    if not run:
+        return 0
     if len(run) == 1 and run[0].kind == tk.NUMBER:
         try:
             return parse_int_literal(run[0].text)[0]

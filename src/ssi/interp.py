@@ -28,6 +28,7 @@ fresh value, and the reported line is always the next statement to run.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -193,22 +194,27 @@ class Interp:
         """Token-level pass over the corpus for file-scope typedefs and
         variable declarations. Nothing is parsed into statements; this only
         feeds the type environment, which execution-time classification and
-        struct-tag lookups rely on. It reads each file's ``code``, so trivia
-        and preprocessor lines are left out, and a ``{`` at file scope is
-        jumped over to its matching ``}`` through that list's index, so a
-        function body, garbage in it included, hides nothing after it. An
-        item that starts with an object-like macro is read expanded, up to
-        its ``;`` or body, since the macro may name its type."""
+        struct-tag lookups rely on. Preprocessor lines are stepped over, and
+        a declaration that one splits is read again without them. A ``{`` at
+        file scope is jumped over to its matching ``}`` through the file's
+        index, so a function body, garbage in it included, hides nothing
+        after it. An item that starts with an object-like macro is read
+        expanded, up to its ``;`` or body, since the macro may name its type."""
         s = self.s
         macros = s.corpus.macros
         for fid in s.corpus.files:
-            toks = s.corpus.tokens(fid).code
+            toks = s.corpus.tokens(fid)
+            directives = toks.directives
+            code = at = None  # the tokens but for directives, and their indices
             depth = 0
             boundary = True
             i = 0
             n = len(toks)
             while i < n:
                 t = toks[i]
+                if t.kind == tk.DIRECTIVE:
+                    i += 1
+                    continue
                 if t.kind == tk.PUNCT:
                     if t.text == "{" and depth == 0:
                         i = tk.closing(toks, i, n) + 1
@@ -230,25 +236,36 @@ class Interp:
                     macro = macros.get(t.text)
                     if macro is not None and not macro.function_like:
                         end = tk.top_level(toks, i, n, (";", "{"))
-                        self._record_global_decl(mc.expand(toks[i:end], macros), 0, fid)
+                        item = mc.expand([x for x in toks[i:end] if x.kind != tk.DIRECTIVE],
+                                         macros)
+                        if item:
+                            self._record_global_decl(_declarations(item, 0, s.typedefs)[0],
+                                                     fid, item[0].line)
                         i = end
                         continue
                     if _starts_declaration(t, s.typedefs):
-                        i = max(self._record_global_decl(toks, i, fid), i + 1)
+                        decls, j = _declarations(toks, i, s.typedefs)
+                        d = bisect.bisect_right(directives, i)
+                        if d < len(directives) and directives[d] <= j + 1:
+                            if code is None:
+                                at = [k for k, x in enumerate(toks) if x.kind != tk.DIRECTIVE]
+                                code = [toks[k] for k in at]
+                            decls, j = _declarations(code, bisect.bisect_left(at, i), s.typedefs)
+                            j = at[j] if j < len(at) else n
+                        self._record_global_decl(decls, fid, t.line)
+                        i = max(j, i + 1)
                         continue
                 boundary = False
                 i += 1
 
-    def _record_global_decl(self, toks, i, file_id) -> int:
-        """Try to record one file-scope declaration starting at i; returns
-        the index to resume scanning from. A function records its return
-        type, unless it returns ``void``."""
-        decls, j = _declarations(toks, i, self.s.typedefs)
+    def _record_global_decl(self, decls, file_id, line):
+        """Record the declarators of one file-scope declaration at ``line``.
+        A function records its return type, unless it returns ``void``."""
         for decl in decls:
             if decl.name is None:
                 continue
             t = decl.type = self._expanded(decl.type)
-            decl.file_id, decl.line = file_id, toks[i].line
+            decl.file_id, decl.line = file_id, line
             if decl.typedef:
                 self._define_typedef(decl)
             elif t.kind is not FUNCTION:
@@ -256,7 +273,6 @@ class Interp:
             elif t.of.kind is not VOID:
                 self._returns.setdefault(decl.name, self._compile_type(
                     t.of, file_id, decl.line)(Frame(decl.name)))
-        return j
 
     def _expanded(self, t: CType) -> CType:
         """``t`` with each array bound that is still a token run read
@@ -271,9 +287,7 @@ class Interp:
         self.s.emit_event("unexpanded-macro", name=name, line=line)
 
     def _expand(self, toks):
-        """``toks`` macro-expanded, without trivia."""
-        return [t for t in mc.expand(toks, self.s.corpus.macros, self._on_unexpanded)
-                if t.kind not in tk.TRIVIA]
+        return mc.expand(toks, self.s.corpus.macros, self._on_unexpanded)
 
     # ------------------------------------------------------------- entry API
     def run_entry(self, command: str, argv=()) -> Value:
@@ -621,9 +635,8 @@ class Interp:
         fid = span.file_id
         raw = s.corpus.tokens(fid)[span.start : span.end]
         missing = []
-        toks = _strip_semicolons([t for t in mc.expand(
-            raw, s.corpus.macros, lambda name, at: missing.append((name, at)))
-            if t.kind not in tk.TRIVIA])
+        toks = _strip_semicolons(mc.expand(
+            raw, s.corpus.macros, lambda name, at: missing.append((name, at))))
 
         def replay():
             for name, at in missing:
@@ -732,19 +745,18 @@ class Interp:
         """The layout of the first ``struct tag {`` or ``union tag {`` body,
         in file order, found from the positions of ``tag``."""
         if ";" in tag:  # an untagged body, tagged with its text
-            return self._parse_struct_body(self._expand(tk.tokenize(tag)), "<struct>")
+            return self._parse_struct_body(self._expand(tk.FileTokens(tag)), "<struct>")
         corpus = self.s.corpus
         for fid in corpus.files:
             toks = corpus.tokens(fid)
             n = len(toks)
             for j in toks.names.get(tag, ()):
-                i = tk.code_before(toks, j)
-                if i < 0 or toks[i].kind != tk.KEYWORD or toks[i].text not in ("struct", "union"):
+                if not j or toks[j - 1].kind != tk.KEYWORD \
+                        or toks[j - 1].text not in ("struct", "union"):
                     continue
-                k = tk.skip_trivia(toks, j + 1, n)
-                if not _punct_at(toks, k, "{") or (end := tk.closing(toks, k, n)) == n:
+                if not _punct_at(toks, j + 1, "{") or (end := tk.closing(toks, j + 1, n)) == n:
                     continue
-                return self._parse_struct_body(self._expand(toks[k + 1 : end]), fid)
+                return self._parse_struct_body(self._expand(toks[j + 2 : end]), fid)
         return None
 
     def _parse_struct_body(self, toks, file_id) -> Layout:
@@ -1580,9 +1592,7 @@ class _Compiler:
         text = compact
         if not name_tok.synthetic and not close_tok.synthetic:
             try:
-                src = it.s.corpus.source(self.file_id)
-                text = src[name_tok.byte_offset : close_tok.byte_offset
-                           + len(close_tok.text)]
+                text = it.s.corpus.text(self.file_id, name_tok, close_tok)
             except KeyError:
                 pass
         site = CallSite(self.file_id, name_tok.line, text, compact)

@@ -8,6 +8,10 @@ reaches them, so code that never runs is never analyzed beyond delimiter
 balance. This is what makes the parser indifferent to unresolvable headers,
 unknown macros, or outright garbage in untaken branches.
 
+Rules read a file's code and directive tokens (``tokens.FileTokens``): a
+rule's next token is the next in the list, and a hole is empty when its span
+is. Text is read from the source by offsets (``Corpus.text``).
+
 Brace-less dependent statements (``if (x) y = 1;``) are supported when the
 dependent statement is itself terminated by a top-level ``;``. ``else if``
 chains are captured as a single else-hole and rediscovered lazily, so rules
@@ -33,9 +37,6 @@ class Hole:
     end: int
     nodes: list | None = field(default=None, repr=False)  # memoized parse
     compiled: object = field(default=None, repr=False)  # closure or params; see Interp._code
-
-    def is_empty_of_code(self, tokens: list[tk.Token]) -> bool:
-        return all(t.kind in tk.TRIVIA for t in tokens[self.start : self.end])
 
 
 @dataclass
@@ -176,7 +177,6 @@ def _statement_span(toks, i, limit):
 def _substatement(toks, k, limit, file_id):
     """Hole + end index for a dependent statement: a braced block's contents
     or a simple ``;``-terminated span."""
-    k = tk.skip_trivia(toks, k, limit)
     if k < limit and tk.is_punct(toks[k], "{"):
         end = _balanced_end(toks, k, limit)
         return Hole(file_id, k + 1, end - 1), end
@@ -187,23 +187,20 @@ def _substatement(toks, k, limit, file_id):
 def _else_part(toks, k, limit, file_id):
     """Hole + end for what follows ``else``; an ``if`` chain is captured
     whole, to be re-parsed lazily as a nested if."""
-    k = tk.skip_trivia(toks, k, limit)
     if k >= limit or not tk.is_keyword(toks[k], "if"):
         return _substatement(toks, k, limit, file_id)
     start = j = k  # at an 'if' keyword
     while True:
         head = _keyword_paren(toks, j, limit)
         if head is None:
-            j = _statement_span(toks, tk.skip_trivia(toks, j + 1, limit), limit)
+            j = _statement_span(toks, j + 1, limit)
             break
         _, p = _substatement(toks, head[1], limit, file_id)
-        q = tk.skip_trivia(toks, p, limit)
-        if q < limit and tk.is_keyword(toks[q], "else"):
-            r = tk.skip_trivia(toks, q + 1, limit)
-            if r < limit and tk.is_keyword(toks[r], "if"):
-                j = r
+        if p < limit and tk.is_keyword(toks[p], "else"):
+            if p + 1 < limit and tk.is_keyword(toks[p + 1], "if"):
+                j = p + 1
                 continue
-            _, p = _substatement(toks, r, limit, file_id)
+            _, p = _substatement(toks, p + 1, limit, file_id)
         j = p
         break
     return Hole(file_id, start, j), j
@@ -212,10 +209,9 @@ def _else_part(toks, k, limit, file_id):
 def _keyword_paren(toks, i, limit):
     """(index of ``(``, index after its ``)``) when the keyword at ``i`` is
     followed by a parenthesized span, else None."""
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or not tk.is_punct(toks[j], "("):
+    if i + 1 >= limit or not tk.is_punct(toks[i + 1], "("):
         return None
-    return j, _balanced_end(toks, j, limit)
+    return i + 1, _balanced_end(toks, i + 1, limit)
 
 
 def _read_if(toks, i, limit, fid):
@@ -225,9 +221,8 @@ def _read_if(toks, i, limit, fid):
     cond = Hole(fid, j + 1, cond_end - 1)
     then, k = _substatement(toks, cond_end, limit, fid)
     orelse = None
-    k2 = tk.skip_trivia(toks, k, limit)
-    if k2 < limit and tk.is_keyword(toks[k2], "else"):
-        orelse, k = _else_part(toks, k2 + 1, limit, fid)
+    if k < limit and tk.is_keyword(toks[k], "else"):
+        orelse, k = _else_part(toks, k + 1, limit, fid)
     return IfNode(fid, toks[i].line, i, k, cond=cond, then=then, orelse=orelse)
 
 
@@ -241,15 +236,12 @@ def _read_while(toks, i, limit, fid):
 
 def _read_do(toks, i, limit, fid):
     body, k = _substatement(toks, i + 1, limit, fid)
-    k = tk.skip_trivia(toks, k, limit)
     if k >= limit or not tk.is_keyword(toks[k], "while") \
             or (head := _keyword_paren(toks, k, limit)) is None:
         return None
     j, cend = head
-    k2 = tk.skip_trivia(toks, cend, limit)
-    if k2 < limit and tk.is_punct(toks[k2], ";"):
-        k2 += 1
-    return DoWhileNode(fid, toks[i].line, i, k2, body=body, cond=Hole(fid, j + 1, cend - 1))
+    end = cend + 1 if cend < limit and tk.is_punct(toks[cend], ";") else cend
+    return DoWhileNode(fid, toks[i].line, i, end, body=body, cond=Hole(fid, j + 1, cend - 1))
 
 
 def _read_for(toks, i, limit, fid):
@@ -272,39 +264,34 @@ def _read_switch(toks, i, limit, fid):
     if (head := _keyword_paren(toks, i, limit)) is None:
         return None
     j, send = head
-    k = tk.skip_trivia(toks, send, limit)
-    if k >= limit or not tk.is_punct(toks[k], "{"):
+    if send >= limit or not tk.is_punct(toks[send], "{"):
         return None
-    bend = _balanced_end(toks, k, limit)
+    bend = _balanced_end(toks, send, limit)
     return SwitchNode(
         fid, toks[i].line, i, bend,
-        subject=Hole(fid, j + 1, send - 1), body=Hole(fid, k + 1, bend - 1),
+        subject=Hole(fid, j + 1, send - 1), body=Hole(fid, send + 1, bend - 1),
     )
 
 
 def _read_return(toks, i, limit, fid):
     end = _statement_span(toks, i + 1, limit)
     expr_end = end - 1 if end > i + 1 and tk.is_punct(toks[end - 1], ";") else end
-    expr = Hole(fid, i + 1, expr_end)
-    if expr.is_empty_of_code(toks):
-        expr = None
+    expr = Hole(fid, i + 1, expr_end) if expr_end > i + 1 else None
     return ReturnNode(fid, toks[i].line, i, end, expr=expr)
 
 
 def _read_jump(toks, i, limit, fid):
     """``break`` or ``continue``, with the ``;`` after it if there is one."""
-    j = tk.skip_trivia(toks, i + 1, limit)
-    end = j + 1 if j < limit and tk.is_punct(toks[j], ";") else i + 1
+    end = i + 2 if i + 1 < limit and tk.is_punct(toks[i + 1], ";") else i + 1
     cls = BreakNode if toks[i].text == "break" else ContinueNode
     return cls(fid, toks[i].line, i, end)
 
 
 def _read_goto(toks, i, limit, fid):
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j >= limit or toks[j].kind != tk.IDENTIFIER:
+    if i + 1 >= limit or toks[i + 1].kind != tk.IDENTIFIER:
         return None
-    end = _statement_span(toks, j, limit)
-    return GotoNode(fid, toks[i].line, i, end, label=toks[j].text)
+    end = _statement_span(toks, i + 1, limit)
+    return GotoNode(fid, toks[i].line, i, end, label=toks[i + 1].text)
 
 
 def _read_case(toks, i, limit, fid):
@@ -315,9 +302,8 @@ def _read_case(toks, i, limit, fid):
 
 
 def _read_default(toks, i, limit, fid):
-    j = tk.skip_trivia(toks, i + 1, limit)
-    if j < limit and tk.is_punct(toks[j], ":"):
-        return LabelNode(fid, toks[i].line, i, j + 1, is_default=True)
+    if i + 1 < limit and tk.is_punct(toks[i + 1], ":"):
+        return LabelNode(fid, toks[i].line, i, i + 2, is_default=True)
     return None
 
 
@@ -349,9 +335,8 @@ def _match_statement(cur: tk.Cursor):
             end = _balanced_end(toks, i, limit)
             return BlockNode(fid, t.line, i, end, body=Hole(fid, i + 1, end - 1))
     elif t.kind == tk.IDENTIFIER:
-        j = tk.skip_trivia(toks, i + 1, limit)
-        if j < limit and tk.is_punct(toks[j], ":"):
-            return LabelNode(fid, t.line, i, j + 1, name=t.text)
+        if i + 1 < limit and tk.is_punct(toks[i + 1], ":"):
+            return LabelNode(fid, t.line, i, i + 2, name=t.text)
     elif t.kind == tk.DIRECTIVE:
         return RawNode(fid, t.line, i, i + 1, directive=True)
     return None
@@ -422,11 +407,12 @@ def parse_hole_as_block(corpus: "Corpus", hole: Hole, rules: RuleRegistry, on_pa
 
 
 class Corpus:
-    """The tokenized source files of one module, in deterministic order."""
+    """The source files of one module, in deterministic order, each read
+    into its code and directive tokens (``tokens.FileTokens``)."""
 
     def __init__(self):
         self.files: list[str] = []  # corpus files in order; no scratch buffers
-        self._tokens: dict[str, list[tk.Token]] = {}
+        self._tokens: dict[str, tk.FileTokens] = {}
         self._sources: dict[str, str] = {}
         self.macros: dict[str, mc.MacroDef] = {}
         self._fn_cache: dict[str, FunctionDefNode | None] = {}
@@ -452,24 +438,26 @@ class Corpus:
             text = bytes(text).decode("latin-1")
         if file_id not in self.files:
             self.files.append(file_id)
-        toks = self._tokens[file_id] = tk.FileTokens(self.add_scratch(file_id, text))
-        self.macros.update(mc.scan_defines(toks, file_id))
+        self.macros.update(mc.scan_defines(self.add_scratch(file_id, text), file_id))
 
-    def add_scratch(self, file_id: str, text: str) -> list[tk.Token]:
-        """Register tokens for a transient buffer (snippets); scratch files
-        are reachable by file id but excluded from corpus scans, and have
-        no index."""
-        toks = tk.tokenize(text, file_id)
-        self._tokens[file_id] = toks
+    def add_scratch(self, file_id: str, text: str) -> tk.FileTokens:
+        """Read a transient buffer (snippets); scratch files are reachable
+        by file id but excluded from corpus scans."""
+        toks = self._tokens[file_id] = tk.FileTokens(text)
         self._sources[file_id] = text
         return toks
 
-    def tokens(self, file_id: str) -> list[tk.Token]:
-        """A file's tokens: a ``tokens.FileTokens`` for a corpus file."""
+    def tokens(self, file_id: str) -> tk.FileTokens:
+        """A file's code and directive tokens, with their index."""
         return self._tokens[file_id]
 
     def source(self, file_id: str) -> str:
         return self._sources[file_id]
+
+    def text(self, file_id: str, first: tk.Token, last: tk.Token) -> str:
+        """The source of a file from token ``first`` through token
+        ``last``, with what lies between them."""
+        return self._sources[file_id][first.byte_offset : last.byte_offset + len(last.text)]
 
     def find_function(self, name: str) -> FunctionDefNode | None:
         if name in self._fn_cache:
@@ -481,7 +469,9 @@ class Corpus:
 
 def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | None:
     """The first use of ``name``, in file order, that a balanced paren span
-    and then a balanced ``{`` span follow, at any depth.
+    and then a balanced ``{`` span follow, at any depth; in a parenthesized
+    declarator, ``int (*name(void))[3] {``, the declarator's end comes
+    between them (``_declarator_end``).
 
     Only the positions of ``name`` in each file's index are visited; the
     parameter list and body stay holes until executed.
@@ -492,13 +482,12 @@ def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | Non
         toks = corpus.tokens(file_id)
         n = len(toks)
         for i in toks.names.get(name, ()):
-            prev = tk.code_before(toks, i)
-            if prev >= 0 and toks[prev].kind == tk.PUNCT and toks[prev].text in (".", "->", "#"):
+            if i and toks[i - 1].kind == tk.PUNCT and toks[i - 1].text in (".", "->", "#"):
                 continue
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = i + 1
             if j >= n or not tk.is_punct(toks[j], "(") or (close := tk.closing(toks, j, n)) == n:
                 continue
-            k = tk.skip_trivia(toks, close + 1, n)
+            k = _declarator_end(toks, i, close + 1)
             if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
                 continue
             return FunctionDefNode(
@@ -508,3 +497,25 @@ def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | Non
                 body=Hole(file_id, k + 1, bend),
             )
     return None
+
+
+def _declarator_end(toks, i, k) -> int:
+    """The index after the declarator of the name at ``toks[i]``, whose
+    parameter list ends before ``k``: past the ``)`` of each ``(*`` around
+    them and the ``[…]`` and ``(…)`` suffixes after it, when a type
+    specifier, a name or a ``*`` stands before the outermost ``(``; else
+    ``k``."""
+    n, a, end = len(toks), i - 1, k
+    while True:
+        p = a
+        while p >= 0 and tk.is_punct(toks[p], "*"):
+            p -= 1
+        if p == a or p < 0 or not tk.is_punct(toks[p], "(") or tk.closing(toks, p, n) != end:
+            break
+        end += 1
+        while end < n and toks[end].kind == tk.PUNCT and toks[end].text in ("[", "("):
+            end = tk.closing(toks, end, n) + 1
+        a = p - 1
+    t = toks[a] if end > k and a >= 0 else None
+    return end if t and (t.kind == tk.IDENTIFIER or t.text in tk.DECL_KEYWORDS
+                         or t.text == "*") else k

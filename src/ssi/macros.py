@@ -91,13 +91,16 @@ def expand(
     depth: int = MAX_EXPANSION_DEPTH,
     hidden: frozenset = frozenset(),
 ) -> list[tk.Token]:
-    """Expand macro uses in ``toks``, returning a new token list.
+    """Expand macro uses in ``toks``, returning a new token list, or
+    ``toks`` itself when no token in it names a macro.
 
     Expanded tokens are marked synthetic and carry the use site's position so
     diagnostics keep pointing at the line being executed. ``hidden`` names
     the macros being expanded around ``toks``, which stay as they are there
     (no self-recursion).
     """
+    if macros.keys().isdisjoint([t.text for t in toks]):
+        return toks
     out: list[tk.Token] = []
     n = len(toks)
     i = 0
@@ -110,14 +113,13 @@ def expand(
         m = macros[t.text]
         args, end = None, i + 1  # the arguments and the index after the use
         if m.function_like:
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = i + 1
             if j >= n or toks[j].text != "(":
                 out.append(t)  # function-like name without arguments: plain identifier
                 i += 1
                 continue
             b = tk.closing(toks, j, n)
-            args = [[x for x in toks[c:d] if x.kind not in tk.TRIVIA]
-                    for c, d in tk.split_top_level(toks, j + 1, b, ",")]
+            args = [toks[c:d] for c, d in tk.split_top_level(toks, j + 1, b, ",")]
             end = b + 1
         if depth <= 0 or end > n or _has_paste(m.body) or args is not None and (
                 len(args) != len(m.params) and "..." not in m.params):

@@ -52,12 +52,9 @@ def scrape_module_info(corpus) -> dict[str, list[str]]:
         n = len(toks)
         for field_name, strings in found.items():
             for i in toks.names.get(field_name, ()):
-                j = tk.skip_trivia(toks, i + 1, n)
-                if j >= n or toks[j].text != "(":
-                    continue
-                j = tk.skip_trivia(toks, j + 1, n)
-                if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
-                    strings.append(toks[j].text[1:-1])
+                if i + 2 < n and toks[i + 1].text == "(" and toks[i + 2].kind == tk.STRING \
+                        and len(toks[i + 2].text) >= 2:
+                    strings.append(toks[i + 2].text[1:-1])
     return found
 
 

@@ -1,12 +1,13 @@
-"""Lossless tokenization of C-family source text.
+"""Tokenization of C-family source text.
 
-The tokenizer is total: any byte sequence tokenizes without error, unknown
-bytes become ``unknown-byte`` tokens, and concatenating the ``text`` of every
-token reproduces the input exactly. That round-trip property is what lets
-later stages skip, lazily re-parse, or quote verbatim any region of source
-they never analyzed.
+``tokenize`` is total and lossless: any byte sequence tokenizes without
+error, unknown bytes become ``unknown-byte`` tokens, and concatenating the
+``text`` of every token reproduces the input exactly. ``FileTokens``, the
+reader of a corpus file or snippet, makes the same tokens but none for
+whitespace, newlines and comments; each keeps its byte offset, so a region's
+text is read from the source (``Corpus.text``), not by joining tokens.
 
-``tokenize`` walks the matches of one compiled pattern, ``_TOKEN``, whose
+Both walk the matches of one compiled pattern, ``_TOKEN``, whose
 alternatives are tried in order at each position: newline, a whitespace run,
 identifier, number, ``//`` and ``/* */`` comments, string and char literals,
 a preprocessor line, punctuators longest first, and any one character. A
@@ -18,8 +19,9 @@ A preprocessor line is one ``directive`` token, as C11 5.1.1.2 reads it: a
 the line. A backslash with only blanks after it continues the line, and a
 comment or literal that spans lines stays inside. The pattern takes any
 ``#`` that is not ``##`` this way; a ``#`` after other tokens on its line is
-then tokenized again, as a punctuator and the plain tokens after it
-(``plain_tokens``), which is also how a macro's body is read.
+then a punctuator, and the matching starts again just after it, so the rest
+of the line is read as code. A macro's body is read by the pattern that
+makes no directive tokens (``plain_tokens``).
 """
 
 from __future__ import annotations
@@ -125,20 +127,22 @@ def tokenize(source, file_id: str = "<memory>") -> list[Token]:
     append = tokens.append
     kind_of_text, kind_of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
     offset, line, line_start = 0, 1, 0
-    for text in _TOKEN.findall(source):
-        kind = kind_of_text(text) or kind_of_first(text[0], UNKNOWN)
-        # A ``#`` with more than blanks before it on its line is no directive.
-        if kind is DIRECTIVE and source[line_start:offset].strip(_BLANKS):
-            tokens += _after_mid_line_hash(source, offset, offset + len(text), line, line_start)
-        else:
+    while True:
+        for text in _TOKEN.findall(source, offset):
+            kind = kind_of_text(text) or kind_of_first(text[0], UNKNOWN)
+            if kind is DIRECTIVE and source[line_start:offset].strip(_BLANKS):
+                append(Token(PUNCT, "#", offset, line, offset - line_start + 1))
+                offset += 1
+                break  # a mid-line ``#``: the line reads on after it
             append(Token(kind, text, offset, line, offset - line_start + 1))
-        # Only a newline, a comment, a literal (through a backslash-newline)
-        # or a preprocessor line can hold a newline.
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = offset + text.rindex("\n") + 1
-        offset += len(text)
-    return tokens
+            # Only a newline, a comment, a literal (through a backslash-newline)
+            # or a preprocessor line can hold a newline.
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = offset + text.rindex("\n") + 1
+            offset += len(text)
+        else:
+            return tokens
 
 
 def plain_tokens(text: str, start: int, end: int, base: int, line: int,
@@ -162,20 +166,58 @@ def plain_tokens(text: str, start: int, end: int, base: int, line: int,
     return tokens
 
 
-def _after_mid_line_hash(source, start, end, line, line_start):
-    """The tokens of ``source[start:end]``, the rest of a line from a ``#``
-    with tokens before it: plain tokens, up to a ``#`` that starts a line
-    continued from this one, which begins a directive through ``end``."""
-    tokens = plain_tokens(source, start, end, 0, line, line_start)
-    at_line_start = False
-    for i, t in enumerate(tokens):
-        if at_line_start and t.text == "#":
-            tokens[i:] = [Token(DIRECTIVE, source[t.byte_offset : end], t.byte_offset,
-                                t.line, t.column)]
-            break
-        if t.kind is not WHITESPACE:
-            at_line_start = t.kind is NEWLINE
-    return tokens
+class FileTokens(list):
+    """The tokens ``tokenize`` gives a source text, the same in kind, text
+    and position, but for whitespace, newlines and comments, which are not
+    made; indexed in the same pass: ``closers`` maps each ``(``, ``[`` and
+    ``{`` to what ``closing`` finds for it (the length when it never
+    closes), ``directives`` lists the index of each directive token and
+    ``names`` each identifier's indices, in file order. Never changed once
+    built; its slices are plain lists."""
+
+    __slots__ = ("closers", "directives", "names")
+
+    def __init__(self, source: str):
+        tokens: list[Token] = []
+        append = tokens.append
+        kind_of_text, kind_of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
+        self.closers, self.directives, self.names = closers, directives, names = {}, [], {}
+        open_at = {"(": [], "[": [], "{": []}
+        offset, line, line_start = 0, 1, 0
+        while True:
+            for text in _TOKEN.findall(source, offset):
+                kind = kind_of_text(text) or kind_of_first(text[0], UNKNOWN)
+                if kind is WHITESPACE:
+                    offset += len(text)
+                    continue
+                if kind is NEWLINE:
+                    offset = line_start = offset + 1
+                    line += 1
+                    continue
+                if kind is IDENTIFIER:
+                    names.setdefault(text, []).append(len(tokens))
+                elif kind is PUNCT:
+                    if text in open_at:
+                        open_at[text].append(len(tokens))
+                    elif text in _OPENER and (stack := open_at[_OPENER[text]]):
+                        closers[stack.pop()] = len(tokens)
+                elif kind is DIRECTIVE:
+                    if source[line_start:offset].strip(_BLANKS):
+                        append(Token(PUNCT, "#", offset, line, offset - line_start + 1))
+                        offset += 1
+                        break  # a mid-line ``#``, as ``tokenize`` reads it
+                    directives.append(len(tokens))
+                if kind is not COMMENT:
+                    append(Token(kind, text, offset, line, offset - line_start + 1))
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = offset + text.rindex("\n") + 1
+                offset += len(text)
+            else:
+                break
+        for stack in open_at.values():
+            closers.update(dict.fromkeys(stack, len(tokens)))
+        super().__init__(tokens)
 
 
 @dataclass
@@ -218,20 +260,6 @@ class Cursor:
         return Cursor(self.tokens, index, self.skip_trivia, self.limit, self.file_id)
 
 
-def skip_trivia(tokens: list[Token], j: int, limit: int) -> int:
-    while j < limit and tokens[j].kind in TRIVIA:
-        j += 1
-    return j
-
-
-def code_before(tokens: list[Token], i: int) -> int:
-    """Index of the last non-trivia token before ``tokens[i]``, or -1."""
-    i -= 1
-    while i >= 0 and tokens[i].kind in TRIVIA:
-        i -= 1
-    return i
-
-
 def is_punct(t: Token, text: str) -> bool:
     return t.kind == PUNCT and t.text == text
 
@@ -244,58 +272,6 @@ _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _OPENER = {")": "(", "]": "[", "}": "{"}
 
 
-class Matched(list):
-    """A token list that knows, in ``closers``, what ``closing`` finds from
-    each of its ``(``, ``[`` and ``{`` to the end (the length when it never
-    closes): a ``FileTokens`` and its ``code``. Never changed once built;
-    its slices are plain lists."""
-
-    __slots__ = ("closers",)
-
-
-class FileTokens(Matched):
-    """A corpus file's tokens, indexed in one pass: ``closers``;
-    ``directives`` lists the index of each directive token in file order;
-    ``names`` lists each identifier's positions in file order; and ``code``
-    is a ``Matched`` list of the tokens that are neither trivia nor
-    directives, whose ``closers`` count only those."""
-
-    __slots__ = ("directives", "names", "code")
-
-    def __init__(self, tokens: list[Token]):
-        super().__init__(tokens)
-        # The pass reads ``tokens``: a plain list indexes faster than a subclass.
-        n = len(tokens)
-        self.closers, self.directives, self.names = closers, directives, names = {}, [], {}
-        code, code_closers = [], {}
-        open_at, code_open_at = {"(": [], "[": [], "{": []}, {"(": [], "[": [], "{": []}
-        for i, t in enumerate(tokens):
-            kind, text = t.kind, t.text
-            if kind == IDENTIFIER:
-                names.setdefault(text, []).append(i)
-            elif kind == PUNCT:
-                if text in open_at:
-                    open_at[text].append(i)
-                    code_open_at[text].append(len(code))
-                elif text in _OPENER:
-                    if stack := open_at[_OPENER[text]]:
-                        closers[stack.pop()] = i
-                    if stack := code_open_at[_OPENER[text]]:
-                        code_closers[stack.pop()] = len(code)
-            elif kind in TRIVIA:
-                continue
-            elif kind == DIRECTIVE:
-                directives.append(i)
-                continue
-            code.append(t)
-        for stack in open_at.values():
-            closers.update(dict.fromkeys(stack, n))
-        for stack in code_open_at.values():
-            code_closers.update(dict.fromkeys(stack, len(code)))
-        self.code = Matched(code)
-        self.code.closers = code_closers
-
-
 def closing(tokens: list[Token], i: int, limit: int) -> int:
     """Index of the bracket that closes the one at ``tokens[i]``, or
     ``limit`` when it is never closed.
@@ -303,10 +279,10 @@ def closing(tokens: list[Token], i: int, limit: int) -> int:
     Only that one bracket pair is counted; everything in between may be
     arbitrary tokens, other brackets unbalanced included. Delimiters inside
     string, char, or comment tokens are invisible because they never form
-    punctuator tokens of their own. A ``Matched`` list answers from its
+    punctuator tokens of their own. A ``FileTokens`` list answers from its
     index.
     """
-    if isinstance(tokens, Matched):
+    if tokens.__class__ is FileTokens:
         end = tokens.closers[i]
         return end if end < limit else limit
     open_text = tokens[i].text
@@ -375,11 +351,6 @@ def find_balanced_span(cursor: Cursor, open_text: str, close_text: str) -> tuple
             line=toks[start].line,
         )
     return (start, end)
-
-
-def text_of_range(tokens: list[Token], start: int, end: int) -> str:
-    """Exact source text for tokens[start:end], byte for byte."""
-    return "".join(t.text for t in tokens[start:end])
 
 
 def synthetic_copy(token: Token, site: Token) -> Token:

@@ -10,6 +10,7 @@ directive matcher takes one ``directive`` token, since the tokenizer makes
 each preprocessor line one; it took a ``#`` through its line's end.
 """
 
+from reftokens import skip_trivia
 from ssi import tokens as tk
 from ssi.islands import (
     BlockNode,
@@ -35,19 +36,19 @@ from ssi.islands import (
 
 
 def _else_part(toks, k, limit, file_id):
-    k = tk.skip_trivia(toks, k, limit)
+    k = skip_trivia(toks, k, limit)
     if k >= limit or not tk.is_keyword(toks[k], "if"):
         return _substatement(toks, k, limit, file_id)
     start = j = k
     while True:
         head = _keyword_paren(toks, j, limit, "if")
         if head is None:
-            j = _statement_span(toks, tk.skip_trivia(toks, j + 1, limit), limit)
+            j = _statement_span(toks, skip_trivia(toks, j + 1, limit), limit)
             break
         _, p = _substatement(toks, head[1], limit, file_id)
-        q = tk.skip_trivia(toks, p, limit)
+        q = skip_trivia(toks, p, limit)
         if q < limit and tk.is_keyword(toks[q], "else"):
-            r = tk.skip_trivia(toks, q + 1, limit)
+            r = skip_trivia(toks, q + 1, limit)
             if r < limit and tk.is_keyword(toks[r], "if"):
                 j = r
                 continue
@@ -60,7 +61,7 @@ def _else_part(toks, k, limit, file_id):
 def _keyword_paren(toks, i, limit, word):
     if i >= limit or not tk.is_keyword(toks[i], word):
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
+    j = skip_trivia(toks, i + 1, limit)
     if j >= limit or not tk.is_punct(toks[j], "("):
         return None
     return j, _balanced_end(toks, j, limit)
@@ -75,7 +76,7 @@ def _match_if(cur):
     cond = Hole(fid, j + 1, cond_end - 1)
     then, k = _substatement(toks, cond_end, limit, fid)
     orelse = None
-    k2 = tk.skip_trivia(toks, k, limit)
+    k2 = skip_trivia(toks, k, limit)
     if k2 < limit and tk.is_keyword(toks[k2], "else"):
         orelse, k = _else_part(toks, k2 + 1, limit, fid)
     return IfNode(fid, toks[i].line, i, k, cond=cond, then=then, orelse=orelse)
@@ -97,11 +98,11 @@ def _match_do(cur):
     if i >= limit or not tk.is_keyword(toks[i], "do"):
         return None
     body, k = _substatement(toks, i + 1, limit, fid)
-    k = tk.skip_trivia(toks, k, limit)
+    k = skip_trivia(toks, k, limit)
     if (head := _keyword_paren(toks, k, limit, "while")) is None:
         return None
     j, cend = head
-    k2 = tk.skip_trivia(toks, cend, limit)
+    k2 = skip_trivia(toks, cend, limit)
     if k2 < limit and tk.is_punct(toks[k2], ";"):
         k2 += 1
     return DoWhileNode(fid, toks[i].line, i, k2, body=body, cond=Hole(fid, j + 1, cend - 1))
@@ -133,7 +134,7 @@ def _match_return(cur):
     end = _statement_span(toks, i + 1, limit)
     expr_end = end - 1 if end > i + 1 and tk.is_punct(toks[end - 1], ";") else end
     expr = Hole(fid, i + 1, expr_end)
-    if expr.is_empty_of_code(toks):
+    if all(t.kind in tk.TRIVIA for t in toks[expr.start : expr.end]):
         expr = None
     return ReturnNode(fid, toks[i].line, i, end, expr=expr)
 
@@ -144,7 +145,7 @@ def _match_simple_kw(word, cls):
         i = cur.peek_index()
         if i >= limit or not tk.is_keyword(toks[i], word):
             return None
-        j = tk.skip_trivia(toks, i + 1, limit)
+        j = skip_trivia(toks, i + 1, limit)
         end = j + 1 if j < limit and tk.is_punct(toks[j], ";") else i + 1
         return cls(fid, toks[i].line, i, end)
 
@@ -156,7 +157,7 @@ def _match_goto(cur):
     i = cur.peek_index()
     if i >= limit or not tk.is_keyword(toks[i], "goto"):
         return None
-    j = tk.skip_trivia(toks, i + 1, limit)
+    j = skip_trivia(toks, i + 1, limit)
     if j >= limit or toks[j].kind != tk.IDENTIFIER:
         return None
     end = _statement_span(toks, j, limit)
@@ -170,7 +171,7 @@ def _match_label(cur):
         return None
     t = toks[i]
     if tk.is_keyword(t, "default"):
-        j = tk.skip_trivia(toks, i + 1, limit)
+        j = skip_trivia(toks, i + 1, limit)
         if j < limit and tk.is_punct(toks[j], ":"):
             return LabelNode(fid, t.line, i, j + 1, is_default=True)
         return None
@@ -180,7 +181,7 @@ def _match_label(cur):
             return LabelNode(fid, t.line, i, j + 1, case_expr=Hole(fid, i + 1, j))
         return None
     if t.kind == tk.IDENTIFIER:
-        j = tk.skip_trivia(toks, i + 1, limit)
+        j = skip_trivia(toks, i + 1, limit)
         if j < limit and tk.is_punct(toks[j], ":"):
             return LabelNode(fid, t.line, i, j + 1, name=t.text)
     return None
@@ -201,7 +202,7 @@ def _match_switch(cur):
     if (head := _keyword_paren(toks, i, limit, "switch")) is None:
         return None
     j, send = head
-    k = tk.skip_trivia(toks, send, limit)
+    k = skip_trivia(toks, send, limit)
     if k >= limit or not tk.is_punct(toks[k], "{"):
         return None
     bend = _balanced_end(toks, k, limit)

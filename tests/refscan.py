@@ -5,12 +5,15 @@ These are the readers ``ssi`` had before the per-file index
 readers that answer from it (``tests/test_refscan.py``). The bodies are
 unchanged but for these things: methods of ``Interp`` became functions of
 the interpreter; each reader walks the reference tokens of a file's source
-(``reftokens.tokenize``), a plain list, so every ``tk.closing`` call in it
-scans (each source text is tokenized once, and each reader gets its own copy
-of the list: ``_tokens``); a preprocessor line is one ``directive`` token
-there, which ``_without_directives`` leaves out; and ``scan_defines`` reads the
+(``reftokens.tokenize``) without trivia, as a corpus file's list holds them,
+in a plain list, so every ``tk.closing`` call in it scans (each source text
+is tokenized once, and each reader gets its own copy of the list:
+``_tokens``); a preprocessor line is one ``directive`` token there, which
+``_without_directives`` leaves out; ``scan_defines`` reads the
 per-character tokens of one line (``reftokens.plain_tokenize``) and gives
-each macro as a ``(name, params, body, file_id, line)`` tuple.
+each macro as a ``(name, params, body, file_id, line)`` tuple; and
+``find_function_definition`` reads past a parenthesized declarator's end
+with the rule it imports from ``ssi.islands`` (``_declarator_end``).
 """
 
 from functools import lru_cache
@@ -19,19 +22,19 @@ import reftokens
 from ssi import macros as mc
 from ssi import tokens as tk
 from ssi.ctype import FUNCTION, _declarations, _punct_at, _starts_declaration
-from ssi.islands import FunctionDefNode, Hole
+from ssi.islands import FunctionDefNode, Hole, _declarator_end
 
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
 
 
 @lru_cache(maxsize=64)
 def _tokenized(source):
-    return tuple(reftokens.tokenize(source))
+    return tuple(t for t in reftokens.tokenize(source) if t.kind not in tk.TRIVIA)
 
 
 def _tokens(source):
-    """The reference tokens of ``source``: a fresh list over the one
-    tokenization of that text."""
+    """The reference tokens of ``source`` but for trivia: a fresh list over
+    the one tokenization of that text."""
     return list(_tokenized(source))
 
 
@@ -43,9 +46,9 @@ def scan_defines(toks, file_id):
     while i < n:
         t = toks[i]
         if t.kind == tk.PUNCT and t.text == "#" and reftokens.at_line_start(toks, i):
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = reftokens.skip_trivia(toks, i + 1, n)
             if j < n and toks[j].text == "define":
-                j = tk.skip_trivia(toks, j + 1, n)
+                j = reftokens.skip_trivia(toks, j + 1, n)
                 if j < n and toks[j].kind == tk.IDENTIFIER:
                     name = toks[j].text
                     line = toks[j].line
@@ -97,10 +100,10 @@ def find_function_definition(corpus, name):
                 prev -= 1
             if prev >= 0 and toks[prev].kind == tk.PUNCT and toks[prev].text in (".", "->", "#"):
                 continue
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = reftokens.skip_trivia(toks, i + 1, n)
             if j >= n or not tk.is_punct(toks[j], "(") or (close := tk.closing(toks, j, n)) == n:
                 continue
-            k = tk.skip_trivia(toks, close + 1, n)
+            k = reftokens.skip_trivia(toks, _declarator_end(toks, i, close + 1), n)
             if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
                 continue
             return FunctionDefNode(
@@ -120,10 +123,10 @@ def layout_from_corpus(interp, tag):
         for i, t in enumerate(toks):
             if t.kind != tk.KEYWORD or t.text not in ("struct", "union"):
                 continue
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = reftokens.skip_trivia(toks, i + 1, n)
             if j >= n or toks[j].kind != tk.IDENTIFIER or toks[j].text != tag:
                 continue
-            k = tk.skip_trivia(toks, j + 1, n)
+            k = reftokens.skip_trivia(toks, j + 1, n)
             if not _punct_at(toks, k, "{") or (end := tk.closing(toks, k, n)) == n:
                 continue
             body = [x for x in interp._expand(toks[k + 1 : end])
@@ -206,10 +209,10 @@ def scrape_module_info(corpus):
         for i, t in enumerate(toks):
             if t.kind != tk.IDENTIFIER or t.text not in _MODULE_FIELDS:
                 continue
-            j = tk.skip_trivia(toks, i + 1, n)
+            j = reftokens.skip_trivia(toks, i + 1, n)
             if j >= n or toks[j].text != "(":
                 continue
-            j = tk.skip_trivia(toks, j + 1, n)
+            j = reftokens.skip_trivia(toks, j + 1, n)
             if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
                 found[t.text].append(toks[j].text[1:-1])
     return found

@@ -25,6 +25,7 @@ from ssi.tokens import (
     PUNCT,
     PUNCTUATORS,
     STRING,
+    TRIVIA,
     UNKNOWN,
     WHITESPACE,
     Token,
@@ -165,3 +166,10 @@ def line_end(tokens: list[Token], i: int, limit: int) -> int:
             if k < i or tokens[k].kind != PUNCT or tokens[k].text != "\\":
                 return j
     return limit
+
+
+def skip_trivia(tokens, j, limit):
+    """Index of the first token at or after ``j`` that is not trivia."""
+    while j < limit and tokens[j].kind in TRIVIA:
+        j += 1
+    return j

@@ -155,11 +155,11 @@ void f(void) {
 """})
     session.register_hook("set_w", lambda ctx: ctx.exec_snippet("{0}->w = 5", ctx.args))
     tokenized = []
-    tokenize = tk.tokenize
-    monkeypatch.setattr(tk, "tokenize",
-                        lambda text, file_id: tokenized.append(file_id) or tokenize(text, file_id))
+    read = tk.FileTokens
+    monkeypatch.setattr(tk, "FileTokens", lambda text: tokenized.append(text) or read(text))
     assert local_concrete(session, run_function(session, interp, "f"), "sum") == 2500
-    assert tokenized == ["<snippet:1>"]
+    assert tokenized == [" __ssi_arg0 ->w = 5"]
+    assert session.corpus.source("<snippet:1>") == tokenized[0]
 
 
 # --------------------------------------------------------------- declarative

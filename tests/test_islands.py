@@ -27,10 +27,15 @@ from ssi.islands import (
 from conftest import EXAMPLE_DIR, local_concrete, make_session, run_function
 
 
-def hole_text(corpus_or_toks, hole):
-    toks = corpus_or_toks.tokens(hole.file_id) if isinstance(corpus_or_toks, Corpus) \
-        else corpus_or_toks
-    return tk.text_of_range(toks, hole.start, hole.end).strip()
+def span_text(corpus, span):
+    """The source text of a hole or node, read by its tokens' offsets."""
+    toks = corpus.tokens(span.file_id)
+    return corpus.text(span.file_id, toks[span.start], toks[span.end - 1]) \
+        if span.start < span.end else ""
+
+
+def hole_text(corpus, hole):
+    return span_text(corpus, hole).strip()
 
 
 def first_statement(source):
@@ -43,9 +48,8 @@ def first_statement(source):
 def test_if_statement_shape():
     corpus, node, cur = first_statement("if (x > 0) { y = 1; } z = 2;")
     assert isinstance(node, IfNode)
-    toks = corpus.tokens("t.c")
-    assert hole_text(toks, node.cond) == "x > 0"
-    assert hole_text(toks, node.then) == "y = 1;"
+    assert hole_text(corpus, node.cond) == "x > 0"
+    assert hole_text(corpus, node.then) == "y = 1;"
     assert node.orelse is None
     assert cur.peek().text == "z"
 
@@ -54,7 +58,7 @@ def test_if_with_garbage_branch_parses():
     corpus, node, _ = first_statement("if (x) { @garbage!! ((( } after();")
     assert isinstance(node, IfNode)
     # The garbage is captured, not analyzed.
-    assert "@garbage" in hole_text(corpus.tokens("t.c"), node.then)
+    assert "@garbage" in hole_text(corpus, node.then)
     assert node.then.nodes is None
 
 
@@ -62,8 +66,8 @@ def test_expression_statement_through_semicolon():
     corpus, node, _ = first_statement(
         "err = of_address_to_resource(np, 0, &iomem);\nnext();")
     assert isinstance(node, ExpressionStatementNode)
-    assert hole_text(corpus.tokens("t.c"), node).startswith("err")
-    text = tk.text_of_range(corpus.tokens("t.c"), node.start, node.end)
+    assert hole_text(corpus, node).startswith("err")
+    text = span_text(corpus, node)
     assert text == "err = of_address_to_resource(np, 0, &iomem);"
 
 
@@ -75,9 +79,8 @@ def test_declaration_keyword_lead():
 def test_braceless_then_and_else():
     corpus, node, _ = first_statement("if (e) r |= 1; else r &= 2; next();")
     assert isinstance(node, IfNode)
-    toks = corpus.tokens("t.c")
-    assert hole_text(toks, node.then) == "r |= 1;"
-    assert hole_text(toks, node.orelse) == "r &= 2;"
+    assert hole_text(corpus, node.then) == "r |= 1;"
+    assert hole_text(corpus, node.orelse) == "r &= 2;"
 
 
 def test_else_if_chain_is_one_lazy_hole():
@@ -85,20 +88,19 @@ def test_else_if_chain_is_one_lazy_hole():
     corpus, node, cur = first_statement(src)
     assert isinstance(node, IfNode)
     assert cur.peek().text == "tail"
-    chain = hole_text(corpus.tokens("t.c"), node.orelse)
+    chain = hole_text(corpus, node.orelse)
     assert chain.startswith("if (b)")
     nested = parse_hole_as_block(corpus, node.orelse, RuleRegistry())
     assert len(nested) == 1 and isinstance(nested[0], IfNode)
-    assert hole_text(corpus.tokens("t.c"), nested[0].orelse) == "x = 3;"
+    assert hole_text(corpus, nested[0].orelse) == "x = 3;"
 
 
 def test_for_header_split():
     corpus, node, _ = first_statement("for (i = 0; i < 8; i++) { body(); }")
     assert isinstance(node, ForNode)
-    toks = corpus.tokens("t.c")
-    assert hole_text(toks, node.init) == "i = 0"
-    assert hole_text(toks, node.cond) == "i < 8"
-    assert hole_text(toks, node.step) == "i++"
+    assert hole_text(corpus, node.init) == "i = 0"
+    assert hole_text(corpus, node.cond) == "i < 8"
+    assert hole_text(corpus, node.step) == "i++"
 
 
 def test_hole_block_parsing_and_memoization():
@@ -136,7 +138,7 @@ void bcm2835_gpio_wr(struct bcm2835_pinctrl *pc, unsigned reg, u32 val) {
 """})
     fdef = find_function_definition(corpus, "bcm2835_gpio_wr")
     assert fdef is not None
-    assert hole_text(corpus.tokens("d.c"), fdef.params) == \
+    assert hole_text(corpus, fdef.params) == \
         "struct bcm2835_pinctrl *pc, unsigned reg, u32 val"
     assert fdef.body.nodes is None  # nothing inside was parsed
 
@@ -152,6 +154,21 @@ int main(void) {
 """})
     assert find_function_definition(corpus, "foo") is None
     assert find_function_definition(corpus, "writel") is None
+
+
+def test_find_function_reads_past_a_parenthesized_declarator():
+    # ``rows`` returns a pointer to ``int[3]``: its declarator closes after
+    # the parameter list. A call in a condition is no definition.
+    corpus = Corpus.from_sources({"d.c": """
+int (*rows(void))[3] { return 0; }
+void (*(*table(int k))[2])(int) { return 0; }
+int f(void) { while (*next(p)) { p++; } if ((*next(p))) { } }
+"""})
+    fdef = find_function_definition(corpus, "rows")
+    assert fdef is not None and hole_text(corpus, fdef.params) == "void"
+    assert hole_text(corpus, fdef.body) == "return 0;"
+    assert hole_text(corpus, find_function_definition(corpus, "table").params) == "int k"
+    assert find_function_definition(corpus, "next") is None
 
 
 def test_find_function_skips_macro_names():
@@ -310,7 +327,7 @@ def test_a_rule_below_100_shadows_if_for_exactly_its_tokens():
     first, cur = parse_next_statement(cur, rules)
     second, cur = parse_next_statement(cur, rules)
     assert isinstance(first, RawNode)
-    assert tk.text_of_range(corpus.tokens("t.c"), first.start, first.end) == \
+    assert span_text(corpus, first) == \
         "if (DEBUG) log(x);"
     assert isinstance(second, IfNode) and cur.at_end()
 

@@ -30,11 +30,11 @@ DEFINES = """#define SELF SELF + 1
     ("M0", "M16", ["M16"]),
 ])
 def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
-    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(DEFINES)), "m.h")
+    defs = mc.scan_defines(tk.FileTokens(DEFINES), "m.h")
     events = []
-    out = mc.expand(tk.tokenize("\n\n" + use), defs,
+    out = mc.expand(tk.FileTokens("\n\n" + use), defs,
                     lambda name, line: events.append((name, line)))
-    assert " ".join(t.text for t in out if t.kind not in tk.TRIVIA) == expanded
+    assert " ".join(t.text for t in out) == expanded
     assert events == [(name, 3) for name in unexpanded]
     assert all(t.line == 3 for t in out if t.synthetic)
 
@@ -48,7 +48,7 @@ def test_expand_recursion_and_unexpanded_events(use, expanded, unexpanded):
     ("#\ndefine X 1\n#define\nY 2\n", {}),
 ])
 def test_scan_defines_reads_each_define_within_its_line(source, defined):
-    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(source)), "m.h")
+    defs = mc.scan_defines(tk.FileTokens(source), "m.h")
     assert {name: (m.params, " ".join(t.text for t in m.body))
             for name, m in defs.items()} == defined
 
@@ -57,7 +57,7 @@ def test_backslash_then_spaces_continues_a_define():
     from conftest import local_concrete, make_session, run_function
 
     source = "#define X 1 + \\   \n 2\nvoid testmain(void) {\n    int y = X;\n}\n"
-    defs = mc.scan_defines(tk.FileTokens(tk.tokenize(source)), "m.c")
+    defs = mc.scan_defines(tk.FileTokens(source), "m.c")
     assert " ".join(t.text for t in defs["X"].body) == "1 + 2"
     session, interp = make_session({"m.c": source})
     frame = run_function(session, interp, "testmain")

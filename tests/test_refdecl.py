@@ -75,9 +75,12 @@ def outcome(read):
 
 
 def reference_view(toks, i, member):
+    """The reference's reading; an empty bound, which the new reader counts
+    as 0 (a flexible array member), reads as ``0``."""
     info, decls, j = refdecl._declarations(toks, i, REF_TYPEDEFS, member)
     return (j, [(d.name, (d.width, d.tag, d.unsigned, d.stars, d.boolean),
-                 [texts(b) for b in d.dims], texts(d.init), d.function, info.is_typedef)
+                 [texts(b) or "0" for b in d.dims], texts(d.init), d.function,
+                 info.is_typedef)
                 for d in decls])
 
 

@@ -51,7 +51,7 @@ def defines_line_by_line(source, file_id):
         if d.kind != tk.DIRECTIVE:
             continue
         line = plain[token_at[d.byte_offset] : token_at.get(d.byte_offset + len(d.text))]
-        j = tk.skip_trivia(line, 1, len(line))
+        j = reftokens.skip_trivia(line, 1, len(line))
         if j < len(line) and line[j].text == "define":
             out.update(refscan.scan_defines(line, file_id))
     return out

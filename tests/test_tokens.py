@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import refeval
 import reftokens
+from test_refscan import soups
 from ssi import tokens as tk
 from ssi.errors import UnbalancedDelimiter
 
@@ -254,8 +255,7 @@ def test_braces_inside_strings_and_comments_are_invisible():
 @settings(max_examples=200)
 @given(st.text(alphabet="(){}ab; \n", min_size=1, max_size=60))
 def test_balanced_span_matches_oracle(source):
-    plain = tk.tokenize(source)
-    for toks in (plain, tk.FileTokens(plain)):
+    for toks in (tk.tokenize(source), tk.FileTokens(source)):
         assert_balanced_span_matches_oracle(toks)
 
 
@@ -282,27 +282,59 @@ def assert_balanced_span_matches_oracle(toks):
     assert depth == 0
 
 
-@settings(max_examples=300)
-@given(st.text(alphabet="()[]{}a#\\ \n;", max_size=60))
-def test_file_index_answers_as_the_scans_do(source):
-    toks = tk.tokenize(source)
-    index = tk.FileTokens(toks)
-    directives = [i for i, t in enumerate(toks) if t.kind == tk.DIRECTIVE]
-    code = [t for t in toks if t.kind not in tk.TRIVIA and t.kind != tk.DIRECTIVE]
-    assert index.directives == directives
-    assert index.code == code
-    for indexed, plain in ((index, toks), (index.code, code)):
-        openers = [i for i, t in enumerate(plain) if t.kind == tk.PUNCT and t.text in "([{"]
-        assert indexed.closers == {i: tk.closing(plain, i, len(plain)) for i in openers}
-        for i in openers:
-            for limit in range(i + 1, len(plain) + 1):
-                assert tk.closing(indexed, i, limit) == tk.closing(plain, i, limit)
+# ------------------------------------------------------ the corpus reader
+
+def assert_reader_matches_tokenize(source):
+    """``FileTokens(source)`` is ``tokenize(source)`` without trivia, field
+    by field, and its index is what scans of that list find."""
+    code = [t for t in tk.tokenize(source) if t.kind not in tk.TRIVIA]
+    index = tk.FileTokens(source)
+    assert fields(index) == fields(code)
+    assert index.directives == [i for i, t in enumerate(code) if t.kind == tk.DIRECTIVE]
     names = {}
-    for i, t in enumerate(toks):
+    for i, t in enumerate(code):
         if t.kind == tk.IDENTIFIER:
             names.setdefault(t.text, []).append(i)
     assert index.names == names
-    assert type(index[1:]) is list and type(index.code[1:]) is list and index == toks
+    openers = [i for i, t in enumerate(code) if t.kind == tk.PUNCT and t.text in "([{"]
+    assert index.closers == {i: tk.closing(code, i, len(code)) for i in openers}
+    assert type(index[1:]) is list
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="()[]{}a#\\ \n;", max_size=60))
+def test_file_index_answers_as_the_scans_do(source):
+    assert_reader_matches_tokenize(source)
+    index = tk.FileTokens(source)
+    code = list(index)
+    for i in index.closers:
+        for limit in range(i + 1, len(code) + 1):
+            assert tk.closing(index, i, limit) == tk.closing(code, i, limit)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TOKENIZER_FRAGMENTS), max_size=40).map("".join))
+@example("x # y \\\n  #define Z 1\n##\n")
+@example("#define X 1 \\ \n + 2\r\n#define Y /* a\nb */ 3\n/* c */#\n#\nx #\n#")
+@example("a # b # c \\\n\t# d /* e\n */ # f\n#g")
+def test_reader_matches_tokenize_on_fragments(source):
+    assert_reader_matches_tokenize(source)
+
+
+@settings(max_examples=300)
+@given(soups)
+def test_reader_matches_tokenize_on_token_soup(source):
+    assert_reader_matches_tokenize(source)
+
+
+def test_reader_matches_tokenize_on_the_bundled_driver_and_programs():
+    for path in EXAMPLE_FILES:
+        assert_reader_matches_tokenize(path.read_bytes().decode("latin-1"))
+    rng = random.Random(23)
+    for index in range(300):
+        stmts, _ = refeval.gen_program(rng, max_stmts=24)
+        sites = refeval.untaken_sites(stmts, {}) if index % 2 else []
+        assert_reader_matches_tokenize(refeval.render_program(stmts, set(sites), rng))
 
 
 # ------------------------------------------------- top-level scans, lines
@@ -356,7 +388,7 @@ def test_line_end_follows_backslash_then_spaces():
     source = "#define X 1 + \\   \n 2\nint y;"
     toks = reftokens.plain_tokenize(source)
     end = reftokens.line_end(toks, 0, len(toks))
-    assert tk.text_of_range(toks, 0, end) == "#define X 1 + \\   \n 2"
+    assert "".join(t.text for t in toks[:end]) == "#define X 1 + \\   \n 2"
     assert reftokens.at_line_start(toks, end + 1) and not reftokens.at_line_start(toks, 2)
     assert texts(tk.tokenize(source)) == ["#define X 1 + \\   \n 2\n", "int", " ", "y", ";"]
 

@@ -189,6 +189,8 @@ DECLARATOR_CASES = [
     ("int g1(int (*r)[3]) { return r[1][1]; }", "", "g1(M)", 5),
     ("int g2(int m[][3]) { return m[1][1]; }", "", "g2(M)", 5),
     ("long g3(int m[4]) { return sizeof m; }", "", "g3(M[0])", 8),
+    ("int (*rows(void))[3] { return M; }", "", "rows()[1][2]", 6),
+    ("struct fl { int n; int data[]; };", "", "sizeof(struct fl)", 4),
 ]
 
 
