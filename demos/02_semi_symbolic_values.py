@@ -27,8 +27,14 @@ print("after binding: 35 % 32 =", to_int(vals.resolve(masked)))
 
 # Constants fold greedily, including identities over symbols.
 s = vals.fresh_symbol("s", HERE)
-assert vals.apply_binop("+", s, vals.concrete(32, 0, HERE), HERE) is s
-eight = vals.apply_binop("<<", vals.concrete(32, 1, HERE),
+assert vals.apply_binop("+", s, vals.concrete(32, 0, HERE, signed=True), HERE) is s
+# ... but not an identity of another type: s + 0u is unsigned, as in C.
+below = vals.apply_binop("<", vals.apply_binop("+", s, vals.concrete(32, 0, HERE), HERE),
+                         vals.concrete(32, 0, HERE, signed=True), HERE)
+vals.concretize(s, make_concrete(32, -1, True), "user-supplied", HERE)
+assert to_int(vals.resolve(below)) == 0
+print("(s + 0u) < 0 with s = -1:", to_int(vals.resolve(below)))
+eight = vals.apply_binop("<<", vals.concrete(32, 1, HERE, signed=True),
                          vals.concrete(32, 3, HERE), HERE)
 assert isinstance(eight.payload, Concrete) and to_int(eight.payload) == 8
 print("1 << 3 computed eagerly as", to_int(eight.payload))

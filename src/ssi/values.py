@@ -18,6 +18,12 @@ zero, and the remainder takes the dividend's sign. Each
 binary operator has one kernel over two constants (``BINARY_KERNELS``), the
 only arithmetic, whether the operands are constants when the operation runs
 or resolve to constants later.
+
+Resolution is memoized. Building a term resolves its operands, so a value's
+first resolve takes one step: its result from its operands' memoized
+results. A binding, a pointer binding or an mmio base forgets every
+memoized Residual, and only a chain made stale that way is walked, operands
+first, by a loop over the same step.
 """
 
 from __future__ import annotations
@@ -369,14 +375,21 @@ class ValueTable:
     def _identity_fold(self, op, lhs, ra, rhs, rb, at):
         """``lhs op rhs`` when the one constant operand decides it: the
         identity of ``op`` on its side gives the other operand, and a zero
-        factor of ``*`` or ``&`` gives zero; else None."""
-        if isinstance(rb, Concrete):
-            side, c, other = 1, rb, lhs
-        elif isinstance(ra, Concrete):
-            side, c, other = 0, ra, rhs
+        factor of ``*`` or ``&`` gives zero; else None.
+
+        The identity gives the other operand only where C's usual
+        conversions leave that operand's type alone: the constant is a
+        signed type no wider than an int, or a shift count, or the other
+        operand is a pointer. ``x + 0u`` is unsigned, so it is a term."""
+        if rb.__class__ is Concrete:
+            side, c, other, r = 1, rb, lhs, ra
+        elif ra.__class__ is Concrete:
+            side, c, other, r = 0, ra, rhs, rb
         else:
             return None
-        if _IDENTITY.get((op, side)) == c.bits:
+        if _IDENTITY.get((op, side)) == c.bits and (
+                c.signed and c.width <= 32 or op == "<<" or op == ">>"
+                or r.pointer is not None):
             return other
         if c.bits == 0 and (op == "*" or op == "&"):
             return self.mint(Concrete(c.width, 0, c.signed), at, op, (lhs.id, rhs.id))
@@ -449,71 +462,106 @@ class ValueTable:
         Residual carrying their (region, offset); an mmio region's displayed
         base participates, so its blockers propagate into addresses. A
         constant is its own result and never enters the memo.
+
+        A memo miss takes one step (``_step``): a term's result comes from
+        its operands' results, which are constants or memoized already,
+        since building a term resolves its operands. Only a chain that a
+        binding, a pointer binding or an mmio base made stale has operands
+        that are not, and ``_fold`` walks it.
         """
-        value = v if isinstance(v, Value) else self._values[v]
-        if value.payload.__class__ is Concrete:
-            return value.payload
+        value = v if v.__class__ is Value else self._values[v]
+        payload = value.payload
+        if payload.__class__ is Concrete:
+            return payload
         root = value.id
         out = self._memo.get(root)
         if out is None:
-            self._fold(root)
-            out = self._memo[root]
-        if isinstance(out, Residual) and out.value_id != root:
+            out = self._step(root, payload)
+            if out.__class__ is tuple:
+                self._fold(root, out)
+                out = self._memo[root]
+        if out.__class__ is Residual and out.value_id != root:
             out = Residual(root, out.blockers, out.pointer)
         return out
 
-    def _fold(self, root: int) -> None:
-        """Memoize the result of ``root`` and of every non-constant value it
-        depends on that is not memoized yet."""
-        values = self._values
-        memo = self._memo
-        residual_ids = self._residual_ids
+    def _step(self, vid, payload):
+        """One step of resolving the non-constant, unmemoized value ``vid``
+        of ``payload``: its result, memoized, when every value it reads is a
+        constant or memoized; else the tuple of the ids it waits on.
 
-        def known(vid):
-            payload = values[vid].payload
-            return payload if payload.__class__ is Concrete else memo.get(vid)
+        A root reads its binding or its pointer's result, an address is a
+        Residual of (region, 0), blocked by its mmio base's blockers if it
+        has one, and a term combines its operands' results."""
+        values, memo = self._values, self._memo
+        if payload.__class__ is SymbolRoot:
+            b = self.bindings.get(vid)
+            p = self.pointer_bindings.get(vid)
+            if b is not None:
+                r = b.bound
+            elif p is None:
+                r = Residual(vid, (vid,))
+            else:
+                r = values[p].payload
+                if r.__class__ is not Concrete:
+                    r = memo.get(p)
+                    if r is None:
+                        return (p,)
+        elif payload.op == OP_ADDR:
+            base = self._mmio_base(payload.region)
+            if base is None:
+                r = Residual(vid, (), (payload.region, 0))
+            else:
+                m = values[base].payload
+                if m.__class__ is not Concrete:
+                    m = memo.get(base)
+                    if m is None:
+                        return (base,)
+                blockers = () if m.__class__ is Concrete else m.blockers
+                r = Residual(vid, blockers, (payload.region, 0))
+        else:
+            operands = payload.operands
+            if len(operands) == 2:
+                x, y = operands
+                a = values[x].payload
+                if a.__class__ is not Concrete:
+                    a = memo.get(x)
+                b = values[y].payload
+                if b.__class__ is not Concrete:
+                    b = memo.get(y)
+                if a is None:
+                    return (x,) if b is not None else (x, y)
+                if b is None:
+                    return (y,)
+                r = self._combine(vid, payload.op, a, b)
+            else:
+                x, = operands
+                a = values[x].payload
+                if a.__class__ is not Concrete:
+                    a = memo.get(x)
+                    if a is None:
+                        return (x,)
+                r = self._combine(vid, payload.op, a)
+        memo[vid] = r
+        if r.__class__ is Residual:
+            self._residual_ids.append(vid)
+        return r
 
-        stack = [root]
+    def _fold(self, root: int, pending: tuple[int, ...]) -> None:
+        """Memoize the result of ``root``, whose step waits on the
+        ``pending`` ids, and of every value it depends on that is not
+        memoized yet: the ``_step`` of each, operands first, on a stack."""
+        values, memo, step = self._values, self._memo, self._step
+        stack = [root, *pending]
         while stack:
             vid = stack[-1]
             if vid in memo:
                 stack.pop()
                 continue
-            payload = values[vid].payload
-            if payload.__class__ is SymbolRoot:
-                b = self.bindings.get(vid)
-                p = self.pointer_bindings.get(vid)
-                if b is not None:
-                    r = b.bound
-                elif p is None:
-                    r = Residual(vid, (vid,))
-                else:
-                    r = known(p)
-                    if r is None:
-                        stack.append(p)
-                        continue
-            elif payload.op == OP_ADDR:
-                base = self._mmio_base(payload.region)
-                if base is None:
-                    r = Residual(vid, (), (payload.region, 0))
-                else:
-                    m = known(base)
-                    if m is None:
-                        stack.append(base)
-                        continue
-                    blockers = () if isinstance(m, Concrete) else m.blockers
-                    r = Residual(vid, blockers, (payload.region, 0))
+            r = step(vid, values[vid].payload)
+            if r.__class__ is tuple:
+                stack.extend(r)
             else:
-                resolved = [known(o) for o in payload.operands]
-                pending = [o for o, r in zip(payload.operands, resolved) if r is None]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                r = self._combine(vid, payload, resolved)
-            memo[vid] = r
-            if isinstance(r, Residual):
-                residual_ids.append(vid)
-            stack.pop()
+                stack.pop()
 
     def _mmio_base(self, region_id):
         if self.region_lookup is None:
@@ -523,20 +571,21 @@ class ValueTable:
             return region.display_base
         return None
 
-    def _address_test(self, op: str, resolved) -> Concrete | None:
-        """``!`` or a comparison on region addresses that nothing blocks,
-        where these rules decide it: an address is never 0, two regions
-        never overlap, and addresses in one region order by offset; else
-        None. Two regions that may alias (``_may_alias``) stay a term."""
+    def _address_test(self, op: str, a, b) -> Concrete | None:
+        """``!`` (``b`` None) or a comparison on the results ``a`` and ``b``
+        of region addresses that nothing blocks, where these rules decide
+        it: an address is never 0, two regions never overlap, and addresses
+        in one region order by offset; else None. Two regions that may alias
+        (``_may_alias``) stay a term."""
         if op == "!":
-            return Concrete(32, 0, True) if resolved[0].pointer else None
-        a, b = map(_address, resolved)
+            return _FALSE if a.pointer else None
+        a, b = _address(a), _address(b)
         if a is None or b is None:
             return None
         if a[0] == b[0]:
-            return Concrete(32, int(_COMPARISONS[op](a[1], b[1])), True)
+            return _TRUE if _COMPARISONS[op](a[1], b[1]) else _FALSE
         if (op == "==" or op == "!=") and not self._may_alias(a[0], b[0]):
-            return Concrete(32, int(op == "!="), True)
+            return _TRUE if op == "!=" else _FALSE
         return None
 
     def _may_alias(self, a, b) -> bool:
@@ -548,46 +597,53 @@ class ValueTable:
         return any(getattr(self.region_lookup(r), "kind", None) == "opaque"  # memory.OPAQUE
                    for r in (a, b))
 
-    def _combine(self, vid, term, resolved):
-        if all(isinstance(r, Concrete) for r in resolved):
-            if len(resolved) == 2:
-                a, b = resolved
+    def _combine(self, vid, op, a, b=None):
+        """The result of value ``vid``, the term ``op`` over operands whose
+        results are ``a`` and, for a binary operator, ``b``."""
+        if b is None:
+            if a.__class__ is Concrete:
+                return concrete_unop(op, a)
+            blockers = a.blockers
+        elif a.__class__ is Concrete:
+            if b.__class__ is Concrete:
                 if a.width < 32 or b.width < 32:  # as in ``apply_binop``
                     a, b = promoted(a), promoted(b)
-                return BINARY_KERNELS[term.op](a, b)
-            return concrete_unop(term.op, resolved[0])
-        blockers: list[int] = []
-        for r in resolved:
-            if isinstance(r, Residual):
-                blockers.extend(r.blockers)
-        if not blockers and term.op in _ADDRESS_TESTS:
-            decided = self._address_test(term.op, resolved)
+                return BINARY_KERNELS[op](a, b)
+            blockers = b.blockers
+        elif b.__class__ is Concrete:
+            blockers = a.blockers
+        else:
+            blockers = a.blockers + b.blockers
+            if len(blockers) > 1:
+                blockers = tuple(dict.fromkeys(blockers))
+        if not blockers and op in _ADDRESS_TESTS:
+            decided = self._address_test(op, a, b)
             if decided is not None:
                 return decided
-        if term.op in _LOGICAL:  # a true operand decides ``||``, a false one ``&&``
-            decider = term.op == "||"
-            truths = [_truth(r) for r in resolved]
-            if decider in truths:
-                return Concrete(32, int(decider), True)
-            if None not in truths:
-                return Concrete(32, int(not decider), True)
+        if op in _LOGICAL:  # a true operand decides ``||``, a false one ``&&``
+            decider = op == "||"
+            ta, tb = _truth(a), _truth(b)
+            if ta is decider or tb is decider:
+                return _TRUE if decider else _FALSE
+            if ta is not None and tb is not None:
+                return _FALSE if decider else _TRUE
         pointer = None
-        if term.op in ("+", "-") and len(resolved) == 2:
-            a, b = resolved
-            if isinstance(a, Residual) and a.pointer and isinstance(b, Concrete):
+        if b is None:
+            if op.startswith("cast"):
+                pointer = a.pointer
+        elif op == "+" or op == "-":
+            if a.__class__ is Residual and a.pointer and b.__class__ is Concrete:
                 rid, off = a.pointer
                 delta = to_int(b)
-                pointer = (rid, off + delta if term.op == "+" else off - delta)
-            elif term.op == "+" and isinstance(b, Residual) and b.pointer and isinstance(a, Concrete):
+                pointer = (rid, off + delta if op == "+" else off - delta)
+            elif op == "+" and b.__class__ is Residual and b.pointer and a.__class__ is Concrete:
                 rid, off = b.pointer
                 pointer = (rid, off + to_int(a))
-            elif (term.op == "-" and isinstance(a, Residual) and isinstance(b, Residual)
+            elif (op == "-" and a.__class__ is Residual and b.__class__ is Residual
                   and a.pointer and b.pointer and a.pointer[0] == b.pointer[0]):
                 # The region's base, and whatever blocks it, cancels out.
                 return make_concrete(64, a.pointer[1] - b.pointer[1], True)
-        elif term.op.startswith("cast") and isinstance(resolved[0], Residual):
-            pointer = resolved[0].pointer
-        return Residual(vid, tuple(dict.fromkeys(blockers)), pointer)
+        return Residual(vid, blockers, pointer)
 
     # ------------------------------------------------------------ provenance
     def provenance_trace(self, v: Value):

@@ -2,6 +2,7 @@ import dataclasses
 import shutil
 import subprocess
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import local_concrete, make_session, run_function
@@ -204,7 +205,7 @@ def test_greedy_addition_of_constants():
 def test_additive_identity_fold_returns_operand():
     vals = table()
     s = vals.fresh_symbol("s", AT)
-    zero = vals.concrete(32, 0, AT)
+    zero = vals.concrete(32, 0, AT, signed=True)
     assert vals.apply_binop("+", s, zero, AT) is s
     assert vals.apply_binop("+", zero, s, AT) is s
     assert vals.apply_binop("|", s, zero, AT) is s
@@ -212,7 +213,51 @@ def test_additive_identity_fold_returns_operand():
     assert vals.apply_binop("-", s, zero, AT) is s
     assert vals.apply_binop("<<", s, zero, AT) is s
     assert vals.apply_binop(">>", s, zero, AT) is s
-    assert vals.apply_binop("*", s, vals.concrete(32, 1, AT), AT) is s
+    assert vals.apply_binop("*", s, vals.concrete(32, 1, AT, signed=True), AT) is s
+
+
+# (op, constant as (width, bits, signed), side of the constant): an identity
+# whose type the usual conversions give the result: a term, not the operand.
+CONVERTING_IDENTITIES = [
+    ("+", (32, 0, False), 1), ("+", (32, 0, False), 0), ("-", (32, 0, False), 1),
+    ("*", (32, 1, False), 1), ("*", (32, 1, False), 0), ("|", (64, 0, False), 1),
+    ("^", (32, 0, False), 0), ("+", (64, 0, True), 1), ("*", (64, 1, True), 0),
+]
+
+
+@pytest.mark.parametrize("op, const, side", CONVERTING_IDENTITIES)
+def test_identity_of_a_converting_type_builds_a_term(op, const, side):
+    # With x an int, `x + 0u` is unsigned and `x + 0L` is long: a term that
+    # resolves, once x is bound, to what C computes, here for x = -1.
+    vals = table()
+    x = vals.fresh_symbol("x", AT)
+    c = vals.concrete(const[0], const[1], AT, signed=const[2])
+    v = vals.apply_binop(op, *((x, c) if side else (c, x)), AT)
+    assert v is not x
+    vals.concretize(x, make_concrete(32, -1, True), "user-supplied", AT)
+    r = vals.resolve(v)
+    bound = (32, 0xFFFFFFFF, True)
+    assert (r.width, r.bits, r.signed) == oracle_binop(op, *((bound, const) if side else (const, bound)))
+
+
+def test_unsigned_zero_sum_compares_as_c_does():
+    # (x + 0u) < 0 is 0 for every int x, and so for x = -1.
+    vals = table()
+    x = vals.fresh_symbol("x", AT)
+    test = vals.apply_binop("<", vals.apply_binop("+", x, vals.concrete(32, 0, AT), AT),
+                            vals.concrete(32, 0, AT, signed=True), AT)
+    vals.concretize(x, make_concrete(32, -1, True), "user-supplied", AT)
+    assert vals.resolve(test) == make_concrete(32, 0, True)
+
+
+def test_identity_keeps_a_shift_count_or_a_pointer_as_is():
+    vals = table()
+    s = vals.fresh_symbol("s", AT)
+    p = vals.addr_of(3, AT)
+    assert vals.apply_binop("<<", s, vals.concrete(64, 0, AT), AT) is s
+    assert vals.apply_binop(">>", s, vals.concrete(32, 0, AT), AT) is s
+    assert vals.apply_binop("+", p, vals.concrete(64, 0, AT), AT) is p
+    assert vals.apply_binop("+", vals.concrete(32, 0, AT), p, AT) is p
 
 
 def test_zero_folds_produce_concrete_zero():
@@ -376,20 +421,37 @@ def test_memoized_resolve_matches_a_fresh_table(data):
     # Random terms, binds, pointer binds, an mmio base set after addresses in
     # its region exist, and resolves, interleaved: every answer equals the
     # one a fresh table over the same values and bindings computes.
+    # Terms are binary, ``&&`` and ``||`` included, unary or casts, over one
+    # operand twice (``s + s``, whose blockers repeat), or the difference of
+    # two addresses.
     vals = table()
     regions = {}
     vals.region_lookup = regions.get
     roots = [vals.fresh_symbol(f"s{i}", AT) for i in range(4)]
     pool = list(roots) + [vals.addr_of(7, AT), vals.concrete(32, 5, AT)]
-    ops = ["+", "-", "*", "&", "|", "^", "<<", "==", "<"]
+    addresses = [pool[4], vals.apply_binop("+", pool[4], vals.concrete(64, 4, AT, signed=True), AT),
+                 vals.addr_of(2, AT), *roots]
+    ops = ["+", "-", "*", "&", "|", "^", "<<", "==", "<", "&&", "||"]
+    unops = ["!", "~", "neg"] + [(w, signed) for w in (8, 16, 64) for signed in (False, True)]
+    actions = ["term", "resolve", "bind", "pointer", "mmio", "unop", "twice", "difference"]
     for _ in range(data.draw(st.integers(1, 40))):
-        action = data.draw(st.sampled_from(["term", "resolve", "bind", "pointer", "mmio"]))
+        action = data.draw(st.sampled_from(actions))
         root = data.draw(st.sampled_from(roots))
         free = root.id not in vals.bindings and root.id not in vals.pointer_bindings
         if action == "term":
             op = data.draw(st.sampled_from(ops))
             pool.append(vals.apply_binop(op, data.draw(st.sampled_from(pool)),
                                          data.draw(st.sampled_from(pool)), AT))
+        elif action == "unop":
+            op, v = data.draw(st.sampled_from(unops)), data.draw(st.sampled_from(pool))
+            pool.append(vals.apply_unop(op, v, AT) if isinstance(op, str)
+                        else vals.apply_cast(v, *op, AT))
+        elif action == "twice":
+            v = data.draw(st.sampled_from(pool))
+            pool.append(vals.apply_binop(data.draw(st.sampled_from(ops)), v, v, AT))
+        elif action == "difference":
+            pool.append(vals.apply_binop("-", data.draw(st.sampled_from(addresses)),
+                                         data.draw(st.sampled_from(addresses)), AT))
         elif action == "bind" and free:
             vals.concretize(root, make_concrete(32, data.draw(st.integers(0, 9))),
                             "user-supplied", AT)
@@ -399,10 +461,71 @@ def test_memoized_resolve_matches_a_fresh_table(data):
             regions[7] = Region(7, "mmio", "mmio", display_base=root.id)
             vals.forget_residuals()
         elif action == "resolve":
-            v = data.draw(st.sampled_from(pool))
-            assert vals.resolve(v) == unmemoized_copy(vals).resolve(v)
+            assert_resolves_as_a_fresh_table(vals, data.draw(st.sampled_from(pool)))
     for v in pool:
-        assert vals.resolve(v) == unmemoized_copy(vals).resolve(v)
+        assert_resolves_as_a_fresh_table(vals, v)
+
+
+def assert_resolves_as_a_fresh_table(vals, v):
+    r = vals.resolve(v)
+    assert r == unmemoized_copy(vals).resolve(v)
+    if isinstance(r, Residual):
+        assert len(set(r.blockers)) == len(r.blockers), r
+
+
+ACCUMULATE = {"acc.c": """\
+int g(int);
+void acc(void) {
+    int x = g(1);
+    int i;
+    for (i = 0; i < 40; i++)
+        x = x + i;
+}
+"""}
+
+
+class WriteCountingMemo(dict):
+    """A resolve memo that counts the writes to each value id."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = Counter()
+
+    def __setitem__(self, vid, result):
+        self.writes[vid] += 1
+        super().__setitem__(vid, result)
+
+
+def test_resolve_takes_one_step_until_a_binding_makes_a_chain_stale(monkeypatch):
+    # Building a term resolves its operands, so each value's first resolve
+    # folds it from memoized results and never enters the fold loop. A
+    # binding makes the chain stale: one resolve walks it, memoizing each
+    # stale value once, and every other value is then one step again.
+    entered = []
+    fold = ValueTable._fold
+
+    def counted_fold(self, root, pending):
+        entered.append(root)
+        fold(self, root, pending)
+
+    monkeypatch.setattr(ValueTable, "_fold", counted_fold)
+    session, interp = make_session(ACCUMULATE)
+    frame = run_function(session, interp, "acc")
+    vals = session.values
+    for vid in range(len(vals)):
+        vals.resolve(vid)
+    assert entered == []
+    stale = list(vals._residual_ids)
+    assert len(stale) == 40  # g's result and 39 sums: x + 0 is x
+    vals._memo = WriteCountingMemo(vals._memo)
+    x = next(v for v in vals._values if isinstance(v.payload, SymbolRoot))
+    vals.concretize(x, make_concrete(32, 5, True), "user-supplied", AT)
+    assert local_concrete(session, frame, "x") == 5 + sum(range(40))
+    assert len(entered) == 1
+    for vid in range(len(vals)):
+        vals.resolve(vid)
+    assert len(entered) == 1
+    assert vals._memo.writes == Counter(stale)
 
 
 def test_same_region_difference_folds_when_the_base_is_symbolic():
