@@ -451,10 +451,9 @@ class Interp:
         if info is not None:
             return (f"Line {site_line}: Could not verbose because missing "
                     f"{info.call_text} on line {info.line}")
-        val = vals.get(blocker)
-        label = val.payload.label if isinstance(val.payload, SymbolRoot) else f"v{blocker}"
+        root = vals.get(blocker)
         return (f"Line {site_line}: Could not verbose because missing "
-                f"{label} on line {val.prov.line}")
+                f"{root.payload.label} on line {root.line}")
 
     # ----------------------------------------------------------- value views
     def display_value(self, v: Value):
@@ -816,8 +815,7 @@ class Interp:
             return
         if not hasattr(payload, "op") or payload.op not in ("==", "!="):
             return
-        a = vals.get(payload.operands[0])
-        b = vals.get(payload.operands[1])
+        a, b = payload.operands
         ra, rb = vals.resolve(a), vals.resolve(b)
         sym = conc = None
         if isinstance(a.payload, SymbolRoot) and a.id not in vals.bindings \
@@ -857,8 +855,7 @@ class Interp:
         # a pointer+offset term) becomes a fresh region.
         if len(r.blockers) == 1:
             blocker = s.values.get(r.blockers[0])
-            if isinstance(blocker.payload, SymbolRoot) \
-                    and blocker.id not in s.values.bindings \
+            if blocker.id not in s.values.bindings \
                     and blocker.id not in s.values.pointer_bindings:
                 self._materialize(blocker, at)
                 r = s.values.resolve(ptr)
@@ -936,9 +933,9 @@ class Interp:
         if frame.is_snippet:
             if name == "opaque":
                 return s.values.fresh_symbol(f"opaque@{at[0]}:{at[1]}", at, s.values.blame)
-            vid = frame.value_bindings.get(name)
-            if vid is not None:
-                return s.values.get(vid)
+            v = frame.value_bindings.get(name)
+            if v is not None:
+                return v
         place = frame.locals.get(name) or s.globals.get(name)
         if place is None:
             decl = s.global_decls.get(name)
@@ -1110,7 +1107,7 @@ class Interp:
         for digits in placeholders:
             if int(digits) >= len(args):
                 raise EvalError(f"snippet {template!r}: no argument {{{digits}}}")
-            frame.value_bindings[f"__ssi_arg{digits}"] = args[int(digits)].id
+            frame.value_bindings[f"__ssi_arg{digits}"] = args[int(digits)]
         s.frames.append(frame)
         try:
             self.exec_block(parse_hole_as_block(s.corpus, hole, s.rules), frame)
@@ -1131,7 +1128,7 @@ class Interp:
     def map_mmio(self, label: str, base_value: Value, size=None,
                  at=("<hook>", 0)) -> Value:
         region = self.s.store.alloc_region(label, MMIO, size=size)
-        region.display_base = base_value.id
+        region.display_base = base_value
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
 
     def string_value(self, token: tk.Token, file_id: str, at) -> Value:
@@ -1488,7 +1485,7 @@ class _Compiler:
             a = lhs(frame)
             if vals.truth(a) is decider:
                 return vals.concrete(32, int(decider), at, signed=True, desc=op,
-                                     parents=(a.id,))
+                                     parents=(a,))
             return vals.apply_binop(op, a, rhs(frame), at)
 
         return logical

@@ -35,7 +35,7 @@ class Region:
     label: str
     kind: str
     size: int | None = None
-    display_base: int | None = None  # value id of the rendered base (mmio)
+    display_base: Value | None = None  # the rendered base (mmio)
 
 
 class Location(Record):

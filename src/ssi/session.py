@@ -68,7 +68,7 @@ class Place:
 class Frame:
     function: str
     locals: dict[str, Place] = field(default_factory=dict)
-    value_bindings: dict[str, int] = field(default_factory=dict)  # snippet placeholders
+    value_bindings: dict[str, Value] = field(default_factory=dict)  # snippet placeholders
     is_snippet: bool = False
 
 

@@ -4,8 +4,14 @@ Values are concrete bit-vectors, symbolic roots, or term compositions over
 earlier values. Operations compute concretely whenever every operand resolves
 to a constant (following any bindings learned since the operands were
 created); otherwise they build a term. Every value records where and how it
-was created, so a full provenance trace is always available, and resolution
-failures report exactly which unbound roots are blocking.
+was created, and from which values, so a full provenance trace is always
+available, and resolution failures report exactly which unbound roots are
+blocking.
+
+Values point at values: a term holds its operand Values, and a value its
+parent Values, so a value that nothing holds is freed by reference counting.
+The table keeps a mint counter for ids and, by id, only the symbol roots
+that bindings, blockers and unmodeled calls name.
 
 Widths are 8/16/32/64 bits with two's-complement wraparound. An operand
 narrower than 32 bits is promoted to a signed 32-bit int of the same value
@@ -19,11 +25,11 @@ binary operator has one kernel over two constants (``BINARY_KERNELS``), the
 only arithmetic, whether the operands are constants when the operation runs
 or resolve to constants later.
 
-Resolution is memoized. Building a term resolves its operands, so a value's
-first resolve takes one step: its result from its operands' memoized
-results. A binding, a pointer binding or an mmio base forgets every
-memoized Residual, and only a chain made stale that way is walked, operands
-first, by a loop over the same step.
+Resolution is memoized in each value's ``memo`` slot. Building a term
+resolves its operands, so a value's first resolve takes one step: its result
+from its operands' memoized results. A binding, a pointer binding or an mmio
+base forgets every memoized Residual, and only a chain made stale that way
+is walked, operands first, by a loop over the same step.
 """
 
 from __future__ import annotations
@@ -90,31 +96,51 @@ class SymbolRoot(Record):
 
 
 class Term(Record):
+    """``op`` over its ``operands``, the Values it was built from (all
+    minted earlier), or the address of ``region`` (``OP_ADDR``, no
+    operands). The value minted for a term has the operand tuple itself as
+    its ``parents``."""
+
     __slots__ = ("op", "operands", "region")
 
-    def __init__(self, op: str, operands: tuple[int, ...], region: int | None = None):
+    def __init__(self, op: str, operands: tuple[Value, ...], region: int | None = None):
         self.op = op
-        self.operands = operands  # value ids, all created earlier
+        self.operands = operands
         self.region = region      # only for addr-of-region
+
+
+def _ids(values) -> tuple[int, ...]:
+    return tuple(v.id for v in values)
 
 
 class Value:
     """One minted value: its payload and its provenance, that is where it
     was made (``at``, read as ``file`` and ``line``), how
-    (``op_description``) and from which earlier values (``parents``).
-    Values compare by identity; ids are unique within a table."""
+    (``op_description``) and from which earlier Values (``parents``).
+    ``memo`` holds its ``ValueTable.resolve`` result once there is one.
+    Values compare by identity; ids are unique within a table. The repr
+    names parents and a term's operands by id, since printing them whole
+    would print every ancestor once per path to it."""
 
-    __slots__ = ("id", "payload", "at", "op_description", "parents", "pointee")
-    __repr__ = _fields_repr
+    __slots__ = ("id", "payload", "at", "op_description", "parents", "pointee", "memo")
 
     def __init__(self, id: int, payload, at: tuple[str, int], op_description: str,
-                 parents: tuple[int, ...] = ()):
+                 parents: tuple[Value, ...] = ()):
         self.id = id
         self.payload = payload
         self.at = at  # (file, line), shared by every value a site mints
         self.op_description = op_description
         self.parents = parents
         self.pointee = None  # the ctype.CType a pointer value points at, if known
+        self.memo = None
+
+    def __repr__(self):
+        fields = {f: getattr(self, f) for f in self.__slots__}
+        fields["parents"] = _ids(self.parents)
+        p = self.payload
+        if p.__class__ is Term:
+            fields["payload"] = Term(p.op, _ids(p.operands), p.region)
+        return f"Value({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
 
     @property
     def file(self) -> str:
@@ -123,11 +149,6 @@ class Value:
     @property
     def line(self) -> int:
         return self.at[1]
-
-    @property
-    def prov(self) -> Value:
-        """The provenance fields, read as ``v.prov.line``, ``v.prov.parents``."""
-        return self
 
 
 @dataclass(frozen=True)
@@ -307,34 +328,38 @@ def parse_cast_op(op: str) -> tuple[int, bool]:
 
 
 class ValueTable:
-    """Session-owned store of all values, bindings, and blocker metadata."""
+    """A session's minting of values, its bindings, and blocker metadata.
+
+    It holds no value it has minted except the symbol roots, by id in
+    ``roots``, since bindings, blockers and ``missing_calls`` name them by
+    id; ``len`` counts the values minted. A value's ``resolve`` result is
+    memoized on the value. A Concrete one is final, since bindings only
+    grow; a Residual one holds until a binding is added or an mmio base is
+    set, and its value is listed for forgetting then."""
 
     def __init__(self):
-        self._values: list[Value] = []
+        self._minted = 0
+        self.roots: dict[int, Value] = {}  # symbol id -> its SymbolRoot value
         self.bindings: dict[int, Binding] = {}
-        self.pointer_bindings: dict[int, int] = {}  # symbol id -> pointer value id
+        self.pointer_bindings: dict[int, Value] = {}  # symbol id -> pointer value
         self.missing_calls: dict[int, MissingCall] = {}  # symbol id -> its fresh_symbol cause
         self.blame: MissingCall | None = None  # the modeled call that is running
         self.region_lookup = None  # callable(region_id) -> Region | None
-        # resolve() results kept across calls. A Concrete one is final, since
-        # bindings only grow; a Residual one holds until a binding is added
-        # or an mmio base is set, and its id is listed for forgetting then.
-        self._memo: dict[int, Concrete | Residual] = {}
-        self._residual_ids: list[int] = []
+        self._residuals: list[Value] = []  # the values whose memo is a Residual
 
     def __len__(self):
-        return len(self._values)
+        return self._minted
 
     def get(self, vid: int) -> Value:
-        return self._values[vid]
+        """The symbol root whose id is ``vid``."""
+        return self.roots[vid]
 
     def mint(self, payload, at, desc, parents=()) -> Value:
         """A new value of ``payload``, made at ``at`` (file, line) as
-        ``desc`` from the ``parents`` ids; a payload may be shared, since
+        ``desc`` from the ``parents`` Values; a payload may be shared, since
         none is ever changed."""
-        values = self._values
-        v = Value(len(values), payload, at, desc, parents)
-        values.append(v)
+        v = Value(self._minted, payload, at, desc, parents)
+        self._minted += 1
         return v
 
     # ------------------------------------------------------------------ make
@@ -344,6 +369,7 @@ class ValueTable:
 
     def fresh_symbol(self, label: str, at=_NOWHERE, cause: MissingCall | None = None) -> Value:
         v = self.mint(SymbolRoot(label), at, f"symbol {label}")
+        self.roots[v.id] = v
         if cause is not None:
             self.missing_calls[v.id] = cause
         return v
@@ -364,11 +390,12 @@ class ValueTable:
         if a.__class__ is Concrete and b.__class__ is Concrete:
             if a.width < 32 or b.width < 32:  # C's integer promotions
                 a, b = promoted(a), promoted(b)
-            return self.mint(kernel(a, b), at, op, (lhs.id, rhs.id))
+            return self.mint(kernel(a, b), at, op, (lhs, rhs))
         folded = self._identity_fold(op, lhs, a, rhs, b, at)
         if folded is not None:
             return folded
-        v = self.mint(Term(op, (lhs.id, rhs.id)), at, op, (lhs.id, rhs.id))
+        operands = (lhs, rhs)
+        v = self.mint(Term(op, operands), at, op, operands)
         v.pointee = lhs.pointee or rhs.pointee
         return v
 
@@ -392,7 +419,7 @@ class ValueTable:
                 or r.pointer is not None):
             return other
         if c.bits == 0 and (op == "*" or op == "&"):
-            return self.mint(Concrete(c.width, 0, c.signed), at, op, (lhs.id, rhs.id))
+            return self.mint(Concrete(c.width, 0, c.signed), at, op, (lhs, rhs))
         return None
 
     def apply_unop(self, op: str, operand: Value, at=_NOWHERE) -> Value:
@@ -400,8 +427,9 @@ class ValueTable:
             raise UnsupportedOperation(f"operator {op!r}")
         r = self.resolve(operand)
         if isinstance(r, Concrete):
-            return self.mint(concrete_unop(op, r), at, op, (operand.id,))
-        v = self.mint(Term(op, (operand.id,)), at, op, (operand.id,))
+            return self.mint(concrete_unop(op, r), at, op, (operand,))
+        operands = (operand,)
+        v = self.mint(Term(op, operands), at, op, operands)
         if op.startswith("cast"):
             v.pointee = operand.pointee
         return v
@@ -437,16 +465,15 @@ class ValueTable:
                 f"{symbol.payload.label} already bound to a constant"
             )
         if symbol.id not in self.pointer_bindings:
-            self.pointer_bindings[symbol.id] = pointer.id
+            self.pointer_bindings[symbol.id] = pointer
             self.forget_residuals()
 
     def forget_residuals(self) -> None:
         """Drop memoized Residual results; call when what they depend on
         (bindings, an mmio region's displayed base) changes."""
-        memo = self._memo
-        for vid in self._residual_ids:
-            del memo[vid]
-        self._residual_ids.clear()
+        for v in self._residuals:
+            v.memo = None
+        self._residuals.clear()
 
     # ------------------------------------------------------------- resolving
     def truth(self, v) -> bool | None:
@@ -454,14 +481,14 @@ class ValueTable:
         that nothing blocks is (it is never 0); None when neither rule holds."""
         return _truth(self.resolve(v))
 
-    def resolve(self, v) -> Concrete | Residual:
+    def resolve(self, value: Value) -> Concrete | Residual:
         """Fold a value as far as possible, iteratively (no recursion).
 
         Returns a Concrete, or a Residual naming every unbound root that
         blocks concrete resolution. Address-of values always resolve to a
         Residual carrying their (region, offset); an mmio region's displayed
         base participates, so its blockers propagate into addresses. A
-        constant is its own result and never enters the memo.
+        constant is its own result and is never memoized.
 
         A memo miss takes one step (``_step``): a term's result comes from
         its operands' results, which are constants or memoized already,
@@ -469,31 +496,28 @@ class ValueTable:
         binding, a pointer binding or an mmio base made stale has operands
         that are not, and ``_fold`` walks it.
         """
-        value = v if v.__class__ is Value else self._values[v]
         payload = value.payload
         if payload.__class__ is Concrete:
             return payload
-        root = value.id
-        out = self._memo.get(root)
+        out = value.memo
         if out is None:
-            out = self._step(root, payload)
+            out = self._step(value, payload)
             if out.__class__ is tuple:
-                self._fold(root, out)
-                out = self._memo[root]
-        if out.__class__ is Residual and out.value_id != root:
-            out = Residual(root, out.blockers, out.pointer)
+                self._fold(value, out)
+                out = value.memo
         return out
 
-    def _step(self, vid, payload):
-        """One step of resolving the non-constant, unmemoized value ``vid``
-        of ``payload``: its result, memoized, when every value it reads is a
-        constant or memoized; else the tuple of the ids it waits on.
+    def _step(self, v, payload):
+        """One step of resolving the non-constant, unmemoized value ``v`` of
+        ``payload``: its result, memoized, when every value it reads is a
+        constant or memoized; else the tuple of the values it waits on.
 
-        A root reads its binding or its pointer's result, an address is a
-        Residual of (region, 0), blocked by its mmio base's blockers if it
-        has one, and a term combines its operands' results."""
-        values, memo = self._values, self._memo
+        A root reads its binding or its pointer's result (a Residual of the
+        root's own id), an address is a Residual of (region, 0), blocked by
+        its mmio base's blockers if it has one, and a term combines its
+        operands' results."""
         if payload.__class__ is SymbolRoot:
+            vid = v.id
             b = self.bindings.get(vid)
             p = self.pointer_bindings.get(vid)
             if b is not None:
@@ -501,63 +525,65 @@ class ValueTable:
             elif p is None:
                 r = Residual(vid, (vid,))
             else:
-                r = values[p].payload
+                r = p.payload
                 if r.__class__ is not Concrete:
-                    r = memo.get(p)
+                    r = p.memo
                     if r is None:
                         return (p,)
+                    if r.__class__ is Residual:
+                        r = Residual(vid, r.blockers, r.pointer)
         elif payload.op == OP_ADDR:
             base = self._mmio_base(payload.region)
             if base is None:
-                r = Residual(vid, (), (payload.region, 0))
+                r = Residual(v.id, (), (payload.region, 0))
             else:
-                m = values[base].payload
+                m = base.payload
                 if m.__class__ is not Concrete:
-                    m = memo.get(base)
+                    m = base.memo
                     if m is None:
                         return (base,)
                 blockers = () if m.__class__ is Concrete else m.blockers
-                r = Residual(vid, blockers, (payload.region, 0))
+                r = Residual(v.id, blockers, (payload.region, 0))
         else:
             operands = payload.operands
             if len(operands) == 2:
                 x, y = operands
-                a = values[x].payload
+                a = x.payload
                 if a.__class__ is not Concrete:
-                    a = memo.get(x)
-                b = values[y].payload
+                    a = x.memo
+                b = y.payload
                 if b.__class__ is not Concrete:
-                    b = memo.get(y)
+                    b = y.memo
                 if a is None:
-                    return (x,) if b is not None else (x, y)
+                    return operands if b is None else (x,)
                 if b is None:
                     return (y,)
-                r = self._combine(vid, payload.op, a, b)
+                r = self._combine(v.id, payload.op, a, b)
             else:
                 x, = operands
-                a = values[x].payload
+                a = x.payload
                 if a.__class__ is not Concrete:
-                    a = memo.get(x)
+                    a = x.memo
                     if a is None:
-                        return (x,)
-                r = self._combine(vid, payload.op, a)
-        memo[vid] = r
+                        return operands
+                r = self._combine(v.id, payload.op, a)
+        v.memo = r
         if r.__class__ is Residual:
-            self._residual_ids.append(vid)
+            self._residuals.append(v)
         return r
 
-    def _fold(self, root: int, pending: tuple[int, ...]) -> None:
+    def _fold(self, root: Value, pending: tuple[Value, ...]) -> None:
         """Memoize the result of ``root``, whose step waits on the
-        ``pending`` ids, and of every value it depends on that is not
+        ``pending`` values, and of every value it depends on that is not
         memoized yet: the ``_step`` of each, operands first, on a stack."""
-        values, memo, step = self._values, self._memo, self._step
+        step = self._step
         stack = [root, *pending]
         while stack:
-            vid = stack[-1]
-            if vid in memo:
+            v = stack[-1]
+            if v.memo is not None:
                 stack.pop()
                 continue
-            r = step(vid, values[vid].payload)
+            r = step(v, v.payload)
             if r.__class__ is tuple:
                 stack.extend(r)
             else:
@@ -646,33 +672,27 @@ class ValueTable:
         return Residual(vid, blockers, pointer)
 
     # ------------------------------------------------------------ provenance
-    def provenance_trace(self, v: Value):
+    @staticmethod
+    def provenance_trace(v: Value):
         """Topologically ordered ancestry from roots to ``v``.
 
         Each entry is (value id, (file, line), op description, parent ids);
         creation order is a topological order because operands always predate
         the terms built over them.
         """
-        seen = set()
-        frontier = [v.id]
+        seen = {}
+        frontier = [v]
         while frontier:
-            vid = frontier.pop()
-            if vid in seen:
-                continue
-            seen.add(vid)
-            frontier.extend(self._values[vid].prov.parents)
-        out = []
-        for vid in sorted(seen):
-            val = self._values[vid]
-            out.append((vid, val.at, val.op_description, val.parents))
-        return out
+            x = frontier.pop()
+            if x.id not in seen:
+                seen[x.id] = x
+                frontier.extend(x.parents)
+        return [(vid, x.at, x.op_description, _ids(x.parents))
+                for vid, x in sorted(seen.items())]
 
     def labels_for(self, blocker_ids) -> list[str]:
-        out = []
-        for b in blocker_ids:
-            payload = self._values[b].payload
-            out.append(payload.label if isinstance(payload, SymbolRoot) else f"v{b}")
-        return out
+        """The labels of the symbol roots whose ids are ``blocker_ids``."""
+        return [self.roots[b].payload.label for b in blocker_ids]
 
     @staticmethod
     def blocker_text(labels) -> str:

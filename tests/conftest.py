@@ -23,7 +23,7 @@ from ssi.islands import Corpus, parse_hole_as_block  # noqa: e402
 from ssi.memory import Location  # noqa: e402
 from ssi.repl import Repl  # noqa: e402
 from ssi.session import Frame, Session  # noqa: e402
-from ssi.values import Concrete, to_int  # noqa: e402
+from ssi.values import Concrete, ValueTable, to_int  # noqa: e402
 
 
 def make_session(sources, **kwargs):
@@ -44,6 +44,21 @@ def run_function(session, interp, name, args=()):
     interp.exec_block(nodes, frame)
     session.frames.pop()
     return frame
+
+
+def record_mints(monkeypatch):
+    """The list of every Value minted from now on, in order: each
+    ``ValueTable.mint`` is kept, and so kept alive, as it returns."""
+    minted = []
+    mint = ValueTable.mint
+
+    def recording(self, *args, **kwargs):
+        v = mint(self, *args, **kwargs)
+        minted.append(v)
+        return v
+
+    monkeypatch.setattr(ValueTable, "mint", recording)
+    return minted
 
 
 def local_concrete(session, frame, name):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import ssi.tokens as tk
-from conftest import local_concrete, make_session, run_function
+from conftest import local_concrete, make_session, record_mints, run_function
 from ssi.errors import SchemaError, UnsupportedOperation
 from ssi.hooks import HookContext, load_declarative_model, parse_value_sexpr
 from ssi.interp import CallSite
@@ -182,7 +182,8 @@ def test_load_declarative_count_and_return_constant(tmp_path):
     assert to_int(session.values.resolve(v)) == 77
 
 
-def test_declarative_return_symbol_and_log_args(tmp_path):
+def test_declarative_return_symbol_and_log_args(tmp_path, monkeypatch):
+    minted = record_mints(monkeypatch)
     session, interp = make_session(
         {"t.c": "void f(void) { int x = roll(); note(1, 2); }"})
     path = write_model(tmp_path, {"models": [
@@ -191,9 +192,7 @@ def test_declarative_return_symbol_and_log_args(tmp_path):
     ]})
     assert load_declarative_model(session, path) == 2
     run_function(session, interp, "f")
-    labels = [session.values.get(i).payload.label
-              for i in range(len(session.values))
-              if isinstance(session.values.get(i).payload, SymbolRoot)]
+    labels = [v.payload.label for v in minted if isinstance(v.payload, SymbolRoot)]
     assert "dice" in labels
     assert any(e.kind == "diagnostic" and e.message == "noted: 1, 2"
                for e in session.events)

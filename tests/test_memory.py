@@ -153,7 +153,7 @@ def test_layout_source_consulted_once():
 def test_mmio_region_carries_display_base():
     vals, store = fresh()
     region = store.alloc_region("ioremap:gpio", MMIO, size=0xB4)
-    region.display_base = vals.concrete(32, 0x7E200000, AT).id
+    region.display_base = vals.concrete(32, 0x7E200000, AT)
     ptr = vals.addr_of(region.id, AT)
     r = vals.resolve(ptr)
     assert r.pointer == (region.id, 0)

@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import shutil
 import subprocess
 import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import local_concrete, make_session, run_function
+from conftest import local_concrete, make_session, record_mints, run_function
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +18,12 @@ from ssi.errors import (
 from ssi.memory import Location, Region
 from ssi.session import Place
 from ssi.values import (
+    OP_ADDR,
     Concrete,
     Residual,
     SymbolRoot,
     Term,
+    Value,
     ValueTable,
     make_concrete,
     to_int,
@@ -267,7 +270,7 @@ def test_zero_folds_produce_concrete_zero():
     for op in ("*", "&"):
         out = vals.apply_binop(op, s, zero, AT)
         assert isinstance(out.payload, Concrete) and out.payload.bits == 0
-        assert out.prov.parents == (s.id, zero.id)
+        assert out.parents == (s, zero)
 
 
 @settings(max_examples=300)
@@ -405,14 +408,43 @@ def test_residual_completeness(data):
     assert isinstance(vals.resolve(top), Concrete)
 
 
-def unmemoized_copy(vals):
-    """A table over the same values and bindings with nothing memoized."""
-    fresh = ValueTable()
-    fresh._values = vals._values
-    fresh.bindings = dict(vals.bindings)
-    fresh.pointer_bindings = dict(vals.pointer_bindings)
-    fresh.region_lookup = vals.region_lookup
-    return fresh
+def readable_from(vals, v):
+    """Every value whose memo ``vals.resolve(v)`` may read: ``v``, and from
+    each value its operands, its pointer binding and its mmio base."""
+    seen, work = {}, [v]
+    while work:
+        x = work.pop()
+        if x.id in seen:
+            continue
+        seen[x.id] = x
+        p = x.payload
+        if isinstance(p, SymbolRoot):
+            pointer = vals.pointer_bindings.get(x.id)
+            if pointer is not None:
+                work.append(pointer)
+        elif isinstance(p, Term) and p.op == OP_ADDR:
+            region = vals.region_lookup and vals.region_lookup(p.region)
+            base = getattr(region, "display_base", None)
+            if base is not None:
+                work.append(base)
+        elif isinstance(p, Term):
+            work.extend(p.operands)
+    return list(seen.values())
+
+
+def resolve_unmemoized(vals, v):
+    """``vals.resolve(v)`` with nothing memoized that it may read; every
+    memo it clears, and the list of residuals, are put back after."""
+    readable = readable_from(vals, v)
+    memos, residuals = [x.memo for x in readable], list(vals._residuals)
+    for x in readable:
+        x.memo = None
+    try:
+        return vals.resolve(v)
+    finally:
+        for x, memo in zip(readable, memos):
+            x.memo = memo
+        vals._residuals[:] = residuals
 
 
 @settings(max_examples=200)
@@ -420,7 +452,7 @@ def unmemoized_copy(vals):
 def test_memoized_resolve_matches_a_fresh_table(data):
     # Random terms, binds, pointer binds, an mmio base set after addresses in
     # its region exist, and resolves, interleaved: every answer equals the
-    # one a fresh table over the same values and bindings computes.
+    # one the same table computes with nothing memoized.
     # Terms are binary, ``&&`` and ``||`` included, unary or casts, over one
     # operand twice (``s + s``, whose blockers repeat), or the difference of
     # two addresses.
@@ -458,17 +490,17 @@ def test_memoized_resolve_matches_a_fresh_table(data):
         elif action == "pointer" and free:
             vals.bind_pointer(root, vals.addr_of(data.draw(st.integers(1, 3)), AT))
         elif action == "mmio" and 7 not in regions:
-            regions[7] = Region(7, "mmio", "mmio", display_base=root.id)
+            regions[7] = Region(7, "mmio", "mmio", display_base=root)
             vals.forget_residuals()
         elif action == "resolve":
-            assert_resolves_as_a_fresh_table(vals, data.draw(st.sampled_from(pool)))
+            assert_resolves_as_unmemoized(vals, data.draw(st.sampled_from(pool)))
     for v in pool:
-        assert_resolves_as_a_fresh_table(vals, v)
+        assert_resolves_as_unmemoized(vals, v)
 
 
-def assert_resolves_as_a_fresh_table(vals, v):
+def assert_resolves_as_unmemoized(vals, v):
     r = vals.resolve(v)
-    assert r == unmemoized_copy(vals).resolve(v)
+    assert r == resolve_unmemoized(vals, v)
     if isinstance(r, Residual):
         assert len(set(r.blockers)) == len(r.blockers), r
 
@@ -484,48 +516,45 @@ void acc(void) {
 """}
 
 
-class WriteCountingMemo(dict):
-    """A resolve memo that counts the writes to each value id."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.writes = Counter()
-
-    def __setitem__(self, vid, result):
-        self.writes[vid] += 1
-        super().__setitem__(vid, result)
-
-
 def test_resolve_takes_one_step_until_a_binding_makes_a_chain_stale(monkeypatch):
     # Building a term resolves its operands, so each value's first resolve
     # folds it from memoized results and never enters the fold loop. A
     # binding makes the chain stale: one resolve walks it, memoizing each
     # stale value once, and every other value is then one step again.
     entered = []
-    fold = ValueTable._fold
+    memoized = Counter()  # per value, the steps that gave it its result
+    fold, step = ValueTable._fold, ValueTable._step
 
     def counted_fold(self, root, pending):
         entered.append(root)
         fold(self, root, pending)
 
+    def counted_step(self, v, payload):
+        r = step(self, v, payload)
+        if r.__class__ is not tuple:
+            memoized[v] += 1
+        return r
+
     monkeypatch.setattr(ValueTable, "_fold", counted_fold)
+    monkeypatch.setattr(ValueTable, "_step", counted_step)
+    minted = record_mints(monkeypatch)
     session, interp = make_session(ACCUMULATE)
     frame = run_function(session, interp, "acc")
     vals = session.values
-    for vid in range(len(vals)):
-        vals.resolve(vid)
+    for v in minted:
+        vals.resolve(v)
     assert entered == []
-    stale = list(vals._residual_ids)
+    stale = list(vals._residuals)
     assert len(stale) == 40  # g's result and 39 sums: x + 0 is x
-    vals._memo = WriteCountingMemo(vals._memo)
-    x = next(v for v in vals._values if isinstance(v.payload, SymbolRoot))
+    memoized.clear()
+    x = next(v for v in minted if isinstance(v.payload, SymbolRoot))
     vals.concretize(x, make_concrete(32, 5, True), "user-supplied", AT)
     assert local_concrete(session, frame, "x") == 5 + sum(range(40))
     assert len(entered) == 1
-    for vid in range(len(vals)):
-        vals.resolve(vid)
+    for v in minted:
+        vals.resolve(v)
     assert len(entered) == 1
-    assert vals._memo.writes == Counter(stale)
+    assert memoized == Counter(stale)
 
 
 def test_same_region_difference_folds_when_the_base_is_symbolic():
@@ -540,10 +569,10 @@ def test_same_region_difference_folds_when_the_base_is_symbolic():
     four = vals.apply_binop("+", a, vals.concrete(64, 4, AT), AT)
     early, late = vals.apply_binop("-", a, a, AT), vals.apply_binop("-", four, a, AT)
     assert vals.resolve(early) == make_concrete(64, 0, True)
-    regions[7] = Region(7, "mmio", "mmio", display_base=base.id)
+    regions[7] = Region(7, "mmio", "mmio", display_base=base)
     vals.forget_residuals()
     for v, distance in ((early, 0), (late, 4)):
-        assert vals.resolve(v) == unmemoized_copy(vals).resolve(v) \
+        assert vals.resolve(v) == resolve_unmemoized(vals, v) \
             == make_concrete(64, distance, True)
 
 
@@ -568,15 +597,15 @@ def test_trace_of_sum_lists_creations_in_order():
     assert trace[-1][1] == ("t.c", 2)
 
 
-def oracle_ancestors(vals, vid):
+def oracle_ancestors(v):
     seen = set()
-    work = [vid]
+    work = [v]
     while work:
-        v = work.pop()
-        if v in seen:
+        x = work.pop()
+        if x.id in seen:
             continue
-        seen.add(v)
-        work.extend(vals.get(v).prov.parents)
+        seen.add(x.id)
+        work.extend(x.parents)
     return seen
 
 
@@ -592,7 +621,7 @@ def test_trace_length_equals_ancestor_count_and_dag_acyclic(data):
         pool.append(vals.apply_binop(op, a, b, AT))
     v = data.draw(st.sampled_from(pool))
     trace = vals.provenance_trace(v)
-    assert len(trace) == len(oracle_ancestors(vals, v.id))
+    assert len(trace) == len(oracle_ancestors(v))
     # Acyclicity: every parent id is strictly smaller than its child's id.
     for vid, _pos, _desc, parents in trace:
         assert all(p < vid for p in parents)
@@ -619,11 +648,13 @@ def test_minted_records_have_no_instance_dict():
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
 
 
-def test_concrete_loop_leaves_the_resolve_memo_empty():
+def test_concrete_loop_leaves_the_resolve_memo_empty(monkeypatch):
+    minted = record_mints(monkeypatch)
     session, interp = make_session(CONCRETE_LOOP)
     run_function(session, interp, "loop")
-    assert len(session.values) > 7000
-    assert session.values._memo == {}
+    assert len(session.values) == len(minted) > 7000
+    assert [v for v in minted if v.memo is not None] == []
+    assert session.values._residuals == []
 
 
 def test_concrete_loop_mints_a_fixed_number_of_values():
@@ -634,8 +665,57 @@ def test_concrete_loop_mints_a_fixed_number_of_values():
     assert len(session.values) == 7004
 
 
+def live_values() -> int:
+    return sum(1 for o in gc.get_objects() if type(o) is Value)
+
+
+def test_concrete_loop_leaves_only_what_its_cells_hold_live():
+    # Of the 7,004 values minted, the 1,001 loop tests and the 1,001
+    # literals 1000 they compare with are held by nothing once tested, and
+    # are freed; the values the cells hold, with their ancestors, stay.
+    gc.collect()
+    before = live_values()
+    session, interp = make_session(CONCRETE_LOOP)
+    run_function(session, interp, "loop")
+    gc.collect()
+    assert live_values() - before == 5002
+
+
+def test_a_deep_chain_is_resolved_and_freed_by_reference_counting():
+    # 300,000 steps of ``x + 1``: a binding makes the whole chain stale, so
+    # resolving it walks every step, and dropping it frees every value, with
+    # the cyclic collector off, and no recursion either way.
+    gc.collect()
+    before = live_values()
+    gc.disable()
+    try:
+        vals = table()
+        v = x = vals.fresh_symbol("x", AT)
+        one = vals.concrete(32, 1, AT)
+        for _ in range(300_000):
+            v = vals.apply_binop("+", v, one, AT)
+        vals.concretize(x, make_concrete(32, 2), "user-supplied", AT)
+        assert to_int(vals.resolve(v)) == 300_002
+        del v, x, one, vals
+        assert live_values() == before
+    finally:
+        gc.enable()
+
+
+def test_a_term_holds_its_operands_once_and_prints_them_by_id():
+    vals = table()
+    v = vals.fresh_symbol("x", AT)
+    for _ in range(40):
+        v = vals.apply_binop("+", v, vals.concrete(32, 1, AT), AT)
+    x, one = v.payload.operands
+    assert v.parents is v.payload.operands and one.payload == Concrete(32, 1)
+    text = repr(v)
+    assert f"operands=({x.id}, {one.id})" in text and f"parents=({x.id}, {one.id})" in text
+    assert len(text) < 300
+
+
 def test_bytes_per_minted_value():
-    # A fresh session, compilation included: 178 B per value measured, and
+    # A fresh session, compilation included: 139.7 B per value measured, and
     # the bound leaves 10% over it.
     tracemalloc.start()
     try:
@@ -645,7 +725,7 @@ def test_bytes_per_minted_value():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown / len(session.values) < 196
+    assert grown / len(session.values) < 154
 
 
 # The frozen dataclasses the slotted records replaced, as the reference for
