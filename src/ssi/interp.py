@@ -15,6 +15,14 @@ function definition, or a symbolic fallback that records a missing-model
 event and returns a fresh symbol. Fresh symbols minted inside a call remember
 it, so that diagnostics name the API function a value is waiting on.
 
+A local or parameter of integer or pointer type is held: its ``Place`` keeps
+its value, and ``load_place`` and ``store_place`` read and write it there
+under the same rules as a cell (``_converted``, ``_pin``, one fresh symbol
+for an unset one). The first ``&`` of it, or a ``.`` on it, moves it into the
+store (``Store.spill``); no pointer to it can exist before, so no token is
+scanned ahead for an ``&``. A call or snippet drops its held locals from
+``Store.held`` when it returns. Arrays, structs and unions are regions.
+
 A C call nests seven Python frames (``call_named``, ``call_function_def``,
 ``exec_block``, ``exec_node``, the runner and the expression's closures), so
 C recursion runs about 140 deep under Python's default recursion limit; past
@@ -65,8 +73,8 @@ from .islands import (
     WhileNode,
     parse_hole_as_block,
 )
-from .ctype import (ARRAY, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations, _punct_at,
-                    _starts_declaration, count_of, parse_int_literal)
+from .ctype import (ARRAY, BASE, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations,
+                    _punct_at, _starts_declaration, count_of, parse_int_literal)
 from .memory import MMIO, OPAQUE, STACK, STATIC, Layout
 from .session import (
     ASK,
@@ -402,6 +410,7 @@ class Interp:
         s = self.s
         frame = Frame(fdef.name)
         at = site.at
+        since = s.store.next_region  # this call's held locals take ids from here
         for k, (name, ctype) in enumerate(self._params(fdef)):
             if name is None:
                 continue
@@ -416,6 +425,7 @@ class Interp:
                 s.corpus, body, s.rules, s.on_parse), frame)
         finally:
             s.frames.pop()
+            s.store.release(since)
         if sig.kind == GOTO:
             raise EvalError(f"goto target not found: {sig.label}", line=site.line)
         if sig.kind == RETURN and sig.value is not None:
@@ -701,8 +711,13 @@ class Interp:
         return declare
 
     def _allocate(self, name, ctype, kind) -> Place:
-        """A region for a variable of type ``ctype``, and its Place."""
+        """The Place of a variable of type ``ctype``: a held one, under a
+        reserved region id, for a local integer or pointer; else a region."""
         store = self.s.store
+        if kind is STACK and (ctype.pointer or ctype.kind is BASE and not ctype.tag):
+            rid = store.reserve()
+            place = store.held[rid] = Place(rid, None, 0, name, ctype, False, True)
+            return place
         region = store.alloc_region(name, kind, size=store.size_of(ctype))
         return Place(region.id, None, 0, name, ctype)
 
@@ -883,22 +898,32 @@ class Interp:
         return rid, off
 
     def load_place(self, place: Place, at) -> Value:
-        v = self.s.store.load((place.region, place.offset) if place.region is not None
-                              else self._through(place.ptr, place.offset, at), at=at)
+        if place.held:
+            v = place.value
+            if v is None:
+                v = self.s.store.fresh(place, at)
+        else:
+            v = self.s.store.load((place.region, place.offset) if place.region is not None
+                                  else self._through(place.ptr, place.offset, at), at=at)
         t = place.type
         if t.pointer:
             _pin(v, t.elem)
         return v
 
     def store_place(self, place: Place, value: Value, at):
-        cell = (place.region, place.offset) if place.region is not None \
-            else self._through(place.ptr, place.offset, at)
+        held = place.held
+        if not held:  # the cell is found (``_through`` may mint) before converting
+            cell = (place.region, place.offset) if place.region is not None \
+                else self._through(place.ptr, place.offset, at)
         t = place.type
         if t.converts:
             value = self._converted(value, t, at)
         elif t.pointer:
             _pin(value, t.elem)
-        self.s.store.store(cell, value)
+        if held:
+            place.value = value
+        else:
+            self.s.store.store(cell, value)
 
     def _converted(self, value: Value, t: CType, at) -> Value:
         """``value`` as a variable of the narrow or unsigned integer type
@@ -1076,6 +1101,8 @@ class Interp:
         if arrow:
             region, ptr, offset, stype = self._pointee(base, at)
         else:
+            if base.held:  # ``x.f`` on a scalar: a member of its region's own
+                self.s.store.spill(base)
             region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
         if region is None:
             region, offset = self._through(ptr, offset, at)
@@ -1104,6 +1131,7 @@ class Interp:
                                         dict.fromkeys(re.findall(r"\{(\d+)\}", template)))
         hole, placeholders = self._snippets[template]
         frame = Frame(hole.file_id, is_snippet=True)
+        since = s.store.next_region
         for digits in placeholders:
             if int(digits) >= len(args):
                 raise EvalError(f"snippet {template!r}: no argument {{{digits}}}")
@@ -1115,6 +1143,7 @@ class Interp:
             raise EvalError(f"snippet {template!r}: {e}", line=at[1])
         finally:
             s.frames.pop()
+            s.store.release(since)
 
     def write_through(self, ptr: Value, value: Value, at=("<hook>", 0)):
         rid, off = self.deref_location(ptr, at)
@@ -1364,9 +1393,12 @@ class _Compiler:
         elif kind == tk.PUNCT and text in _PREFIX:
             if text == "&":  # the pointer step to the place
                 place = self.as_place(self.operand(), "cannot take the address of a value")
+                store = self.it.s.store
 
                 def address(frame):
                     p = place(frame)
+                    if p.held:  # a local whose address is taken lives in the store
+                        store.spill(p)
                     return Place(p.region, p.ptr, p.offset, p.name, p.type, True)
 
                 return _STEP, address, None

@@ -1,10 +1,19 @@
 """Region-offset memory model.
 
-Every allocation, variable, or opaque pointer base is its own region;
-addresses are (region, byte offset) pairs, and a cell holds its Value.
-Loading an untouched cell mints a fresh symbol and keeps it, so repeated loads
-agree. Pointer arithmetic stays within a region, which isolates the module
-under interpretation from absolute-address reasoning.
+Every allocation, global, static, string literal, array or struct variable,
+and opaque pointer base is its own region; addresses are (region, byte
+offset) pairs, and a cell holds its Value. Loading an untouched cell mints a
+fresh symbol and keeps it, so repeated loads agree. Pointer arithmetic stays
+within a region, which isolates the module under interpretation from
+absolute-address reasoning.
+
+A scalar local (an integer or a pointer) is held: its ``Place`` keeps its
+value, under a region id ``reserve`` hands out with no Region built, so
+every region id is the one a Region per local would take. ``spill`` moves it
+into the store when its address is first taken; no pointer to it can exist
+before. ``held`` maps each reserved id to its Place while its frame runs, so
+that ``load`` of its (region, 0) cell still answers; ``release`` drops a
+returned call's.
 
 ``Layout.add`` is the one rule that places a struct member: packed, at the
 end (a union's members too). ``Store.layout`` finds a tag's layout, asking
@@ -72,17 +81,18 @@ class Store:
         self.values = values
         values.region_lookup = self.region
         self.regions: dict[int, Region] = {}
-        self._next_region = 1
+        self.next_region = 1  # the id the next region or held local takes
         self.cells: dict[tuple[int, int], Value] = {}
+        self.held: dict[int, object] = {}  # reserved region id -> held Place, in id order
         self.layouts: dict[str, Layout | None] = {}  # tag -> layout; None: no body (yet)
         self.taints: dict[int, object] = {}  # region id -> MissingCall
         self.layout_source = None   # callable(tag) -> Layout | None
 
     # --------------------------------------------------------------- regions
     def alloc_region(self, label: str, kind: str, size=None) -> Region:
-        region = Region(self._next_region, label, kind, size)
+        region = Region(self.next_region, label, kind, size)
         self.regions[region.id] = region
-        self._next_region += 1
+        self.next_region += 1
         return region
 
     def region(self, region_id: int) -> Region | None:
@@ -109,22 +119,62 @@ class Store:
 
     def load(self, loc, width: int = 4, at=("<memory>", 0)) -> Value:
         """The value in the cell at ``loc`` (a Location or a (region,
-        offset) pair); an untouched cell gets a fresh symbol. ``width`` is
-        accepted for its callers and not read: a cell holds one value,
-        whatever the width of the access, until the store keeps bytes."""
+        offset) pair); an untouched cell gets a fresh symbol. The (region,
+        0) cell of a held local reads its Place. ``width`` is accepted for
+        its callers and not read: a cell holds one value, whatever the width
+        of the access, until the store keeps bytes."""
         key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
         v = self.cells.get(key)
         if v is not None:
             return v
         region, off = key
-        v = self.cells[key] = self.values.fresh_symbol(
-            f"mem:({region},{off})", at, self.taints.get(region) or self.values.blame)
+        place = self.held.get(region) if off == 0 else None
+        if place is not None:
+            v = place.value
+            return v if v is not None else self.fresh(place, at)
+        v = self.cells[key] = self._symbol(region, off, at)
         return v
+
+    def _symbol(self, region: int, off: int, at) -> Value:
+        """The fresh symbol of the untouched cell (region, off)."""
+        return self.values.fresh_symbol(
+            f"mem:({region},{off})", at, self.taints.get(region) or self.values.blame)
 
     def store(self, loc, value: Value) -> None:
         """Put ``value`` in the cell at ``loc``, as ``load`` reads it."""
         key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
         self.cells[key] = value
+
+    # ----------------------------------------------------------- held locals
+    def reserve(self) -> int:
+        """The next region id, for a held local: no Region is built for it
+        until ``spill``."""
+        rid = self.next_region
+        self.next_region = rid + 1
+        return rid
+
+    def fresh(self, place, at) -> Value:
+        """The value of the unset held ``place``: the symbol its (region, 0)
+        cell would mint, kept on it."""
+        v = place.value = self._symbol(place.region, 0, at)
+        return v
+
+    def spill(self, place) -> None:
+        """Move the held ``place`` into the store: its reserved id gets its
+        Region, and its value, if set, is the (region, 0) cell."""
+        rid = place.region
+        self.regions[rid] = Region(rid, place.name, STACK, self.size_of(place.type))
+        if place.value is not None:
+            self.cells[rid, 0] = place.value
+        place.held, place.value = False, None
+        del self.held[rid]
+
+    def release(self, since: int) -> None:
+        """Forget the held places of region id ``since`` and up: a returned
+        call's or an ended snippet's, which nothing can address."""
+        held = self.held
+        while held and next(reversed(held)) >= since:
+            held.popitem()
 
     # --------------------------------------------------------------- layouts
     def layout(self, tag: str) -> Layout | None:

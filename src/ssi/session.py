@@ -50,7 +50,12 @@ class Place:
     deref of a pointer. A variable's is built when it is declared (a global:
     when first used); an element, field or deref takes its base's type's. A
     pointer step (``p + n``) is the element it points at with ``step`` set:
-    its value is its address, as an array's is."""
+    its value is its address, as an array's is.
+
+    A scalar local is ``held``: its ``value`` is kept here, not in the
+    store, under a region id the store reserved for it, and it moves to the
+    store (``Store.spill``) when its address is first taken. An unset one
+    has no ``value`` yet."""
 
     region: int | None = None
     ptr: Value | None = None
@@ -58,6 +63,8 @@ class Place:
     name: str = ""
     type: CType = INT
     step: bool = False
+    held: bool = False
+    value: Value | None = None
 
     @property
     def width(self) -> int:

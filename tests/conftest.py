@@ -62,8 +62,12 @@ def record_mints(monkeypatch):
 
 
 def local_concrete(session, frame, name):
+    """The int a local of ``frame`` holds: a held local's value, or its
+    cell's. A held local outlives its call here, so a frame kept after its
+    call returned still reads."""
     slot = frame.locals[name]
-    v = session.store.load(Location(slot.region, slot.offset), slot.width)
+    v = slot.value if slot.held and slot.value is not None else \
+        session.store.load(Location(slot.region, slot.offset), slot.width)
     r = session.values.resolve(v)
     assert isinstance(r, Concrete), f"{name} did not resolve concretely: {r}"
     return to_int(r)

@@ -1,3 +1,4 @@
+import io
 import random
 import shutil
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 import refeval
 import ssi.interp as interp_module
 import ssi.macros as mc
-from conftest import local_concrete, make_session, run_function
+from conftest import EXAMPLE_DIR, local_concrete, make_session, run_function
+from ssi.config import build_session, load_config
 from ssi.errors import (
     CallDepthExceeded,
     EvalError,
@@ -20,6 +22,7 @@ from ssi.errors import (
 from ssi.interp import Control
 from ssi.islands import BreakNode, Node
 from ssi.memory import Location, Region
+from ssi.repl import Repl
 from ssi.session import CommandSpec, Frame, ModelEvent
 from ssi.values import Concrete, SymbolRoot, to_int
 
@@ -1720,3 +1723,98 @@ def test_a_branch_that_no_named_root_blocks_says_opaque_value():
     with pytest.raises(SymbolicBranch, match=r"\(blockers: opaque value\)") as exc:
         run_main("void testmain(void) { int a, b; if (&a < &b) a = 1; }")
     assert exc.value.blockers == ()
+
+
+# ------------------------------------------------------------ held locals
+
+# Each program runs in ``f``; each local's (value, region id, value id) is
+# read through its (region, 0) cell, as the REPL's ``xc`` and the benchmark
+# read it. A value that does not resolve shows the labels that block it.
+# The figures, and the count minted, are those of a store that gave every
+# local a region and a cell; ``regions`` is what a held local leaves: only
+# the regions of locals whose address was taken (``&``, or ``.`` on an int).
+SPILL_CASES = {
+    "address then write": (
+        "", "int x = 5; int *p = &x; *p = 7; int y = x;",
+        {"x": (7, 1, 2), "p": ([], 2, 1), "y": (7, 3, 2)}, 3, [1]),
+    "address of an unset local, then a write": (
+        "", "int x; int *p = &x; *p = 3; int y = x;",
+        {"x": (3, 1, 1), "p": ([], 2, 0), "y": (3, 3, 1)}, 2, [1]),
+    "address of an unset local, then a read": (
+        "", "int x; int *p = &x; int y = *p; int z = x;",
+        {"x": (["mem:(1,0)"], 1, 1), "p": ([], 2, 0), "y": (["mem:(1,0)"], 3, 1),
+         "z": (["mem:(1,0)"], 4, 1)}, 2, [1]),
+    "a pointer to a pointer": (
+        "", "int v = 1; int *q = &v; int **pp = &q; **pp = 9; int w = v; int *r = q;",
+        {"v": (9, 1, 3), "q": ([], 2, 1), "pp": ([], 3, 2), "w": (9, 4, 3),
+         "r": ([], 5, 1)}, 4, [1, 2]),
+    "a member of an int": (
+        "", "int x = 4; x.f = 2; int y = x.f; int z = x;",
+        {"x": (2, 1, 1), "y": (2, 2, 1), "z": (2, 3, 1)}, 2, [1]),
+    "a local redeclared in a loop": (
+        "", "int s = 0; int i; for (i = 0; i < 3; i++) { int t; t = i * 2; s = s + t; }"
+            " int u = 1;",
+        {"s": (6, 1, 20), "i": (3, 2, 22), "t": (4, 5, 19), "u": (1, 6, 25)}, 26, []),
+    "the address of a parameter": (
+        "int bump(int v) { int *p = &v; *p = v + 1; return v; }\n",
+        "int r = bump(4); int after = 0;",
+        {"r": (5, 1, 3), "after": (0, 4, 4)}, 5, [2]),
+    "narrow and unsigned stores": (
+        "", "unsigned char c = 300; signed char sc = 200; short h = 70000; unsigned u = -1;"
+            " _Bool b = 5; unsigned long ul = -2; int back = c + sc;",
+        {"c": (44, 1, 2), "sc": (-56, 2, 5), "h": (4464, 3, 8), "u": (4294967295, 4, 11),
+         "b": (1, 5, 14), "ul": (18446744073709551614, 6, 17), "back": (-12, 7, 18)},
+        19, []),
+    "a local that shadows a global read before it": (
+        "int g;\n", "int a = g; int g = 3; int b = g;",
+        {"a": (["mem:(2,0)"], 1, 0), "g": (3, 3, 1), "b": (3, 4, 1)}, 2, [2]),
+}
+
+
+@pytest.mark.parametrize("case", SPILL_CASES)
+def test_held_locals_read_as_cells_did(case):
+    before, body, table, minted, regions = SPILL_CASES[case]
+    session, interp = make_session({"p.c": f"{before}void f(void) {{\n{body}\n}}\n"})
+    frame = run_function(session, interp, "f")
+    assert len(session.values) == minted
+    got = {}
+    for name, place in frame.locals.items():
+        v = session.store.load(Location(place.region, place.offset), place.width)
+        r = session.values.resolve(v)
+        shown = to_int(r) if isinstance(r, Concrete) else session.values.labels_for(r.blockers)
+        got[name] = (shown, place.region, v.id)
+    assert got == table
+    assert len(session.values) == minted  # every local read above was set
+    assert sorted(session.store.regions) == regions
+
+
+def test_a_snippet_leaves_no_held_local():
+    session, interp = make_session({"p.c": "int g;\n"})
+    five = session.values.concrete(32, 5, ("<test>", 1))
+    interp.exec_snippet("int t = {0}; int u; u = t + 1; g = u;", [five])
+    assert session.store.held == {}
+    g = session.globals["g"]
+    assert to_int(session.values.resolve(session.store.load((g.region, 0)))) == 6
+
+
+def test_a_long_session_keeps_one_region_per_command_and_no_more_cells():
+    # The modeled ``data`` argument is the one region an ``enable-irq``
+    # leaves; its locals leave none, and no cell.
+    session, interp = build_session(load_config(EXAMPLE_DIR / "pinctrl.json"))
+    commands = iter(["0", "probe"] + ["enable-irq 3"] * 1000 + ["q"])
+    seen = []
+
+    class Script:
+        def readline(self):
+            store = session.store
+            seen.append((len(store.regions), len(store.cells), len(store.held)))
+            return next(commands) + "\n"
+
+    out = io.StringIO()
+    assert Repl(session, interp, Script(), out, interactive=False).run() == 0
+    assert "error" not in out.getvalue()
+    # seen[k] is taken before command k is read: seen[2 + n] follows n enable-irq.
+    after = seen[2:]
+    assert all(held == 0 for _, _, held in seen)
+    assert after[100][1] == after[1000][1]
+    assert [b[0] - a[0] for a, b in zip(after[100:1000], after[101:1001])] == [1] * 900

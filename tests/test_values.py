@@ -665,6 +665,14 @@ def test_concrete_loop_mints_a_fixed_number_of_values():
     assert len(session.values) == 7004
 
 
+def test_concrete_loop_makes_no_region_and_no_cell():
+    # ``x`` and ``i`` are held: no address of either is taken.
+    session, interp = make_session(CONCRETE_LOOP)
+    frame = run_function(session, interp, "loop")
+    assert session.store.regions == {} and session.store.cells == {}
+    assert [p.region for p in frame.locals.values()] == [1, 2]
+
+
 def live_values() -> int:
     return sum(1 for o in gc.get_objects() if type(o) is Value)
 
