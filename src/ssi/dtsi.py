@@ -176,12 +176,4 @@ def dtsi_find(path, compatible: str) -> tuple[int, int]:
 
 def list_compatibles(path) -> list[str]:
     """Unique compatible strings in document order (first position kept)."""
-    root = parse_dtsi(path)
-    out: list[str] = []
-    seen = set()
-    for node in root.walk():
-        for c in node.compatibles():
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+    return list(dict.fromkeys(c for node in parse_dtsi(path).walk() for c in node.compatibles()))

@@ -54,6 +54,10 @@ class StoppedAtBreakpoint(SsiError):
         self.position = position
 
 
+class Interrupted(SsiError):
+    """A command was interrupted (Ctrl-C) under a script, or twice."""
+
+
 class MaxStepsExceeded(SsiError):
     """Statement budget for one command was exhausted."""
 

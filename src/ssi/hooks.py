@@ -40,14 +40,12 @@ class HookContext:
         self.session = session
         self.args: list[Value] = args
         self.site = site
-
         self._interp = interp
 
     def exec_snippet(self, template: str, args=()) -> None:
         """Run C statement text; ``{N}`` placeholders bind to the given
         values. ``(opaque)`` inside the snippet is a fresh symbolic value."""
-        self._interp.exec_snippet(template, list(args),
-                                  at=self.site.at)
+        self._interp.exec_snippet(template, list(args), at=self.site.at)
 
     def make_concrete(self, width_bits: int, value: int, signed=False) -> Value:
         return self.session.values.concrete(
@@ -55,29 +53,24 @@ class HookContext:
             signed=signed, desc=f"hook {self.site.blame.callee} constant")
 
     def write_through(self, pointer: Value, value: Value) -> None:
-        self._interp.write_through(pointer, value,
-                                   at=self.site.at)
+        self._interp.write_through(pointer, value, at=self.site.at)
 
     def read_through(self, pointer: Value, width_bytes: int = 4) -> Value:
-        return self._interp.read_through(pointer, width_bytes,
-                                         at=self.site.at)
+        return self._interp.read_through(pointer, width_bytes, at=self.site.at)
 
     def fresh_symbolic(self, label: str) -> Value:
         values = self.session.values
         return values.fresh_symbol(label, self.site.at, values.blame)
 
     def map_mmio(self, label: str, base_value: Value, size=None) -> Value:
-        return self._interp.map_mmio(label, base_value, size,
-                                     at=self.site.at)
+        return self._interp.map_mmio(label, base_value, size, at=self.site.at)
 
     def emit_sexpr(self, template: str, args=()) -> Value:
-        text = re.sub(r"\{(\d+)\}",
-                      lambda m: str(args[int(m.group(1))]), template)
+        text = re.sub(r"\{(\d+)\}", lambda m: str(args[int(m.group(1))]), template)
         return parse_value_sexpr(self, text)
 
     def log(self, message: str) -> None:
-        self.session.emit_event("diagnostic", message=message,
-                                line=self.site.line)
+        self.session.emit_event("diagnostic", message=message, line=self.site.line)
 
 
 def parse_value_sexpr(ctx: HookContext, text: str) -> Value:
@@ -155,20 +148,12 @@ def _build_action(name, action, spec, base_dir, where):
         value = spec.get("value")
         if not isinstance(width, int) or not isinstance(value, int):
             raise SchemaError(f"{where}: return_constant needs integer width/value")
-
-        def fn(ctx):
-            return ctx.make_concrete(width, value)
-
-        return fn
+        return lambda ctx: ctx.make_concrete(width, value)
     if action == "return_symbol":
         label = spec.get("label")
         if not isinstance(label, str):
             raise SchemaError(f"{where}: return_symbol needs a string label")
-
-        def fn(ctx):
-            return ctx.fresh_symbolic(label)
-
-        return fn
+        return lambda ctx: ctx.fresh_symbolic(label)
     if action == "log_args":
         fmt = spec.get("format", "{args}")
         if not isinstance(fmt, str):

@@ -3,17 +3,19 @@
 Statements come from the island parser and are executed directly; holes are
 parsed the first time control reaches them, and the expressions and simple
 statements in them are compiled into closures then, each held on its span
-until a typedef is added, and re-run (``Interp._code``). Declarations and
-type names are read by ``ctype``; an array bound that is not a literal is
-evaluated each time its declaration runs (``Interp._compile_type``). One
-runner executes statements: ``exec_node`` counts a step and runs the node
-through one table keyed by node class (``_RUNNERS``); ``while``, ``do`` and
-``for`` share one loop executor, which counts a step per pass and one for a
-test that ends the loop; and a block looks a label up only when a ``goto``
-reaches it. Calls resolve, in order, to a registered hook, an in-corpus
-function definition, or a symbolic fallback that records a missing-model
-event and returns a fresh symbol. Fresh symbols minted inside a call remember
-it, so that diagnostics name the API function a value is waiting on.
+until a typedef is added, and re-run (``Interp._code``). Typedefs, global
+declarations and return types are read from each corpus file's items
+(``_read_file_scope``). Declarations and type names are read by ``ctype``;
+an array bound that is not a literal is evaluated each time its
+declaration runs (``Interp._compile_type``). One runner executes
+statements: ``exec_node`` counts a step and runs the node through one table
+keyed by node class (``_RUNNERS``); ``while``, ``do`` and ``for`` share one
+loop executor, which counts a step per pass and one for a test that ends
+the loop; and a block looks a label up only when a ``goto`` reaches it.
+Calls resolve, in order, to a registered hook, an in-corpus function
+definition, or a symbolic fallback that records a missing-model event and
+returns a fresh symbol. Fresh symbols minted inside a call remember it, so
+that diagnostics name the API function a value is waiting on.
 
 A local or parameter of integer or pointer type is held: its ``Place`` keeps
 its value, and ``load_place`` and ``store_place`` read and write it there
@@ -72,6 +74,7 @@ from .islands import (
     SwitchNode,
     WhileNode,
     parse_hole_as_block,
+    tag_bodies,
 )
 from .ctype import (ARRAY, BASE, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations,
                     _punct_at, _starts_declaration, count_of, parse_int_literal)
@@ -167,26 +170,15 @@ def _pin(v: Value, elem: CType) -> None:
         v.pointee = elem
 
 
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|.)", re.S)
+
+
 def unescape_c(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "x":
-                j = i + 2
-                while j < len(text) and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                out.append(chr(int(text[i + 2 : j] or "0", 16) & 0xFF))
-                i = j
-                continue
-            out.append(_ESCAPES.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """``text`` with each C escape replaced: ``\\x`` and its hex digits by
+    the byte they give (0 for none), any other by ``_ESCAPES`` or the
+    character escaped."""
+    return _ESCAPE.sub(lambda m: chr(int(m[1][1:] or "0", 16) & 0xFF) if m[1][0] == "x"
+                       else _ESCAPES.get(m[1], m[1]), text)
 
 
 class Interp:
@@ -196,91 +188,49 @@ class Interp:
         self._compiled: list = []  # spans whose ``compiled`` is set; see _code
         self._returns: dict[str, CType] = {}  # function -> its declared return type
         self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
-        self._scan_corpus_names()
+        self._block_tags: dict[str, tuple[str, list]] = {}  # see _compile_declaration
+        self._read_file_scope()
 
-    def _scan_corpus_names(self):
-        """Token-level pass over the corpus for file-scope typedefs and
-        variable declarations. Nothing is parsed into statements; this only
-        feeds the type environment, which execution-time classification and
-        struct-tag lookups rely on. Preprocessor lines are stepped over, and
-        a declaration that one splits is read again without them. A ``{`` at
-        file scope is jumped over to its matching ``}`` through the file's
-        index, so a function body, garbage in it included, hides nothing
-        after it. An item that starts with an object-like macro is read
-        expanded, up to its ``;`` or body, since the macro may name its type."""
+    def _read_file_scope(self):
+        """Read each corpus file's items into the typedefs, ``global_decls``
+        and non-``void`` return types. An item is read expanded if it starts
+        with an object-like macro, which may name its type, and without
+        directives if one splits it; a definition's head declares only its
+        function."""
         s = self.s
         macros = s.corpus.macros
         for fid in s.corpus.files:
-            toks = s.corpus.tokens(fid)
-            directives = toks.directives
-            code = at = None  # the tokens but for directives, and their indices
-            depth = 0
-            boundary = True
-            i = 0
-            n = len(toks)
-            while i < n:
-                t = toks[i]
-                if t.kind == tk.DIRECTIVE:
-                    i += 1
+            record = s.corpus.records[fid]
+            toks, directives = record.tokens, record.tokens.directives
+            for start, head, end, fdef in record.items:
+                t = toks[start]
+                macro = macros.get(t.text)
+                expand = macro is not None and not macro.function_like
+                if not expand and not _starts_declaration(t, s.typedefs):
                     continue
-                if t.kind == tk.PUNCT:
-                    if t.text == "{" and depth == 0:
-                        i = tk.closing(toks, i, n) + 1
-                        boundary = True
+                stop = head if fdef else end
+                item = toks[start:stop]
+                d = bisect.bisect_left(directives, start)
+                if d < len(directives) and directives[d] < stop:
+                    item = [x for x in item if x.kind != tk.DIRECTIVE]
+                if expand:
+                    item = mc.expand(item, macros)
+                decls = _declarations(item, 0, s.typedefs)[0] if item else ()
+                if fdef:
+                    decls = [x for x in decls if x.name == fdef.name
+                             and x.type.kind is FUNCTION and not x.typedef]
+                for decl in decls:
+                    if decl.name is None:
                         continue
-                    if t.text in "([{":
-                        depth += 1
-                        boundary = False
-                    elif t.text in ")]}":
-                        depth = max(0, depth - 1)
-                        boundary = t.text == "}" and depth == 0
-                    elif t.text == ";":
-                        boundary = depth == 0
-                    else:
-                        boundary = False
-                    i += 1
-                    continue
-                if depth == 0 and boundary:
-                    macro = macros.get(t.text)
-                    if macro is not None and not macro.function_like:
-                        end = tk.top_level(toks, i, n, (";", "{"))
-                        item = mc.expand([x for x in toks[i:end] if x.kind != tk.DIRECTIVE],
-                                         macros)
-                        if item:
-                            self._record_global_decl(_declarations(item, 0, s.typedefs)[0],
-                                                     fid, item[0].line)
-                        i = end
-                        continue
-                    if _starts_declaration(t, s.typedefs):
-                        decls, j = _declarations(toks, i, s.typedefs)
-                        d = bisect.bisect_right(directives, i)
-                        if d < len(directives) and directives[d] <= j + 1:
-                            if code is None:
-                                at = [k for k, x in enumerate(toks) if x.kind != tk.DIRECTIVE]
-                                code = [toks[k] for k in at]
-                            decls, j = _declarations(code, bisect.bisect_left(at, i), s.typedefs)
-                            j = at[j] if j < len(at) else n
-                        self._record_global_decl(decls, fid, t.line)
-                        i = max(j, i + 1)
-                        continue
-                boundary = False
-                i += 1
-
-    def _record_global_decl(self, decls, file_id, line):
-        """Record the declarators of one file-scope declaration at ``line``.
-        A function records its return type, unless it returns ``void``."""
-        for decl in decls:
-            if decl.name is None:
-                continue
-            t = decl.type = self._expanded(decl.type)
-            decl.file_id, decl.line = file_id, line
-            if decl.typedef:
-                self._define_typedef(decl)
-            elif t.kind is not FUNCTION:
-                self.s.global_decls.setdefault(decl.name, decl)
-            elif t.of.kind is not VOID:
-                self._returns.setdefault(decl.name, self._compile_type(
-                    t.of, file_id, decl.line)(Frame(decl.name)))
+                    ctype = decl.type = self._expanded(decl.type)
+                    decl.file_id, decl.line = fid, t.line
+                    if decl.typedef:
+                        self._define_typedef(decl)
+                    elif ctype.kind is not FUNCTION:
+                        s.global_decls.setdefault(decl.name, decl)
+                    elif ctype.of.kind is not VOID:
+                        self._returns.setdefault(decl.name, self._compile_type(
+                            ctype.of, fid, t.line)(Frame(decl.name)))
 
     def _expanded(self, t: CType) -> CType:
         """``t`` with each array bound that is still a token run read
@@ -434,8 +384,7 @@ class Interp:
                                  desc=f"{fdef.name} returned void")
 
     def computed_call(self, callee: Value, args, at) -> Value:
-        self.s.emit_event("diagnostic",
-                          message=f"call through non-name expression at line {at[1]}")
+        self.s.emit_event("diagnostic", message=f"call through non-name expression at line {at[1]}")
         return self.s.values.fresh_symbol(f"ret:<computed>@{at[1]}", at)
 
     # ------------------------------------------------------------ trace spec
@@ -456,14 +405,10 @@ class Interp:
 
     def blocker_message(self, site_line: int, residual: Residual) -> str:
         vals = self.s.values
-        blocker = residual.blockers[0]
-        info = vals.missing_calls.get(blocker)
-        if info is not None:
-            return (f"Line {site_line}: Could not verbose because missing "
-                    f"{info.call_text} on line {info.line}")
-        root = vals.get(blocker)
-        return (f"Line {site_line}: Could not verbose because missing "
-                f"{root.payload.label} on line {root.line}")
+        root = vals.get(residual.blockers[0])
+        call = vals.missing_calls.get(root.id)  # the call that minted it, if any
+        what, line = (call.call_text, call.line) if call else (root.payload.label, root.line)
+        return f"Line {site_line}: Could not verbose because missing {what} on line {line}"
 
     # ----------------------------------------------------------- value views
     def display_value(self, v: Value):
@@ -682,6 +627,10 @@ class Interp:
         return _Compiler(self, toks, file_id).expression(line)
 
     def _compile_declaration(self, toks, file_id, line):
+        """One step per declarator of ``toks``, after recording each struct
+        or union body in it whose tag has no block-scope body yet."""
+        for tag, (a, b) in tag_bodies(toks, 0, len(toks), {}).items():
+            self._block_tags.setdefault(tag, (file_id, toks[a + 1 : b]))
         decls, _ = _declarations(toks, 0, self.s.typedefs)
         if not decls:
             return _Compiler(self, toks, file_id).expression(line)
@@ -756,22 +705,17 @@ class Interp:
 
     # ----------------------------------------------------------- struct defs
     def _layout_from_corpus(self, tag):
-        """The layout of the first ``struct tag {`` or ``union tag {`` body,
-        in file order, found from the positions of ``tag``."""
+        """The layout of the first file-scope body of ``tag``, in file
+        order, else of the first block-scope one compiled."""
         if ";" in tag:  # an untagged body, tagged with its text
             return self._parse_struct_body(self._expand(tk.FileTokens(tag)), "<struct>")
         corpus = self.s.corpus
         for fid in corpus.files:
-            toks = corpus.tokens(fid)
-            n = len(toks)
-            for j in toks.names.get(tag, ()):
-                if not j or toks[j - 1].kind != tk.KEYWORD \
-                        or toks[j - 1].text not in ("struct", "union"):
-                    continue
-                if not _punct_at(toks, j + 1, "{") or (end := tk.closing(toks, j + 1, n)) == n:
-                    continue
-                return self._parse_struct_body(self._expand(toks[j + 2 : end]), fid)
-        return None
+            if (span := corpus.records[fid].tags.get(tag)) is not None:
+                body = corpus.tokens(fid)[span[0] + 1 : span[1]]
+                return self._parse_struct_body(self._expand(body), fid)
+        found = self._block_tags.get(tag)
+        return None if found is None else self._parse_struct_body(found[1], found[0])
 
     def _parse_struct_body(self, toks, file_id) -> Layout:
         layout = Layout()

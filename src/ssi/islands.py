@@ -12,6 +12,12 @@ Rules read a file's code and directive tokens (``tokens.FileTokens``): a
 rule's next token is the next in the list, and a hole is empty when its span
 is. Text is read from the source by offsets (``Corpus.text``).
 
+File scope is read once, when a corpus file is added: one walk splits the
+file into top-level items, and its record (``SourceFile``) keeps them with
+the first definition of each function, the first body of each struct or
+union tag and the ``MODULE_*`` strings; every file-scope lookup answers from
+the records.
+
 Brace-less dependent statements (``if (x) y = 1;``) are supported when the
 dependent statement is itself terminated by a top-level ``;``. ``else if``
 chains are captured as a single else-hole and rediscovered lazily, so rules
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import macros as mc
 from . import tokens as tk
@@ -406,16 +413,108 @@ def parse_hole_as_block(corpus: "Corpus", hole: Hole, rules: RuleRegistry, on_pa
     return nodes
 
 
+MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
+_TAGGED = ("struct", "union", "enum")
+_NO_BODY_AFTER = ("=", ",", *_TAGGED)  # a ``{`` after one opens no item's body
+
+
+class SourceFile:
+    """One file as read: its source and tokens, and its top-level ``items``,
+    each ``(start, head end, end, definition or None)``, with the first
+    definition of each function name, the ``(open, close)`` of each struct
+    or union tag's first body, nested ones included, and the
+    ``MODULE_*("…")`` strings by field."""
+
+    __slots__ = ("source", "tokens", "items", "functions", "tags", "module")
+
+    def __init__(self, file_id: str, source: str):
+        self.source, self.tokens = source, tk.FileTokens(source)
+        self.items, self.functions, self.tags = [], {}, {}
+        self.module: dict[str, list[str]] = {k: [] for k in MODULE_FIELDS}
+        self._read_items(file_id)
+
+    def _read_items(self, file_id):
+        """One walk over the items, stepping over directives. An item ends
+        after a ``;`` or ``}`` at its top level, or with a body: a ``{``
+        after none of ``=``, ``,``, ``struct``, ``union``, ``enum`` and such
+        a keyword's tag. A bracket that never closes is stepped past alone,
+        any other jumped to its closer, so a body, garbage in it included,
+        hides nothing after it."""
+        toks, module = self.tokens, self.module
+        closers, n = toks.closers, len(toks)
+        i = 0
+        while i < n:
+            if toks[i].kind == tk.DIRECTIVE:
+                i += 1
+                continue
+            start, body = i, None
+            before = last = toks[i]  # the two code tokens before; none yet
+            while i < n:
+                t = toks[i]
+                i += 1
+                if t.kind == tk.DIRECTIVE:
+                    continue
+                if t.kind == tk.PUNCT:
+                    if t.text == ";" or t.text == "}":
+                        break
+                    if t.text in "([{" and (close := closers[i - 1]) < n:
+                        if t.text == "{" and last.text not in _NO_BODY_AFTER and not (
+                                last.kind == tk.IDENTIFIER and before.text in _TAGGED):
+                            body, i = i - 1, close + 1
+                            break
+                        i, t = close + 1, toks[close]
+                elif t.text in module and i + 1 < n and toks[i].text == "(" \
+                        and toks[i + 1].kind == tk.STRING and len(toks[i + 1].text) >= 2:
+                    module[t.text].append(toks[i + 1].text[1:-1])
+                before, last = last, t
+            head = i if body is None else body
+            fdef = None if body is None else _definition(toks, file_id, start, body, i)
+            if fdef is not None:
+                self.functions.setdefault(fdef.name, fdef)
+            self.items.append((start, head, i, fdef))
+            tag_bodies(toks, start, head, self.tags)
+
+
+def _definition(toks, file_id, start, body, end) -> FunctionDefNode | None:
+    """The function the item ``toks[start:end]`` with its body at ``body``
+    defines: the first identifier of its head, not after ``.``, ``->`` or
+    ``#``, that a ``(…)`` follows whose declarator ends at the body."""
+    for i in range(start, body - 1):
+        t = toks[i]
+        if t.kind != tk.IDENTIFIER or not tk.is_punct(toks[i + 1], "(") or \
+                i and toks[i - 1].kind == tk.PUNCT and toks[i - 1].text in (".", "->", "#"):
+            continue
+        close = toks.closers[i + 1]
+        if close < body and _declarator_end(toks, i, close + 1) == body:
+            return FunctionDefNode(file_id, t.line, i, end, name=t.text,
+                                   params=Hole(file_id, i + 2, close),
+                                   body=Hole(file_id, body + 1, end - 1))
+    return None
+
+
+def tag_bodies(toks, start, stop, found) -> dict[str, tuple[int, int]]:
+    """``found``, with the ``(open, close)`` of each ``struct tag {…}`` or
+    ``union tag {…}`` in ``toks[start:stop]`` whose tag it lacks added,
+    nested ones too; a body that never closes is none."""
+    n = len(toks)
+    for k in range(start, stop - 2):
+        t = toks[k]
+        if t.kind == tk.KEYWORD and (t.text == "struct" or t.text == "union") \
+                and toks[k + 1].kind == tk.IDENTIFIER and tk.is_punct(toks[k + 2], "{") \
+                and (close := tk.closing(toks, k + 2, n)) < n:
+            found.setdefault(toks[k + 1].text, (k + 2, close))
+    return found
+
+
 class Corpus:
     """The source files of one module, in deterministic order, each read
-    into its code and directive tokens (``tokens.FileTokens``)."""
+    once into its record (``SourceFile``), from which every file-scope
+    lookup answers; a snippet has a record too, but no lookup reads it."""
 
     def __init__(self):
         self.files: list[str] = []  # corpus files in order; no scratch buffers
-        self._tokens: dict[str, tk.FileTokens] = {}
-        self._sources: dict[str, str] = {}
+        self.records: dict[str, SourceFile] = {}  # files and snippets by id
         self.macros: dict[str, mc.MacroDef] = {}
-        self._fn_cache: dict[str, FunctionDefNode | None] = {}
 
     @classmethod
     def from_sources(cls, named_sources) -> "Corpus":
@@ -428,12 +527,11 @@ class Corpus:
     def from_paths(cls, paths) -> "Corpus":
         corpus = cls()
         for p in paths:
-            with open(p, "rb") as f:
-                data = f.read()
-            corpus.add_file(str(getattr(p, "name", p)), data.decode("latin-1"))
+            corpus.add_file(str(getattr(p, "name", p)), Path(p).read_bytes())
         return corpus
 
     def add_file(self, file_id: str, text):
+        """Read a corpus file into a new record; its macros are merged."""
         if isinstance(text, (bytes, bytearray)):
             text = bytes(text).decode("latin-1")
         if file_id not in self.files:
@@ -442,61 +540,40 @@ class Corpus:
 
     def add_scratch(self, file_id: str, text: str) -> tk.FileTokens:
         """Read a transient buffer (snippets); scratch files are reachable
-        by file id but excluded from corpus scans."""
-        toks = self._tokens[file_id] = tk.FileTokens(text)
-        self._sources[file_id] = text
-        return toks
+        by file id but excluded from corpus lookups."""
+        record = self.records[file_id] = SourceFile(file_id, text)
+        return record.tokens
 
     def tokens(self, file_id: str) -> tk.FileTokens:
         """A file's code and directive tokens, with their index."""
-        return self._tokens[file_id]
+        return self.records[file_id].tokens
 
     def source(self, file_id: str) -> str:
-        return self._sources[file_id]
+        return self.records[file_id].source
 
     def text(self, file_id: str, first: tk.Token, last: tk.Token) -> str:
         """The source of a file from token ``first`` through token
         ``last``, with what lies between them."""
-        return self._sources[file_id][first.byte_offset : last.byte_offset + len(last.text)]
+        return self.records[file_id].source[first.byte_offset : last.byte_offset + len(last.text)]
 
     def find_function(self, name: str) -> FunctionDefNode | None:
-        if name in self._fn_cache:
-            return self._fn_cache[name]
-        node = find_function_definition(self, name)
-        self._fn_cache[name] = node
-        return node
-
-
-def find_function_definition(corpus: Corpus, name: str) -> FunctionDefNode | None:
-    """The first use of ``name``, in file order, that a balanced paren span
-    and then a balanced ``{`` span follow, at any depth; in a parenthesized
-    declarator, ``int (*name(void))[3] {``, the declarator's end comes
-    between them (``_declarator_end``).
-
-    Only the positions of ``name`` in each file's index are visited; the
-    parameter list and body stay holes until executed.
-    """
-    if name in corpus.macros:
+        """The first definition of ``name`` in file order; None for a macro."""
+        if name in self.macros:
+            return None
+        for file_id in self.files:
+            fdef = self.records[file_id].functions.get(name)
+            if fdef is not None:
+                return fdef
         return None
-    for file_id in corpus.files:
-        toks = corpus.tokens(file_id)
-        n = len(toks)
-        for i in toks.names.get(name, ()):
-            if i and toks[i - 1].kind == tk.PUNCT and toks[i - 1].text in (".", "->", "#"):
-                continue
-            j = i + 1
-            if j >= n or not tk.is_punct(toks[j], "(") or (close := tk.closing(toks, j, n)) == n:
-                continue
-            k = _declarator_end(toks, i, close + 1)
-            if k >= n or not tk.is_punct(toks[k], "{") or (bend := tk.closing(toks, k, n)) == n:
-                continue
-            return FunctionDefNode(
-                file_id, toks[i].line, i, bend + 1,
-                name=name,
-                params=Hole(file_id, j + 1, close),
-                body=Hole(file_id, k + 1, bend),
-            )
-    return None
+
+    def module_info(self) -> dict[str, list[str]]:
+        """The ``MODULE_*`` strings by field, in file order."""
+        return {k: [s for fid in self.files for s in self.records[fid].module[k]]
+                for k in MODULE_FIELDS}
+
+
+# The public name of the lookup: ``find_function_definition(corpus, name)``.
+find_function_definition = Corpus.find_function
 
 
 def _declarator_end(toks, i, k) -> int:

@@ -17,9 +17,10 @@ returned call's.
 
 ``Layout.add`` is the one rule that places a struct member: packed, at the
 end (a union's members too). ``Store.layout`` finds a tag's layout, asking
-``layout_source`` (the tag's first body in the corpus, in file order) once;
-an untagged body is tagged with its text. A member that no body declares is
-a 4-byte int added on first use, which is stable for a given access order.
+``layout_source`` (the tag's first file-scope body, in file order, else its
+first block-scope body compiled) once; an untagged body is tagged with its
+text. A member that no body declares is a 4-byte int added on first use,
+which is stable for a given access order.
 ``Store.size_of`` gives the bytes of a ``ctype.CType``, a struct's from its
 layout.
 """

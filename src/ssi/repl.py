@@ -7,16 +7,18 @@ choice as ``Choice: <n>``, which makes a transcript self-contained.
 
 Built-in commands: ``b LINE`` (or ``b FILE:LINE``), ``c``, ``s``,
 ``xc NAME``, ``trace NAME``, ``verbose FN PATTERN``, ``q``. Everything else
-is looked up in the SSI's registered command map.
+is looked up in the SSI's registered command map. Ctrl-C stops a running
+command as a breakpoint does (``_on_interrupt``).
 """
 
 from __future__ import annotations
 
+import signal
+import threading
 from dataclasses import dataclass, field
 
-from . import tokens as tk
 from .dtsi import list_compatibles
-from .errors import NoSuchLocal, SsiError
+from .errors import Interrupted, NoSuchLocal, SsiError
 from .memory import Location
 from .session import Session
 
@@ -39,25 +41,6 @@ class _Quit(Exception):
     pass
 
 
-_MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
-
-
-def scrape_module_info(corpus) -> dict[str, list[str]]:
-    """Collect MODULE_DESCRIPTION/MODULE_AUTHOR/MODULE_LICENSE strings at
-    token level, from the positions of those names in each file's index;
-    the macros themselves are never executed."""
-    found: dict[str, list[str]] = {k: [] for k in _MODULE_FIELDS}
-    for fid in corpus.files:
-        toks = corpus.tokens(fid)
-        n = len(toks)
-        for field_name, strings in found.items():
-            for i in toks.names.get(field_name, ()):
-                if i + 2 < n and toks[i + 1].text == "(" and toks[i + 2].kind == tk.STRING \
-                        and len(toks[i + 2].text) >= 2:
-                    strings.append(toks[i + 2].text[1:-1])
-    return found
-
-
 class Repl:
     def __init__(self, session: Session, interp, instream, outstream,
                  interactive: bool = False):
@@ -68,6 +51,7 @@ class Repl:
         self.interactive = interactive
         self._failed = False
         self._running = False
+        self._interrupts = 0  # Ctrl-Cs since the command started or last stopped
         session.out = self._write
         session.stop_handler = self._on_stop
         session.ask = self._ask
@@ -84,9 +68,7 @@ class Repl:
             except Exception:
                 pass
         line = self.inp.readline()
-        if line == "":
-            return None
-        return line.rstrip("\n")
+        return line.rstrip("\n") if line else None
 
     def _read_command(self) -> str | None:
         while True:
@@ -119,7 +101,7 @@ class Repl:
         return 1 if (self._failed or self.s.batch_failed) else 0
 
     def _banner(self):
-        info = scrape_module_info(self.s.corpus)
+        info = self.s.corpus.module_info()
         if not any(info.values()):
             return
         self._write("Loaded driver:")
@@ -207,14 +189,30 @@ class Repl:
         return None
 
     def _run_entry(self, name, argv):
-        self._running = True
+        self._running, self._interrupts = True, 0
+        main = threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGINT, self._on_interrupt) if main else None
         try:
             self.interp.run_entry(name, argv)
         finally:
+            if main:
+                signal.signal(signal.SIGINT, previous or signal.SIG_DFL)  # None: set in C
             self._running = False
+
+    def _on_interrupt(self, signum, frame):
+        """Ctrl-C while a command runs stops it before its next statement,
+        as a breakpoint does; a second one before that stop ends it."""
+        self._interrupts += 1
+        if self._interrupts > 1:
+            raise Interrupted("interrupted")
+        self.s.stop_next = True
 
     def _on_stop(self, position) -> str:
         file_id, line = position
+        if self._interrupts:
+            self._interrupts = 0
+            if not self.interactive:
+                raise Interrupted(f"interrupted before {file_id}:{line}")
         self._write(f"ssi :: On line {line}")
         while True:
             cmd = self._read_command()

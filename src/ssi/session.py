@@ -156,10 +156,7 @@ class Session:
 
     # ------------------------------------------------------------- debugging
     def breakpoint_at(self, file_id: str, line: int):
-        bp = self.breakpoints.get((file_id, line))
-        if bp is None:
-            bp = self.breakpoints.get((None, line))
-        return bp
+        return self.breakpoints.get((file_id, line)) or self.breakpoints.get((None, line))
 
     def reset_for_command(self) -> None:
         self.steps = 0

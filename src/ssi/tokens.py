@@ -171,17 +171,16 @@ class FileTokens(list):
     and position, but for whitespace, newlines and comments, which are not
     made; indexed in the same pass: ``closers`` maps each ``(``, ``[`` and
     ``{`` to what ``closing`` finds for it (the length when it never
-    closes), ``directives`` lists the index of each directive token and
-    ``names`` each identifier's indices, in file order. Never changed once
-    built; its slices are plain lists."""
+    closes), and ``directives`` lists the index of each directive token, in
+    file order. Never changed once built; its slices are plain lists."""
 
-    __slots__ = ("closers", "directives", "names")
+    __slots__ = ("closers", "directives")
 
     def __init__(self, source: str):
         tokens: list[Token] = []
         append = tokens.append
         kind_of_text, kind_of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
-        self.closers, self.directives, self.names = closers, directives, names = {}, [], {}
+        self.closers, self.directives = closers, directives = {}, []
         open_at = {"(": [], "[": [], "{": []}
         offset, line, line_start = 0, 1, 0
         while True:
@@ -194,9 +193,7 @@ class FileTokens(list):
                     offset = line_start = offset + 1
                     line += 1
                     continue
-                if kind is IDENTIFIER:
-                    names.setdefault(text, []).append(len(tokens))
-                elif kind is PUNCT:
+                if kind is PUNCT:
                     if text in open_at:
                         open_at[text].append(len(tokens))
                     elif text in _OPENER and (stack := open_at[_OPENER[text]]):

@@ -1,6 +1,7 @@
 """Reference corpus readers: each one walks a whole file's tokens.
 
-These are the readers ``ssi`` had before the per-file index
+The readers from ``scan_defines`` to ``scrape_module_info`` are the ones
+``ssi`` had before the per-file index
 (``tokens.FileTokens``), kept as the differential reference for the
 readers that answer from it (``tests/test_refscan.py``). The bodies are
 unchanged but for these things: methods of ``Interp`` became functions of
@@ -13,7 +14,12 @@ is tokenized once, and each reader gets its own copy of the list:
 per-character tokens of one line (``reftokens.plain_tokenize``) and gives
 each macro as a ``(name, params, body, file_id, line)`` tuple; and
 ``find_function_definition`` reads past a parenthesized declarator's end
-with the rule it imports from ``ssi.islands`` (``_declarator_end``).
+with the rule it imports from ``ssi.islands`` (``_declarator_end``). They
+find a definition, a struct body or a ``MODULE_*`` string at any depth.
+
+The readers from ``file_items`` on are a reference of the item rule that
+``ssi`` now reads file scope by (``islands.SourceFile``), which finds them
+only in a file's top-level items.
 """
 
 from functools import lru_cache
@@ -215,4 +221,144 @@ def scrape_module_info(corpus):
             j = reftokens.skip_trivia(toks, j + 1, n)
             if j < n and toks[j].kind == tk.STRING and len(toks[j].text) >= 2:
                 found[t.text].append(toks[j].text[1:-1])
+    return found
+
+
+# The item rule: each file is split into top-level items, and every
+# file-scope answer comes from them. A plain walk over the reference tokens:
+# directives are left out first, and a bracket's closer is found by
+# scanning (``tk.closing`` over a plain list).
+
+_TAGGED = ("struct", "union", "enum")
+
+
+@lru_cache(maxsize=64)
+def file_items(source):
+    """``(start, head end, end, top)`` of each top-level item of ``source``'s
+    reference tokens: an item ends after a ``;`` or a ``}`` at its top
+    level, or with a body, a ``{`` that follows none of ``=``, ``,``,
+    ``struct``, ``union``, ``enum`` and such a keyword's tag, and then its
+    head ends at the ``{``. A bracket that never closes is passed over alone,
+    any other to its closer; ``top`` lists the index of each code token so
+    passed (a closer for a bracket pair), which is at the item's top level."""
+    toks = _tokens(source)
+    n = len(toks)
+    code = [k for k, t in enumerate(toks) if t.kind != tk.DIRECTIVE]
+    out = []
+    c = 0
+    while c < len(code):
+        start, top, end, head = code[c], [], n, None
+        while c < len(code):
+            k = code[c]
+            t = toks[k]
+            c += 1
+            if t.kind == tk.PUNCT and t.text in (";", "}"):
+                end = k + 1
+                break
+            if t.kind == tk.PUNCT and t.text in ("(", "[", "{"):
+                close = tk.closing(toks, k, n)
+                if close < n:
+                    while c < len(code) and code[c] <= close:
+                        c += 1
+                    if t.text == "{" and not _no_body([toks[j] for j in top]):
+                        head, end = k, close + 1
+                        break
+                    k = close
+            top.append(k)
+        out.append((start, end if head is None else head, end, tuple(top)))
+    return tuple(out)
+
+
+def _no_body(seen):
+    if seen and seen[-1].text in ("=", ",") + _TAGGED:
+        return True
+    return len(seen) > 1 and seen[-1].kind == tk.IDENTIFIER and seen[-2].text in _TAGGED
+
+
+def _item_definition(toks, file_id, start, head, end):
+    n = len(toks)
+    if head == end:
+        return None
+    for i in range(start, head):
+        t = toks[i]
+        if t.kind != tk.IDENTIFIER or not _punct_at(toks, i + 1, "("):
+            continue
+        if i and toks[i - 1].kind == tk.PUNCT and toks[i - 1].text in (".", "->", "#"):
+            continue
+        close = tk.closing(toks, i + 1, n)
+        if close < head and _declarator_end(toks, i, close + 1) == head:
+            return FunctionDefNode(file_id, t.line, i, end, name=t.text,
+                                   params=Hole(file_id, i + 2, close),
+                                   body=Hole(file_id, head + 1, end - 1))
+    return None
+
+
+def item_function(corpus, name):
+    """The function of the first item, in file order, that defines ``name``."""
+    if name in corpus.macros:
+        return None
+    for fid in corpus.files:
+        source = corpus.source(fid)
+        toks = _tokens(source)
+        for start, head, end, _ in file_items(source):
+            fdef = _item_definition(toks, fid, start, head, end)
+            if fdef is not None and fdef.name == name:
+                return fdef
+    return None
+
+
+def item_layout(interp, tag):
+    """The layout of the first ``struct tag {…}`` or ``union tag {…}`` in
+    an item's head, in file order."""
+    corpus = interp.s.corpus
+    for fid in corpus.files:
+        source = corpus.source(fid)
+        toks = _tokens(source)
+        n = len(toks)
+        for start, head, _, _ in file_items(source):
+            for k in range(start, head - 2):
+                if toks[k].kind == tk.KEYWORD and toks[k].text in ("struct", "union") \
+                        and toks[k + 1].kind == tk.IDENTIFIER and toks[k + 1].text == tag \
+                        and _punct_at(toks, k + 2, "{") \
+                        and (close := tk.closing(toks, k + 2, n)) < n:
+                    return interp._parse_struct_body(interp._expand(toks[k + 3 : close]), fid)
+    return None
+
+
+def item_names(interp):
+    """Each item read without its directives, expanded when it starts with
+    an object-like macro, into ``interp.s.typedefs`` and
+    ``interp.s.global_decls``; a definition's head declares nothing."""
+    s = interp.s
+    macros = s.corpus.macros
+    for fid in s.corpus.files:
+        source = s.corpus.source(fid)
+        toks = _tokens(source)
+        for start, head, end, _ in file_items(source):
+            fdef = _item_definition(toks, fid, start, head, end)
+            if fdef is not None:
+                continue
+            item = _without_directives(toks[start:end])
+            macro = macros.get(item[0].text)
+            if macro is not None and macro.params is None:
+                item = mc.expand(item, macros)
+            elif not _starts_declaration(item[0], s.typedefs):
+                continue
+            if item:
+                _record_global_decl(interp, item, 0, fid)
+
+
+def item_module_info(corpus):
+    """The string of each ``MODULE_…("…"`` at an item's top level, by field."""
+    found = {k: [] for k in _MODULE_FIELDS}
+    for fid in corpus.files:
+        source = corpus.source(fid)
+        toks = _tokens(source)
+        n = len(toks)
+        for item in file_items(source):
+            for k in item[3]:
+                t = toks[k]
+                if t.text in found and k + 2 < n and toks[k + 1].text == "(" \
+                        and toks[k + 2].kind == tk.STRING and len(toks[k + 2].text) >= 2:
+                    found[t.text].append(toks[k + 2].text[1:-1])
     return found

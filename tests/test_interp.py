@@ -605,6 +605,33 @@ void testmain(void) { int r = h(); }
     assert local_concrete(session, frame, "r") == 6
 
 
+def test_a_macro_loop_in_a_body_is_no_definition():
+    # ``for_each_set_bit(…) { … }`` in walk has a definition's shape, but
+    # only a file-scope item defines a function: the call is a missing
+    # model with a fresh result, not a run of the loop's body.
+    session, frame = run_main("""
+int hits;
+void walk(unsigned m) { int i; for_each_set_bit(i, &m, 32) { hits++; } }
+void testmain(void) { int r = for_each_set_bit(1, 2, 3); }
+""")
+    assert session.corpus.find_function("for_each_set_bit") is None
+    assert [e.callee for e in session.events_of("missing-model")] == ["for_each_set_bit"]
+    slot = frame.locals["r"]
+    assert isinstance(session.store.load(Location(slot.region, 0), 4).payload, SymbolRoot)
+
+
+def test_a_definition_head_declares_no_global():
+    # An attribute macro before the name is no declarator of its own.
+    session, frame = run_main("""
+static int __init f_init(void) { return 3; }
+static int __exit_x g_exit(void) { return 4; }
+void testmain(void) { int a = f_init(); int b = g_exit(); }
+""")
+    assert "__init" not in session.global_decls
+    assert "__exit_x" not in session.global_decls
+    assert {n: local_concrete(session, frame, n) for n in "ab"} == {"a": 3, "b": 4}
+
+
 def test_string_bytes_read_as_ints():
     out = finals("""
 void testmain(void) {

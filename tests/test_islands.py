@@ -189,13 +189,23 @@ def test_find_function_first_match_in_file_order():
 
 
 def test_find_function_looks_inside_an_unbalanced_body():
-    # f's braces never close, so g sits inside f's text. A candidate counts
-    # at any depth, so g is still found, and f is not (its body is unclosed).
+    # f's braces never close, so g sits inside f's text. A brace that never
+    # closes is passed over alone, so g's item is at file scope and g is
+    # found, and f is not (its body is unclosed).
     corpus = Corpus.from_sources({"d.c": "int f(void){ if (0) { { { } return 1; } "
                                          "int g(void){ return 7; }"})
     fdef = find_function_definition(corpus, "g")
     assert fdef is not None and hole_text(corpus, fdef.body) == "return 7;"
     assert find_function_definition(corpus, "f") is None
+
+
+def test_re_adding_a_file_drops_its_stale_definitions():
+    corpus = Corpus.from_sources({"a.c": "int f(void) { return 1; }"})
+    assert hole_text(corpus, corpus.find_function("f").body) == "return 1;"
+    corpus.add_file("a.c", "/* moved */ int g; int h; int f(void) { return 2; }")
+    fdef = corpus.find_function("f")
+    assert corpus.tokens("a.c")[fdef.start].text == "f"
+    assert hole_text(corpus, fdef.body) == "return 2;"
 
 
 def test_a_brace_on_a_preprocessor_line_is_no_brace():

@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import re
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import make_session, printed_by
-from ssi.repl import Repl, scrape_module_info
+from ssi.repl import Repl
 from ssi.session import CommandSpec
 from ssi.values import to_int
 
@@ -220,10 +224,55 @@ MODULE_AUTHOR("Ada");
 MODULE_AUTHOR("Grace");
 MODULE_LICENSE("GPL");
 """})
-    info = scrape_module_info(session.corpus)
+    info = session.corpus.module_info()
     assert info["MODULE_DESCRIPTION"] == ["A thing"]
     assert info["MODULE_AUTHOR"] == ["Ada", "Grace"]
     assert info["MODULE_LICENSE"] == ["GPL"]
+
+
+SPIN = {"prog.c": """\
+void spin(void) {
+    int i = 0;
+    tick();
+    for (;;) i++;
+}
+"""}
+
+
+def run_spin(tick, lines):
+    """Run ``spin`` under a script with the hook ``tick``, and the SIGINT
+    handler from before the run."""
+    before = signal.getsignal(signal.SIGINT)
+    out, code, _ = run_repl(SPIN, lines, setup=lambda s: s.register_hook("tick", tick),
+                            commands={"spin": CommandSpec("spin")}, max_steps=5_000_000)
+    assert signal.getsignal(signal.SIGINT) is before
+    return out, code
+
+
+def test_ctrl_c_stops_a_command_at_its_next_statement():
+    # The SIGINT comes from another thread while the loop runs; under a
+    # script the stop is an error naming the line, and the next line runs.
+    def tick(ctx):
+        timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+        timer.daemon = True
+        timer.start()
+
+    out, code = run_spin(tick, ["spin", "fronble", "q"])
+    assert "error: interrupted before prog.c:4" in out
+    assert out.index("interrupted") < out.index("unknown command: fronble")
+    assert code == 1
+
+
+def test_a_second_ctrl_c_before_the_stop_ends_the_command():
+    # Both arrive while a model runs, so no statement stops in between.
+    def tick(ctx):
+        os.kill(os.getpid(), signal.SIGINT)
+        os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(5)
+
+    out, _ = run_spin(tick, ["spin", "fronble", "q"])
+    assert "error: interrupted\n" in out
+    assert "unknown command: fronble" in out
 
 
 def test_comment_lines_in_scripts_are_skipped():

@@ -291,11 +291,6 @@ def assert_reader_matches_tokenize(source):
     index = tk.FileTokens(source)
     assert fields(index) == fields(code)
     assert index.directives == [i for i, t in enumerate(code) if t.kind == tk.DIRECTIVE]
-    names = {}
-    for i, t in enumerate(code):
-        if t.kind == tk.IDENTIFIER:
-            names.setdefault(t.text, []).append(i)
-    assert index.names == names
     openers = [i for i, t in enumerate(code) if t.kind == tk.PUNCT and t.text in "([{"]
     assert index.closers == {i: tk.closing(code, i, len(code)) for i in openers}
     assert type(index[1:]) is list
