@@ -2,8 +2,8 @@
 
 The pipeline: each source file's code and directive tokens (text is read
 from the source by offsets) feed an island parser whose statement rules
-capture balanced spans as lazily-parsed holes; a tree-walking interpreter
-executes those statements over a semi-symbolic value algebra and a
+capture balanced spans as lazily-parsed holes; each hole control reaches
+compiles into closures that run over a semi-symbolic value algebra and a
 region-offset memory; unmodeled system API calls return fresh symbols whose
 provenance names the call that should be modeled; a gdb-style REPL steers it
 all. See README.md for a walkthrough of the bundled pin-controller SSI.

@@ -83,17 +83,12 @@ def parse_value_sexpr(ctx: HookContext, text: str) -> Value:
             except ValueError:
                 raise UnsupportedOperation(f"bad value expression atom {toks[i]!r}")
         head = toks[i + 1]
-        if head == "imm":
-            value, j = parse(i + 2)
-            if toks[j] != ")":
-                raise UnsupportedOperation(f"malformed (imm ...) in {text!r}")
-            return ctx.make_concrete(32, value), j + 1
-        if head == "str":
-            inner, j = parse(i + 2)
-            if toks[j] != ")":
-                raise UnsupportedOperation(f"malformed (str ...) in {text!r}")
-            return inner, j + 1
-        raise UnsupportedOperation(f"unknown value expression form {head!r}")
+        if head != "imm" and head != "str":
+            raise UnsupportedOperation(f"unknown value expression form {head!r}")
+        inner, j = parse(i + 2)
+        if toks[j] != ")":
+            raise UnsupportedOperation(f"malformed ({head} ...) in {text!r}")
+        return (ctx.make_concrete(32, inner) if head == "imm" else inner), j + 1
 
     if not toks:
         raise UnsupportedOperation("empty value expression")
@@ -181,33 +176,30 @@ def _build_action(name, action, spec, base_dir, where):
         constant = spec["constant"]
         if not isinstance(constant, int):
             raise SchemaError(f"{where}: 'constant' must be an integer")
+        written = lambda ctx: constant
+    else:
+        lookup = spec["dtsi"]
+        if not isinstance(lookup, dict) or not isinstance(lookup.get("file"), str) \
+                or not isinstance(lookup.get("compatible"), str):
+            raise SchemaError(f"{where}: 'dtsi' needs string 'file' and 'compatible'")
+        dtsi_path = lookup["file"]
+        if not os.path.isabs(dtsi_path):
+            dtsi_path = os.path.join(base_dir, dtsi_path)
+        compatible = lookup["compatible"]
 
-        def fn(ctx):
-            if arg_index >= len(ctx.args):
-                raise EvalError(f"model {name}: call has no argument {arg_index}")
-            ctx.write_through(ctx.args[arg_index], ctx.make_concrete(32, constant))
-            return ctx.make_concrete(32, 0)
-
-        return fn
-    lookup = spec["dtsi"]
-    if not isinstance(lookup, dict) or not isinstance(lookup.get("file"), str) \
-            or not isinstance(lookup.get("compatible"), str):
-        raise SchemaError(f"{where}: 'dtsi' needs string 'file' and 'compatible'")
-    dtsi_path = lookup["file"]
-    if not os.path.isabs(dtsi_path):
-        dtsi_path = os.path.join(base_dir, dtsi_path)
-    compatible = lookup["compatible"]
+        def written(ctx):
+            compat = compatible
+            if compat == CHOSEN_DEVICE:
+                compat = ctx.session.chosen_compatible
+                if compat is None:
+                    raise EvalError(f"model {name}: no device chosen for $chosen lookup")
+            return dtsi_find(dtsi_path, compat)[0]
 
     def fn(ctx):
-        compat = compatible
-        if compat == CHOSEN_DEVICE:
-            compat = ctx.session.chosen_compatible
-            if compat is None:
-                raise EvalError(f"model {name}: no device chosen for $chosen lookup")
-        base, _size = dtsi_find(dtsi_path, compat)
+        value = written(ctx)
         if arg_index >= len(ctx.args):
             raise EvalError(f"model {name}: call has no argument {arg_index}")
-        ctx.write_through(ctx.args[arg_index], ctx.make_concrete(32, base))
+        ctx.write_through(ctx.args[arg_index], ctx.make_concrete(32, value))
         return ctx.make_concrete(32, 0)
 
     return fn

@@ -1,17 +1,14 @@
-"""Tree-walking execution engine over the semi-symbolic value model.
+"""Closure-compiling execution engine over the semi-symbolic value model.
 
-Statements come from the island parser and are executed directly; holes are
-parsed the first time control reaches them, and the expressions and simple
-statements in them are compiled into closures then, each held on its span
-until a typedef is added, and re-run (``Interp._code``). Typedefs, global
-declarations and return types are read from each corpus file's items
-(``_read_file_scope``). Declarations and type names are read by ``ctype``;
-an array bound that is not a literal is evaluated each time its
-declaration runs (``Interp._compile_type``). One runner executes
-statements: ``exec_node`` counts a step and runs the node through one table
-keyed by node class (``_RUNNERS``); ``while``, ``do`` and ``for`` share one
-loop executor, which counts a step per pass and one for a test that ends
-the loop; and a block looks a label up only when a ``goto`` reaches it.
+Holes from the island parser are parsed the first time control reaches
+them. A body hole's statements then compile into one block closure, kept as
+``hole.compiled``, that looks each node's runner up once by its class
+(``Interp._block``); the expressions and simple statements in them compile
+into closures on their first run, each held on its span until a typedef is
+added (``Interp._code``). Typedefs, global declarations and return types
+are read from each corpus file's items (``_read_file_scope``). Declarations
+and type names are read by ``ctype``; an array bound that is not a literal
+is evaluated each time its declaration runs (``Interp._compile_type``).
 Calls resolve, in order, to a registered hook, an in-corpus function
 definition, or a symbolic fallback that records a missing-model event and
 returns a fresh symbol. Fresh symbols minted inside a call remember it, so
@@ -25,10 +22,10 @@ store (``Store.spill``); no pointer to it can exist before, so no token is
 scanned ahead for an ``&``. A call or snippet drops its held locals from
 ``Store.held`` when it returns. Arrays, structs and unions are regions.
 
-A C call nests seven Python frames (``call_named``, ``call_function_def``,
-``exec_block``, ``exec_node``, the runner and the expression's closures), so
-C recursion runs about 140 deep under Python's default recursion limit; past
-it the innermost call raises ``CallDepthExceeded`` naming its line.
+A C call nests six Python frames (``call_named``, ``call_function_def``,
+the block, the runner and the expression's closures), so C recursion runs
+about 165 deep under Python's default recursion limit; past it the innermost
+call raises ``CallDepthExceeded`` naming its line.
 
 Breakpoints fire after a statement on the breakpoint line executes; the
 session then suspends just before the next statement, whose line is reported.
@@ -83,6 +80,7 @@ from .session import (
     ASK,
     ASSUME_FALSE,
     ASSUME_TRUE,
+    INTERRUPT,
     Frame,
     Place,
     Session,
@@ -97,24 +95,14 @@ from .values import (
     to_int,
 )
 
-NEXT = "next"
+# What a statement gives to end its block early: ``BREAK``, ``CONTINUE``, or
+# a ``(RETURN, value)`` or ``(GOTO, label)`` pair; None goes on.
 BREAK = "break"
 CONTINUE = "continue"
 RETURN = "return"
 GOTO = "goto"
 
-
-@dataclass(slots=True)
-class Control:
-    kind: str
-    value: Value | None = None
-    label: str | None = None
-
-
 _ID = attrgetter("id")  # a Value's id, as the ``call`` event lists its arguments
-_NEXT = Control(NEXT)
-_BREAK = Control(BREAK)
-_CONTINUE = Control(CONTINUE)
 
 
 @dataclass
@@ -370,16 +358,15 @@ class Interp:
             self.store_place(place, v, at)
         body = fdef.body
         s.frames.append(frame)
-        try:  # a parsed body's nodes without a call to the parser, as in _run_hole
-            sig = self.exec_block(body.nodes or parse_hole_as_block(
-                s.corpus, body, s.rules, s.on_parse), frame)
+        try:
+            sig = (body.compiled or self._body(body))(frame)
         finally:
             s.frames.pop()
             s.store.release(since)
-        if sig.kind == GOTO:
-            raise EvalError(f"goto target not found: {sig.label}", line=site.line)
-        if sig.kind == RETURN and sig.value is not None:
-            return sig.value
+        if sig.__class__ is tuple and sig[0] is GOTO:
+            raise EvalError(f"goto target not found: {sig[1]}", line=site.line)
+        if sig.__class__ is tuple and sig[1] is not None:
+            return sig[1]
         return s.values.concrete(32, 0, (fdef.file_id, fdef.line),
                                  desc=f"{fdef.name} returned void")
 
@@ -435,74 +422,87 @@ class Interp:
         return f"({rid}, {off})", None
 
     # ------------------------------------------------------------ statements
-    def exec_block(self, nodes, frame, start=0) -> Control:
-        """Run ``nodes`` from ``start`` (a switch body from its chosen
-        ``case``); a ``goto`` may reach any label among them, the first of
-        its name."""
-        i = start
-        while i < len(nodes):
-            sig = self.exec_node(nodes[i], frame)
-            if sig.kind == NEXT:
-                i += 1
-                continue
-            if sig.kind == GOTO:  # on to just after the label, if it is here
-                i = next((k + 1 for k, n in enumerate(nodes)
-                          if isinstance(n, LabelNode) and n.name == sig.label), 0)
-                if i:
-                    continue
-            return sig
-        return _NEXT
+    def exec_block(self, nodes, frame, start=0):
+        """Run ``nodes`` from ``start`` as one block (``_block``)."""
+        return self._block(nodes)(frame, start)
 
-    def exec_node(self, node, frame) -> Control:
+    def _body(self, hole, on_parse=True):
+        """The block of a body hole, kept as ``hole.compiled``; a snippet's
+        parse (``on_parse`` false) emits no parse event."""
         s = self.s
-        if s.stop_next and not frame.is_snippet:
-            s.stop_next = False
-            if s.stop_handler is None:
-                raise StoppedAtBreakpoint(
-                    f"stopped before {node.file_id}:{node.line}",
-                    position=(node.file_id, node.line),
-                )
-            s.stop_next = s.stop_handler((node.file_id, node.line)) == "step"
-        s.steps += 1
-        if s.steps > s.max_steps:
-            self._out_of_steps(node.line)
-        sig = (_RUNNERS.get(node.__class__) or _runner(node))(self, node, frame)
-        if s.breakpoints and not frame.is_snippet:
-            bp = s.breakpoint_at(node.file_id, node.line)
-            if bp is not None and bp.enabled:
-                bp.hits += 1
-                s.stop_next = True
-        return sig
+        hole.compiled = block = self._block(parse_hole_as_block(
+            s.corpus, hole, s.rules, on_parse and s.on_parse))
+        return block
+
+    def _block(self, nodes):
+        """``nodes`` as one closure ``block(frame, i=0)`` that runs them
+        from the ``i``-th (a switch body from its chosen ``case``) and gives
+        what a statement ended it with, or None; a ``goto`` goes on after
+        the first label of its name among them, if there is one. Each
+        statement is one tick: a pending stop is taken before it, it counts
+        a step, it runs, and a breakpoint on its line makes the next
+        statement stop. Stops and breakpoints skip a snippet."""
+        s = self.s
+        runs = [_runner(node) for node in nodes]
+        labels = {}
+        for k, node in enumerate(nodes):
+            if isinstance(node, LabelNode):
+                labels.setdefault(node.name, k + 1)
+        end = len(nodes)
+
+        def block(frame, i=0):
+            while i < end:
+                node = nodes[i]
+                if s.stop_next and not frame.is_snippet:
+                    self._stop(node)
+                s.steps += 1
+                if s.steps > s.max_steps:
+                    self._out_of_steps(node.line)
+                sig = runs[i](self, node, frame)
+                if s.breakpoints and not frame.is_snippet:
+                    bp = s.breakpoint_at(node.file_id, node.line)
+                    if bp is not None and bp.enabled:
+                        bp.hits += 1
+                        s.stop_next = True
+                i += 1
+                if sig is not None:
+                    if sig.__class__ is not tuple or sig[0] is not GOTO or sig[1] not in labels:
+                        return sig
+                    i = labels[sig[1]]
+
+        return block
+
+    def _stop(self, node):
+        """Suspend before ``node`` in the stop handler, which may ask to
+        stop again, or with none raise ``StoppedAtBreakpoint``."""
+        s = self.s
+        s.stop_next = False
+        if s.stop_handler is None:
+            raise StoppedAtBreakpoint(f"stopped before {node.file_id}:{node.line}",
+                                      position=(node.file_id, node.line))
+        s.stop_next = s.stop_handler((node.file_id, node.line)) == "step"
 
     def _out_of_steps(self, line):
         raise MaxStepsExceeded(f"exceeded {self.s.max_steps} statement executions (line {line})")
 
-    def _exec_simple(self, node, frame) -> Control:
+    def _exec_simple(self, node, frame):
         (node.compiled or self._code(node, node.line, True))(frame)
-        return _NEXT
 
-    def _exec_return(self, node, frame) -> Control:
+    def _exec_return(self, node, frame):
         """``return``, its value converted to the function's declared type
         as a store to a variable of that type converts it."""
         expr = node.expr
         if expr is None:
-            return Control(RETURN)
+            return RETURN, None
         v = (expr.compiled or self._code(expr, node.line))(frame)
         t = self._returns.get(frame.function)
         if t is not None and t.converts:
             v = self._converted(v, t, (node.file_id, node.line))
-        return Control(RETURN, v)
+        return RETURN, v
 
-    def _exec_raw(self, node, frame) -> Control:
+    def _exec_raw(self, node, frame):
         if not node.directive:
             self.s.emit_event("diagnostic", message=f"skipped stray tokens at line {node.line}")
-        return _NEXT
-
-    def _run_hole(self, hole, frame) -> Control:
-        # Its nodes once parsed, without a call to the parser that memoizes them.
-        s = self.s
-        return self.exec_block(hole.nodes or parse_hole_as_block(
-            s.corpus, hole, s.rules, s.on_parse), frame)
 
     def _holds(self, node, frame, statement=False) -> bool:
         """Whether the condition of ``node`` is true; an empty ``for``
@@ -510,37 +510,40 @@ class Interp:
         v = (node.cond.compiled or self._code(node.cond, node.line, statement))(frame)
         return v is None or self.truth(v, (node.file_id, node.line))
 
-    def _exec_if(self, node, frame) -> Control:
+    def _exec_if(self, node, frame):
         hole = node.then if self._holds(node, frame) else node.orelse
-        return _NEXT if hole is None else self._run_hole(hole, frame)
+        if hole is not None:
+            return (hole.compiled or self._body(hole))(frame)
 
-    def _exec_loop(self, node, frame) -> Control:
+    def _exec_loop(self, node, frame):
         """``while``, ``do`` and ``for``. Each pass counts a step, and so
-        does a test that ends the loop before a pass; a ``do`` tests after
-        its body. A ``for`` runs its clauses as statements: its init once,
-        its step after each pass that does not leave the loop."""
+        does a test that ends the loop before a pass; a Ctrl-C stop is taken
+        at a pass too, so that a loop with an empty body stops. A ``do``
+        tests after its body. A ``for`` runs its clauses as statements: its
+        init once, its step after each pass that does not leave the loop."""
         s = self.s
         is_for = isinstance(node, ForNode)
         if is_for:
             (node.init.compiled or self._code(node.init, node.line, True))(frame)
         do = isinstance(node, DoWhileNode)
+        body = node.body
         while True:
+            if s.stop_next is INTERRUPT and not frame.is_snippet:
+                self._stop(node)
             s.steps += 1
             if s.steps > s.max_steps:
                 self._out_of_steps(node.line)
             if not do and not self._holds(node, frame, is_for):
-                return _NEXT
-            sig = self._run_hole(node.body, frame)
-            if sig.kind == BREAK:
-                return _NEXT
-            if sig.kind == RETURN or sig.kind == GOTO:
-                return sig
+                return None
+            sig = (body.compiled or self._body(body))(frame)
+            if sig is not None and sig is not CONTINUE:
+                return None if sig is BREAK else sig
             if is_for:
                 (node.step.compiled or self._code(node.step, node.line, True))(frame)
             if do and not self._holds(node, frame):
-                return _NEXT
+                return None
 
-    def _exec_switch(self, node, frame) -> Control:
+    def _exec_switch(self, node, frame):
         subj = (node.subject.compiled or self._code(node.subject, node.line))(frame)
         r = self.s.values.resolve(subj)
         if not isinstance(r, Concrete):
@@ -550,10 +553,10 @@ class Interp:
                 f"(blockers: {self.s.values.blocker_text(labels)})",
                 blockers=labels, line=node.line,
             )
-        nodes = parse_hole_as_block(self.s.corpus, node.body, self.s.rules,
-                                    self.s.on_parse)
+        body = node.body
+        block = body.compiled or self._body(body)
         target = default = None
-        for idx, n in enumerate(nodes):
+        for idx, n in enumerate(body.nodes):
             if not isinstance(n, LabelNode):
                 continue
             if n.is_default and default is None:
@@ -564,10 +567,9 @@ class Interp:
                 if isinstance(cv, Concrete) and to_int(cv) == to_int(r):
                     target = idx
         start = target if target is not None else default
-        if start is None:
-            return _NEXT
-        sig = self.exec_block(nodes, frame, start)
-        return _NEXT if sig.kind == BREAK else sig
+        if start is not None:
+            sig = block(frame, start)
+            return None if sig is BREAK else sig
 
     # ------------------------------------------------------------ compiling
     def _code(self, span, line, statement=False):
@@ -614,11 +616,9 @@ class Interp:
         return replaying
 
     def _compile_statement(self, toks, file_id, line):
-        if not toks:
+        if not toks or toks[0].kind == tk.DIRECTIVE:
             return _nothing
         first = toks[0]
-        if first.kind == tk.DIRECTIVE:
-            return _nothing
         if first.kind == tk.IDENTIFIER and first.text in ("asm", "__asm__", "__asm"):
             message = f"skipped inline assembly at line {line}"
             return lambda frame: self.s.emit_event("diagnostic", message=message)
@@ -1082,7 +1082,7 @@ class Interp:
             frame.value_bindings[f"__ssi_arg{digits}"] = args[int(digits)]
         s.frames.append(frame)
         try:
-            self.exec_block(parse_hole_as_block(s.corpus, hole, s.rules), frame)
+            (hole.compiled or self._body(hole, False))(frame)
         except EvalError as e:
             raise EvalError(f"snippet {template!r}: {e}", line=at[1])
         finally:
@@ -1125,7 +1125,7 @@ class Interp:
         return s.values.addr_of(rid, at, desc="string literal")
 
 
-# How ``Interp.exec_node`` runs each built-in statement node, by its class.
+# How a block runs each built-in statement node, by its class.
 _RUNNERS = {
     **dict.fromkeys((ExpressionStatementNode, DeclarationNode), Interp._exec_simple),
     **dict.fromkeys((WhileNode, DoWhileNode, ForNode), Interp._exec_loop),
@@ -1133,19 +1133,22 @@ _RUNNERS = {
     SwitchNode: Interp._exec_switch,
     ReturnNode: Interp._exec_return,
     RawNode: Interp._exec_raw,
-    BlockNode: lambda interp, node, frame: interp._run_hole(node.body, frame),
-    GotoNode: lambda interp, node, frame: Control(GOTO, label=node.label),
-    BreakNode: lambda *_: _BREAK,
-    ContinueNode: lambda *_: _CONTINUE,
-    LabelNode: lambda *_: _NEXT,
+    BlockNode: lambda interp, node, frame: (node.body.compiled or interp._body(node.body))(frame),
+    GotoNode: lambda interp, node, frame: (GOTO, node.label),
+    BreakNode: lambda *_: BREAK,
+    ContinueNode: lambda *_: CONTINUE,
+    LabelNode: lambda *_: None,
 }
 
 
 def _runner(node):
-    """The runner of a node whose class derives from a built-in node class."""
-    for cls in node.__class__.__mro__:
-        if cls in _RUNNERS:
-            return _RUNNERS[cls]
+    """The runner of ``node``'s class, or of the built-in node class it
+    derives from; another node raises as it runs."""
+    return _RUNNERS.get(node.__class__) or next(
+        (_RUNNERS[c] for c in node.__class__.__mro__ if c in _RUNNERS), _cannot_execute)
+
+
+def _cannot_execute(interp, node, frame):
     raise EvalError(f"cannot execute node {type(node).__name__}", line=node.line)
 
 

@@ -43,7 +43,7 @@ class Hole:
     start: int
     end: int
     nodes: list | None = field(default=None, repr=False)  # memoized parse
-    compiled: object = field(default=None, repr=False)  # closure or params; see Interp._code
+    compiled: object = field(default=None, repr=False)  # see Interp._code, Interp._body
 
 
 @dataclass

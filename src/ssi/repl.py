@@ -8,7 +8,7 @@ choice as ``Choice: <n>``, which makes a transcript self-contained.
 Built-in commands: ``b LINE`` (or ``b FILE:LINE``), ``c``, ``s``,
 ``xc NAME``, ``trace NAME``, ``verbose FN PATTERN``, ``q``. Everything else
 is looked up in the SSI's registered command map. Ctrl-C stops a running
-command as a breakpoint does (``_on_interrupt``).
+command as a breakpoint does, or a loop at its next pass (``_on_interrupt``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .dtsi import list_compatibles
 from .errors import Interrupted, NoSuchLocal, SsiError
 from .memory import Location
-from .session import Session
+from .session import INTERRUPT, Session
 
 
 @dataclass
@@ -52,6 +52,7 @@ class Repl:
         self._failed = False
         self._running = False
         self._interrupts = 0  # Ctrl-Cs since the command started or last stopped
+        self._outer_sigint = None  # the SIGINT handler that ``run`` replaced
         session.out = self._write
         session.stop_handler = self._on_stop
         session.ask = self._ask
@@ -89,6 +90,9 @@ class Repl:
     # ------------------------------------------------------------------ runs
     def run(self) -> int:
         self._banner()
+        main = threading.current_thread() is threading.main_thread()
+        if main:  # once a run: ``signal.signal`` costs a system call
+            self._outer_sigint = signal.signal(signal.SIGINT, self._on_interrupt)
         try:
             self._choose_device()
             while True:
@@ -98,6 +102,9 @@ class Repl:
                 self._dispatch(cmd, suspended=False)
         except _Quit:
             pass
+        finally:
+            if main:  # None: set in C
+                signal.signal(signal.SIGINT, self._outer_sigint or signal.SIG_DFL)
         return 1 if (self._failed or self.s.batch_failed) else 0
 
     def _banner(self):
@@ -113,11 +120,8 @@ class Repl:
             self._write(f"    License: {info['MODULE_LICENSE'][0]}")
 
     def _choose_device(self):
-        compats: list[str] = []
-        for path in self.s.dtsi_files:
-            for c in list_compatibles(path):
-                if c not in compats:
-                    compats.append(c)
+        compats = list(dict.fromkeys(c for path in self.s.dtsi_files
+                                     for c in list_compatibles(path)))
         if not compats:
             return
         if len(compats) == 1:
@@ -155,14 +159,11 @@ class Repl:
                 raise _Quit()
             if head == "b":
                 self._cmd_break(parts[1:])
-            elif head == "c":
+            elif head == "c" or head == "s":
+                action = "continue" if head == "c" else "step"
                 if suspended:
-                    return "continue"
-                self._write("nothing to continue")
-            elif head == "s":
-                if suspended:
-                    return "step"
-                self._write("nothing to step")
+                    return action
+                self._write(f"nothing to {action}")
             elif head == "xc":
                 self._cmd_examine(parts[1:])
             elif head == "trace":
@@ -190,22 +191,25 @@ class Repl:
 
     def _run_entry(self, name, argv):
         self._running, self._interrupts = True, 0
-        main = threading.current_thread() is threading.main_thread()
-        previous = signal.signal(signal.SIGINT, self._on_interrupt) if main else None
         try:
             self.interp.run_entry(name, argv)
         finally:
-            if main:
-                signal.signal(signal.SIGINT, previous or signal.SIG_DFL)  # None: set in C
             self._running = False
 
     def _on_interrupt(self, signum, frame):
         """Ctrl-C while a command runs stops it before its next statement,
-        as a breakpoint does; a second one before that stop ends it."""
+        as a breakpoint does, or at a loop's next pass; a second one before
+        that stop ends it. Between commands, the handler from before ``run``
+        acts (Python's default raises ``KeyboardInterrupt``)."""
+        if not self._running:
+            outer = self._outer_sigint
+            if outer != signal.SIG_IGN:
+                (outer if callable(outer) else signal.default_int_handler)(signum, frame)
+            return
         self._interrupts += 1
         if self._interrupts > 1:
             raise Interrupted("interrupted")
-        self.s.stop_next = True
+        self.s.stop_next = INTERRUPT
 
     def _on_stop(self, position) -> str:
         file_id, line = position
@@ -245,18 +249,18 @@ class Repl:
         self.s.trace_specs[args[0]] = TraceSpec(args[0], list(args[1:]))
 
     def _find_local(self, name):
+        """The slot of the innermost local ``name``, and its value."""
         for frame in reversed(self.s.frames):
             slot = frame.locals.get(name)
             if slot is not None:
-                return slot
+                return slot, self.s.store.load(Location(slot.region, slot.offset), slot.width)
         raise NoSuchLocal(f"no such local: {name}")
 
     def _cmd_examine(self, args):
         if not args:
             self._write("usage: xc NAME")
             return
-        slot = self._find_local(args[0])
-        value = self.s.store.load(Location(slot.region, slot.offset), slot.width)
+        slot, value = self._find_local(args[0])
         text, blocked = self.interp.display_value(value)
         if text is None:
             labels = self.s.values.labels_for(blocked.blockers)
@@ -267,8 +271,7 @@ class Repl:
         if not args:
             self._write("usage: trace NAME")
             return
-        slot = self._find_local(args[0])
-        value = self.s.store.load(Location(slot.region, slot.offset), slot.width)
+        _, value = self._find_local(args[0])
         for _vid, (file_id, line), desc, parents in \
                 self.s.values.provenance_trace(value):
             joined = ", ".join(f"v{p}" for p in parents)

@@ -21,6 +21,7 @@ FAIL = "fail"
 BRANCH_POLICIES = (ASK, ASSUME_TRUE, ASSUME_FALSE, FAIL)
 
 DEFAULT_MAX_STEPS = 1_000_000
+INTERRUPT = "interrupt"  # a ``stop_next`` that Ctrl-C set, which a loop pass takes too
 
 
 @dataclass(slots=True)
@@ -116,7 +117,7 @@ class Session:
         self.breakpoints: dict[tuple, object] = {}  # (file or None, line) -> Breakpoint
         self.trace_specs: dict[str, object] = {}    # callee -> TraceSpec
         self.stop_handler = None   # callable(position) -> "continue" | "step"
-        self.stop_next = False     # suspend before the next statement outside a snippet
+        self.stop_next = False     # True or INTERRUPT: suspend before the next statement
         self.ask = None            # callable(prompt) -> bool, for the ask policy
 
         self.parse_events: list[tuple[str, int, str]] = []

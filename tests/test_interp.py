@@ -19,7 +19,7 @@ from ssi.errors import (
     SymbolicBranch,
     UnknownCommand,
 )
-from ssi.interp import Control
+from ssi.interp import BREAK
 from ssi.islands import BreakNode, Node
 from ssi.memory import Location, Region
 from ssi.repl import Repl
@@ -366,9 +366,9 @@ def test_a_node_runs_as_the_built_in_node_class_it_derives_from():
 
     session, interp = make_session({"prog.c": ""})
     frame = Frame("testmain")
-    assert interp.exec_node(Marked("prog.c", 1, 0, 0), frame).kind == "break"
+    assert interp.exec_block([Marked("prog.c", 1, 0, 0)], frame) is BREAK
     with pytest.raises(EvalError, match="cannot execute node Node"):
-        interp.exec_node(Node("prog.c", 2, 0, 0), frame)
+        interp.exec_block([Node("prog.c", 2, 0, 0)], frame)
     assert session.steps == 2
 
 
@@ -646,7 +646,7 @@ void testmain(void) {
 
 
 def test_max_steps_guard():
-    with pytest.raises(MaxStepsExceeded):
+    with pytest.raises(MaxStepsExceeded, match=r"^exceeded 500 statement executions \(line 3\)$"):
         run_main("""
 void testmain(void) {
     while (1) { }
@@ -695,17 +695,13 @@ void entry(struct irq_data *data) {
 }
 """})
     session.commands["enable-irq"] = CommandSpec("entry", {"gpio": 1})
-    session.register_hook(
-        "irqd_to_hwirq",
-        lambda ctx: ctx.make_concrete(32, ctx.session.command_params["gpio"]))
     captured = {}
-    original = interp.exec_block
 
-    def spy(nodes, frame):
-        captured.setdefault("frame", frame)
-        return original(nodes, frame)
+    def hwirq(ctx):
+        captured.setdefault("frame", ctx.session.frames[-1])
+        return ctx.make_concrete(32, ctx.session.command_params["gpio"])
 
-    interp.exec_block = spy
+    session.register_hook("irqd_to_hwirq", hwirq)
     interp.run_entry("enable-irq", ["3"])
     frame = captured["frame"]
     assert local_concrete(session, frame, "gpio") == 3
@@ -1275,25 +1271,52 @@ void testmain(void) {
     assert local_concrete(session, frame, "b") == 304
 
 
-STOP_CASES = {
-    "a step, then continue": ({2}, ["step", "continue"], [3, 4]),
-    "a step onto a breakpoint": ({2, 3}, ["step", "step", "continue"], [3, 4, 5]),
-    "two breakpoints in a row": ({3, 4}, ["continue", "continue"], [4, 5]),
-    "steps to the end": ({2}, ["step"] * 4, [3, 4, 5, 6]),
-}
-
-
-@pytest.mark.parametrize("case", STOP_CASES)
-def test_breakpoints_and_steps_stop_before_the_next_statement(case):
-    lines, answers, expected = STOP_CASES[case]
-    session, interp = make_session({"prog.c": """void testmain(void) {
+FIVE = """void testmain(void) {
     int a = 1;
     int b = 2;
     int c = 3;
     int d = 4;
     int e = 5;
 }
-"""})
+"""
+LOOP = """void testmain(void) {
+    int i;
+    int t = 0;
+    for (i = 0; i < 2; i++) {
+        t = t + 1;
+        t = t + 2;
+    }
+    t = t + 3;
+}
+"""
+CALLEE = """int f(int x) {
+    int y = x + 1;
+    return y;
+}
+void testmain(void) {
+    int a = f(1);
+    int b = a;
+}
+"""
+
+# (program, breakpoint lines, answers, stop lines, hits of each breakpoint)
+STOP_CASES = {
+    "a step, then continue": (FIVE, {2}, ["step", "continue"], [3, 4], [1]),
+    "a step onto a breakpoint": (FIVE, {2, 3}, ["step", "step", "continue"], [3, 4, 5], [1, 1]),
+    "two breakpoints in a row": (FIVE, {3, 4}, ["continue", "continue"], [4, 5], [1, 1]),
+    "steps to the end": (FIVE, {2}, ["step"] * 4, [3, 4, 5, 6], [1]),
+    # The stop after a loop body's last statement waits for the next
+    # statement: the body's first on the next pass, then the one after.
+    "the last statement of a loop body": (LOOP, {6}, ["continue"] * 2, [5, 8], [2]),
+    "a breakpoint inside a callee": (CALLEE, {2}, ["continue"], [3], [1]),
+    "a step past a return": (CALLEE, {2}, ["step", "continue"], [3, 7], [1]),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_breakpoints_and_steps_stop_before_the_next_statement(case):
+    program, lines, answers, expected, hits = STOP_CASES[case]
+    session, interp = make_session({"prog.c": program})
     from ssi.repl import Breakpoint
 
     for line in lines:
@@ -1307,7 +1330,7 @@ def test_breakpoints_and_steps_stop_before_the_next_statement(case):
     session.stop_handler = on_stop
     run_function(session, interp, "testmain")
     assert stops == expected
-    assert [bp.hits for bp in session.breakpoints.values()] == [1] * len(lines)
+    assert [bp.hits for bp in session.breakpoints.values()] == hits
 
 
 def test_pointer_arithmetic_steps_by_elements():
@@ -1505,11 +1528,21 @@ def test_a_return_already_in_range_mints_nothing():
 
 RECURSION = "int r(int n) { if (n == 0) return probe(0); return r(n - 1) + 1; }\n"
 
+# (the recursive function r, the most Python frames one level of it may take)
+CALL_DEPTH_CASES = {
+    "plain": (RECURSION, 6),
+    "a call in an if in a while": ("int r(int n) { if (n == 0) return probe(0); "
+                                   "while (1) { if (n) return r(n - 1) + 1; } }\n", 10),
+}
 
-def test_a_c_call_costs_at_most_seven_python_frames():
+
+@pytest.mark.parametrize("case", CALL_DEPTH_CASES)
+def test_a_c_call_costs_few_python_frames(case):
+    source, bound = CALL_DEPTH_CASES[case]
+
     def depth_at(n):
         session, interp = make_session(
-            {"p.c": RECURSION + f"void testmain(void) {{ int x = r({n}); }}"})
+            {"p.c": source + f"void testmain(void) {{ int x = r({n}); }}"})
         depths = []
 
         def probe(ctx):
@@ -1522,7 +1555,7 @@ def test_a_c_call_costs_at_most_seven_python_frames():
         run_function(session, interp, "testmain")
         return depths[0]
 
-    assert depth_at(11) - depth_at(10) <= 7
+    assert depth_at(11) - depth_at(10) <= bound
 
 
 def test_recursion_past_the_python_stack_names_the_innermost_c_call():
@@ -1535,7 +1568,7 @@ def test_recursion_past_the_python_stack_names_the_innermost_c_call():
 
 
 def test_the_records_made_per_call_and_statement_take_no_attribute_dict():
-    for record in (ModelEvent(0, "call"), Frame("f"), Region(1, "r", "stack"), Control("next")):
+    for record in (ModelEvent(0, "call"), Frame("f"), Region(1, "r", "stack")):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 

@@ -239,28 +239,65 @@ void spin(void) {
 """}
 
 
-def run_spin(tick, lines):
+def run_spin(tick, lines, sources=SPIN, max_steps=5_000_000):
     """Run ``spin`` under a script with the hook ``tick``, and the SIGINT
     handler from before the run."""
     before = signal.getsignal(signal.SIGINT)
-    out, code, _ = run_repl(SPIN, lines, setup=lambda s: s.register_hook("tick", tick),
-                            commands={"spin": CommandSpec("spin")}, max_steps=5_000_000)
+    out, code, _ = run_repl(sources, lines, setup=lambda s: s.register_hook("tick", tick),
+                            commands={"spin": CommandSpec("spin")}, max_steps=max_steps)
     assert signal.getsignal(signal.SIGINT) is before
     return out, code
 
 
-def test_ctrl_c_stops_a_command_at_its_next_statement():
-    # The SIGINT comes from another thread while the loop runs; under a
-    # script the stop is an error naming the line, and the next line runs.
-    def tick(ctx):
-        timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
-        timer.daemon = True
-        timer.start()
+def interrupt_soon(ctx):
+    """A hook that sends SIGINT from another thread 0.2 s later."""
+    timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+    timer.daemon = True
+    timer.start()
 
-    out, code = run_spin(tick, ["spin", "fronble", "q"])
+
+def test_ctrl_c_stops_a_command_at_its_next_statement():
+    # The SIGINT comes while the loop runs; under a script the stop is an
+    # error naming the line, and the next line runs.
+    out, code = run_spin(interrupt_soon, ["spin", "fronble", "q"])
     assert "error: interrupted before prog.c:4" in out
     assert out.index("interrupted") < out.index("unknown command: fronble")
     assert code == 1
+
+
+def test_ctrl_c_stops_a_loop_with_an_empty_body():
+    # No statement runs in the loop, so the stop is taken at a pass, at the
+    # loop's line, long before the step limit.
+    empty = {"prog.c": "void spin(void) {\n    tick();\n    for (;;) {}\n}\n"}
+    out, _ = run_spin(interrupt_soon, ["spin", "q"], empty, max_steps=3_000_000)
+    assert "error: interrupted before prog.c:3" in out
+    assert "exceeded" not in out
+
+
+def test_the_sigint_handler_is_set_once_a_run(monkeypatch):
+    # Installed as the run starts and restored as it ends, not per command.
+    calls = []
+    real = signal.signal
+    monkeypatch.setattr(signal, "signal", lambda *args: calls.append(args) or real(*args))
+    out, code, _ = run_repl(TWO_STEP, ["entry", "entry", "entry"],
+                            commands={"entry": CommandSpec("entry")})
+    assert code == 0 and out.count("ssi > entry") == 3
+    assert len(calls) == 2
+
+
+def test_ctrl_c_between_commands_acts_as_before_the_run():
+    # While a script line is read, the handler from before the run acts:
+    # Python's default raises KeyboardInterrupt, which ends the run.
+    class Interrupting(io.StringIO):
+        def readline(self, *args):
+            os.kill(os.getpid(), signal.SIGINT)
+            return super().readline(*args)
+
+    session, interp = make_session(TWO_STEP)
+    before = signal.getsignal(signal.SIGINT)
+    with pytest.raises(KeyboardInterrupt):
+        Repl(session, interp, Interrupting("q\n"), io.StringIO()).run()
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 def test_a_second_ctrl_c_before_the_stop_ends_the_command():
