@@ -8,7 +8,7 @@ parenthesized declarator and ``[…]`` and ``(…)`` suffixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import tokens as tk
 from .values import Record
@@ -75,6 +75,8 @@ class Decl:
     typedef: bool      # declared with ``typedef``: a type name
     file_id: str = "<none>"  # where a file-scope declaration is, for messages
     line: int = 0
+    # (macro, line) left unexpanded in a global's item, for its first use
+    unexpanded: list | tuple = field(default=(), compare=False, repr=False)
 
 
 def _punct_at(toks, i, text) -> bool:

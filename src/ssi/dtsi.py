@@ -21,11 +21,16 @@ class DtNode:
     name: str
     properties: dict[str, object] = field(default_factory=dict)
     children: list["DtNode"] = field(default_factory=list)
+    parent: "DtNode | None" = field(default=None, repr=False, compare=False)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and every node under it, in document order, read with a
+        stack of its own: a tree of any depth walks."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def compatibles(self) -> list[str]:
         val = self.properties.get("compatible")
@@ -89,7 +94,8 @@ def parse_dtsi(path) -> DtNode:
 def parse_dtsi_text(text: str) -> DtNode:
     """Parse DTS text as ``parse_dtsi`` does. One loop reads the items of
     every node, with the open nodes on a stack, so nesting depth is not
-    bounded by Python's recursion limit."""
+    bounded by Python's recursion limit; each node's ``parent`` is the node
+    open around it."""
     root = DtNode(None, "/")
     open_nodes = [root]
     toks = _tokens(text)
@@ -114,7 +120,7 @@ def parse_dtsi_text(text: str) -> DtNode:
             i += 1
         after = toks[i] if i < n else None
         if after == "{":
-            child = DtNode(label, first)
+            child = DtNode(label, first, parent=open_nodes[-1])
             open_nodes[-1].children.append(child)
             open_nodes.append(child)
             i += 1
@@ -153,19 +159,13 @@ def _combine(cells: list[int]) -> int:
 def dtsi_find(path, compatible: str) -> tuple[int, int]:
     """(base address, size) of the first ``reg`` pair of the first node whose
     compatible list contains ``compatible``."""
-    root = parse_dtsi(path)
-    parents: dict[int, DtNode | None] = {id(root): None}
-    for node in root.walk():
-        for child in node.children:
-            parents[id(child)] = node
-    for node in root.walk():
+    for node in parse_dtsi(path).walk():
         if compatible in node.compatibles():
             reg = node.properties.get("reg")
             if not isinstance(reg, list) or not reg:
                 continue
-            parent = parents.get(id(node))
-            ac = _cells_count(parent, "#address-cells", 1)
-            sc = _cells_count(parent, "#size-cells", 1)
+            ac = _cells_count(node.parent, "#address-cells", 1)
+            sc = _cells_count(node.parent, "#size-cells", 1)
             if len(reg) < ac + sc:
                 ac, sc = 1, 1
             base = _combine([c for c in reg[:ac] if isinstance(c, int)])

@@ -6,9 +6,11 @@ them. A body hole's statements then compile into one block closure, kept as
 (``Interp._block``); the expressions and simple statements in them compile
 into closures on their first run, each held on its span until a typedef is
 added (``Interp._code``). Typedefs, global declarations and return types
-are read from each corpus file's items (``_read_file_scope``). Declarations
-and type names are read by ``ctype``; an array bound that is not a literal
-is evaluated each time its declaration runs (``Interp._compile_type``).
+are read from each corpus file's declaration items, each expanded once as a
+statement is (``_read_file_scope``), and a global is declared at its first
+use by the step that declares a local (``_declare``). Declarations and type
+names are read by ``ctype``; an array bound that is not a literal is
+evaluated each time its declaration runs (``Interp._compile_type``).
 Calls resolve, in order, to a registered hook, an in-corpus function
 definition, or a symbolic fallback that records a missing-model event and
 returns a fresh symbol. Fresh symbols minted inside a call remember it, so
@@ -74,7 +76,7 @@ from .islands import (
     tag_bodies,
 )
 from .ctype import (ARRAY, BASE, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations,
-                    _punct_at, _starts_declaration, count_of, parse_int_literal)
+                    _punct_at, _starts_declaration, parse_int_literal)
 from .memory import MMIO, OPAQUE, STACK, STATIC, Layout
 from .session import (
     ASK,
@@ -180,53 +182,42 @@ class Interp:
         self._read_file_scope()
 
     def _read_file_scope(self):
-        """Read each corpus file's items into the typedefs, ``global_decls``
-        and non-``void`` return types. An item is read expanded if it starts
-        with an object-like macro, which may name its type, and without
-        directives if one splits it; a definition's head declares only its
-        function."""
+        """Read each corpus file's declaration items into the typedefs,
+        ``global_decls`` and non-``void`` return types. Each item is read
+        once, without directives and expanded, as a statement is, and is one
+        if it then starts a declaration; a definition's head declares only
+        its function. A macro left unexpanded in a global's item is reported
+        at the global's first use (``resolve_name``)."""
         s = self.s
         macros = s.corpus.macros
         for fid in s.corpus.files:
             record = s.corpus.records[fid]
             toks, directives = record.tokens, record.tokens.directives
             for start, head, end, fdef in record.items:
-                t = toks[start]
-                macro = macros.get(t.text)
-                expand = macro is not None and not macro.function_like
-                if not expand and not _starts_declaration(t, s.typedefs):
-                    continue
                 stop = head if fdef else end
                 item = toks[start:stop]
                 d = bisect.bisect_left(directives, start)
                 if d < len(directives) and directives[d] < stop:
                     item = [x for x in item if x.kind != tk.DIRECTIVE]
-                if expand:
-                    item = mc.expand(item, macros)
-                decls = _declarations(item, 0, s.typedefs)[0] if item else ()
+                missing = []
+                item = mc.expand(item, macros, lambda *at: missing.append(at))
+                if not item or not _starts_declaration(item[0], s.typedefs):
+                    continue
+                decls, line = _declarations(item, 0, s.typedefs)[0], toks[start].line
                 if fdef:
                     decls = [x for x in decls if x.name == fdef.name
                              and x.type.kind is FUNCTION and not x.typedef]
                 for decl in decls:
                     if decl.name is None:
                         continue
-                    ctype = decl.type = self._expanded(decl.type)
-                    decl.file_id, decl.line = fid, t.line
+                    decl.file_id, decl.line, decl.unexpanded = fid, line, missing
                     if decl.typedef:
                         self._define_typedef(decl)
-                    elif ctype.kind is not FUNCTION:
+                    elif decl.type.kind is not FUNCTION:
                         s.global_decls.setdefault(decl.name, decl)
-                    elif ctype.of.kind is not VOID:
+                    elif decl.type.of.kind is not VOID:
                         self._returns.setdefault(decl.name, self._compile_type(
-                            ctype.of, fid, t.line)(Frame(decl.name)))
-
-    def _expanded(self, t: CType) -> CType:
-        """``t`` with each array bound that is still a token run read
-        macro-expanded, as one in the corpus as written is."""
-        if t.fixed:
-            return t
-        count = t.count if t.count.__class__ is not tuple else count_of(self._expand(t.count))
-        return CType(kind=t.kind, of=self._expanded(t.of), count=count)
+                            decl.type.of, fid, line)(Frame(decl.name)))
 
     # ------------------------------------------------------------ utilities
     def _on_unexpanded(self, name, line):
@@ -322,9 +313,13 @@ class Interp:
 
     def _params(self, fdef: FunctionDefNode) -> list[tuple[str | None, CType]]:
         """The (name, type) of each parameter of ``fdef`` in order, kept on
-        its hole by ``_code`` until a typedef is added (an empty list too)."""
-        params = fdef.params.compiled
-        return self._code(fdef.params, fdef.line, None) if params is None else params
+        its hole, as ``_code`` keeps a span's closure, until a typedef is
+        added (an empty list too)."""
+        hole = fdef.params
+        if hole.compiled is None:
+            hole.compiled = self._read_params(hole)
+            self._compiled.append(hole)
+        return hole.compiled
 
     def _read_params(self, hole):
         """The parameters of a parameter list, macro-expanded. An unnamed
@@ -578,11 +573,8 @@ class Interp:
         a typedef is added (typedef names change how casts, ``sizeof`` and
         declarations parse): ``_define_typedef`` clears each span listed here.
         ``span`` is an expression, or with ``statement`` a statement or ``for``
-        clause, whose closure gives None when it holds no code or declares;
-        with ``statement`` None, a parameter list, kept as ``_read_params``
-        reads it."""
-        code = span.compiled = self._read_params(span) if statement is None \
-            else self._compile(span, line, statement)
+        clause, whose closure gives None when it holds no code or declares."""
+        code = span.compiled = self._compile(span, line, statement)
         self._compiled.append(span)
         return code
 
@@ -645,15 +637,22 @@ class Interp:
                 steps.append(self._declare(decl, file_id, line))
         return _sequence(steps)
 
-    def _declare(self, decl, file_id, line):
+    def _declare(self, decl, file_id, line, kind=STACK):
+        """The step that declares ``decl``, a local in its frame or, for
+        ``kind`` STATIC, a global in ``Session.globals``, and then stores
+        its initializer; a global's array or brace initializer is not
+        stored."""
         ctype = self._compile_type(decl.type, file_id, line)
-        init = None
-        if decl.init is not None:
-            init = _Compiler(self, decl.init, file_id).expression(line)
-        at = (file_id, line)
+        init = decl.init
+        if kind is STATIC and init and (decl.type.kind is ARRAY or tk.is_punct(init[0], "{")):
+            init = None
+        if init is not None:
+            init = _Compiler(self, init, file_id).expression(line)
+        at, name = (file_id, line), decl.name
 
         def declare(frame):
-            place = frame.locals[decl.name] = self._allocate(decl.name, ctype(frame), STACK)
+            place = self._allocate(name, ctype(frame), kind)
+            (frame.locals if kind is STACK else self.s.globals)[name] = place
             if init is not None:
                 self.store_place(place, init(frame), at)
 
@@ -772,35 +771,17 @@ class Interp:
                     and v.id not in vals.pointer_bindings:
                 vals.concretize(v, make_concrete(32, 0), "branch-comparison", at)
             return
-        if not hasattr(payload, "op") or payload.op not in ("==", "!="):
-            return
+        if getattr(payload, "op", None) not in ("==", "!=") or (payload.op == "==") is not outcome:
+            return  # only an equality found true or an inequality found false binds
         a, b = payload.operands
-        ra, rb = vals.resolve(a), vals.resolve(b)
-        sym = conc = None
-        if isinstance(a.payload, SymbolRoot) and a.id not in vals.bindings \
-                and isinstance(rb, Concrete):
-            sym, conc = a, rb
-        elif isinstance(b.payload, SymbolRoot) and b.id not in vals.bindings \
-                and isinstance(ra, Concrete):
-            sym, conc = b, ra
-        if sym is None:
-            return
-        if (payload.op == "==" and outcome) or (payload.op == "!=" and not outcome):
-            vals.concretize(sym, conc, "branch-comparison", at)
+        for sym, other in ((a, b), (b, a)):
+            conc = vals.resolve(other)
+            if isinstance(sym.payload, SymbolRoot) and sym.id not in vals.bindings \
+                    and isinstance(conc, Concrete):
+                vals.concretize(sym, conc, "branch-comparison", at)
+                return
 
     # -------------------------------------------------------------- pointers
-    def _materialize(self, symbol: Value, at) -> None:
-        """Give an unbound symbol a region of its own on first dereference,
-        the under-constrained default for pointers nobody modeled."""
-        s = self.s
-        region = s.store.alloc_region(f"*{symbol.payload.label}", OPAQUE)
-        addr = s.values.addr_of(region.id, at,
-                                desc=f"materialized *{symbol.payload.label}")
-        s.values.bind_pointer(symbol, addr)
-        s.emit_event("diagnostic",
-                     message=f"materialized region {region.id} for "
-                             f"{symbol.payload.label}")
-
     def deref_location(self, ptr: Value, at) -> tuple[int, int]:
         s = self.s
         r = s.values.resolve(ptr)
@@ -810,19 +791,20 @@ class Interp:
             return s.absolute_region, to_int(r)
         if r.pointer is not None:
             return r.pointer
-        # A lone unbound root in the way (the pointer itself, or the base of
-        # a pointer+offset term) becomes a fresh region.
-        if len(r.blockers) == 1:
-            blocker = s.values.get(r.blockers[0])
-            if blocker.id not in s.values.bindings \
-                    and blocker.id not in s.values.pointer_bindings:
-                self._materialize(blocker, at)
-                r = s.values.resolve(ptr)
-                if r.pointer is not None:
-                    return r.pointer
+        # The unbound root the pointer steps from gets a region of its own,
+        # the under-constrained default for a pointer nobody modeled; a
+        # symbolic index or offset is no pointer and stays as it is.
+        if (root := s.values.stepped_root(ptr)) is not None:
+            label = root.payload.label
+            region = s.store.alloc_region(f"*{label}", OPAQUE)
+            s.values.bind_pointer(root, s.values.addr_of(region.id, at,
+                                                         desc=f"materialized *{label}"))
+            s.emit_event("diagnostic", message=f"materialized region {region.id} for {label}")
+            if (r := s.values.resolve(ptr)).pointer is not None:
+                return r.pointer
         labels = s.values.labels_for(r.blockers)
         raise SymbolicAddress(
-            f"cannot dereference symbolic pointer at line {at[1]} "
+            f"cannot dereference symbolic pointer at {at[0]}:{at[1]} "
             f"(blocked by: {s.values.blocker_text(labels)})",
             blockers=labels,
         )
@@ -867,7 +849,7 @@ class Interp:
         if held:
             place.value = value
         else:
-            self.s.store.store(cell, value)
+            self.s.store.store(cell, value, at)
 
     def _converted(self, value: Value, t: CType, at) -> Value:
         """``value`` as a variable of the narrow or unsigned integer type
@@ -896,8 +878,8 @@ class Interp:
 
     def resolve_name(self, name: str, frame, at):
         """The Place a name denotes in ``frame``; in a snippet, a bound
-        placeholder or ``opaque`` gives a Value instead. A global gets its
-        region on first use."""
+        placeholder or ``opaque`` gives a Value instead. A global is
+        declared, by ``_declare``, on first use."""
         s = self.s
         if frame.is_snippet:
             if name == "opaque":
@@ -906,17 +888,12 @@ class Interp:
             if v is not None:
                 return v
         place = frame.locals.get(name) or s.globals.get(name)
-        if place is None:
-            decl = s.global_decls.get(name)
-            if decl is None:
-                place = Place(region=s.store.alloc_region(name, STATIC).id, name=name)
-            else:
-                ctype = self._compile_type(decl.type, decl.file_id, decl.line)(Frame(name))
-                place = self._allocate(name, ctype, STATIC)
-            s.globals[name] = place
-            if decl is not None and decl.init and ctype.kind is not ARRAY \
-                    and not tk.is_punct(decl.init[0], "{"):
-                self._initialize(place, decl)
+        if place is None:  # an undeclared name is an int
+            decl = s.global_decls.get(name) or Decl(name, INT, None, False)
+            for macro, line in decl.unexpanded:
+                s.emit_event("unexpanded-macro", name=macro, line=line)
+            self._declare(decl, decl.file_id, decl.line, STATIC)(Frame(name))
+            place = s.globals[name]
         return place
 
     def read_name(self, name: str, frame, at, name_at):
@@ -926,12 +903,6 @@ class Interp:
         if p is None:
             return self.value_of(self.resolve_name(name, frame, name_at), at)
         return self.address_of(p, at) if p.step or p.type.kind is ARRAY else self.load_place(p, at)
-
-    def _initialize(self, place: Place, decl: Decl) -> None:
-        """Store a file-scope scalar's initializer, run once in an empty
-        frame. Array and brace initializers are not stored."""
-        init = _Compiler(self, self._expand(decl.init), decl.file_id).expression(decl.line)
-        self.store_place(place, init(Frame(decl.name)), (decl.file_id, decl.line))
 
     def address_of(self, place: Place, at) -> Value:
         """The value of a pointer step or of an array: its address, which

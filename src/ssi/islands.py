@@ -422,14 +422,15 @@ class SourceFile:
     """One file as read: its source and tokens, and its top-level ``items``,
     each ``(start, head end, end, definition or None)``, with the first
     definition of each function name, the ``(open, close)`` of each struct
-    or union tag's first body, nested ones included, and the
-    ``MODULE_*("…")`` strings by field."""
+    or union tag's first body, nested ones included, the
+    ``MODULE_*("…")`` strings by field, and, for a corpus file, its own
+    ``#define``s (``Corpus.add_file``)."""
 
-    __slots__ = ("source", "tokens", "items", "functions", "tags", "module")
+    __slots__ = ("source", "tokens", "items", "functions", "tags", "module", "defines")
 
     def __init__(self, file_id: str, source: str):
         self.source, self.tokens = source, tk.FileTokens(source)
-        self.items, self.functions, self.tags = [], {}, {}
+        self.items, self.functions, self.tags, self.defines = [], {}, {}, {}
         self.module: dict[str, list[str]] = {k: [] for k in MODULE_FIELDS}
         self._read_items(file_id)
 
@@ -531,12 +532,18 @@ class Corpus:
         return corpus
 
     def add_file(self, file_id: str, text):
-        """Read a corpus file into a new record; its macros are merged."""
+        """Read a corpus file into a new record, or a file read again into
+        its record, and rebuild ``macros`` in place from every file's own
+        ``#define``s in file order, so that one a file dropped is gone."""
         if isinstance(text, (bytes, bytearray)):
             text = bytes(text).decode("latin-1")
+        tokens = self.add_scratch(file_id, text)
+        self.records[file_id].defines = mc.scan_defines(tokens, file_id)
         if file_id not in self.files:
             self.files.append(file_id)
-        self.macros.update(mc.scan_defines(self.add_scratch(file_id, text), file_id))
+        self.macros.clear()
+        for fid in self.files:
+            self.macros.update(self.records[fid].defines)
 
     def add_scratch(self, file_id: str, text: str) -> tk.FileTokens:
         """Read a transient buffer (snippets); scratch files are reachable

@@ -100,9 +100,10 @@ class Store:
         return self.regions.get(region_id)
 
     # ----------------------------------------------------------------- cells
-    def _cell(self, loc) -> tuple[int, int]:
+    def _cell(self, loc, at) -> tuple[int, int]:
         """The cell key of ``loc``: a Location or a (region, offset) pair,
-        whose offset is an int or a Value that must resolve concretely."""
+        whose offset is an int or a Value that must resolve concretely; an
+        error names ``at``, the access's (file, line)."""
         region, off = (loc.region, loc.offset) if loc.__class__ is Location else loc
         if isinstance(off, int):
             return region, off
@@ -112,7 +113,7 @@ class Store:
                 return region, to_int(r)
             labels = self.values.labels_for(r.blockers)
             raise SymbolicAddress(
-                f"address offset in region {region} is symbolic "
+                f"address offset in region {region} is symbolic at {at[0]}:{at[1]} "
                 f"(blocked by: {self.values.blocker_text(labels)})",
                 blockers=labels,
             )
@@ -124,7 +125,7 @@ class Store:
         0) cell of a held local reads its Place. ``width`` is accepted for
         its callers and not read: a cell holds one value, whatever the width
         of the access, until the store keeps bytes."""
-        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
+        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc, at)
         v = self.cells.get(key)
         if v is not None:
             return v
@@ -141,9 +142,9 @@ class Store:
         return self.values.fresh_symbol(
             f"mem:({region},{off})", at, self.taints.get(region) or self.values.blame)
 
-    def store(self, loc, value: Value) -> None:
+    def store(self, loc, value: Value, at=("<memory>", 0)) -> None:
         """Put ``value`` in the cell at ``loc``, as ``load`` reads it."""
-        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc)
+        key = loc if loc.__class__ is tuple and loc[1].__class__ is int else self._cell(loc, at)
         self.cells[key] = value
 
     # ----------------------------------------------------------- held locals

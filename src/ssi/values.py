@@ -671,6 +671,22 @@ class ValueTable:
                 return make_concrete(64, a.pointer[1] - b.pointer[1], True)
         return Residual(vid, blockers, pointer)
 
+    def stepped_root(self, v: Value):
+        """The symbol root that ``v``, a pointer, steps from, as ``_combine``
+        carries a pointer: ``v`` itself, or the root under a chain of casts
+        and of ``+`` or ``-`` whose other operand is constant; else None."""
+        while (p := v.payload).__class__ is not SymbolRoot:
+            op = getattr(p, "op", "")
+            if op.startswith("cast"):
+                v = p.operands[0]
+            elif (op == "+" or op == "-") and self.resolve(p.operands[1]).__class__ is Concrete:
+                v = p.operands[0]
+            elif op == "+" and self.resolve(p.operands[0]).__class__ is Concrete:
+                v = p.operands[1]
+            else:
+                return None
+        return v
+
     # ------------------------------------------------------------ provenance
     @staticmethod
     def provenance_trace(v: Value):

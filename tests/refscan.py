@@ -27,7 +27,7 @@ from functools import lru_cache
 import reftokens
 from ssi import macros as mc
 from ssi import tokens as tk
-from ssi.ctype import FUNCTION, _declarations, _punct_at, _starts_declaration
+from ssi.ctype import FUNCTION, CType, _declarations, _punct_at, _starts_declaration, count_of
 from ssi.islands import FunctionDefNode, Hole, _declarator_end
 
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
@@ -191,18 +191,30 @@ def scan_corpus_names(interp):
             i += 1
 
 
-def _record_global_decl(interp, toks, i, file_id):
+def _record_global_decl(interp, toks, i, file_id, expand_bounds=True):
+    """Record the declarators at ``toks[i]``; with ``expand_bounds``, each
+    array bound still a token run is read macro-expanded (``_expanded``)."""
     decls, j = _declarations(toks, i, interp.s.typedefs)
     for decl in decls:
         if decl.name is None or decl.type.kind is FUNCTION and not decl.typedef:
             continue
-        decl.type = interp._expanded(decl.type)
+        if expand_bounds:
+            decl.type = _expanded(interp, decl.type)
         decl.file_id, decl.line = file_id, toks[i].line
         if decl.typedef:
             interp._define_typedef(decl)
         else:
             interp.s.global_decls.setdefault(decl.name, decl)
     return j
+
+
+def _expanded(interp, t):
+    """``t`` with each array bound that is still a token run read
+    macro-expanded, as one in the corpus as written is."""
+    if t.fixed:
+        return t
+    count = t.count if t.count.__class__ is not tuple else count_of(interp._expand(t.count))
+    return CType(kind=t.kind, of=_expanded(interp, t.of), count=count)
 
 
 def scrape_module_info(corpus):
@@ -326,11 +338,10 @@ def item_layout(interp, tag):
 
 
 def item_names(interp):
-    """Each item read without its directives, expanded when it starts with
-    an object-like macro, into ``interp.s.typedefs`` and
-    ``interp.s.global_decls``; a definition's head declares nothing."""
+    """Each item read without its directives and expanded, into
+    ``interp.s.typedefs`` and ``interp.s.global_decls`` if it then starts a
+    declaration; a definition's head declares nothing."""
     s = interp.s
-    macros = s.corpus.macros
     for fid in s.corpus.files:
         source = s.corpus.source(fid)
         toks = _tokens(source)
@@ -338,14 +349,9 @@ def item_names(interp):
             fdef = _item_definition(toks, fid, start, head, end)
             if fdef is not None:
                 continue
-            item = _without_directives(toks[start:end])
-            macro = macros.get(item[0].text)
-            if macro is not None and macro.params is None:
-                item = mc.expand(item, macros)
-            elif not _starts_declaration(item[0], s.typedefs):
-                continue
-            if item:
-                _record_global_decl(interp, item, 0, fid)
+            item = mc.expand(_without_directives(toks[start:end]), s.corpus.macros)
+            if item and _starts_declaration(item[0], s.typedefs):
+                _record_global_decl(interp, item, 0, fid, expand_bounds=False)
 
 
 def item_module_info(corpus):

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 import refdtsi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssi.cli import main
 from ssi.dtsi import dtsi_find, list_compatibles, parse_dtsi, parse_dtsi_text
 from ssi.errors import DtsiNotFound, SsiError, UnbalancedDelimiter
 
@@ -195,10 +198,28 @@ def test_reader_cases(case):
     assert read(parse_dtsi_text, text) == read(refdtsi.parse_dtsi_text, text) == expected
 
 
-def test_deep_nesting_reads_without_recursion():
-    root_node = parse_dtsi_text("n {" * 5000 + "};" * 5000)
+# 5,000 nested nodes; the innermost is a device whose parent gives two
+# address cells.
+DEEP = ("n {" * 4998 + "p { #address-cells = <2>; d { compatible = \"deep,dev\";"
+        " reg = <1 0x10 0x20>; }; };" + "};" * 4998)
+
+
+def test_deep_nesting_reads_without_recursion(tmp_path, capsys):
+    root_node = parse_dtsi_text(DEEP)
     depth = 0
     while root_node.children:
-        (root_node,) = root_node.children
-        depth += 1
+        (child,) = root_node.children
+        assert child.parent is root_node
+        root_node, depth = child, depth + 1
     assert depth == 5000
+    path = write(tmp_path, DEEP)
+    assert list_compatibles(path) == ["deep,dev"]
+    assert dtsi_find(path, "deep,dev") == ((1 << 32) | 0x10, 0x20)
+    (tmp_path / "m.c").write_text("int go(void) { return 0; }")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"corpus": ["m.c"], "dtsi": ["t.dtsi"],
+                                  "commands": {"go": {"entry": "go"}}}))
+    script = write(tmp_path, "go\nq\n", "s.txt")
+    assert main([str(config), "--script", str(script)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and "error" not in out

@@ -16,6 +16,7 @@ from ssi.errors import (
     EvalError,
     MaxStepsExceeded,
     StoppedAtBreakpoint,
+    SymbolicAddress,
     SymbolicBranch,
     UnknownCommand,
 )
@@ -1449,6 +1450,65 @@ void testmain(void) {
         assert isinstance(v.payload, SymbolRoot)
 
 
+def test_file_scope_declarations_are_read_expanded():
+    # A function-like macro inside a declaration is expanded before the item
+    # is read, and a name that is an object-like macro declares nothing, as
+    # C's preprocessor and a block-scope declaration have it.
+    session, frame = run_main("""
+#define DECL(n) int n = 3
+#define GOOD 3
+#define N(k) (k + 1)
+static DECL(G);
+DECL(H);
+int GOOD;
+int arr[N(2)];
+void testmain(void) { int a = G; int b = H; int n = sizeof(arr); }
+""")
+    assert sorted(session.global_decls) == ["G", "H", "arr"]
+    assert {n: local_concrete(session, frame, n) for n in "abn"} == {"a": 3, "b": 3, "n": 12}
+
+
+def test_unexpanded_macro_in_a_global_is_reported_at_its_first_use():
+    # Reading file scope reports nothing; the global's first use reports
+    # the macro once, before its initializer runs, and later uses do not.
+    session, interp = make_session({"prog.c": """
+#define GLUE(a, b) a ## b
+int G = GLUE(x, y);
+int unused = GLUE(p, q);
+void testmain(void) { int a = G; int b = G; }
+"""})
+    assert session.events_of("unexpanded-macro") == []
+    run_function(session, interp, "testmain")
+    kinds = [e.kind for e in session.events if e.kind in ("unexpanded-macro", "missing-model")]
+    assert kinds == ["unexpanded-macro", "missing-model"]
+    assert [(e.name, e.line) for e in session.events_of("unexpanded-macro")] == [("GLUE", 3)]
+
+
+def test_every_global_is_declared_by_one_step_at_first_use():
+    # A declared global and an undeclared name (an int) are both declared by
+    # ``_declare``, in ``Session.globals`` before the initializer runs.
+    session, interp = make_session({"prog.c": """
+int *SELF = &SELF;
+int G = 4;
+void testmain(void) { int a = G; int b = U; U = 6; int c = U; int *p = SELF; }
+"""})
+    declared = []
+    real = interp._declare
+
+    def spy(decl, file_id, line, kind=interp_module.STACK):
+        declared.append((decl.name, kind))
+        return real(decl, file_id, line, kind)
+
+    interp._declare = spy
+    frame = run_function(session, interp, "testmain")
+    statics = [name for name, kind in declared if kind is interp_module.STATIC]
+    assert statics == ["G", "U", "SELF"]
+    assert {n: local_concrete(session, frame, n) for n in "ac"} == {"a": 4, "c": 6}
+    assert session.globals["U"].type.kind == "base"
+    assert session.values.resolve(frame.locals["p"].value).pointer == \
+        (session.globals["SELF"].region, 0)
+
+
 def test_file_scope_initializer_errors_name_their_line():
     source = "int G = 1 +;\nvoid testmain(void) { int a = G; }\n"
     with pytest.raises(EvalError, match="at prog.c:1"):
@@ -1783,6 +1843,105 @@ def test_a_branch_that_no_named_root_blocks_says_opaque_value():
     with pytest.raises(SymbolicBranch, match=r"\(blockers: opaque value\)") as exc:
         run_main("void testmain(void) { int a, b; if (&a < &b) a = 1; }")
     assert exc.value.blockers == ()
+
+
+# Addresses with a symbolic index ``i`` (line 5's ``g()``, bound to 2 after
+# the run) and other pointer paths: each row is a line of ``testmain`` (line
+# 6), then what it gives. ``(name, offset)``: ``p`` stays symbolic and, once
+# ``i`` is bound, points at that global's region at that offset. A message:
+# the run raises ``SymbolicAddress`` with it, blocked by ``i``'s root, which
+# stays unbound. An int: what ``r`` reads.
+ADDRESS_CASES = {
+    "an element's address": ("int *p = &a[i];", ("a", 8)),
+    "a field of an element": ("int *p = &s[i].f;", ("s", 20)),
+    "a step past an element": ("int *p = &a[1] + i;", ("a", 12)),
+    "an element of a row": ("int *p = &m[i][1];", ("m", 20)),
+    "a row's element": ("int *p = &m[1][i];", ("m", 16)),
+    "two symbolic indices": ("int *p = &m[i][i];", ("m", 24)),
+    "a field through a stepped pointer": (
+        "struct st *q = &s[1]; int *p = &q[i].f;", ("s", 28)),
+    "a read of an element": (
+        "int r = a[i];", r"address offset in region \d+ is symbolic at prog.c:6 "),
+    "a write of an element": (
+        "a[i] = 1;", r"address offset in region \d+ is symbolic at prog.c:6 "),
+    "a read through the address": (
+        "int *p = &a[i];\n    int r = *p;", "cannot dereference symbolic pointer at prog.c:7 "),
+    "a concrete address": ("*(int *)0x40 = 7; int r = *(int *)0x40;", 7),
+}
+
+
+@pytest.mark.parametrize("case", ADDRESS_CASES)
+def test_symbolic_addresses_wait_for_their_index(case):
+    line, expected = ADDRESS_CASES[case]
+    session, interp = make_session({"prog.c": (
+        "int a[4];\nstruct st { int e; int f; } s[3];\nint m[3][2];\n"
+        f"void testmain(void) {{\n    int i = g();\n    {line}\n}}\n")})
+    vals = session.values
+    if isinstance(expected, str):
+        with pytest.raises(SymbolicAddress, match=expected) as exc:
+            run_function(session, interp, "testmain")
+        assert exc.value.blockers == ("ret:g@5",)
+        assert not vals.bindings and not vals.pointer_bindings
+        return
+    frame = run_function(session, interp, "testmain")
+    if isinstance(expected, int):
+        assert local_concrete(session, frame, "r") == expected
+        return
+    p = frame.locals["p"].value
+    assert vals.resolve(p).pointer is None
+    vals.concretize(frame.locals["i"].value, Concrete(32, 2, True), "test")
+    name, offset = expected
+    assert vals.resolve(p).pointer == (session.globals[name].region, offset)
+
+
+def test_a_symbolic_index_is_not_materialized_as_a_pointer():
+    # Only the root a pointer steps from gets a region of its own: ``q``
+    # itself, or ``r`` and ``t`` under casts and a constant taken or added;
+    # ``i`` is an index.
+    source = ("int a[4];\nvoid testmain(void) {\n"
+              "    int i = g(); int *p = &a[i]; int r = *p;\n}\n")
+    session, interp = make_session({"prog.c": source})
+    with pytest.raises(SymbolicAddress, match=r"\(blocked by: ret:g@3\)"):
+        run_function(session, interp, "testmain")
+    vals = session.values
+    assert not vals.bindings and not vals.pointer_bindings
+    root = session.frames[-1].locals["i"].value
+    vals.concretize(root, Concrete(32, 2, True), "test")
+    p = session.frames[-1].locals["p"].value
+    assert interp.deref_location(p, ("prog.c", 3)) == (session.globals["a"].region, 8)
+    session, frame = run_main("""
+void testmain(void) {
+    int *q = g();
+    *q = 5;
+    q[2] = 9;
+    int x = *q;
+    int y = *(int *)((long)q + 8);
+    int *r = h();
+    *(int *)((long)r - 4) = 3;
+    int *t = k();
+    *(int *)(8 + (long)t) = 7;
+    int w = r[-1];
+    int u = t[2];
+}
+""")
+    assert {n: local_concrete(session, frame, n) for n in "xywu"} == \
+        {"x": 5, "y": 9, "w": 3, "u": 7}
+    assert [e.message for e in session.events_of("diagnostic")] == [
+        "materialized region 2 for ret:g@3", "materialized region 6 for ret:h@8",
+        "materialized region 8 for ret:k@10"]
+
+
+def test_an_equality_with_the_constant_first_binds_the_symbol():
+    session, frame = run_main("""
+void testmain(void) {
+    int x = h();
+    int r = 0;
+    if (5 == x)
+        r = x;
+}
+""", branch_policy="assume-true")
+    assert local_concrete(session, frame, "r") == 5
+    assert [b.bound.bits for b in session.values.bindings.values()] == [5]
 
 
 # ------------------------------------------------------------ held locals

@@ -208,6 +208,19 @@ def test_re_adding_a_file_drops_its_stale_definitions():
     assert hole_text(corpus, fdef.body) == "return 2;"
 
 
+def test_re_adding_a_file_drops_its_stale_defines():
+    corpus = Corpus.from_sources({"a.c": "#define LIMIT 3\nint f(void) { return LIMIT; }"})
+    corpus.add_file("a.c", "int f(void) { return LIMIT; }")
+    assert "LIMIT" not in corpus.macros
+    # A later file's definition of a name still wins, re-read or not.
+    corpus = Corpus.from_sources({"a.c": "#define N 1\n#define A 1\n",
+                                  "b.c": "#define N 2\n"})
+    corpus.add_file("a.c", "#define N 3\n")
+    assert [(m.name, m.file_id) for m in corpus.macros.values()] == [("N", "b.c")]
+    corpus.add_file("c.c", "#define N 4\n")
+    assert corpus.macros["N"].file_id == "c.c"
+
+
 def test_a_brace_on_a_preprocessor_line_is_no_brace():
     # A directive is one token, so its ``{`` opens nothing: g's body closes
     # at its last ``}``, and the directive is an inert statement in it.
