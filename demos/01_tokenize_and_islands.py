@@ -2,8 +2,8 @@
 
 The tokenizer is lossless and total: every byte lands in a token, and
 joining the token texts reproduces the file exactly. A corpus keeps only a
-file's code and directive tokens, and reads any span's text from the source
-by the offsets of its first and last token. The island parser then matches
+file's code tokens, with its preprocessor lines beside them, and reads any
+span's text from the source by the offsets of its first and last token. The island parser then matches
 coarse statement shapes and captures balanced spans as holes, so code it
 never executes is never analyzed -- even if it is not valid C.
 """

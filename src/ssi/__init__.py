@@ -1,12 +1,13 @@
 """ssi: build system-specific interpreters for modules of large C codebases.
 
-The pipeline: each source file's code and directive tokens (text is read
-from the source by offsets) feed an island parser whose statement rules
-capture balanced spans as lazily-parsed holes; each hole control reaches
-compiles into closures that run over a semi-symbolic value algebra and a
-region-offset memory; unmodeled system API calls return fresh symbols whose
-provenance names the call that should be modeled; a gdb-style REPL steers it
-all. See README.md for a walkthrough of the bundled pin-controller SSI.
+The pipeline: each source file's code tokens (its preprocessor lines kept
+beside them; text is read from the source by offsets) feed an island parser
+whose statement rules capture balanced spans as lazily-parsed holes; each
+hole control reaches compiles into closures that run over a semi-symbolic
+value algebra and a region-offset memory; unmodeled system API calls return
+fresh symbols whose provenance names the call that should be modeled; a
+gdb-style REPL steers it all. See README.md for a walkthrough of the bundled
+pin-controller SSI.
 """
 
 from .config import SsiConfig, build_session, load_config

@@ -74,28 +74,30 @@ class HookContext:
 
 
 def parse_value_sexpr(ctx: HookContext, text: str) -> Value:
-    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    """The Value ``text`` builds: a number, ``(imm N)`` of a number, or
+    ``(str X)``; any other text, trailing tokens too, raises
+    ``UnsupportedOperation`` naming it."""
+    toks = text.replace("(", " ( ").replace(")", " ) ").split() + [""]  # "" ends it
 
     def parse(i):
         if toks[i] != "(":
             try:
                 return int(toks[i], 0), i + 1
             except ValueError:
-                raise UnsupportedOperation(f"bad value expression atom {toks[i]!r}")
+                raise UnsupportedOperation(
+                    f"bad value expression atom {toks[i]!r} in {text!r}") from None
         head = toks[i + 1]
         if head != "imm" and head != "str":
-            raise UnsupportedOperation(f"unknown value expression form {head!r}")
+            raise UnsupportedOperation(f"unknown value expression form {head!r} in {text!r}")
         inner, j = parse(i + 2)
-        if toks[j] != ")":
+        if toks[j] != ")" or head == "imm" and not isinstance(inner, int):
             raise UnsupportedOperation(f"malformed ({head} ...) in {text!r}")
         return (ctx.make_concrete(32, inner) if head == "imm" else inner), j + 1
 
-    if not toks:
-        raise UnsupportedOperation("empty value expression")
     out, j = parse(0)
-    if isinstance(out, int):
-        out = ctx.make_concrete(32, out)
-    return out
+    if toks[j]:
+        raise UnsupportedOperation(f"trailing {toks[j]!r} in value expression {text!r}")
+    return ctx.make_concrete(32, out) if isinstance(out, int) else out
 
 
 _ACTIONS = ("return_constant", "return_symbol", "write_through_arg", "log_args")

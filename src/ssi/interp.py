@@ -37,7 +37,6 @@ fresh value, and the reported line is always the next statement to run.
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -142,7 +141,7 @@ _COMMA, _ASSIGN, _TERNARY, _BINARY = 1, 2, 3, 4
 _BINDING = {",": _COMMA, "?": _TERNARY, **dict.fromkeys(_ASSIGN_OPS, _ASSIGN),
             **{op: _BINARY + tier for tier, ops in enumerate(_TIERS) for op in ops}}
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\",
             "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
 
 
@@ -160,15 +159,15 @@ def _pin(v: Value, elem: CType) -> None:
         v.pointee = elem
 
 
-_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|.)", re.S)
+_ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]*)|([0-7]{1,3})|(.))", re.S)
 
 
 def unescape_c(text: str) -> str:
-    """``text`` with each C escape replaced: ``\\x`` and its hex digits by
-    the byte they give (0 for none), any other by ``_ESCAPES`` or the
-    character escaped."""
-    return _ESCAPE.sub(lambda m: chr(int(m[1][1:] or "0", 16) & 0xFF) if m[1][0] == "x"
-                       else _ESCAPES.get(m[1], m[1]), text)
+    """``text`` with each C escape replaced (C11 6.4.4.4): ``\\x`` and its
+    hex digits, or one to three octal digits, by the byte they give (0 for
+    no hex digit), any other by ``_ESCAPES`` or the character escaped."""
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[3], m[3]) if m[3] else chr(
+        (int(m[2], 8) if m[2] else int(m[1] or "0", 16)) & 0xFF), text)
 
 
 class Interp:
@@ -184,23 +183,19 @@ class Interp:
     def _read_file_scope(self):
         """Read each corpus file's declaration items into the typedefs,
         ``global_decls`` and non-``void`` return types. Each item is read
-        once, without directives and expanded, as a statement is, and is one
-        if it then starts a declaration; a definition's head declares only
-        its function. A macro left unexpanded in a global's item is reported
-        at the global's first use (``resolve_name``)."""
+        once, expanded as a statement is, and is one if it then starts a
+        declaration; a definition's head declares only its function. A macro
+        left unexpanded in a global's item is reported at the global's first
+        use (``resolve_name``)."""
         s = self.s
         macros = s.corpus.macros
         for fid in s.corpus.files:
             record = s.corpus.records[fid]
-            toks, directives = record.tokens, record.tokens.directives
+            toks = record.tokens
             for start, head, end, fdef in record.items:
-                stop = head if fdef else end
-                item = toks[start:stop]
-                d = bisect.bisect_left(directives, start)
-                if d < len(directives) and directives[d] < stop:
-                    item = [x for x in item if x.kind != tk.DIRECTIVE]
                 missing = []
-                item = mc.expand(item, macros, lambda *at: missing.append(at))
+                item = mc.expand(toks[start : head if fdef else end], macros,
+                                 lambda *at: missing.append(at))
                 if not item or not _starts_declaration(item[0], s.typedefs):
                     continue
                 decls, line = _declarations(item, 0, s.typedefs)[0], toks[start].line
@@ -496,8 +491,7 @@ class Interp:
         return RETURN, v
 
     def _exec_raw(self, node, frame):
-        if not node.directive:
-            self.s.emit_event("diagnostic", message=f"skipped stray tokens at line {node.line}")
+        self.s.emit_event("diagnostic", message=f"skipped stray tokens at line {node.line}")
 
     def _holds(self, node, frame, statement=False) -> bool:
         """Whether the condition of ``node`` is true; an empty ``for``
@@ -608,7 +602,7 @@ class Interp:
         return replaying
 
     def _compile_statement(self, toks, file_id, line):
-        if not toks or toks[0].kind == tk.DIRECTIVE:
+        if not toks:
             return _nothing
         first = toks[0]
         if first.kind == tk.IDENTIFIER and first.text in ("asm", "__asm__", "__asm"):
@@ -1075,12 +1069,12 @@ class Interp:
         region.display_base = base_value
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
 
-    def string_value(self, token: tk.Token, file_id: str, at) -> Value:
+    def string_value(self, data: str, key, at) -> Value:
+        """The address of a string literal's array: its bytes ``data`` and
+        a NUL, in one region for each ``key``, its site."""
         s = self.s
-        key = (file_id, token.byte_offset, token.text)
         rid = s.string_regions.get(key)
         if rid is None:
-            data = unescape_c(token.text[1:-1]) if len(token.text) >= 2 else ""
             region = s.store.alloc_region(f"str@{at[0]}:{at[1]}", STATIC,
                                           size=len(data) + 1)
             # Each byte is stored as the int it promotes to, so arithmetic on
@@ -1126,8 +1120,9 @@ def _cannot_execute(interp, node, frame):
 # ------------------------------------------------------------------ compiler
 
 # Kinds of compiled subexpression: what its closure returns when run. The
-# compiler passes a subexpression around as (kind, closure, name index); the
-# index, where the identifier is in the token run, is None but for _NAME.
+# compiler passes a subexpression around as (kind, closure, index); the
+# index is where the identifier is in the token run for _NAME, a string
+# literal's array size for its _VALUE, and None for any other.
 _VALUE = "value"  # a Value
 _PLACE = "place"  # a Place (a Value, when it ends in a snippet-bound name)
 _NAME = "name"    # resolves an identifier; a call through it is a named call
@@ -1341,9 +1336,12 @@ class _Compiler:
         elif kind == tk.CHAR:
             inner = unescape_c(text[1:-1]) if len(text) >= 2 else "\0"
             e = self._literal(t, at, ord(inner[0]) if inner else 0, 32, True)
-        elif kind == tk.STRING:
-            string_value, fid = self.it.string_value, self.file_id
-            e = (_VALUE, lambda frame: string_value(t, fid, at), None)
+        elif kind == tk.STRING:  # with the literals after it, one (C11 5.1.1.2p6)
+            while self.i < n and toks[self.i].kind == tk.STRING:
+                self.i += 1
+            data = "".join(unescape_c(x.text[1:-1]) for x in toks[i : self.i])
+            string_value, key = self.it.string_value, (self.file_id, t.byte_offset, data)
+            e = (_VALUE, lambda frame: string_value(data, key, at), len(data) + 1)
         else:
             self._err(f"unexpected token {text!r}")
         while self.i < n:
@@ -1478,10 +1476,13 @@ class _Compiler:
             ctype = self.it._compile_type(decl.type, self.file_id, t.line)
             return _VALUE, lambda frame: vals.concrete(64, size_of(ctype(frame)), at,
                                                        desc="sizeof"), None
-        # A place is not loaded: its size is its declared type's, and a
-        # pointer step's is a pointer's. Any other operand, a snippet
-        # placeholder included, gives the width of its value.
-        v = self.operand()[1]
+        # A string literal's size is its array's. A place is not loaded: its
+        # size is its declared type's, and a pointer step's is a pointer's.
+        # Any other operand, a snippet placeholder included, gives the width
+        # of its value.
+        kind, v, size = self.operand()
+        if kind is _VALUE and size is not None:
+            return _VALUE, lambda frame: vals.concrete(64, size, at, desc="sizeof"), None
 
         def size_of_value(frame):
             p = v(frame)

@@ -8,9 +8,11 @@ reaches them, so code that never runs is never analyzed beyond delimiter
 balance. This is what makes the parser indifferent to unresolvable headers,
 unknown macros, or outright garbage in untaken branches.
 
-Rules read a file's code and directive tokens (``tokens.FileTokens``): a
-rule's next token is the next in the list, and a hole is empty when its span
-is. Text is read from the source by offsets (``Corpus.text``).
+Rules read a file's code tokens (``tokens.FileTokens``), its preprocessor
+lines kept beside them, so a directive inside a body, a struct, a parameter
+list or an expression is read with every arm live: a rule's next token is
+the next in the list, and a hole is empty when its span is. Text is read
+from the source by offsets (``Corpus.text``).
 
 File scope is read once, when a corpus file is added: one walk splits the
 file into top-level items, and its record (``SourceFile``) keeps them with
@@ -136,7 +138,7 @@ class ExpressionStatementNode(Node):
 
 @dataclass
 class RawNode(Node):
-    directive: bool = False
+    """A stray ``}``."""
 
 
 @dataclass
@@ -323,8 +325,8 @@ _KEYWORD_READERS = {
 
 
 def _match_statement(cur: tk.Cursor):
-    """The statement at the cursor, read by its first code token: a
-    directive, a block, a keyword's statement, a declaration or a label.
+    """The statement at the cursor, read by its first token: a block, a
+    keyword's statement, a declaration or a label.
     None for anything else, or for a keyword whose statement's shape the
     tokens after it do not have (``if`` without ``(``)."""
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
@@ -344,8 +346,6 @@ def _match_statement(cur: tk.Cursor):
     elif t.kind == tk.IDENTIFIER:
         if i + 1 < limit and tk.is_punct(toks[i + 1], ":"):
             return LabelNode(fid, t.line, i, i + 2, name=t.text)
-    elif t.kind == tk.DIRECTIVE:
-        return RawNode(fid, t.line, i, i + 1, directive=True)
     return None
 
 
@@ -435,26 +435,20 @@ class SourceFile:
         self._read_items(file_id)
 
     def _read_items(self, file_id):
-        """One walk over the items, stepping over directives. An item ends
-        after a ``;`` or ``}`` at its top level, or with a body: a ``{``
-        after none of ``=``, ``,``, ``struct``, ``union``, ``enum`` and such
-        a keyword's tag. A bracket that never closes is stepped past alone,
-        any other jumped to its closer, so a body, garbage in it included,
-        hides nothing after it."""
+        """One walk over the items. An item ends after a ``;`` or ``}`` at
+        its top level, or with a body: a ``{`` after none of ``=``, ``,``,
+        ``struct``, ``union``, ``enum`` and such a keyword's tag. A bracket
+        that never closes is stepped past alone, any other jumped to its
+        closer, so a body, garbage in it included, hides nothing after it."""
         toks, module = self.tokens, self.module
         closers, n = toks.closers, len(toks)
         i = 0
         while i < n:
-            if toks[i].kind == tk.DIRECTIVE:
-                i += 1
-                continue
             start, body = i, None
-            before = last = toks[i]  # the two code tokens before; none yet
+            before = last = toks[i]  # the two tokens before; none yet
             while i < n:
                 t = toks[i]
                 i += 1
-                if t.kind == tk.DIRECTIVE:
-                    continue
                 if t.kind == tk.PUNCT:
                     if t.text == ";" or t.text == "}":
                         break
@@ -552,7 +546,7 @@ class Corpus:
         return record.tokens
 
     def tokens(self, file_id: str) -> tk.FileTokens:
-        """A file's code and directive tokens, with their index."""
+        """A file's code tokens, with their index."""
         return self.records[file_id].tokens
 
     def source(self, file_id: str) -> str:

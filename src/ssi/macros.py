@@ -1,12 +1,13 @@
 """Token-level handling of simple object-like and function-like ``#define``s.
 
-A preprocessor line is one ``directive`` token to the tokenizer. Loading a
-file reads each ``#define``'s name from its token's text with one pattern;
-the parameters and body are tokenized the first time ``expand`` needs them.
-Macros are substituted textually just before an expression or statement is
-evaluated. Conditional inclusion, stringizing and token pasting are out of
-scope; a macro that cannot be expanded is left in place and reported through
-the ``on_unexpanded`` callback.
+A preprocessor line is one ``directive`` token, kept beside a file's code
+(``FileTokens.directives``). Loading a file reads each ``#define``'s name
+from its token's text with one pattern; the parameters and body are
+tokenized the first time ``expand`` needs them. Macros are substituted
+textually just before an expression or statement is evaluated. Conditional
+inclusion, stringizing and token pasting are out of scope; a macro that
+cannot be expanded is left in place and reported through the
+``on_unexpanded`` callback.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def scan_defines(toks: tk.FileTokens, file_id: str) -> dict[str, MacroDef]:
     its name."""
     out: dict[str, MacroDef] = {}
     match = _DEFINE.match
-    for i in toks.directives:
-        d = toks[i]
+    for d in toks.directives:
         if (m := match(d.text)) and (name := m[1]) not in tk.KEYWORDS:
             out[name] = MacroDef(name, m[2] == "(", file_id, d, m.end(1))
     return out

@@ -49,7 +49,6 @@ class Repl:
         self.inp = instream
         self.outs = outstream
         self.interactive = interactive
-        self._failed = False
         self._running = False
         self._interrupts = 0  # Ctrl-Cs since the command started or last stopped
         self._outer_sigint = None  # the SIGINT handler that ``run`` replaced
@@ -105,7 +104,7 @@ class Repl:
         finally:
             if main:  # None: set in C
                 signal.signal(signal.SIGINT, self._outer_sigint or signal.SIG_DFL)
-        return 1 if (self._failed or self.s.batch_failed) else 0
+        return 1 if self.s.batch_failed else 0
 
     def _banner(self):
         info = self.s.corpus.module_info()
@@ -146,7 +145,7 @@ class Repl:
                 break
             self._write(f"bad choice: {answer}")
             if not self.interactive:  # a script runs nothing past a bad choice
-                self._failed = True
+                self.s.batch_failed = True
                 raise _Quit()
         self.s.chosen_compatible = compats[choice]
 
@@ -173,20 +172,20 @@ class Repl:
             elif head in self.s.commands:
                 if self._running:
                     self._write(f"error: cannot run {head!r} while suspended")
-                    self._failed = True
+                    self.s.batch_failed = True
                 else:
                     self._run_entry(head, parts[1:])
             else:
                 self._write(f"unknown command: {head}")
-                self._failed = True
+                self.s.batch_failed = True
         except _Quit:
             raise
         except SsiError as e:
             self._write(f"error: {e}")
-            self._failed = True
+            self.s.batch_failed = True
         except Exception as e:  # a fault of the interpreter ends the command, not the session
             self._write(f"error: internal {type(e).__name__}: {e}")
-            self._failed = True
+            self.s.batch_failed = True
         return None
 
     def _run_entry(self, name, argv):

@@ -121,7 +121,7 @@ class Session:
         self.ask = None            # callable(prompt) -> bool, for the ask policy
 
         self.parse_events: list[tuple[str, int, str]] = []
-        self.batch_failed = False
+        self.batch_failed = False  # a command of a script failed: ssi exits 1
         self.out = out
 
     # ---------------------------------------------------------------- events

@@ -4,8 +4,10 @@
 error, unknown bytes become ``unknown-byte`` tokens, and concatenating the
 ``text`` of every token reproduces the input exactly. ``FileTokens``, the
 reader of a corpus file or snippet, makes the same tokens but none for
-whitespace, newlines and comments; each keeps its byte offset, so a region's
-text is read from the source (``Corpus.text``), not by joining tokens.
+whitespace, newlines and comments, and keeps each preprocessor line beside
+its list, as C's phase 4 takes directives out before any parsing, so the
+list holds only code. Each token keeps its byte offset: a region's text is
+read from the source (``Corpus.text``), not by joining tokens.
 
 Both walk the matches of one compiled pattern, ``_TOKEN``, whose
 alternatives are tried in order at each position: newline, a whitespace run,
@@ -167,12 +169,12 @@ def plain_tokens(text: str, start: int, end: int, base: int, line: int,
 
 
 class FileTokens(list):
-    """The tokens ``tokenize`` gives a source text, the same in kind, text
-    and position, but for whitespace, newlines and comments, which are not
-    made; indexed in the same pass: ``closers`` maps each ``(``, ``[`` and
-    ``{`` to what ``closing`` finds for it (the length when it never
-    closes), and ``directives`` lists the index of each directive token, in
-    file order. Never changed once built; its slices are plain lists."""
+    """The code tokens ``tokenize`` gives a source text, the same in kind,
+    text and position, but for whitespace, newlines and comments, which are
+    not made, and directives, which ``directives`` lists in file order
+    instead; indexed in the same pass: ``closers`` maps each ``(``, ``[``
+    and ``{`` to what ``closing`` finds for it (the length when it never
+    closes). Never changed once built; its slices are plain lists."""
 
     __slots__ = ("closers", "directives")
 
@@ -203,9 +205,9 @@ class FileTokens(list):
                         append(Token(PUNCT, "#", offset, line, offset - line_start + 1))
                         offset += 1
                         break  # a mid-line ``#``, as ``tokenize`` reads it
-                    directives.append(len(tokens))
                 if kind is not COMMENT:
-                    append(Token(kind, text, offset, line, offset - line_start + 1))
+                    (directives if kind is DIRECTIVE else tokens).append(
+                        Token(kind, text, offset, line, offset - line_start + 1))
                 if "\n" in text:
                     line += text.count("\n")
                     line_start = offset + text.rindex("\n") + 1

@@ -1,13 +1,11 @@
-"""Reference statement reader: thirteen matchers tried in priority order.
+"""Reference statement reader: twelve matchers tried in priority order.
 
 This is the statement reader ``ssi.islands`` had before its one
 dispatching rule, kept as the differential reference for it
 (``tests/test_islands.py``). Each matcher takes a cursor, repeats the same
 preamble and returns a node or None; ``reference_rules()`` registers them
 in their old order, with the unchanged ``"raw"`` fallback last. The span
-helpers that did not change are imported from ``ssi.islands``. The
-directive matcher takes one ``directive`` token, since the tokenizer makes
-each preprocessor line one; it took a ``#`` through its line's end.
+helpers that did not change are imported from ``ssi.islands``.
 """
 
 from reftokens import skip_trivia
@@ -23,7 +21,6 @@ from ssi.islands import (
     Hole,
     IfNode,
     LabelNode,
-    RawNode,
     ReturnNode,
     RuleRegistry,
     SwitchNode,
@@ -212,14 +209,6 @@ def _match_switch(cur):
     )
 
 
-def _match_directive(cur):
-    toks, limit, fid = cur.tokens, cur.limit, cur.file_id
-    i = cur.peek_index()
-    if i >= limit or toks[i].kind != tk.DIRECTIVE:
-        return None
-    return RawNode(fid, toks[i].line, i, i + 1, directive=True)
-
-
 def _match_declaration(cur):
     toks, limit, fid = cur.tokens, cur.limit, cur.file_id
     i = cur.peek_index()
@@ -233,7 +222,6 @@ def _match_declaration(cur):
 
 
 MATCHERS = (
-    ("directive", _match_directive),
     ("label", _match_label),
     ("if", _match_if),
     ("while", _match_while),
@@ -250,7 +238,7 @@ MATCHERS = (
 
 
 def reference_rules() -> RuleRegistry:
-    """The thirteen matchers at priorities 100-112, then the fallback."""
+    """The twelve matchers at priorities 100-111, then the fallback."""
     rules = RuleRegistry(defaults=False)
     for n, (name, fn) in enumerate(MATCHERS):
         rules.register(name, fn, priority=100 + n)

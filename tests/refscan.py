@@ -6,13 +6,13 @@ The readers from ``scan_defines`` to ``scrape_module_info`` are the ones
 readers that answer from it (``tests/test_refscan.py``). The bodies are
 unchanged but for these things: methods of ``Interp`` became functions of
 the interpreter; each reader walks the reference tokens of a file's source
-(``reftokens.tokenize``) without trivia, as a corpus file's list holds them,
-in a plain list, so every ``tk.closing`` call in it scans (each source text
-is tokenized once, and each reader gets its own copy of the list:
-``_tokens``); a preprocessor line is one ``directive`` token there, which
-``_without_directives`` leaves out; ``scan_defines`` reads the
-per-character tokens of one line (``reftokens.plain_tokenize``) and gives
-each macro as a ``(name, params, body, file_id, line)`` tuple; and
+(``reftokens.tokenize``) without trivia and directives
+(``_without_directives``), as a corpus file's list holds them, in a plain
+list, so every ``tk.closing`` call in it scans (each source text is
+tokenized once, and each reader gets its own copy of the list:
+``_tokens``); ``scan_defines`` reads the per-character tokens of one line
+(``reftokens.plain_tokenize``) and gives each macro as a ``(name, params,
+body, file_id, line)`` tuple; and
 ``find_function_definition`` reads past a parenthesized declarator's end
 with the rule it imports from ``ssi.islands`` (``_declarator_end``). They
 find a definition, a struct body or a ``MODULE_*`` string at any depth.
@@ -33,14 +33,19 @@ from ssi.islands import FunctionDefNode, Hole, _declarator_end
 _MODULE_FIELDS = ("MODULE_DESCRIPTION", "MODULE_AUTHOR", "MODULE_LICENSE")
 
 
+def _without_directives(toks):
+    """Non-trivia tokens with preprocessor lines removed."""
+    return [t for t in toks if t.kind not in tk.TRIVIA and t.kind != tk.DIRECTIVE]
+
+
 @lru_cache(maxsize=64)
 def _tokenized(source):
-    return tuple(t for t in reftokens.tokenize(source) if t.kind not in tk.TRIVIA)
+    return tuple(_without_directives(reftokens.tokenize(source)))
 
 
 def _tokens(source):
-    """The reference tokens of ``source`` but for trivia: a fresh list over
-    the one tokenization of that text."""
+    """The reference tokens of ``source`` but for trivia and directives: a
+    fresh list over the one tokenization of that text."""
     return list(_tokenized(source))
 
 
@@ -141,11 +146,6 @@ def layout_from_corpus(interp, tag):
     return None
 
 
-def _without_directives(toks):
-    """Non-trivia tokens with preprocessor lines removed."""
-    return [t for t in toks if t.kind not in tk.TRIVIA and t.kind != tk.DIRECTIVE]
-
-
 def scan_corpus_names(interp):
     """Token-level pass over the corpus for file-scope typedefs and
     variable declarations, into ``interp.s.typedefs`` and
@@ -153,7 +153,7 @@ def scan_corpus_names(interp):
     s = interp.s
     macros = s.corpus.macros
     for fid in s.corpus.files:
-        toks = _without_directives(_tokens(s.corpus.source(fid)))
+        toks = _tokens(s.corpus.source(fid))
         depth = 0
         boundary = True
         i = 0
@@ -237,9 +237,9 @@ def scrape_module_info(corpus):
 
 
 # The item rule: each file is split into top-level items, and every
-# file-scope answer comes from them. A plain walk over the reference tokens:
-# directives are left out first, and a bracket's closer is found by
-# scanning (``tk.closing`` over a plain list).
+# file-scope answer comes from them. A plain walk over the reference tokens,
+# in which a bracket's closer is found by scanning (``tk.closing`` over a
+# plain list).
 
 _TAGGED = ("struct", "union", "enum")
 
@@ -255,13 +255,12 @@ def file_items(source):
     passed (a closer for a bracket pair), which is at the item's top level."""
     toks = _tokens(source)
     n = len(toks)
-    code = [k for k, t in enumerate(toks) if t.kind != tk.DIRECTIVE]
     out = []
     c = 0
-    while c < len(code):
-        start, top, end, head = code[c], [], n, None
-        while c < len(code):
-            k = code[c]
+    while c < n:
+        start, top, end, head = c, [], n, None
+        while c < n:
+            k = c
             t = toks[k]
             c += 1
             if t.kind == tk.PUNCT and t.text in (";", "}"):
@@ -270,8 +269,7 @@ def file_items(source):
             if t.kind == tk.PUNCT and t.text in ("(", "[", "{"):
                 close = tk.closing(toks, k, n)
                 if close < n:
-                    while c < len(code) and code[c] <= close:
-                        c += 1
+                    c = close + 1
                     if t.text == "{" and not _no_body([toks[j] for j in top]):
                         head, end = k, close + 1
                         break
@@ -338,9 +336,9 @@ def item_layout(interp, tag):
 
 
 def item_names(interp):
-    """Each item read without its directives and expanded, into
-    ``interp.s.typedefs`` and ``interp.s.global_decls`` if it then starts a
-    declaration; a definition's head declares nothing."""
+    """Each item read expanded, into ``interp.s.typedefs`` and
+    ``interp.s.global_decls`` if it then starts a declaration; a
+    definition's head declares nothing."""
     s = interp.s
     for fid in s.corpus.files:
         source = s.corpus.source(fid)
@@ -349,7 +347,7 @@ def item_names(interp):
             fdef = _item_definition(toks, fid, start, head, end)
             if fdef is not None:
                 continue
-            item = mc.expand(_without_directives(toks[start:end]), s.corpus.macros)
+            item = mc.expand(toks[start:end], s.corpus.macros)
             if item and _starts_declaration(item[0], s.typedefs):
                 _record_global_decl(interp, item, 0, fid, expand_bounds=False)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_emit_sexpr_unknown_form_rejected():
         ctx.emit_sexpr("(frobnicate 3)")
     with pytest.raises(UnsupportedOperation):
         parse_value_sexpr(ctx, "(str (what 1))")
+
+
+# Malformed value expressions: an unclosed form, a form with nothing in it,
+# ``imm`` of a Value, and tokens after a whole expression.
+MALFORMED_SEXPRS = ["(imm 1", "(", "(imm", "(imm (imm 2))", "1 2", "(imm 1) junk", "", "(imm 1))"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SEXPRS)
+def test_emit_sexpr_malformed_text_rejected(text):
+    session, interp = make_session({"t.c": "int unused;"})
+    with pytest.raises(UnsupportedOperation, match=re.escape(repr(text))):
+        hook_ctx(session, interp).emit_sexpr(text)
 
 
 def test_fresh_symbolic_is_attributed_to_active_call():

@@ -2037,3 +2037,61 @@ def test_a_long_session_keeps_one_region_per_command_and_no_more_cells():
     assert all(held == 0 for _, _, held in seen)
     assert after[100][1] == after[1000][1]
     assert [b[0] - a[0] for a, b in zip(after[100:1000], after[101:1001])] == [1] * 900
+
+
+def test_directive_lines_between_statements_are_no_statements():
+    # Three statements around two directives: three steps and three parse
+    # events, and a breakpoint on a directive line has no statement to stop
+    # after.
+    from ssi.repl import Breakpoint
+
+    program = "void testmain(void) {\n int x = 1;\n#ifndef X\n x = 2;\n#endif\n x = 3;\n}\n"
+    session, interp = make_session({"prog.c": program})
+    session.breakpoints[(None, 3)] = Breakpoint(None, 3)
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "x") == 3
+    assert session.steps == 3
+    assert [(line, kind) for _f, line, kind in session.parse_events] == [
+        (2, "DeclarationNode"), (4, "ExpressionStatementNode"), (6, "ExpressionStatementNode")]
+    assert session.breakpoints[(None, 3)].hits == 0
+
+
+def _testmain(session, interp):
+    run_function(session, interp, "testmain")
+
+
+# Statement paths, each run with ``max_steps`` 3: (program, how it runs,
+# then either the int each global holds after and the diagnostics emitted,
+# or the error raised and a pattern of its message).
+STATEMENT_PATHS = {
+    "return; ends a void function": (
+        "int G;\nvoid f(void) { G = 1; return; G = 2; }\nvoid testmain(void) { f(); }",
+        _testmain, {"G": 1}, []),
+    "a switch on an unmodeled call's result": (
+        "void testmain(void) {\n switch (g()) { case 1: break; }\n}",
+        _testmain, SymbolicBranch, r"^switch on symbolic value at line 2 \(blockers: ret:g@2\)$"),
+    "a goto with no label": (
+        "void f(void) { goto nowhere; }\nvoid testmain(void) { f(); }",
+        _testmain, EvalError, r"^goto target not found: nowhere$"),
+    "a fourth statement past max_steps": (
+        "void testmain(void) {\n int a = 1;\n a = 2;\n a = 3;\n a = 4;\n}",
+        _testmain, MaxStepsExceeded, r"^exceeded 3 statement executions \(line 5\)$"),
+    "a stray } in a snippet": (
+        "int G;\n", lambda session, interp: interp.exec_snippet("int y = 1; } G = y + 1;"),
+        {"G": 2}, ["skipped stray tokens at line 1"]),
+}
+
+
+@pytest.mark.parametrize("case", STATEMENT_PATHS)
+def test_statement_paths(case):
+    program, run, expected, detail = STATEMENT_PATHS[case]
+    session, interp = make_session({"prog.c": program}, max_steps=3)
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=detail):
+            run(session, interp)
+        return
+    run(session, interp)
+    held = {name: to_int(session.values.resolve(session.store.load(
+        (session.globals[name].region, 0)))) for name in expected}
+    assert held == expected
+    assert [e.message for e in session.events_of("diagnostic")] == detail

@@ -222,24 +222,23 @@ def test_re_adding_a_file_drops_its_stale_defines():
 
 
 def test_a_brace_on_a_preprocessor_line_is_no_brace():
-    # A directive is one token, so its ``{`` opens nothing: g's body closes
-    # at its last ``}``, and the directive is an inert statement in it.
+    # A directive is kept beside the code, so its ``{`` opens nothing: g's
+    # body closes at its last ``}``, and the directive is no statement in it.
     source = "int g(void) {\n int r = 1;\n#define OPEN {\n r = 2;\n return r; }"
     session, interp = make_session({"g.c": source})
     fdef = session.corpus.find_function("g")
     assert fdef is not None and hole_text(session.corpus, fdef.body).endswith("return r;")
     nodes = parse_hole_as_block(session.corpus, fdef.body, RuleRegistry())
     assert [type(n).__name__ for n in nodes] == \
-        ["DeclarationNode", "RawNode", "ExpressionStatementNode", "ReturnNode"]
-    assert nodes[1].directive
+        ["DeclarationNode", "ExpressionStatementNode", "ReturnNode"]
     assert local_concrete(session, run_function(session, interp, "g"), "r") == 2
 
 
 def test_directive_statement_is_inert():
+    # A directive line is no statement: the first one is the code after it.
     corpus, node, cur = first_statement("#define X 1\ny = 2;")
-    assert isinstance(node, RawNode) and node.directive
-    node2, _ = parse_next_statement(cur, RuleRegistry())
-    assert isinstance(node2, ExpressionStatementNode)
+    assert isinstance(node, ExpressionStatementNode) and node.line == 2
+    assert cur.at_end()
 
 
 def test_custom_rule_shadows_builtin_for_its_tokens_only():

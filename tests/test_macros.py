@@ -89,8 +89,9 @@ def test_a_define_header_loads_one_token_a_line_and_reads_bodies_on_use(monkeypa
     session, interp = make_session({"regs.h": source})
     toks = session.corpus.tokens("regs.h")
     directive_lines = [n for n, line in enumerate(source.split("\n"), 1) if line.startswith("#")]
-    assert [t.line for t in toks if t.kind == tk.DIRECTIVE] == directive_lines
-    assert not [t for t in toks if t.line in directive_lines and t.kind != tk.DIRECTIVE]
+    assert [t.line for t in toks.directives] == directive_lines
+    assert {t.kind for t in toks.directives} == {tk.DIRECTIVE}
+    assert not [t for t in toks if t.line in directive_lines]
     assert len(session.corpus.macros) == 403 and read == []
     frame = run_function(session, interp, "testmain")
     assert local_concrete(session, frame, "x") == regs[3] + regs[5] + 1

@@ -285,12 +285,15 @@ def assert_balanced_span_matches_oracle(toks):
 # ------------------------------------------------------ the corpus reader
 
 def assert_reader_matches_tokenize(source):
-    """``FileTokens(source)`` is ``tokenize(source)`` without trivia, field
-    by field, and its index is what scans of that list find."""
-    code = [t for t in tk.tokenize(source) if t.kind not in tk.TRIVIA]
+    """``FileTokens(source)`` is ``tokenize(source)`` without trivia and
+    directives, field by field, its ``directives`` are ``tokenize``'s
+    directive tokens, field by field, and its index is what scans of that
+    list find."""
+    toks = tk.tokenize(source)
+    code = [t for t in toks if t.kind not in tk.TRIVIA and t.kind != tk.DIRECTIVE]
     index = tk.FileTokens(source)
     assert fields(index) == fields(code)
-    assert index.directives == [i for i, t in enumerate(code) if t.kind == tk.DIRECTIVE]
+    assert fields(index.directives) == fields(t for t in toks if t.kind == tk.DIRECTIVE)
     openers = [i for i, t in enumerate(code) if t.kind == tk.PUNCT and t.text in "([{"]
     assert index.closers == {i: tk.closing(code, i, len(code)) for i in openers}
     assert type(index[1:]) is list
