@@ -45,6 +45,7 @@ class CType(Record):
 
 
 INT = CType()
+CHAR = CType(1)
 
 
 def _type_names() -> dict[str, CType]:

@@ -5,7 +5,8 @@ them. A body hole's statements then compile into one block closure, kept as
 ``hole.compiled``, that looks each node's runner up once by its class
 (``Interp._block``); the expressions and simple statements in them compile
 into closures on their first run, each held on its span until a typedef is
-added (``Interp._code``). Typedefs, global declarations and return types
+added (``Interp._code``); an operator's closure runs its kernel at once on two
+constants (``_Compiler._apply``). Typedefs, global declarations and return types
 are read from each corpus file's declaration items, each expanded once as a
 statement is (``_read_file_scope``), and a global is declared at its first
 use by the step that declares a local (``_declare``). Declarations and type
@@ -74,8 +75,8 @@ from .islands import (
     parse_hole_as_block,
     tag_bodies,
 )
-from .ctype import (ARRAY, BASE, FUNCTION, INT, POINTER, VOID, CType, Decl, _declarations,
-                    _punct_at, _starts_declaration, parse_int_literal)
+from .ctype import (ARRAY, BASE, CHAR, FUNCTION, INT, POINTER, VOID, CType, Decl,
+                    _declarations, _punct_at, _starts_declaration, parse_int_literal)
 from .memory import MMIO, OPAQUE, STACK, STATIC, Layout
 from .session import (
     ASK,
@@ -87,6 +88,7 @@ from .session import (
     Session,
 )
 from .values import (
+    BINARY_KERNELS,
     Concrete,
     MissingCall,
     Residual,
@@ -162,6 +164,12 @@ def _pin(v: Value, elem: CType) -> None:
 _ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]*)|([0-7]{1,3})|(.))", re.S)
 
 
+def _char_int(ch: str) -> int:
+    """The int that a ``char`` of ``ch`` promotes to: its byte as a signed
+    ``char``, as on x86-64 (psABI), so ``'\\377'`` is -1."""
+    return ((ord(ch) & 0xFF) ^ 0x80) - 0x80
+
+
 def unescape_c(text: str) -> str:
     """``text`` with each C escape replaced (C11 6.4.4.4): ``\\x`` and its
     hex digits, or one to three octal digits, by the byte they give (0 for
@@ -178,6 +186,7 @@ class Interp:
         self._returns: dict[str, CType] = {}  # function -> its declared return type
         self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
         self._block_tags: dict[str, tuple[str, list]] = {}  # see _compile_declaration
+        self._applies: dict = {}  # operator -> its function of two Values; see _Compiler._apply
         self._read_file_scope()
 
     def _read_file_scope(self):
@@ -495,9 +504,15 @@ class Interp:
 
     def _holds(self, node, frame, statement=False) -> bool:
         """Whether the condition of ``node`` is true; an empty ``for``
-        condition, run as a statement, gives no value and is."""
+        condition, run as a statement, gives no value and is. A constant is
+        true by its bits, as ``truth`` finds."""
         v = (node.cond.compiled or self._code(node.cond, node.line, statement))(frame)
-        return v is None or self.truth(v, (node.file_id, node.line))
+        if v is None:
+            return True
+        c = v.payload
+        if c.__class__ is Concrete:
+            return c.bits != 0
+        return self.truth(v, (node.file_id, node.line))
 
     def _exec_if(self, node, frame):
         hole = node.then if self._holds(node, frame) else node.orelse
@@ -818,6 +833,12 @@ class Interp:
         return rid, off
 
     def load_place(self, place: Place, at) -> Value:
+        """The value of ``place``. A cell holds one Value, whatever the
+        width it was written at, so a ``char`` or ``short`` cell reads its
+        value as a store to it would convert it: a string's byte -1 reads
+        255 through an ``unsigned char *``. (A held local was converted
+        when it was stored.)"""
+        t = place.type
         if place.held:
             v = place.value
             if v is None:
@@ -825,7 +846,8 @@ class Interp:
         else:
             v = self.s.store.load((place.region, place.offset) if place.region is not None
                                   else self._through(place.ptr, place.offset, at), at=at)
-        t = place.type
+            if t.narrow is not None:
+                v = self._converted(v, t, at)
         if t.pointer:
             _pin(v, t.elem)
         return v
@@ -892,10 +914,15 @@ class Interp:
 
     def read_name(self, name: str, frame, at, name_at):
         """``value_of`` the name at ``name_at``, at ``at``; a name that is no
-        frame local, or is in a snippet, goes through ``resolve_name``."""
+        frame local, or is in a snippet, goes through ``resolve_name``. A
+        held local's value is read off its Place, as ``load_place`` reads
+        it, when it is set and no pointer (which ``load_place`` pins)."""
         p = None if frame.is_snippet else frame.locals.get(name)
         if p is None:
             return self.value_of(self.resolve_name(name, frame, name_at), at)
+        v = p.value  # None unless held and set
+        if v is not None and not p.type.pointer:
+            return v
         return self.address_of(p, at) if p.step or p.type.kind is ARRAY else self.load_place(p, at)
 
     def address_of(self, place: Place, at) -> Value:
@@ -968,6 +995,9 @@ class Interp:
     def _indexed(self, offset, n: Value, size: int, at):
         """``offset`` moved by ``n`` elements of ``size`` bytes (back when
         ``size`` is negative): an int when both are known, else a term."""
+        r = n.payload
+        if r.__class__ is Concrete and offset.__class__ is int:
+            return offset + to_int(r) * size
         vals = self.s.values
         r = vals.resolve(n)
         if isinstance(r, Concrete):
@@ -1004,9 +1034,11 @@ class Interp:
         return vals.apply_binop("/", v, vals.concrete(
             64, size, at, signed=True, desc=f"elem {size}"), at)
 
-    def field_place(self, base, field: str, at, arrow=False) -> Place:
+    def field_place(self, base, field: str, at, arrow, infos) -> Place:
         """``base.field``, or ``base->field``, that is ``(*base).field``, for
-        ``arrow``. A struct of no tag takes a layout of its region's own."""
+        ``arrow``. A struct of no tag takes a layout of its region's own.
+        ``infos`` is the site's member by tag, kept from its first run: a
+        member, once placed, stays where it is."""
         if arrow:
             region, ptr, offset, stype = self._pointee(base, at)
         else:
@@ -1015,7 +1047,10 @@ class Interp:
             region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
         if region is None:
             region, offset = self._through(ptr, offset, at)
-        info = self.s.store.field_offset(stype.tag or f"@r{region}", field)
+        tag = stype.tag or f"@r{region}"
+        info = infos.get(tag)
+        if info is None:
+            info = infos[tag] = self.s.store.field_offset(tag, field)
         offset = offset + info.offset if isinstance(offset, int) else \
             self._shifted(offset, info.offset, at, "field")
         return Place(region, None, offset, field, info.type)
@@ -1070,8 +1105,8 @@ class Interp:
         return self.s.values.addr_of(region.id, at, desc=f"mmio {label}")
 
     def string_value(self, data: str, key, at) -> Value:
-        """The address of a string literal's array: its bytes ``data`` and
-        a NUL, in one region for each ``key``, its site."""
+        """The address of a string literal's array of ``char``: its bytes
+        ``data`` and a NUL, in one region for each ``key``, its site."""
         s = self.s
         rid = s.string_regions.get(key)
         if rid is None:
@@ -1081,13 +1116,15 @@ class Interp:
             # bytes does not wrap at 8 bits (as narrow stores do; see _converted).
             for i, ch in enumerate(data):
                 s.store.store((region.id, i),
-                              s.values.concrete(32, ord(ch) & 0xFF, at, signed=True,
+                              s.values.concrete(32, _char_int(ch), at, signed=True,
                                                 desc="string byte"))
             s.store.store((region.id, len(data)),
                           s.values.concrete(32, 0, at, signed=True, desc="string NUL"))
             s.string_regions[key] = region.id
             rid = region.id
-        return s.values.addr_of(rid, at, desc="string literal")
+        v = s.values.addr_of(rid, at, desc="string literal")
+        v.pointee = CHAR
+        return v
 
 
 # How a block runs each built-in statement node, by its class.
@@ -1335,7 +1372,7 @@ class _Compiler:
             return self._sizeof(t)
         elif kind == tk.CHAR:
             inner = unescape_c(text[1:-1]) if len(text) >= 2 else "\0"
-            e = self._literal(t, at, ord(inner[0]) if inner else 0, 32, True)
+            e = self._literal(t, at, _char_int(inner[0]) if inner else 0, 32, True)
         elif kind == tk.STRING:  # with the literals after it, one (C11 5.1.1.2p6)
             while self.i < n and toks[self.i].kind == tk.STRING:
                 self.i += 1
@@ -1361,8 +1398,8 @@ class _Compiler:
                 base = e[1] if arrow else self.as_place(e)
                 field, field_place = self._take().text, self.it.field_place
                 e = (_PLACE, lambda frame, base=base, field=field, arrow=arrow,
-                     at=(self.file_id, post.line): field_place(base(frame), field, at, arrow),
-                     None)
+                     at=(self.file_id, post.line), infos={}:
+                     field_place(base(frame), field, at, arrow, infos), None)
             else:
                 e = self._incdec(e, post, pre=False)
         return e
@@ -1409,21 +1446,52 @@ class _Compiler:
 
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs`` (``Interp.arith``), operands given
-        as Places or Values; a left operand that does not step is loaded
-        before the right one runs."""
-        arith, load_place = self.it.arith, self.it.load_place
+        as Places or Values; an operand that does not step is loaded, the
+        left one before the right one runs, and two Values are added as
+        ``_apply`` adds them."""
+        arith, load_place, apply = self.it.arith, self.it.load_place, self._apply(op)
 
         def additive(frame):
             a = lhs(frame)
-            if isinstance(a, Place) and not _steps(a):
+            if a.__class__ is Place and not _steps(a):
                 a = load_place(a, at)
-            return arith(op, a, rhs(frame), at)
+            b = rhs(frame)
+            if b.__class__ is Place and not _steps(b):
+                b = load_place(b, at)
+            if a.__class__ is Place or b.__class__ is Place:
+                return arith(op, a, b, at)
+            return apply(a, b, at)
 
         return additive
 
     def _binop(self, op, lhs, rhs, at):
-        vals = self.vals
-        return lambda frame: vals.apply_binop(op, lhs(frame), rhs(frame), at)
+        if op == "/" or op == "%":  # a zero divisor raises, naming the line
+            apply_binop = self.vals.apply_binop
+            return lambda frame: apply_binop(op, lhs(frame), rhs(frame), at)
+        apply = self._apply(op)
+        return lambda frame: apply(lhs(frame), rhs(frame), at)
+
+    def _apply(self, op):
+        """``ValueTable.apply_binop`` of ``op`` (not ``/`` or ``%``) as a
+        function of two Values and the (file, line) it runs at, with
+        ``op``'s kernel bound: two constants of an int's width or wider,
+        which C's promotions leave as they are, run it at once; any other
+        pair goes to ``apply_binop``. One for each operator of a session,
+        made when it is first compiled."""
+        apply = self.it._applies.get(op)
+        if apply is not None:
+            return apply
+        apply_binop, kernel, mint = self.vals.apply_binop, BINARY_KERNELS[op], self.vals.mint
+
+        def apply(a, b, at):
+            x, y = a.payload, b.payload
+            if x.__class__ is Concrete and y.__class__ is Concrete \
+                    and x.width >= 32 and y.width >= 32:
+                return mint(kernel(x, y), at, op, (a, b))
+            return apply_binop(op, a, b, at)
+
+        self.it._applies[op] = apply
+        return apply
 
     def _logical(self, op, lhs, rhs, at):
         vals = self.vals
@@ -1439,16 +1507,21 @@ class _Compiler:
         return logical
 
     def _incdec(self, e, t, pre: bool):
+        """``++`` or ``--``: the place's value plus or minus 1 (``_apply``),
+        or a pointer's or an array's step by one element."""
         place = self.as_place(e)
         at = (self.file_id, t.line)
         op = "+" if t.text == "++" else "-"
-        it, mint = self.it, self.vals.mint
+        it, mint, apply = self.it, self.vals.mint, self._apply(op)
 
         def incdec(frame):
             p = place(frame)
             old = it.load_place(p, at)
             one = mint(_ONE, at, "1")
-            new = it.value_of(it.arith(op, p if _steps(p) else old, one, at), at)
+            if _steps(p):
+                new = it.value_of(it.arith(op, p, one, at), at)
+            else:
+                new = apply(old, one, at)
             it.store_place(p, new, at)
             return new if pre else old
 

@@ -118,21 +118,14 @@ class Value:
     was made (``at``, read as ``file`` and ``line``), how
     (``op_description``) and from which earlier Values (``parents``).
     ``memo`` holds its ``ValueTable.resolve`` result once there is one.
-    Values compare by identity; ids are unique within a table. The repr
-    names parents and a term's operands by id, since printing them whole
-    would print every ancestor once per path to it."""
+    ``pointee`` is the ``ctype.CType`` a pointer value points at, if known.
+    ``at`` is shared by every value a site mints. Only ``ValueTable.mint``
+    makes one, and it sets every slot. Values compare by identity; ids are
+    unique within a table. The repr names parents and a term's operands by
+    id, since printing them whole would print every ancestor once per path
+    to it."""
 
     __slots__ = ("id", "payload", "at", "op_description", "parents", "pointee", "memo")
-
-    def __init__(self, id: int, payload, at: tuple[str, int], op_description: str,
-                 parents: tuple[Value, ...] = ()):
-        self.id = id
-        self.payload = payload
-        self.at = at  # (file, line), shared by every value a site mints
-        self.op_description = op_description
-        self.parents = parents
-        self.pointee = None  # the ctype.CType a pointer value points at, if known
-        self.memo = None
 
     def __repr__(self):
         fields = {f: getattr(self, f) for f in self.__slots__}
@@ -189,6 +182,7 @@ class MissingCall:
 
 
 _NOWHERE = ("<internal>", 0)
+_new = object.__new__
 
 
 def to_int(c: Concrete) -> int:
@@ -357,8 +351,15 @@ class ValueTable:
     def mint(self, payload, at, desc, parents=()) -> Value:
         """A new value of ``payload``, made at ``at`` (file, line) as
         ``desc`` from the ``parents`` Values; a payload may be shared, since
-        none is ever changed."""
-        v = Value(self._minted, payload, at, desc, parents)
+        none is ever changed. The Value is built in this one call, with no
+        ``__init__`` of its own, since every operation runs it."""
+        v = _new(Value)
+        v.id = self._minted
+        v.payload = payload
+        v.at = at
+        v.op_description = desc
+        v.parents = parents
+        v.pointee = v.memo = None
         self._minted += 1
         return v
 

@@ -6,8 +6,12 @@ The rows cover preprocessor lines inside code (an expression, an ``if``
 condition, a call's arguments, a ``for`` header, a struct body, a parameter
 list), which ssi reads with every arm live; so each conditional here is one
 that gcc takes too. The others cover string literals (C11 5.1.1.2p6 joins
-adjacent ones; 6.4.4.4 gives octal escapes) and ``sizeof`` of a literal,
-which is its array's size.
+adjacent ones; 6.4.4.4 gives octal escapes), ``sizeof`` of a literal,
+which is its array's size, and a literal's elements, which are ``char``: a
+signed byte on x86-64, as a character constant's value is. The last rows
+are constant expressions on the edges of the compiled operators' kernels:
+C's promotions and usual conversions, truncating division, wraparound and
+shifts.
 """
 
 import shutil
@@ -16,6 +20,12 @@ import subprocess
 import pytest
 
 from conftest import local_concrete, make_session, run_function
+
+
+def returning(label, expr):
+    """The row of a function ``label`` that returns ``expr``."""
+    return label, f"long {label}(void) {{ return {expr}; }}"
+
 
 ROWS = [
     # Preprocessor lines inside code.
@@ -49,6 +59,31 @@ ROWS = [
     ("sizeof_parenthesized", 'long sizeof_parenthesized(void) { return sizeof(("xyzwv")); }'),
     ("sizeof_joined", 'long sizeof_joined(void) { return sizeof("ab" "cd"); }'),
     ("sizeof_escapes", 'long sizeof_escapes(void) { return sizeof("\\101\\n"); }'),
+    # A string literal's elements are ``char``, and a ``char`` is signed.
+    returning("str_index", '"ab"[1]'),
+    returning("sizeof_str_elem", 'sizeof "ab"[0]'),
+    returning("char_high", "'\\377'"),
+    ("str_high_byte", 'long str_high_byte(void) { char *s = "\\377";'
+                      ' return "\\377"[0] * 1000 + s[0]; }'),
+    ("str_unsigned_byte", 'long str_unsigned_byte(void) { unsigned char *p = "\\377";'
+                          ' return p[0]; }'),
+    ("int_read_as_byte", "long int_read_as_byte(void) { int v = 0x1234;"
+                         " return *(unsigned char *)&v; }"),
+    # Constant operands of both signs and of every width.
+    returning("unsigned_wraps_below_zero", "1u - 2 > 0"),
+    returning("unsigned_long_wraps_below_zero", "5ul - 6 > 0"),
+    returning("minus_one_below_unsigned", "-1 < 1u"),
+    returning("minus_one_below_unsigned_long", "-1 < 1ul"),
+    returning("truncating_division", "-7 / 2 * 10 + -7 % 2"),
+    returning("promoted_chars", "(char)100 + (char)100"),
+    returning("promoted_shorts", "(short)300 * (short)300"),
+    returning("promoted_unsigned_char", "(unsigned char)255 + 1"),
+    returning("unsigned_int_wraps", "0xFFFFFFFFu + 1u"),
+    returning("long_shifts", "(1L << 40) >> 3"),
+    returning("arithmetic_right_shift", "-16 >> 2"),
+    returning("long_product", "3000000000L * 3 - 1"),
+    returning("bitwise", "(0x0F0F ^ 0x3C3C) & (0xFF | 0x100)"),
+    returning("comparisons", "(3 <= 3) + (4 != 4) * 2 + (5 >= 6) * 4 + (7 == 7) * 8"),
 ]
 
 DEFS = "\n".join(source for _, source in ROWS) + "\n"

@@ -643,7 +643,7 @@ void testmain(void) {
     int high = "\\xff"[0];
 }
 """, ["sum", "product", "nul", "high"])
-    assert out == {"sum": 291, "product": 9506, "nul": 0, "high": 255}
+    assert out == {"sum": 291, "product": 9506, "nul": 0, "high": -1}  # a signed char
 
 
 def test_max_steps_guard():

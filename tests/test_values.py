@@ -10,13 +10,16 @@ from conftest import local_concrete, make_session, record_mints, run_function
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ssi.ctype import INT
 from ssi.errors import (
     ConflictingBinding,
     DivisionByConcreteZero,
     UnsupportedOperation,
 )
+from ssi.interp import Interp, _Compiler
 from ssi.memory import Location, Region
-from ssi.session import Place
+from ssi.session import Frame, Place
+from ssi.tokens import FileTokens
 from ssi.values import (
     OP_ADDR,
     Concrete,
@@ -130,24 +133,56 @@ MINUS_ONE = (32, (1 << 32) - 1, True)
 def test_concrete_closure_matches_oracle(op, a, b):
     """``apply_binop`` on two constants runs its operator's kernel at once,
     and resolution runs the same kernel on two symbols bound to them later:
-    both give the reference's constant. A zero divisor raises, naming the
-    line on the first path."""
-    vals = table()
+    both give the reference's constant. So does the compiled ``a op b``,
+    on the constants and on the symbols, and for ``+`` and ``-`` so do
+    ``++x`` and ``--x``. A zero divisor raises, naming the line where the
+    operation runs."""
+    session, interp = make_session({"t.c": ""})
+    vals = session.values
     va = vals.concrete(a[0], a[1], AT, signed=a[2])
     vb = vals.concrete(b[0], b[1], AT, signed=b[2])
     sa, sb = vals.fresh_symbol("a", AT), vals.fresh_symbol("b", AT)
     term = vals.apply_binop(op, sa, sb, AT)
+    expr = compiled(interp, f"a {op} b")
+    terms = [term, expr(snippet(a=sa, b=sb))]
+    step = {"+": "++x", "-": "--x"}.get(op)
+    if step:
+        terms.append(compiled(interp, step)(snippet(x=sa)))
     vals.concretize(sa, va.payload, "user-supplied", AT)
     vals.concretize(sb, vb.payload, "user-supplied", AT)
     if op in ("/", "%") and b[1] == 0:
         with pytest.raises(DivisionByConcreteZero, match="at line 1"):
             vals.apply_binop(op, va, vb, AT)
-        with pytest.raises(DivisionByConcreteZero):
-            vals.resolve(term)
+        with pytest.raises(DivisionByConcreteZero, match="at line 1"):
+            expr(snippet(a=va, b=vb))
+        for t in terms[:2]:
+            with pytest.raises(DivisionByConcreteZero):
+                vals.resolve(t)
         return
     expected = Concrete(*oracle_binop(op, a, b))
     assert vals.apply_binop(op, va, vb, AT).payload == expected
-    assert vals.resolve(term) == expected
+    assert expr(snippet(a=va, b=vb)).payload == expected
+    assert [vals.resolve(t) for t in terms[:2]] == [expected, expected]
+    if step:
+        stepped = Concrete(*oracle_binop(op, a, (32, 1, True)))
+        assert compiled(interp, step)(snippet(x=va)).payload == stepped
+        assert vals.resolve(terms[2]) == stepped
+
+
+def compiled(interp, text):
+    """The closure that the compiler makes of the expression ``text``."""
+    return _Compiler(interp, FileTokens(text), "t.c").expression(1)
+
+
+def snippet(**names):
+    """A snippet frame: ``x`` an int local holding its Value, any other
+    name a placeholder bound to its Value."""
+    frame = Frame("t", is_snippet=True)
+    x = names.pop("x", None)
+    if x is not None:
+        frame.locals["x"] = Place(1, None, 0, "x", INT, held=True, value=x)
+    frame.value_bindings.update(names)
+    return frame
 
 
 # C expressions, each with the value gcc 12.2 (x86-64) prints for
@@ -663,6 +698,44 @@ def test_concrete_loop_mints_a_fixed_number_of_values():
     session, interp = make_session(CONCRETE_LOOP)
     run_function(session, interp, "loop")
     assert len(session.values) == 7004
+
+
+FAST_PATH_LOOP = """\
+void loop(void) {{
+    int x = {start};
+    int i;
+    for (i = 0; i < 100; i++)
+        x = x + i * 3;
+}}
+"""
+
+
+@pytest.mark.parametrize("start, slow_calls", [
+    ("0", {}),
+    ("g(1)", {"apply_binop": 100}),  # an unmodeled call: x + i * 3 is a term
+])
+def test_compiled_operators_on_constants_run_their_kernels(monkeypatch, start, slow_calls):
+    # ``<``, ``++``, ``*`` and ``+`` on constants mint their result straight
+    # from the kernel; only an operand that is no constant goes the general
+    # way, through ``ValueTable.apply_binop`` (or ``Interp.arith``).
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(ValueTable, "apply_binop")
+    counting(Interp, "arith")
+    session, interp = make_session({"loop.c": FAST_PATH_LOOP.format(start=start)})
+    frame = run_function(session, interp, "loop")
+    assert calls == slow_calls
+    if start == "0":
+        assert local_concrete(session, frame, "x") == 3 * sum(range(100))
 
 
 def test_concrete_loop_makes_no_region_and_no_cell():
