@@ -6,7 +6,7 @@ them. A body hole's statements then compile into one block closure, kept as
 (``Interp._block``); the expressions and simple statements in them compile
 into closures on their first run, each held on its span until a typedef is
 added (``Interp._code``); an operator's closure runs its kernel at once on two
-constants (``_Compiler._apply``). Typedefs, global declarations and return types
+constants (``ValueTable.binop``). Typedefs, global declarations and return types
 are read from each corpus file's declaration items, each expanded once as a
 statement is (``_read_file_scope``), and a global is declared at its first
 use by the step that declares a local (``_declare``). Declarations and type
@@ -88,7 +88,6 @@ from .session import (
     Session,
 )
 from .values import (
-    BINARY_KERNELS,
     Concrete,
     MissingCall,
     Residual,
@@ -186,7 +185,6 @@ class Interp:
         self._returns: dict[str, CType] = {}  # function -> its declared return type
         self._snippets: dict[str, tuple[Hole, dict]] = {}  # template -> hole, its {N} digits
         self._block_tags: dict[str, tuple[str, list]] = {}  # see _compile_declaration
-        self._applies: dict = {}  # operator -> its function of two Values; see _Compiler._apply
         self._read_file_scope()
 
     def _read_file_scope(self):
@@ -914,15 +912,10 @@ class Interp:
 
     def read_name(self, name: str, frame, at, name_at):
         """``value_of`` the name at ``name_at``, at ``at``; a name that is no
-        frame local, or is in a snippet, goes through ``resolve_name``. A
-        held local's value is read off its Place, as ``load_place`` reads
-        it, when it is set and no pointer (which ``load_place`` pins)."""
+        frame local, or is in a snippet, goes through ``resolve_name``."""
         p = None if frame.is_snippet else frame.locals.get(name)
         if p is None:
             return self.value_of(self.resolve_name(name, frame, name_at), at)
-        v = p.value  # None unless held and set
-        if v is not None and not p.type.pointer:
-            return v
         return self.address_of(p, at) if p.step or p.type.kind is ARRAY else self.load_place(p, at)
 
     def address_of(self, place: Place, at) -> Value:
@@ -1037,8 +1030,9 @@ class Interp:
     def field_place(self, base, field: str, at, arrow, infos) -> Place:
         """``base.field``, or ``base->field``, that is ``(*base).field``, for
         ``arrow``. A struct of no tag takes a layout of its region's own.
-        ``infos`` is the site's member by tag, kept from its first run: a
-        member, once placed, stays where it is."""
+        ``infos`` is the site's member by struct tag, kept from its first
+        run there: a member, once placed, stays where it is. A region's own
+        layout is looked up each time, since each such region is new."""
         if arrow:
             region, ptr, offset, stype = self._pointee(base, at)
         else:
@@ -1047,10 +1041,12 @@ class Interp:
             region, ptr, offset, stype = base.region, base.ptr, base.offset, base.type
         if region is None:
             region, offset = self._through(ptr, offset, at)
-        tag = stype.tag or f"@r{region}"
-        info = infos.get(tag)
+        tag = stype.tag
+        info = infos.get(tag) if tag else None
         if info is None:
-            info = infos[tag] = self.s.store.field_offset(tag, field)
+            info = self.s.store.field_offset(tag or f"@r{region}", field)
+            if tag:
+                infos[tag] = info
         offset = offset + info.offset if isinstance(offset, int) else \
             self._shifted(offset, info.offset, at, "field")
         return Place(region, None, offset, field, info.type)
@@ -1447,9 +1443,9 @@ class _Compiler:
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs`` (``Interp.arith``), operands given
         as Places or Values; an operand that does not step is loaded, the
-        left one before the right one runs, and two Values are added as
-        ``_apply`` adds them."""
-        arith, load_place, apply = self.it.arith, self.it.load_place, self._apply(op)
+        left one before the right one runs, and two Values are added by
+        ``ValueTable.binop``."""
+        arith, load_place, apply = self.it.arith, self.it.load_place, self.vals.binop(op)
 
         def additive(frame):
             a = lhs(frame)
@@ -1465,33 +1461,8 @@ class _Compiler:
         return additive
 
     def _binop(self, op, lhs, rhs, at):
-        if op == "/" or op == "%":  # a zero divisor raises, naming the line
-            apply_binop = self.vals.apply_binop
-            return lambda frame: apply_binop(op, lhs(frame), rhs(frame), at)
-        apply = self._apply(op)
+        apply = self.vals.binop(op)
         return lambda frame: apply(lhs(frame), rhs(frame), at)
-
-    def _apply(self, op):
-        """``ValueTable.apply_binop`` of ``op`` (not ``/`` or ``%``) as a
-        function of two Values and the (file, line) it runs at, with
-        ``op``'s kernel bound: two constants of an int's width or wider,
-        which C's promotions leave as they are, run it at once; any other
-        pair goes to ``apply_binop``. One for each operator of a session,
-        made when it is first compiled."""
-        apply = self.it._applies.get(op)
-        if apply is not None:
-            return apply
-        apply_binop, kernel, mint = self.vals.apply_binop, BINARY_KERNELS[op], self.vals.mint
-
-        def apply(a, b, at):
-            x, y = a.payload, b.payload
-            if x.__class__ is Concrete and y.__class__ is Concrete \
-                    and x.width >= 32 and y.width >= 32:
-                return mint(kernel(x, y), at, op, (a, b))
-            return apply_binop(op, a, b, at)
-
-        self.it._applies[op] = apply
-        return apply
 
     def _logical(self, op, lhs, rhs, at):
         vals = self.vals
@@ -1507,12 +1478,13 @@ class _Compiler:
         return logical
 
     def _incdec(self, e, t, pre: bool):
-        """``++`` or ``--``: the place's value plus or minus 1 (``_apply``),
-        or a pointer's or an array's step by one element."""
+        """``++`` or ``--``: the place's value plus or minus 1
+        (``ValueTable.binop``), or a pointer's or an array's step by one
+        element."""
         place = self.as_place(e)
         at = (self.file_id, t.line)
         op = "+" if t.text == "++" else "-"
-        it, mint, apply = self.it, self.vals.mint, self._apply(op)
+        it, mint, apply = self.it, self.vals.mint, self.vals.binop(op)
 
         def incdec(frame):
             p = place(frame)

@@ -261,8 +261,8 @@ def _quotient(x: int, y: int) -> int:
 
 
 # One arithmetic over two constants, C-style: the kernel of each binary
-# operator. ``apply_binop`` runs it on two constant operands and ``_combine``
-# on two that resolve to constants.
+# operator. ``apply_binop`` and ``ValueTable.binop`` run it on two constant
+# operands and ``_combine`` on two that resolve to constants.
 BINARY_KERNELS = {
     "+": _wrapping(operator.add), "-": _wrapping(operator.sub),
     "*": _wrapping(operator.mul), "&": _wrapping(operator.and_),
@@ -340,6 +340,7 @@ class ValueTable:
         self.blame: MissingCall | None = None  # the modeled call that is running
         self.region_lookup = None  # callable(region_id) -> Region | None
         self._residuals: list[Value] = []  # the values whose memo is a Residual
+        self._binops: dict = {}  # operator -> its function of two Values; see binop
 
     def __len__(self):
         return self._minted
@@ -379,6 +380,29 @@ class ValueTable:
         return self.mint(Term(OP_ADDR, (), region_id), at, desc or f"&region {region_id}")
 
     # ------------------------------------------------------------ operations
+    def binop(self, op: str):
+        """``apply_binop`` of ``op`` as a function of two Values and the
+        (file, line) it runs at, with ``op``'s kernel bound; a compiled
+        operator binds it. Two constants that C's promotions leave as they
+        are (32 bits or wider) run the kernel at once, as ``apply_binop``
+        would, unless ``op`` divides by zero; any other pair goes to
+        ``apply_binop``. One for each operator, made when first asked for."""
+        f = self._binops.get(op)
+        if f is not None:
+            return f
+        kernel, mint, apply_binop = BINARY_KERNELS[op], self.mint, self.apply_binop
+        divides = op == "/" or op == "%"
+
+        def f(lhs, rhs, at):
+            a, b = lhs.payload, rhs.payload
+            if a.__class__ is Concrete and b.__class__ is Concrete and a.width >= 32 \
+                    and b.width >= 32 and (b.bits or not divides):
+                return mint(kernel(a, b), at, op, (lhs, rhs))
+            return apply_binop(op, lhs, rhs, at)
+
+        self._binops[op] = f
+        return f
+
     def apply_binop(self, op: str, lhs: Value, rhs: Value, at=_NOWHERE) -> Value:
         kernel = BINARY_KERNELS.get(op)
         if kernel is None:

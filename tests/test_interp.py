@@ -1,8 +1,10 @@
+import gc
 import io
 import random
 import shutil
 import subprocess
 import sys
+from types import FunctionType
 
 import pytest
 
@@ -136,6 +138,37 @@ void testmain(void) {
     assert local_concrete(session, frame, "got") == 8
     info = session.store.field_offset("pair", "b")
     assert (info.offset, info.width) == (4, 4)
+
+
+def test_member_sites_keep_members_of_struct_tags_only():
+    # A ``.`` or ``->`` site keeps the member it found for each struct tag.
+    # ``x.a`` on a scalar is a member of the scalar's region's own layout,
+    # and each call's ``x`` is a new region, so its sites keep nothing:
+    # after 50 calls, each ``box.b`` site holds one entry and each ``x.a``
+    # site none.
+    session, interp = make_session({"sites.c": """
+struct pair { int a; int b; };
+struct pair box;
+void f(void) {
+    int x = 0;
+    x.a = 1;
+    box.b = x.a + 1;
+}
+void testmain(void) {
+    int i;
+    for (i = 0; i < 50; i++)
+        f();
+    int got = box.b;
+}
+"""})
+    frame = run_function(session, interp, "testmain")
+    assert local_concrete(session, frame, "got") == 2
+    gc.collect()
+    sites = [fn.__defaults__[-1] for fn in gc.get_objects()
+             if type(fn) is FunctionType and fn.__code__.co_name == "<lambda>"
+             and fn.__code__.co_varnames[-1:] == ("infos",)
+             and fn.__defaults__[-2][0] == "sites.c"]
+    assert sorted(map(len, sites)) == [0, 0, 1, 1]
 
 
 def test_address_of_and_deref():
