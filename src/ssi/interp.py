@@ -6,10 +6,15 @@ them. A body hole's statements then compile into one block closure, kept as
 (``Interp._block``); the expressions and simple statements in them compile
 into closures on their first run, each held on its span until a typedef is
 added (``Interp._code``); an operator's closure runs its kernel at once on two
-constants (``ValueTable.binop``). Typedefs, global declarations and return types
-are read from each corpus file's declaration items, each expanded once as a
-statement is (``_read_file_scope``), and a global is declared at its first
-use by the step that declares a local (``_declare``). Declarations and type
+constants (``ValueTable.binop``). Every closure binds what it reads as
+default arguments, never as cells: most statements run a few times, so their
+first run, the compiling, is most of what they cost, and a method with a cell
+variable allocates that cell on every call, whether or not the call builds
+the closure that reads it.
+Typedefs, global declarations and return types are read from each corpus
+file's declaration items, each expanded once as a statement is
+(``_read_file_scope``), and a global is declared at its first use by the
+step that declares a local (``_declare``). Declarations and type
 names are read by ``ctype``; an array bound that is not a literal is
 evaluated each time its declaration runs (``Interp._compile_type``).
 Calls resolve, in order, to a registered hook, an in-corpus function
@@ -28,7 +33,9 @@ scanned ahead for an ``&``. A call or snippet drops its held locals from
 A C call nests six Python frames (``call_named``, ``call_function_def``,
 the block, the runner and the expression's closures), so C recursion runs
 about 165 deep under Python's default recursion limit; past it the innermost
-call raises ``CallDepthExceeded`` naming its line.
+call raises ``CallDepthExceeded`` naming its line. Parsing an expression
+recurses once or twice per bracket level, and brackets nested past the limit
+are an ``EvalError`` naming the line and the nesting (``_Compiler.expression``).
 
 Breakpoints fire after a statement on the breakpoint line executes; the
 session then suspends just before the next statement, whose line is reported.
@@ -439,23 +446,22 @@ class Interp:
         statement is one tick: a pending stop is taken before it, it counts
         a step, it runs, and a breakpoint on its line makes the next
         statement stop. Stops and breakpoints skip a snippet."""
-        s = self.s
         runs = [_runner(node) for node in nodes]
         labels = {}
         for k, node in enumerate(nodes):
             if isinstance(node, LabelNode):
                 labels.setdefault(node.name, k + 1)
-        end = len(nodes)
 
-        def block(frame, i=0):
+        def block(frame, i=0, *, it=self, s=self.s, nodes=nodes, runs=runs, labels=labels,
+                  end=len(nodes)):
             while i < end:
                 node = nodes[i]
                 if s.stop_next and not frame.is_snippet:
-                    self._stop(node)
+                    it._stop(node)
                 s.steps += 1
                 if s.steps > s.max_steps:
-                    self._out_of_steps(node.line)
-                sig = runs[i](self, node, frame)
+                    it._out_of_steps(node.line)
+                sig = runs[i](it, node, frame)
                 if s.breakpoints and not frame.is_snippet:
                     bp = s.breakpoint_at(node.file_id, node.line)
                     if bp is not None and bp.enabled:
@@ -591,25 +597,23 @@ class Interp:
         raw = s.corpus.tokens(fid)[span.start : span.end]
         missing = []
         toks = _strip_semicolons(mc.expand(
-            raw, s.corpus.macros, lambda name, at: missing.append((name, at))))
-
-        def replay():
-            for name, at in missing:
-                s.emit_event("unexpanded-macro", name=name, line=at)
-
+            raw, s.corpus.macros,
+            lambda name, at, missing=missing: missing.append((name, at))))
         try:
             if statement:
                 code = self._compile_statement(toks, fid, line)
             else:
                 code = _Compiler(self, toks, fid).expression(line)
         except Exception:  # the unexpanded-macro events precede the error
-            replay()
+            for name, at in missing:
+                self._on_unexpanded(name, at)
             raise
         if not missing:
             return code
 
-        def replaying(frame):
-            replay()
+        def replaying(frame, it=self, missing=missing, code=code):
+            for name, at in missing:
+                it._on_unexpanded(name, at)
             return code(frame)
 
         return replaying
@@ -619,15 +623,16 @@ class Interp:
             return _nothing
         first = toks[0]
         if first.kind == tk.IDENTIFIER and first.text in ("asm", "__asm__", "__asm"):
-            message = f"skipped inline assembly at line {line}"
-            return lambda frame: self.s.emit_event("diagnostic", message=message)
+            return lambda frame, s=self.s, message=f"skipped inline assembly at line {line}": \
+                s.emit_event("diagnostic", message=message)
         if _starts_declaration(first, self.s.typedefs):
             return self._compile_declaration(toks, file_id, line)
         return _Compiler(self, toks, file_id).expression(line)
 
     def _compile_declaration(self, toks, file_id, line):
-        """One step per declarator of ``toks``, after recording each struct
-        or union body in it whose tag has no block-scope body yet."""
+        """One step per declarator of ``toks``, run in order (a lone one is
+        the closure), after recording each struct or union body in it whose
+        tag has no block-scope body yet."""
         for tag, (a, b) in tag_bodies(toks, 0, len(toks), {}).items():
             self._block_tags.setdefault(tag, (file_id, toks[a + 1 : b]))
         decls, _ = _declarations(toks, 0, self.s.typedefs)
@@ -639,10 +644,10 @@ class Interp:
                 continue
             if decl.typedef:
                 decl.file_id, decl.line = file_id, line
-                steps.append(lambda frame, decl=decl: self._define_typedef(decl, frame))
+                steps.append(lambda frame, it=self, decl=decl: it._define_typedef(decl, frame))
             else:
                 steps.append(self._declare(decl, file_id, line))
-        return _sequence(steps)
+        return steps[0] if len(steps) == 1 else _sequence(steps)
 
     def _declare(self, decl, file_id, line, kind=STACK):
         """The step that declares ``decl``, a local in its frame or, for
@@ -655,13 +660,13 @@ class Interp:
             init = None
         if init is not None:
             init = _Compiler(self, init, file_id).expression(line)
-        at, name = (file_id, line), decl.name
 
-        def declare(frame):
-            place = self._allocate(name, ctype(frame), kind)
-            (frame.locals if kind is STACK else self.s.globals)[name] = place
+        def declare(frame, it=self, name=decl.name, ctype=ctype, kind=kind, init=init,
+                    at=(file_id, line)):
+            place = it._allocate(name, ctype(frame), kind)
+            (frame.locals if kind is STACK else it.s.globals)[name] = place
             if init is not None:
-                self.store_place(place, init(frame), at)
+                it.store_place(place, init(frame), at)
 
         return declare
 
@@ -681,19 +686,19 @@ class Interp:
         token run, not a lone literal (``count_of``), is read each time it
         runs: its value if it resolves to a constant, else 1."""
         if t.fixed:
-            return lambda frame: t
+            return lambda frame, t=t: t
         of, kind, count = self._compile_type(t.of, file_id, line), t.kind, t.count
         if count.__class__ is not tuple:
-            return lambda frame: CType(kind=kind, of=of(frame), count=count)
+            return lambda frame, kind=kind, of=of, count=count: \
+                CType(kind=kind, of=of(frame), count=count)
         try:
             bound = _Compiler(self, count, file_id).expression(line)
         except (SsiError, ValueError):
-            return lambda frame: CType(kind=kind, of=of(frame), count=1)
-        resolve = self.s.values.resolve
+            return lambda frame, kind=kind, of=of: CType(kind=kind, of=of(frame), count=1)
 
-        def array(frame):
+        def array(frame, vals=self.s.values, bound=bound, kind=kind, of=of):
             try:
-                r = resolve(bound(frame))
+                r = vals.resolve(bound(frame))
             except (SsiError, ValueError):
                 r = None
             n = to_int(r) if isinstance(r, Concrete) else 1
@@ -1172,7 +1177,7 @@ def _nothing(frame):
 
 
 def _sequence(steps):
-    def run(frame):
+    def run(frame, steps=steps):
         for step in steps:
             step(frame)
 
@@ -1180,7 +1185,7 @@ def _sequence(steps):
 
 
 def _then(first, rest):
-    def seq(frame):
+    def seq(frame, first=first, rest=rest):
         first(frame)
         return rest(frame)
 
@@ -1207,6 +1212,11 @@ class _Compiler:
     the same values in the same order as evaluating while parsing did.
     Untaken ``?:`` arms and short-circuited operands are compiled but never
     run.
+
+    A closure binds what it reads as default arguments, the interpreter or
+    value table among them, whose methods it calls; no method here has a
+    cell variable, so a parse step allocates only the closures it returns,
+    and each is one function with its defaults tuple.
     """
 
     def __init__(self, interp: Interp, toks, file_id):
@@ -1219,11 +1229,17 @@ class _Compiler:
 
     def expression(self, line):
         """A closure giving the expression's value; raises EvalError for a
-        token run that is not one whole expression."""
+        token run that is not one whole expression, or that nests deeper
+        than Python's recursion limit lets it be parsed."""
         toks = self.toks
         if not toks:
             raise EvalError(f"empty expression at {self.file_id}:{line}", line=line)
-        e = self.parse(_COMMA)
+        try:
+            e = self.parse(_COMMA)
+        except RecursionError:
+            raise EvalError(
+                f"expression nested too deep at {self.file_id}:{line}: brackets nest "
+                f"{_nesting(toks)} deep, past Python's recursion limit", line=line) from None
         if self.i < self.n:
             extra = toks[self.i]
             raise EvalError(
@@ -1258,6 +1274,17 @@ class _Compiler:
         found = self._take().text  # the error names the token after it
         self._err(f"expected {text!r}, found {found!r}")
 
+    def fn(self, e):
+        """The closure of ``e``. A name has none until something needs its
+        Place (``resolve_name``): one is made here, for that site; ``rval``
+        reads a name's value without one."""
+        kind, closure, index = e
+        if kind is not _NAME:
+            return closure
+        t = self.toks[index]
+        return lambda frame, it=self.it, name=t.text, at=(self.file_id, t.line): \
+            it.resolve_name(name, frame, at)
+
     def rval(self, e, t):
         """A closure giving the value of ``e``, loading it if it is a place
         (at ``t``'s line); an array's or pointer step's value is its address."""
@@ -1265,21 +1292,20 @@ class _Compiler:
         if kind is _VALUE:
             return fn
         it, at = self.it, (self.file_id, t.line)
-        if kind is _NAME:  # the lookup ``fn`` makes, done in one call
-            read_name, name = it.read_name, self.toks[index]
-            name, name_at = name.text, (self.file_id, name.line)
-            return lambda frame: read_name(name, frame, at, name_at)
-        value_of = it.value_of
-        return lambda frame: value_of(fn(frame), at)
+        if kind is _NAME:  # the lookup and the load, done in one call
+            name = self.toks[index]
+            return lambda frame, it=it, name=name.text, at=at, name_at=(
+                self.file_id, name.line): it.read_name(name, frame, at, name_at)
+        return lambda frame, it=it, fn=fn, at=at: it.value_of(fn(frame), at)
 
     def as_place(self, e, msg="expression is not assignable"):
         """A closure giving the Place ``e`` denotes; a value is an error."""
-        kind, fn, _ = e
+        kind = e[0]
         if kind is _VALUE or kind is _STEP:
             self._err(msg)
         text, line = self._error(msg)
 
-        def place(frame):
+        def place(frame, fn=self.fn(e), text=text, line=line):
             p = fn(frame)
             if not isinstance(p, Place):
                 raise EvalError(text, line=line)
@@ -1304,7 +1330,7 @@ class _Compiler:
                 rhs = self.parse(power + 1)
                 at = (self.file_id, t.line)
                 if (op == "+" or op == "-") and not (e[0] is _VALUE and rhs[0] is _VALUE):
-                    e = (_STEP, self._additive(op, e[1], rhs[1], at), None)
+                    e = (_STEP, self._additive(op, self.fn(e), self.fn(rhs), at), None)
                     continue
                 make = self._logical if op == "&&" or op == "||" else self._binop
                 e = (_VALUE, make(op, self.rval(e, t), self.rval(rhs, t), at), None)
@@ -1314,8 +1340,9 @@ class _Compiler:
                 e = self._ternary(e, t)
             else:  # the comma: the left operand is evaluated and discarded
                 first = self.rval(e, t)
-                kind, rest, _ = self.parse(_ASSIGN)
-                e = (_PLACE if kind is _NAME else kind, _then(first, rest), None)
+                rest = self.parse(_ASSIGN)
+                kind = rest[0]
+                e = (_PLACE if kind is _NAME else kind, _then(first, self.fn(rest)), None)
         return e
 
     def operand(self):
@@ -1328,8 +1355,7 @@ class _Compiler:
         self.i = i + 1
         kind, text, at = t.kind, t.text, (self.file_id, t.line)
         if kind == tk.IDENTIFIER:
-            it = self.it
-            e = (_NAME, lambda frame: it.resolve_name(text, frame, at), i)
+            e = (_NAME, None, i)
         elif kind == tk.NUMBER:
             try:
                 e = self._literal(t, at, *parse_int_literal(text))
@@ -1339,9 +1365,8 @@ class _Compiler:
         elif kind == tk.PUNCT and text in _PREFIX:
             if text == "&":  # the pointer step to the place
                 place = self.as_place(self.operand(), "cannot take the address of a value")
-                store = self.it.s.store
 
-                def address(frame):
+                def address(frame, place=place, store=self.it.s.store):
                     p = place(frame)
                     if p.held:  # a local whose address is taken lives in the store
                         store.spill(p)
@@ -1352,13 +1377,13 @@ class _Compiler:
                 return self._incdec(self.operand(), t, pre=True)
             e = self.operand()
             if text == "*":
-                base, deref_place = e[1], self.it.deref_place
-                return _PLACE, lambda frame: deref_place(base(frame), at), None
+                return _PLACE, lambda frame, it=self.it, base=self.fn(e), at=at: \
+                    it.deref_place(base(frame), at), None
             v = self.rval(e, t)
             if text == "+":
                 return _VALUE, v, None
-            apply_unop, op = self.vals.apply_unop, _UNOPS[text]
-            return _VALUE, lambda frame: apply_unop(op, v(frame), at), None
+            return _VALUE, lambda frame, vals=self.vals, op=_UNOPS[text], v=v, at=at: \
+                vals.apply_unop(op, v(frame), at), None
         elif kind == tk.PUNCT and text == "(":
             if (type_name := self._type_name(i + 1)) is not None:
                 return self._cast(t, *type_name)
@@ -1373,8 +1398,9 @@ class _Compiler:
             while self.i < n and toks[self.i].kind == tk.STRING:
                 self.i += 1
             data = "".join(unescape_c(x.text[1:-1]) for x in toks[i : self.i])
-            string_value, key = self.it.string_value, (self.file_id, t.byte_offset, data)
-            e = (_VALUE, lambda frame: string_value(data, key, at), len(data) + 1)
+            e = (_VALUE, lambda frame, it=self.it, data=data, key=(
+                self.file_id, t.byte_offset, data), at=at: it.string_value(data, key, at),
+                len(data) + 1)
         else:
             self._err(f"unexpected token {text!r}")
         while self.i < n:
@@ -1391,11 +1417,10 @@ class _Compiler:
                 e = self._index(e, idx, post)
             elif post.text == "->" or post.text == ".":
                 arrow = post.text == "->"
-                base = e[1] if arrow else self.as_place(e)
-                field, field_place = self._take().text, self.it.field_place
-                e = (_PLACE, lambda frame, base=base, field=field, arrow=arrow,
-                     at=(self.file_id, post.line), infos={}:
-                     field_place(base(frame), field, at, arrow, infos), None)
+                base = self.fn(e) if arrow else self.as_place(e)
+                e = (_PLACE, lambda frame, it=self.it, base=base, field=self._take().text,
+                     arrow=arrow, at=(self.file_id, post.line), infos={}:
+                     it.field_place(base(frame), field, at, arrow, infos), None)
             else:
                 e = self._incdec(e, post, pre=False)
         return e
@@ -1403,20 +1428,17 @@ class _Compiler:
     # ---------------------------------------------------------- operations
     def _literal(self, t, at, value, bits, signed):
         """A literal's constant is built here, once; a run mints a value of it."""
-        mint, c, desc = self.vals.mint, make_concrete(bits, value, signed), f"literal {t.text}"
-        return _VALUE, lambda frame: mint(c, at, desc), None
+        return _VALUE, lambda frame, vals=self.vals, c=make_concrete(bits, value, signed), \
+            at=at, desc=f"literal {t.text}": vals.mint(c, at, desc), None
 
     def _assign(self, lhs, t):
         rhs = self.rval(self.parse(_ASSIGN), t)  # right to left
         place = self.as_place(lhs)
-        op = _ASSIGN_OPS[t.text]
-        at = (self.file_id, t.line)
-        it = self.it
+
         # A named target is looked up after the right-hand side runs, any
         # other place (its pointer, index, base) before.
-        late = lhs[0] is _NAME
-
-        def assign(frame):
+        def assign(frame, it=self.it, place=place, rhs=rhs, late=lhs[0] is _NAME,
+                   op=_ASSIGN_OPS[t.text], at=(self.file_id, t.line)):
             p = None if late else place(frame)
             v = rhs(frame)
             if late:
@@ -1432,43 +1454,41 @@ class _Compiler:
         """``c ? a : b``: the value of ``a`` or of ``b``, where a pointer
         or an array is the pointer step of no elements over its value."""
         cond = self.rval(e, t)
-        then = self.parse(_COMMA)[1]
+        then = self.fn(self.parse(_COMMA))
         self.expect(":")
-        orelse = self.parse(_TERNARY)[1]
-        at = (self.file_id, t.line)
-        truth, step_of = self.it.truth, self.it.step_of
-        return _STEP, lambda frame: step_of(
-            then(frame) if truth(cond(frame), at) else orelse(frame), at), None
+        orelse = self.fn(self.parse(_TERNARY))
+        return _STEP, lambda frame, it=self.it, cond=cond, then=then, orelse=orelse, \
+            at=(self.file_id, t.line): it.step_of(
+                then(frame) if it.truth(cond(frame), at) else orelse(frame), at), None
 
     def _additive(self, op, lhs, rhs, at):
         """``lhs + rhs`` or ``lhs - rhs`` (``Interp.arith``), operands given
         as Places or Values; an operand that does not step is loaded, the
         left one before the right one runs, and two Values are added by
         ``ValueTable.binop``."""
-        arith, load_place, apply = self.it.arith, self.it.load_place, self.vals.binop(op)
 
-        def additive(frame):
+        def additive(frame, it=self.it, op=op, lhs=lhs, rhs=rhs, at=at,
+                     apply=self.vals.binop(op)):
             a = lhs(frame)
             if a.__class__ is Place and not _steps(a):
-                a = load_place(a, at)
+                a = it.load_place(a, at)
             b = rhs(frame)
             if b.__class__ is Place and not _steps(b):
-                b = load_place(b, at)
+                b = it.load_place(b, at)
             if a.__class__ is Place or b.__class__ is Place:
-                return arith(op, a, b, at)
+                return it.arith(op, a, b, at)
             return apply(a, b, at)
 
         return additive
 
     def _binop(self, op, lhs, rhs, at):
-        apply = self.vals.binop(op)
-        return lambda frame: apply(lhs(frame), rhs(frame), at)
+        return lambda frame, lhs=lhs, rhs=rhs, at=at, apply=self.vals.binop(op): \
+            apply(lhs(frame), rhs(frame), at)
 
     def _logical(self, op, lhs, rhs, at):
-        vals = self.vals
-        decider = op == "||"  # the truth of the left operand that skips the right
-
-        def logical(frame):
+        # ``decider`` is the truth of the left operand that skips the right.
+        def logical(frame, vals=self.vals, op=op, lhs=lhs, rhs=rhs, at=at,
+                    decider=op == "||"):
             a = lhs(frame)
             if vals.truth(a) is decider:
                 return vals.concrete(32, int(decider), at, signed=True, desc=op,
@@ -1481,15 +1501,13 @@ class _Compiler:
         """``++`` or ``--``: the place's value plus or minus 1
         (``ValueTable.binop``), or a pointer's or an array's step by one
         element."""
-        place = self.as_place(e)
-        at = (self.file_id, t.line)
         op = "+" if t.text == "++" else "-"
-        it, mint, apply = self.it, self.vals.mint, self.vals.binop(op)
 
-        def incdec(frame):
+        def incdec(frame, it=self.it, vals=self.vals, place=self.as_place(e), op=op,
+                   at=(self.file_id, t.line), pre=pre, apply=self.vals.binop(op)):
             p = place(frame)
             old = it.load_place(p, at)
-            one = mint(_ONE, at, "1")
+            one = vals.mint(_ONE, at, "1")
             if _steps(p):
                 new = it.value_of(it.arith(op, p, one, at), at)
             else:
@@ -1512,27 +1530,26 @@ class _Compiler:
         return None
 
     def _sizeof(self, t):
-        vals = self.vals
-        at = (self.file_id, t.line)
-        size_of = self.it.s.store.size_of
+        vals, store, at = self.vals, self.it.s.store, (self.file_id, t.line)
         if _punct_at(self.toks, self.i, "(") and (type_name := self._type_name(self.i + 1)):
             close, decl = type_name
             self.i = close + 1
             ctype = self.it._compile_type(decl.type, self.file_id, t.line)
-            return _VALUE, lambda frame: vals.concrete(64, size_of(ctype(frame)), at,
-                                                       desc="sizeof"), None
+            return _VALUE, lambda frame, vals=vals, store=store, ctype=ctype, at=at: \
+                vals.concrete(64, store.size_of(ctype(frame)), at, desc="sizeof"), None
         # A string literal's size is its array's. A place is not loaded: its
         # size is its declared type's, and a pointer step's is a pointer's.
         # Any other operand, a snippet placeholder included, gives the width
         # of its value.
-        kind, v, size = self.operand()
-        if kind is _VALUE and size is not None:
-            return _VALUE, lambda frame: vals.concrete(64, size, at, desc="sizeof"), None
+        e = self.operand()
+        if e[0] is _VALUE and e[2] is not None:
+            return _VALUE, lambda frame, vals=vals, size=e[2], at=at: \
+                vals.concrete(64, size, at, desc="sizeof"), None
 
-        def size_of_value(frame):
+        def size_of_value(frame, vals=vals, store=store, v=self.fn(e), at=at):
             p = v(frame)
             if isinstance(p, Place):
-                nbytes = 8 if p.step else size_of(p.type)
+                nbytes = 8 if p.step else store.size_of(p.type)
             else:
                 r = vals.resolve(p)
                 nbytes = r.width // 8 if isinstance(r, Concrete) else 4
@@ -1544,12 +1561,11 @@ class _Compiler:
         self.i = close + 1
         v = self.rval(self.operand(), t)
         ctype = decl.type
-        bits, signed, at = ctype.width * 8, not ctype.unsigned, (self.file_id, t.line)
-        vals = self.vals
+        vals, at = self.vals, (self.file_id, t.line)
         if ctype.pointer:  # a pointer step of no elements over the value
             elem = self.it._compile_type(ctype.elem, self.file_id, t.line)
 
-            def pointer(frame):
+            def pointer(frame, vals=vals, v=v, elem=elem, at=at):
                 p = v(frame)
                 r = vals.resolve(p)
                 if r.__class__ is Concrete and r.width < 64:  # an address is 64 bits wide
@@ -1558,9 +1574,10 @@ class _Compiler:
 
             return _STEP, pointer, None
         if ctype.boolean:
-            return _VALUE, lambda frame: vals.apply_binop(
+            return _VALUE, lambda frame, vals=vals, v=v, at=at: vals.apply_binop(
                 "!=", v(frame), vals.concrete(32, 0, at, True), at), None
-        return _VALUE, lambda frame: vals.apply_cast(v(frame), bits, signed, at), None
+        return _VALUE, lambda frame, vals=vals, v=v, bits=ctype.width * 8, \
+            signed=not ctype.unsigned, at=at: vals.apply_cast(v(frame), bits, signed, at), None
 
     def _call(self, e, open_tok):
         it = self.it
@@ -1568,9 +1585,9 @@ class _Compiler:
         if kind is not _NAME:
             callee = self.rval(e, open_tok)
             args = self._args()
-            at = (self.file_id, open_tok.line)
 
-            def computed(frame):
+            def computed(frame, it=it, callee=callee, args=args,
+                         at=(self.file_id, open_tok.line)):
                 target = callee(frame)
                 for arg in args:
                     arg(frame)
@@ -1588,21 +1605,20 @@ class _Compiler:
                 text = it.s.corpus.text(self.file_id, name_tok, close_tok)
             except KeyError:
                 pass
-        site = CallSite(self.file_id, name_tok.line, text, compact)
         name = name_tok.text
         returns = it._returns.get(name)  # a declared pointer result is a step over it
-        call_named = it.call_named
 
-        def call(frame):
+        def call(frame, it=it, name=name, args=args,
+                 site=CallSite(self.file_id, name_tok.line, text, compact)):
             values = []  # a loop, not a comprehension: no frame of its own
             for arg in args:
                 values.append(arg(frame))
-            return call_named(name, values, site)
+            return it.call_named(name, values, site)
 
         if returns is None or not returns.pointer:
             return _VALUE, call, None
-        pointee = returns.elem
-        return _STEP, lambda frame: Place(None, call(frame), 0, "*", pointee, True), None
+        return _STEP, lambda frame, call=call, pointee=returns.elem: \
+            Place(None, call(frame), 0, "*", pointee, True), None
 
     def _args(self):
         """The argument closures from the ``(`` at the current token through
@@ -1626,14 +1642,24 @@ class _Compiler:
                 self._err(f"expected ',' or ')' in call, found {t.text!r}")
 
     def _index(self, e, idx, t):
-        at = (self.file_id, t.line)
-        kind, base, _ = e
-        deref_place = self.it.deref_place
-        late = kind is _NAME  # an array name is looked up after the index runs
-
-        def index(frame):
+        # An array name is looked up after the index runs.
+        def index(frame, it=self.it, base=self.fn(e), idx=idx, late=e[0] is _NAME,
+                  at=(self.file_id, t.line)):
             b = None if late else base(frame)
             i = idx(frame)
-            return deref_place(base(frame) if late else b, at, i)
+            return it.deref_place(base(frame) if late else b, at, i)
 
         return _PLACE, index, None
+
+
+def _nesting(toks) -> int:
+    """How deep the brackets of ``toks`` nest at most."""
+    depth = deepest = 0
+    for t in toks:
+        if t.kind == tk.PUNCT:
+            if t.text in ("(", "[", "{"):
+                depth += 1
+                deepest = max(deepest, depth)
+            elif t.text in (")", "]", "}"):
+                depth -= 1
+    return deepest

@@ -97,7 +97,8 @@ def expand(
     Expanded tokens are marked synthetic and carry the use site's position so
     diagnostics keep pointing at the line being executed. ``hidden`` names
     the macros being expanded around ``toks``, which stay as they are there
-    (no self-recursion).
+    (no self-recursion). No comprehension here reads a local, which would
+    make that local a cell that every call allocates.
     """
     if macros.keys().isdisjoint([t.text for t in toks]):
         return toks
@@ -119,7 +120,9 @@ def expand(
                 i += 1
                 continue
             b = tk.closing(toks, j, n)
-            args = [toks[c:d] for c, d in tk.split_top_level(toks, j + 1, b, ",")]
+            args = []
+            for c, d in tk.split_top_level(toks, j + 1, b, ","):
+                args.append(toks[c:d])
             end = b + 1
         if depth <= 0 or end > n or _has_paste(m.body) or args is not None and (
                 len(args) != len(m.params) and "..." not in m.params):
@@ -128,16 +131,14 @@ def expand(
             out.append(t)
             i += 1
             continue
-        if args is None:
-            rep = [tk.synthetic_copy(bt, t) for bt in m.body]
-        else:
-            named = dict(zip(m.params, args))
-            rep = []
-            for bt in m.body:
-                if bt.kind == tk.IDENTIFIER and bt.text in named:
-                    rep.extend(tk.synthetic_copy(x, t) for x in named[bt.text])
-                else:
-                    rep.append(tk.synthetic_copy(bt, t))
+        named = {} if args is None else dict(zip(m.params, args))
+        rep = []
+        for bt in m.body:
+            if bt.kind == tk.IDENTIFIER and bt.text in named:
+                for x in named[bt.text]:
+                    rep.append(tk.synthetic_copy(x, t))
+            else:
+                rep.append(tk.synthetic_copy(bt, t))
         out.extend(expand(rep, macros, on_unexpanded, depth - 1, hidden | {t.text}))
         i = end
     return out

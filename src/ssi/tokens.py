@@ -168,6 +168,9 @@ def plain_tokens(text: str, start: int, end: int, base: int, line: int,
     return tokens
 
 
+_new = object.__new__
+
+
 class FileTokens(list):
     """The code tokens ``tokenize`` gives a source text, the same in kind,
     text and position, but for whitespace, newlines and comments, which are
@@ -205,9 +208,11 @@ class FileTokens(list):
                         append(Token(PUNCT, "#", offset, line, offset - line_start + 1))
                         offset += 1
                         break  # a mid-line ``#``, as ``tokenize`` reads it
-                if kind is not COMMENT:
-                    (directives if kind is DIRECTIVE else tokens).append(
-                        Token(kind, text, offset, line, offset - line_start + 1))
+                if kind is not COMMENT:  # built as ``ValueTable.mint`` builds a Value
+                    t = _new(Token)
+                    t.kind, t.text, t.byte_offset, t.line = kind, text, offset, line
+                    t.column, t.synthetic = offset - line_start + 1, False
+                    (directives if kind is DIRECTIVE else tokens).append(t)
                 if "\n" in text:
                     line += text.count("\n")
                     line_start = offset + text.rindex("\n") + 1

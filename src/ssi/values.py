@@ -211,15 +211,20 @@ def _common(a: Concrete, b: Concrete) -> tuple[Concrete, Concrete]:
     return Concrete(w, to_int(a) & mask, signed), Concrete(w, to_int(b) & mask, signed)
 
 
+# Each kernel builds its result as ``ValueTable.mint`` builds a Value, with
+# no ``__init__`` call, since every operation on two constants runs one.
+
 def _wrapping(fn):
     """The kernel of an operator whose result is ``fn`` on the operands'
     bits in their common type, wrapped to its width."""
 
-    def kernel(a: Concrete, b: Concrete) -> Concrete:
+    def kernel(a: Concrete, b: Concrete, fn=fn) -> Concrete:
         if a.width != b.width:
             a, b = _common(a, b)
         w = a.width
-        return Concrete(w, fn(a.bits, b.bits) & ((1 << w) - 1), a.signed and b.signed)
+        c = _new(Concrete)
+        c.width, c.bits, c.signed = w, fn(a.bits, b.bits) & ((1 << w) - 1), a.signed and b.signed
+        return c
 
     return kernel
 
@@ -227,16 +232,22 @@ def _wrapping(fn):
 def _on_values(fn, compare=False):
     """The kernel of ``/``, ``%`` or a comparison (``compare``): ``fn`` on
     the operands' values in their common type, wrapped to its width, or
-    for a comparison the int 0 or 1."""
+    for a comparison the int 0 or 1. Two operands with no sign bit set
+    have the values of their bits, signed or not."""
 
-    def kernel(a: Concrete, b: Concrete) -> Concrete:
+    def kernel(a: Concrete, b: Concrete, fn=fn, compare=compare) -> Concrete:
         if a.width != b.width:
             a, b = _common(a, b)
-        signed = a.signed and b.signed
-        r = fn(to_int(a), to_int(b)) if signed else fn(a.bits, b.bits)
+        w, signed = a.width, a.signed and b.signed
+        if signed and (a.bits | b.bits) >> (w - 1):
+            r = fn(to_int(a), to_int(b))
+        else:
+            r = fn(a.bits, b.bits)
         if compare:
             return _TRUE if r else _FALSE
-        return Concrete(a.width, r & ((1 << a.width) - 1), signed)
+        c = _new(Concrete)
+        c.width, c.bits, c.signed = w, r & ((1 << w) - 1), signed
+        return c
 
     return kernel
 
@@ -245,9 +256,11 @@ def _shift(fn):
     """The kernel of ``<<`` or ``>>``: in the left operand's type, by the
     count modulo its width; a negative signed value shifts arithmetically."""
 
-    def kernel(a: Concrete, b: Concrete) -> Concrete:
+    def kernel(a: Concrete, b: Concrete, fn=fn) -> Concrete:
         w = a.width
-        return Concrete(w, fn(to_int(a), to_int(b) % w) & ((1 << w) - 1), a.signed)
+        c = _new(Concrete)
+        c.width, c.bits, c.signed = w, fn(to_int(a), to_int(b) % w) & ((1 << w) - 1), a.signed
+        return c
 
     return kernel
 
@@ -386,19 +399,20 @@ class ValueTable:
         operator binds it. Two constants that C's promotions leave as they
         are (32 bits or wider) run the kernel at once, as ``apply_binop``
         would, unless ``op`` divides by zero; any other pair goes to
-        ``apply_binop``. One for each operator, made when first asked for."""
+        ``apply_binop``. One for each operator, made when first asked for;
+        it binds what it reads as default arguments, as a compiled closure
+        does."""
         f = self._binops.get(op)
         if f is not None:
             return f
-        kernel, mint, apply_binop = BINARY_KERNELS[op], self.mint, self.apply_binop
-        divides = op == "/" or op == "%"
 
-        def f(lhs, rhs, at):
+        def f(lhs, rhs, at, vals=self, op=op, kernel=BINARY_KERNELS[op],
+              divides=op == "/" or op == "%"):
             a, b = lhs.payload, rhs.payload
             if a.__class__ is Concrete and b.__class__ is Concrete and a.width >= 32 \
                     and b.width >= 32 and (b.bits or not divides):
-                return mint(kernel(a, b), at, op, (lhs, rhs))
-            return apply_binop(op, lhs, rhs, at)
+                return vals.mint(kernel(a, b), at, op, (lhs, rhs))
+            return vals.apply_binop(op, lhs, rhs, at)
 
         self._binops[op] = f
         return f

@@ -4,7 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
-from types import FunctionType
+from types import CellType, FunctionType
 
 import pytest
 
@@ -905,6 +905,75 @@ void testmain(void) {{
         assert r == expected
         assert not [e for e in session.events if e.kind in ("call", "missing-model")]
         assert len(session.values) == len(run(plain)[0].values)
+
+
+# Every construct the compiler makes a closure of, for the cell check below.
+EVERY_CLOSURE = """
+struct pt { int x; int y; };
+struct pt g;
+int twice(int v) { return v * 2; }
+int *first(int *p) { return p; }
+void testmain(void) {
+    int a[4];
+    int i = 0, n = -1;
+    struct pt *q = &g;
+    a[i] = twice(3) + ~n - !n;
+    q->y = a[0] ? sizeof(long) : sizeof a;
+    g.x = (i, (char)300 + (_Bool)7);
+    int *p = first(a) + 1;
+    *p = i++ + --n;
+    n += *(a + 1) || i && "ab"[1];
+    int s = ((g.x)) << 2;
+}
+"""
+
+
+def test_the_compile_layer_makes_no_cells():
+    # A compiled closure binds what it reads as default arguments: no method
+    # that compiles has a cell variable, which its every call would
+    # allocate, and a session that compiled and ran a program keeps no cell.
+    compiler = [f for f in vars(interp_module._Compiler).values()
+                if isinstance(f, FunctionType)]
+    interp_steps = [getattr(interp_module.Interp, name) for name in (
+        "_compile", "_compile_statement", "_compile_declaration", "_declare",
+        "_compile_type", "_block")]
+    functions = compiler + interp_steps + [interp_module._then, interp_module._sequence,
+                                           mc.expand]
+    assert [f.__qualname__ for f in functions if f.__code__.co_cellvars] == []
+    stmts, top = refeval.gen_program(random.Random(32), max_stmts=25)
+    for source in (refeval.render_program(stmts), EVERY_CLOSURE):
+        gc.collect()
+        before = {id(o) for o in gc.get_objects()}
+        session, interp = make_session({"prog.c": source})
+        run_function(session, interp, "testmain")
+        gc.collect()
+        kept = []
+        for o in gc.get_objects():  # a loop: a comprehension reading ``before`` is a closure
+            if id(o) not in before:
+                kept.append(o)
+        assert interp._compiled
+        assert [o for o in kept if type(o) is CellType] == []
+        assert [f.__qualname__ for f in kept
+                if type(f) is FunctionType and f.__closure__] == []
+
+
+def test_deep_parentheses_are_an_eval_error_naming_the_line():
+    # The compiler recurses once per bracket level or two; past Python's
+    # recursion limit the error names the line and the nesting, whether the
+    # code runs as a command's entry or as a block.
+    def nested(depth):
+        return "void testmain(void) { int x = " + "(" * depth + "1" + ")" * depth + "; }"
+
+    message = r"expression nested too deep at prog\.c:1: brackets nest 1500 deep"
+    session, interp = make_session({"prog.c": nested(1500)})
+    session.commands["run"] = CommandSpec("testmain", {})
+    with pytest.raises(EvalError, match=message) as exc:
+        interp.run_entry("run")
+    assert exc.value.line == 1
+    with pytest.raises(EvalError, match=message):
+        run_main(nested(1500))
+    session, frame = run_main(nested(100))
+    assert local_concrete(session, frame, "x") == 1
 
 
 def test_loop_body_compiles_once_per_session(monkeypatch):
