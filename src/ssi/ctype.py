@@ -1,9 +1,9 @@
-"""C types (``CType``, the one type record: a declaration, a typedef name, a
-place, a cast and a pointer value each hold one), and the one reader of
-declarations, casts, ``sizeof (type)``, struct members and parameters:
-``parse_type_prefix`` reads the specifiers, then one recursive reader each
-declarator (C11 6.7.6), deriving its type inside out from its pointers,
-parenthesized declarator and ``[…]`` and ``(…)`` suffixes.
+"""C types (``CType``, the one type record, a slotted dataclass: a
+declaration, a typedef name, a place, a cast and a pointer value each hold
+one), and the one reader of declarations, casts, ``sizeof (type)``, struct
+members and parameters: ``parse_type_prefix`` reads the specifiers, then one
+recursive reader each declarator (C11 6.7.6), deriving its type inside out
+from its pointers, parenthesized declarator and ``[…]`` and ``(…)`` suffixes.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tokens as tk
-from .values import Record
 
 BASE, VOID, POINTER, ARRAY, FUNCTION = "base", "void", "pointer", "array", "function"
 
 
-class CType(Record):
+@dataclass(slots=True, unsafe_hash=True, init=False)
+class CType:
     """A C type (C11 6.2.5p20): a ``BASE`` of ``width`` bytes (an integer,
     ``boolean`` for ``_Bool``, or a struct or union ``tag``) or ``VOID``, or
     a ``POINTER`` to, an ``ARRAY`` of ``count`` of (a number, or its bound's
@@ -27,8 +27,18 @@ class CType(Record):
     wraps to (None but for an integer narrower than int); ``converts``, for
     a narrow or unsigned integer; ``fixed``, every array bound counted."""
 
-    __slots__ = ("kind", "of", "count", "width", "tag", "unsigned", "boolean",
-                 "pointer", "elem", "narrow", "converts", "fixed")
+    kind: str
+    of: CType | None
+    count: int | tuple | None
+    width: int
+    tag: str | None
+    unsigned: bool
+    boolean: bool
+    pointer: bool
+    elem: CType | None
+    narrow: bool | None
+    converts: bool
+    fixed: bool
 
     def __init__(self, width: int = 4, tag: str | None = None, unsigned: bool = False,
                  boolean: bool = False, kind: str = BASE, of: CType | None = None,

@@ -2,10 +2,11 @@
 
 Every allocation, global, static, string literal, array or struct variable,
 and opaque pointer base is its own region; addresses are (region, byte
-offset) pairs, and a cell holds its Value. Loading an untouched cell mints a
-fresh symbol and keeps it, so repeated loads agree. Pointer arithmetic stays
-within a region, which isolates the module under interpretation from
-absolute-address reasoning.
+offset) pairs or ``Location``s, a slotted dataclass of the two, and a cell
+holds its Value. Loading an untouched cell mints a fresh symbol and keeps
+it, so repeated loads agree. Pointer arithmetic stays within a region,
+which isolates the module under interpretation from absolute-address
+reasoning.
 
 A scalar local (an integer or a pointer) is held: its ``Place`` keeps its
 value, under a region id ``reserve`` hands out with no Region built, so
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .ctype import ARRAY, INT, CType
 from .errors import SymbolicAddress
-from .values import Concrete, Record, Value, ValueTable, to_int
+from .values import Concrete, Value, ValueTable, to_int
 
 STACK = "stack"
 STATIC = "static"
@@ -48,12 +49,10 @@ class Region:
     display_base: Value | None = None  # the rendered base (mmio)
 
 
-class Location(Record):
-    __slots__ = ("region", "offset")
-
-    def __init__(self, region: int, offset):
-        self.region = region
-        self.offset = offset  # int, or a Value that must resolve concretely on access
+@dataclass(slots=True, unsafe_hash=True)
+class Location:
+    region: int
+    offset: int | Value  # a Value must resolve concretely on access
 
 
 @dataclass

@@ -82,6 +82,11 @@ class Repl:
                 self._write(f"ssi > {stripped}")
             return stripped
 
+    def _fail(self, text: str):
+        """Write ``text`` for a command that failed: a script exits 1."""
+        self._write(text)
+        self.s.batch_failed = True
+
     def _ask(self, prompt: str) -> bool:
         answer = self._prompt(f"{prompt} [y/n] ")
         return answer is not None and answer.strip().lower().startswith("y")
@@ -171,21 +176,17 @@ class Repl:
                 self._cmd_verbose(parts[1:])
             elif head in self.s.commands:
                 if self._running:
-                    self._write(f"error: cannot run {head!r} while suspended")
-                    self.s.batch_failed = True
+                    self._fail(f"error: cannot run {head!r} while suspended")
                 else:
                     self._run_entry(head, parts[1:])
             else:
-                self._write(f"unknown command: {head}")
-                self.s.batch_failed = True
+                self._fail(f"unknown command: {head}")
         except _Quit:
             raise
         except SsiError as e:
-            self._write(f"error: {e}")
-            self.s.batch_failed = True
+            self._fail(f"error: {e}")
         except Exception as e:  # a fault of the interpreter ends the command, not the session
-            self._write(f"error: internal {type(e).__name__}: {e}")
-            self.s.batch_failed = True
+            self._fail(f"error: internal {type(e).__name__}: {e}")
         return None
 
     def _run_entry(self, name, argv):
@@ -228,7 +229,7 @@ class Repl:
     # ----------------------------------------------------------- inspections
     def _cmd_break(self, args):
         if not args:
-            self._write("usage: b [FILE:]LINE")
+            self._fail("usage: b [FILE:]LINE")
             return
         spec = args[0]
         file_id = None
@@ -237,13 +238,13 @@ class Repl:
         try:
             line = int(spec)
         except ValueError:
-            self._write(f"bad line number: {args[0]}")
+            self._fail(f"bad line number: {args[0]}")
             return
         self.s.breakpoints[(file_id, line)] = Breakpoint(file_id, line)
 
     def _cmd_verbose(self, args):
         if not args:
-            self._write("usage: verbose FN PATTERN")
+            self._fail("usage: verbose FN PATTERN")
             return
         self.s.trace_specs[args[0]] = TraceSpec(args[0], list(args[1:]))
 
@@ -257,7 +258,7 @@ class Repl:
 
     def _cmd_examine(self, args):
         if not args:
-            self._write("usage: xc NAME")
+            self._fail("usage: xc NAME")
             return
         slot, value = self._find_local(args[0])
         text, blocked = self.interp.display_value(value)
@@ -268,7 +269,7 @@ class Repl:
 
     def _cmd_trace_value(self, args):
         if not args:
-            self._write("usage: trace NAME")
+            self._fail("usage: trace NAME")
             return
         _, value = self._find_local(args[0])
         for _vid, (file_id, line), desc, parents in \

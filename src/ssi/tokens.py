@@ -6,8 +6,9 @@ error, unknown bytes become ``unknown-byte`` tokens, and concatenating the
 reader of a corpus file or snippet, makes the same tokens but none for
 whitespace, newlines and comments, and keeps each preprocessor line beside
 its list, as C's phase 4 takes directives out before any parsing, so the
-list holds only code. Each token keeps its byte offset: a region's text is
-read from the source (``Corpus.text``), not by joining tokens.
+list holds only code. A ``Token`` is a slotted dataclass, never changed
+once made; it keeps its byte offset: a region's text is read from the
+source (``Corpus.text``), not by joining tokens.
 
 Both walk the matches of one compiled pattern, ``_TOKEN``, whose
 alternatives are tried in order at each position: newline, a whitespace run,
@@ -32,7 +33,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import UnbalancedDelimiter
-from .values import Record
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -104,17 +104,14 @@ _KIND_OF_FIRST = {
 }
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "byte_offset", "line", "column", "synthetic")
-
-    def __init__(self, kind: str, text: str, byte_offset: int, line: int,
-                 column: int, synthetic: bool = False):
-        self.kind = kind
-        self.text = text
-        self.byte_offset = byte_offset
-        self.line = line        # 1-based
-        self.column = column    # 1-based
-        self.synthetic = synthetic  # product of macro expansion, offsets borrowed
+@dataclass(slots=True, unsafe_hash=True)
+class Token:
+    kind: str
+    text: str
+    byte_offset: int
+    line: int    # 1-based
+    column: int  # 1-based
+    synthetic: bool = False  # product of macro expansion, offsets borrowed
 
 
 def tokenize(source, file_id: str = "<memory>") -> list[Token]:

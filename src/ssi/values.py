@@ -11,7 +11,10 @@ blocking.
 Values point at values: a term holds its operand Values, and a value its
 parent Values, so a value that nothing holds is freed by reference counting.
 The table keeps a mint counter for ids and, by id, only the symbol roots
-that bindings, blockers and unmodeled calls name.
+that bindings, blockers and unmodeled calls name. Payloads and results
+(``Concrete``, ``SymbolRoot``, ``Term``, ``Residual``) are slotted
+dataclasses, compared, hashed and printed field by field; none is changed
+once made.
 
 Widths are 8/16/32/64 bits with two's-complement wraparound. An operand
 narrower than 32 bits is promoted to a signed 32-bit int of the same value
@@ -51,62 +54,28 @@ _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 _ADDRESS_TESTS = frozenset(["!", *_COMPARISONS])
 
 
-def _fields_repr(self) -> str:
-    args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-    return f"{type(self).__name__}({args})"
+@dataclass(slots=True, unsafe_hash=True)
+class Concrete:
+    width: int
+    bits: int  # always reduced mod 2**width
+    signed: bool = False
 
 
-class Record:
-    """A record minted once per token, per value or per memory access:
-    slotted, with a plain ``__init__``, and the equality, hash and repr of
-    the frozen dataclass it replaced, all taken field by field in
-    ``__slots__`` order. Records are never mutated after construction;
-    unlike a frozen dataclass, nothing stops an assignment, so none is
-    made."""
-
-    __slots__ = ()
-    __repr__ = _fields_repr
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+@dataclass(slots=True, unsafe_hash=True)
+class SymbolRoot:
+    label: str
 
 
-class Concrete(Record):
-    __slots__ = ("width", "bits", "signed")
-
-    def __init__(self, width: int, bits: int, signed: bool = False):
-        self.width = width
-        self.bits = bits  # always reduced mod 2**width
-        self.signed = signed
-
-
-class SymbolRoot(Record):
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-
-class Term(Record):
+@dataclass(slots=True, unsafe_hash=True)
+class Term:
     """``op`` over its ``operands``, the Values it was built from (all
     minted earlier), or the address of ``region`` (``OP_ADDR``, no
     operands). The value minted for a term has the operand tuple itself as
     its ``parents``."""
 
-    __slots__ = ("op", "operands", "region")
-
-    def __init__(self, op: str, operands: tuple[Value, ...], region: int | None = None):
-        self.op = op
-        self.operands = operands
-        self.region = region      # only for addr-of-region
+    op: str
+    operands: tuple[Value, ...]
+    region: int | None = None  # only for addr-of-region
 
 
 def _ids(values) -> tuple[int, ...]:
@@ -153,7 +122,8 @@ class Binding:
     reason: str  # constant-assignment | branch-comparison | hook-supplied | user-supplied
 
 
-class Residual(Record):
+@dataclass(slots=True, unsafe_hash=True)
+class Residual:
     """Resolution outcome for values that are not (yet) concrete.
 
     ``blockers`` are the ids of the unbound symbol roots in the way; binding
@@ -162,13 +132,8 @@ class Residual(Record):
     Region pointers without a concrete rendering carry empty blockers.
     """
 
-    __slots__ = ("value_id", "blockers", "pointer")
-
-    def __init__(self, value_id: int, blockers: tuple[int, ...],
-                 pointer: tuple[int, int] | None = None):
-        self.value_id = value_id
-        self.blockers = blockers
-        self.pointer = pointer
+    blockers: tuple[int, ...]
+    pointer: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -551,10 +516,10 @@ class ValueTable:
         ``payload``: its result, memoized, when every value it reads is a
         constant or memoized; else the tuple of the values it waits on.
 
-        A root reads its binding or its pointer's result (a Residual of the
-        root's own id), an address is a Residual of (region, 0), blocked by
-        its mmio base's blockers if it has one, and a term combines its
-        operands' results."""
+        A root reads its binding, or its pointer's result itself, or else is
+        blocked by its own id; an address is a Residual of (region, 0),
+        blocked by its mmio base's blockers if it has one, and a term
+        combines its operands' results."""
         if payload.__class__ is SymbolRoot:
             vid = v.id
             b = self.bindings.get(vid)
@@ -562,19 +527,17 @@ class ValueTable:
             if b is not None:
                 r = b.bound
             elif p is None:
-                r = Residual(vid, (vid,))
+                r = Residual((vid,))
             else:
                 r = p.payload
                 if r.__class__ is not Concrete:
                     r = p.memo
                     if r is None:
                         return (p,)
-                    if r.__class__ is Residual:
-                        r = Residual(vid, r.blockers, r.pointer)
         elif payload.op == OP_ADDR:
             base = self._mmio_base(payload.region)
             if base is None:
-                r = Residual(v.id, (), (payload.region, 0))
+                r = Residual((), (payload.region, 0))
             else:
                 m = base.payload
                 if m.__class__ is not Concrete:
@@ -582,7 +545,7 @@ class ValueTable:
                     if m is None:
                         return (base,)
                 blockers = () if m.__class__ is Concrete else m.blockers
-                r = Residual(v.id, blockers, (payload.region, 0))
+                r = Residual(blockers, (payload.region, 0))
         else:
             operands = payload.operands
             if len(operands) == 2:
@@ -597,7 +560,7 @@ class ValueTable:
                     return operands if b is None else (x,)
                 if b is None:
                     return (y,)
-                r = self._combine(v.id, payload.op, a, b)
+                r = self._combine(payload.op, a, b)
             else:
                 x, = operands
                 a = x.payload
@@ -605,7 +568,7 @@ class ValueTable:
                     a = x.memo
                     if a is None:
                         return operands
-                r = self._combine(v.id, payload.op, a)
+                r = self._combine(payload.op, a)
         v.memo = r
         if r.__class__ is Residual:
             self._residuals.append(v)
@@ -662,9 +625,9 @@ class ValueTable:
         return any(getattr(self.region_lookup(r), "kind", None) == "opaque"  # memory.OPAQUE
                    for r in (a, b))
 
-    def _combine(self, vid, op, a, b=None):
-        """The result of value ``vid``, the term ``op`` over operands whose
-        results are ``a`` and, for a binary operator, ``b``."""
+    def _combine(self, op, a, b=None):
+        """The result of the term ``op`` over operands whose results are
+        ``a`` and, for a binary operator, ``b``."""
         if b is None:
             if a.__class__ is Concrete:
                 return concrete_unop(op, a)
@@ -708,7 +671,7 @@ class ValueTable:
                   and a.pointer and b.pointer and a.pointer[0] == b.pointer[0]):
                 # The region's base, and whatever blocks it, cancels out.
                 return make_concrete(64, a.pointer[1] - b.pointer[1], True)
-        return Residual(vid, blockers, pointer)
+        return Residual(blockers, pointer)
 
     def stepped_root(self, v: Value):
         """The symbol root that ``v``, a pointer, steps from, as ``_combine``

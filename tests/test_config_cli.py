@@ -31,6 +31,37 @@ def test_config_rejects_bad_json(tmp_path):
         load_config(path)
 
 
+PARAMS_MESSAGE = "command 'go' params must map names to 1-based argument positions"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "expected a JSON object"),
+    ({"corpus": "m.c"}, "'corpus' must be a list of file names"),
+    ({"corpus": ["m.c"], "hooks": [3]}, "'hooks' must be a list of file names"),
+    ({"corpus": ["m.c"], "commands": {"go": {}}}, "command 'go' needs an 'entry' function"),
+    ({"corpus": ["m.c"], "commands": {"go": "f"}}, "command 'go' needs an 'entry' function"),
+    ({"corpus": ["m.c"], "commands": {"go": {"entry": "f", "params": [1]}}}, PARAMS_MESSAGE),
+    ({"corpus": ["m.c"], "commands": {"go": {"entry": "f", "params": {"n": "1"}}}},
+     PARAMS_MESSAGE),
+])
+def test_config_rejects_each_malformed_field(tmp_path, payload, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_a_hook_module_without_register_is_a_config_error(tmp_path):
+    (tmp_path / "m.c").write_text("int real(void) { return 0; }")
+    (tmp_path / "hooks.py").write_text("MODELS = []\n")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"corpus": ["m.c"], "hooks": ["hooks.py"]}))
+    with pytest.raises(ConfigError) as exc:
+        build_session(load_config(path))
+    assert str(exc.value) == f"hook module {tmp_path / 'hooks.py'} defines no register(session)"
+
+
 def test_build_session_validates_entry_functions(tmp_path):
     (tmp_path / "m.c").write_text("int real(void) { return 0; }")
     path = tmp_path / "c.json"

@@ -5,7 +5,7 @@ import pytest
 
 import ssi.tokens as tk
 from conftest import local_concrete, make_session, record_mints, run_function
-from ssi.errors import SchemaError, UnsupportedOperation
+from ssi.errors import EvalError, SchemaError, UnsupportedOperation
 from ssi.hooks import HookContext, load_declarative_model, parse_value_sexpr
 from ssi.interp import CallSite
 from ssi.memory import Location, OPAQUE
@@ -49,6 +49,14 @@ def test_exec_snippet_writes_concrete_through_pointer():
     ctx.exec_snippet("*{0} = {1}", [ptr, addr])
     out = session.store.load(Location(region.id, 0), 4)
     assert to_int(session.values.resolve(out)) == 0x7E200000
+
+
+def test_exec_snippet_placeholder_past_its_arguments_is_an_error():
+    session, interp = make_session({"t.c": "int unused;"})
+    one = session.values.concrete(32, 1, ("t.c", 1))
+    with pytest.raises(EvalError) as exc:
+        hook_ctx(session, interp).exec_snippet("int t = {0} + {1};", [one])
+    assert str(exc.value) == "snippet 'int t = {0} + {1};': no argument {1}"
 
 
 def test_exec_snippet_empty_template_is_noop():
@@ -297,6 +305,51 @@ def test_schema_errors(tmp_path):
     ):
         with pytest.raises(SchemaError):
             load_declarative_model(session, write_model(tmp_path, payload))
+
+
+BOTH = {"arg": 0, "constant": 1, "dtsi": {"file": "b.dtsi", "compatible": "c"}}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"return_constant": 5}, "action body must be an object"),
+    ({"return_constant": {"width": "32", "value": 1}},
+     "return_constant needs integer width/value"),
+    ({"return_constant": {"width": 32}}, "return_constant needs integer width/value"),
+    ({"return_symbol": {"label": 7}}, "return_symbol needs a string label"),
+    ({"log_args": {"format": ["{args}"]}}, "log_args format must be a string"),
+    ({"write_through_arg": {"constant": 1}}, "write_through_arg needs an integer 'arg'"),
+    ({"write_through_arg": {"arg": 0}},
+     "write_through_arg needs exactly one of 'constant' or 'dtsi'"),
+    ({"write_through_arg": BOTH},
+     "write_through_arg needs exactly one of 'constant' or 'dtsi'"),
+    ({"write_through_arg": {"arg": 0, "constant": "1"}}, "'constant' must be an integer"),
+    ({"write_through_arg": {"arg": 0, "dtsi": "b.dtsi"}},
+     "'dtsi' needs string 'file' and 'compatible'"),
+    ({"write_through_arg": {"arg": 0, "dtsi": {"file": "b.dtsi"}}},
+     "'dtsi' needs string 'file' and 'compatible'"),
+])
+def test_each_malformed_action_body_names_its_fault(tmp_path, entry, message):
+    session, _ = make_session({"t.c": "int x;"})
+    path = write_model(tmp_path, {"models": [{"name": "x", **entry}]})
+    with pytest.raises(SchemaError) as exc:
+        load_declarative_model(session, path)
+    assert str(exc.value) == f"{path}: models[0]: {message}"
+
+
+@pytest.mark.parametrize("action, message", [
+    ({"arg": 0, "dtsi": {"file": "board.dtsi", "compatible": "$chosen"}},
+     "model fill: no device chosen for $chosen lookup"),
+    ({"arg": 1, "constant": 5}, "model fill: call has no argument 1"),
+])
+def test_a_declarative_model_that_cannot_act_is_an_error_when_called(
+        tmp_path, action, message):
+    (tmp_path / "board.dtsi").write_text('a { compatible = "dev-a"; reg = <0x100 1>; };')
+    session, interp = make_session({"t.c": "void f(void) { int cell; fill(&cell); }"})
+    load_declarative_model(session, write_model(
+        tmp_path, {"models": [{"name": "fill", "write_through_arg": action}]}))
+    with pytest.raises(EvalError) as exc:
+        run_function(session, interp, "f")
+    assert str(exc.value) == message
 
 
 def test_operational_indistinguishability_host_vs_declarative(tmp_path):

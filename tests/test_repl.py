@@ -45,6 +45,44 @@ def test_unknown_command_keeps_looping():
     assert code == 1  # an erroneous command fails the batch
 
 
+TWICE = {"twice.c": """\
+int twice(int n) {
+    return n + n;
+}
+"""}
+ENTRIES = {"entry": CommandSpec("entry"), "go": CommandSpec("twice", {"n": 1}),
+           "lost": CommandSpec("nowhere")}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("b", "usage: b [FILE:]LINE"),
+    ("b x", "bad line number: x"),
+    ("b prog.c:x", "bad line number: prog.c:x"),
+    ("verbose", "usage: verbose FN PATTERN"),
+    ("xc", "usage: xc NAME"),
+    ("trace", "usage: trace NAME"),
+    ("go", "error: go: missing argument 1 (n)"),
+    ("go x", "error: go: argument 1 (n) must be an integer"),
+    ("lost", "error: entry function 'nowhere' not found in corpus"),
+])
+def test_a_command_used_wrongly_fails_the_script_which_goes_on(line, message):
+    out, code, session = run_repl({**TWO_STEP, **TWICE},
+                                  [line, "verbose log_state x", "entry", "q"],
+                                  commands=ENTRIES)
+    assert out.splitlines()[:3] == [f"ssi > {line}", message, "ssi > verbose log_state x"]
+    assert "log_state(x) => 3" in out
+    assert code == 1 and not session.breakpoints
+
+
+def test_an_integer_entry_parameter_is_an_arg_symbol():
+    session, interp = make_session(TWICE)
+    session.commands.update(ENTRIES)
+    vals = session.values
+    result = vals.resolve(interp.run_entry("go", ["3"]))
+    assert session.command_params == {"n": 3}
+    assert vals.labels_for(result.blockers) == ["arg:n"]
+
+
 def test_continue_and_step_with_nothing_running():
     out, code, _ = run_repl(TWO_STEP, ["c", "s", "q"])
     assert "nothing to continue" in out

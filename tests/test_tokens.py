@@ -436,4 +436,4 @@ def test_synthetic_copy_is_the_token_at_the_use_site(f, g):
     copy = tk.synthetic_copy(tk.Token(*f), tk.Token(*g))
     ref = dataclasses.replace(TokenRef(*f), byte_offset=g[2], line=g[3], column=g[4],
                               synthetic=True)
-    assert dataclasses.astuple(ref) == copy._fields()
+    assert dataclasses.astuple(ref) == dataclasses.astuple(copy)

@@ -818,7 +818,7 @@ REFERENCE = {
     Term: dataclasses.make_dataclass(
         "Term", ["op", "operands", ("region", object, None)], frozen=True),
     Residual: dataclasses.make_dataclass(
-        "Residual", ["value_id", "blockers", ("pointer", object, None)], frozen=True),
+        "Residual", ["blockers", ("pointer", object, None)], frozen=True),
     Location: dataclasses.make_dataclass("Location", ["region", "offset"], frozen=True),
 }
 small = st.integers(0, 3)
@@ -827,7 +827,7 @@ FIELDS = {
     SymbolRoot: st.tuples(st.sampled_from(["a", "mem:(1,0)"])),
     Term: st.tuples(st.sampled_from(["+", "addr-of-region"]),
                     st.lists(small, max_size=2).map(tuple), st.none() | small),
-    Residual: st.tuples(small, st.lists(small, max_size=2).map(tuple),
+    Residual: st.tuples(st.lists(small, max_size=2).map(tuple),
                         st.none() | st.tuples(small, small)),
     Location: st.tuples(small, small),
 }
@@ -844,6 +844,20 @@ def test_records_compare_hash_and_print_like_frozen_dataclasses(data):
     assert hash(cls(*f)) == hash(ref(*f))
     assert repr(cls(*f)) == repr(ref(*f))
     assert cls(*f) != ref(*f) and cls(*f) != f
+
+
+def test_a_root_bound_to_a_pointer_resolves_to_the_pointers_own_result():
+    # A Residual names no value, so a root bound to a pointer shares its
+    # pointer's memoized result rather than copying it under its own id.
+    vals = table()
+    p = vals.addr_of(3, AT)
+    q = vals.apply_binop("+", p, vals.concrete(64, 8, AT), AT)
+    for root, pointer, at in ((vals.fresh_symbol("a", AT), p, (3, 0)),
+                              (vals.fresh_symbol("b", AT), q, (3, 8))):
+        vals.bind_pointer(root, pointer)
+        assert vals.resolve(root) is vals.resolve(pointer)
+        assert vals.resolve(root) == Residual((), at)
+    assert [f.name for f in dataclasses.fields(Residual)] == ["blockers", "pointer"]
 
 
 def test_concrete_repr_names_every_field():
